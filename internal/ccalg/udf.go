@@ -18,7 +18,10 @@ import (
 //	hrand(seed, x)   — the per-round "random real" of vertex x, as a 63-bit
 //	                   integer (the random reals method's h-table values).
 //
-// All four treat the int64 column values as raw 64-bit patterns. The
+// All four treat the int64 column values as raw 64-bit patterns and are
+// registered in column form (engine.ColumnUDF): the engine calls them once
+// per chunk with the round's coefficients as scalars, so the multiplier
+// table or key schedule is looked up once per chunk, not once per row. The
 // functions are safe for concurrent evaluation (their memo caches are
 // internally locked), and registration is idempotent: once a cluster has
 // the UDFs, later calls keep the warm caches instead of replacing them,
@@ -29,85 +32,98 @@ func RegisterUDFs(c *engine.Cluster) {
 	}
 	// Multiplication tables are cached per coefficient a: one contraction
 	// round evaluates axplusb with the same a for every row.
-	var (
-		mulMu    sync.RWMutex
-		mulCache = make(map[uint64]*gf.Multiplier)
-	)
-	mulFor := func(a uint64) *gf.Multiplier {
-		mulMu.RLock()
-		m, ok := mulCache[a]
-		mulMu.RUnlock()
-		if ok {
-			return m
+	muls := newMemo(gf.NewMultiplier)
+	c.RegisterColumnUDF("axplusb", func(out []int64, args []engine.UDFArg) {
+		a, x, b := args[0], args[1], args[2]
+		var m *gf.Multiplier
+		for i := range out {
+			if ai := uint64(a.At(i)); m == nil || m.A() != ai {
+				m = muls.get(ai)
+			}
+			out[i] = int64(m.AxB(uint64(x.At(i)), uint64(b.At(i))))
 		}
-		mulMu.Lock()
-		defer mulMu.Unlock()
-		if m, ok = mulCache[a]; ok {
-			return m
-		}
-		if len(mulCache) > 64 {
-			mulCache = make(map[uint64]*gf.Multiplier) // bound the cache
-		}
-		m = gf.NewMultiplier(a)
-		mulCache[a] = m
-		return m
-	}
-	c.RegisterUDF("axplusb", func(args []engine.Datum) engine.Datum {
-		if args[0].Null || args[1].Null || args[2].Null {
-			return engine.NullDatum
-		}
-		m := mulFor(uint64(args[0].Int))
-		return engine.I(int64(m.AxB(uint64(args[1].Int), uint64(args[2].Int))))
 	})
 
-	c.RegisterUDF("axbp", func(args []engine.Datum) engine.Datum {
-		if args[0].Null || args[1].Null || args[2].Null {
-			return engine.NullDatum
+	c.RegisterColumnUDF("axbp", func(out []int64, args []engine.UDFArg) {
+		a, x, b := args[0], args[1], args[2]
+		for i := range out {
+			out[i] = int64(gf.AxBP(uint64(a.At(i)), uint64(x.At(i)), uint64(b.At(i))))
 		}
-		return engine.I(int64(gf.AxBP(uint64(args[0].Int), uint64(args[1].Int), uint64(args[2].Int))))
 	})
 
 	// Ciphers are cached per round key; the key schedule is far more
 	// expensive than a block encryption.
-	var (
-		encMu    sync.RWMutex
-		encCache = make(map[uint64]*blowfish.Cipher)
-	)
-	cipherFor := func(key uint64) *blowfish.Cipher {
-		encMu.RLock()
-		ci, ok := encCache[key]
-		encMu.RUnlock()
-		if ok {
-			return ci
+	ciphers := newMemo(blowfish.NewFromUint64)
+	c.RegisterColumnUDF("enc", func(out []int64, args []engine.UDFArg) {
+		key, x := args[0], args[1]
+		var ci *blowfish.Cipher
+		var ciKey uint64
+		for i := range out {
+			if k := uint64(key.At(i)); ci == nil || ciKey != k {
+				ci, ciKey = ciphers.get(k), k
+			}
+			// Keep results non-negative so integer min works like uint64 min;
+			// dropping the top bit halves the range but keeps a 2^-63 collision
+			// probability per pair, irrelevant for ordering purposes.
+			out[i] = int64(ci.Encrypt64(uint64(x.At(i))) >> 1)
 		}
-		encMu.Lock()
-		defer encMu.Unlock()
-		if ci, ok = encCache[key]; ok {
-			return ci
-		}
-		if len(encCache) > 64 {
-			encCache = make(map[uint64]*blowfish.Cipher)
-		}
-		ci = blowfish.NewFromUint64(key)
-		encCache[key] = ci
-		return ci
-	}
-	c.RegisterUDF("enc", func(args []engine.Datum) engine.Datum {
-		if args[0].Null || args[1].Null {
-			return engine.NullDatum
-		}
-		ci := cipherFor(uint64(args[0].Int))
-		// Keep results non-negative so integer min works like uint64 min;
-		// dropping the top bit halves the range but keeps a 2^-63 collision
-		// probability per pair, irrelevant for ordering purposes.
-		return engine.I(int64(ci.Encrypt64(uint64(args[1].Int)) >> 1))
 	})
 
-	c.RegisterUDF("hrand", func(args []engine.Datum) engine.Datum {
-		if args[0].Null || args[1].Null {
-			return engine.NullDatum
+	c.RegisterColumnUDF("hrand", func(out []int64, args []engine.UDFArg) {
+		seed, x := args[0], args[1]
+		for i := range out {
+			h := xrand.Mix64(uint64(seed.At(i)) ^ xrand.Mix64(uint64(x.At(i))))
+			out[i] = int64(h >> 1) // non-negative 63-bit "random real"
 		}
-		h := xrand.Mix64(uint64(args[0].Int) ^ xrand.Mix64(uint64(args[1].Int)))
-		return engine.I(int64(h >> 1)) // non-negative 63-bit "random real"
 	})
+}
+
+// memoCap bounds a memo: a cluster serves many concurrent runs (ccserverd
+// tenants × rounds), each with its own live key per round.
+const memoCap = 64
+
+// memo caches values that are expensive to build from a 64-bit key — a
+// GF(2^64) multiplication table, a Blowfish key schedule — for concurrent
+// use. At memoCap entries it evicts the least recently used one, so a key
+// some run is still using survives any number of other runs' keys passing
+// through.
+type memo[V any] struct {
+	build func(uint64) V
+
+	mu      sync.Mutex
+	entries map[uint64]*memoEntry[V]
+	clock   uint64
+}
+
+type memoEntry[V any] struct {
+	val  V
+	used uint64 // clock reading of the last get
+}
+
+func newMemo[V any](build func(uint64) V) *memo[V] {
+	return &memo[V]{build: build, entries: make(map[uint64]*memoEntry[V])}
+}
+
+// get returns the value for key, building it on first use.
+func (m *memo[V]) get(key uint64) V {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.clock++
+	if e, ok := m.entries[key]; ok {
+		e.used = m.clock
+		return e.val
+	}
+	if len(m.entries) >= memoCap {
+		var oldest uint64
+		oldestUsed := m.clock
+		for k, e := range m.entries {
+			if e.used < oldestUsed {
+				oldest, oldestUsed = k, e.used
+			}
+		}
+		delete(m.entries, oldest)
+	}
+	e := &memoEntry[V]{val: m.build(key), used: m.clock}
+	m.entries[key] = e
+	return e.val
 }

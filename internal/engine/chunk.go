@@ -159,23 +159,30 @@ func chunkToRows(ch *Chunk) []Row {
 func gatherChunk(in *Chunk, idx []int32) *Chunk {
 	out := newChunk(len(in.cols), len(idx))
 	for c := range in.cols {
-		src, dst := in.cols[c], out.cols[c]
-		if in.nulls[c] == nil {
-			for i, r := range idx {
-				dst[i] = src[r]
-			}
-			continue
-		}
-		nb := in.nulls[c]
-		for i, r := range idx {
-			if nb.get(int(r)) {
-				out.ensureNulls(c).set(i)
-			} else {
-				dst[i] = src[r]
-			}
-		}
+		gatherInto(out, c, in, c, idx, false)
 	}
 	return out
+}
+
+// gatherInto fills column oc of out, which has len(idx) rows, with column
+// c of in at the rows idx names. With pads set idx may hold -1, which
+// yields NULL: the right-hand columns of an unmatched left-outer-join row.
+func gatherInto(out *Chunk, oc int, in *Chunk, c int, idx []int32, pads bool) {
+	src, dst := in.cols[c], out.cols[oc]
+	nb := in.nulls[c]
+	if nb == nil && !pads {
+		for i, r := range idx {
+			dst[i] = src[r]
+		}
+		return
+	}
+	for i, r := range idx {
+		if r < 0 || nb.get(int(r)) {
+			out.ensureNulls(oc).set(i)
+		} else {
+			dst[i] = src[r]
+		}
+	}
 }
 
 // copyChunkInto copies src into dst starting at row offset off, returning
@@ -238,7 +245,7 @@ func padRight(ch *Chunk, rw int) *Chunk {
 }
 
 // chunkBuilder grows a chunk whose output cardinality is not known up
-// front (join matches, group-by states). Columns grow by amortized
+// front (group-by states, spill partition buffers). Columns grow by amortized
 // append; null bitmaps are allocated per column on first NULL and
 // zero-extended lazily, so all-valid columns never touch them. Group-by
 // kernels additionally mutate aggregate state in place through mergeAgg.
@@ -278,31 +285,6 @@ func (b *chunkBuilder) appendCol(c int, v int64, null bool) {
 	if null {
 		b.setNull(c, i)
 	}
-}
-
-// appendJoinRow emits the concatenation of left row li and right row ri.
-func (b *chunkBuilder) appendJoinRow(left *Chunk, li int, right *Chunk, ri int) {
-	lw := len(left.cols)
-	for c := 0; c < lw; c++ {
-		b.appendCol(c, left.cols[c][li], left.nulls[c].get(li))
-	}
-	for c := range right.cols {
-		b.appendCol(lw+c, right.cols[c][ri], right.nulls[c].get(ri))
-	}
-	b.n++
-}
-
-// appendOuterRow emits left row li padded with rw NULL right columns (the
-// unmatched side of a left outer join).
-func (b *chunkBuilder) appendOuterRow(left *Chunk, li, rw int) {
-	lw := len(left.cols)
-	for c := 0; c < lw; c++ {
-		b.appendCol(c, left.cols[c][li], left.nulls[c].get(li))
-	}
-	for c := 0; c < rw; c++ {
-		b.appendCol(lw+c, 0, true)
-	}
-	b.n++
 }
 
 // appendGroupRow starts a new group from row r of a partial-layout chunk:

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"testing"
+
+	"dbcc/internal/xrand"
 )
 
 // TestWireWidthAgreement locks the two places that model the interconnect
@@ -36,36 +38,30 @@ func TestShuffleChargesWireSize(t *testing.T) {
 		parts:   make([]*Chunk, 4),
 		distKey: NoDistKey,
 	}
-	// 10 rows on segment 0; send rows 0-6 to segment 1, keep rows 7-9 home.
+	// 10 rows on segment 0, shuffled by column a: the hash of a decides which
+	// of them leave home.
 	rows := make([]Row, 10)
+	wantRows := make([]int, 4)
 	for i := range rows {
 		rows[i] = Row{I(int64(i)), I(int64(2 * i))}
+		wantRows[xrand.Mix64(uint64(i))%4]++
 	}
 	in.parts[0] = rowsToChunk(rows, 2)
 	for s := 1; s < 4; s++ {
 		in.parts[s] = newChunk(2, 0)
 	}
-	out, moved, err := c.newExecEnv(context.Background()).shuffle(in, func(ch *Chunk, r int) int {
-		if ch.length == 0 {
-			return 0
-		}
-		if ch.cols[0][r] < 7 {
-			return 1
-		}
-		return 0
-	}, NoDistKey)
+	out, moved, err := c.newExecEnv(context.Background()).redistribute(in, 0)
 	if err != nil {
 		t.Fatalf("shuffle: %v", err)
 	}
-	want := int64(7) * 2 * DatumWireSize
+	want := int64(10-wantRows[0]) * 2 * DatumWireSize
 	if moved != want {
 		t.Fatalf("shuffle charged %d bytes, want %d", moved, want)
 	}
-	if got := out.parts[1].Len(); got != 7 {
-		t.Fatalf("segment 1 received %d rows, want 7", got)
-	}
-	if got := out.parts[0].Len(); got != 3 {
-		t.Fatalf("segment 0 kept %d rows, want 3", got)
+	for s, n := range wantRows {
+		if got := out.parts[s].Len(); got != n {
+			t.Fatalf("segment %d received %d rows, want %d", s, got, n)
+		}
 	}
 	if s := c.Stats(); s.ShuffleBytes != want {
 		t.Fatalf("Stats.ShuffleBytes = %d, want %d", s.ShuffleBytes, want)

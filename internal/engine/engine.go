@@ -330,7 +330,7 @@ type Cluster struct {
 
 	mu     sync.RWMutex // guards tables, udfs, Table.Name
 	tables map[string]*Table
-	udfs   map[string]UDF
+	udfs   map[string]udfEntry
 
 	plans *planCache // compiled-plan cache; own leaf lock, see plancache.go
 
@@ -356,6 +356,59 @@ type Cluster struct {
 // UDFs may be evaluated from many worker goroutines at once and must be
 // safe for concurrent use.
 type UDF func(args []Datum) Datum
+
+// ColumnUDF is the column form of a user-defined function: the engine
+// calls it once per chunk instead of once per row, with len(out) rows to
+// fill. Each argument is either one value per row (Col) or, when the plan
+// passes a literal or bound parameter, a single Const for the whole chunk —
+// never materialised as a vector, so work that depends only on a constant
+// argument (a multiplication table, a cipher key schedule) is done once
+// per call. Column UDFs are strict: the engine never passes NULL. A row
+// with any NULL argument yields NULL (the values a kernel computes there
+// are discarded), and a NULL constant yields an all-NULL column without a
+// call. Like scalar UDFs they run on many worker goroutines at once, and a
+// panic fails only the calling statement.
+type ColumnUDF func(out []int64, args []UDFArg)
+
+// UDFArg is one argument of a ColumnUDF call: Col holds one value per
+// output row, or is nil when the argument is Const on every row.
+type UDFArg struct {
+	Col   []int64
+	Const int64
+}
+
+// At returns the argument's value on row i.
+func (a UDFArg) At(i int) int64 {
+	if a.Col != nil {
+		return a.Col[i]
+	}
+	return a.Const
+}
+
+// udfEntry is one registered function: its scalar form, plus the column
+// kernel when it was registered through RegisterColumnUDF.
+type udfEntry struct {
+	fn  UDF
+	col ColumnUDF
+}
+
+// scalarForm derives the scalar UDF of a column kernel — the kernel
+// applied to one row of constants — so a function registered in column
+// form has a single implementation.
+func scalarForm(col ColumnUDF) UDF {
+	return func(args []Datum) Datum {
+		consts := make([]UDFArg, len(args))
+		for i, d := range args {
+			if d.Null {
+				return NullDatum
+			}
+			consts[i].Const = d.Int
+		}
+		var out [1]int64
+		col(out[:], consts)
+		return I(out[0])
+	}
+}
 
 // NewCluster creates an MPP cluster.
 func NewCluster(opts Options) *Cluster {
@@ -406,7 +459,7 @@ func NewCluster(opts Options) *Cluster {
 		bloomOff:       opts.DisableBloomJoin,
 		fusionOff:      opts.DisableOperatorFusion,
 		tables:         make(map[string]*Table),
-		udfs:           make(map[string]UDF),
+		udfs:           make(map[string]udfEntry),
 		indexes:        make(map[string]*ComponentIndex),
 		plans:          newPlanCache(opts.PlanCacheSize),
 		traceCap:       traceCap,
@@ -433,18 +486,29 @@ func (c *Cluster) Profile() Profile { return c.profile }
 // capture UDF implementations at plan time, so the whole plan cache is
 // flushed (after releasing the catalog lock — the cache lock is a leaf).
 func (c *Cluster) RegisterUDF(name string, fn UDF) {
+	c.registerUDF(name, udfEntry{fn: fn})
+}
+
+// RegisterColumnUDF installs or replaces a function given in column form
+// (see ColumnUDF). Plans evaluate it a chunk at a time; the scalar form
+// UDF returns is the same kernel applied to one row.
+func (c *Cluster) RegisterColumnUDF(name string, col ColumnUDF) {
+	c.registerUDF(name, udfEntry{fn: scalarForm(col), col: col})
+}
+
+func (c *Cluster) registerUDF(name string, e udfEntry) {
 	c.mu.Lock()
-	c.udfs[name] = fn
+	c.udfs[name] = e
 	c.mu.Unlock()
 	c.plans.flush()
 }
 
-// UDF looks up a registered function.
+// UDF looks up a registered function's scalar form.
 func (c *Cluster) UDF(name string) (UDF, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	fn, ok := c.udfs[name]
-	return fn, ok
+	e, ok := c.udfs[name]
+	return e.fn, ok
 }
 
 // Stats returns a copy of the execution statistics.

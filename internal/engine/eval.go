@@ -5,8 +5,9 @@ import "fmt"
 // Vectorized expression evaluation over chunks. evalVec computes an
 // expression once per chunk instead of once per row: column references
 // alias the input column (zero copies), arithmetic and comparisons run as
-// tight loops over flat []int64 with word-wise null propagation, and only
-// genuinely row-oriented expressions (UDF calls, unknown Expr
+// tight loops over flat []int64 with word-wise null propagation, a function
+// with a column kernel is called once per chunk (evalColumnUDF), and only
+// genuinely row-oriented expressions (scalar-only UDFs, unknown Expr
 // implementations) fall back to a scalar loop — with a reused argument
 // buffer, so even the fallback allocates per chunk, not per row.
 //
@@ -61,50 +62,84 @@ func orNulls(a, b nullBitmap, n int) nullBitmap {
 }
 
 // evalVec evaluates e over every row of ch.
-func evalVec(e Expr, ch *Chunk) (colVec, error) {
-	n := ch.length
+func evalVec(e Expr, ch *Chunk) (colVec, error) { return evalRows(e, ch, nil) }
+
+// evalVecSel evaluates e over only the selected rows of ch, producing a
+// dense vector of len(sel) values: output row i corresponds to input row
+// sel[i], and evalVecSel(e, ch, sel) row i equals evalVec(e, ch) row
+// sel[i] exactly (values, NULLs and errors). It is the fused pipeline's
+// evaluator (see execFused): outer filters and projections over an
+// already-filtered chunk compute just the surviving rows instead of
+// gathering them into an intermediate chunk first.
+func evalVecSel(e Expr, ch *Chunk, sel []int32) (colVec, error) {
+	if sel == nil {
+		sel = []int32{}
+	}
+	return evalRows(e, ch, sel)
+}
+
+// evalRows is the one evaluator behind evalVec and evalVecSel: it computes
+// e over the rows of ch listed in sel, or over every row when sel is nil.
+// Only the leaves look at the selection — a column reference aliases the
+// input column (no selection) or gathers the selected rows; every operator
+// above them combines dense operand vectors, so the selected form costs
+// the same per row as the full one.
+func evalRows(e Expr, ch *Chunk, sel []int32) (colVec, error) {
+	n := len(sel)
+	if sel == nil {
+		n = ch.length
+	}
 	switch e := e.(type) {
 	case ColRef:
-		return colVec{vals: ch.cols[e.Idx], nulls: ch.nulls[e.Idx]}, nil
+		src, nb := ch.cols[e.Idx], ch.nulls[e.Idx]
+		if sel == nil {
+			return colVec{vals: src, nulls: nb}, nil
+		}
+		out := colVec{vals: make([]int64, n)}
+		if nb == nil {
+			for i, r := range sel {
+				out.vals[i] = src[r]
+			}
+			return out, nil
+		}
+		for i, r := range sel {
+			if nb.get(int(r)) {
+				out.setNull(i, n)
+			} else {
+				out.vals[i] = src[r]
+			}
+		}
+		return out, nil
 
 	case ConstExpr:
-		vals := make([]int64, n)
-		if e.Val.Null {
-			nb := newNullBitmap(n)
-			for i := range nb {
-				nb[i] = ^uint64(0)
-			}
-			return colVec{vals: vals, nulls: nb}, nil
-		}
-		if e.Val.Int != 0 {
-			for i := range vals {
-				vals[i] = e.Val.Int
-			}
-		}
-		return colVec{vals: vals}, nil
+		return constVec(e.Val, n), nil
 
 	case BinExpr:
-		return evalBinVec(e, ch)
+		l, err := evalRows(e.Left, ch, sel)
+		if err != nil {
+			return colVec{}, err
+		}
+		r, err := evalRows(e.Right, ch, sel)
+		if err != nil {
+			return colVec{}, err
+		}
+		return combineBinVec(e.Op, l, r, n)
 
 	case IsNullExpr:
-		arg, err := evalVec(e.Arg, ch)
+		arg, err := evalRows(e.Arg, ch, sel)
 		if err != nil {
 			return colVec{}, err
 		}
 		out := colVec{vals: make([]int64, n)}
 		for i := 0; i < n; i++ {
-			isNull := arg.null(i)
-			if e.Negate {
-				isNull = !isNull
-			}
-			if isNull {
+			if arg.null(i) != e.Negate {
 				out.vals[i] = 1
 			}
 		}
 		return out, nil
 
 	case CoalesceExpr:
-		args, err := evalArgVecs(e.Args, ch)
+		args, err := evalArgVecs(e.Args, ch, sel)
 		if err != nil {
 			return colVec{}, err
 		}
@@ -125,7 +160,7 @@ func evalVec(e Expr, ch *Chunk) (colVec, error) {
 		return out, nil
 
 	case LeastExpr:
-		args, err := evalArgVecs(e.Args, ch)
+		args, err := evalArgVecs(e.Args, ch, sel)
 		if err != nil {
 			return colVec{}, err
 		}
@@ -150,7 +185,12 @@ func evalVec(e Expr, ch *Chunk) (colVec, error) {
 		return out, nil
 
 	case UDFExpr:
-		args, err := evalArgVecs(e.Args, ch)
+		if e.Col != nil {
+			return evalColumnUDF(e, ch, sel, n)
+		}
+		// Scalar-only function: one call per row through a reused argument
+		// buffer.
+		args, err := evalArgVecs(e.Args, ch, sel)
 		if err != nil {
 			return colVec{}, err
 		}
@@ -175,8 +215,12 @@ func evalVec(e Expr, ch *Chunk) (colVec, error) {
 		scratch := make(Row, len(ch.cols))
 		out := colVec{vals: make([]int64, n)}
 		for i := 0; i < n; i++ {
+			r := i
+			if sel != nil {
+				r = int(sel[i])
+			}
 			for c := range scratch {
-				scratch[c] = ch.datum(c, i)
+				scratch[c] = ch.datum(c, r)
 			}
 			d := e.Eval(scratch)
 			if d.Null {
@@ -189,11 +233,29 @@ func evalVec(e Expr, ch *Chunk) (colVec, error) {
 	}
 }
 
+// constVec is a literal as an n-row vector.
+func constVec(d Datum, n int) colVec {
+	vals := make([]int64, n)
+	if d.Null {
+		nb := newNullBitmap(n)
+		for i := range nb {
+			nb[i] = ^uint64(0)
+		}
+		return colVec{vals: vals, nulls: nb}
+	}
+	if d.Int != 0 {
+		for i := range vals {
+			vals[i] = d.Int
+		}
+	}
+	return colVec{vals: vals}
+}
+
 // evalArgVecs evaluates an argument list.
-func evalArgVecs(args []Expr, ch *Chunk) ([]colVec, error) {
+func evalArgVecs(args []Expr, ch *Chunk, sel []int32) ([]colVec, error) {
 	out := make([]colVec, len(args))
 	for i, a := range args {
-		v, err := evalVec(a, ch)
+		v, err := evalRows(a, ch, sel)
 		if err != nil {
 			return nil, err
 		}
@@ -202,100 +264,56 @@ func evalArgVecs(args []Expr, ch *Chunk) ([]colVec, error) {
 	return out, nil
 }
 
-// evalVecSel evaluates e over only the selected rows of ch, producing a
-// dense vector of len(sel) values: output row i corresponds to input row
-// sel[i], and evalVecSel(e, ch, sel) row i equals evalVec(e, ch) row
-// sel[i] exactly (values, NULLs and errors). It is the fused pipeline's
-// evaluator (see execFused): outer filters and projections over an
-// already-filtered chunk compute just the surviving rows instead of
-// gathering them into an intermediate chunk first.
-func evalVecSel(e Expr, ch *Chunk, sel []int32) (colVec, error) {
-	n := len(sel)
-	switch e := e.(type) {
-	case ColRef:
-		src, nb := ch.cols[e.Idx], ch.nulls[e.Idx]
-		out := colVec{vals: make([]int64, n)}
-		if nb == nil {
-			for i, r := range sel {
-				out.vals[i] = src[r]
-			}
-			return out, nil
+// evalColumnUDF evaluates a call to a function that has a column kernel:
+// one call for the whole chunk (or selection) instead of one per row.
+// Literal arguments reach the kernel as scalars, every other argument as
+// its evaluated vector. The kernel contract is strict, so the engine owns
+// NULL handling: the result's null bitmap is the union of the argument
+// bitmaps, a NULL literal makes the whole column NULL without a call, and
+// the payload under every NULL is zeroed like in any other chunk column.
+func evalColumnUDF(e UDFExpr, ch *Chunk, sel []int32, n int) (colVec, error) {
+	args := make([]UDFArg, len(e.Args))
+	var nulls nullBitmap
+	nullConst := false
+	for i, a := range e.Args {
+		if c, ok := a.(ConstExpr); ok {
+			nullConst = nullConst || c.Val.Null
+			args[i].Const = c.Val.Int
+			continue
 		}
-		for i, r := range sel {
-			if nb.get(int(r)) {
-				out.setNull(i, n)
-			} else {
-				out.vals[i] = src[r]
-			}
-		}
-		return out, nil
-
-	case ConstExpr:
-		vals := make([]int64, n)
-		if e.Val.Null {
-			nb := newNullBitmap(n)
-			for i := range nb {
-				nb[i] = ^uint64(0)
-			}
-			return colVec{vals: vals, nulls: nb}, nil
-		}
-		if e.Val.Int != 0 {
-			for i := range vals {
-				vals[i] = e.Val.Int
-			}
-		}
-		return colVec{vals: vals}, nil
-
-	case BinExpr:
-		l, err := evalVecSel(e.Left, ch, sel)
+		v, err := evalRows(a, ch, sel)
 		if err != nil {
 			return colVec{}, err
 		}
-		r, err := evalVecSel(e.Right, ch, sel)
-		if err != nil {
-			return colVec{}, err
+		args[i].Col = v.vals
+		if nulls == nil {
+			nulls = v.nulls // vectors are immutable: alias until a second bitmap needs a union
+		} else if v.nulls != nil {
+			nulls = orNulls(nulls, v.nulls, n)
 		}
-		return combineBinVec(e.Op, l, r, n)
-
-	default:
-		// Row-oriented fallback (UDF calls, IS NULL, COALESCE, unknown Expr
-		// implementations): reconstruct each selected row and evaluate the
-		// row interface. Rare in hot filter chains; the semantics match the
-		// scalar evaluator by construction.
-		scratch := make(Row, len(ch.cols))
-		out := colVec{vals: make([]int64, n)}
-		for i, r := range sel {
-			for c := range scratch {
-				scratch[c] = ch.datum(c, int(r))
-			}
-			d := e.Eval(scratch)
-			if d.Null {
-				out.setNull(i, n)
-			} else {
-				out.vals[i] = d.Int
+	}
+	if nullConst {
+		return constVec(NullDatum, n), nil
+	}
+	out := colVec{vals: make([]int64, n), nulls: nulls}
+	if n == 0 {
+		return out, nil // an empty chunk's columns are nil, which UDFArg reads as a constant
+	}
+	e.Col(out.vals, args)
+	if nulls != nil {
+		for i := range out.vals {
+			if nulls.get(i) {
+				out.vals[i] = 0
 			}
 		}
-		return out, nil
 	}
-}
-
-// evalBinVec evaluates a binary operator column-at-a-time. Comparisons and
-// arithmetic propagate NULL by bitmap union; AND/OR run a scalar loop for
-// SQL's three-valued logic, mirroring BinExpr.Eval exactly.
-func evalBinVec(e BinExpr, ch *Chunk) (colVec, error) {
-	l, err := evalVec(e.Left, ch)
-	if err != nil {
-		return colVec{}, err
-	}
-	r, err := evalVec(e.Right, ch)
-	if err != nil {
-		return colVec{}, err
-	}
-	return combineBinVec(e.Op, l, r, ch.length)
+	return out, nil
 }
 
 // combineBinVec combines two evaluated operand vectors of length n under a
-// binary operator — the shared back half of evalBinVec and evalVecSel.
+// binary operator. Comparisons and arithmetic propagate NULL by bitmap
+// union; AND/OR run a scalar loop for SQL's three-valued logic, mirroring
+// BinExpr.Eval exactly.
 func combineBinVec(op BinOp, l, r colVec, n int) (colVec, error) {
 	out := colVec{vals: make([]int64, n)}
 

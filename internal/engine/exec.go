@@ -547,13 +547,8 @@ func (e *execEnv) redistribute(in *relation, key int) (*relation, int64, error) 
 	if in.distKey == key {
 		return in, 0, nil
 	}
-	segs := uint64(e.c.segments)
-	return e.shuffle(in, func(ch *Chunk, r int) int {
-		if ch.nulls[key].get(r) {
-			return 0
-		}
-		return int(xrand.Mix64(uint64(ch.cols[key][r])) % segs)
-	}, key)
+	rel, moved, _, _, err := e.shuffleFiltered(in, shuffleRoute{key: key})
+	return rel, moved, err
 }
 
 // redistributeBloom hash-shuffles the probe side of an inner join by its
@@ -562,7 +557,7 @@ func (e *execEnv) redistribute(in *relation, key int) (*relation, int64, error) 
 // cross segments. Returns the relation, the bytes moved, and the
 // counterfactual bytes the pruned rows would have moved.
 func (e *execEnv) redistributeBloom(in *relation, key int, bf *bloomFilter) (*relation, int64, int64, error) {
-	rel, moved, saved, _, err := e.shuffleFiltered(in, bloomDest(e, key), bloomKeep(key, bf), key, false)
+	rel, moved, saved, _, err := e.shuffleFiltered(in, shuffleRoute{key: key, bloom: bf})
 	return rel, moved, saved, err
 }
 
@@ -574,28 +569,8 @@ func (e *execEnv) redistributeBloom(in *relation, key int, bf *bloomFilter) (*re
 // identical to the plain plan's; only row placement differs, so the caller
 // must drop the output relation's distribution claim.
 func (e *execEnv) redistributeBloomOuter(in *relation, key int, bf *bloomFilter) (*relation, int64, []*Chunk, error) {
-	rel, moved, _, bypass, err := e.shuffleFiltered(in, bloomDest(e, key), bloomKeep(key, bf), key, true)
+	rel, moved, _, bypass, err := e.shuffleFiltered(in, shuffleRoute{key: key, bloom: bf, collect: true})
 	return rel, moved, bypass, err
-}
-
-// bloomDest is the plain hash-shuffle destination function for a join key
-// (NULL keys land on segment 0, matching redistribute).
-func bloomDest(e *execEnv, key int) func(ch *Chunk, r int) int {
-	segs := uint64(e.c.segments)
-	return func(ch *Chunk, r int) int {
-		if ch.nulls[key].get(r) {
-			return 0
-		}
-		return int(xrand.Mix64(uint64(ch.cols[key][r])) % segs)
-	}
-}
-
-// bloomKeep keeps the probe rows that may still match: non-NULL keys the
-// build-side bloom filter does not rule out.
-func bloomKeep(key int, bf *bloomFilter) func(ch *Chunk, r int) bool {
-	return func(ch *Chunk, r int) bool {
-		return !ch.nulls[key].get(r) && bf.mayContain(ch.cols[key][r])
-	}
 }
 
 // joinBloomFilter builds the build-side bloom filter of a hash join when
@@ -641,54 +616,43 @@ func (e *execEnv) joinBloomFilter(p JoinPlan, left, right *relation) (*bloomFilt
 
 // redistributeByRowHash shuffles by a hash of the whole row (for DISTINCT).
 func (e *execEnv) redistributeByRowHash(in *relation) (*relation, int64, error) {
-	ncols := len(in.schema)
-	segs := uint64(e.c.segments)
-	return e.shuffle(in, func(ch *Chunk, r int) int {
-		return int(chunkRowHash(ch, 0, ncols, r) % segs)
-	}, NoDistKey)
-}
-
-// shuffle moves every row to the segment chosen by dest, recording the
-// network traffic in the statistics and returning it for per-operator
-// accounting.
-func (e *execEnv) shuffle(in *relation, dest func(ch *Chunk, r int) int, newKey int) (*relation, int64, error) {
-	rel, moved, _, _, err := e.shuffleFiltered(in, dest, nil, newKey, false)
+	rel, moved, _, _, err := e.shuffleFiltered(in, shuffleRoute{key: NoDistKey})
 	return rel, moved, err
 }
 
 // shuffleFiltered is the radix-partitioned shuffle kernel behind every
-// redistribution. Each source segment maps its rows to destinations, then
-// radixPartitionChunk scatters them column-at-a-time into per-destination
-// buckets backed by one pooled flat array; each destination concatenates
-// its incoming buckets, after which the pooled backings are released. Rows
-// that change segments are charged DatumWireSize bytes per value, the
-// width of the canonical row encoding; output rows arrive in source-major
-// order, stable within each source — both bit-identical to the historical
-// counting shuffle (pinned by TestShuffleMatchesReference and the radix
-// differential tests). Each task publishes into its own slot only when it
-// completes, so a retried or cancelled task never leaves partial state
-// behind.
+// redistribution. Each source segment maps its rows to destinations as the
+// route describes (routeChunk), then radixPartitionChunk scatters them
+// column-at-a-time into per-destination buckets backed by one pooled flat
+// array; each destination concatenates its incoming buckets, after which
+// the pooled backings are released. Rows that change segments are charged
+// DatumWireSize bytes per value, the width of the canonical row encoding;
+// output rows arrive in source-major order, stable within each source —
+// both bit-identical to the historical counting shuffle (pinned by
+// TestShuffleMatchesReference and the radix differential tests). Each task
+// publishes into its own slot only when it completes, so a retried or
+// cancelled task never leaves partial state behind.
 //
-// keep, when non-nil, is the bloom-join prune: rows for which it returns
-// false are dropped before they are placed or charged. The returned
-// pruned count is the exact counterfactual traffic — the bytes the dropped
-// rows would have moved had they shuffled — so for any input,
-// moved(pruned shuffle) + pruned == moved(plain shuffle).
+// With route.bloom set, rows the filter rules out are dropped before they
+// are placed or charged. The returned pruned count is the exact
+// counterfactual traffic — the bytes the dropped rows would have moved had
+// they shuffled — so for any input, moved(pruned shuffle) + pruned ==
+// moved(plain shuffle).
 //
-// collect diverts pruned rows into per-source bypass chunks (the fourth
-// return value, indexed by source segment) instead of discarding them —
-// the left-outer-join bypass, where a pruned probe row still produces an
-// output row, just without crossing the interconnect.
-func (e *execEnv) shuffleFiltered(in *relation, dest func(ch *Chunk, r int) int,
-	keep func(ch *Chunk, r int) bool, newKey int, collect bool) (*relation, int64, int64, []*Chunk, error) {
+// route.collect diverts pruned rows into per-source bypass chunks (the
+// fourth return value, indexed by source segment) instead of discarding
+// them — the left-outer-join bypass, where a pruned probe row still
+// produces an output row, just without crossing the interconnect.
+func (e *execEnv) shuffleFiltered(in *relation, route shuffleRoute) (*relation, int64, int64, []*Chunk, error) {
 	ncols := len(in.schema)
 	segs := e.c.segments
+	rowBytes := int64(ncols) * DatumWireSize
 	// Phase 1: each source segment maps rows to destinations (dropping or
 	// diverting pruned rows), then radix-partitions them into
 	// per-destination buckets; with collect, bucket segs holds the pruned
 	// rows of that source.
 	nparts := segs
-	if collect {
+	if route.collect {
 		nparts++
 	}
 	buckets := make([][]*Chunk, segs) // [src][dst]
@@ -697,34 +661,22 @@ func (e *execEnv) shuffleFiltered(in *relation, dest func(ch *Chunk, r int) int,
 	pruned := make([]int64, segs)
 	err := e.parallel(func(src int) error {
 		ch := in.parts[src]
-		n := ch.length
-		dp := getI32(n)
-		dests := (*dp)[:n]
-		rowBytes := int64(ncols) * DatumWireSize
-		var movedHere, prunedHere int64
-		for r := 0; r < n; r++ {
-			d := dest(ch, r)
-			if keep != nil && !keep(ch, r) {
-				if collect {
-					dests[r] = int32(segs)
-				} else {
-					dests[r] = -1
-				}
-				if d != src {
-					prunedHere += rowBytes
-				}
-				continue
-			}
-			dests[r] = int32(d)
-			if d != src {
-				movedHere += rowBytes
-			}
-		}
+		dp := getI32(ch.length)
+		dests := (*dp)[:ch.length]
+		prunedAway := routeChunk(ch, route, segs, src, dests)
 		b, flat := radixPartitionChunk(ch, dests, nparts)
 		*dp = dests
 		putI32(dp)
-		moved[src] = movedHere
-		pruned[src] = prunedHere
+		// Every placed row that is not in this source's own bucket crosses
+		// the interconnect.
+		var movedRows int
+		for dst := 0; dst < segs; dst++ {
+			if dst != src {
+				movedRows += b[dst].length
+			}
+		}
+		moved[src] = int64(movedRows) * rowBytes
+		pruned[src] = int64(prunedAway) * rowBytes
 		buckets[src] = b
 		flats[src] = flat
 		return nil
@@ -745,7 +697,7 @@ func (e *execEnv) shuffleFiltered(in *relation, dest func(ch *Chunk, r int) int,
 	// copies out its own bypass bucket.
 	out := make([]*Chunk, segs)
 	var bypass []*Chunk
-	if collect {
+	if route.collect {
 		bypass = make([]*Chunk, segs)
 	}
 	err = e.parallel(func(dst int) error {
@@ -754,7 +706,7 @@ func (e *execEnv) shuffleFiltered(in *relation, dest func(ch *Chunk, r int) int,
 			pieces[src] = buckets[src][dst]
 		}
 		out[dst] = concatChunks(ncols, pieces)
-		if collect {
+		if route.collect {
 			bypass[dst] = concatChunks(ncols, buckets[dst][segs:segs+1])
 		}
 		return nil
@@ -772,7 +724,7 @@ func (e *execEnv) shuffleFiltered(in *relation, dest func(ch *Chunk, r int) int,
 	if saved > 0 {
 		e.c.addShuffleSaved(saved)
 	}
-	return &relation{schema: in.schema, parts: out, distKey: newKey}, total, saved, bypass, nil
+	return &relation{schema: in.schema, parts: out, distKey: route.key}, total, saved, bypass, nil
 }
 
 // encodeRow appends the canonical byte encoding of a row to buf: one null
@@ -863,13 +815,7 @@ func (e *execEnv) execGroupBy(p GroupByPlan, start time.Time) (*relation, *OpMet
 		parts[0] = all
 		rel = &relation{schema: schema, parts: parts, distKey: NoDistKey}
 	} else if rel.distKey != 0 {
-		segs := uint64(c.segments)
-		rel, moved, err = e.shuffle(rel, func(ch *Chunk, r int) int {
-			if ch.nulls[0].get(r) {
-				return 0
-			}
-			return int(xrand.Mix64(uint64(ch.cols[0][r])) % segs)
-		}, 0)
+		rel, moved, err = e.redistribute(rel, 0)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -219,10 +219,13 @@ func IsNull(arg Expr) Expr { return IsNullExpr{Arg: arg} }
 func IsNotNull(arg Expr) Expr { return IsNullExpr{Arg: arg, Negate: true} }
 
 // UDFExpr calls a function registered on the cluster, the analogue of the
-// paper loading its C axplusb function into HAWQ.
+// paper loading its C axplusb function into HAWQ. Col is the function's
+// column kernel, nil for one registered in scalar form only; chunk
+// evaluation prefers it (see evalColumnUDF).
 type UDFExpr struct {
 	Name string
 	Fn   UDF
+	Col  ColumnUDF
 	Args []Expr
 }
 
@@ -242,11 +245,13 @@ func (e UDFExpr) String() string { return fnString(e.Name, e.Args) }
 // the function value at build time, so re-registering a UDF never affects
 // queries already planned (or executing) in other sessions.
 func (c *Cluster) CallUDF(name string, args ...Expr) (Expr, error) {
-	fn, ok := c.UDF(name)
+	c.mu.RLock()
+	e, ok := c.udfs[name]
+	c.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("engine: function %q is not registered", name)
 	}
-	return UDFExpr{Name: name, Fn: fn, Args: args}, nil
+	return UDFExpr{Name: name, Fn: e.fn, Col: e.col, Args: args}, nil
 }
 
 func fnString(name string, args []Expr) string {

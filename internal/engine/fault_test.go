@@ -296,16 +296,20 @@ func TestExplainAnalyzeShowsRetryCounters(t *testing.T) {
 	t.Fatalf("no EXPLAIN ANALYZE profile showed retry/fault counters in 100 statements (injector produced %d faults)", inj.Injected())
 }
 
-// TestPanicInUDFFailsOnlyThatQuery registers a user-defined function that
-// panics, and checks the fan-out contract: the query fails with a
-// deterministic error naming the lowest failing segment (first-error-wins
-// is not schedule-dependent), the process survives, no goroutines leak,
-// and the cluster keeps answering queries. Run under -race this doubles
-// as the fan-out error-propagation regression test.
+// TestPanicInUDFFailsOnlyThatQuery registers user-defined functions that
+// panic — one in scalar form, called per row, and one in column form,
+// called per chunk — and checks the fan-out contract for both: the query
+// fails with a deterministic error naming the lowest failing segment
+// (first-error-wins is not schedule-dependent), the process survives, no
+// goroutines leak, and the cluster keeps answering queries. Run under -race
+// this doubles as the fan-out error-propagation regression test.
 func TestPanicInUDFFailsOnlyThatQuery(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 	c := engine.NewCluster(engine.Options{Segments: 4})
 	c.RegisterUDF("boom", func(args []engine.Datum) engine.Datum {
+		panic("kaboom")
+	})
+	c.RegisterColumnUDF("boomcol", func(out []int64, args []engine.UDFArg) {
 		panic("kaboom")
 	})
 	if _, err := c.CreateTable("t", engine.Schema{"v"}, 0); err != nil {
@@ -318,26 +322,28 @@ func TestPanicInUDFFailsOnlyThatQuery(t *testing.T) {
 	if err := c.InsertRows("t", rows); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
-	call, err := c.CallUDF("boom", engine.Col(0))
-	if err != nil {
-		t.Fatalf("call: %v", err)
-	}
 	scan := engine.Scan("t")
-	bad := engine.Project(scan, engine.ProjCol{Expr: call, Name: "b"})
-	for i := 0; i < 8; i++ {
-		_, _, err := c.Query(bad)
-		if err == nil {
-			t.Fatal("query with a panicking UDF succeeded")
+	for _, fn := range []string{"boom", "boomcol"} {
+		call, err := c.CallUDF(fn, engine.Col(0))
+		if err != nil {
+			t.Fatalf("call %s: %v", fn, err)
 		}
-		// Every segment's task panics; deterministic first-error-wins must
-		// always report the lowest one.
-		if !strings.Contains(err.Error(), "segment 0 task panicked") {
-			t.Fatalf("run %d: error does not name segment 0 deterministically: %v", i, err)
+		bad := engine.Project(scan, engine.ProjCol{Expr: call, Name: "b"})
+		for i := 0; i < 8; i++ {
+			_, _, err := c.Query(bad)
+			if err == nil {
+				t.Fatalf("query with the panicking UDF %s succeeded", fn)
+			}
+			// Every segment's task panics; deterministic first-error-wins must
+			// always report the lowest one.
+			if !strings.Contains(err.Error(), "segment 0 task panicked") {
+				t.Fatalf("%s run %d: error does not name segment 0 deterministically: %v", fn, i, err)
+			}
 		}
-	}
-	// The failure is contained: the same cluster still executes queries.
-	if _, _, err := c.Query(scan); err != nil {
-		t.Fatalf("cluster unusable after UDF panic: %v", err)
+		// The failure is contained: the same cluster still executes queries.
+		if _, _, err := c.Query(scan); err != nil {
+			t.Fatalf("cluster unusable after %s panicked: %v", fn, err)
+		}
 	}
 	waitNoExtraGoroutines(t, baseGoroutines)
 }

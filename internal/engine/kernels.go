@@ -7,6 +7,85 @@ package engine
 // against a row-at-a-time reference, and be benchmarked in isolation
 // (see kernels_bench_test.go).
 
+import "dbcc/internal/xrand"
+
+// shuffleRoute describes how a shuffle places rows, so the routing loop
+// belongs to the kernel (routeChunk) instead of calling back per row.
+type shuffleRoute struct {
+	// key is the column whose hash picks a row's destination segment (NULL
+	// keys go to segment 0); NoDistKey routes by a hash of the whole row.
+	key int
+	// bloom, when set, prunes rows that cannot find a join partner: NULL
+	// keys and keys the filter rules out.
+	bloom *bloomFilter
+	// collect keeps the pruned rows in an extra bucket per source segment
+	// instead of dropping them.
+	collect bool
+}
+
+// segPicker maps a row hash to a segment: h % segs, computed as
+// h & (segs-1) when the segment count is a power of two — the same
+// placement without a 64-bit division per row.
+type segPicker struct {
+	segs, mask uint64
+	pow2       bool
+}
+
+func newSegPicker(segs int) segPicker {
+	return segPicker{segs: uint64(segs), mask: uint64(segs - 1), pow2: segs&(segs-1) == 0}
+}
+
+func (p segPicker) of(h uint64) int32 {
+	if p.pow2 {
+		return int32(h & p.mask)
+	}
+	return int32(h % p.segs)
+}
+
+// routeChunk computes dests[r], the radixPartitionChunk destination of
+// every row of source segment src's chunk under route: its segment, or for
+// a pruned row -1 (dropped) or segs (the collect bucket). It returns how
+// many pruned rows would have left src had they been shuffled, the
+// counterfactual the saved-bytes statistic reports. The common route — one
+// key column without NULLs, no filter — is a single branch-free pass over
+// that column.
+func routeChunk(ch *Chunk, route shuffleRoute, segs, src int, dests []int32) (prunedAway int) {
+	pick := newSegPicker(segs)
+	if route.key == NoDistKey {
+		ncols := len(ch.cols)
+		for r := range dests {
+			dests[r] = pick.of(chunkRowHash(ch, 0, ncols, r))
+		}
+		return 0
+	}
+	keys, nulls := ch.cols[route.key], ch.nulls[route.key]
+	if nulls == nil && route.bloom == nil {
+		for r, k := range keys {
+			dests[r] = pick.of(xrand.Mix64(uint64(k)))
+		}
+		return 0
+	}
+	prunedDest := int32(-1)
+	if route.collect {
+		prunedDest = int32(segs)
+	}
+	for r, k := range keys {
+		null := nulls.get(r)
+		d := int32(0)
+		if !null {
+			d = pick.of(xrand.Mix64(uint64(k)))
+		}
+		if route.bloom != nil && (null || !route.bloom.mayContain(k)) {
+			if int(d) != src {
+				prunedAway++
+			}
+			d = prunedDest
+		}
+		dests[r] = d
+	}
+	return prunedAway
+}
+
 // radixPartitionChunk splits one source chunk into nparts per-destination
 // chunks — the radix step of the partitioned shuffle. dests[r] names row
 // r's destination part; a negative destination drops the row entirely
@@ -108,9 +187,18 @@ func radixPartitionChunk(ch *Chunk, dests []int32, nparts int) ([]*Chunk, *[]int
 // outer join, unmatched probe rows are emitted padded with NULLs. Build
 // rows are inserted in reverse so each chain iterates in ascending build
 // order — the exact match order the row engine produced.
-func joinChunks(left, right *Chunk, leftKey, rightKey int, kind JoinKind) *Chunk {
+//
+// The probe writes no output values. It fills two pooled match-index lists
+// — for every output row, the probe row and the build row it pairs (-1 for
+// the pad of an unmatched outer row) — after which the output chunk is
+// allocated once at its exact size and gathered column by column. The
+// lists are working memory like the hash table: they are charged to acct
+// while they are live and never hold more than limit pairs. A join with
+// more matches than that (a hot key under a tight budget) is emitted in
+// several blocks, each probed, gathered and released in turn, and the
+// blocks are concatenated — same rows, same order.
+func joinChunks(left, right *Chunk, leftKey, rightKey int, kind JoinKind, limit int, acct *memAcct) *Chunk {
 	lw, rw := len(left.cols), len(right.cols)
-	out := newChunkBuilder(lw+rw, 0)
 
 	jt := newJoinTable(right.length)
 	rkeys := right.cols[rightKey]
@@ -122,25 +210,63 @@ func joinChunks(left, right *Chunk, leftKey, rightKey int, kind JoinKind) *Chunk
 		jt.insert(rkeys[i], int32(i))
 	}
 
+	outer := kind == LeftOuterJoin
 	lkeys := left.cols[leftKey]
 	lnulls := left.nulls[leftKey]
-	for i := 0; i < left.length; i++ {
-		m := int32(-1)
-		if !lnulls.get(i) {
-			m = jt.lookup(lkeys[i])
-		}
-		if m < 0 {
-			if kind == LeftOuterJoin {
-				out.appendOuterRow(left, i, rw)
+	hint := min(left.length, limit) // exact for a key-unique build side
+	lp, rp := getI32(hint), getI32(hint)
+	li, ri := *lp, *rp
+	var blocks []*Chunk
+	// row is the next probe row; chain, when >= 0, is where row's match
+	// chain resumes after a block filled up in the middle of it.
+	row, chain := 0, int32(-1)
+	for row < left.length {
+		li, ri = li[:0], ri[:0]
+		for row < left.length && len(li) < limit {
+			m := chain
+			if m < 0 && !lnulls.get(row) {
+				m = jt.lookup(lkeys[row])
 			}
-			continue
+			if m < 0 {
+				if outer {
+					li = append(li, int32(row))
+					ri = append(ri, -1)
+				}
+				row++
+				continue
+			}
+			for ; m >= 0 && len(li) < limit; m = jt.next[m] {
+				li = append(li, int32(row))
+				ri = append(ri, m)
+			}
+			if chain = m; m < 0 {
+				row++ // chain done; otherwise the block is full and the next one resumes it
+			}
 		}
-		for ; m >= 0; m = jt.next[m] {
-			out.appendJoinRow(left, i, right, int(m))
+		pairBytes := int64(len(li)) * matchPairBytes
+		acct.charge(pairBytes)
+		out := newChunk(lw+rw, len(li))
+		for c := 0; c < lw; c++ {
+			gatherInto(out, c, left, c, li, false)
 		}
+		for c := 0; c < rw; c++ {
+			gatherInto(out, lw+c, right, c, ri, outer)
+		}
+		acct.release(pairBytes)
+		blocks = append(blocks, out)
 	}
-	return out.finish()
+	*lp, *rp = li, ri
+	putI32(lp)
+	putI32(rp)
+	if len(blocks) == 1 {
+		return blocks[0]
+	}
+	return concatChunks(lw+rw, blocks)
 }
+
+// matchPairBytes is the accounted size of one match-list entry of
+// joinChunks: an int32 probe row and an int32 build row.
+const matchPairBytes = 8
 
 // groupChunk folds a partial-layout chunk (nk key columns followed by one
 // column per aggregate) into one row per distinct key, preserving

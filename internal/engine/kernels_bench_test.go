@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"dbcc/internal/xrand"
@@ -121,7 +122,7 @@ func BenchmarkKernelJoinProbe(b *testing.B) {
 		b.Run(fmt.Sprintf("kernel/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkChunk = joinChunks(lch, rch, 0, 0, InnerJoin)
+				sinkChunk = joinChunks(lch, rch, 0, 0, InnerJoin, math.MaxInt, new(memAcct))
 			}
 		})
 		b.Run(fmt.Sprintf("rows/n=%d", n), func(b *testing.B) {
@@ -198,12 +199,7 @@ func BenchmarkKernelShuffle(b *testing.B) {
 		b.Run(fmt.Sprintf("kernel/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, _, _ := c.newExecEnv(context.Background()).shuffle(in, func(ch *Chunk, r int) int {
-					if ch.nulls[0].get(r) {
-						return 0
-					}
-					return int(xrand.Mix64(uint64(ch.cols[0][r])) % 8)
-				}, 0)
+				out, _, _ := c.newExecEnv(context.Background()).redistribute(in, 0)
 				sinkChunk = out.parts[0]
 			}
 		})

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"testing"
 
 	"dbcc/internal/xrand"
@@ -53,32 +55,90 @@ func chunkEqualRows(t *testing.T, ch *Chunk, want []Row) {
 	}
 }
 
-// TestJoinChunksMatchesReference differential-tests the join kernel
-// against a nested-loop reference on one pair of chunks, including the
-// exact match order.
-func TestJoinChunksMatchesReference(t *testing.T) {
-	rng := xrand.New(71)
-	for trial := 0; trial < 40; trial++ {
-		left := skewedRows(rng, int(rng.Uint64n(120)), 2)
-		right := skewedRows(rng, int(rng.Uint64n(120)), 2)
-		lch, rch := rowsToChunk(left, 2), rowsToChunk(right, 2)
-		for _, kind := range []JoinKind{InnerJoin, LeftOuterJoin} {
-			var want []Row
-			for _, lr := range left {
-				matched := false
-				for _, rr := range right {
-					if !lr[0].Null && !rr[1].Null && lr[0].Int == rr[1].Int {
-						matched = true
-						want = append(want, Row{lr[0], lr[1], rr[0], rr[1]})
-					}
-				}
-				if !matched && kind == LeftOuterJoin {
-					want = append(want, Row{lr[0], lr[1], NullDatum, NullDatum})
-				}
+// referenceJoin is the nested-loop join the kernel is held to: probe
+// order, ascending build row within one probe row, NULL keys never match,
+// unmatched probe rows of a left outer join padded with NULLs.
+func referenceJoin(left, right []Row, lk, rk, rw int, kind JoinKind) []Row {
+	var want []Row
+	for _, lr := range left {
+		matched := false
+		for _, rr := range right {
+			if !lr[lk].Null && !rr[rk].Null && lr[lk].Int == rr[rk].Int {
+				matched = true
+				want = append(want, append(append(Row{}, lr...), rr...))
 			}
-			chunkEqualRows(t, joinChunks(lch, rch, 0, 1, kind), want)
+		}
+		if !matched && kind == LeftOuterJoin {
+			row := append(Row{}, lr...)
+			for c := 0; c < rw; c++ {
+				row = append(row, NullDatum)
+			}
+			want = append(want, row)
 		}
 	}
+	return want
+}
+
+// TestJoinChunksMatchesReference differential-tests the join kernel
+// against the nested-loop reference on one pair of chunks, including the
+// exact match order — for both join kinds, and for match-list limits from
+// one pair per block up to unbounded, since a limit only decides how many
+// blocks the same output is gathered in.
+func TestJoinChunksMatchesReference(t *testing.T) {
+	check := func(name string, left, right []Row, lk, rk int) {
+		t.Helper()
+		lch, rch := rowsToChunk(left, 2), rowsToChunk(right, 2)
+		for _, kind := range []JoinKind{InnerJoin, LeftOuterJoin} {
+			want := referenceJoin(left, right, lk, rk, 2, kind)
+			for _, limit := range []int{1, 3, 64, math.MaxInt} {
+				if limit < 64 && len(want) > 2000 {
+					continue // thousands of tiny blocks only cost time
+				}
+				acct := new(memAcct)
+				got := joinChunks(lch, rch, lk, rk, kind, limit, acct)
+				if len(got.cols) != 4 {
+					t.Fatalf("%s kind %v: %d output columns, want 4", name, kind, len(got.cols))
+				}
+				chunkEqualRows(t, got, want)
+				if acct.used.Load() != 0 {
+					t.Fatalf("%s kind %v limit %d: %d match-list bytes still charged", name, kind, limit, acct.used.Load())
+				}
+				if ceiling := int64(min(limit, len(want))) * matchPairBytes; acct.peak.Load() > ceiling {
+					t.Fatalf("%s kind %v limit %d: match lists peaked at %d bytes, cap %d", name, kind, limit, acct.peak.Load(), ceiling)
+				}
+			}
+		}
+	}
+
+	// Random chunks: skewed keys, NULL keys and NULL payloads on both sides.
+	rng := xrand.New(71)
+	for trial := 0; trial < 40; trial++ {
+		check(fmt.Sprintf("trial %d", trial),
+			skewedRows(rng, int(rng.Uint64n(120)), 2), skewedRows(rng, int(rng.Uint64n(120)), 2), 0, 1)
+	}
+
+	seq := func(n int, key func(i int) Datum) []Row {
+		rows := make([]Row, n)
+		for i := range rows {
+			rows[i] = Row{key(i), I(int64(i))}
+		}
+		return rows
+	}
+	some := seq(50, func(i int) Datum { return I(int64(i % 7)) })
+	check("empty build side", some, nil, 0, 0)
+	check("empty probe side", nil, some, 0, 0)
+	check("both sides empty", nil, nil, 0, 0)
+	// No probe key exists on the build side: the inner join is empty, the
+	// outer join is all pads.
+	check("all unmatched", some, seq(50, func(i int) Datum { return I(int64(100 + i)) }), 0, 0)
+	check("all-NULL probe keys", seq(50, func(int) Datum { return NullDatum }), some, 0, 0)
+	check("all-NULL build keys", some, seq(50, func(int) Datum { return NullDatum }), 0, 0)
+	// One hot key: each of three probe rows fans out over 10^4 build rows,
+	// with cold and NULL-keyed rows around them.
+	hotBuild := seq(10_000, func(int) Datum { return I(7) })
+	hotBuild = append(hotBuild, Row{I(8), NullDatum}, Row{NullDatum, I(1)})
+	hotProbe := []Row{{I(7), I(1)}, {I(8), NullDatum}, {NullDatum, I(2)}, {I(7), I(3)}, {I(9), I(4)}, {I(7), NullDatum}}
+	check("hot key", hotProbe, hotBuild, 0, 0)
 }
 
 // TestGroupChunkMatchesReference differential-tests the group-by fold
@@ -151,17 +211,40 @@ func TestDistinctChunkMatchesReference(t *testing.T) {
 	}
 }
 
-// TestShuffleMatchesReference differential-tests the counting shuffle:
-// every row lands on the segment the row-at-a-time destination function
-// chooses, per-segment order is source-major (segment 0's rows first, in
-// their original order), and the moved-bytes accounting equals the
-// reference count of segment-changing rows at the wire width.
+// referenceRowHash recomputes the whole-row shuffle hash from its
+// definition, independently of chunkRowHash.
+func referenceRowHash(r Row) uint64 {
+	var h uint64
+	for _, d := range r {
+		if d.Null {
+			h = xrand.Mix64(h ^ 0x9e37)
+		} else {
+			h = xrand.Mix64(h ^ uint64(d.Int))
+		}
+	}
+	return h
+}
+
+// TestShuffleMatchesReference differential-tests the shuffle under every
+// route — by key column, by whole-row hash, bloom-pruned and bloom-diverted
+// — against the row-at-a-time placement rule: every kept row lands on the
+// segment the rule chooses (hash modulo the segment count, power of two or
+// not; NULL keys on segment 0), per-segment order is source-major
+// (segment 0's rows first, in their original order), pruned rows are
+// dropped or arrive in their source's bypass chunk, and the moved and saved
+// byte counts equal the reference count of segment-changing rows at the
+// wire width.
 func TestShuffleMatchesReference(t *testing.T) {
 	rng := xrand.New(83)
-	for trial := 0; trial < 25; trial++ {
-		segs := int(rng.Uint64n(7)) + 1
+	for trial := 0; trial < 40; trial++ {
+		segs := int(rng.Uint64n(8)) + 1
 		c := NewCluster(Options{Segments: segs})
 		rows := skewedRows(rng, int(rng.Uint64n(400)), 2)
+		if trial%5 == 0 {
+			for _, r := range rows {
+				r[0] = NullDatum // a key column that is NULL throughout
+			}
+		}
 		in := &relation{schema: Schema{"a", "b"}, parts: make([]*Chunk, segs), distKey: NoDistKey}
 		// Spread input rows round-robin across source segments.
 		srcRows := make([][]Row, segs)
@@ -171,36 +254,69 @@ func TestShuffleMatchesReference(t *testing.T) {
 		for s := range in.parts {
 			in.parts[s] = rowsToChunk(srcRows[s], 2)
 		}
-		destOf := func(r Row) int {
-			if r[0].Null {
-				return 0
+		// The filter admits about half of the distinct keys.
+		bf := newBloomFilter(int64(len(rows)) + 1)
+		for _, r := range rows {
+			if !r[0].Null && r[0].Int%2 == 0 {
+				bf.add(r[0].Int)
 			}
-			return int(uint64(r[0].Int) % uint64(segs))
 		}
 
-		out, moved, err := c.newExecEnv(context.Background()).shuffle(in, func(ch *Chunk, r int) int {
-			return destOf(Row{ch.datum(0, r), ch.datum(1, r)})
-		}, NoDistKey)
-		if err != nil {
-			t.Fatalf("shuffle: %v", err)
-		}
+		for _, route := range []shuffleRoute{
+			{key: 0},
+			{key: NoDistKey},
+			{key: 0, bloom: bf},
+			{key: 0, bloom: bf, collect: true},
+		} {
+			destOf := func(r Row) int {
+				if route.key == NoDistKey {
+					return int(referenceRowHash(r) % uint64(segs))
+				}
+				if r[0].Null {
+					return 0
+				}
+				return int(xrand.Mix64(uint64(r[0].Int)) % uint64(segs))
+			}
+			out, moved, saved, bypass, err := c.newExecEnv(context.Background()).shuffleFiltered(in, route)
+			if err != nil {
+				t.Fatalf("shuffle: %v", err)
+			}
 
-		wantParts := make([][]Row, segs)
-		var wantMoved int64
-		for src := 0; src < segs; src++ {
-			for _, r := range srcRows[src] {
-				d := destOf(r)
-				wantParts[d] = append(wantParts[d], r)
-				if d != src {
-					wantMoved += int64(len(r)) * DatumWireSize
+			wantParts := make([][]Row, segs)
+			wantBypass := make([][]Row, segs)
+			var wantMoved, wantSaved int64
+			for src := 0; src < segs; src++ {
+				for _, r := range srcRows[src] {
+					d := destOf(r)
+					var away int64
+					if d != src {
+						away = int64(len(r)) * DatumWireSize
+					}
+					if route.bloom != nil && (r[0].Null || !bf.mayContain(r[0].Int)) {
+						wantSaved += away
+						wantBypass[src] = append(wantBypass[src], r)
+						continue
+					}
+					wantMoved += away
+					wantParts[d] = append(wantParts[d], r)
 				}
 			}
-		}
-		if moved != wantMoved {
-			t.Fatalf("trial %d: shuffle charged %d bytes, want %d", trial, moved, wantMoved)
-		}
-		for s := 0; s < segs; s++ {
-			chunkEqualRows(t, out.parts[s], wantParts[s])
+			if moved != wantMoved || saved != wantSaved {
+				t.Fatalf("trial %d route %+v: shuffle charged %d bytes and saved %d, want %d and %d",
+					trial, route, moved, saved, wantMoved, wantSaved)
+			}
+			if out.distKey != route.key {
+				t.Fatalf("trial %d route %+v: output claims distribution key %d", trial, route, out.distKey)
+			}
+			for s := 0; s < segs; s++ {
+				chunkEqualRows(t, out.parts[s], wantParts[s])
+				if route.collect {
+					chunkEqualRows(t, bypass[s], wantBypass[s])
+				}
+			}
+			if !route.collect && bypass != nil {
+				t.Fatalf("trial %d route %+v: bypass chunks without collect", trial, route)
+			}
 		}
 	}
 }

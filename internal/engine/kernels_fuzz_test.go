@@ -3,6 +3,8 @@ package engine
 import (
 	"encoding/binary"
 	"testing"
+
+	"dbcc/internal/xrand"
 )
 
 // Fuzz targets for the data-movement kernels of the radix shuffle and
@@ -17,7 +19,8 @@ import (
 //     appears exactly once, in its chosen bucket, in source order, and the
 //     result is bit-identical to the row-at-a-time reference (including
 //     zeroed payloads under NULL bits, since buckets are carved from
-//     stale pooled memory).
+//     stale pooled memory). The same inputs drive routeChunk, which must
+//     agree with the row-at-a-time placement rule for every part count.
 //
 // Seed corpora live in testdata/fuzz/Fuzz{BloomFilter,RadixPartition}
 // plus the f.Add seeds below; the CI lint job runs each for a 30s smoke.
@@ -91,6 +94,18 @@ func FuzzRadixPartition(f *testing.F) {
 		seed = append(seed, byte(i*7), byte(i), byte(i*13), byte(255-i))
 	}
 	f.Add(seed)
+	// Seven parts — not a power of two — and a key column (the first value
+	// byte of each row) that is NULL throughout, then NULL on every other row.
+	nullKey := []byte{6, 1}
+	for i := 0; i < 64; i++ {
+		nullKey = append(nullKey, byte(i), 0xff, byte(i*5))
+	}
+	f.Add(nullKey)
+	mixedKey := []byte{6, 1}
+	for i := 0; i < 64; i++ {
+		mixedKey = append(mixedKey, byte(i), byte(0xff*(i%2)), byte(i*11))
+	}
+	f.Add(mixedKey)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -126,6 +141,21 @@ func FuzzRadixPartition(f *testing.F) {
 			rows[r] = row
 		}
 		ch := rowsToChunk(rows, ncols)
+
+		// The routing kernel must send every row where the row-at-a-time
+		// rule does — hash of column 0 modulo the part count, NULL keys to
+		// part 0 — whatever the count and wherever the NULLs sit.
+		routed := make([]int32, n)
+		routeChunk(ch, shuffleRoute{key: 0}, nparts, 0, routed)
+		for r, got := range routed {
+			want := int32(0)
+			if k := rows[r][0]; !k.Null {
+				want = int32(xrand.Mix64(uint64(k.Int)) % uint64(nparts))
+			}
+			if got != want {
+				t.Fatalf("row %d (key %v) routed to part %d of %d, want %d", r, rows[r][0], got, nparts, want)
+			}
+		}
 
 		parts, fp := radixPartitionChunk(ch, dests, nparts)
 		defer putI64(fp)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -37,12 +38,19 @@ import (
 // budget: in-memory when the build side and its hash table fit the
 // segment share, Grace-partitioned otherwise.
 func (e *execEnv) joinSegment(seg int, left, right *Chunk, lk, rk int, kind JoinKind) (*Chunk, error) {
-	est := chunkFootprint(right) + joinTableBytes(right.length)
+	// The in-memory kernel's working set is the hash table plus its match
+	// lists, which it keeps within whatever the table leaves of the share —
+	// at least the one pair the estimate reserves.
+	w := joinTableBytes(right.length)
+	est := chunkFootprint(right) + w + matchPairBytes
 	if !e.shouldSpill(est) {
-		w := joinTableBytes(right.length)
+		limit := math.MaxInt
+		if share := e.segShare(); share > 0 {
+			limit = int((share - w) / matchPairBytes)
+		}
 		e.acct.charge(w)
 		defer e.acct.release(w)
-		return joinChunks(left, right, lk, rk, kind), nil
+		return joinChunks(left, right, lk, rk, kind, limit, &e.acct), nil
 	}
 	dir, err := e.ensureSpillDir()
 	if err != nil {

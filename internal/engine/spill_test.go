@@ -96,6 +96,55 @@ func TestSpillJoinMatchesInMemory(t *testing.T) {
 	}
 }
 
+// TestBudgetedJoinChargesMatchLists pins the in-memory join's accounting
+// when its output dwarfs its inputs: a 64-row build side fits the budget,
+// so the join does not spill, but one hot key fans 100 probe rows out into
+// 6400 matches whose match-index lists alone (8 bytes a pair) would be
+// twelve times the budget. The lists are charged next to the hash table —
+// the peak is above the table's own size — and bounded to what the table
+// leaves of the share, so the peak stays within the budget while the rows
+// still equal the unbounded run's, in order.
+func TestBudgetedJoinChargesMatchLists(t *testing.T) {
+	const budget = 4 << 10
+	build := make([]Row, 64)
+	for i := range build {
+		build[i] = Row{I(7), I(int64(i))}
+	}
+	probe := make([]Row, 100)
+	for i := range probe {
+		probe[i] = Row{I(7), I(int64(-i))}
+	}
+	run := func(memBudget int64, kind JoinKind) ([]Row, Stats) {
+		c := NewCluster(Options{Segments: 1, MemoryBudget: memBudget})
+		t.Cleanup(func() { c.Close() })
+		mustCreate(t, c, "p", Schema{"k", "x"}, 0, append(probe[:len(probe):len(probe)], Row{I(8), I(1)}, Row{NullDatum, I(2)}))
+		mustCreate(t, c, "b", Schema{"k", "y"}, 0, build)
+		_, rows, err := c.Query(JoinPlan{Left: Scan("p"), Right: Scan("b"), LeftKey: 0, RightKey: 0, Kind: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows, c.Stats()
+	}
+	for _, kind := range []JoinKind{InnerJoin, LeftOuterJoin} {
+		want, _ := run(0, kind)
+		got, stats := run(budget, kind)
+		sameRows(t, got, want)
+		if len(got) < 6400 {
+			t.Fatalf("kind %v: join produced %d rows, want the 6400-row fan-out", kind, len(got))
+		}
+		if stats.SpilledBytes != 0 {
+			t.Fatalf("kind %v: join spilled %d bytes; the build side fits the budget", kind, stats.SpilledBytes)
+		}
+		if table := joinTableBytes(len(build)); stats.PeakWorkBytes <= table {
+			t.Fatalf("kind %v: peak working memory %d does not exceed the hash table's %d: match lists not charged",
+				kind, stats.PeakWorkBytes, table)
+		}
+		if stats.PeakWorkBytes > budget {
+			t.Fatalf("kind %v: peak working memory %d exceeds the budget %d", kind, stats.PeakWorkBytes, budget)
+		}
+	}
+}
+
 func TestSpillGroupByMatchesInMemory(t *testing.T) {
 	rng := xrand.New(103)
 	rows := make([]Row, 3000)

@@ -669,7 +669,8 @@ func instantiateExpr(e engine.Expr, args []Arg) engine.Expr {
 	case engine.IsNullExpr:
 		return engine.IsNullExpr{Arg: instantiateExpr(e.Arg, args), Negate: e.Negate}
 	case engine.UDFExpr:
-		return engine.UDFExpr{Name: e.Name, Fn: e.Fn, Args: instantiateExprs(e.Args, args)}
+		e.Args = instantiateExprs(e.Args, args) // e is a copy: the template keeps its own Args
+		return e
 	default:
 		// ColRef, ConstExpr: no parameters below.
 		return e

@@ -731,12 +731,12 @@ type ServerStats struct {
 	QueueDepth     int64 `json:"queue_depth"` // statements waiting right now, all tenants
 	PeakQueueDepth int64 `json:"peak_queue_depth"`
 	// Prepared-statement and plan-cache accounting of the shared engine.
-	Prepared               int64                  `json:"prepared"` // prepared statements currently held, all connections
-	Parses                 int64                  `json:"parses"`   // SQL texts parsed by the engine
-	PlanCacheHits          int64                  `json:"plan_cache_hits"`
-	PlanCacheMisses        int64                  `json:"plan_cache_misses"`
-	PlanCacheInvalidations int64                  `json:"plan_cache_invalidations"`
-	PlanCacheEntries       int64                  `json:"plan_cache_entries"`
+	Prepared               int64 `json:"prepared"` // prepared statements currently held, all connections
+	Parses                 int64 `json:"parses"`   // SQL texts parsed by the engine
+	PlanCacheHits          int64 `json:"plan_cache_hits"`
+	PlanCacheMisses        int64 `json:"plan_cache_misses"`
+	PlanCacheInvalidations int64 `json:"plan_cache_invalidations"`
+	PlanCacheEntries       int64 `json:"plan_cache_entries"`
 	// Component-index maintenance and subscription fan-out accounting.
 	Watchers           int64                  `json:"watchers"` // live subscriptions right now
 	WatchersTotal      int64                  `json:"watchers_total"`
