@@ -85,8 +85,6 @@ func main() {
 		faultSeed  = flag.Uint64("fault-seed", 1, "seed for the deterministic fault injector")
 		timeout    = flag.Duration("timeout", 0, "per-statement deadline (0 = none)")
 		memBudget  = flag.Int64("mem-budget", 0, "per-statement working-memory budget in bytes; kernels spill to disk beyond it (0 = unbounded)")
-		noBloom    = flag.Bool("no-bloom", false, "disable bloom-join shuffle pruning (results identical; shuffle_bytes grows)")
-		noFusion   = flag.Bool("no-fusion", false, "disable fused scan→filter→project execution")
 		checkMicro = flag.String("check-micro", "", "gate a `go test -bench` output file against -micro-baseline and exit")
 		microBase  = flag.String("micro-baseline", "internal/bench/testdata/microbench_baseline.json", "microbenchmark baseline file for -check-micro")
 
@@ -127,9 +125,6 @@ func main() {
 		FaultSeed:      *faultSeed,
 		QueryTimeout:   *timeout,
 		MemoryBudget:   *memBudget,
-
-		DisableBloomJoin:      *noBloom,
-		DisableOperatorFusion: *noFusion,
 	}
 	progress := func(s string) {
 		if !*quiet {
@@ -190,8 +185,6 @@ func main() {
 			bench.NaiveExperiment(out, cfg)
 		case "transaction":
 			bench.TransactionExperiment(out, cfg)
-		case "broadcast":
-			bench.BroadcastExperiment(out, cfg)
 		case "rounds":
 			bench.RoundsExperiment(out, cfg)
 		case "scaling":
@@ -224,7 +217,7 @@ func main() {
 		}
 	}
 	if *all {
-		for _, e := range []string{"gamma", "appendixb", "naive", "transaction", "broadcast", "rounds", "scaling", "spark", "variants", "methods", "rerandom", "segments", "spill", "stream", "frontier"} {
+		for _, e := range []string{"gamma", "appendixb", "naive", "transaction", "rounds", "scaling", "spark", "variants", "methods", "rerandom", "segments", "spill", "stream", "frontier"} {
 			runExp(e)
 		}
 	} else if *experiment != "" {
@@ -290,23 +283,13 @@ func runJSON(cfg bench.Config, outDir, datasetList, baselinePath string, progres
 			os.Exit(1)
 		}
 	}
-	// One summary line per dataset: the deterministic-RC shuffle traffic,
-	// how much of it the bloom filters pruned, and the delta against the
-	// committed baseline when one is loaded.
+	// One summary line per dataset: the deterministic-RC query count and
+	// shuffle traffic.
 	for _, rep := range reports {
 		for _, a := range rep.Algorithms {
-			if a.Name != "rc-det" {
-				continue
+			if a.Name == "rc-det" {
+				fmt.Fprintf(os.Stderr, "%s: rc-det queries=%d shuffle=%dB\n", rep.Dataset, a.Queries, a.ShuffleBytes)
 			}
-			line := fmt.Sprintf("%s: rc-det queries=%d shuffle=%dB saved=%dB",
-				rep.Dataset, a.Queries, a.ShuffleBytes, a.ShuffleSaved)
-			if b != nil {
-				if base, ok := b.RCDetShuffleBytes[rep.Dataset]; ok && base > 0 {
-					delta := 100 * float64(a.ShuffleBytes-base) / float64(base)
-					line += fmt.Sprintf(" (baseline %dB, %+.1f%%)", base, delta)
-				}
-			}
-			fmt.Fprintln(os.Stderr, line)
 		}
 	}
 	if b == nil {

@@ -22,11 +22,6 @@
 // hash tables and sort state would exceed the per-segment share, with
 // bit-identical results. \stats then reports the peak accounted working
 // memory and the spill volume.
-//
-// -no-bloom and -no-fusion disable the engine's bloom-filtered join
-// shuffle pruning and fused scan pipelines (identical results either
-// way); EXPLAIN ANALYZE annotates pruned joins with `bloom checked=
-// skipped=` when pruning is on.
 package main
 
 import (
@@ -49,8 +44,6 @@ func main() {
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the deterministic fault injector")
 	timeout := flag.Duration("timeout", 0, "per-statement deadline (0 = none)")
 	memBudget := flag.Int64("mem-budget", 0, "per-statement working-memory budget in bytes; kernels spill to disk beyond it (0 = unbounded)")
-	noBloom := flag.Bool("no-bloom", false, "disable bloom-join shuffle pruning (results identical; shuffle traffic grows)")
-	noFusion := flag.Bool("no-fusion", false, "disable fused scan→filter→project execution")
 	flag.Parse()
 
 	db := dbcc.Open(dbcc.Config{
@@ -59,9 +52,6 @@ func main() {
 		FaultSeed:    *faultSeed,
 		QueryTimeout: *timeout,
 		MemoryBudget: *memBudget,
-
-		DisableBloomJoin:      *noBloom,
-		DisableOperatorFusion: *noFusion,
 	})
 	defer db.Close()
 	sess := db.SQL()

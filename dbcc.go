@@ -94,14 +94,6 @@ type Config struct {
 	// files and produce bit-identical results. 0 means unbounded (the
 	// classic all-in-memory engine).
 	MemoryBudget int64
-	// DisableBloomJoin turns off bloom-filtered join shuffle pruning;
-	// results are identical, but non-matching probe rows cross segments
-	// again (shuffle traffic grows, ShuffleSavedBytes stays zero).
-	DisableBloomJoin bool
-	// DisableOperatorFusion turns off fused scan→filter→project
-	// execution, materialising one intermediate chunk per plan node
-	// again. Results are identical.
-	DisableOperatorFusion bool
 }
 
 // Algorithm names accepted by Params.Algorithm.
@@ -214,9 +206,6 @@ func Open(cfg Config) *DB {
 		QueryTimeout:  cfg.QueryTimeout,
 		FaultInjector: injector,
 		MemoryBudget:  cfg.MemoryBudget,
-
-		DisableBloomJoin:      cfg.DisableBloomJoin,
-		DisableOperatorFusion: cfg.DisableOperatorFusion,
 	})
 	ccalg.RegisterUDFs(c)
 	db := &DB{c: c}

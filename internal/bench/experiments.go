@@ -299,42 +299,6 @@ func TransactionExperiment(w io.Writer, cfg Config) {
 	}
 }
 
-// BroadcastExperiment is ablation A8: the broadcast-motion join
-// optimisation of MPP planners, measured on Randomised Contraction.
-// Finding: it barely moves the needle — the paper's published SQL already
-// pins every table's distribution with DISTRIBUTED BY so that each join
-// probes co-located data, leaving broadcast nothing large to save (the
-// only non-co-located joins are the small against small representative
-// compositions, where broadcasting can even cost more than shuffling).
-// This quantifies how deliberate the paper's distribution choices are.
-func BroadcastExperiment(w io.Writer, cfg Config) {
-	fmt.Fprintln(w, "ABLATION A8 — BROADCAST-MOTION JOINS (Randomised Contraction, Candels40)")
-	fmt.Fprintf(w, "%-22s %10s %14s\n", "mode", "seconds", "shuffled MiB")
-	d, _ := DatasetByName("Candels40")
-	g := d.Gen(cfg.Scale, cfg.Seed)
-	for _, threshold := range []int64{0, 1 << 62} {
-		name := "distributed joins"
-		if threshold > 0 {
-			name = "broadcast small side"
-		}
-		c := engine.NewCluster(engine.Options{Segments: cfg.Segments, BroadcastThreshold: threshold})
-		if err := graph.Load(c, "input", g); err != nil {
-			fmt.Fprintf(w, "%-22s error: %v\n", name, err)
-			continue
-		}
-		c.ResetStats()
-		start := time.Now()
-		res, err := ccalg.RandomisedContraction(c, "input", ccalg.Options{Seed: cfg.Seed})
-		if err != nil {
-			fmt.Fprintf(w, "%-22s error: %v\n", name, err)
-			continue
-		}
-		_ = res
-		fmt.Fprintf(w, "%-22s %10.2f %14.1f\n",
-			name, time.Since(start).Seconds(), mib(c.Stats().ShuffleBytes))
-	}
-}
-
 // SpillExperiment is ablation A9: memory-bounded execution. Each table
 // algorithm plus the deterministic RC variant runs once unbounded to
 // observe its peak accounted working memory (hash tables, sort state,

@@ -51,7 +51,12 @@ import (
 // BENCH_frontier.json): experiment tag plus per-(dataset, algorithm)
 // entries with rounds, wall_secs, peak_bytes and the derived flag marking
 // closed-form round counts that were not run to completion.
-const JSONSchemaVersion = 8
+//
+// Version 9 removed version 4's bloom_join and operator_fusion flags and
+// the per-algorithm bloom_checked, bloom_skipped and shuffle_saved_bytes:
+// the engine has one way to run a join and a scan pipeline, so there is
+// nothing left to switch or count.
+const JSONSchemaVersion = 9
 
 // RoundJSON is one algorithm round in the machine-readable report — the
 // serialised form of ccalg.RoundStats.
@@ -85,16 +90,13 @@ type AlgorithmJSON struct {
 	BytesWritten int64       `json:"bytes_written"`
 	PeakBytes    int64       `json:"peak_bytes"`
 	ShuffleBytes int64       `json:"shuffle_bytes"`
-	ShuffleSaved int64       `json:"shuffle_saved_bytes"` // shuffle bytes pruned by bloom-join filters
-	BloomChecked int64       `json:"bloom_checked"`       // probe rows tested against build-side bloom filters
-	BloomSkipped int64       `json:"bloom_skipped"`       // probe rows dropped before crossing segments
-	PeakWork     int64       `json:"peak_work_bytes"`     // peak accounted working memory
-	Spilled      int64       `json:"spilled_bytes"`       // bytes written to spill partitions
-	SpillParts   int64       `json:"spill_partitions"`    // partition files created
-	SpillPasses  int64       `json:"spill_passes"`        // partitioning passes (recursion included)
-	Parses       int64       `json:"parses"`              // SQL statements parsed over the run
-	PlanHits     int64       `json:"plan_hits"`           // plan-cache hits over the run
-	PlanMisses   int64       `json:"plan_misses"`         // plan-cache misses over the run
+	PeakWork     int64       `json:"peak_work_bytes"`  // peak accounted working memory
+	Spilled      int64       `json:"spilled_bytes"`    // bytes written to spill partitions
+	SpillParts   int64       `json:"spill_partitions"` // partition files created
+	SpillPasses  int64       `json:"spill_passes"`     // partitioning passes (recursion included)
+	Parses       int64       `json:"parses"`           // SQL statements parsed over the run
+	PlanHits     int64       `json:"plan_hits"`        // plan-cache hits over the run
+	PlanMisses   int64       `json:"plan_misses"`      // plan-cache misses over the run
 	MeanSecs     float64     `json:"mean_secs"`
 	Components   int         `json:"components"`
 	RoundLog     []RoundJSON `json:"round_log"`
@@ -103,17 +105,15 @@ type AlgorithmJSON struct {
 // BenchJSON is the per-dataset benchmark report written as
 // BENCH_<dataset>.json by ccbench -json.
 type BenchJSON struct {
-	SchemaVersion  int             `json:"schema_version"`
-	Dataset        string          `json:"dataset"`
-	Scale          float64         `json:"scale"`
-	Segments       int             `json:"segments"`
-	Seed           uint64          `json:"seed"`
-	MemoryBudget   int64           `json:"memory_budget"`   // bytes per statement; 0 = unbounded
-	BloomJoin      bool            `json:"bloom_join"`      // bloom-join shuffle pruning enabled
-	OperatorFusion bool            `json:"operator_fusion"` // scan→filter→project fusion enabled
-	Vertices       int64           `json:"vertices"`
-	Edges          int64           `json:"edges"`
-	Algorithms     []AlgorithmJSON `json:"algorithms"`
+	SchemaVersion int             `json:"schema_version"`
+	Dataset       string          `json:"dataset"`
+	Scale         float64         `json:"scale"`
+	Segments      int             `json:"segments"`
+	Seed          uint64          `json:"seed"`
+	MemoryBudget  int64           `json:"memory_budget"` // bytes per statement; 0 = unbounded
+	Vertices      int64           `json:"vertices"`
+	Edges         int64           `json:"edges"`
+	Algorithms    []AlgorithmJSON `json:"algorithms"`
 	// Server holds server-soak load-generator results (ccbench -loadgen);
 	// nil for ordinary dataset reports.
 	Server *ServerJSON `json:"server,omitempty"`
@@ -151,16 +151,14 @@ func jsonAlgorithms() []jsonAlgorithm {
 func JSONReport(ds Dataset, cfg Config, capacity int64) *BenchJSON {
 	g := ds.Gen(cfg.Scale, cfg.Seed)
 	rep := &BenchJSON{
-		SchemaVersion:  JSONSchemaVersion,
-		Dataset:        ds.Name,
-		Scale:          cfg.Scale,
-		Segments:       cfg.Segments,
-		Seed:           cfg.Seed,
-		MemoryBudget:   cfg.MemoryBudget,
-		BloomJoin:      !cfg.DisableBloomJoin,
-		OperatorFusion: !cfg.DisableOperatorFusion,
-		Vertices:       int64(g.NumVertices()),
-		Edges:          int64(g.NumEdges()),
+		SchemaVersion: JSONSchemaVersion,
+		Dataset:       ds.Name,
+		Scale:         cfg.Scale,
+		Segments:      cfg.Segments,
+		Seed:          cfg.Seed,
+		MemoryBudget:  cfg.MemoryBudget,
+		Vertices:      int64(g.NumVertices()),
+		Edges:         int64(g.NumEdges()),
 	}
 	for _, a := range jsonAlgorithms() {
 		aj := AlgorithmJSON{Name: a.Name, FullName: a.FullName, RoundLog: []RoundJSON{}}
@@ -202,8 +200,6 @@ func JSONReport(ds Dataset, cfg Config, capacity int64) *BenchJSON {
 		aj.BytesWritten = st.BytesWritten
 		aj.PeakBytes = st.PeakBytes - input
 		aj.ShuffleBytes = st.ShuffleBytes
-		aj.ShuffleSaved = st.ShuffleSavedBytes
-		aj.BloomChecked, aj.BloomSkipped = c.BloomTotals()
 		aj.PeakWork = st.PeakWorkBytes
 		aj.Spilled = st.SpilledBytes
 		aj.SpillParts = st.SpillPartitions
@@ -283,13 +279,6 @@ type Baseline struct {
 	// RCDetQueries maps dataset name to the expected whole-run query count
 	// of the deterministic RC variant.
 	RCDetQueries map[string]int64 `json:"rc_det_queries"`
-	// RCDetShuffleBytes maps dataset name to the expected whole-run shuffle
-	// traffic of the deterministic RC variant with bloom-join pruning
-	// enabled — the envelope that catches a silent regression of the
-	// shuffle pruning (bytes creeping back up) as well as an accounting bug
-	// (bytes collapsing). Datasets absent from the map skip the check, so
-	// pre-pruning baselines stay loadable.
-	RCDetShuffleBytes map[string]int64 `json:"rc_det_shuffle_bytes"`
 }
 
 // LoadBaseline reads a committed baseline file.
@@ -314,7 +303,7 @@ func (b *Baseline) Check(rep *BenchJSON) error {
 	if !ok {
 		return fmt.Errorf("bench: dataset %q has no baseline entry; regenerate the baseline", rep.Dataset)
 	}
-	var actual, shuffle int64 = -1, -1
+	var actual int64 = -1
 	for _, a := range rep.Algorithms {
 		if a.Name == "rc-det" {
 			if a.Error != "" {
@@ -324,7 +313,6 @@ func (b *Baseline) Check(rep *BenchJSON) error {
 				return fmt.Errorf("bench: %s: deterministic RC hit the storage wall", rep.Dataset)
 			}
 			actual = a.Queries
-			shuffle = a.ShuffleBytes
 		}
 	}
 	if actual < 0 {
@@ -338,17 +326,6 @@ func (b *Baseline) Check(rep *BenchJSON) error {
 		return fmt.Errorf("bench: %s: deterministic RC issued %d queries, baseline expects %d (±%.0f%%); "+
 			"if the change is intended, update the baseline file",
 			rep.Dataset, actual, expected, 100*b.Tolerance)
-	}
-	if expectedShuffle, ok := b.RCDetShuffleBytes[rep.Dataset]; ok && rep.BloomJoin {
-		sdev := float64(shuffle-expectedShuffle) / float64(expectedShuffle)
-		if sdev < 0 {
-			sdev = -sdev
-		}
-		if sdev > b.Tolerance {
-			return fmt.Errorf("bench: %s: deterministic RC shuffled %d bytes, baseline expects %d (±%.0f%%); "+
-				"a higher count means bloom-join pruning regressed — if the change is intended, update the baseline file",
-				rep.Dataset, shuffle, expectedShuffle, 100*b.Tolerance)
-		}
 	}
 	return nil
 }

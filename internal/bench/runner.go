@@ -46,13 +46,6 @@ type Config struct {
 	// kernels spill partitions to disk beyond their per-segment share and
 	// the reports gain spill accounting. 0 means unbounded.
 	MemoryBudget int64
-	// DisableBloomJoin turns off bloom-join shuffle pruning — the knob for
-	// measuring how much probe-side traffic the filters save (compare
-	// shuffle_bytes across paired runs; labellings are identical).
-	DisableBloomJoin bool
-	// DisableOperatorFusion turns off fused scan→filter→project execution,
-	// forcing each operator to materialise its intermediate chunks.
-	DisableOperatorFusion bool
 }
 
 // DefaultConfig returns the configuration used for the committed
@@ -187,13 +180,11 @@ func clusterOptions(cfg Config) engine.Options {
 		})
 	}
 	return engine.Options{
-		Segments:              cfg.Segments,
-		Profile:               profile,
-		QueryTimeout:          cfg.QueryTimeout,
-		FaultInjector:         injector,
-		MemoryBudget:          cfg.MemoryBudget,
-		DisableBloomJoin:      cfg.DisableBloomJoin,
-		DisableOperatorFusion: cfg.DisableOperatorFusion,
+		Segments:      cfg.Segments,
+		Profile:       profile,
+		QueryTimeout:  cfg.QueryTimeout,
+		FaultInjector: injector,
+		MemoryBudget:  cfg.MemoryBudget,
 	}
 }
 

@@ -105,7 +105,6 @@ func TestAutoDecisionIgnoresEngineKnobs(t *testing.T) {
 	for _, opts := range []engine.Options{
 		{Segments: 4},
 		{Segments: 4, MemoryBudget: 8 << 10},
-		{Segments: 4, DisableBloomJoin: true, DisableOperatorFusion: true},
 		{Segments: 16},
 	} {
 		c := engine.NewCluster(opts)

@@ -20,49 +20,36 @@ import (
 // from six structural families, must produce the same canonical labelling
 // as the Union/Find oracle — and the *identical* labelling regardless of
 // memory budget (spilling kernels are bit-identical), of injected faults
-// (retries are transparent), of the bloom-join / operator-fusion execution
-// knobs (pruning and fusion are pure optimizations), and of whether
-// round-loop statements run prepared through the plan cache or as freshly
-// parsed text. The budget and fault axes are exactly the conditions the
+// (retries are transparent), and of whether round-loop statements run
+// prepared through the plan cache or as freshly parsed text. The budget and fault axes are exactly the conditions the
 // ICDE'20 evaluation never varies: the paper's correctness claims are
 // per-algorithm, so any divergence here is an engine bug, not an algorithm
 // property. For the adaptive planner the matrix additionally pins that
 // planning decisions are a pure function of the graph: were a decision to
-// depend on an engine knob, the cells would diverge.
+// depend on the budget or on faults, the cells would diverge.
 
 // propertyCells is the execution matrix: each cell is one cluster
 // configuration every algorithm × family pair must label identically
 // under. The budget axis spans unbounded, tight enough that per-round
 // joins and folds spill, and pathologically small so every kernel takes
-// its spilling path; the knob axes disable bloom-join pruning and operator
-// fusion; the fault cells run with injected segment faults and retries.
-// Knob coverage concentrates where the code paths differ most: all four
-// knob combinations on the unbounded cell, and knob-off-under-faults on
-// the spilling cells. The no-prepare cells execute the drivers' round
-// loops through literal SQL text instead of prepared statements, so
-// substitute-and-replan and instantiate-from-template must agree bit for
-// bit — once under no pressure and once with spilling and faults layered
-// on top.
+// its spilling path; the fault cells run with injected segment faults and
+// retries. The no-prepare cells execute the drivers' round loops through
+// literal SQL text instead of prepared statements, so substitute-and-replan
+// and instantiate-from-template must agree bit for bit — once under no
+// pressure and once with spilling and faults layered on top.
 var propertyCells = []struct {
 	name      string
 	budget    int64
 	faulty    bool
-	bloomOff  bool
-	fusionOff bool
 	noPrepare bool
 }{
-	{"unbounded", 0, false, false, false, false},
-	{"unbounded/no-bloom", 0, false, true, false, false},
-	{"unbounded/no-fusion", 0, false, false, true, false},
-	{"unbounded/plain", 0, false, true, true, false},
-	{"unbounded/no-prepare", 0, false, false, false, true},
-	{"tight", 8 << 10, false, false, false, false},
-	{"tight/faults", 8 << 10, true, false, false, false},
-	{"tight/plain/faults", 8 << 10, true, true, true, false},
-	{"pathological", 1 << 10, false, false, false, false},
-	{"pathological/faults", 1 << 10, true, false, false, false},
-	{"pathological/no-bloom/faults", 1 << 10, true, true, false, false},
-	{"pathological/no-prepare/faults", 1 << 10, true, false, false, true},
+	{"unbounded", 0, false, false},
+	{"unbounded/no-prepare", 0, false, true},
+	{"tight", 8 << 10, false, false},
+	{"tight/faults", 8 << 10, true, false},
+	{"pathological", 1 << 10, false, false},
+	{"pathological/faults", 1 << 10, true, false},
+	{"pathological/no-prepare/faults", 1 << 10, true, true},
 }
 
 // randomFamilies draws one graph per structural family from rng. Isolated
@@ -122,13 +109,11 @@ func randomFamilies(rng *xrand.Rand) map[string]*graph.Graph {
 	return fams
 }
 
-// propertyCluster builds a cluster for one (budget, faults, knobs) cell.
-func propertyCluster(budget int64, faulty, bloomOff, fusionOff bool) *engine.Cluster {
+// propertyCluster builds a cluster for one (budget, faults) cell.
+func propertyCluster(budget int64, faulty bool) *engine.Cluster {
 	opts := engine.Options{
-		Segments:              4,
-		MemoryBudget:          budget,
-		DisableBloomJoin:      bloomOff,
-		DisableOperatorFusion: fusionOff,
+		Segments:     4,
+		MemoryBudget: budget,
 	}
 	if faulty {
 		// 5% of task attempts die outright; spill writes fail at a much
@@ -151,9 +136,9 @@ func propertyCluster(budget int64, faulty, bloomOff, fusionOff bool) *engine.Clu
 // TestPropertyAllAlgorithmsBudgetsFaults is the suite driver: per trial it
 // draws one graph per family and checks, for every driver, that the
 // labelling (a) canonicalizes to the Union/Find oracle's and (b) is
-// bit-identical across every cell of the budget × fault × knob matrix.
+// bit-identical across every cell of the budget × fault × prepare matrix.
 func TestPropertyAllAlgorithmsBudgetsFaults(t *testing.T) {
-	// One trial is ~580 algorithm runs (8 drivers × 6 families × 12
+	// One trial is ~340 algorithm runs (8 drivers × 6 families × 7
 	// matrix cells); DBCC_PROPERTY_TRIALS raises the count for soak runs
 	// without inflating every CI pass.
 	trials := 1
@@ -169,7 +154,7 @@ func TestPropertyAllAlgorithmsBudgetsFaults(t *testing.T) {
 				for _, cell := range propertyCells {
 					ctxt := fmt.Sprintf("trial %d %s/%s cell=%s faults=%v",
 						trial, info.Name, fam, cell.name, cell.faulty)
-					c := propertyCluster(cell.budget, cell.faulty, cell.bloomOff, cell.fusionOff)
+					c := propertyCluster(cell.budget, cell.faulty)
 					if err := graph.Load(c, "input", g); err != nil {
 						t.Fatal(err)
 					}
@@ -207,7 +192,7 @@ func TestPropertyBudgetedRunsSpill(t *testing.T) {
 	g := datagen.ErdosRenyi(120, 260, 5)
 	var spilledSomewhere bool
 	for _, info := range Drivers() {
-		c := propertyCluster(1<<10, false, false, false)
+		c := propertyCluster(1<<10, false)
 		if err := graph.Load(c, "input", g); err != nil {
 			t.Fatal(err)
 		}

@@ -61,29 +61,48 @@ func Dial(addr, tenant, token string) (*Client, error) {
 	return DialTimeout(addr, tenant, token, 10*time.Second)
 }
 
-// DialTimeout is Dial with a connect timeout.
+// DialTimeout is Dial with a timeout that bounds both the TCP connect and
+// the Hello/HelloOK handshake, so a peer that accepts and never answers
+// fails the dial instead of blocking it. A non-positive timeout waits
+// forever.
 func DialTimeout(addr, tenant, token string, timeout time.Duration) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
-	hello := wire.EncodeHello(wire.Hello{Version: wire.ProtocolVersion, Tenant: tenant, Token: token})
-	if err := c.send(wire.Frame{Type: wire.TypeHello, Payload: hello}); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	f, err := c.recv()
+	c, err := handshake(conn, tenant, token, timeout)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
+	return c, nil
+}
+
+// handshake authenticates a fresh connection. With a positive timeout the
+// exchange runs under a connection deadline, cleared once it succeeds so
+// later statements may take as long as they need.
+func handshake(conn net.Conn, tenant, token string, timeout time.Duration) (*Client, error) {
+	if timeout > 0 {
+		if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+			return nil, err
+		}
+	}
+	c := &Client{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+	hello := wire.EncodeHello(wire.Hello{Version: wire.ProtocolVersion, Tenant: tenant, Token: token})
+	if err := c.send(wire.Frame{Type: wire.TypeHello, Payload: hello}); err != nil {
+		return nil, err
+	}
+	f, err := c.recv()
+	if err != nil {
+		return nil, err
+	}
 	if f.Type != wire.TypeHelloOK {
-		conn.Close()
 		return nil, fmt.Errorf("client: handshake answered with frame 0x%02x", f.Type)
 	}
 	if _, err := wire.DecodeHelloOK(f.Payload); err != nil {
-		conn.Close()
+		return nil, err
+	}
+	if err := conn.SetDeadline(time.Time{}); err != nil {
 		return nil, err
 	}
 	return c, nil

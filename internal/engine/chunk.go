@@ -205,7 +205,7 @@ func copyChunkInto(dst, src *Chunk, off int) int {
 }
 
 // concatChunks concatenates chunks of identical arity into one
-// exact-capacity chunk (UnionAll, gather-to-coordinator, broadcast).
+// exact-capacity chunk (UnionAll, gather-to-coordinator, shuffle destinations).
 func concatChunks(ncols int, chunks []*Chunk) *Chunk {
 	total := 0
 	for _, ch := range chunks {
@@ -215,31 +215,6 @@ func concatChunks(ncols int, chunks []*Chunk) *Chunk {
 	off := 0
 	for _, ch := range chunks {
 		off = copyChunkInto(out, ch, off)
-	}
-	return out
-}
-
-// padRight extends ch with rw additional all-NULL columns — the
-// unmatched-probe rows of a left outer join. The left columns alias ch and
-// the NULL columns share one zeroed backing and one all-ones bitmap, so
-// the pad costs O(rows/64) regardless of width.
-func padRight(ch *Chunk, rw int) *Chunk {
-	ncols := len(ch.cols)
-	out := &Chunk{
-		length: ch.length,
-		cols:   make([][]int64, ncols+rw),
-		nulls:  make([]nullBitmap, ncols+rw),
-	}
-	copy(out.cols, ch.cols)
-	copy(out.nulls, ch.nulls)
-	zeros := make([]int64, ch.length)
-	allNull := newNullBitmap(ch.length)
-	for i := range allNull {
-		allNull[i] = ^uint64(0)
-	}
-	for c := ncols; c < ncols+rw; c++ {
-		out.cols[c] = zeros
-		out.nulls[c] = allNull
 	}
 	return out
 }

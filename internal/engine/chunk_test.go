@@ -9,8 +9,7 @@ import (
 
 // TestWireWidthAgreement locks the two places that model the interconnect
 // row width together: encodeRow (the canonical byte encoding) and
-// DatumWireSize (the width shuffle and broadcast accounting charge per
-// value). If either changes without the other, shuffle statistics would
+// DatumWireSize (the width shuffle accounting charges per value). If either changes without the other, shuffle statistics would
 // silently stop describing the encoded traffic.
 func TestWireWidthAgreement(t *testing.T) {
 	rows := []Row{

@@ -76,7 +76,7 @@ const DatumSize = 8
 
 // DatumWireSize is the modelled size of one column value on the
 // interconnect: the canonical row encoding emitted by encodeRow is one
-// null-tag byte plus the 8-byte payload per value, and shuffle/broadcast
+// null-tag byte plus the 8-byte payload per value, and shuffle
 // traffic (Stats.ShuffleBytes, OpMetrics.Shuffle) is charged at exactly
 // this width. TestWireWidthAgreement asserts the encoding and the
 // accounting never drift apart.
@@ -157,13 +157,10 @@ type Stats struct {
 	LiveBytes    int64 // current footprint of all live tables
 	PeakBytes    int64 // maximum LiveBytes observed (Table IV)
 	ShuffleBytes int64 // bytes moved between segments by redistribution
-	// ShuffleSavedBytes counts the counterfactual traffic bloom-join
-	// pruning avoided: the bytes pruned probe rows would have moved had
-	// they crossed segments. Per pruned shuffle, ShuffleBytes + saved
-	// equals what that shuffle would have moved with bloom joins off.
-	// Statement totals may diverge further in pruning's favor: left-outer
-	// bypass rows surface at their source segment, so downstream motions
-	// see different (typically cheaper) placements.
+	// Deprecated: the engine no longer prunes join shuffles, so
+	// ShuffleSavedBytes is always zero. It remains only because the
+	// benchmark harness still reads it; the next benchmark change removes
+	// it.
 	ShuffleSavedBytes int64
 	Log               []QueryStat // per-query log, in execution order
 
@@ -240,13 +237,6 @@ type Options struct {
 	// operations) charged per query under ProfileSparkSQL, modelling job
 	// scheduling and stage startup. 0 means the default.
 	SparkPerQueryWork int
-	// BroadcastThreshold enables the broadcast-motion join optimisation
-	// of MPP planners: when the build side of a hash join has at most
-	// this many rows, it is replicated to every segment instead of
-	// redistributing both sides, trading a small broadcast for a large
-	// shuffle. 0 disables the optimisation (the default, so measured
-	// shuffle volumes follow the paper's plain distributed-join plans).
-	BroadcastThreshold int64
 	// TransactionMode models running a whole algorithm as one database
 	// transaction (Sec. VII-B): most databases can only reclaim dropped
 	// tables' storage at commit, so dropped tables release their space
@@ -285,17 +275,6 @@ type Options struct {
 	// external merge sort — see memory.go and spill_kernels.go). 0 means
 	// unbounded, the historical in-memory behaviour.
 	MemoryBudget int64
-	// DisableBloomJoin turns off the build-side bloom filters that prune
-	// an inner join's probe-side shuffle (on by default). Pruning never
-	// changes results — a dropped row could not have matched — it only
-	// reduces shuffle traffic; the knob exists for differential testing
-	// and for measuring the pruning win.
-	DisableBloomJoin bool
-	// DisableOperatorFusion turns off the fused execution of
-	// Filter/Project chains (on by default). Fusion eliminates the
-	// intermediate materialisation between chained filters and a
-	// projection; results and metrics trees are identical either way.
-	DisableOperatorFusion bool
 	// PlanCacheSize bounds the plan cache (plancache.go) in entries; 0
 	// means the default of 256, negative disables caching entirely (every
 	// lookup misses), the knob differential tests and the parse+plan
@@ -313,7 +292,6 @@ type Cluster struct {
 	profile     Profile
 	sparkW      int
 	transaction bool
-	broadcast   int64
 
 	queryTimeout   time.Duration
 	injector       *FaultInjector
@@ -321,8 +299,6 @@ type Cluster struct {
 	retryBackoff   time.Duration
 	retryBudget    int
 	memBudget      int64
-	bloomOff       bool
-	fusionOff      bool
 	stmtSeq        atomic.Uint64 // statement numbering for fault determinism
 
 	spillMu   sync.Mutex // guards spillRoot
@@ -449,15 +425,12 @@ func NewCluster(opts Options) *Cluster {
 		profile:        opts.Profile,
 		sparkW:         opts.SparkPerQueryWork,
 		transaction:    opts.TransactionMode,
-		broadcast:      opts.BroadcastThreshold,
 		queryTimeout:   opts.QueryTimeout,
 		injector:       opts.FaultInjector,
 		maxTaskRetries: retries,
 		retryBackoff:   backoff,
 		retryBudget:    budget,
 		memBudget:      opts.MemoryBudget,
-		bloomOff:       opts.DisableBloomJoin,
-		fusionOff:      opts.DisableOperatorFusion,
 		tables:         make(map[string]*Table),
 		udfs:           make(map[string]udfEntry),
 		indexes:        make(map[string]*ComponentIndex),
@@ -825,13 +798,6 @@ func (c *Cluster) accountWrite(label string, rows, bytes int64) {
 func (c *Cluster) addShuffleBytes(n int64) {
 	c.statsMu.Lock()
 	c.stats.ShuffleBytes += n
-	c.statsMu.Unlock()
-}
-
-// addShuffleSaved records shuffle traffic avoided by bloom-join pruning.
-func (c *Cluster) addShuffleSaved(n int64) {
-	c.statsMu.Lock()
-	c.stats.ShuffleSavedBytes += n
 	c.statsMu.Unlock()
 }
 

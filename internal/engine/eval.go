@@ -67,10 +67,8 @@ func evalVec(e Expr, ch *Chunk) (colVec, error) { return evalRows(e, ch, nil) }
 // evalVecSel evaluates e over only the selected rows of ch, producing a
 // dense vector of len(sel) values: output row i corresponds to input row
 // sel[i], and evalVecSel(e, ch, sel) row i equals evalVec(e, ch) row
-// sel[i] exactly (values, NULLs and errors). It is the fused pipeline's
-// evaluator (see execFused): outer filters and projections over an
-// already-filtered chunk compute just the surviving rows instead of
-// gathering them into an intermediate chunk first.
+// sel[i] exactly (values, NULLs and errors). Unlike evalRows, whose nil
+// selection means every row, a nil sel here selects none.
 func evalVecSel(e Expr, ch *Chunk, sel []int32) (colVec, error) {
 	if sel == nil {
 		sel = []int32{}
@@ -78,9 +76,12 @@ func evalVecSel(e Expr, ch *Chunk, sel []int32) (colVec, error) {
 	return evalRows(e, ch, sel)
 }
 
-// evalRows is the one evaluator behind evalVec and evalVecSel: it computes
-// e over the rows of ch listed in sel, or over every row when sel is nil.
-// Only the leaves look at the selection — a column reference aliases the
+// evalRows is the one evaluator behind evalVec, evalVecSel and the scan
+// pipeline (execPipeline): it computes e over the rows of ch listed in sel,
+// or over every row when sel is nil, so outer filters and projections over
+// an already-filtered chunk compute just the surviving rows instead of
+// gathering them into an intermediate chunk first. Only the leaves look at
+// the selection — a column reference aliases the
 // input column (no selection) or gathers the selected rows; every operator
 // above them combines dense operand vectors, so the selected form costs
 // the same per row as the full one.

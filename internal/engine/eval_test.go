@@ -22,7 +22,7 @@ func (opaqueExpr) String() string { return "opaque" }
 // TestEvalVecSelMatchesGather pins the selected evaluator's contract for
 // every Expr kind, NULLs included: evalVecSel(e, ch, sel) equals
 // evalVec(e, gather(ch, sel)) and the row-at-a-time Eval of each selected
-// row. It also pins the cost model that makes fused pipelines worthwhile:
+// row. It also pins the cost model that makes the scan pipeline worthwhile:
 // the number of allocations of a selected evaluation depends on the
 // expression, not on how many rows are selected — no per-row Row rebuild,
 // no per-row argument slice.

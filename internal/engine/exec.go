@@ -20,15 +20,6 @@ type relation struct {
 	distKey int // column the rows are currently hash-distributed by, or NoDistKey
 }
 
-// rows returns the total row count across segments.
-func (r *relation) rows() int64 {
-	var n int64
-	for _, ch := range r.parts {
-		n += int64(ch.length)
-	}
-	return n
-}
-
 // CreateTableAs executes the plan, materialises its output as a new table
 // hash-distributed by column distKey (NoDistKey for arbitrary placement),
 // and returns the number of rows written — the value the paper's driver
@@ -193,8 +184,6 @@ func (e *execEnv) drainFaultCounters(m *OpMetrics) {
 	m.Spilled += e.opSpilled.Swap(0)
 	m.SpillParts += e.opSpillParts.Swap(0)
 	m.SpillPasses += e.opSpillPasses.Swap(0)
-	m.BloomChecked += e.opBloomChecked.Swap(0)
-	m.BloomSkipped += e.opBloomSkipped.Swap(0)
 }
 
 // finishOp builds the metrics node for one executed operator: output
@@ -256,85 +245,8 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 		rel := &relation{schema: p.Cols, parts: parts, distKey: NoDistKey}
 		return rel, e.finishOp("Values", "", rel, nil, 0, nil, start), nil
 
-	case FilterPlan:
-		if !c.fusionOff {
-			if _, ok := p.Input.(FilterPlan); ok {
-				return e.execFused(nil, p, start)
-			}
-		}
-		in, cm, err := e.exec(p.Input)
-		if err != nil {
-			return nil, nil, err
-		}
-		out := make([]*Chunk, c.segments)
-		segTimes, err := e.parallelTimed(func(seg int) error {
-			ch := in.parts[seg]
-			pred, err := evalVec(p.Pred, ch)
-			if err != nil {
-				return err
-			}
-			kp := getI32(ch.length)
-			keep := *kp
-			for r := 0; r < ch.length; r++ {
-				if !pred.null(r) && pred.vals[r] != 0 {
-					keep = append(keep, int32(r))
-				}
-			}
-			out[seg] = gatherChunk(ch, keep)
-			*kp = keep
-			putI32(kp)
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		rel := &relation{schema: in.schema, parts: out, distKey: in.distKey}
-		return rel, e.finishOp("Filter", p.Pred.String(), rel, []*OpMetrics{cm}, 0, segTimes, start), nil
-
-	case ProjectPlan:
-		if !c.fusionOff {
-			if f, ok := p.Input.(FilterPlan); ok {
-				return e.execFused(&p, f, start)
-			}
-		}
-		in, cm, err := e.exec(p.Input)
-		if err != nil {
-			return nil, nil, err
-		}
-		schema, err := p.Schema(c)
-		if err != nil {
-			return nil, nil, err
-		}
-		// A projection that passes the current distribution column through
-		// unchanged preserves the distribution.
-		outKey := NoDistKey
-		if in.distKey != NoDistKey {
-			for i, col := range p.Cols {
-				if ref, ok := col.Expr.(ColRef); ok && ref.Idx == in.distKey {
-					outKey = i
-					break
-				}
-			}
-		}
-		out := make([]*Chunk, c.segments)
-		segTimes, err := e.parallelTimed(func(seg int) error {
-			ch := in.parts[seg]
-			vecs := make([]colVec, len(p.Cols))
-			for i, col := range p.Cols {
-				v, err := evalVec(col.Expr, ch)
-				if err != nil {
-					return err
-				}
-				vecs[i] = v
-			}
-			out[seg] = chunkFromVecs(vecs, ch.length)
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		rel := &relation{schema: schema, parts: out, distKey: outKey}
-		return rel, e.finishOp("Project", "", rel, []*OpMetrics{cm}, 0, segTimes, start), nil
+	case FilterPlan, ProjectPlan:
+		return e.execPipeline(p, start)
 
 	case UnionAllPlan:
 		schema, err := p.Schema(c)
@@ -371,7 +283,7 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		shuffled, moved, err := e.redistributeByRowHash(in)
+		shuffled, moved, err := e.shuffle(in, NoDistKey) // by a hash of the whole row
 		if err != nil {
 			return nil, nil, err
 		}
@@ -402,31 +314,33 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 	return nil, nil, fmt.Errorf("engine: unknown plan node %T", p)
 }
 
-// execFused executes a Project(Filter…(X)) or Filter(Filter…(X)) chain as
-// one fused pipeline: the innermost predicate evaluates over the child's
-// full chunk, every outer predicate evaluates only over the rows still
-// selected (evalVecSel), and the projection (when present) computes its
-// expressions directly over the final selection into dense output vectors.
-// No intermediate filtered chunk is ever materialised — the per-operator
-// gather of the unfused path disappears — yet the produced chunks are
-// bit-identical to the unfused execution, and the metrics tree still
-// carries one faithful node per logical operator (EXPLAIN ANALYZE output
-// keeps its shape; TestQueryAnalyzeMetrics' per-node invariants hold).
-// proj is nil when the chain has no projection on top.
-func (e *execEnv) execFused(proj *ProjectPlan, top FilterPlan, start time.Time) (*relation, *OpMetrics, error) {
+// execPipeline executes a Project?(Filter*(X)) chain — a projection over
+// zero or more filters, or a filter chain alone — as one pipeline: the
+// innermost predicate evaluates over the child's full chunk, every outer
+// predicate only over the rows still selected, and the projection (when
+// present) computes its expressions directly over the final selection into
+// dense output vectors. No intermediate filtered chunk is ever
+// materialised, yet the metrics tree carries one node per logical operator
+// (EXPLAIN ANALYZE output keeps its shape; TestQueryAnalyzeMetrics'
+// per-node invariants hold).
+func (e *execEnv) execPipeline(p Plan, start time.Time) (*relation, *OpMetrics, error) {
 	c := e.c
+	var proj *ProjectPlan
+	if pp, ok := p.(ProjectPlan); ok {
+		proj = &pp
+		p = pp.Input
+	}
 	// Collect the filter chain, outermost first.
-	filters := []FilterPlan{top}
-	child := top.Input
+	var filters []FilterPlan
 	for {
-		f, ok := child.(FilterPlan)
+		f, ok := p.(FilterPlan)
 		if !ok {
 			break
 		}
 		filters = append(filters, f)
-		child = f.Input
+		p = f.Input
 	}
-	in, cm, err := e.exec(child)
+	in, cm, err := e.exec(p)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -457,48 +371,50 @@ func (e *execEnv) execFused(proj *ProjectPlan, top FilterPlan, start time.Time) 
 	out := make([]*Chunk, c.segments)
 	segTimes, err := e.parallelTimed(func(seg int) error {
 		ch := in.parts[seg]
-		kp := getI32(ch.length)
-		sel := (*kp)[:0]
-		last := len(filters) - 1
-		pv, perr := evalVec(filters[last].Pred, ch)
-		if perr != nil {
-			return perr
-		}
-		for r := 0; r < ch.length; r++ {
-			if !pv.null(r) && pv.vals[r] != 0 {
-				sel = append(sel, int32(r))
-			}
-		}
-		counts[last][seg] = int64(len(sel))
-		for fi := last - 1; fi >= 0; fi-- {
-			sv, serr := evalVecSel(filters[fi].Pred, ch, sel)
-			if serr != nil {
-				return serr
-			}
-			kept := sel[:0]
-			for i, r := range sel {
-				if !sv.null(i) && sv.vals[i] != 0 {
-					kept = append(kept, r)
+		// sel lists the selected rows; nil selects every row (evalRows), so
+		// a projection without filters aliases or computes whole columns.
+		var sel []int32
+		if len(filters) > 0 {
+			kp := getI32(ch.length)
+			defer putI32(kp)
+			for fi := len(filters) - 1; fi >= 0; fi-- {
+				pv, perr := evalRows(filters[fi].Pred, ch, sel)
+				if perr != nil {
+					return perr
 				}
+				// Compact in place: kept[j] is written only after sel[i],
+				// i >= j, has been read.
+				kept := (*kp)[:0]
+				for i := range pv.vals {
+					if !pv.null(i) && pv.vals[i] != 0 {
+						r := int32(i)
+						if sel != nil {
+							r = sel[i]
+						}
+						kept = append(kept, r)
+					}
+				}
+				sel, *kp = kept, kept
+				counts[fi][seg] = int64(len(sel))
 			}
-			sel = kept
-			counts[fi][seg] = int64(len(sel))
 		}
 		if proj == nil {
 			out[seg] = gatherChunk(ch, sel)
-		} else {
-			vecs := make([]colVec, len(proj.Cols))
-			for i, col := range proj.Cols {
-				v, verr := evalVecSel(col.Expr, ch, sel)
-				if verr != nil {
-					return verr
-				}
-				vecs[i] = v
-			}
-			out[seg] = chunkFromVecs(vecs, len(sel))
+			return nil
 		}
-		*kp = sel
-		putI32(kp)
+		n := ch.length
+		if sel != nil {
+			n = len(sel)
+		}
+		vecs := make([]colVec, len(proj.Cols))
+		for i, col := range proj.Cols {
+			v, verr := evalRows(col.Expr, ch, sel)
+			if verr != nil {
+				return verr
+			}
+			vecs[i] = v
+		}
+		out[seg] = chunkFromVecs(vecs, n)
 		return nil
 	})
 	if err != nil {
@@ -547,136 +463,42 @@ func (e *execEnv) redistribute(in *relation, key int) (*relation, int64, error) 
 	if in.distKey == key {
 		return in, 0, nil
 	}
-	rel, moved, _, _, err := e.shuffleFiltered(in, shuffleRoute{key: key})
-	return rel, moved, err
+	return e.shuffle(in, key)
 }
 
-// redistributeBloom hash-shuffles the probe side of an inner join by its
-// join key, dropping rows that cannot have a build-side match — NULL keys
-// (which never match an inner join) and bloom-filter misses — before they
-// cross segments. Returns the relation, the bytes moved, and the
-// counterfactual bytes the pruned rows would have moved.
-func (e *execEnv) redistributeBloom(in *relation, key int, bf *bloomFilter) (*relation, int64, int64, error) {
-	rel, moved, saved, _, err := e.shuffleFiltered(in, shuffleRoute{key: key, bloom: bf})
-	return rel, moved, saved, err
-}
-
-// redistributeBloomOuter hash-shuffles the probe side of a left outer
-// join, diverting rows that cannot have a build-side match — NULL keys and
-// bloom-filter misses — into per-source bypass chunks instead of moving
-// them: the join emits those rows NULL-padded at their source segment, so
-// they never cross the interconnect at all. The output row multiset is
-// identical to the plain plan's; only row placement differs, so the caller
-// must drop the output relation's distribution claim.
-func (e *execEnv) redistributeBloomOuter(in *relation, key int, bf *bloomFilter) (*relation, int64, []*Chunk, error) {
-	rel, moved, _, bypass, err := e.shuffleFiltered(in, shuffleRoute{key: key, bloom: bf, collect: true})
-	return rel, moved, bypass, err
-}
-
-// joinBloomFilter builds the build-side bloom filter of a hash join when
-// pruning can pay: bloom joins enabled, a kind the engine knows how to
-// prune (inner joins drop non-matching probe rows; left outer joins divert
-// them around the shuffle), the probe side actually has to move, and
-// neither side is empty. Each segment fills a partial filter over its
-// share of the build keys (idempotent under task retry — adding a key
-// twice sets the same bits), and the partials OR-merge into the one filter
-// every probe-side source segment tests during the shuffle. Returns nil
-// when pruning does not apply.
-func (e *execEnv) joinBloomFilter(p JoinPlan, left, right *relation) (*bloomFilter, error) {
-	if e.c.bloomOff || (p.Kind != InnerJoin && p.Kind != LeftOuterJoin) || left.distKey == p.LeftKey {
-		return nil, nil
-	}
-	nbuild := right.rows()
-	if nbuild == 0 || left.rows() == 0 {
-		return nil, nil
-	}
-	partials := make([]*bloomFilter, len(right.parts))
-	err := e.parallel(func(seg int) error {
-		ch := right.parts[seg]
-		f := newBloomFilter(nbuild)
-		keys := ch.cols[p.RightKey]
-		nulls := ch.nulls[p.RightKey]
-		for r := 0; r < ch.length; r++ {
-			if !nulls.get(r) {
-				f.add(keys[r])
-			}
-		}
-		partials[seg] = f
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	bf := partials[0]
-	for _, f := range partials[1:] {
-		bf.merge(f)
-	}
-	return bf, nil
-}
-
-// redistributeByRowHash shuffles by a hash of the whole row (for DISTINCT).
-func (e *execEnv) redistributeByRowHash(in *relation) (*relation, int64, error) {
-	rel, moved, _, _, err := e.shuffleFiltered(in, shuffleRoute{key: NoDistKey})
-	return rel, moved, err
-}
-
-// shuffleFiltered is the radix-partitioned shuffle kernel behind every
-// redistribution. Each source segment maps its rows to destinations as the
-// route describes (routeChunk), then radixPartitionChunk scatters them
-// column-at-a-time into per-destination buckets backed by one pooled flat
-// array; each destination concatenates its incoming buckets, after which
-// the pooled backings are released. Rows that change segments are charged
+// shuffle is the radix-partitioned shuffle kernel behind every
+// redistribution. Each source segment maps its rows to destinations by
+// the key column's hash, or by the whole row's hash when key is NoDistKey
+// (routeChunk), then radixPartitionChunk scatters them column-at-a-time
+// into per-destination buckets backed by one pooled flat array; each
+// destination concatenates its incoming buckets, after which the pooled
+// backings are released. Rows that change segments are charged
 // DatumWireSize bytes per value, the width of the canonical row encoding;
 // output rows arrive in source-major order, stable within each source —
 // both bit-identical to the historical counting shuffle (pinned by
 // TestShuffleMatchesReference and the radix differential tests). Each task
 // publishes into its own slot only when it completes, so a retried or
 // cancelled task never leaves partial state behind.
-//
-// With route.bloom set, rows the filter rules out are dropped before they
-// are placed or charged. The returned pruned count is the exact
-// counterfactual traffic — the bytes the dropped rows would have moved had
-// they shuffled — so for any input, moved(pruned shuffle) + pruned ==
-// moved(plain shuffle).
-//
-// route.collect diverts pruned rows into per-source bypass chunks (the
-// fourth return value, indexed by source segment) instead of discarding
-// them — the left-outer-join bypass, where a pruned probe row still
-// produces an output row, just without crossing the interconnect.
-func (e *execEnv) shuffleFiltered(in *relation, route shuffleRoute) (*relation, int64, int64, []*Chunk, error) {
+func (e *execEnv) shuffle(in *relation, key int) (*relation, int64, error) {
 	ncols := len(in.schema)
 	segs := e.c.segments
 	rowBytes := int64(ncols) * DatumWireSize
-	// Phase 1: each source segment maps rows to destinations (dropping or
-	// diverting pruned rows), then radix-partitions them into
-	// per-destination buckets; with collect, bucket segs holds the pruned
-	// rows of that source.
-	nparts := segs
-	if route.collect {
-		nparts++
-	}
+	// Phase 1: each source segment maps rows to destinations, then
+	// radix-partitions them into per-destination buckets.
 	buckets := make([][]*Chunk, segs) // [src][dst]
 	flats := make([]*[]int64, segs)   // pooled bucket backings, released after phase 2
 	moved := make([]int64, segs)
-	pruned := make([]int64, segs)
 	err := e.parallel(func(src int) error {
 		ch := in.parts[src]
 		dp := getI32(ch.length)
 		dests := (*dp)[:ch.length]
-		prunedAway := routeChunk(ch, route, segs, src, dests)
-		b, flat := radixPartitionChunk(ch, dests, nparts)
+		routeChunk(ch, key, segs, dests)
+		b, flat := radixPartitionChunk(ch, dests, segs)
 		*dp = dests
 		putI32(dp)
-		// Every placed row that is not in this source's own bucket crosses
-		// the interconnect.
-		var movedRows int
-		for dst := 0; dst < segs; dst++ {
-			if dst != src {
-				movedRows += b[dst].length
-			}
-		}
-		moved[src] = int64(movedRows) * rowBytes
-		pruned[src] = int64(prunedAway) * rowBytes
+		// Every row that is not in this source's own bucket crosses the
+		// interconnect.
+		moved[src] = int64(ch.length-b[src].length) * rowBytes
 		buckets[src] = b
 		flats[src] = flat
 		return nil
@@ -690,41 +512,29 @@ func (e *execEnv) shuffleFiltered(in *relation, route shuffleRoute) (*relation, 
 	}
 	if err != nil {
 		releaseFlats()
-		return nil, 0, 0, nil, err
+		return nil, 0, err
 	}
 	// Phase 2: each destination concatenates its incoming buckets, copying
-	// them out of the pooled backings; with collect, each source also
-	// copies out its own bypass bucket.
+	// them out of the pooled backings.
 	out := make([]*Chunk, segs)
-	var bypass []*Chunk
-	if route.collect {
-		bypass = make([]*Chunk, segs)
-	}
 	err = e.parallel(func(dst int) error {
 		pieces := make([]*Chunk, segs)
 		for src := 0; src < segs; src++ {
 			pieces[src] = buckets[src][dst]
 		}
 		out[dst] = concatChunks(ncols, pieces)
-		if route.collect {
-			bypass[dst] = concatChunks(ncols, buckets[dst][segs:segs+1])
-		}
 		return nil
 	})
 	releaseFlats()
 	if err != nil {
-		return nil, 0, 0, nil, err
+		return nil, 0, err
 	}
-	var total, saved int64
-	for i := range moved {
-		total += moved[i]
-		saved += pruned[i]
+	var total int64
+	for _, m := range moved {
+		total += m
 	}
 	e.c.addShuffleBytes(total)
-	if saved > 0 {
-		e.c.addShuffleSaved(saved)
-	}
-	return &relation{schema: in.schema, parts: out, distKey: route.key}, total, saved, bypass, nil
+	return &relation{schema: in.schema, parts: out, distKey: key}, total, nil
 }
 
 // encodeRow appends the canonical byte encoding of a row to buf: one null
@@ -852,70 +662,13 @@ func (e *execEnv) execJoin(p JoinPlan, start time.Time) (*relation, *OpMetrics, 
 	if err != nil {
 		return nil, nil, err
 	}
-	// Broadcast motion: if the build side is small enough and the probe
-	// side is not already placed on its join key, replicate the build side
-	// to every segment instead of shuffling both sides.
-	var moved int64
-	var bypass []*Chunk // per-source LOJ rows that skipped the shuffle
-	outKey := p.LeftKey
-	if c.broadcast > 0 && left.distKey != p.LeftKey && right.rows() <= c.broadcast {
-		var bmoved int64
-		right, bmoved = c.broadcastAll(right)
-		moved += bmoved
-		outKey = left.distKey
-	} else {
-		// Bloom pruning: before shuffling the probe side, build a bloom
-		// filter over the build keys and handle probe rows that cannot
-		// match at their source segment, so they never cross the
-		// interconnect. Membership is location-independent, so the filter
-		// is built on the pre-shuffle build side. For an inner join the
-		// pruned rows cannot affect the output and are dropped outright.
-		// For a left outer join they are diverted into per-source bypass
-		// chunks and emitted NULL-padded where they already live; the
-		// output row multiset is identical but placement differs, so the
-		// relation loses its distribution claim. False positives merely
-		// shuffle like before, so the result is the same with pruning on
-		// or off.
-		bf, berr := e.joinBloomFilter(p, left, right)
-		if berr != nil {
-			return nil, nil, berr
-		}
-		var lmoved, rmoved int64
-		switch {
-		case bf != nil && p.Kind == LeftOuterJoin:
-			checked := left.rows()
-			left, lmoved, bypass, err = e.redistributeBloomOuter(left, p.LeftKey, bf)
-			if err != nil {
-				return nil, nil, err
-			}
-			var diverted int64
-			for _, ch := range bypass {
-				diverted += int64(ch.length)
-			}
-			e.opBloomChecked.Add(checked)
-			e.opBloomSkipped.Add(diverted)
-			if diverted > 0 {
-				outKey = NoDistKey
-			}
-		case bf != nil:
-			checked := left.rows()
-			left, lmoved, _, err = e.redistributeBloom(left, p.LeftKey, bf)
-			if err != nil {
-				return nil, nil, err
-			}
-			e.opBloomChecked.Add(checked)
-			e.opBloomSkipped.Add(checked - left.rows())
-		default:
-			left, lmoved, err = e.redistribute(left, p.LeftKey)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		right, rmoved, err = e.redistribute(right, p.RightKey)
-		if err != nil {
-			return nil, nil, err
-		}
-		moved += lmoved + rmoved
+	left, lmoved, err := e.redistribute(left, p.LeftKey)
+	if err != nil {
+		return nil, nil, err
+	}
+	right, rmoved, err := e.redistribute(right, p.RightKey)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	out := make([]*Chunk, c.segments)
@@ -924,35 +677,17 @@ func (e *execEnv) execJoin(p JoinPlan, start time.Time) (*relation, *OpMetrics, 
 		if jerr != nil {
 			return jerr
 		}
-		if bypass != nil && bypass[seg].length > 0 {
-			ch = concatChunks(len(schema), []*Chunk{ch, padRight(bypass[seg], len(right.schema))})
-		}
 		out[seg] = ch
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	rel := &relation{schema: schema, parts: out, distKey: outKey}
+	rel := &relation{schema: schema, parts: out, distKey: p.LeftKey}
 	op := "HashJoin"
 	if p.Kind == LeftOuterJoin {
 		op = "HashLeftJoin"
 	}
 	detail := fmt.Sprintf("$%d = $%d", p.LeftKey, p.RightKey)
-	return rel, e.finishOp(op, detail, rel, []*OpMetrics{lm, rm}, moved, segTimes, start), nil
-}
-
-// broadcastAll replicates a relation onto every segment (broadcast
-// motion), charging the replication traffic to the shuffle statistics at
-// the wire width and returning it.
-func (c *Cluster) broadcastAll(in *relation) (*relation, int64) {
-	all := concatChunks(len(in.schema), in.parts)
-	parts := make([]*Chunk, c.segments)
-	for i := range parts {
-		parts[i] = all
-	}
-	bytes := int64(all.length) * int64(len(in.schema)) * DatumWireSize
-	moved := bytes * int64(c.segments-1)
-	c.addShuffleBytes(moved)
-	return &relation{schema: in.schema, parts: parts, distKey: NoDistKey}, moved
+	return rel, e.finishOp(op, detail, rel, []*OpMetrics{lm, rm}, lmoved+rmoved, segTimes, start), nil
 }

@@ -177,12 +177,6 @@ type execEnv struct {
 	opSpilled     atomic.Int64
 	opSpillParts  atomic.Int64
 	opSpillPasses atomic.Int64
-
-	// Bloom-join pruning counters (drained like the fault counters): probe
-	// rows tested against a build-side bloom filter and rows it dropped
-	// before they crossed segments.
-	opBloomChecked atomic.Int64
-	opBloomSkipped atomic.Int64
 }
 
 // newExecEnv opens the execution environment for one statement.

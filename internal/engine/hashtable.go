@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"math/bits"
-
-	"dbcc/internal/xrand"
-)
+import "dbcc/internal/xrand"
 
 // This file holds the int64-specialized hash tables the execution kernels
 // use instead of generic Go maps: open addressing with linear probing over
@@ -156,68 +152,6 @@ func (t *groupTable) grow() {
 	}
 	t.slots = slots
 	t.mask = mask
-}
-
-// bloomFilter is the join-pruning companion of joinTable: a blocked-free
-// two-hash Bloom filter over the raw int64 join keys of a hash join's
-// build side. The probe side tests it before rows cross segments, so a
-// probe row whose key cannot possibly have a build match is dropped at its
-// source segment instead of being shuffled and then discarded by the join.
-//
-// Both bit positions derive from one Mix64 call (the low word and the
-// word rotated by 32), so testing costs one multiply-shift hash — cheaper
-// than the shuffle it saves. Membership is conservative: mayContain may
-// return true for absent keys (a false positive merely forfeits the
-// pruning win) but never false for a key that was added, which the
-// FuzzBloomFilter target enforces. Adding is idempotent (OR-ing bits), so
-// a retried build task re-adding its keys is harmless, and same-sized
-// per-segment partial filters OR-merge into the global filter.
-type bloomFilter struct {
-	words []uint64
-	mask  uint64 // bit-index mask: number of bits - 1
-}
-
-// bloomBitsPerKey sizes filters at ~16 bits per expected build key, which
-// with two hash functions keeps the false-positive rate under ~2%.
-const bloomBitsPerKey = 16
-
-// newBloomFilter sizes a filter for n expected keys. All partial filters
-// built for the same join must be created with the same n so their bit
-// arrays line up for merge.
-func newBloomFilter(n int64) *bloomFilter {
-	nbits := int64(1024)
-	for nbits < bloomBitsPerKey*n {
-		nbits <<= 1
-	}
-	return &bloomFilter{words: make([]uint64, nbits/64), mask: uint64(nbits - 1)}
-}
-
-// bloomPositions derives the two bit positions for a key.
-func (f *bloomFilter) bloomPositions(key int64) (uint64, uint64) {
-	h := xrand.Mix64(uint64(key))
-	return h & f.mask, bits.RotateLeft64(h, 32) & f.mask
-}
-
-// add records a key.
-func (f *bloomFilter) add(key int64) {
-	b1, b2 := f.bloomPositions(key)
-	f.words[b1>>6] |= 1 << (b1 & 63)
-	f.words[b2>>6] |= 1 << (b2 & 63)
-}
-
-// mayContain reports whether key may have been added: false means
-// certainly absent, true means probably present.
-func (f *bloomFilter) mayContain(key int64) bool {
-	b1, b2 := f.bloomPositions(key)
-	return f.words[b1>>6]&(1<<(b1&63)) != 0 && f.words[b2>>6]&(1<<(b2&63)) != 0
-}
-
-// merge ORs another same-sized filter into f, so f contains every key
-// added to either side.
-func (f *bloomFilter) merge(o *bloomFilter) {
-	for i, w := range o.words {
-		f.words[i] |= w
-	}
 }
 
 // chunkRowHash mixes columns [lo, hi) of row r into a 64-bit hash, with a

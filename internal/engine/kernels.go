@@ -9,20 +9,6 @@ package engine
 
 import "dbcc/internal/xrand"
 
-// shuffleRoute describes how a shuffle places rows, so the routing loop
-// belongs to the kernel (routeChunk) instead of calling back per row.
-type shuffleRoute struct {
-	// key is the column whose hash picks a row's destination segment (NULL
-	// keys go to segment 0); NoDistKey routes by a hash of the whole row.
-	key int
-	// bloom, when set, prunes rows that cannot find a join partner: NULL
-	// keys and keys the filter rules out.
-	bloom *bloomFilter
-	// collect keeps the pruned rows in an extra bucket per source segment
-	// instead of dropping them.
-	collect bool
-}
-
 // segPicker maps a row hash to a segment: h % segs, computed as
 // h & (segs-1) when the segment count is a power of two — the same
 // placement without a 64-bit division per row.
@@ -42,54 +28,38 @@ func (p segPicker) of(h uint64) int32 {
 	return int32(h % p.segs)
 }
 
-// routeChunk computes dests[r], the radixPartitionChunk destination of
-// every row of source segment src's chunk under route: its segment, or for
-// a pruned row -1 (dropped) or segs (the collect bucket). It returns how
-// many pruned rows would have left src had they been shuffled, the
-// counterfactual the saved-bytes statistic reports. The common route — one
-// key column without NULLs, no filter — is a single branch-free pass over
-// that column.
-func routeChunk(ch *Chunk, route shuffleRoute, segs, src int, dests []int32) (prunedAway int) {
+// routeChunk computes dests[r], the destination segment of every row of a
+// chunk: the hash of column key modulo segs (NULL keys go to segment 0), or
+// of the whole row when key is NoDistKey. The common route — one key
+// column without NULLs — is a single branch-free pass over that column.
+func routeChunk(ch *Chunk, key, segs int, dests []int32) {
 	pick := newSegPicker(segs)
-	if route.key == NoDistKey {
+	if key == NoDistKey {
 		ncols := len(ch.cols)
 		for r := range dests {
 			dests[r] = pick.of(chunkRowHash(ch, 0, ncols, r))
 		}
-		return 0
+		return
 	}
-	keys, nulls := ch.cols[route.key], ch.nulls[route.key]
-	if nulls == nil && route.bloom == nil {
+	keys, nulls := ch.cols[key], ch.nulls[key]
+	if nulls == nil {
 		for r, k := range keys {
 			dests[r] = pick.of(xrand.Mix64(uint64(k)))
 		}
-		return 0
-	}
-	prunedDest := int32(-1)
-	if route.collect {
-		prunedDest = int32(segs)
+		return
 	}
 	for r, k := range keys {
-		null := nulls.get(r)
 		d := int32(0)
-		if !null {
+		if !nulls.get(r) {
 			d = pick.of(xrand.Mix64(uint64(k)))
-		}
-		if route.bloom != nil && (null || !route.bloom.mayContain(k)) {
-			if int(d) != src {
-				prunedAway++
-			}
-			d = prunedDest
 		}
 		dests[r] = d
 	}
-	return prunedAway
 }
 
 // radixPartitionChunk splits one source chunk into nparts per-destination
 // chunks — the radix step of the partitioned shuffle. dests[r] names row
-// r's destination part; a negative destination drops the row entirely
-// (bloom-join pruning). Rows keep their source order within each
+// r's destination part. Rows keep their source order within each
 // destination, so concatenating the per-source buckets downstream
 // reproduces the exact source-major row order of the historical counting
 // shuffle (pinned by TestShuffleMatchesReference and the differential
@@ -109,14 +79,10 @@ func radixPartitionChunk(ch *Chunk, dests []int32, nparts int) ([]*Chunk, *[]int
 	ncols := len(ch.cols)
 	n := ch.length
 	counts := make([]int32, nparts)
-	kept := 0
 	for _, d := range dests[:n] {
-		if d >= 0 {
-			counts[d]++
-			kept++
-		}
+		counts[d]++
 	}
-	fp := getI64(ncols * kept)
+	fp := getI64(ncols * n)
 	flat := *fp
 	parts := chunksFromFlat(ncols, counts, flat)
 
@@ -124,8 +90,8 @@ func radixPartitionChunk(ch *Chunk, dests []int32, nparts int) ([]*Chunk, *[]int
 	// are packed in destination order and rows keep source order within
 	// each bucket, so the slot is the bucket's start plus a running cursor.
 	// Under chunksFromFlat's column-major layout, column c of row r then
-	// lives at flat[c*kept+gslot[r]] — one slice, one index, no per-row
-	// part indirection in the scatter loops below.
+	// lives at flat[c*n+gslot[r]] — one slice, one index, no per-row part
+	// indirection in the scatter loops below.
 	gp := getI32(n)
 	gslot := (*gp)[:n]
 	starts := make([]int32, nparts)
@@ -137,36 +103,23 @@ func radixPartitionChunk(ch *Chunk, dests []int32, nparts int) ([]*Chunk, *[]int
 		at += cnt
 	}
 	for r, d := range dests[:n] {
-		if d >= 0 {
-			gslot[r] = cursors[d]
-			cursors[d]++
-		}
+		gslot[r] = cursors[d]
+		cursors[d]++
 	}
 
 	for c := 0; c < ncols; c++ {
 		src := ch.cols[c]
-		dst := flat[c*kept : (c+1)*kept : (c+1)*kept]
-		if ch.nulls[c] == nil {
-			if kept == n {
-				// Branch-free hot loop: nothing pruned, no NULLs — the
-				// common shape of a contraction-round shuffle.
-				for r, g := range gslot {
-					dst[g] = src[r]
-				}
-				continue
-			}
-			for r, d := range dests[:n] {
-				if d >= 0 {
-					dst[gslot[r]] = src[r]
-				}
+		dst := flat[c*n : (c+1)*n : (c+1)*n]
+		nb := ch.nulls[c]
+		if nb == nil {
+			// Branch-free hot loop: no NULLs — the common shape of a
+			// contraction-round shuffle.
+			for r, g := range gslot {
+				dst[g] = src[r]
 			}
 			continue
 		}
-		nb := ch.nulls[c]
 		for r, d := range dests[:n] {
-			if d < 0 {
-				continue
-			}
 			g := gslot[r]
 			if nb.get(r) {
 				dst[g] = 0 // pooled backing is stale; NULL payloads must read zero

@@ -313,36 +313,6 @@ func BenchmarkKernelRadixPartition(b *testing.B) {
 	run("nulls", 2, true)
 }
 
-// BenchmarkKernelBloomFilter measures the bloom probe the pruned shuffle
-// pays per probe-side row (one Mix64 plus two word tests), the cost that
-// must stay far below the DatumWireSize-per-column shuffle it can save.
-func BenchmarkKernelBloomFilter(b *testing.B) {
-	const n = 1 << 16
-	rng := xrand.New(113)
-	keys := make([]int64, n)
-	for i := range keys {
-		keys[i] = int64(rng.Uint64n(n / 4))
-	}
-	bf := newBloomFilter(n / 4)
-	for _, k := range keys[:n/4] {
-		bf.add(k)
-	}
-	var hits int
-	b.Run(fmt.Sprintf("probe/n=%d", n), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			h := 0
-			for _, k := range keys {
-				if bf.mayContain(k) {
-					h++
-				}
-			}
-			hits = h
-		}
-	})
-	_ = hits
-}
-
 // BenchmarkKernelRCRound measures one round-shaped query of the paper's
 // randomized-contraction algorithm — join the edge list with the current
 // representative mapping, take min per vertex — end to end through the

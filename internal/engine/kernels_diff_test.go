@@ -225,15 +225,13 @@ func referenceRowHash(r Row) uint64 {
 	return h
 }
 
-// TestShuffleMatchesReference differential-tests the shuffle under every
-// route — by key column, by whole-row hash, bloom-pruned and bloom-diverted
-// — against the row-at-a-time placement rule: every kept row lands on the
-// segment the rule chooses (hash modulo the segment count, power of two or
-// not; NULL keys on segment 0), per-segment order is source-major
-// (segment 0's rows first, in their original order), pruned rows are
-// dropped or arrive in their source's bypass chunk, and the moved and saved
-// byte counts equal the reference count of segment-changing rows at the
-// wire width.
+// TestShuffleMatchesReference differential-tests the shuffle under both
+// routes — by key column and by whole-row hash — against the row-at-a-time
+// placement rule: every row lands on the segment the rule chooses (hash
+// modulo the segment count, power of two or not; NULL keys on segment 0),
+// per-segment order is source-major (segment 0's rows first, in their
+// original order), and the moved byte count equals the reference count of
+// segment-changing rows at the wire width.
 func TestShuffleMatchesReference(t *testing.T) {
 	rng := xrand.New(83)
 	for trial := 0; trial < 40; trial++ {
@@ -254,22 +252,10 @@ func TestShuffleMatchesReference(t *testing.T) {
 		for s := range in.parts {
 			in.parts[s] = rowsToChunk(srcRows[s], 2)
 		}
-		// The filter admits about half of the distinct keys.
-		bf := newBloomFilter(int64(len(rows)) + 1)
-		for _, r := range rows {
-			if !r[0].Null && r[0].Int%2 == 0 {
-				bf.add(r[0].Int)
-			}
-		}
 
-		for _, route := range []shuffleRoute{
-			{key: 0},
-			{key: NoDistKey},
-			{key: 0, bloom: bf},
-			{key: 0, bloom: bf, collect: true},
-		} {
+		for _, key := range []int{0, NoDistKey} {
 			destOf := func(r Row) int {
-				if route.key == NoDistKey {
+				if key == NoDistKey {
 					return int(referenceRowHash(r) % uint64(segs))
 				}
 				if r[0].Null {
@@ -277,61 +263,44 @@ func TestShuffleMatchesReference(t *testing.T) {
 				}
 				return int(xrand.Mix64(uint64(r[0].Int)) % uint64(segs))
 			}
-			out, moved, saved, bypass, err := c.newExecEnv(context.Background()).shuffleFiltered(in, route)
+			out, moved, err := c.newExecEnv(context.Background()).shuffle(in, key)
 			if err != nil {
 				t.Fatalf("shuffle: %v", err)
 			}
 
 			wantParts := make([][]Row, segs)
-			wantBypass := make([][]Row, segs)
-			var wantMoved, wantSaved int64
+			var wantMoved int64
 			for src := 0; src < segs; src++ {
 				for _, r := range srcRows[src] {
 					d := destOf(r)
-					var away int64
 					if d != src {
-						away = int64(len(r)) * DatumWireSize
+						wantMoved += int64(len(r)) * DatumWireSize
 					}
-					if route.bloom != nil && (r[0].Null || !bf.mayContain(r[0].Int)) {
-						wantSaved += away
-						wantBypass[src] = append(wantBypass[src], r)
-						continue
-					}
-					wantMoved += away
 					wantParts[d] = append(wantParts[d], r)
 				}
 			}
-			if moved != wantMoved || saved != wantSaved {
-				t.Fatalf("trial %d route %+v: shuffle charged %d bytes and saved %d, want %d and %d",
-					trial, route, moved, saved, wantMoved, wantSaved)
+			if moved != wantMoved {
+				t.Fatalf("trial %d key %d: shuffle charged %d bytes, want %d", trial, key, moved, wantMoved)
 			}
-			if out.distKey != route.key {
-				t.Fatalf("trial %d route %+v: output claims distribution key %d", trial, route, out.distKey)
+			if out.distKey != key {
+				t.Fatalf("trial %d key %d: output claims distribution key %d", trial, key, out.distKey)
 			}
 			for s := 0; s < segs; s++ {
 				chunkEqualRows(t, out.parts[s], wantParts[s])
-				if route.collect {
-					chunkEqualRows(t, bypass[s], wantBypass[s])
-				}
-			}
-			if !route.collect && bypass != nil {
-				t.Fatalf("trial %d route %+v: bypass chunks without collect", trial, route)
 			}
 		}
 	}
 }
 
 // referencePartition is the row-at-a-time placement the radix partition
-// kernel replaced: walk the rows once, appending each to its destination
-// (skipping pruned rows). Shared by the differential tests and
-// FuzzRadixPartition as the ground truth for both content and order.
+// kernel replaced: walk the rows once, appending each to its destination.
+// Shared by the differential tests and FuzzRadixPartition as the ground
+// truth for both content and order.
 func referencePartition(ch *Chunk, dests []int32, nparts int) [][]Row {
 	parts := make([][]Row, nparts)
 	rows := chunkToRows(ch)
 	for r := 0; r < ch.length; r++ {
-		if d := dests[r]; d >= 0 {
-			parts[d] = append(parts[d], rows[r])
-		}
+		parts[dests[r]] = append(parts[dests[r]], rows[r])
 	}
 	return parts
 }
@@ -339,8 +308,7 @@ func referencePartition(ch *Chunk, dests []int32, nparts int) [][]Row {
 // TestRadixPartitionMatchesReference differential-tests the radix
 // partition kernel against the row-at-a-time reference across random
 // seeds, segment counts, null patterns (none, mixed, all-NULL columns) and
-// skewed destinations, including the negative-destination prune sentinel.
-// Beyond row equality it asserts the pooled backing is bit-identical to a
+// skewed destinations. Beyond row equality it asserts the pooled backing is bit-identical to a
 // fresh chunk: every NULL slot's payload must read zero, since pooled
 // memory arrives stale.
 func TestRadixPartitionMatchesReference(t *testing.T) {
@@ -367,9 +335,7 @@ func TestRadixPartitionMatchesReference(t *testing.T) {
 		ch := rowsToChunk(rows, ncols)
 		dests := make([]int32, n)
 		for r := range dests {
-			if trial%3 == 0 && rng.Uint64n(4) == 0 {
-				dests[r] = -1 // pruned
-			} else if rng.Uint64n(3) == 0 {
+			if rng.Uint64n(3) == 0 {
 				dests[r] = int32(rng.Uint64n(uint64(nparts))) // cold spread
 			} else {
 				dests[r] = 0 // hot destination
@@ -390,132 +356,6 @@ func TestRadixPartitionMatchesReference(t *testing.T) {
 			}
 		}
 		putI64(fp)
-	}
-}
-
-// TestBloomFilterNoFalseNegatives checks the bloom filter's one hard
-// guarantee directly, including across a partial-filter merge.
-func TestBloomFilterNoFalseNegatives(t *testing.T) {
-	rng := xrand.New(103)
-	keys := make([]int64, 5000)
-	for i := range keys {
-		keys[i] = int64(rng.Uint64())
-	}
-	a, b := newBloomFilter(int64(len(keys))), newBloomFilter(int64(len(keys)))
-	for _, k := range keys[:len(keys)/2] {
-		a.add(k)
-	}
-	for _, k := range keys[len(keys)/2:] {
-		b.add(k)
-	}
-	a.merge(b)
-	for _, k := range keys {
-		if !a.mayContain(k) {
-			t.Fatalf("bloom filter lost key %d", k)
-		}
-	}
-	// The false-positive rate at ~16 bits/key should be low; this is a
-	// sanity bound, not a precise statistical test.
-	fp := 0
-	for i := 0; i < 10000; i++ {
-		if a.mayContain(int64(rng.Uint64())) {
-			fp++
-		}
-	}
-	if fp > 1000 {
-		t.Fatalf("false-positive rate %d/10000 is implausibly high", fp)
-	}
-}
-
-// TestBloomJoinMatchesPlainJoin differential-tests bloom-pruned joins
-// against plain joins at the query level, and exact shuffle accounting —
-// the pruned run's ShuffleBytes plus its ShuffleSavedBytes must equal the
-// plain run's ShuffleBytes. Inner joins promise bit-identical result rows
-// in identical order. Left outer joins promise the identical row multiset:
-// unmatched probe rows bypass the shuffle and surface NULL-padded at their
-// source segment instead of their hash destination, so placement (and
-// hence gather order) may differ, but no row may appear, disappear, or
-// change values.
-func TestBloomJoinMatchesPlainJoin(t *testing.T) {
-	rng := xrand.New(107)
-	for trial := 0; trial < 12; trial++ {
-		probe := skewedRows(rng, int(rng.Uint64n(300))+30, 2)
-		build := skewedRows(rng, int(rng.Uint64n(120))+10, 2)
-		// Reference: probe rows (by column 1) with no build match (column 0).
-		buildKeys := map[int64]bool{}
-		for _, r := range build {
-			if !r[0].Null {
-				buildKeys[r[0].Int] = true
-			}
-		}
-		var nonMatching int64
-		for _, r := range probe {
-			if r[1].Null || !buildKeys[r[1].Int] {
-				nonMatching++
-			}
-		}
-		for _, kind := range []JoinKind{InnerJoin, LeftOuterJoin} {
-			run := func(disable bool) ([]Row, *OpMetrics, Stats) {
-				c := NewCluster(Options{Segments: 4, DisableBloomJoin: disable})
-				mustCreate(t, c, "p", Schema{"k", "x"}, 0, probe)
-				mustCreate(t, c, "b", Schema{"k", "y"}, 0, build)
-				// Joining on probe column 1 forces the probe side to
-				// reshuffle (tables are distributed by column 0).
-				_, rows, root, err := c.QueryAnalyze(JoinPlan{
-					Left: Scan("p"), Right: Scan("b"), LeftKey: 1, RightKey: 0, Kind: kind})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return rows, root, c.Stats()
-			}
-			bRows, bRoot, bStats := run(false)
-			pRows, pRoot, pStats := run(true)
-
-			if len(bRows) != len(pRows) || bRoot.Rows != pRoot.Rows {
-				t.Fatalf("trial %d kind %v: bloom join produced %d rows (metrics %d), plain %d (metrics %d)",
-					trial, kind, len(bRows), bRoot.Rows, len(pRows), pRoot.Rows)
-			}
-			if kind == InnerJoin {
-				for i := range pRows {
-					for c := range pRows[i] {
-						if bRows[i][c] != pRows[i][c] {
-							t.Fatalf("trial %d kind %v row %d: bloom %v, plain %v",
-								trial, kind, i, bRows[i], pRows[i])
-						}
-					}
-				}
-			} else {
-				counts := map[[4]Datum]int{}
-				for _, r := range pRows {
-					counts[[4]Datum{r[0], r[1], r[2], r[3]}]++
-				}
-				for _, r := range bRows {
-					k := [4]Datum{r[0], r[1], r[2], r[3]}
-					counts[k]--
-					if counts[k] < 0 {
-						t.Fatalf("trial %d kind %v: bloom join invented row %v", trial, kind, r)
-					}
-				}
-			}
-			if got := bStats.ShuffleBytes + bStats.ShuffleSavedBytes; got != pStats.ShuffleBytes {
-				t.Fatalf("trial %d kind %v: bloom shuffle %d + saved %d = %d, want plain shuffle %d",
-					trial, kind, bStats.ShuffleBytes, bStats.ShuffleSavedBytes, got, pStats.ShuffleBytes)
-			}
-			if pStats.ShuffleSavedBytes != 0 || pRoot.BloomChecked != 0 {
-				t.Fatalf("trial %d kind %v: disabled bloom still pruned (saved=%d checked=%d)",
-					trial, kind, pStats.ShuffleSavedBytes, pRoot.BloomChecked)
-			}
-			if bRoot.BloomChecked != int64(len(probe)) {
-				t.Fatalf("trial %d kind %v: BloomChecked = %d, want %d probe rows",
-					trial, kind, bRoot.BloomChecked, len(probe))
-			}
-			// Pruning is conservative: it may keep non-matching rows
-			// (false positives) but must never touch a matching one.
-			if bRoot.BloomSkipped > nonMatching {
-				t.Fatalf("trial %d kind %v: BloomSkipped = %d exceeds the %d non-matching probe rows",
-					trial, kind, bRoot.BloomSkipped, nonMatching)
-			}
-		}
 	}
 }
 

@@ -34,9 +34,10 @@ type OpMetrics struct {
 	SpillParts  int64 // partition/run files created
 	SpillPasses int64 // partitioning / run-formation passes
 
-	// Bloom-join pruning: probe rows this operator tested against the
-	// build-side bloom filter, and how many it dropped before they crossed
-	// segments (skipped rows are charged to Stats.ShuffleSavedBytes).
+	// Deprecated: the engine no longer prunes joins with bloom filters, so
+	// BloomChecked and BloomSkipped are always zero. They remain only
+	// because the benchmark harness still reads them; the next benchmark
+	// change removes them.
 	BloomChecked int64
 	BloomSkipped int64
 
@@ -158,9 +159,6 @@ func (m *OpMetrics) format(b *strings.Builder, depth int) {
 	if m.Spilled > 0 {
 		fmt.Fprintf(b, " spilled=%d parts=%d passes=%d", m.Spilled, m.SpillParts, m.SpillPasses)
 	}
-	if m.BloomChecked > 0 {
-		fmt.Fprintf(b, " bloom checked=%d skipped=%d", m.BloomChecked, m.BloomSkipped)
-	}
 	b.WriteString(")\n")
 	if len(m.SegRows) > 0 {
 		fmt.Fprintf(b, "%s   seg rows=%s", indent, fmtInt64s(m.SegRows))
@@ -219,19 +217,17 @@ type TraceRecord struct {
 // all statements since the last ResetStats — the per-operator accumulator
 // behind OpTotals.
 type OpTotal struct {
-	Calls        int64
-	Rows         int64
-	Bytes        int64
-	Shuffle      int64
-	Retries      int64
-	Faults       int64
-	Cancelled    int64
-	Spilled      int64
-	SpillParts   int64
-	SpillPasses  int64
-	BloomChecked int64
-	BloomSkipped int64
-	Elapsed      time.Duration
+	Calls       int64
+	Rows        int64
+	Bytes       int64
+	Shuffle     int64
+	Retries     int64
+	Faults      int64
+	Cancelled   int64
+	Spilled     int64
+	SpillParts  int64
+	SpillPasses int64
+	Elapsed     time.Duration
 }
 
 // defaultTraceCapacity is the trace ring size when Options.TraceCapacity
@@ -297,20 +293,6 @@ func (c *Cluster) SpillTotals() (spilledBytes, partitions, passes int64) {
 	return spilledBytes, partitions, passes
 }
 
-// BloomTotals sums the bloom-join pruning counters over every operator
-// executed since the last ResetStats: probe rows tested against build-side
-// bloom filters and rows pruned before they crossed segments. The shuffle
-// bytes the pruned rows would have moved are in Stats.ShuffleSavedBytes.
-func (c *Cluster) BloomTotals() (checked, skipped int64) {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	for _, t := range c.opTotals {
-		checked += t.BloomChecked
-		skipped += t.BloomSkipped
-	}
-	return checked, skipped
-}
-
 // OpNames returns the operator kinds present in OpTotals, sorted.
 func (c *Cluster) OpNames() []string {
 	totals := c.OpTotals()
@@ -356,8 +338,6 @@ func (c *Cluster) accumulateOps(m *OpMetrics) {
 	t.Spilled += m.Spilled
 	t.SpillParts += m.SpillParts
 	t.SpillPasses += m.SpillPasses
-	t.BloomChecked += m.BloomChecked
-	t.BloomSkipped += m.BloomSkipped
 	t.Elapsed += m.Elapsed
 	c.opTotals[m.Op] = t
 	for _, ch := range m.Children {

@@ -122,36 +122,6 @@ func TestJoinMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestBroadcastJoinMatchesDistributed verifies the broadcast-motion
-// optimisation changes only the physical plan: results must be identical
-// to the plain distributed join, for both join kinds, and the broadcast
-// must actually avoid re-shuffling the probe side.
-func TestBroadcastJoinMatchesDistributed(t *testing.T) {
-	rng := xrand.New(61)
-	for trial := 0; trial < 15; trial++ {
-		left := randRows(rng, int(rng.Uint64n(150))+20)
-		right := randRows(rng, int(rng.Uint64n(20)))
-		var want [][]Row
-		for mode, threshold := range []int64{0, 1 << 30} {
-			c := NewCluster(Options{Segments: 5, BroadcastThreshold: threshold})
-			mustCreate(t, c, "l", Schema{"k", "a"}, 1, left) // distributed off the join key
-			mustCreate(t, c, "r", Schema{"k", "b"}, 0, right)
-			for _, kind := range []JoinKind{InnerJoin, LeftOuterJoin} {
-				p := JoinPlan{Left: Scan("l"), Right: Scan("r"), LeftKey: 0, RightKey: 0, Kind: kind}
-				_, got, err := c.Query(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mode == 0 {
-					want = append(want, got)
-				} else {
-					eqRows(t, got, want[int(kind)])
-				}
-			}
-		}
-	}
-}
-
 // TestDistinctMatchesNaive compares distributed DISTINCT with a map-based
 // reference.
 func TestDistinctMatchesNaive(t *testing.T) {

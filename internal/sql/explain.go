@@ -15,9 +15,8 @@ func FormatExplain(plan engine.Plan, names engine.Schema) string {
 
 // FormatExplainAnalyze renders an EXPLAIN ANALYZE report: the executed
 // operator tree annotated with the measured per-operator actuals (wall
-// time, rows, bytes, shuffle traffic, retry/fault and spill counters, and
-// for bloom-pruned joins the probe rows checked and skipped) and the
-// per-segment row/time breakdown, followed by the statement totals — the
+// time, rows, bytes, shuffle traffic, retry/fault and spill counters) and
+// the per-segment row/time breakdown, followed by the statement totals — the
 // reproduction of an MPP database's "actual rows/time per operator per
 // segment" report.
 func FormatExplainAnalyze(root *engine.OpMetrics, names engine.Schema, totalRows int64) string {

@@ -4,8 +4,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-
-	"dbcc/internal/engine"
 )
 
 // explainSession returns a session with an edge table and a label table
@@ -107,44 +105,6 @@ func TestExplainAnalyzeMethod(t *testing.T) {
 	}
 	if !strings.Contains(out, "output: [v1]") {
 		t.Fatalf("ExplainAnalyze output missing column header:\n%s", out)
-	}
-}
-
-// TestExplainAnalyzeShowsBloomPruning joins on a non-distribution column,
-// forcing the probe side to reshuffle; the build-side bloom filter then
-// prunes the probe rows whose keys no build row carries, and the join's
-// operator line must surface both counters. Disabling bloom joins removes
-// the annotation but not the rows.
-func TestExplainAnalyzeShowsBloomPruning(t *testing.T) {
-	s := explainSession(t)
-	// lab is distributed by v1; probing on lab.v2 (labels 10 and 20)
-	// against e.v1 (vertices 1-5) reshuffles lab, and no label matches a
-	// vertex id, so every checked probe row is prunable.
-	q := "select count(*) n from lab, e where lab.v2 = e.v1"
-	out, err := s.ExplainAnalyze(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := regexp.MustCompile(`HashJoin[^\n]* bloom checked=(\d+) skipped=(\d+)`).FindStringSubmatch(out)
-	if m == nil {
-		t.Fatalf("EXPLAIN ANALYZE join line missing bloom counters:\n%s", out)
-	}
-	if m[1] != "6" {
-		t.Fatalf("bloom checked = %s, want all 6 probe rows:\n%s", m[1], out)
-	}
-	if m[2] == "0" {
-		t.Fatalf("bloom skipped no rows despite a disjoint key set:\n%s", out)
-	}
-
-	off := NewSession(engine.NewCluster(engine.Options{Segments: 4, DisableBloomJoin: true}))
-	loadEdges(t, off, "e", [][2]int64{{1, 2}, {2, 3}, {3, 4}, {4, 1}, {5, 6}})
-	loadEdges(t, off, "lab", [][2]int64{{1, 10}, {2, 10}, {3, 10}, {4, 10}, {5, 20}, {6, 20}})
-	out, err = off.ExplainAnalyze(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out, "bloom checked=") {
-		t.Fatalf("bloom annotation survived DisableBloomJoin:\n%s", out)
 	}
 }
 

@@ -519,10 +519,11 @@ func (s *Session) validateTemplate(t *planTemplate, args []Arg) bool {
 
 // Statistics-staleness thresholds: a cached plan is invalidated when an
 // input table's row count has grown or shrunk by statsStaleFactor AND the
-// absolute change is at least statsStaleMinRows. The factor catches the
-// interesting shifts (a table crossing a broadcast/bloom threshold); the
-// floor keeps the round loop's small, churning temp tables from evicting
-// their templates on every round.
+// absolute change is at least statsStaleMinRows. The factor catches
+// shifts large enough to change a cardinality-driven planning choice (the
+// join order heuristics); the engine executes every join one way, so no
+// physical choice depends on it. The floor keeps the round loop's small,
+// churning temp tables from evicting their templates on every round.
 const (
 	statsStaleFactor  = 4
 	statsStaleMinRows = 1024
