@@ -6,44 +6,40 @@
 //
 //	ccbench -table 1|2|3|4|5        one table
 //	ccbench -figure 5|6             one figure
-//	ccbench -experiment gamma|rounds|scaling|spark|variants|methods|rerandom|segments|spill|stream|frontier
+//	ccbench -experiment gamma|appendixb|naive|transaction|rounds|scaling|spark|variants|methods|rerandom|segments|spill|stream|frontier
 //	ccbench -all                    everything (the EXPERIMENTS.md run)
 //	ccbench -concurrency 8          N concurrent RC sessions on one cluster
-//	ccbench -json                   machine-readable BENCH_<dataset>.json reports
 //
 // Flags -scale, -reps, -segments, -seed and -capacity tune the campaign;
 // the defaults match the committed EXPERIMENTS.md numbers.
+//
+// -experiment frontier exits non-zero unless log-diameter needs at most
+// half of deterministic contraction's rounds on the 1e6-vertex path, every
+// cell ran cleanly, and the path-512 calibration confirms the |V|-1 closed
+// form (bench.FrontierGate).
 //
 // Chaos flags exercise the fault-tolerance layer: -fault-rate injects
 // deterministic segment-task failures at the given probability (retried
 // by the engine with capped exponential backoff; the labellings must
 // still verify), -fault-seed makes the fault schedule reproducible, and
-// -timeout aborts any single statement exceeding the duration. A failed
-// run reports the rounds it completed before aborting.
+// -timeout aborts any single statement exceeding the duration.
 //
 // -mem-budget BYTES bounds each statement's working memory: join,
 // aggregate and sort kernels spill partitions to temporary files beyond
-// their per-segment share (bit-identical results), and the JSON reports
-// carry the spill accounting. The dedicated -experiment spill ablation
-// instead derives a 10%-of-peak budget per algorithm automatically.
-//
-// JSON mode (-json) runs the four table algorithms plus the deterministic
-// RC variant per dataset and writes one BENCH_<dataset>.json report per
-// dataset into -out. -datasets selects a comma-separated subset (default
-// all twelve), and -baseline compares each report's deterministic-RC query
-// count against a committed baseline file, exiting non-zero on deviation —
-// the CI bench-smoke contract.
+// their per-segment share (bit-identical results). The dedicated
+// -experiment spill ablation instead derives a 10%-of-peak budget per
+// algorithm automatically.
 //
 // -loadgen ADDR drives mixed SQL + connected-components traffic at a
 // running ccserverd over the wire protocol (-connections clients spread
-// over -tenants tenant catalogs for -load-duration) and writes a schema-v7
-// BENCH_server-soak.json with latency percentiles and the server's
-// admission accounting into -out. -require-zero-shed makes any shed or
-// failed operation exit non-zero — the CI server-soak contract. -stream
-// switches the op mix to streamed edge inserts against a component index
-// with -watchers live Watch subscriptions, writing BENCH_stream-soak.json
-// with insert percentiles, relabel accounting, and sequence-gap counts —
-// the CI stream-soak contract.
+// over -tenants tenant catalogs for -load-duration) and prints latency
+// percentiles and the server's admission accounting. -require-zero-shed
+// makes any shed or failed operation exit non-zero, and -require-hit-rate
+// a plan-cache hit rate below the fraction — the CI server-soak contract.
+// -stream switches the op mix to streamed edge inserts against a
+// component index with -watchers live Watch subscriptions, and exits
+// non-zero on any watcher sequence gap, on zero watch events or on zero
+// index rebuilds — the CI stream-soak contract.
 //
 // -pprof addr serves net/http/pprof under /debug/pprof/ and a plain-text
 // runtime/metrics dump under /metrics for profiling long campaigns.
@@ -56,7 +52,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"runtime/metrics"
-	"strings"
 	"time"
 
 	"dbcc/internal/bench"
@@ -76,10 +71,6 @@ func main() {
 		noVerify   = flag.Bool("noverify", false, "skip oracle verification of every labelling")
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
 		conc       = flag.Int("concurrency", 0, "run N concurrent RC sessions on one shared cluster and report throughput")
-		jsonOut    = flag.Bool("json", false, "write machine-readable BENCH_<dataset>.json reports")
-		outDir     = flag.String("out", ".", "output directory for -json reports")
-		datasets   = flag.String("datasets", "", "comma-separated dataset subset for -json (default: all)")
-		baseline   = flag.String("baseline", "", "baseline file to check -json reports against; deviations exit non-zero")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 		faultRate  = flag.Float64("fault-rate", 0, "inject segment-task failures at this probability per attempt (0 = off)")
 		faultSeed  = flag.Uint64("fault-seed", 1, "seed for the deterministic fault injector")
@@ -88,15 +79,14 @@ func main() {
 		checkMicro = flag.String("check-micro", "", "gate a `go test -bench` output file against -micro-baseline and exit")
 		microBase  = flag.String("micro-baseline", "internal/bench/testdata/microbench_baseline.json", "microbenchmark baseline file for -check-micro")
 
-		loadgen      = flag.String("loadgen", "", "drive wire-protocol load at a running ccserverd on this address and write BENCH_server-soak.json into -out")
+		loadgen      = flag.String("loadgen", "", "drive wire-protocol load at a running ccserverd on this address")
 		connections  = flag.Int("connections", 8, "concurrent client connections for -loadgen")
 		tenants      = flag.Int("tenants", 2, "tenant catalogs the -loadgen connections are spread over")
 		loadDuration = flag.Duration("load-duration", 10*time.Second, "measurement window for -loadgen")
 		loadToken    = flag.String("load-token", "", "auth token for -loadgen connections")
 		zeroShed     = flag.Bool("require-zero-shed", false, "exit non-zero if the -loadgen run shed or failed any operation")
-		noPrepare    = flag.Bool("no-prepare", false, "send -loadgen ops as statement text instead of prepared statements (ablation)")
 		reqHitRate   = flag.Float64("require-hit-rate", 0, "exit non-zero if the -loadgen plan-cache hit rate falls below this fraction")
-		stream       = flag.Bool("stream", false, "run -loadgen in streaming mode: edge inserts against a component index plus Watch subscribers, writing BENCH_stream-soak.json")
+		stream       = flag.Bool("stream", false, "run -loadgen in streaming mode: edge inserts against a component index plus Watch subscribers; exits non-zero on sequence gaps, no events or no rebuilds")
 		watchers     = flag.Int("watchers", 8, "Watch subscriptions held open during a -stream loadgen run")
 	)
 	flag.Parse()
@@ -204,13 +194,11 @@ func main() {
 		case "stream":
 			bench.StreamExperiment(out, cfg)
 		case "frontier":
-			rep := bench.FrontierExperiment(out, cfg)
-			path, err := bench.WriteFrontierReport(*outDir, rep)
-			if err != nil {
+			if err := bench.FrontierGate(bench.FrontierExperiment(out, cfg)); err != nil {
 				fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
 				os.Exit(1)
 			}
-			fmt.Fprintf(out, "wrote %s\n", path)
+			fmt.Fprintln(os.Stderr, "frontier gate passed")
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			os.Exit(2)
@@ -227,20 +215,15 @@ func main() {
 		section()
 		bench.ConcurrencyExperiment(out, cfg, *conc)
 	}
-	if *jsonOut {
-		ran = true
-		runJSON(cfg, *outDir, *datasets, *baseline, progress)
-	}
 	if *loadgen != "" {
 		ran = true
-		runLoadgen(cfg, *outDir, bench.LoadgenConfig{
+		runLoadgen(bench.LoadgenConfig{
 			Addr:        *loadgen,
 			Connections: *connections,
 			Tenants:     *tenants,
 			Duration:    *loadDuration,
 			Seed:        *seed,
 			AuthToken:   *loadToken,
-			NoPrepare:   *noPrepare,
 			Stream:      *stream,
 			Watchers:    *watchers,
 		}, *zeroShed, *reqHitRate, progress)
@@ -251,76 +234,18 @@ func main() {
 	}
 }
 
-// runJSON executes the machine-readable report campaign and the optional
-// baseline check, exiting non-zero on any failure or deviation.
-func runJSON(cfg bench.Config, outDir, datasetList, baselinePath string, progress func(string)) {
-	var selected []bench.Dataset
-	if datasetList == "" {
-		selected = bench.Datasets()
-	} else {
-		for _, name := range strings.Split(datasetList, ",") {
-			ds, ok := bench.DatasetByName(strings.TrimSpace(name))
-			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown dataset %q\n", name)
-				os.Exit(2)
-			}
-			selected = append(selected, ds)
-		}
-	}
-	reports, paths, err := bench.WriteJSONReports(outDir, selected, cfg, progress)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "json reports: %v\n", err)
-		os.Exit(1)
-	}
-	for _, p := range paths {
-		fmt.Println(p)
-	}
-	var b *bench.Baseline
-	if baselinePath != "" {
-		b, err = bench.LoadBaseline(baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "baseline: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	// One summary line per dataset: the deterministic-RC query count and
-	// shuffle traffic.
-	for _, rep := range reports {
-		for _, a := range rep.Algorithms {
-			if a.Name == "rc-det" {
-				fmt.Fprintf(os.Stderr, "%s: rc-det queries=%d shuffle=%dB\n", rep.Dataset, a.Queries, a.ShuffleBytes)
-			}
-		}
-	}
-	if b == nil {
-		return
-	}
-	failed := false
-	for _, rep := range reports {
-		if err := b.Check(rep); err != nil {
-			fmt.Fprintf(os.Stderr, "baseline check: %v\n", err)
-			failed = true
-		}
-	}
-	if failed {
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "baseline check passed for %d dataset(s)\n", len(reports))
-}
-
-// runLoadgen drives the server-soak load generator and writes the
-// schema-v7 BENCH_server-soak.json (or, with lg.Stream, BENCH_stream-soak.json) report. With requireZeroShed, any shed
-// or failed operation — client- or server-counted — exits non-zero; with
-// requireHitRate > 0, so does a plan-cache hit rate below the threshold:
-// the CI server-soak contract.
-func runLoadgen(cfg bench.Config, outDir string, lg bench.LoadgenConfig, requireZeroShed bool, requireHitRate float64, progress func(string)) {
-	rep, path, err := bench.WriteLoadgenReport(outDir, cfg, lg, progress)
+// runLoadgen drives the server-soak load generator and prints its result.
+// With requireZeroShed, any shed or failed operation — client- or
+// server-counted — exits non-zero; with requireHitRate > 0, so does a
+// plan-cache hit rate below the threshold: the CI server-soak contract. A
+// stream run exits non-zero on any watcher sequence gap, on zero watch
+// events or on zero index rebuilds: the CI stream-soak contract.
+func runLoadgen(lg bench.LoadgenConfig, requireZeroShed bool, requireHitRate float64, progress func(string)) {
+	srv, err := bench.RunLoadgen(lg, progress)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Println(path)
-	srv := rep.Server
 	fmt.Fprintf(os.Stderr, "loadgen: %d ops (%d sql, %d cc) over %d conns/%d tenants in %.0fs; "+
 		"p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms; shed=%d failed=%d peak_queue=%d queue_ms=%.1f; "+
 		"plan cache hits=%d misses=%d rate=%.3f parses=%d\n",
@@ -334,8 +259,9 @@ func runLoadgen(cfg bench.Config, outDir string, lg bench.LoadgenConfig, require
 			srv.InsertOps, srv.InsertP50Millis, srv.InsertP95Millis, srv.InsertP99Millis, srv.DeleteOps,
 			srv.RelabelsPerInsert, srv.IndexMerges, srv.IndexRebuilds,
 			srv.Watchers, srv.Notifies, srv.WatchEvents, srv.SeqGaps)
-		if srv.SeqGaps != 0 {
-			fmt.Fprintf(os.Stderr, "loadgen: watchers observed %d sequence gaps\n", srv.SeqGaps)
+		if srv.SeqGaps != 0 || srv.WatchEvents == 0 || srv.IndexRebuilds == 0 {
+			fmt.Fprintf(os.Stderr, "loadgen: stream gate failed: %d seq gaps (want 0), %d watch events and %d index rebuilds (want > 0)\n",
+				srv.SeqGaps, srv.WatchEvents, srv.IndexRebuilds)
 			os.Exit(1)
 		}
 	}

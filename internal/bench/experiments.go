@@ -314,7 +314,14 @@ func SpillExperiment(w io.Writer, cfg Config) {
 	g := d.Gen(cfg.Scale, cfg.Seed)
 	fmt.Fprintf(w, "%-38s %8s %10s %11s %12s %7s %9s\n",
 		"algorithm (Bitcoin addresses)", "secs", "peak KiB", "budget KiB", "spilled MiB", "parts", "slowdown")
-	for _, a := range jsonAlgorithms() {
+	rcDet := ccalg.Info{
+		FullName: "Randomised Contraction (deterministic)",
+		Run: func(c *engine.Cluster, input string, opts ccalg.Options) (*ccalg.Result, error) {
+			opts.RC.Deterministic = true
+			return ccalg.RandomisedContraction(c, input, opts)
+		},
+	}
+	for _, a := range append(TableAlgorithms(), rcDet) {
 		base, baseSecs, baseStats, err := runSpillCell(g, a, cfg, 0)
 		if err != nil {
 			fmt.Fprintf(w, "%-38s error: %v\n", a.FullName, err)
@@ -352,7 +359,7 @@ func SpillExperiment(w io.Writer, cfg Config) {
 // runSpillCell runs one algorithm once on a fresh cluster under the given
 // working-memory budget, returning the labelling, wall-clock seconds and
 // the engine counters.
-func runSpillCell(g *graph.Graph, a jsonAlgorithm, cfg Config, budget int64) (graph.Labelling, float64, engine.Stats, error) {
+func runSpillCell(g *graph.Graph, a ccalg.Info, cfg Config, budget int64) (graph.Labelling, float64, engine.Stats, error) {
 	bcfg := cfg
 	bcfg.MemoryBudget = budget
 	c := engine.NewCluster(clusterOptions(bcfg))
@@ -362,7 +369,7 @@ func runSpillCell(g *graph.Graph, a jsonAlgorithm, cfg Config, budget int64) (gr
 	}
 	c.ResetStats()
 	start := time.Now()
-	res, err := a.Run(c, "input", ccalg.Options{Seed: cfg.Seed, RC: a.RC})
+	res, err := a.Run(c, "input", ccalg.Options{Seed: cfg.Seed})
 	secs := time.Since(start).Seconds()
 	if err != nil {
 		return nil, secs, c.Stats(), err

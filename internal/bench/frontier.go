@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"dbcc/internal/ccalg"
@@ -15,33 +12,17 @@ import (
 	"dbcc/internal/verify"
 )
 
-// FrontierEntryJSON is one (dataset, algorithm) cell of the frontier
-// report: the round count, wall time and peak live-table footprint of one
-// run. Derived marks entries whose round count comes from a verified
-// closed form rather than an actual run — deterministic contraction on the
-// 1e6-vertex path needs exactly |V|−1 rounds, which is calibrated on the
-// small path (where the run is cheap) and extrapolated, not executed, at
-// scale.
-type FrontierEntryJSON struct {
-	Dataset   string  `json:"dataset"`
-	Name      string  `json:"name"`
-	Rounds    int     `json:"rounds"`
-	WallSecs  float64 `json:"wall_secs"`
-	PeakBytes int64   `json:"peak_bytes"`
-	Derived   bool    `json:"derived"`
-	Error     string  `json:"error,omitempty"`
-}
-
-// FrontierJSON is the machine-readable frontier report written as
-// BENCH_frontier.json by ccbench -experiment frontier. The CI bench-smoke
-// job gates on it: log-diameter's round count on the 1e6-vertex path must
-// be at most half of deterministic contraction's.
-type FrontierJSON struct {
-	SchemaVersion int                 `json:"schema_version"`
-	Experiment    string              `json:"experiment"`
-	Segments      int                 `json:"segments"`
-	Seed          uint64              `json:"seed"`
-	Entries       []FrontierEntryJSON `json:"entries"`
+// FrontierEntry is one (dataset, algorithm) cell of the frontier
+// experiment: the round count and wall time of one run. Deterministic
+// contraction on the 1e6-vertex path needs exactly |V|−1 rounds; that
+// entry carries the closed form, which the path-512 run calibrates, and is
+// not executed.
+type FrontierEntry struct {
+	Dataset  string
+	Name     string
+	Rounds   int
+	WallSecs float64
+	Error    string
 }
 
 // frontierDatasets are the A11 comparison graphs: the adversarial
@@ -71,13 +52,9 @@ func frontierDatasets(seed uint64) []struct {
 // off the chain — the Fig. 2 worst case); the experiment runs it at
 // calibration scale to confirm the closed form and reports the 1e6-vertex
 // entry as derived instead of spending ~1e6 rounds in every CI pass.
-func FrontierExperiment(w io.Writer, cfg Config) *FrontierJSON {
-	rep := &FrontierJSON{
-		SchemaVersion: JSONSchemaVersion,
-		Experiment:    "frontier",
-		Segments:      cfg.Segments,
-		Seed:          cfg.Seed,
-	}
+// FrontierGate checks the returned entries.
+func FrontierExperiment(w io.Writer, cfg Config) []FrontierEntry {
+	var entries []FrontierEntry
 	fmt.Fprintln(w, "EXPERIMENT A11 — ALGORITHM FRONTIER: LOCAL CONTRACTION AND LOG-DIAMETER VS DETERMINISTIC CONTRACTION")
 	fmt.Fprintln(w, "(rounds / wall seconds per driver; rc-det on the sequentially numbered path needs |V|-1 rounds,")
 	fmt.Fprintln(w, " verified at calibration scale and derived, not run, at 1e6)")
@@ -100,38 +77,59 @@ func FrontierExperiment(w io.Writer, cfg Config) *FrontierJSON {
 		}
 
 		for _, alg := range []string{"rc-det", "lc", "ld"} {
-			entry := FrontierEntryJSON{Dataset: ds.name, Name: alg}
 			if alg == "rc-det" && ds.name == "path-1e6" {
-				// The verified closed form: |V|−1 rounds. Wall time and peak
-				// are unknowable without running it, and stay zero.
-				entry.Rounds = ds.g.NumVertices() - 1
-				entry.Derived = true
-				rep.Entries = append(rep.Entries, entry)
+				// The closed form |V|−1; wall time is unknowable without
+				// running it.
+				entry := FrontierEntry{Dataset: ds.name, Name: alg, Rounds: ds.g.NumVertices() - 1}
+				entries = append(entries, entry)
 				cells[alg] = fmt.Sprintf("%d (derived)", entry.Rounds)
 				continue
 			}
-			entry = runFrontierCell(ds.name, ds.g, alg, cfg)
-			rep.Entries = append(rep.Entries, entry)
+			entry := runFrontierCell(ds.name, ds.g, alg, cfg)
+			entries = append(entries, entry)
 			if entry.Error != "" {
 				cells[alg] = "error"
 				fmt.Fprintf(w, "%-18s %s failed: %s\n", ds.name, alg, entry.Error)
 				continue
 			}
 			cells[alg] = fmt.Sprintf("%d / %.2fs", entry.Rounds, entry.WallSecs)
-			if alg == "rc-det" && ds.name == "path-512" && entry.Rounds != 511 {
-				fmt.Fprintf(w, "%-18s NOTE: rc-det took %d rounds, closed form says 511\n", ds.name, entry.Rounds)
-			}
 		}
 		fmt.Fprintf(w, "%-18s %-22s %18s %18s %18s\n",
 			ds.name, picked, cells["rc-det"], cells["lc"], cells["ld"])
 	}
-	return rep
+	return entries
+}
+
+// FrontierGate is A11's pass/fail verdict over FrontierExperiment's
+// entries. Every cell must have run cleanly, the path-512 rc-det run must
+// confirm the |V|−1 closed form (511 rounds) that the path-1e6 rc-det
+// entry is derived from, and on path-1e6 log-diameter must finish in a
+// non-zero number of rounds at most half of deterministic contraction's.
+func FrontierGate(entries []FrontierEntry) error {
+	rounds := map[string]int{}
+	for _, e := range entries {
+		if e.Error != "" {
+			return fmt.Errorf("frontier: %s on %s failed: %s", e.Name, e.Dataset, e.Error)
+		}
+		rounds[e.Dataset+"/"+e.Name] = e.Rounds
+	}
+	if got := rounds["path-512/rc-det"]; got != 511 {
+		return fmt.Errorf("frontier: rc-det took %d rounds on path-512, the |V|-1 closed form says 511", got)
+	}
+	ld, rc := rounds["path-1e6/ld"], rounds["path-1e6/rc-det"]
+	if ld <= 0 || rc <= 0 {
+		return fmt.Errorf("frontier: path-1e6 has ld %d rounds and rc-det %d; both must be positive", ld, rc)
+	}
+	if 2*ld > rc {
+		return fmt.Errorf("frontier: ld took %d rounds on path-1e6, more than half of rc-det's %d", ld, rc)
+	}
+	return nil
 }
 
 // runFrontierCell executes one (dataset, algorithm) cell on a fresh
 // cluster and verifies the labelling against the oracle.
-func runFrontierCell(dsName string, g *graph.Graph, alg string, cfg Config) FrontierEntryJSON {
-	entry := FrontierEntryJSON{Dataset: dsName, Name: alg}
+func runFrontierCell(dsName string, g *graph.Graph, alg string, cfg Config) FrontierEntry {
+	entry := FrontierEntry{Dataset: dsName, Name: alg}
 	opts := ccalg.Options{Seed: cfg.Seed}
 	name := alg
 	if alg == "rc-det" {
@@ -149,12 +147,9 @@ func runFrontierCell(dsName string, g *graph.Graph, alg string, cfg Config) Fron
 		entry.Error = err.Error()
 		return entry
 	}
-	input := c.Stats().LiveBytes
-	c.ResetStats()
 	start := time.Now()
 	res, err := info.Run(c, "input", opts)
 	entry.WallSecs = time.Since(start).Seconds()
-	entry.PeakBytes = c.Stats().PeakBytes - input
 	if err != nil {
 		entry.Error = err.Error()
 		return entry
@@ -166,21 +161,4 @@ func runFrontierCell(dsName string, g *graph.Graph, alg string, cfg Config) Fron
 		}
 	}
 	return entry
-}
-
-// WriteFrontierReport writes the frontier report as BENCH_frontier.json
-// into dir (created if needed) and returns the file path.
-func WriteFrontierReport(dir string, rep *FrontierJSON) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, "BENCH_frontier.json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return "", err
-	}
-	return path, nil
 }

@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -29,10 +27,6 @@ type LoadgenConfig struct {
 	AuthToken   string        // shared secret, if the server requires one
 	SetupEdges  int           // edges loaded into each tenant's graph (default 400)
 	CCEvery     int           // every CCEvery-th op is a connected-components run (default 8)
-	// NoPrepare disables the prepared-statement wire path: every op is
-	// sent as statement text and re-parsed server-side. Ablation knob for
-	// measuring what prepare-once/execute-many buys.
-	NoPrepare bool
 	// Stream switches the op mix to the incremental-maintenance workload:
 	// each tenant's edges table carries a component index, connections
 	// stream prepared INSERTs (bounded relabel work per statement) with
@@ -48,65 +42,65 @@ type LoadgenConfig struct {
 	DeleteEvery int
 }
 
-// ServerJSON is the server-soak section of a BENCH report (schema v6):
-// client-observed latency percentiles over the whole op mix plus the
-// server's own admission accounting at the end of the run. The CI
-// server-soak lane asserts ops > 0, failed == shed == 0 and (on the
-// prepared path) a warm plan-cache hit rate.
-type ServerJSON struct {
-	Addr         string  `json:"addr"`
-	Connections  int     `json:"connections"`
-	Tenants      int     `json:"tenants"`
-	DurationSecs float64 `json:"duration_secs"`
-	NoPrepare    bool    `json:"no_prepare"` // text-only ablation; false = prepared wire path
+// LoadgenResult is one load-generator run: client-observed latency
+// percentiles over the whole op mix plus the server's own admission
+// accounting at the end of the run. The CI server-soak lane asserts
+// failed == shed == 0 and a warm plan-cache hit rate.
+type LoadgenResult struct {
+	Addr         string
+	Connections  int
+	Tenants      int
+	DurationSecs float64
 
-	Ops    int64 `json:"ops"`     // completed operations across all connections
-	SQLOps int64 `json:"sql_ops"` // Exec/Query operations
-	CCOps  int64 `json:"cc_ops"`  // connected-components runs
-	Failed int64 `json:"failed"`  // operations that returned a non-admission error
-	Shed   int64 `json:"shed"`    // 429-style admission rejections observed by clients
+	Ops    int64 // completed operations across all connections
+	SQLOps int64 // Exec/Query operations
+	CCOps  int64 // connected-components runs
+	Failed int64 // operations that returned a non-admission error
+	Shed   int64 // 429-style admission rejections observed by clients
 
-	P50Millis float64 `json:"p50_ms"`
-	P95Millis float64 `json:"p95_ms"`
-	P99Millis float64 `json:"p99_ms"`
-	MaxMillis float64 `json:"max_ms"`
+	P50Millis float64
+	P95Millis float64
+	P99Millis float64
+	MaxMillis float64
 
-	// Final server snapshot, taken after every connection finished.
-	ServerStatements int64   `json:"server_statements"`
-	ServerFailed     int64   `json:"server_failed"`
-	ServerShed       int64   `json:"server_shed"`
-	QueueDepth       int64   `json:"queue_depth"`
-	PeakQueueDepth   int64   `json:"peak_queue_depth"`
-	QueueMillis      float64 `json:"queue_ms_total"` // total admission-queue wait across tenants
+	// Final server snapshot, taken after every connection finished. The
+	// statement, failure and shed counts are deltas over the measurement
+	// window, so tenant setup against a reused server (whose CREATE of an
+	// existing table fails by design) does not count against the run.
+	ServerStatements int64
+	ServerFailed     int64
+	ServerShed       int64
+	PeakQueueDepth   int64
+	QueueMillis      float64 // total admission-queue wait across tenants
 
 	// Plan-cache accounting over the measurement window (deltas between
 	// the pre- and post-run server snapshots, so setup traffic and earlier
 	// runs against the same server don't dilute the rate).
-	ServerPrepared   int64   `json:"server_prepared"`   // Prepare frames served, lifetime
-	Parses           int64   `json:"parses"`            // statements parsed in the window
-	PlanCacheHits    int64   `json:"plan_cache_hits"`   // window delta
-	PlanCacheMisses  int64   `json:"plan_cache_misses"` // window delta
-	PlanCacheHitRate float64 `json:"plan_cache_hit_rate"`
+	ServerPrepared   int64 // Prepare frames served, lifetime
+	Parses           int64 // statements parsed in the window
+	PlanCacheHits    int64 // window delta
+	PlanCacheMisses  int64 // window delta
+	PlanCacheHitRate float64
 
-	// Streaming section (schema v7; populated in stream mode). Insert
-	// percentiles cover INSERT statements only — the latency the bounded
-	// incremental-maintenance invariant protects; relabels_per_insert is
-	// the window's IndexLabelsTouched delta per insert statement, the
-	// bounded-work witness. seq_gaps must be zero: every watcher checks
-	// its Notify stream for gap-free monotonic sequence numbers.
-	Stream            bool    `json:"stream,omitempty"`
-	Watchers          int     `json:"watchers,omitempty"`
-	InsertOps         int64   `json:"insert_ops,omitempty"`
-	DeleteOps         int64   `json:"delete_ops,omitempty"`
-	InsertP50Millis   float64 `json:"insert_p50_ms,omitempty"`
-	InsertP95Millis   float64 `json:"insert_p95_ms,omitempty"`
-	InsertP99Millis   float64 `json:"insert_p99_ms,omitempty"`
-	RelabelsPerInsert float64 `json:"relabels_per_insert,omitempty"`
-	IndexMerges       int64   `json:"index_merges,omitempty"`   // window delta
-	IndexRebuilds     int64   `json:"index_rebuilds,omitempty"` // window delta
-	Notifies          int64   `json:"notifies,omitempty"`       // window delta
-	WatchEvents       int64   `json:"watch_events,omitempty"`   // events seen by this run's watchers
-	SeqGaps           int64   `json:"seq_gaps"`                 // watcher-observed sequence gaps (must be 0)
+	// Streaming results (populated in stream mode). Insert percentiles
+	// cover INSERT statements only — the latency the bounded
+	// incremental-maintenance invariant protects; RelabelsPerInsert is the
+	// window's IndexLabelsTouched delta per insert statement, the
+	// bounded-work witness. SeqGaps must be zero: every watcher checks its
+	// Notify stream for gap-free monotonic sequence numbers.
+	Stream            bool
+	Watchers          int
+	InsertOps         int64
+	DeleteOps         int64
+	InsertP50Millis   float64
+	InsertP95Millis   float64
+	InsertP99Millis   float64
+	RelabelsPerInsert float64
+	IndexMerges       int64 // window delta
+	IndexRebuilds     int64 // window delta
+	Notifies          int64 // window delta
+	WatchEvents       int64 // events seen by this run's watchers
+	SeqGaps           int64 // watcher-observed sequence gaps (must be 0)
 }
 
 func (cfg *LoadgenConfig) defaults() {
@@ -265,18 +259,16 @@ func runConn(cfg *LoadgenConfig, id int, deadline time.Time, st *connStats) erro
 	// alternating between edges (v1, v2) and scratch (k, x) would fail
 	// validation — and replan — every other execution.
 	var insStmt, qEdges, qScratch *client.Stmt
-	if !cfg.NoPrepare {
-		for _, p := range []struct {
-			dst **client.Stmt
-			src string
-		}{
-			{&insStmt, "INSERT INTO $1 VALUES ($2,$3),($4,$5)"},
-			{&qEdges, "SELECT count(*) AS n FROM $1 AS e"},
-			{&qScratch, "SELECT count(*) AS n FROM $1 AS s"},
-		} {
-			if *p.dst, err = c.Prepare(p.src); err != nil {
-				return fmt.Errorf("loadgen: conn %d prepare: %w", id, err)
-			}
+	for _, p := range []struct {
+		dst **client.Stmt
+		src string
+	}{
+		{&insStmt, "INSERT INTO $1 VALUES ($2,$3),($4,$5)"},
+		{&qEdges, "SELECT count(*) AS n FROM $1 AS e"},
+		{&qScratch, "SELECT count(*) AS n FROM $1 AS s"},
+	} {
+		if *p.dst, err = c.Prepare(p.src); err != nil {
+			return fmt.Errorf("loadgen: conn %d prepare: %w", id, err)
 		}
 	}
 	rng := rand.New(rand.NewSource(int64(cfg.Seed) + int64(id)*7919))
@@ -286,16 +278,6 @@ func runConn(cfg *LoadgenConfig, id int, deadline time.Time, st *connStats) erro
 		cc := op%cfg.CCEvery == cfg.CCEvery-1
 		if cc {
 			_, err = c.ConnectedComponents("edges", "", cfg.Seed+uint64(op))
-		} else if cfg.NoPrepare {
-			switch op % 3 {
-			case 0:
-				_, _, err = c.Exec(fmt.Sprintf("INSERT INTO %s VALUES (%d,%d),(%d,%d)",
-					scratch, rng.Intn(64), rng.Intn(1000), rng.Intn(64), rng.Intn(1000)))
-			case 1:
-				_, _, err = c.Query("SELECT count(*) AS n FROM edges")
-			default:
-				_, _, err = c.Query(fmt.Sprintf("SELECT count(*) AS n FROM %s", scratch))
-			}
 		} else {
 			switch op % 3 {
 			case 0:
@@ -335,15 +317,13 @@ func runConn(cfg *LoadgenConfig, id int, deadline time.Time, st *connStats) erro
 // bounded-relabel insert path), a count SELECT every 4th op, and every
 // DeleteEvery-th op a DELETE that exercises the rebuild trigger.
 func runStreamConn(cfg *LoadgenConfig, c *client.Client, id int, deadline time.Time, st *connStats) error {
-	var insStmt, cntStmt *client.Stmt
-	var err error
-	if !cfg.NoPrepare {
-		if insStmt, err = c.Prepare("INSERT INTO $1 VALUES ($2,$3),($4,$5)"); err != nil {
-			return fmt.Errorf("loadgen: conn %d prepare insert: %w", id, err)
-		}
-		if cntStmt, err = c.Prepare("SELECT count(*) AS n FROM $1 AS e"); err != nil {
-			return fmt.Errorf("loadgen: conn %d prepare count: %w", id, err)
-		}
+	insStmt, err := c.Prepare("INSERT INTO $1 VALUES ($2,$3),($4,$5)")
+	if err != nil {
+		return fmt.Errorf("loadgen: conn %d prepare insert: %w", id, err)
+	}
+	cntStmt, err := c.Prepare("SELECT count(*) AS n FROM $1 AS e")
+	if err != nil {
+		return fmt.Errorf("loadgen: conn %d prepare count: %w", id, err)
 	}
 	rng := rand.New(rand.NewSource(int64(cfg.Seed) + int64(id)*7919))
 	// Inserts draw vertices from twice the setup span, so the stream both
@@ -359,21 +339,13 @@ func runStreamConn(cfg *LoadgenConfig, c *client.Client, id int, deadline time.T
 			_, _, err = c.Exec(fmt.Sprintf("DELETE FROM edges WHERE v1 = %d", rng.Int63n(span)))
 		case op%4 == 3:
 			kind = 'q'
-			if cfg.NoPrepare {
-				_, _, err = c.Query("SELECT count(*) AS n FROM edges")
-			} else {
-				_, _, err = cntStmt.Query(client.Table("edges"))
-			}
+			_, _, err = cntStmt.Query(client.Table("edges"))
 		default:
 			kind = 'i'
 			a, b := rng.Int63n(span), rng.Int63n(span)
 			x, y := rng.Int63n(span), rng.Int63n(span)
-			if cfg.NoPrepare {
-				_, _, err = c.Exec(fmt.Sprintf("INSERT INTO edges VALUES (%d,%d),(%d,%d)", a, b, x, y))
-			} else {
-				_, _, err = insStmt.Exec(client.Table("edges"),
-					client.Int(a), client.Int(b), client.Int(x), client.Int(y))
-			}
+			_, _, err = insStmt.Exec(client.Table("edges"),
+				client.Int(a), client.Int(b), client.Int(x), client.Int(y))
 		}
 		st.note(err, start, kind)
 	}
@@ -437,19 +409,16 @@ func runWatcher(cfg *LoadgenConfig, id int, deadline time.Time, ws *watchStats) 
 	}
 }
 
-// percentile returns the p-quantile (0 < p <= 1) of sorted durations in
-// milliseconds.
+// percentile returns the nearest-rank p-quantile (0 < p <= 1) of sorted
+// durations in milliseconds: the ⌈p·n⌉-th smallest value. The product is
+// shrunk by a relative 1e-9 before rounding up so that float error in an
+// integral p·n (0.07·100 = 7.000000000000001) does not skip a rank.
 func percentile(sorted []time.Duration, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(p*float64(len(sorted))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
+	i := int(math.Ceil(p*float64(len(sorted))*(1-1e-9))) - 1
+	i = min(max(i, 0), len(sorted)-1)
 	return float64(sorted[i]) / float64(time.Millisecond)
 }
 
@@ -458,7 +427,7 @@ func percentile(sorted []time.Duration, p float64) float64 {
 // latency percentiles together with the server's final admission stats.
 // Operation errors are counted (failed/shed), not returned; the error
 // return covers setup and the final stats fetch only.
-func RunLoadgen(cfg LoadgenConfig, progress func(string)) (*ServerJSON, error) {
+func RunLoadgen(cfg LoadgenConfig, progress func(string)) (*LoadgenResult, error) {
 	cfg.defaults()
 	for i := 0; i < cfg.Tenants; i++ {
 		if err := setupTenant(&cfg, loadgenTenant(i), cfg.Seed+uint64(i)); err != nil {
@@ -466,7 +435,7 @@ func RunLoadgen(cfg LoadgenConfig, progress func(string)) (*ServerJSON, error) {
 		}
 	}
 	if progress != nil {
-		progress(fmt.Sprintf("loadgen: %d connections over %d tenants for %s (prepared=%v)", cfg.Connections, cfg.Tenants, cfg.Duration, !cfg.NoPrepare))
+		progress(fmt.Sprintf("loadgen: %d connections over %d tenants for %s", cfg.Connections, cfg.Tenants, cfg.Duration))
 	}
 
 	// Pre-run snapshot: the hit rate is computed over the measurement
@@ -507,12 +476,11 @@ func RunLoadgen(cfg LoadgenConfig, progress func(string)) (*ServerJSON, error) {
 		}
 	}
 
-	out := &ServerJSON{
+	out := &LoadgenResult{
 		Addr:         cfg.Addr,
 		Connections:  cfg.Connections,
 		Tenants:      cfg.Tenants,
 		DurationSecs: cfg.Duration.Seconds(),
-		NoPrepare:    cfg.NoPrepare,
 	}
 	var all, inserts []time.Duration
 	for i := range stats {
@@ -549,10 +517,9 @@ func RunLoadgen(cfg LoadgenConfig, progress func(string)) (*ServerJSON, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.ServerStatements = st.Statements
-	out.ServerFailed = st.Failed
-	out.ServerShed = st.Shed
-	out.QueueDepth = st.QueueDepth
+	out.ServerStatements = st.Statements - before.Statements
+	out.ServerFailed = st.Failed - before.Failed
+	out.ServerShed = st.Shed - before.Shed
 	out.PeakQueueDepth = st.PeakQueueDepth
 	var queueNanos int64
 	for _, ts := range st.Tenants {
@@ -590,48 +557,4 @@ func fetchServerStats(cfg *LoadgenConfig) (*wire.ServerStats, error) {
 		return nil, fmt.Errorf("loadgen: stats: %w", err)
 	}
 	return st, nil
-}
-
-// LoadgenDataset is the Dataset name of server-soak reports
-// (BENCH_server-soak.json); StreamDataset names the streaming op-mix
-// variant (BENCH_stream-soak.json).
-const (
-	LoadgenDataset = "server-soak"
-	StreamDataset  = "stream-soak"
-)
-
-// WriteLoadgenReport runs the load generator and writes its result as a
-// BENCH report (dataset "server-soak", or "stream-soak" in stream mode;
-// no algorithm table, the server section populated) into dir, returning
-// the report and its path.
-func WriteLoadgenReport(dir string, benchCfg Config, cfg LoadgenConfig, progress func(string)) (*BenchJSON, string, error) {
-	srv, err := RunLoadgen(cfg, progress)
-	if err != nil {
-		return nil, "", err
-	}
-	dataset := LoadgenDataset
-	if cfg.Stream {
-		dataset = StreamDataset
-	}
-	rep := &BenchJSON{
-		SchemaVersion: JSONSchemaVersion,
-		Dataset:       dataset,
-		Scale:         benchCfg.Scale,
-		Segments:      benchCfg.Segments,
-		Seed:          cfg.Seed,
-		Algorithms:    []AlgorithmJSON{},
-		Server:        srv,
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, "", err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, "", err
-	}
-	path := filepath.Join(dir, JSONFileName(dataset))
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return nil, "", err
-	}
-	return rep, path, nil
 }

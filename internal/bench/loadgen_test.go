@@ -2,8 +2,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"testing"
 	"time"
 
@@ -71,9 +69,6 @@ func TestLoadgenSoak(t *testing.T) {
 	if rep.ServerShed != 0 || rep.ServerFailed != 0 {
 		t.Fatalf("server-side shed=%d failed=%d", rep.ServerShed, rep.ServerFailed)
 	}
-	if rep.NoPrepare {
-		t.Fatalf("default soak should use the prepared path: %+v", rep)
-	}
 	if rep.ServerPrepared == 0 {
 		t.Fatalf("prepared path served no Prepare frames: %+v", rep)
 	}
@@ -83,35 +78,6 @@ func TestLoadgenSoak(t *testing.T) {
 	if rep.PlanCacheHitRate < 0.90 {
 		t.Fatalf("plan-cache hit rate %.3f < 0.90 (hits=%d misses=%d)",
 			rep.PlanCacheHitRate, rep.PlanCacheHits, rep.PlanCacheMisses)
-	}
-}
-
-// TestLoadgenNoPrepare is the ablation leg: the text-only path must still
-// complete cleanly and must re-parse per statement — the INSERTs carry
-// fresh literals every op, so the parse count scales with the op count
-// instead of the shape count.
-func TestLoadgenNoPrepare(t *testing.T) {
-	srv := startSoakServer(t)
-	rep, err := RunLoadgen(LoadgenConfig{
-		Addr:        srv.Addr(),
-		Connections: 2,
-		Tenants:     1,
-		Duration:    time.Second,
-		Seed:        2019,
-		SetupEdges:  60,
-		NoPrepare:   true,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.NoPrepare {
-		t.Fatalf("ablation flag not recorded: %+v", rep)
-	}
-	if rep.Failed != 0 || rep.Shed != 0 {
-		t.Fatalf("ablation failed=%d shed=%d", rep.Failed, rep.Shed)
-	}
-	if rep.Parses < rep.SQLOps {
-		t.Fatalf("text path parsed %d < %d sql ops", rep.Parses, rep.SQLOps)
 	}
 }
 
@@ -129,54 +95,32 @@ func TestLoadgenSetupIdempotent(t *testing.T) {
 	}
 }
 
-// TestWriteLoadgenReport checks the schema-v6 report file: dataset
-// "server-soak", the server section populated, and a round-trip decode.
-func TestWriteLoadgenReport(t *testing.T) {
-	srv := startSoakServer(t)
-	dir := t.TempDir()
-	rep, path, err := WriteLoadgenReport(dir, Config{Scale: 1, Segments: 2}, LoadgenConfig{
-		Addr:        srv.Addr(),
-		Connections: 2,
-		Tenants:     1,
-		Duration:    time.Second,
-		Seed:        2019,
-		SetupEdges:  60,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.SchemaVersion != JSONSchemaVersion || rep.Dataset != LoadgenDataset || rep.Server == nil {
-		t.Fatalf("report header: %+v", rep)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rt BenchJSON
-	if err := json.Unmarshal(data, &rt); err != nil {
-		t.Fatalf("report does not round-trip: %v", err)
-	}
-	if rt.Server == nil || rt.Server.Ops != rep.Server.Ops {
-		t.Fatalf("round-tripped server section: %+v", rt.Server)
-	}
-}
-
+// TestPercentile pins nearest rank: the p-quantile of n values is the
+// ⌈p·n⌉-th smallest.
 func TestPercentile(t *testing.T) {
-	var ds []time.Duration
-	for i := 1; i <= 100; i++ {
-		ds = append(ds, time.Duration(i)*time.Millisecond)
+	ms := func(n int) []time.Duration {
+		var ds []time.Duration
+		for i := 1; i <= n; i++ {
+			ds = append(ds, time.Duration(i)*time.Millisecond)
+		}
+		return ds
 	}
-	if got := percentile(ds, 0.50); got != 50 {
-		t.Fatalf("p50 = %v", got)
-	}
-	if got := percentile(ds, 0.99); got != 99 {
-		t.Fatalf("p99 = %v", got)
-	}
-	if got := percentile(ds, 1); got != 100 {
-		t.Fatalf("p100 = %v", got)
-	}
-	if got := percentile(nil, 0.5); got != 0 {
-		t.Fatalf("empty percentile = %v", got)
+	for _, c := range []struct {
+		n    int
+		p    float64
+		want float64
+	}{
+		{100, 0.50, 50},
+		{100, 0.99, 99},
+		{100, 1, 100},
+		{100, 0.07, 7}, // 0.07·100 is 7.000000000000001 in float64
+		{10, 0.95, 10}, // 9.5 rounds up to the 10th value
+		{10, 0.01, 1},
+		{0, 0.5, 0},
+	} {
+		if got := percentile(ms(c.n), c.p); got != c.want {
+			t.Errorf("n=%d p=%v: percentile = %v, want %v", c.n, c.p, got, c.want)
+		}
 	}
 }
 

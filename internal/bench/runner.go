@@ -43,8 +43,8 @@ type Config struct {
 	// 0 disables the per-query deadline.
 	QueryTimeout time.Duration
 	// MemoryBudget bounds each statement's working memory in bytes;
-	// kernels spill partitions to disk beyond their per-segment share and
-	// the reports gain spill accounting. 0 means unbounded.
+	// kernels spill partitions to disk beyond their per-segment share.
+	// 0 means unbounded.
 	MemoryBudget int64
 }
 
@@ -66,9 +66,6 @@ type Outcome struct {
 	Algorithm  string // short name
 	DNF        bool   // exceeded the storage capacity (paper's "–")
 	Err        error  // non-DNF failure, nil normally
-	Partial    int    // rounds completed before a failing run aborted
-	Retries    int64  // segment-task retries across the cell (fault injection)
-	Faults     int64  // injected segment faults across the cell
 	Runs       int
 	MeanSecs   float64
 	StddevSecs float64
@@ -115,15 +112,7 @@ func Run(ds Dataset, alg ccalg.Info, cfg Config, capacity int64) Outcome {
 		seed := cfg.Seed + uint64(rep)
 		g := ds.Gen(cfg.Scale, cfg.Seed) // same graph across reps; seeds vary the algorithm
 		res, m, err := runOnce(g, alg, cfg, capacity, seed)
-		out.Retries += m.retries
-		out.Faults += m.faults
 		if err != nil {
-			// A RoundError reports how far the run got before aborting;
-			// surface that partial progress alongside the failure.
-			var re *ccalg.RoundError
-			if errors.As(err, &re) {
-				out.Partial = len(re.RoundLog)
-			}
 			if errors.Is(err, ccalg.ErrSpaceLimit) {
 				out.DNF = true
 				out.PeakBytes = m.peak
@@ -155,14 +144,10 @@ func Run(ds Dataset, alg ccalg.Info, cfg Config, capacity int64) Outcome {
 
 // metrics captures one repetition's engine accounting.
 type metrics struct {
-	secs     float64
-	input    int64
-	peak     int64
-	written  int64
-	retries  int64
-	faults   int64
-	peakWork int64 // peak accounted working memory (memory-bounded execution)
-	spilled  int64 // bytes written to spill partition files
+	secs    float64
+	input   int64
+	peak    int64
+	written int64
 }
 
 // clusterOptions builds the engine options for one benchmark cluster,
@@ -201,10 +186,7 @@ func runOnce(g *graph.Graph, alg ccalg.Info, cfg Config, capacity int64, seed ui
 	res, err := alg.Run(c, "input", ccalg.Options{Seed: seed, MaxLiveBytes: capacity})
 	secs := time.Since(start).Seconds()
 	st := c.Stats()
-	retries, faults, _ := c.FaultTotals()
-	m := metrics{secs: secs, input: input, peak: st.PeakBytes - input,
-		written: st.BytesWritten, retries: retries, faults: faults,
-		peakWork: st.PeakWorkBytes, spilled: st.SpilledBytes}
+	m := metrics{secs: secs, input: input, peak: st.PeakBytes - input, written: st.BytesWritten}
 	if err != nil {
 		return nil, m, err
 	}
@@ -228,13 +210,6 @@ func meanStddev(xs []float64) (mean, stddev float64) {
 		ss += (x - mean) * (x - mean)
 	}
 	return mean, math.Sqrt(ss / float64(len(xs)-1))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // TableAlgorithms returns the four algorithms of Tables III–V in the

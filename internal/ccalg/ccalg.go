@@ -80,11 +80,6 @@ type Options struct {
 	// OnRound, when non-nil, streams every completed round's statistics as
 	// it finishes — the live form of Result.RoundLog.
 	OnRound func(RoundStats)
-	// NoPrepare disables the prepared-statement round loop of the SQL-driven
-	// algorithms: every statement is rendered to literal SQL and re-parsed
-	// and re-planned each round, the paper-style driver. Ablation knob for
-	// measuring what preparation saves.
-	NoPrepare bool
 	// RC holds the Randomised Contraction specific knobs; ignored by the
 	// other algorithms.
 	RC RCOptions
@@ -114,8 +109,7 @@ type RoundStats struct {
 	BytesWritten int64
 	// Parses, PlanHits and PlanMisses are the round's deltas of the SQL
 	// layer's parse and plan-cache counters: with prepared round loops,
-	// Parses stays zero after round one and PlanHits tracks Queries; the
-	// NoPrepare ablation shows a parse per statement instead.
+	// Parses stays zero after round one and PlanHits tracks Queries.
 	Parses     int64
 	PlanHits   int64
 	PlanMisses int64

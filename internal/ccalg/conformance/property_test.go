@@ -19,10 +19,9 @@ import (
 // two frontier drivers and the adaptive planner — on randomly drawn graphs
 // from six structural families, must produce the same canonical labelling
 // as the Union/Find oracle — and the *identical* labelling regardless of
-// memory budget (spilling kernels are bit-identical), of injected faults
-// (retries are transparent), and of whether round-loop statements run
-// prepared through the plan cache or as freshly parsed text. The budget and fault axes are exactly the conditions the
-// ICDE'20 evaluation never varies: the paper's correctness claims are
+// memory budget (spilling kernels are bit-identical) and of injected
+// faults (retries are transparent). These two axes are exactly the
+// conditions the ICDE'20 evaluation never varies: the paper's correctness claims are
 // per-algorithm, so any divergence here is an engine bug, not an algorithm
 // property. For the adaptive planner the matrix additionally pins that
 // planning decisions are a pure function of the graph: were a decision to
@@ -33,23 +32,19 @@ import (
 // under. The budget axis spans unbounded, tight enough that per-round
 // joins and folds spill, and pathologically small so every kernel takes
 // its spilling path; the fault cells run with injected segment faults and
-// retries. The no-prepare cells execute the drivers' round loops through
-// literal SQL text instead of prepared statements, so substitute-and-replan
-// and instantiate-from-template must agree bit for bit — once under no
-// pressure and once with spilling and faults layered on top.
+// retries. That prepared execution equals the literal SQL text is pinned
+// by internal/sql's TestPreparedValueResultsMatchText, at the layer that
+// owns it.
 var propertyCells = []struct {
-	name      string
-	budget    int64
-	faulty    bool
-	noPrepare bool
+	name   string
+	budget int64
+	faulty bool
 }{
-	{"unbounded", 0, false, false},
-	{"unbounded/no-prepare", 0, false, true},
-	{"tight", 8 << 10, false, false},
-	{"tight/faults", 8 << 10, true, false},
-	{"pathological", 1 << 10, false, false},
-	{"pathological/faults", 1 << 10, true, false},
-	{"pathological/no-prepare/faults", 1 << 10, true, true},
+	{"unbounded", 0, false},
+	{"tight", 8 << 10, false},
+	{"tight/faults", 8 << 10, true},
+	{"pathological", 1 << 10, false},
+	{"pathological/faults", 1 << 10, true},
 }
 
 // randomFamilies draws one graph per structural family from rng. Isolated
@@ -136,9 +131,9 @@ func propertyCluster(budget int64, faulty bool) *engine.Cluster {
 // TestPropertyAllAlgorithmsBudgetsFaults is the suite driver: per trial it
 // draws one graph per family and checks, for every driver, that the
 // labelling (a) canonicalizes to the Union/Find oracle's and (b) is
-// bit-identical across every cell of the budget × fault × prepare matrix.
+// bit-identical across every cell of the budget × fault matrix.
 func TestPropertyAllAlgorithmsBudgetsFaults(t *testing.T) {
-	// One trial is ~340 algorithm runs (8 drivers × 6 families × 7
+	// One trial is 240 algorithm runs (8 drivers × 6 families × 5
 	// matrix cells); DBCC_PROPERTY_TRIALS raises the count for soak runs
 	// without inflating every CI pass.
 	trials := 1
@@ -158,7 +153,7 @@ func TestPropertyAllAlgorithmsBudgetsFaults(t *testing.T) {
 					if err := graph.Load(c, "input", g); err != nil {
 						t.Fatal(err)
 					}
-					res, err := info.Run(c, "input", ccalg.Options{Seed: uint64(trial) + 7, NoPrepare: cell.noPrepare})
+					res, err := info.Run(c, "input", ccalg.Options{Seed: uint64(trial) + 7})
 					if err != nil {
 						t.Fatalf("%s: %v", ctxt, err)
 					}

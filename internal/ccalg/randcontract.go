@@ -160,18 +160,15 @@ const (
 
 // rcStmts issues the driver's SQL as prepared statements: each distinct
 // statement shape is parsed and planned once per run, and every round
-// binds that round's table names and keys. With noPrep set (the ablation)
-// each call instead renders the arguments into literal SQL and executes
-// the text, paying the per-round parse and plan the paper's driver pays.
+// binds that round's table names and keys.
 type rcStmts struct {
 	r       *run
 	s       *sql.Session
-	noPrep  bool
 	byShape map[string]*sql.Prepared
 }
 
-func newRCStmts(r *run, s *sql.Session, noPrep bool) *rcStmts {
-	return &rcStmts{r: r, s: s, noPrep: noPrep, byShape: make(map[string]*sql.Prepared)}
+func newRCStmts(r *run, s *sql.Session) *rcStmts {
+	return &rcStmts{r: r, s: s, byShape: make(map[string]*sql.Prepared)}
 }
 
 func (p *rcStmts) handle(src string) (*sql.Prepared, error) {
@@ -189,17 +186,11 @@ func (p *rcStmts) handle(src string) (*sql.Prepared, error) {
 // create runs a CTAS shape with $1 bound to the target temp table,
 // tracking the temp for cleanup and applying the run's space guard.
 func (p *rcStmts) create(target, src string, args ...sql.Arg) (int64, error) {
-	all := append([]sql.Arg{sql.Table(target)}, args...)
-	var n int64
-	var err error
-	if p.noPrep {
-		n, err = p.s.Exec(renderSQL(src, all))
-	} else {
-		var h *sql.Prepared
-		if h, err = p.handle(src); err == nil {
-			n, err = h.Exec(all...)
-		}
+	h, err := p.handle(src)
+	if err != nil {
+		return 0, err
 	}
+	n, err := h.Exec(append([]sql.Arg{sql.Table(target)}, args...)...)
 	if err != nil {
 		return 0, err
 	}
@@ -209,9 +200,6 @@ func (p *rcStmts) create(target, src string, args ...sql.Arg) (int64, error) {
 
 // query runs a SELECT shape.
 func (p *rcStmts) query(src string, args ...sql.Arg) (engine.Schema, []engine.Row, error) {
-	if p.noPrep {
-		return p.s.Query(renderSQL(src, args))
-	}
 	h, err := p.handle(src)
 	if err != nil {
 		return nil, nil, err
@@ -219,36 +207,11 @@ func (p *rcStmts) query(src string, args ...sql.Arg) (engine.Schema, []engine.Ro
 	return h.Query(args...)
 }
 
-// renderSQL substitutes the bound arguments into the statement text as
-// literals — the unprepared form the NoPrepare ablation measures.
-func renderSQL(src string, args []sql.Arg) string {
-	var b []byte
-	for i := 0; i < len(src); i++ {
-		if src[i] != '$' {
-			b = append(b, src[i])
-			continue
-		}
-		j := i + 1
-		n := 0
-		for j < len(src) && src[j] >= '0' && src[j] <= '9' {
-			n = n*10 + int(src[j]-'0')
-			j++
-		}
-		if j == i+1 || n < 1 || n > len(args) {
-			b = append(b, src[i])
-			continue
-		}
-		b = append(b, args[n-1].String()...)
-		i = j - 1
-	}
-	return string(b)
-}
-
 func runRC(r *run, s *sql.Session, input string, opts Options) (*Result, error) {
 	rng := xrand.New(opts.Seed)
 	method := opts.RC.Method
 	variant := opts.RC.Variant
-	p := newRCStmts(r, s, opts.NoPrepare)
+	p := newRCStmts(r, s)
 
 	// Setup (Appendix A): symmetrise the edge table.
 	if _, err := p.create("rc_graph", rcSQLSetup, sql.Table(input)); err != nil {

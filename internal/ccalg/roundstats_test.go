@@ -6,6 +6,8 @@ import (
 	"dbcc/internal/ccalg"
 	"dbcc/internal/ccalg/conformance"
 	"dbcc/internal/datagen"
+	"dbcc/internal/engine"
+	"dbcc/internal/graph"
 )
 
 // The generic per-driver round-log checks (numbering, OnRound mirroring,
@@ -49,8 +51,51 @@ func TestRCRoundLogShrinkage(t *testing.T) {
 	}
 }
 
+// rcDetQueries is the exact whole-run statement count of deterministic RC
+// on Bitcoin(120, 2019) over 4 segments. The deterministic variant issues
+// precisely the same statements for a fixed input, so any change here
+// means an engine or driver change altered the round program; update the
+// constant only for an intended one.
+const rcDetQueries = 28
+
+// rcDetParses pins the SQL parse count of the same run. The driver
+// prepares each of its distinct statement shapes exactly once — setup,
+// representative selection, the two contraction steps, relabeling, and the
+// constant hash probe — so a whole run costs six parses regardless of how
+// many rounds it takes; every round-loop execution is a plan-cache hit.
+// A higher number means a statement stopped being prepared (or a shape was
+// duplicated) and the prepare-once economics regressed.
+const rcDetParses = 6
+
+func TestRCDetQueryCountPinned(t *testing.T) {
+	g := datagen.Bitcoin(120, 2019)
+	c := engine.NewCluster(engine.Options{Segments: 4})
+	defer c.Close()
+	if err := graph.Load(c, "input", g); err != nil {
+		t.Fatal(err)
+	}
+	c.ResetStats()
+	res, err := ccalg.RandomisedContraction(c, "input",
+		ccalg.Options{Seed: 2019, RC: ccalg.RCOptions{Deterministic: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conformance.CheckCorrect(t, g, res)
+	st := c.Stats()
+	if st.Queries != rcDetQueries {
+		t.Errorf("deterministic RC issued %d queries, pinned at %d", st.Queries, rcDetQueries)
+	}
+	if st.Parses != rcDetParses {
+		t.Errorf("deterministic RC parsed %d times, pinned at %d (one parse per distinct statement shape)",
+			st.Parses, rcDetParses)
+	}
+	if st.PlanCacheHits == 0 {
+		t.Error("deterministic RC recorded no plan-cache hits; round loops are replanning")
+	}
+}
+
 // TestRCDeterministicRoundLogReproducible checks that the deterministic
-// variant's round log — the CI baseline anchor — is identical across runs.
+// variant's round log is identical across runs.
 func TestRCDeterministicRoundLogReproducible(t *testing.T) {
 	g := datagen.Bitcoin(200, 3)
 	opts := ccalg.Options{Seed: 5, RC: ccalg.RCOptions{Deterministic: true}}

@@ -504,14 +504,72 @@ func TestPreparedValueResultsMatchText(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pm, tm := rowsToPairs(prepRows), rowsToPairs(textRows)
-		if len(pm) != len(tm) {
-			t.Fatalf("a=%d b=%d: %d vs %d distinct rows", ab[0], ab[1], len(pm), len(tm))
+		samePairs(t, fmt.Sprintf("a=%d b=%d", ab[0], ab[1]), prepRows, textRows)
+	}
+
+	// Randomised Contraction's relabel shape: a CTAS whose target and both
+	// join inputs are table parameters, with value parameters inside the
+	// COALESCE fallback of a LEFT OUTER JOIN. Labels 30 and 40 have no row
+	// in rr, so they take the axplusb fallback.
+	for name, rows := range map[string][][2]int64{
+		"l":  {{1, 10}, {2, 10}, {3, 20}, {4, 30}, {5, 40}},
+		"rr": {{10, 100}, {20, 200}},
+	} {
+		if _, err := s.Cluster().CreateTable(name, engine.Schema{"v", "rep"}, 0); err != nil {
+			t.Fatal(err)
 		}
-		for k, n := range tm {
-			if pm[k] != n {
-				t.Fatalf("a=%d b=%d: row %v count %d vs %d", ab[0], ab[1], k, pm[k], n)
-			}
+		erows := make([]engine.Row, len(rows))
+		for i, r := range rows {
+			erows[i] = engine.Row{engine.I(r[0]), engine.I(r[1])}
+		}
+		if err := s.Cluster().InsertRows(name, erows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const relabel = `create table %s as
+		select l.v as v, coalesce(rr.rep, axplusb(%s, l.rep, %s)) as rep
+		from %s as l left outer join %s as rr on (l.rep = rr.v)
+		distributed by (v)`
+	rp, err := s.Prepare(fmt.Sprintf(relabel, "$1", "$4", "$5", "$2", "$3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ab := range [][2]int64{{3, 4}, {11, 13}} {
+		if _, err := rp.Exec(Table("relabel_p"), Table("l"), Table("rr"), Int(ab[0]), Int(ab[1])); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Exec(fmt.Sprintf(relabel, "relabel_t", fmt.Sprint(ab[0]), fmt.Sprint(ab[1]), "l", "rr")); err != nil {
+			t.Fatal(err)
+		}
+		_, prepRows, err := s.Query("SELECT v, rep FROM relabel_p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, textRows, err := s.Query("SELECT v, rep FROM relabel_t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(prepRows) != 5 {
+			t.Fatalf("relabel a=%d b=%d: %d rows, want 5", ab[0], ab[1], len(prepRows))
+		}
+		samePairs(t, fmt.Sprintf("relabel a=%d b=%d", ab[0], ab[1]), prepRows, textRows)
+		if _, err := s.Exec("DROP TABLE relabel_p; DROP TABLE relabel_t"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// samePairs fails unless two two-column results hold the same multiset of
+// rows.
+func samePairs(t *testing.T, what string, got, want []engine.Row) {
+	t.Helper()
+	gm, wm := rowsToPairs(got), rowsToPairs(want)
+	if len(gm) != len(wm) {
+		t.Fatalf("%s: %d vs %d distinct rows", what, len(gm), len(wm))
+	}
+	for k, n := range wm {
+		if gm[k] != n {
+			t.Fatalf("%s: row %v count %d vs %d", what, k, gm[k], n)
 		}
 	}
 }
