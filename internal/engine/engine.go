@@ -233,10 +233,6 @@ type Options struct {
 	Workers int
 	// Profile selects the execution environment model.
 	Profile Profile
-	// SparkPerQueryWork is the amount of synthetic extra work (in hash
-	// operations) charged per query under ProfileSparkSQL, modelling job
-	// scheduling and stage startup. 0 means the default.
-	SparkPerQueryWork int
 	// TransactionMode models running a whole algorithm as one database
 	// transaction (Sec. VII-B): most databases can only reclaim dropped
 	// tables' storage at commit, so dropped tables release their space
@@ -245,9 +241,6 @@ type Options struct {
 	// the paper calls total-written (Table V) "arguably more important"
 	// than instantaneous peak (Table IV).
 	TransactionMode bool
-	// TraceCapacity sets the size of the query-trace ring buffer readable
-	// via Trace(); 0 means the default of 256, negative disables tracing.
-	TraceCapacity int
 	// QueryTimeout is the per-statement execution deadline; statements
 	// exceeding it abort with a context.DeadlineExceeded error. 0 means no
 	// deadline. It composes with caller-supplied contexts: whichever
@@ -275,11 +268,6 @@ type Options struct {
 	// external merge sort — see memory.go and spill_kernels.go). 0 means
 	// unbounded, the historical in-memory behaviour.
 	MemoryBudget int64
-	// PlanCacheSize bounds the plan cache (plancache.go) in entries; 0
-	// means the default of 256, negative disables caching entirely (every
-	// lookup misses), the knob differential tests and the parse+plan
-	// microbenchmark baseline use.
-	PlanCacheSize int
 }
 
 // Cluster is the in-process MPP database: a catalog of distributed tables,
@@ -290,7 +278,6 @@ type Cluster struct {
 	segments    int
 	workers     int
 	profile     Profile
-	sparkW      int
 	transaction bool
 
 	queryTimeout   time.Duration
@@ -394,15 +381,6 @@ func NewCluster(opts Options) *Cluster {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.SparkPerQueryWork <= 0 {
-		opts.SparkPerQueryWork = 800_000
-	}
-	traceCap := opts.TraceCapacity
-	if traceCap == 0 {
-		traceCap = defaultTraceCapacity
-	} else if traceCap < 0 {
-		traceCap = 0
-	}
 	retries := opts.MaxTaskRetries
 	if retries == 0 {
 		retries = 3
@@ -423,7 +401,6 @@ func NewCluster(opts Options) *Cluster {
 		segments:       opts.Segments,
 		workers:        opts.Workers,
 		profile:        opts.Profile,
-		sparkW:         opts.SparkPerQueryWork,
 		transaction:    opts.TransactionMode,
 		queryTimeout:   opts.QueryTimeout,
 		injector:       opts.FaultInjector,
@@ -434,8 +411,8 @@ func NewCluster(opts Options) *Cluster {
 		tables:         make(map[string]*Table),
 		udfs:           make(map[string]udfEntry),
 		indexes:        make(map[string]*ComponentIndex),
-		plans:          newPlanCache(opts.PlanCacheSize),
-		traceCap:       traceCap,
+		plans:          newPlanCache(planCacheSize),
+		traceCap:       traceCapacity,
 		opTotals:       make(map[string]OpTotal),
 		sem:            make(chan struct{}, opts.Workers),
 	}

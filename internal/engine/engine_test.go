@@ -179,7 +179,7 @@ func TestDistinctWithNulls(t *testing.T) {
 
 func TestGroupByMin(t *testing.T) {
 	for _, profile := range []Profile{ProfileMPP, ProfileSparkSQL} {
-		c := NewCluster(Options{Segments: 4, Profile: profile, SparkPerQueryWork: 1})
+		c := NewCluster(Options{Segments: 4, Profile: profile})
 		mustCreate(t, c, "e", Schema{"v", "w"}, 0,
 			pairs([2]int64{1, 10}, [2]int64{1, 5}, [2]int64{2, 20}, [2]int64{2, 25}, [2]int64{3, 3}))
 		p := GroupBy(Scan("e"), []int{0},

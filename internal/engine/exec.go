@@ -159,6 +159,11 @@ func (c *Cluster) QueryAnalyzeCtx(ctx context.Context, p Plan) (_ Schema, _ []Ro
 // their overhead concurrently.
 var profileSink atomic.Uint64
 
+// sparkPerQueryWork is the synthetic extra work, in hash operations,
+// charged per query under ProfileSparkSQL, modelling job scheduling and
+// stage startup.
+const sparkPerQueryWork = 800_000
+
 // chargeProfileOverhead burns the synthetic per-query scheduling work of
 // the modelled execution environment (Sec. VII-C: Spark SQL pays a fixed
 // job-scheduling cost per query that a resident MPP database does not).
@@ -167,7 +172,7 @@ func (c *Cluster) chargeProfileOverhead() {
 		return
 	}
 	var acc uint64
-	for i := 0; i < c.sparkW; i++ {
+	for i := 0; i < sparkPerQueryWork; i++ {
 		acc = xrand.Mix64(acc + uint64(i))
 	}
 	profileSink.Add(acc)

@@ -230,18 +230,17 @@ type OpTotal struct {
 	Elapsed     time.Duration
 }
 
-// defaultTraceCapacity is the trace ring size when Options.TraceCapacity
-// is zero.
-const defaultTraceCapacity = 256
+// traceCapacity is the size of the query-trace ring buffer.
+const traceCapacity = 256
 
 // Trace returns the contents of the query-trace ring buffer, oldest first.
-// The ring holds the most recent TraceCapacity statements; older records
+// The ring holds the most recent traceCapacity statements; older records
 // are overwritten.
 func (c *Cluster) Trace() []TraceRecord {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
 	out := make([]TraceRecord, 0, len(c.trace))
-	if c.traceCap <= 0 || len(c.trace) < c.traceCap {
+	if len(c.trace) < c.traceCap {
 		out = append(out, c.trace...)
 	} else {
 		// The ring is full: the oldest record sits at the next write slot.
@@ -309,15 +308,13 @@ func (c *Cluster) OpNames() []string {
 func (c *Cluster) addTrace(rec TraceRecord) {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
-	if c.traceCap > 0 {
-		rec.Seq = c.traceSeq
-		if len(c.trace) < c.traceCap {
-			c.trace = append(c.trace, rec)
-		} else {
-			c.trace[int(c.traceSeq)%c.traceCap] = rec
-		}
-		c.traceSeq++
+	rec.Seq = c.traceSeq
+	if len(c.trace) < c.traceCap {
+		c.trace = append(c.trace, rec)
+	} else {
+		c.trace[int(c.traceSeq)%c.traceCap] = rec
 	}
+	c.traceSeq++
 	c.accumulateOps(rec.Root)
 }
 

@@ -86,7 +86,8 @@ func TestQueryAnalyzeShuffleAccounting(t *testing.T) {
 }
 
 func TestTraceRing(t *testing.T) {
-	c := NewCluster(Options{Segments: 2, TraceCapacity: 4})
+	c := NewCluster(Options{Segments: 2})
+	c.traceCap = 4
 	mustCreate(t, c, "tt", Schema{"a", "b"}, 0, pairs([2]int64{1, 1}))
 	// The insert is one record; six queries overflow the 4-slot ring.
 	for i := 0; i < 6; i++ {
@@ -110,17 +111,6 @@ func TestTraceRing(t *testing.T) {
 	}
 	if recs[0].Seq != 3 {
 		t.Fatalf("oldest trace seq = %d, want 3", recs[0].Seq)
-	}
-}
-
-func TestTraceDisabled(t *testing.T) {
-	c := NewCluster(Options{Segments: 2, TraceCapacity: -1})
-	mustCreate(t, c, "tt", Schema{"a", "b"}, 0, pairs([2]int64{1, 1}))
-	if _, _, err := c.Query(Scan("tt")); err != nil {
-		t.Fatal(err)
-	}
-	if recs := c.Trace(); len(recs) != 0 {
-		t.Fatalf("trace disabled but holds %d records", len(recs))
 	}
 }
 

@@ -35,16 +35,10 @@ type planCacheEntry struct {
 	prev, next *planCacheEntry
 }
 
-// defaultPlanCacheSize bounds the cache when Options.PlanCacheSize is 0.
-const defaultPlanCacheSize = 256
+// planCacheSize bounds the cache in entries.
+const planCacheSize = 256
 
 func newPlanCache(capacity int) *planCache {
-	if capacity == 0 {
-		capacity = defaultPlanCacheSize
-	}
-	if capacity < 0 {
-		capacity = 0 // disabled: Put is a no-op, Get always misses
-	}
 	return &planCache{cap: capacity, m: make(map[string]*planCacheEntry)}
 }
 
@@ -70,9 +64,6 @@ func (pc *planCache) get(ns, norm string) (any, bool) {
 // put inserts or replaces a cached plan, evicting from the LRU tail past
 // capacity.
 func (pc *planCache) put(ns, norm string, val any, deps []string) {
-	if pc.cap <= 0 {
-		return
-	}
 	key := cacheKey(ns, norm)
 	depSet := make(map[string]struct{}, len(deps))
 	for _, d := range deps {
@@ -95,8 +86,8 @@ func (pc *planCache) put(ns, norm string, val any, deps []string) {
 }
 
 // remove drops one entry — a plan that failed validation against the
-// current catalog or statistics — and counts the invalidation, so the
-// observability surface shows stats-delta evictions alongside DDL ones.
+// current catalog — and counts the invalidation, so the observability
+// surface shows validation evictions alongside DDL ones.
 func (pc *planCache) remove(ns, norm string) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()

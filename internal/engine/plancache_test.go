@@ -8,54 +8,38 @@ import (
 // TestPlanCacheLRUBound fills the cache past its capacity and checks the
 // coldest entries were evicted, newest retained.
 func TestPlanCacheLRUBound(t *testing.T) {
-	c := NewCluster(Options{Segments: 1, PlanCacheSize: 4})
-	defer c.Close()
+	pc := newPlanCache(4)
 	for i := 0; i < 8; i++ {
-		c.PlanCachePut("", fmt.Sprintf("select %d", i), i, nil)
+		pc.put("", fmt.Sprintf("select %d", i), i, nil)
 	}
-	if got := c.PlanCacheLen(); got != 4 {
+	if got := pc.len(); got != 4 {
 		t.Fatalf("cache holds %d entries, capacity 4", got)
 	}
 	for i := 0; i < 4; i++ {
-		if _, ok := c.PlanCacheGet("", fmt.Sprintf("select %d", i)); ok {
+		if _, ok := pc.get("", fmt.Sprintf("select %d", i)); ok {
 			t.Fatalf("cold entry %d survived past capacity", i)
 		}
 	}
 	for i := 4; i < 8; i++ {
-		if v, ok := c.PlanCacheGet("", fmt.Sprintf("select %d", i)); !ok || v.(int) != i {
+		if v, ok := pc.get("", fmt.Sprintf("select %d", i)); !ok || v.(int) != i {
 			t.Fatalf("hot entry %d missing", i)
 		}
 	}
 }
 
-// TestPlanCacheLRUTouchOnGet checks that a Get refreshes recency: the
+// TestPlanCacheLRUTouchOnGet checks that a get refreshes recency: the
 // touched entry must outlive untouched ones under eviction pressure.
 func TestPlanCacheLRUTouchOnGet(t *testing.T) {
-	c := NewCluster(Options{Segments: 1, PlanCacheSize: 2})
-	defer c.Close()
-	c.PlanCachePut("", "a", 1, nil)
-	c.PlanCachePut("", "b", 2, nil)
-	c.PlanCacheGet("", "a")         // a is now hotter than b
-	c.PlanCachePut("", "c", 3, nil) // evicts b
-	if _, ok := c.PlanCacheGet("", "a"); !ok {
+	pc := newPlanCache(2)
+	pc.put("", "a", 1, nil)
+	pc.put("", "b", 2, nil)
+	pc.get("", "a")         // a is now hotter than b
+	pc.put("", "c", 3, nil) // evicts b
+	if _, ok := pc.get("", "a"); !ok {
 		t.Fatal("recently used entry evicted")
 	}
-	if _, ok := c.PlanCacheGet("", "b"); ok {
+	if _, ok := pc.get("", "b"); ok {
 		t.Fatal("least recently used entry survived")
-	}
-}
-
-// TestPlanCacheDisabled checks PlanCacheSize < 0 turns the cache off
-// entirely: puts are dropped, gets miss.
-func TestPlanCacheDisabled(t *testing.T) {
-	c := NewCluster(Options{Segments: 1, PlanCacheSize: -1})
-	defer c.Close()
-	c.PlanCachePut("", "a", 1, nil)
-	if _, ok := c.PlanCacheGet("", "a"); ok {
-		t.Fatal("disabled cache returned an entry")
-	}
-	if c.PlanCacheLen() != 0 {
-		t.Fatal("disabled cache holds entries")
 	}
 }
 

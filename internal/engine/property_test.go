@@ -35,7 +35,7 @@ func TestGroupByMatchesNaive(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		rows := randRows(rng, int(rng.Uint64n(200)))
 		for _, profile := range []Profile{ProfileMPP, ProfileSparkSQL} {
-			c := NewCluster(Options{Segments: int(rng.Uint64n(6)) + 1, Profile: profile, SparkPerQueryWork: 1})
+			c := NewCluster(Options{Segments: int(rng.Uint64n(6)) + 1, Profile: profile})
 			mustCreate(t, c, "t", Schema{"k", "x"}, 0, rows)
 			p := GroupBy(Scan("t"), []int{0},
 				Agg{Op: AggMin, Arg: Col(1), Name: "mn"},

@@ -446,7 +446,14 @@ func TestSubscribeStreamsNotifies(t *testing.T) {
 		t.Fatalf("saw %d merge events, want 3", merges)
 	}
 
+	// The server counts a Notify after writing it, so the last increment
+	// can trail the event this goroutine already received.
+	statsDeadline := time.Now().Add(10 * time.Second)
 	st, err := writer.ServerStats()
+	for err == nil && st.Notifies < 4 && time.Now().Before(statsDeadline) {
+		time.Sleep(time.Millisecond)
+		st, err = writer.ServerStats()
+	}
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}

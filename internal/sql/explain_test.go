@@ -108,6 +108,22 @@ func TestExplainAnalyzeMethod(t *testing.T) {
 	}
 }
 
+func TestExplainAnalyzeRefusesCTAS(t *testing.T) {
+	s := explainSession(t)
+	// ExplainAnalyze executes, and would have to create the table, so it
+	// refuses CREATE TABLE AS; plain Explain only plans its SELECT.
+	const ctas = "create table x as select v1 from e"
+	if _, err := s.ExplainAnalyze(ctas); err == nil || !strings.Contains(err.Error(), "requires a SELECT") {
+		t.Fatalf("ExplainAnalyze of a CTAS: %v", err)
+	}
+	if _, ok := s.Cluster().Table("x"); ok {
+		t.Fatal("ExplainAnalyze of a CTAS created its table")
+	}
+	if _, err := s.Explain(ctas); err != nil {
+		t.Fatalf("Explain of a CTAS: %v", err)
+	}
+}
+
 func TestPlainExplainUnchanged(t *testing.T) {
 	s := explainSession(t)
 	out, err := s.Explain("explain select v1, count(*) n from e group by v1")

@@ -62,18 +62,14 @@ func isAggName(name string) bool {
 type Resolver func(name string) string
 
 // tableDep records one fixed (non-parameter) table a plan reads: the name
-// as written, the physical table it resolved to, the schema it was
-// planned against, and the row count observed at plan time. The plan
-// cache re-checks name resolution and schema before reusing a cached
-// plan, so DDL that slips past eager invalidation (e.g. namespace
-// shadowing) still can never execute a stale plan; the row count feeds
-// the statistics-staleness rule (validateTemplate), which evicts plans
-// whose inputs have grown or shrunk far past what they were planned for.
+// as written, the physical table it resolved to and the schema it was
+// planned against. The plan cache re-checks name resolution and schema
+// before reusing a cached plan, so DDL that slips past eager invalidation
+// (e.g. namespace shadowing) still can never execute a stale plan.
 type tableDep struct {
 	logical string
 	phys    string
 	schema  engine.Schema
-	rows    int64
 }
 
 // planParams carries prepared-statement planning state: the physical
@@ -145,9 +141,6 @@ func planSelectParams(c *engine.Cluster, sel *SelectStmt, resolve Resolver, pp *
 
 // planOneSelect compiles a single SELECT block (ignoring its UnionAll tail).
 func planOneSelect(c *engine.Cluster, sel *SelectStmt, resolve Resolver, pp *planParams) (engine.Plan, engine.Schema, error) {
-	if len(sel.From) == 0 {
-		return planConstSelect(c, sel)
-	}
 	plan, sc, err := planFrom(c, sel, resolve, pp)
 	if err != nil {
 		return nil, nil, err
@@ -178,67 +171,30 @@ func planOneSelect(c *engine.Cluster, sel *SelectStmt, resolve Resolver, pp *pla
 	return outPlan, names, nil
 }
 
-// planConstSelect handles FROM-less selects (constant rows). The item
-// expressions are evaluated at plan time, so parameters must have been
-// substituted away first (prepare.go routes parameterised constant selects
-// through AST substitution instead of plan templates).
-func planConstSelect(c *engine.Cluster, sel *SelectStmt) (engine.Plan, engine.Schema, error) {
-	row := make(engine.Row, len(sel.Items))
-	names := make(engine.Schema, len(sel.Items))
-	for i, item := range sel.Items {
-		if containsParam(item.Expr) {
-			return nil, nil, fmt.Errorf("sql: parameters in a FROM-less SELECT require Prepare")
-		}
-		e, err := compileScalar(c, item.Expr, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		row[i] = e.Eval(nil)
-		names[i] = itemName(item, i)
-	}
-	return engine.Values(names, []engine.Row{row}), names, nil
-}
-
-// containsParam reports whether an expression contains a $N parameter.
-func containsParam(e Expr) bool {
-	switch e := e.(type) {
-	case *ParamRef:
-		return true
-	case *BinaryExpr:
-		return containsParam(e.L) || containsParam(e.R)
-	case *Call:
-		for _, a := range e.Args {
-			if containsParam(a) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // planFrom builds the join tree for the FROM clause, consuming the WHERE
 // clause's equi-join conjuncts and applying all remaining predicates as a
-// filter. It returns the joined plan and its name scope.
+// filter. It returns the joined plan and its name scope. A FROM-less block
+// reads one row with no columns, so its select list evaluates at execution
+// like any other.
 func planFrom(c *engine.Cluster, sel *SelectStmt, resolve Resolver, pp *planParams) (engine.Plan, scope, error) {
-	type pending struct {
-		item FromItem
-	}
-	// Plan the first FROM item (base table plus its explicit joins).
-	plan, sc, err := planFromItem(c, sel.From[0], resolve, pp)
-	if err != nil {
-		return nil, nil, err
+	var plan engine.Plan = engine.Values(nil, []engine.Row{{}})
+	var sc scope
+	var remaining []FromItem
+	if len(sel.From) > 0 {
+		// Plan the first FROM item (base table plus its explicit joins).
+		var err error
+		if plan, sc, err = planFromItem(c, sel.From[0], resolve, pp); err != nil {
+			return nil, nil, err
+		}
+		remaining = append(remaining, sel.From[1:]...) // a copy: the loop below edits it
 	}
 	conjuncts := splitConjuncts(sel.Where)
-	remaining := make([]pending, 0, len(sel.From)-1)
-	for _, fi := range sel.From[1:] {
-		remaining = append(remaining, pending{item: fi})
-	}
 	// Greedily fold in comma-joined tables using WHERE equi-join conjuncts,
 	// the way a database planner orders a join list.
 	for len(remaining) > 0 {
 		progressed := false
 		for ri, p := range remaining {
-			rPlan, rScope, err := planFromItem(c, p.item, resolve, pp)
+			rPlan, rScope, err := planFromItem(c, p, resolve, pp)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -260,7 +216,7 @@ func planFrom(c *engine.Cluster, sel *SelectStmt, resolve Resolver, pp *planPara
 			}
 		}
 		if !progressed {
-			return nil, nil, fmt.Errorf("sql: no join condition found for table %q (cartesian products are not supported)", remaining[0].item.Table.Name())
+			return nil, nil, fmt.Errorf("sql: no join condition found for table %q (cartesian products are not supported)", remaining[0].Table.Name())
 		}
 	}
 	// Apply leftover conjuncts as filters.
@@ -347,7 +303,6 @@ func planTableRef(c *engine.Cluster, ref TableRef, resolve Resolver, pp *planPar
 			logical: ref.Table,
 			phys:    stored,
 			schema:  append(engine.Schema(nil), t.Schema...),
-			rows:    t.Rows(),
 		})
 	}
 	sc := make(scope, len(t.Schema))

@@ -8,14 +8,18 @@ import (
 )
 
 // This file implements $1-style prepared statements: parse and plan once,
-// execute many times. A Prepared handle carries the parsed AST; the logical
-// plan is compiled on first execute into a planTemplate — an engine plan
-// whose value parameters are paramExpr placeholders and whose
+// execute many times. A Prepared handle carries the parsed AST. A SELECT or
+// CREATE TABLE AS is compiled on first execute into a planTemplate — an
+// engine plan whose value parameters are paramExpr placeholders and whose
 // parameterised table scans read placeholder names — and cached in the
-// engine's plan cache. Each execute rebuilds a concrete plan by walking
-// the immutable template and substituting the bound constants and physical
+// engine's plan cache. Each execute rebuilds a concrete plan by walking the
+// immutable template and substituting the bound constants and physical
 // table names, which is orders of magnitude cheaper than parsing and
-// planning SQL text.
+// planning SQL text. Every other statement binds the same way at execute
+// time: table parameters name the tables it touches, and value parameters
+// bind into the expressions and plans it compiles. Unparameterised text
+// (Session.Exec/Query) is a Prepared with zero parameters and runs through
+// the same executor.
 //
 // Two parameter kinds exist, inferred from where $N appears:
 //
@@ -24,14 +28,14 @@ import (
 //     mechanism that lets the round-N temp-table rename dance of the CC
 //     drivers reuse one cached plan while the physical tables change.
 //
-// Statements whose table references are all parameters produce
-// namespace-independent cache entries (the "" namespace): their plans
-// contain no fixed names, so sessions with different temp-table prefixes —
-// successive algorithm runs, or different server connections — share one
-// template. Correctness never rests on invalidation alone: every cache hit
-// is validated against the current catalog (each fixed table must still
-// resolve to the same physical table with the same schema, and each bound
-// table's schema must match the one planned against) and a failed
+// Statements whose plans name no fixed table — every table reference a
+// parameter, or a FROM-less SELECT — produce namespace-independent cache
+// entries (the "" namespace), so sessions with different temp-table
+// prefixes — successive algorithm runs, or different server connections —
+// share one template. Correctness never rests on invalidation alone: every
+// cache hit is validated against the current catalog (each fixed table must
+// still resolve to the same physical table with the same schema, and each
+// bound table's schema must match the one planned against) and a failed
 // validation replans, counting a miss.
 
 // Arg is one bound parameter value: an integer, NULL, or a table name.
@@ -92,9 +96,10 @@ type BindError struct {
 
 func (e *BindError) Error() string { return "sql: bind: " + e.Msg }
 
-// paramExpr is a $N placeholder inside a plan template. It never executes:
-// instantiation replaces it with a ConstExpr before the engine sees the
-// plan, so Eval firing means a template escaped substitution.
+// paramExpr is a $N placeholder inside a compiled plan or expression. It
+// never executes: instantiation replaces it with a ConstExpr before the
+// engine sees the plan, so Eval firing means a placeholder escaped
+// substitution.
 type paramExpr struct{ Index int }
 
 func (e paramExpr) Eval(engine.Row) engine.Datum {
@@ -148,6 +153,12 @@ func (s *Session) Prepare(src string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.prepareTokens(src, toks, normalizeTokens(toks))
+}
+
+// prepareTokens parses a lexed script, whose normalized text is norm, into
+// a handle, counting the parse.
+func (s *Session) prepareTokens(src string, toks []token, norm string) (*Prepared, error) {
 	s.c.NoteParse()
 	stmts, err := parseTokens(toks)
 	if err != nil {
@@ -163,14 +174,10 @@ func (s *Session) Prepare(src string) (*Prepared, error) {
 	}
 	numParams := 0
 	for i := range valueParams {
-		if i > numParams {
-			numParams = i
-		}
+		numParams = max(numParams, i)
 	}
 	for i := range tableParams {
-		if i > numParams {
-			numParams = i
-		}
+		numParams = max(numParams, i)
 	}
 	tableParam := make([]bool, numParams)
 	for i := 1; i <= numParams; i++ {
@@ -183,7 +190,6 @@ func (s *Session) Prepare(src string) (*Prepared, error) {
 			tableParam[i-1] = true
 		}
 	}
-	norm := normalizeTokens(toks)
 	p := &Prepared{
 		s:          s,
 		src:        src,
@@ -194,19 +200,12 @@ func (s *Session) Prepare(src string) (*Prepared, error) {
 		nsKeys:     make([]string, len(stmts)),
 	}
 	for i, st := range stmts {
-		p.nsKeys[i] = s.nsKeyFor(st)
+		p.nsKeys[i] = s.ns
+		if !namesFixedTable(st) {
+			p.nsKeys[i] = ""
+		}
 	}
 	return p, nil
-}
-
-// nsKeyFor picks the cache namespace for a statement: statements whose
-// table references are all parameters have no fixed names in their plans,
-// so their templates are shared across namespaces under the "" key.
-func (s *Session) nsKeyFor(st Statement) string {
-	if stmtAllTableRefsParam(st) {
-		return ""
-	}
-	return s.ns
 }
 
 // Bound is a Prepared statement with its arguments validated and attached.
@@ -276,100 +275,45 @@ func (p *Prepared) Query(args ...Arg) (engine.Schema, []engine.Row, error) {
 // ExecutePrepared executes a bound statement against this session,
 // returning the row count of the last sub-statement.
 func (s *Session) ExecutePrepared(b *Bound) (int64, error) {
-	var n int64
-	for i, st := range b.p.stmts {
-		var err error
-		n, err = s.execPreparedStmt(b.p, i, st, b.args)
-		if err != nil {
-			return 0, err
-		}
-	}
-	return n, nil
+	n, _, _, err := s.execute(b.p, b.args)
+	return n, err
 }
 
 // QueryPrepared executes a bound single-SELECT statement, returning its
 // schema and rows.
 func (s *Session) QueryPrepared(b *Bound) (engine.Schema, []engine.Row, error) {
-	if len(b.p.stmts) != 1 {
-		return nil, nil, fmt.Errorf("sql: QueryPrepared requires a single statement, got %d", len(b.p.stmts))
+	if !b.p.IsQuery() {
+		return nil, nil, errNotQuery
 	}
-	sq, ok := b.p.stmts[0].(*SelectQuery)
-	if !ok {
-		return nil, nil, fmt.Errorf("sql: QueryPrepared requires a SELECT statement, got %T", b.p.stmts[0])
-	}
-	if selectHasConstBlock(sq.Select) {
-		// FROM-less blocks evaluate expressions at plan time, so they take
-		// the substitute-and-replan path instead of a plan template.
-		sel := substituteSelect(sq.Select, b.args)
-		plan, names, err := PlanSelectResolved(s.c, sel, s.resolver())
-		if err != nil {
-			return nil, nil, err
-		}
-		_, rows, err := s.c.QueryCtx(s.context(), renameOutput(plan, names))
-		if err != nil {
-			return nil, nil, err
-		}
-		return names, rows, nil
-	}
-	tmpl, err := s.templateFor(b.p, 0, sq.Select, "", b.args)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan, err := s.instantiate(tmpl, b.args)
-	if err != nil {
-		return nil, nil, err
-	}
-	_, rows, err := s.c.QueryCtx(s.context(), plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tmpl.names, rows, nil
+	_, names, rows, err := s.execute(b.p, b.args)
+	return names, rows, err
 }
 
-// execPreparedStmt executes sub-statement i of a prepared script.
-func (s *Session) execPreparedStmt(p *Prepared, i int, st Statement, args []Arg) (int64, error) {
-	switch st := st.(type) {
-	case *SelectQuery:
-		if selectHasConstBlock(st.Select) {
-			return s.ExecStmt(substituteStmt(st, args))
-		}
-		tmpl, err := s.templateFor(p, i, st.Select, "", args)
-		if err != nil {
-			return 0, err
-		}
-		plan, err := s.instantiate(tmpl, args)
-		if err != nil {
-			return 0, err
-		}
-		_, rows, err := s.c.QueryCtx(s.context(), plan)
-		if err != nil {
-			return 0, err
-		}
-		return int64(len(rows)), nil
+// errNotQuery refuses Query on anything but a single SELECT.
+var errNotQuery = fmt.Errorf("sql: Query requires a single SELECT statement")
 
-	case *CreateTableAs:
-		if selectHasConstBlock(st.Select) {
-			return s.ExecStmt(substituteStmt(st, args))
+// execute is the one statement executor behind Exec, Query and their
+// prepared forms. It runs every statement of the script with args bound
+// and returns the last statement's row count, plus its schema and rows
+// when it is a SELECT. SELECT and CREATE TABLE AS run from cached plan
+// templates; every other statement binds its arguments in execStmt.
+func (s *Session) execute(p *Prepared, args []Arg) (n int64, names engine.Schema, rows []engine.Row, err error) {
+	for i, st := range p.stmts {
+		names, rows = nil, nil
+		switch st.(type) {
+		case *SelectQuery, *CreateTableAs:
+			var t *planTemplate
+			if t, err = s.templateFor(p, i, args); err == nil {
+				n, names, rows, err = s.runTemplate(t, args)
+			}
+		default:
+			n, err = s.execStmt(st, args)
 		}
-		tmpl, err := s.templateFor(p, i, st.Select, st.DistBy, args)
 		if err != nil {
-			return 0, err
+			return 0, nil, nil, err
 		}
-		plan, err := s.instantiate(tmpl, args)
-		if err != nil {
-			return 0, err
-		}
-		target := st.Name
-		if st.NameParam > 0 {
-			target = args[st.NameParam-1].table
-		}
-		return s.c.CreateTableAsCtx(s.context(), s.tempName(target), plan, tmpl.distKey)
-
-	default:
-		// DDL, INSERT and EXPLAIN have no plan worth templating; direct AST
-		// substitution reuses the parse and the ordinary execution path.
-		return s.ExecStmt(substituteStmt(st, args))
 	}
+	return n, names, rows, nil
 }
 
 // planTemplate is a compiled parameterised plan stored in the engine's
@@ -377,13 +321,14 @@ func (s *Session) execPreparedStmt(p *Prepared, i int, st Statement, args []Arg)
 // resolved distribution key and target of a CTAS, and the catalog facts
 // the plan assumed (validated on every cache hit).
 type planTemplate struct {
-	plan       engine.Plan
-	names      engine.Schema
-	isCTAS     bool
-	target     string // CTAS target logical name ("" when parameterised)
-	distKey    int
-	deps       []tableDep
-	paramScans []paramScan
+	plan        engine.Plan
+	names       engine.Schema
+	isCTAS      bool
+	target      string // CTAS target logical name
+	targetParam int    // $N of a parameterised CTAS target, else 0
+	distKey     int
+	deps        []tableDep
+	paramScans  []paramScan
 }
 
 // paramScan records one table parameter of a template: its $N index, the
@@ -398,12 +343,12 @@ type paramScan struct {
 
 // lookupTemplate consults the plan cache and validates any hit against
 // the current catalog. Invalid entries are evicted; the caller replans.
-// The hit counter moves only here, the miss counter only where callers
-// replan, so hits+misses equals the number of cache-eligible executions.
+// It moves no counter: callers count the hit once they commit to running
+// the template, and the miss where they replan, so hits+misses equals the
+// number of cache-eligible executions.
 func (s *Session) lookupTemplate(nsKey, norm string, args []Arg) (*planTemplate, bool) {
 	if v, ok := s.c.PlanCacheGet(nsKey, norm); ok {
 		if t, ok := v.(*planTemplate); ok && s.validateTemplate(t, args) {
-			s.c.NotePlanCacheHit()
 			return t, true
 		}
 		s.c.PlanCacheRemove(nsKey, norm)
@@ -411,28 +356,43 @@ func (s *Session) lookupTemplate(nsKey, norm string, args []Arg) (*planTemplate,
 	return nil, false
 }
 
-// buildTemplate plans a select into a template and stores it in the plan
-// cache under (nsKey, norm), keyed to the physical tables it depends on.
-func (s *Session) buildTemplate(nsKey, norm string, sel *SelectStmt, isCTAS bool, target, distBy string, tableArgs map[int]string) (*planTemplate, error) {
-	pp := &planParams{tables: tableArgs, placeholders: true}
+// templateFor returns the plan template for SELECT or CREATE TABLE AS
+// sub-statement i of a script. Hits are validated against the current
+// catalog before reuse; a miss (or failed validation) plans the statement
+// and caches the template under (nsKey, norm), keyed to the physical
+// tables it depends on.
+func (s *Session) templateFor(p *Prepared, i int, args []Arg) (*planTemplate, error) {
+	norm := p.norm
+	if len(p.stmts) > 1 {
+		norm = fmt.Sprintf("%s#%d", p.norm, i)
+	}
+	nsKey := p.nsKeys[i]
+	if t, ok := s.lookupTemplate(nsKey, norm, args); ok {
+		s.c.NotePlanCacheHit()
+		return t, nil
+	}
+	s.c.NotePlanCacheMiss()
+	t := &planTemplate{distKey: engine.NoDistKey}
+	var sel *SelectStmt
+	var distBy string
+	switch st := p.stmts[i].(type) {
+	case *SelectQuery:
+		sel = st.Select
+	case *CreateTableAs:
+		sel, distBy = st.Select, st.DistBy
+		t.isCTAS, t.target, t.targetParam = true, st.Name, st.NameParam
+	}
+	pp := &planParams{tables: s.resolveTableArgs(args), placeholders: true}
 	plan, names, err := planSelectParams(s.c, sel, s.resolver(), pp)
 	if err != nil {
 		return nil, err
 	}
-	t := &planTemplate{
-		plan:    renameOutput(plan, names),
-		names:   names,
-		isCTAS:  isCTAS,
-		target:  target,
-		distKey: engine.NoDistKey,
-	}
-	t.deps = pp.deps
+	t.plan, t.names, t.deps = renameOutput(plan, names), names, pp.deps
 	for idx, schema := range pp.paramSchemas {
 		t.paramScans = append(t.paramScans, paramScan{idx: idx, name: paramScanName(idx), schema: schema})
 	}
 	if distBy != "" {
-		t.distKey = names.ColIndex(distBy)
-		if t.distKey < 0 {
+		if t.distKey = names.ColIndex(distBy); t.distKey < 0 {
 			return nil, fmt.Errorf("sql: DISTRIBUTED BY column %q is not in the select list %v", distBy, names)
 		}
 	}
@@ -444,26 +404,29 @@ func (s *Session) buildTemplate(nsKey, norm string, sel *SelectStmt, isCTAS bool
 	return t, nil
 }
 
-// templateFor returns the plan template for sub-statement i of a prepared
-// script. Hits are validated against the current catalog before reuse;
-// failed validation evicts, replans and counts a miss.
-func (s *Session) templateFor(p *Prepared, i int, sel *SelectStmt, distBy string, args []Arg) (*planTemplate, error) {
-	norm := p.norm
-	if len(p.stmts) > 1 {
-		norm = fmt.Sprintf("%s#%d", p.norm, i)
+// runTemplate executes a template with its arguments bound: a CTAS
+// writes its target table and reports the rows written, a SELECT returns
+// its schema and rows.
+func (s *Session) runTemplate(t *planTemplate, args []Arg) (int64, engine.Schema, []engine.Row, error) {
+	plan := s.instantiate(t, args)
+	if t.isCTAS {
+		n, err := s.c.CreateTableAsCtx(s.context(), s.tempName(tableArg(t.target, t.targetParam, args)), plan, t.distKey)
+		return n, nil, nil, err
 	}
-	nsKey := p.nsKeys[i]
-	if t, ok := s.lookupTemplate(nsKey, norm, args); ok {
-		return t, nil
+	_, rows, err := s.c.QueryCtx(s.context(), plan)
+	if err != nil {
+		return 0, nil, nil, err
 	}
-	s.c.NotePlanCacheMiss()
-	var isCTAS bool
-	var target string
-	if ct, ok := p.stmts[i].(*CreateTableAs); ok {
-		isCTAS = true
-		target = ct.Name // "" when the target is a parameter
+	return int64(len(rows)), t.names, rows, nil
+}
+
+// tableArg returns the table a statement names at one position: the
+// literal name, or the table bound to its $N parameter.
+func tableArg(name string, param int, args []Arg) string {
+	if param > 0 {
+		return args[param-1].table
 	}
-	return s.buildTemplate(nsKey, norm, sel, isCTAS, target, distBy, s.resolveTableArgs(args))
+	return name
 }
 
 // resolveTableArgs maps each table argument's logical name to the physical
@@ -485,13 +448,8 @@ func (s *Session) resolveTableArgs(args []Arg) map[int]string {
 // validateTemplate re-checks everything the cached plan assumed about the
 // catalog: every fixed table still resolves to the same physical table
 // with an unchanged schema, and every bound table parameter names an
-// existing table whose schema matches the one planned against. It also
-// checks table *statistics*: a plan whose input row count has drifted
-// past statsStaleFactor (with an absolute change of at least
-// statsStaleMinRows, so small tables never thrash) is treated as stale —
-// plan-time decisions that depend on cardinality (join order heuristics;
-// future cost-based choices) must be retaken once the data has shifted
-// that far. A stale plan never executes — it fails here and is replanned.
+// existing table whose schema matches the one planned against. Table
+// sizes are not checked: no planning decision reads a row count.
 func (s *Session) validateTemplate(t *planTemplate, args []Arg) bool {
 	for _, d := range t.deps {
 		if s.Resolve(d.logical) != d.phys {
@@ -499,9 +457,6 @@ func (s *Session) validateTemplate(t *planTemplate, args []Arg) bool {
 		}
 		tbl, ok := s.c.Table(d.phys)
 		if !ok || !sameSchema(tbl.Schema, d.schema) {
-			return false
-		}
-		if statsStale(d.rows, tbl.Rows()) {
 			return false
 		}
 	}
@@ -515,31 +470,6 @@ func (s *Session) validateTemplate(t *planTemplate, args []Arg) bool {
 		}
 	}
 	return true
-}
-
-// Statistics-staleness thresholds: a cached plan is invalidated when an
-// input table's row count has grown or shrunk by statsStaleFactor AND the
-// absolute change is at least statsStaleMinRows. The factor catches
-// shifts large enough to change a cardinality-driven planning choice (the
-// join order heuristics); the engine executes every join one way, so no
-// physical choice depends on it. The floor keeps the round loop's small,
-// churning temp tables from evicting their templates on every round.
-const (
-	statsStaleFactor  = 4
-	statsStaleMinRows = 1024
-)
-
-// statsStale reports whether a table's live row count has drifted far
-// enough from the plan-time count to invalidate plans that read it.
-func statsStale(planned, now int64) bool {
-	lo, hi := planned, now
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	if hi-lo < statsStaleMinRows {
-		return false
-	}
-	return hi >= lo*statsStaleFactor
 }
 
 func sameSchema(a, b engine.Schema) bool {
@@ -575,7 +505,7 @@ func lookupScan(subs []scanSub, name string) (string, bool) {
 // placeholders and constants for value-parameter placeholders. This is
 // the prepared path's entire per-execution planning cost, so it avoids
 // maps and formatting: one slice allocation plus the plan-tree copy.
-func (s *Session) instantiate(t *planTemplate, args []Arg) (engine.Plan, error) {
+func (s *Session) instantiate(t *planTemplate, args []Arg) engine.Plan {
 	hasVals := false
 	for _, a := range args {
 		if a.kind != argTable {
@@ -584,7 +514,7 @@ func (s *Session) instantiate(t *planTemplate, args []Arg) (engine.Plan, error) 
 		}
 	}
 	if len(t.paramScans) == 0 && !hasVals {
-		return t.plan, nil
+		return t.plan
 	}
 	var subs []scanSub
 	if len(t.paramScans) > 0 {
@@ -593,7 +523,7 @@ func (s *Session) instantiate(t *planTemplate, args []Arg) (engine.Plan, error) 
 			subs[i] = scanSub{name: ps.name, phys: s.Resolve(args[ps.idx-1].table)}
 		}
 	}
-	return instantiatePlan(t.plan, subs, args), nil
+	return instantiatePlan(t.plan, subs, args)
 }
 
 // instantiatePlan rebuilds the value-typed plan tree with placeholders
@@ -686,7 +616,7 @@ func instantiateExprs(es []engine.Expr, args []Arg) []engine.Expr {
 	return out
 }
 
-// --- AST parameter analysis and substitution ---
+// --- AST parameter analysis ---
 
 // collectStmtParams records which $N indices appear as value parameters
 // and which as table-name parameters.
@@ -783,180 +713,30 @@ func collectExprParams(e Expr, values map[int]bool) {
 	}
 }
 
-// stmtAllTableRefsParam reports whether every table the statement reads is
-// a parameter (such statements produce namespace-independent templates).
-// Statements that read no tables at all return false: their cache entries
-// stay namespace-local.
-func stmtAllTableRefsParam(st Statement) bool {
+// namesFixedTable reports whether a SELECT or CREATE TABLE AS reads a
+// table by literal name. Plans that do not — every table reference a
+// parameter, or no table at all — are cached namespace-independently.
+func namesFixedTable(st Statement) bool {
 	var sel *SelectStmt
 	switch st := st.(type) {
 	case *CreateTableAs:
 		sel = st.Select
 	case *SelectQuery:
 		sel = st.Select
-	case *ExplainStmt:
-		sel = st.Select
-	default:
-		return false
 	}
-	refs := 0
 	for ; sel != nil; sel = sel.UnionAll {
 		for _, fi := range sel.From {
-			refs++
 			if fi.Table.Param == 0 {
-				return false
+				return true
 			}
 			for _, j := range fi.Joins {
-				refs++
 				if j.Table.Param == 0 {
-					return false
+					return true
 				}
 			}
 		}
 	}
-	return refs > 0
-}
-
-// selectHasConstBlock reports whether any block of the (possibly UNION
-// ALL-chained) select is FROM-less. Such blocks evaluate their expressions
-// at plan time, so parameterised ones cannot become templates.
-func selectHasConstBlock(sel *SelectStmt) bool {
-	for ; sel != nil; sel = sel.UnionAll {
-		if len(sel.From) == 0 {
-			return true
-		}
-	}
 	return false
-}
-
-// substituteStmt deep-copies a statement with every parameter replaced by
-// its bound argument: value parameters become literals, table parameters
-// become literal table names. The result executes through the ordinary
-// statement path.
-func substituteStmt(st Statement, args []Arg) Statement {
-	switch st := st.(type) {
-	case *CreateTableAs:
-		out := *st
-		out.Name, out.NameParam = substName(st.Name, st.NameParam, args)
-		out.Select = substituteSelect(st.Select, args)
-		return &out
-	case *CreateTablePlain:
-		out := *st
-		out.Name, out.NameParam = substName(st.Name, st.NameParam, args)
-		return &out
-	case *DropTable:
-		out := &DropTable{
-			Names:      append([]string(nil), st.Names...),
-			NameParams: make([]int, len(st.Names)),
-		}
-		for i := range out.Names {
-			out.Names[i], out.NameParams[i] = substName(st.Names[i], st.NameParams[i], args)
-		}
-		return out
-	case *AlterRename:
-		out := *st
-		out.Old, out.OldParam = substName(st.Old, st.OldParam, args)
-		out.New, out.NewParam = substName(st.New, st.NewParam, args)
-		return &out
-	case *InsertValues:
-		out := &InsertValues{Rows: make([][]Expr, len(st.Rows))}
-		out.Name, out.NameParam = substName(st.Name, st.NameParam, args)
-		for i, row := range st.Rows {
-			out.Rows[i] = make([]Expr, len(row))
-			for j, e := range row {
-				out.Rows[i][j] = substituteExpr(e, args)
-			}
-		}
-		return out
-	case *InsertSelect:
-		out := *st
-		out.Name, out.NameParam = substName(st.Name, st.NameParam, args)
-		out.Select = substituteSelect(st.Select, args)
-		return &out
-	case *DeleteStmt:
-		out := *st
-		out.Name, out.NameParam = substName(st.Name, st.NameParam, args)
-		out.Where = substituteExpr(st.Where, args)
-		return &out
-	case *CreateComponentIndex:
-		out := *st
-		out.Table, out.TableParam = substName(st.Table, st.TableParam, args)
-		return &out
-	case *DropComponentIndex:
-		out := *st
-		out.Table, out.TableParam = substName(st.Table, st.TableParam, args)
-		return &out
-	case *ExplainStmt:
-		return &ExplainStmt{Select: substituteSelect(st.Select, args), Analyze: st.Analyze}
-	case *SelectQuery:
-		return &SelectQuery{Select: substituteSelect(st.Select, args)}
-	}
-	return st
-}
-
-func substName(name string, param int, args []Arg) (string, int) {
-	if param > 0 {
-		return args[param-1].table, 0
-	}
-	return name, 0
-}
-
-func substituteSelect(sel *SelectStmt, args []Arg) *SelectStmt {
-	if sel == nil {
-		return nil
-	}
-	out := *sel
-	out.Items = make([]SelectItem, len(sel.Items))
-	for i, item := range sel.Items {
-		out.Items[i] = SelectItem{Expr: substituteExpr(item.Expr, args), Alias: item.Alias}
-	}
-	out.From = make([]FromItem, len(sel.From))
-	for i, fi := range sel.From {
-		nf := FromItem{Table: substituteTableRef(fi.Table, args)}
-		nf.Joins = make([]JoinClause, len(fi.Joins))
-		for j, jc := range fi.Joins {
-			nf.Joins[j] = JoinClause{
-				LeftOuter: jc.LeftOuter,
-				Table:     substituteTableRef(jc.Table, args),
-				On:        substituteExpr(jc.On, args),
-			}
-		}
-		out.From[i] = nf
-	}
-	out.Where = substituteExpr(sel.Where, args)
-	out.UnionAll = substituteSelect(sel.UnionAll, args)
-	return &out
-}
-
-func substituteTableRef(ref TableRef, args []Arg) TableRef {
-	if ref.Param > 0 {
-		name := args[ref.Param-1].table
-		alias := ref.Alias
-		return TableRef{Table: name, Alias: alias}
-	}
-	return ref
-}
-
-func substituteExpr(e Expr, args []Arg) Expr {
-	switch e := e.(type) {
-	case nil:
-		return nil
-	case *ParamRef:
-		a := args[e.Index-1]
-		if a.kind == argNull {
-			return &NullLit{}
-		}
-		return &NumLit{Val: a.i}
-	case *BinaryExpr:
-		return &BinaryExpr{Op: e.Op, L: substituteExpr(e.L, args), R: substituteExpr(e.R, args)}
-	case *Call:
-		out := &Call{Name: e.Name, Star: e.Star, Args: make([]Expr, len(e.Args))}
-		for i, a := range e.Args {
-			out.Args[i] = substituteExpr(a, args)
-		}
-		return out
-	}
-	return e
 }
 
 // normalizeTokens renders a token stream in canonical form — lower-cased

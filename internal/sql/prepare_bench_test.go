@@ -1,21 +1,23 @@
 package sql
 
 import (
-	"fmt"
 	"testing"
 
 	"dbcc/internal/engine"
 )
 
-// benchStmt is shaped like one CC round-loop statement: a self-join with a
-// grouped aggregate, the kind of text the drivers used to re-parse and
-// re-plan every round. The benchmark pair below pins how much of that cost
-// prepare-once/execute-many actually removes.
+// benchStmtPrepared is shaped like one CC round-loop statement: a
+// self-join with a grouped aggregate, the kind of text the drivers used to
+// re-parse and re-plan every round. The benchmark pairs below pin how much
+// of that cost prepare-once/execute-many actually removes.
 const benchStmtPrepared = "SELECT e.v1 AS v1, min(o.v2) AS rep FROM $1 AS e, $2 AS o WHERE e.v1 = o.v1 AND e.v2 != $3 GROUP BY e.v1"
 
-func benchCluster(b *testing.B, cacheSize int) (*engine.Cluster, *Session) {
+// benchStmtText is benchStmtPrepared with its arguments written inline.
+const benchStmtText = "SELECT e.v1 AS v1, min(o.v2) AS rep FROM be AS e, be AS o WHERE e.v1 = o.v1 AND e.v2 != -1 GROUP BY e.v1"
+
+func benchCluster(b *testing.B) (*engine.Cluster, *Session) {
 	b.Helper()
-	c := engine.NewCluster(engine.Options{Segments: 1, PlanCacheSize: cacheSize})
+	c := engine.NewCluster(engine.Options{Segments: 1})
 	if _, err := c.CreateTable("be", engine.Schema{"v1", "v2"}, 0); err != nil {
 		b.Fatal(err)
 	}
@@ -31,14 +33,14 @@ func benchCluster(b *testing.B, cacheSize int) (*engine.Cluster, *Session) {
 
 // BenchmarkPreparedRoundLoop compares the two ways a driver can execute
 // the same round statement many times: through a prepared handle hitting
-// the plan cache (instantiate a cached template, run), and as literal text
-// against a cache-disabled cluster (lex, parse, plan, run — the pre-cache
-// cost every round used to pay). The committed microbench baseline gates
+// the plan cache (instantiate a cached template, run), and by parsing,
+// planning and running the literal text every time (the pre-cache cost
+// every round used to pay). The committed microbench baseline gates
 // prepared at a fraction of parse-plan-execute, so a regression that
 // sneaks parsing or planning back into the prepared hot path fails CI.
 func BenchmarkPreparedRoundLoop(b *testing.B) {
 	b.Run("prepared", func(b *testing.B) {
-		c, s := benchCluster(b, 0)
+		c, s := benchCluster(b)
 		defer c.Close()
 		p, err := s.Prepare(benchStmtPrepared)
 		if err != nil {
@@ -57,20 +59,30 @@ func BenchmarkPreparedRoundLoop(b *testing.B) {
 		}
 	})
 	b.Run("parseplan", func(b *testing.B) {
-		c, s := benchCluster(b, -1) // cache disabled: every execution replans
+		c, _ := benchCluster(b)
 		defer c.Close()
-		src := fmt.Sprintf("SELECT e.v1 AS v1, min(o.v2) AS rep FROM %s AS e, %s AS o WHERE e.v1 = o.v1 AND e.v2 != %d GROUP BY e.v1", "be", "be", -1)
-		if _, _, err := s.Query(src); err != nil {
-			b.Fatal(err)
-		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := s.Query(src); err != nil {
+			plan, err := parsePlan(c, benchStmtText)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := c.Query(plan); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// parsePlan is the uncached path: parse the text, then plan it.
+func parsePlan(c *engine.Cluster, src string) (engine.Plan, error) {
+	st, err := ParseOne(src)
+	if err != nil {
+		return nil, err
+	}
+	plan, _, err := PlanSelect(c, st.(*SelectQuery).Select)
+	return plan, err
 }
 
 // BenchmarkPreparedPlanning isolates the per-execution planning work the
@@ -83,7 +95,7 @@ func BenchmarkPreparedRoundLoop(b *testing.B) {
 // per-query execution cost, which both paths share).
 func BenchmarkPreparedPlanning(b *testing.B) {
 	b.Run("prepared", func(b *testing.B) {
-		c, s := benchCluster(b, 0)
+		c, s := benchCluster(b)
 		defer c.Close()
 		p, err := s.Prepare(benchStmtPrepared)
 		if err != nil {
@@ -93,7 +105,6 @@ func BenchmarkPreparedPlanning(b *testing.B) {
 		if _, _, err := p.Query(args...); err != nil { // warm the template
 			b.Fatal(err)
 		}
-		sel := p.stmts[0].(*SelectQuery).Select
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -101,32 +112,20 @@ func BenchmarkPreparedPlanning(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			tmpl, err := s.templateFor(bound.p, 0, sel, "", bound.args)
+			tmpl, err := s.templateFor(bound.p, 0, bound.args)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := s.instantiate(tmpl, bound.args); err != nil {
-				b.Fatal(err)
-			}
+			s.instantiate(tmpl, bound.args)
 		}
 	})
 	b.Run("parseplan", func(b *testing.B) {
-		c, s := benchCluster(b, -1)
+		c, _ := benchCluster(b)
 		defer c.Close()
-		src := "SELECT e.v1 AS v1, min(o.v2) AS rep FROM be AS e, be AS o WHERE e.v1 = o.v1 AND e.v2 != -1 GROUP BY e.v1"
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			toks, err := lex(src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			stmts, err := parseTokens(toks)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sel := stmts[0].(*SelectQuery).Select
-			if _, _, err := PlanSelectResolved(s.c, sel, nil); err != nil {
+			if _, err := parsePlan(c, benchStmtText); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,10 +3,12 @@ package sql
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
 	"dbcc/internal/engine"
+	"dbcc/internal/gf"
 )
 
 // planDeltas captures the cluster's parse/plan-cache counters so tests can
@@ -139,7 +141,8 @@ func TestPreparedTableParamRenameDance(t *testing.T) {
 }
 
 // TestPreparedDDLScript checks a multi-statement prepared script of pure
-// DDL (the generation-swap idiom) executes via AST substitution.
+// DDL (the generation-swap idiom) takes its table names from the
+// arguments.
 func TestPreparedDDLScript(t *testing.T) {
 	s := newSession(t)
 	defer s.Cluster().Close()
@@ -484,33 +487,15 @@ func TestExplainAnalyzePlanCacheLine(t *testing.T) {
 	}
 }
 
-// TestPreparedValueResultsMatchText checks prepared execution is
-// result-identical to the equivalent literal text, including through UDFs.
-func TestPreparedValueResultsMatchText(t *testing.T) {
+// matchSession returns a session over a fresh cluster holding the fixture
+// TestPreparedValueResultsMatchText runs every case against: an edge
+// table g, Randomised Contraction's label tables l and rr, and an empty
+// two-column sink.
+func matchSession(t *testing.T) *Session {
+	t.Helper()
 	s := newSession(t)
-	defer s.Cluster().Close()
 	loadEdges(t, s, "g", [][2]int64{{1, 5}, {2, 6}, {3, 7}})
-
-	p, err := s.Prepare("SELECT v1 AS v1, axplusb($1, v2, $2) AS h FROM g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ab := range [][2]int64{{3, 4}, {11, 13}} {
-		_, prepRows, err := p.Query(Int(ab[0]), Int(ab[1]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, textRows, err := s.Queryf("SELECT v1 AS v1, axplusb(%d, v2, %d) AS h FROM g", ab[0], ab[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		samePairs(t, fmt.Sprintf("a=%d b=%d", ab[0], ab[1]), prepRows, textRows)
-	}
-
-	// Randomised Contraction's relabel shape: a CTAS whose target and both
-	// join inputs are table parameters, with value parameters inside the
-	// COALESCE fallback of a LEFT OUTER JOIN. Labels 30 and 40 have no row
-	// in rr, so they take the axplusb fallback.
+	loadEdges(t, s, "sink", nil)
 	for name, rows := range map[string][][2]int64{
 		"l":  {{1, 10}, {2, 10}, {3, 20}, {4, 30}, {5, 40}},
 		"rr": {{10, 100}, {20, 200}},
@@ -526,60 +511,242 @@ func TestPreparedValueResultsMatchText(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return s
+}
+
+// canonRows renders a result as a sorted multiset of row strings, NULLs
+// spelled out, so results compare independent of segment order.
+func canonRows(rows []engine.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		var b strings.Builder
+		for j, d := range r {
+			if j > 0 {
+				b.WriteByte(',')
+			}
+			if d.Null {
+				b.WriteString("null")
+			} else {
+				fmt.Fprint(&b, d.Int)
+			}
+		}
+		out[i] = b.String()
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestPreparedValueResultsMatchText checks prepared execution with bound
+// arguments is indistinguishable from the equivalent literal text, for
+// every statement kind a parameter can appear in: each case runs once
+// prepared and once as text, on two fresh clusters, and compares the
+// reported row count, the result rows of a SELECT and the contents of the
+// table the statement writes.
+func TestPreparedValueResultsMatchText(t *testing.T) {
+	// Randomised Contraction's relabel shape: a CTAS whose target and both
+	// join inputs are table parameters, with value parameters inside the
+	// COALESCE fallback of a LEFT OUTER JOIN. Labels 30 and 40 have no row
+	// in rr, so they take the axplusb fallback.
 	const relabel = `create table %s as
 		select l.v as v, coalesce(rr.rep, axplusb(%s, l.rep, %s)) as rep
 		from %s as l left outer join %s as rr on (l.rep = rr.v)
 		distributed by (v)`
-	rp, err := s.Prepare(fmt.Sprintf(relabel, "$1", "$4", "$5", "$2", "$3"))
-	if err != nil {
+	cases := []struct {
+		name, prep, text string
+		args             []Arg
+		query            bool   // compare Query results instead of Exec counts
+		table            string // table whose contents must match afterwards
+	}{
+		{name: "select udf", query: true,
+			prep: "SELECT v1 AS v1, axplusb($1, v2, $2) AS h FROM g", args: []Arg{Int(3), Int(4)},
+			text: "SELECT v1 AS v1, axplusb(3, v2, 4) AS h FROM g"},
+		{name: "select udf rebound", query: true,
+			prep: "SELECT v1 AS v1, axplusb($1, v2, $2) AS h FROM g", args: []Arg{Int(11), Int(13)},
+			text: "SELECT v1 AS v1, axplusb(11, v2, 13) AS h FROM g"},
+		{name: "ctas relabel", table: "relabel",
+			prep: fmt.Sprintf(relabel, "$1", "$4", "$5", "$2", "$3"),
+			args: []Arg{Table("relabel"), Table("l"), Table("rr"), Int(3), Int(4)},
+			text: fmt.Sprintf(relabel, "relabel", "3", "4", "l", "rr")},
+		{name: "from-less select", query: true,
+			prep: "SELECT axplusb($1, $2, $3) AS r, $4 AS n", args: []Arg{Int(3), Int(5), Int(4), Null()},
+			text: "SELECT axplusb(3, 5, 4) AS r, null AS n"},
+		{name: "from-less union all", query: true,
+			prep: "SELECT v1 AS x, v2 AS y FROM g WHERE v1 != $1 UNION ALL SELECT $1 AS x, axplusb($1, $2, 0) AS y",
+			args: []Arg{Int(2), Int(9)},
+			text: "SELECT v1 AS x, v2 AS y FROM g WHERE v1 != 2 UNION ALL SELECT 2 AS x, axplusb(2, 9, 0) AS y"},
+		{name: "from-less ctas", table: "c",
+			prep: "CREATE TABLE $1 AS SELECT $2 AS a, $3 AS b", args: []Arg{Table("c"), Int(-7), Null()},
+			text: "CREATE TABLE c AS SELECT -7 AS a, null AS b"},
+		{name: "insert values null", table: "sink",
+			prep: "INSERT INTO $1 VALUES ($2, $3), ($4, null)", args: []Arg{Table("sink"), Int(1), Null(), Int(-4)},
+			text: "INSERT INTO sink VALUES (1, null), (-4, null)"},
+		{name: "insert select", table: "sink",
+			prep: "INSERT INTO $1 SELECT x.v1, axplusb($3, x.v2, 0) FROM $2 AS x WHERE x.v1 != $3",
+			args: []Arg{Table("sink"), Table("g"), Int(2)},
+			text: "INSERT INTO sink SELECT x.v1, axplusb(2, x.v2, 0) FROM g AS x WHERE x.v1 != 2"},
+		{name: "delete where", table: "g",
+			prep: "DELETE FROM $1 WHERE v1 = $2 OR v2 = $3", args: []Arg{Table("g"), Int(1), Int(7)},
+			text: "DELETE FROM g WHERE v1 = 1 OR v2 = 7"},
+		{name: "explain",
+			prep: "EXPLAIN SELECT v1 FROM g WHERE v1 = $1", args: []Arg{Int(2)},
+			text: "EXPLAIN SELECT v1 FROM g WHERE v1 = 2"},
+		{name: "explain analyze",
+			prep: "EXPLAIN ANALYZE SELECT v1 FROM g WHERE v1 > $1", args: []Arg{Int(1)},
+			text: "EXPLAIN ANALYZE SELECT v1 FROM g WHERE v1 > 1"},
+		{name: "ddl ctas script", table: "s2",
+			prep: "CREATE TABLE $1 (a, b); INSERT INTO $1 VALUES ($3, $4); " +
+				"CREATE TABLE $2 AS SELECT t.a AS v, t.b AS w FROM $1 AS t UNION ALL SELECT v1, v2 FROM g",
+			args: []Arg{Table("s1"), Table("s2"), Int(8), Null()},
+			text: "CREATE TABLE s1 (a, b); INSERT INTO s1 VALUES (8, null); " +
+				"CREATE TABLE s2 AS SELECT t.a AS v, t.b AS w FROM s1 AS t UNION ALL SELECT v1, v2 FROM g"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			type outcome struct {
+				n     int64
+				names engine.Schema
+				rows  []string
+				table []string
+			}
+			run := func(prepared bool) outcome {
+				s := matchSession(t)
+				defer s.Cluster().Close()
+				var o outcome
+				var rows []engine.Row
+				var err error
+				switch {
+				case prepared && tc.query:
+					var p *Prepared
+					if p, err = s.Prepare(tc.prep); err == nil {
+						o.names, rows, err = p.Query(tc.args...)
+					}
+				case prepared:
+					var p *Prepared
+					if p, err = s.Prepare(tc.prep); err == nil {
+						o.n, err = p.Exec(tc.args...)
+					}
+				case tc.query:
+					o.names, rows, err = s.Query(tc.text)
+				default:
+					o.n, err = s.Exec(tc.text)
+				}
+				if err != nil {
+					t.Fatalf("prepared=%v: %v", prepared, err)
+				}
+				o.rows = canonRows(rows)
+				if tc.table != "" {
+					tbl, ok := s.Cluster().Table(tc.table)
+					if !ok {
+						t.Fatalf("prepared=%v: table %q missing", prepared, tc.table)
+					}
+					var all []engine.Row
+					for _, part := range tbl.Parts {
+						all = append(all, part...)
+					}
+					o.table = canonRows(all)
+				}
+				return o
+			}
+			prep, text := run(true), run(false)
+			if fmt.Sprint(prep) != fmt.Sprint(text) {
+				t.Fatalf("prepared and text differ:\nprepared %+v\ntext     %+v", prep, text)
+			}
+		})
+	}
+}
+
+// TestConstSelectTemplateSharedAcrossNamespaces checks a FROM-less
+// prepared SELECT — RC's compose self-query — is an ordinary plan
+// template: it names no fixed table, so sessions in different temp
+// namespaces share one cache entry, one miss then hits.
+func TestConstSelectTemplateSharedAcrossNamespaces(t *testing.T) {
+	c := newSession(t).Cluster()
+	defer c.Close()
+	len0 := c.PlanCacheLen()
+	d := snapCounters(c)
+	for _, s := range []*Session{NewIsolatedSession(c), NewIsolatedSession(c)} {
+		p, err := s.Prepare("SELECT axplusb($1, $2, $3) AS r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x := int64(0); x < 2; x++ {
+			_, rows, err := p.Query(Int(1), Int(x), Int(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != 1 || rows[0][0].Int != int64(gf.AxB(1, uint64(x), 4)) {
+				t.Fatalf("axplusb(1, %d, 4) = %v", x, rows)
+			}
+		}
+	}
+	d.expect(t, "two namespaces", 2, 3, 1)
+	if got := c.PlanCacheLen(); got != len0+1 {
+		t.Fatalf("plan cache holds %d entries, want %d", got, len0+1)
+	}
+}
+
+// TestConstSelectTextFromIsolatedSession checks unparameterised FROM-less
+// text sent from a namespaced session: the text lookup is keyed on the
+// session namespace and misses, so every execution parses, and the parse
+// then finds the shared "" template — one miss, then hits. Each distinct
+// literal text is its own cache entry, like any other text statement.
+func TestConstSelectTextFromIsolatedSession(t *testing.T) {
+	c := newSession(t).Cluster()
+	defer c.Close()
+	s := NewIsolatedSession(c)
+	len0 := c.PlanCacheLen()
+	d := snapCounters(c)
+	for i := 0; i < 2; i++ {
+		_, rows, err := s.Query("select axplusb(1, 2, 4) as r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 || rows[0][0].Int != int64(gf.AxB(1, 2, 4)) {
+			t.Fatalf("axplusb(1, 2, 4) = %v", rows)
+		}
+	}
+	d.expect(t, "same text twice", 2, 1, 1)
+	if got := c.PlanCacheLen(); got != len0+1 {
+		t.Fatalf("plan cache holds %d entries, want %d", got, len0+1)
+	}
+	if _, _, err := s.Query("select axplusb(1, 3, 4) as r"); err != nil {
 		t.Fatal(err)
 	}
-	for _, ab := range [][2]int64{{3, 4}, {11, 13}} {
-		if _, err := rp.Exec(Table("relabel_p"), Table("l"), Table("rr"), Int(ab[0]), Int(ab[1])); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Exec(fmt.Sprintf(relabel, "relabel_t", fmt.Sprint(ab[0]), fmt.Sprint(ab[1]), "l", "rr")); err != nil {
-			t.Fatal(err)
-		}
-		_, prepRows, err := s.Query("SELECT v, rep FROM relabel_p")
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, textRows, err := s.Query("SELECT v, rep FROM relabel_t")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(prepRows) != 5 {
-			t.Fatalf("relabel a=%d b=%d: %d rows, want 5", ab[0], ab[1], len(prepRows))
-		}
-		samePairs(t, fmt.Sprintf("relabel a=%d b=%d", ab[0], ab[1]), prepRows, textRows)
-		if _, err := s.Exec("DROP TABLE relabel_p; DROP TABLE relabel_t"); err != nil {
-			t.Fatal(err)
-		}
+	if got := c.PlanCacheLen(); got != len0+2 {
+		t.Fatalf("plan cache holds %d entries after a second literal, want %d", got, len0+2)
 	}
 }
 
-// samePairs fails unless two two-column results hold the same multiset of
-// rows.
-func samePairs(t *testing.T, what string, got, want []engine.Row) {
-	t.Helper()
-	gm, wm := rowsToPairs(got), rowsToPairs(want)
-	if len(gm) != len(wm) {
-		t.Fatalf("%s: %d vs %d distinct rows", what, len(gm), len(wm))
+// TestTextQueryOnCachedCTAS checks Query refuses a statement that is not a
+// SELECT before any counter moves, even when the text's CTAS template is
+// cached, and leaves the template warm for Exec.
+func TestTextQueryOnCachedCTAS(t *testing.T) {
+	s := newSession(t)
+	defer s.Cluster().Close()
+	loadEdges(t, s, "e", [][2]int64{{1, 2}})
+	const src = "create table x as select v1, v2 from e"
+	if _, err := s.Exec(src); err != nil {
+		t.Fatal(err)
 	}
-	for k, n := range wm {
-		if gm[k] != n {
-			t.Fatalf("%s: row %v count %d vs %d", what, k, gm[k], n)
-		}
+	if err := s.Cluster().DropTable("x"); err != nil {
+		t.Fatal(err)
 	}
+	d := snapCounters(s.Cluster())
+	if _, _, err := s.Query(src); err == nil || !strings.Contains(err.Error(), "requires a") {
+		t.Fatalf("Query of a CTAS: %v", err)
+	}
+	d.expect(t, "refused Query", 0, 0, 0)
+	if _, err := s.Exec(src); err != nil {
+		t.Fatal(err)
+	}
+	d.expect(t, "Exec after the refused Query", 0, 1, 0)
 }
 
-// TestCachedPlanStatsInvalidation pins validation-on-hit to table
-// *statistics*, not just the catalog: a cached SELECT template built when
-// its input was small must be evicted and replanned once the table grows
-// past statsStaleFactor (with the statsStaleMinRows floor), so plan-time
-// cardinality decisions are retaken against the new sizes. Interleaves
-// inserts with cached-plan executions the way a streaming workload does.
+// TestCachedPlanStatsInvalidation pins validation-on-hit to the catalog,
+// not to table statistics: no planning decision reads a row count, so a
+// cached template keeps hitting — and keeps returning correct rows — while
+// its input grows far past the size it was planned at. Interleaves inserts
+// with cached-plan executions the way a streaming workload does.
 func TestCachedPlanStatsInvalidation(t *testing.T) {
 	s := newSession(t)
 	defer s.Cluster().Close()
@@ -605,38 +772,30 @@ func TestCachedPlanStatsInvalidation(t *testing.T) {
 	run(2)
 	d.expect(t, "first execute", 0, 0, 1)
 
-	// Small growth — under the statsStaleMinRows floor — must keep the
-	// template hot even though the table quadrupled: tiny tables never
-	// thrash the cache (the rc-det round loop depends on this).
+	// Small growth: e triples, and the template stays hot.
 	if _, err := s.Exec("INSERT INTO e VALUES (4,5),(5,6),(6,7),(7,8),(8,9),(9,10)"); err != nil {
 		t.Fatal(err)
 	}
 	run(2)
 	d.expect(t, "after small growth", 1, 1, 0) // the 1 parse is the INSERT
 
-	// Large growth: push e from 9 rows to >1024 with one bulk INSERT
-	// (over the floor, far over the factor). The next execution must
-	// fail validation, evict, and replan against the new cardinality.
+	// Large growth: push e from 9 rows to over 1100 with one bulk INSERT,
+	// far past 4x, two of them joining f. The template still hits, sees
+	// the new rows, and nothing is evicted.
 	var b strings.Builder
-	b.WriteString("INSERT INTO e VALUES ")
+	b.WriteString("INSERT INTO e VALUES (10,2),(11,3)")
 	for i := 0; i < 1100; i++ {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "(%d,%d)", 1000+i, 2000+i)
+		fmt.Fprintf(&b, ",(%d,%d)", 1000+i, 2000+i)
 	}
 	if _, err := s.Exec(b.String()); err != nil {
 		t.Fatal(err)
 	}
 	inval0 := s.Cluster().Stats().PlanCacheInvalidations
-	run(2)
-	d.expect(t, "after bulk growth", 1, 0, 1) // the 1 parse is the INSERT
-	if got := s.Cluster().Stats().PlanCacheInvalidations; got <= inval0 {
-		t.Fatalf("stale template not evicted: invalidations %d -> %d", inval0, got)
+	run(4)
+	d.expect(t, "after bulk growth", 1, 1, 0) // the 1 parse is the INSERT
+	if got := s.Cluster().Stats().PlanCacheInvalidations; got != inval0 {
+		t.Fatalf("growth evicted the template: invalidations %d -> %d", inval0, got)
 	}
-
-	// The replanned template captured the new row counts: steady-state
-	// executions hit again.
-	run(2)
-	d.expect(t, "steady state after replan", 0, 1, 0)
+	run(4)
+	d.expect(t, "steady state", 0, 1, 0)
 }

@@ -124,97 +124,22 @@ func (s *Session) resolver() Resolver {
 // Exec parses and executes a script of one or more statements and returns
 // the row count produced by the last one (the paper's r.log_exec result).
 //
-// Single-statement SELECT and CREATE TABLE AS texts consult the engine's
-// plan cache keyed on the normalized statement text: a validated hit skips
-// both parse and plan. Statements with $N parameters are rejected here —
-// they need Prepare, which binds them.
+// Texts consult the engine's plan cache keyed on the normalized statement
+// text: a validated hit on a single SELECT or CREATE TABLE AS skips both
+// parse and plan. Otherwise the text is prepared with zero parameters and
+// runs through the executor prepared statements use. Statements with $N
+// parameters are rejected here — they need Prepare, which binds them.
 func (s *Session) Exec(src string) (int64, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return 0, err
-	}
-	if err := rejectParams(toks); err != nil {
-		return 0, err
-	}
-	norm := normalizeTokens(toks)
-	if t, ok := s.lookupTemplate(s.ns, norm, nil); ok {
-		return s.execTemplate(t)
-	}
-	s.c.NoteParse()
-	stmts, err := parseTokens(toks)
-	if err != nil {
-		return 0, err
-	}
-	if len(stmts) == 0 {
-		return 0, fmt.Errorf("sql: empty statement")
-	}
-	if len(stmts) == 1 {
-		if n, done, err := s.execStmtCaching(stmts[0], norm); done {
-			return n, err
-		}
-	}
-	var n int64
-	for _, st := range stmts {
-		n, err = s.ExecStmt(st)
-		if err != nil {
-			return 0, err
-		}
-	}
-	return n, nil
+	n, _, _, err := s.runText(src, false)
+	return n, err
 }
 
-// rejectParams fails unprepared execution of parameterised statements.
-func rejectParams(toks []token) error {
-	for _, t := range toks {
-		if t.kind == tokParam {
-			return fmt.Errorf("sql: statement has parameter $%s; use Prepare", t.text)
-		}
-	}
-	return nil
-}
-
-// execStmtCaching executes a cache-eligible single statement, building and
-// caching its plan template. done=false means the statement is not
-// eligible (DDL, INSERT, FROM-less SELECT) and the caller should run it
-// through the ordinary path without touching the cache counters.
-func (s *Session) execStmtCaching(st Statement, norm string) (n int64, done bool, err error) {
-	var sel *SelectStmt
-	var isCTAS bool
-	var target, distBy string
-	switch st := st.(type) {
-	case *SelectQuery:
-		sel = st.Select
-	case *CreateTableAs:
-		sel, isCTAS, target, distBy = st.Select, true, st.Name, st.DistBy
-	default:
-		return 0, false, nil
-	}
-	if selectHasConstBlock(sel) {
-		return 0, false, nil
-	}
-	s.c.NotePlanCacheMiss()
-	t, err := s.buildTemplate(s.ns, norm, sel, isCTAS, target, distBy, nil)
-	if err != nil {
-		return 0, true, err
-	}
-	n, err = s.execTemplate(t)
-	return n, true, err
-}
-
-// execTemplate runs a parameter-free cached template.
-func (s *Session) execTemplate(t *planTemplate) (int64, error) {
-	plan, err := s.instantiate(t, nil)
-	if err != nil {
-		return 0, err
-	}
-	if t.isCTAS {
-		return s.c.CreateTableAsCtx(s.context(), s.tempName(t.target), plan, t.distKey)
-	}
-	_, rows, err := s.c.QueryCtx(s.context(), plan)
-	if err != nil {
-		return 0, err
-	}
-	return int64(len(rows)), nil
+// Query parses and executes a single SELECT, returning its schema and
+// rows. Like Exec it consults the plan cache on the normalized statement
+// text before paying for a parse.
+func (s *Session) Query(src string) (engine.Schema, []engine.Row, error) {
+	_, names, rows, err := s.runText(src, true)
+	return names, rows, err
 }
 
 // Execf is Exec with fmt.Sprintf-style formatting, matching how the
@@ -223,23 +148,47 @@ func (s *Session) Execf(format string, args ...any) (int64, error) {
 	return s.Exec(fmt.Sprintf(format, args...))
 }
 
-// ExecStmt executes one parsed statement.
-func (s *Session) ExecStmt(st Statement) (int64, error) {
-	switch st := st.(type) {
-	case *CreateTableAs:
-		plan, names, err := PlanSelectResolved(s.c, st.Select, s.resolver())
-		if err != nil {
-			return 0, err
-		}
-		distKey := engine.NoDistKey
-		if st.DistBy != "" {
-			distKey = names.ColIndex(st.DistBy)
-			if distKey < 0 {
-				return 0, fmt.Errorf("sql: DISTRIBUTED BY column %q is not in the select list %v", st.DistBy, names)
-			}
-		}
-		return s.c.CreateTableAsCtx(s.context(), s.tempName(st.Name), renameOutput(plan, names), distKey)
+// Queryf is Query with fmt.Sprintf-style formatting.
+func (s *Session) Queryf(format string, args ...any) (engine.Schema, []engine.Row, error) {
+	return s.Query(fmt.Sprintf(format, args...))
+}
 
+// runText executes unparameterised statement text; query demands a single
+// SELECT. The statement kind is checked before any counter moves.
+func (s *Session) runText(src string, query bool) (int64, engine.Schema, []engine.Row, error) {
+	toks, err := lex(src)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	for _, t := range toks {
+		if t.kind == tokParam {
+			return 0, nil, nil, fmt.Errorf("sql: statement has parameter $%s; use Prepare", t.text)
+		}
+	}
+	norm := normalizeTokens(toks)
+	if t, ok := s.lookupTemplate(s.ns, norm, nil); ok {
+		if query && t.isCTAS {
+			return 0, nil, nil, errNotQuery
+		}
+		s.c.NotePlanCacheHit()
+		return s.runTemplate(t, nil)
+	}
+	p, err := s.prepareTokens(src, toks, norm)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if query && !p.IsQuery() {
+		return 0, nil, nil, errNotQuery
+	}
+	return s.execute(p, nil)
+}
+
+// execStmt executes one statement that runs without a plan template —
+// DDL, INSERT, DELETE and EXPLAIN — with args bound: table names come
+// from the table parameters, and value parameters bind into the
+// expressions and plans the statement compiles.
+func (s *Session) execStmt(st Statement, args []Arg) (int64, error) {
+	switch st := st.(type) {
 	case *CreateTablePlain:
 		distKey := engine.NoDistKey
 		if st.DistBy != "" {
@@ -248,53 +197,45 @@ func (s *Session) ExecStmt(st Statement) (int64, error) {
 				return 0, fmt.Errorf("sql: DISTRIBUTED BY column %q is not among the columns %v", st.DistBy, st.Cols)
 			}
 		}
-		_, err := s.c.CreateTable(s.tempName(st.Name), engine.Schema(st.Cols), distKey)
+		_, err := s.c.CreateTable(s.tempName(tableArg(st.Name, st.NameParam, args)), engine.Schema(st.Cols), distKey)
 		return 0, err
 
 	case *ExplainStmt:
 		// EXPLAIN is answered through Explain; executing it directly just
 		// validates that the query plans. EXPLAIN ANALYZE does execute,
 		// reporting the produced row count like any query.
-		plan, _, err := PlanSelectResolved(s.c, st.Select, s.resolver())
-		if err != nil {
-			return 0, err
-		}
-		if !st.Analyze {
-			return 0, nil
-		}
-		_, rows, err := s.c.QueryCtx(s.context(), plan)
-		if err != nil {
-			return 0, err
-		}
-		return int64(len(rows)), nil
+		_, n, err := s.explainSelect(st.Select, st.Analyze, args)
+		return n, err
 
 	case *DropTable:
-		for _, n := range st.Names {
-			if err := s.c.DropTable(s.Resolve(n)); err != nil {
+		for i, n := range st.Names {
+			if err := s.c.DropTable(s.Resolve(tableArg(n, st.NameParams[i], args))); err != nil {
 				return 0, err
 			}
 		}
 		return 0, nil
 
 	case *AlterRename:
-		physOld := s.Resolve(st.Old)
-		physNew := st.New
-		if physOld != st.Old {
+		old := tableArg(st.Old, st.OldParam, args)
+		physOld := s.Resolve(old)
+		physNew := tableArg(st.New, st.NewParam, args)
+		if physOld != old {
 			// A session-temp table stays in the session's namespace.
-			physNew = s.tempName(st.New)
+			physNew = s.tempName(physNew)
 		}
 		return 0, s.c.RenameTable(physOld, physNew)
 
 	case *InsertValues:
-		t, ok := s.c.Table(s.Resolve(st.Name))
+		name := tableArg(st.Name, st.NameParam, args)
+		t, ok := s.c.Table(s.Resolve(name))
 		if !ok {
-			return 0, fmt.Errorf("sql: table %q does not exist", st.Name)
+			return 0, fmt.Errorf("sql: table %q does not exist", name)
 		}
 		rows := make([]engine.Row, len(st.Rows))
 		for i, exprRow := range st.Rows {
 			if len(exprRow) != len(t.Schema) {
 				return 0, fmt.Errorf("sql: INSERT row has %d values, table %q has %d columns",
-					len(exprRow), st.Name, len(t.Schema))
+					len(exprRow), name, len(t.Schema))
 			}
 			row := make(engine.Row, len(exprRow))
 			for j, e := range exprRow {
@@ -302,28 +243,29 @@ func (s *Session) ExecStmt(st Statement) (int64, error) {
 				if err != nil {
 					return 0, err
 				}
-				row[j] = ce.Eval(nil)
+				row[j] = instantiateExpr(ce, args).Eval(nil)
 			}
 			rows[i] = row
 		}
-		if err := s.c.InsertRows(s.Resolve(st.Name), rows); err != nil {
+		if err := s.c.InsertRows(s.Resolve(name), rows); err != nil {
 			return 0, err
 		}
 		return int64(len(rows)), nil
 
 	case *InsertSelect:
-		phys := s.Resolve(st.Name)
+		name := tableArg(st.Name, st.NameParam, args)
+		phys := s.Resolve(name)
 		t, ok := s.c.Table(phys)
 		if !ok {
-			return 0, fmt.Errorf("sql: table %q does not exist", st.Name)
+			return 0, fmt.Errorf("sql: table %q does not exist", name)
 		}
-		plan, names, err := PlanSelectResolved(s.c, st.Select, s.resolver())
+		plan, names, err := s.planBound(st.Select, args)
 		if err != nil {
 			return 0, err
 		}
 		if len(names) != len(t.Schema) {
 			return 0, fmt.Errorf("sql: INSERT SELECT produces %d columns, table %q has %d",
-				len(names), st.Name, len(t.Schema))
+				len(names), name, len(t.Schema))
 		}
 		_, rows, err := s.c.QueryCtx(s.context(), plan)
 		if err != nil {
@@ -335,21 +277,23 @@ func (s *Session) ExecStmt(st Statement) (int64, error) {
 		return int64(len(rows)), nil
 
 	case *DeleteStmt:
-		phys := s.Resolve(st.Name)
+		name := tableArg(st.Name, st.NameParam, args)
+		phys := s.Resolve(name)
 		t, ok := s.c.Table(phys)
 		if !ok {
-			return 0, fmt.Errorf("sql: table %q does not exist", st.Name)
+			return 0, fmt.Errorf("sql: table %q does not exist", name)
 		}
 		keep := func(engine.Row) bool { return false } // no WHERE: delete all
 		if st.Where != nil {
 			sc := make(scope, len(t.Schema))
 			for i, col := range t.Schema {
-				sc[i] = scopeCol{qual: st.Name, name: col}
+				sc[i] = scopeCol{qual: name, name: col}
 			}
 			pred, err := compileScalar(s.c, st.Where, sc)
 			if err != nil {
 				return 0, err
 			}
+			pred = instantiateExpr(pred, args)
 			keep = func(r engine.Row) bool {
 				d := pred.Eval(r)
 				return d.Null || d.Int == 0 // keep rows the filter does not match
@@ -358,80 +302,23 @@ func (s *Session) ExecStmt(st Statement) (int64, error) {
 		return s.c.DeleteRows(phys, keep)
 
 	case *CreateComponentIndex:
-		return 0, s.c.CreateComponentIndex(s.Resolve(st.Table))
+		return 0, s.c.CreateComponentIndex(s.Resolve(tableArg(st.Table, st.TableParam, args)))
 
 	case *DropComponentIndex:
-		return 0, s.c.DropComponentIndex(s.Resolve(st.Table))
-
-	case *SelectQuery:
-		plan, names, err := PlanSelectResolved(s.c, st.Select, s.resolver())
-		if err != nil {
-			return 0, err
-		}
-		_, rows, err := s.c.QueryCtx(s.context(), renameOutput(plan, names))
-		if err != nil {
-			return 0, err
-		}
-		return int64(len(rows)), nil
+		return 0, s.c.DropComponentIndex(s.Resolve(tableArg(st.Table, st.TableParam, args)))
 	}
 	return 0, fmt.Errorf("sql: unsupported statement %T", st)
 }
 
-// Query parses and executes a single SELECT, returning its schema and
-// rows. Like Exec it consults the plan cache on the normalized statement
-// text before paying for a parse.
-func (s *Session) Query(src string) (engine.Schema, []engine.Row, error) {
-	toks, err := lex(src)
+// planBound plans a select for one execution with args bound: table
+// parameters scan their bound tables and value parameters become
+// constants.
+func (s *Session) planBound(sel *SelectStmt, args []Arg) (engine.Plan, engine.Schema, error) {
+	plan, names, err := planSelectParams(s.c, sel, s.resolver(), &planParams{tables: s.resolveTableArgs(args)})
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := rejectParams(toks); err != nil {
-		return nil, nil, err
-	}
-	norm := normalizeTokens(toks)
-	if t, ok := s.lookupTemplate(s.ns, norm, nil); ok && !t.isCTAS {
-		_, rows, err := s.c.QueryCtx(s.context(), t.plan)
-		if err != nil {
-			return nil, nil, err
-		}
-		return t.names, rows, nil
-	}
-	s.c.NoteParse()
-	stmts, err := parseTokens(toks)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(stmts) != 1 {
-		return nil, nil, fmt.Errorf("sql: Query requires a single statement, got %d", len(stmts))
-	}
-	var sel *SelectStmt
-	switch st := stmts[0].(type) {
-	case *SelectQuery:
-		sel = st.Select
-	default:
-		return nil, nil, fmt.Errorf("sql: Query requires a SELECT statement, got %T", st)
-	}
-	if !selectHasConstBlock(sel) {
-		s.c.NotePlanCacheMiss()
-		t, err := s.buildTemplate(s.ns, norm, sel, false, "", "", nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		_, rows, err := s.c.QueryCtx(s.context(), t.plan)
-		if err != nil {
-			return nil, nil, err
-		}
-		return t.names, rows, nil
-	}
-	plan, names, err := PlanSelectResolved(s.c, sel, s.resolver())
-	if err != nil {
-		return nil, nil, err
-	}
-	_, rows, err := s.c.QueryCtx(s.context(), renameOutput(plan, names))
-	if err != nil {
-		return nil, nil, err
-	}
-	return names, rows, nil
+	return instantiatePlan(plan, nil, args), names, nil
 }
 
 // Explain plans a SELECT (or EXPLAIN [ANALYZE] SELECT) statement and
@@ -439,37 +326,54 @@ func (s *Session) Query(src string) (engine.Schema, []engine.Row, error) {
 // EXPLAIN ANALYZE (or ExplainAnalyze) also executes the query and
 // annotates every operator with its measured actual rows, bytes, wall
 // time and per-segment breakdown.
-func (s *Session) Explain(src string) (string, error) {
+func (s *Session) Explain(src string) (string, error) { return s.explainText(src, false) }
+
+// ExplainAnalyze executes a SELECT and returns the annotated operator
+// profile report, regardless of whether the source text carries the
+// EXPLAIN ANALYZE prefix.
+func (s *Session) ExplainAnalyze(src string) (string, error) { return s.explainText(src, true) }
+
+// explainText is the body of Explain and ExplainAnalyze.
+func (s *Session) explainText(src string, analyze bool) (string, error) {
 	s.c.NoteParse()
 	st, err := ParseOne(src)
 	if err != nil {
 		return "", err
 	}
 	var sel *SelectStmt
-	analyze := false
 	switch st := st.(type) {
 	case *ExplainStmt:
-		sel = st.Select
-		analyze = st.Analyze
+		sel, analyze = st.Select, analyze || st.Analyze
 	case *SelectQuery:
 		sel = st.Select
 	case *CreateTableAs:
+		if analyze {
+			return "", fmt.Errorf("sql: EXPLAIN ANALYZE requires a SELECT, got %T", st)
+		}
 		sel = st.Select
 	default:
 		return "", fmt.Errorf("sql: EXPLAIN requires a SELECT, got %T", st)
 	}
-	plan, names, err := PlanSelectResolved(s.c, sel, s.resolver())
+	report, _, err := s.explainSelect(sel, analyze, nil)
+	return report, err
+}
+
+// explainSelect plans a select with args bound and renders its EXPLAIN
+// report; with analyze it also executes the plan, annotates the report
+// with the measured profile and returns the produced row count.
+func (s *Session) explainSelect(sel *SelectStmt, analyze bool, args []Arg) (string, int64, error) {
+	plan, names, err := s.planBound(sel, args)
 	if err != nil {
-		return "", err
+		return "", 0, err
 	}
 	if !analyze {
-		return FormatExplain(plan, names), nil
+		return FormatExplain(plan, names), 0, nil
 	}
 	_, rows, root, err := s.c.QueryAnalyzeCtx(s.context(), renameOutput(plan, names))
 	if err != nil {
-		return "", err
+		return "", 0, err
 	}
-	return FormatExplainAnalyze(root, names, int64(len(rows))) + s.planCacheLine(), nil
+	return FormatExplainAnalyze(root, names, int64(len(rows))) + s.planCacheLine(), int64(len(rows)), nil
 }
 
 // planCacheLine renders the cluster's plan-cache counters for EXPLAIN
@@ -478,40 +382,6 @@ func (s *Session) planCacheLine() string {
 	st := s.c.Stats()
 	return fmt.Sprintf("Plan cache: %d hits, %d misses, %d invalidations, %d entries, %d parses\n",
 		st.PlanCacheHits, st.PlanCacheMisses, st.PlanCacheInvalidations, s.c.PlanCacheLen(), st.Parses)
-}
-
-// ExplainAnalyze executes a SELECT and returns the annotated operator
-// profile report, regardless of whether the source text carries the
-// EXPLAIN ANALYZE prefix.
-func (s *Session) ExplainAnalyze(src string) (string, error) {
-	s.c.NoteParse()
-	st, err := ParseOne(src)
-	if err != nil {
-		return "", err
-	}
-	var sel *SelectStmt
-	switch st := st.(type) {
-	case *ExplainStmt:
-		sel = st.Select
-	case *SelectQuery:
-		sel = st.Select
-	default:
-		return "", fmt.Errorf("sql: EXPLAIN ANALYZE requires a SELECT, got %T", st)
-	}
-	plan, names, err := PlanSelectResolved(s.c, sel, s.resolver())
-	if err != nil {
-		return "", err
-	}
-	_, rows, root, err := s.c.QueryAnalyzeCtx(s.context(), renameOutput(plan, names))
-	if err != nil {
-		return "", err
-	}
-	return FormatExplainAnalyze(root, names, int64(len(rows))) + s.planCacheLine(), nil
-}
-
-// Queryf is Query with fmt.Sprintf-style formatting.
-func (s *Session) Queryf(format string, args ...any) (engine.Schema, []engine.Row, error) {
-	return s.Query(fmt.Sprintf(format, args...))
 }
 
 // renameOutput wraps the plan so the materialised table carries the SELECT

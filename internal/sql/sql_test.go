@@ -93,6 +93,10 @@ func TestConstSelect(t *testing.T) {
 	if rows[0][0].Int != 1 || rows[0][1].Int != -5 || !rows[0][2].Null {
 		t.Fatalf("row %v", rows[0])
 	}
+	// A FROM-less block filters its one row like any other.
+	if _, rows, err := s.Query("select 1 as a where 1 = 0"); err != nil || len(rows) != 0 {
+		t.Fatalf("FROM-less WHERE false: %v, %v", rows, err)
+	}
 }
 
 func TestUnionAllSetup(t *testing.T) {
