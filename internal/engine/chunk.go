@@ -1,13 +1,16 @@
 package engine
 
-// This file is the columnar chunk layer of the execution engine. A Chunk
-// stores one segment's share of an in-flight relation in struct-of-arrays
-// layout: each column is a flat []int64 plus an optional null bitmap,
-// instead of one []Datum allocation per row. The hot operators (join,
-// group-by, distinct, shuffle, sort) run as kernels directly over chunks;
-// rows only exist at the storage boundary (Table.Parts, ReadAll, Query
-// results), where the conversion shims below translate. The public API —
-// Datum, Row, Table, Plan — is unchanged by the columnar representation.
+// This file is the columnar chunk layer of the engine. A Chunk stores rows
+// in struct-of-arrays layout: each column is a flat []int64 plus an
+// optional null bitmap, instead of one []Datum allocation per row. Chunks
+// are both the storage and the execution format: a Table keeps one list of
+// immutable chunks per segment, Scan hands them to the operators (join,
+// group-by, distinct, shuffle, sort), which run as kernels directly over
+// chunks, and CreateTableAs publishes its output chunks as the new table by
+// reference. Rows exist only at the public edge — InsertRows and
+// DeleteRows arguments, Query and ReadAll results — where rowsToChunk and
+// chunkToRows translate. The public API — Datum, Row, Table, Plan — is
+// unchanged by the columnar representation.
 
 // nullBitmap marks the NULL rows of one chunk column, one bit per row. A
 // nil bitmap means the column contains no NULLs, so the common all-valid
@@ -114,8 +117,7 @@ func (ch *Chunk) ensureNulls(c int) nullBitmap {
 	return ch.nulls[c]
 }
 
-// rowsToChunk converts one segment's stored rows into a chunk — the scan
-// shim at the Table boundary.
+// rowsToChunk converts rows into a chunk — the InsertRows and Values edge.
 func rowsToChunk(rows []Row, ncols int) *Chunk {
 	ch := newChunk(ncols, len(rows))
 	for c := 0; c < ncols; c++ {
@@ -132,26 +134,56 @@ func rowsToChunk(rows []Row, ncols int) *Chunk {
 	return ch
 }
 
-// chunkToRows materialises a chunk as rows — the shim at the CreateTableAs
-// and Query boundaries. All rows share one flat Datum backing array (rows
-// are immutable once stored), so the conversion costs two allocations, not
-// one per row. Empty chunks return nil, matching the engine's historical
-// empty-partition representation.
-func chunkToRows(ch *Chunk) []Row {
-	n, w := ch.length, len(ch.cols)
+// chunkToRows materialises chunks of one arity as rows, in order — the
+// Query and ReadAll edge. The result is allocated once at its exact size
+// and all rows share one flat Datum backing array, so the conversion costs
+// two allocations however many chunks it reads. No rows yield nil.
+func chunkToRows(chunks ...*Chunk) []Row {
+	n := 0
+	for _, ch := range chunks {
+		n += ch.length
+	}
 	if n == 0 {
 		return nil
 	}
+	w := len(chunks[0].cols)
 	flat := make([]Datum, n*w)
 	rows := make([]Row, n)
-	for r := 0; r < n; r++ {
-		row := flat[r*w : (r+1)*w : (r+1)*w]
-		for c := 0; c < w; c++ {
-			row[c] = ch.datum(c, r)
+	i := 0
+	for _, ch := range chunks {
+		for r := 0; r < ch.length; r++ {
+			row := flat[i*w : (i+1)*w : (i+1)*w]
+			for c := 0; c < w; c++ {
+				row[c] = ch.datum(c, r)
+			}
+			rows[i] = row
+			i++
 		}
-		rows[r] = row
 	}
 	return rows
+}
+
+// appendChunk returns a stored segment's chunk list with ch appended, as a
+// fresh slice: list itself is never modified, so snapshots sharing it stay
+// valid. The trailing chunks are merged while the last one is at least
+// half the size of the one before it, which keeps sizes roughly geometric:
+// a segment holds O(log rows) chunks, and a row is copied O(log rows)
+// times over the life of the table. ch must not alias pooled scratch
+// memory (chunksFromFlat, getI64).
+func appendChunk(list []*Chunk, ch *Chunk) []*Chunk {
+	i, size := len(list), ch.length
+	for i > 0 && 2*size >= list[i-1].length {
+		i--
+		size += list[i].length
+	}
+	out := make([]*Chunk, i+1)
+	copy(out, list[:i])
+	if i == len(list) {
+		out[i] = ch
+	} else {
+		out[i] = concatChunks(len(ch.cols), append(list[i:len(list):len(list)], ch))
+	}
+	return out
 }
 
 // gatherChunk copies the selected rows, in index order, into a fresh

@@ -269,7 +269,7 @@ func TestInsertRowsRoundRobin(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab, _ := c.Table("t")
-	for seg, part := range tab.Parts {
+	for seg, part := range segmentRows(tab) {
 		n := len(part)
 		if n < 10 || n > 11 { // 42 rows over 4 segments
 			t.Errorf("segment %d holds %d rows, want 10 or 11", seg, n)
@@ -279,14 +279,51 @@ func TestInsertRowsRoundRobin(t *testing.T) {
 	if err := c.InsertRows("t", rows[:6]); err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for seg, part := range tab.Parts {
-		total += len(part)
-		if len(part) == 0 {
-			t.Errorf("segment %d empty after 48 rows", seg)
+	for seg, part := range segmentRows(tab) {
+		if len(part) != 12 {
+			t.Errorf("segment %d holds %d rows after 48, want 12", seg, len(part))
 		}
 	}
-	if total != 48 {
-		t.Fatalf("total rows = %d, want 48", total)
+}
+
+// TestInsertRowsRoundRobinAcrossStatements checks the rotation continues
+// across statements of any size: the cursor is the table's stored row
+// count, so 8·k rows inserted one at a time, or in a mix of batches and
+// single rows, land k on each of 8 segments.
+func TestInsertRowsRoundRobinAcrossStatements(t *testing.T) {
+	const segs, k = 8, 8
+	for _, sizes := range [][]int{
+		repeatInts(1, segs*k),
+		{5, 1, 1, 1, 13, 1, 2, 1, 7, 1, 1, 30}, // 64 rows
+	} {
+		c := NewCluster(Options{Segments: segs})
+		if _, err := c.CreateTable("t", Schema{"v"}, NoDistKey); err != nil {
+			t.Fatal(err)
+		}
+		v := int64(0)
+		for _, n := range sizes {
+			batch := make([]Row, n)
+			for i := range batch {
+				batch[i] = Row{I(v)}
+				v++
+			}
+			if err := c.InsertRows("t", batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tab, _ := c.Table("t")
+		for seg, part := range segmentRows(tab) {
+			if len(part) != k {
+				t.Errorf("batches %v: segment %d holds %d rows, want %d", sizes, seg, len(part), k)
+			}
+		}
 	}
+}
+
+func repeatInts(v, n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
 }

@@ -128,28 +128,49 @@ func (x *ComponentIndex) observe(rows []Row) (touched, merges int64) {
 		if len(r) < 2 || r[0].Null || r[1].Null {
 			continue
 		}
-		v, w := r[0].Int, r[1].Int
-		if x.rebuilding {
-			x.backlog = append(x.backlog, [2]int64{v, w})
-		}
-		rv, rw := x.find(v, &touched), x.find(w, &touched)
-		if rv == rw {
-			continue
-		}
-		// Union by rank; the higher-ranked root survives.
-		if x.rank[rv] < x.rank[rw] {
-			rv, rw = rw, rv
-		} else if x.rank[rv] == x.rank[rw] {
-			x.rank[rv]++
-		}
-		x.parent[rw] = rv
-		touched++
-		merges++
-		x.seq++
-		x.broadcast(IndexEvent{Seq: x.seq, Kind: IndexEventMerge, From: rw, To: rv})
+		x.addEdge(r[0].Int, r[1].Int, &touched, &merges)
 	}
 	x.mu.Unlock()
 	return touched, merges
+}
+
+// observeChunk is observe over a stored chunk, reading its first two
+// columns directly.
+func (x *ComponentIndex) observeChunk(ch *Chunk) (touched, merges int64) {
+	vs, ws := ch.cols[0], ch.cols[1]
+	vn, wn := ch.nulls[0], ch.nulls[1]
+	x.mu.Lock()
+	for r := 0; r < ch.length; r++ {
+		if vn.get(r) || wn.get(r) {
+			continue
+		}
+		x.addEdge(vs[r], ws[r], &touched, &merges)
+	}
+	x.mu.Unlock()
+	return touched, merges
+}
+
+// addEdge folds edge (v, w) into the labelling, broadcasting a merge event
+// if it joins two components. Caller holds x.mu.
+func (x *ComponentIndex) addEdge(v, w int64, touched, merges *int64) {
+	if x.rebuilding {
+		x.backlog = append(x.backlog, [2]int64{v, w})
+	}
+	rv, rw := x.find(v, touched), x.find(w, touched)
+	if rv == rw {
+		return
+	}
+	// Union by rank; the higher-ranked root survives.
+	if x.rank[rv] < x.rank[rw] {
+		rv, rw = rw, rv
+	} else if x.rank[rv] == x.rank[rw] {
+		x.rank[rv]++
+	}
+	x.parent[rw] = rv
+	*touched++
+	*merges++
+	x.seq++
+	x.broadcast(IndexEvent{Seq: x.seq, Kind: IndexEventMerge, From: rw, To: rv})
 }
 
 // broadcast fans an event out to every subscriber, disconnecting any
@@ -304,10 +325,12 @@ func (c *Cluster) CreateComponentIndex(table string) error {
 	// Fold in the rows already stored. Rows inserted concurrently are fed
 	// through the InsertRows hook; re-observing an edge is idempotent.
 	var rows int64
-	for _, p := range t.snapshotParts() {
-		touched, merges := x.observe(p)
-		rows += int64(len(p))
-		c.addIndexCounters(touched, merges, 0)
+	for _, list := range t.snapshotParts() {
+		for _, ch := range list {
+			touched, merges := x.observeChunk(ch)
+			rows += int64(ch.length)
+			c.addIndexCounters(touched, merges, 0)
+		}
 	}
 	c.addTrace(TraceRecord{
 		Kind:   "index",
@@ -425,8 +448,10 @@ func (c *Cluster) rescanLabels(table string) (map[int64]int64, error) {
 		return nil, fmt.Errorf("engine: table %q does not exist", table)
 	}
 	scratch := newComponentIndex(c, table)
-	for _, p := range t.snapshotParts() {
-		scratch.observe(p)
+	for _, list := range t.snapshotParts() {
+		for _, ch := range list {
+			scratch.observeChunk(ch)
+		}
 	}
 	return scratch.Labels(), nil
 }

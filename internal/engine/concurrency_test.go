@@ -138,7 +138,9 @@ func TestConcurrentCreateSameName(t *testing.T) {
 // TestConcurrentReadersAndWriter checks scan snapshot isolation: readers
 // querying a table while a writer appends batches must only ever observe a
 // whole number of batches — a torn batch means a scan saw a partition
-// mid-insert.
+// mid-insert. Every append also merges trailing chunks of the segments it
+// touches (appendChunk), so the readers race those merges too, and half of
+// them read every row back to check no batch is torn or reordered.
 func TestConcurrentReadersAndWriter(t *testing.T) {
 	const (
 		readers   = 6
@@ -154,7 +156,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	stop := make(chan struct{})
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
-		go func() {
+		go func(full bool) {
 			defer wg.Done()
 			prev := int64(0)
 			for {
@@ -164,6 +166,9 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 				default:
 				}
 				n := queryCount(t, c, "feed")
+				if full {
+					n = readBatches(t, c, batchRows)
+				}
 				if n%batchRows != 0 {
 					t.Errorf("reader saw %d rows: torn batch (batch size %d)", n, batchRows)
 					return
@@ -174,7 +179,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 				}
 				prev = n
 			}
-		}()
+		}(r%2 == 1)
 	}
 	for b := 0; b < batches; b++ {
 		batch := make([]Row, batchRows)
@@ -191,6 +196,42 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	if got := queryCount(t, c, "feed"); got != batches*batchRows {
 		t.Fatalf("final count = %d, want %d", got, batches*batchRows)
 	}
+	if got := readBatches(t, c, batchRows); got != batches*batchRows {
+		t.Fatalf("final read = %d rows, want %d", got, batches*batchRows)
+	}
+	// The merges kept each segment's list short.
+	tab, _ := c.Table("feed")
+	for seg, list := range tab.snapshotParts() {
+		if len(list) > 8 {
+			t.Errorf("segment %d holds %d chunks after %d appends, want O(log rows)", seg, len(list), batches)
+		}
+	}
+}
+
+// readBatches reads the feed table of TestConcurrentReadersAndWriter back
+// row by row and checks that it holds whole batches 0..n-1, each batch's
+// rows in insertion order within a segment. It returns the row count.
+func readBatches(t *testing.T, c *Cluster, batchRows int) int64 {
+	t.Helper()
+	tab, _ := c.Table("feed")
+	perBatch := map[int64]int{}
+	for seg, part := range segmentRows(tab) {
+		last := map[int64]int64{}
+		for _, r := range part {
+			b, k := r[0].Int, r[1].Int
+			if prev, ok := last[b]; ok && k <= prev {
+				t.Errorf("segment %d: batch %d row %d after row %d", seg, b, k, prev)
+			}
+			last[b] = k
+			perBatch[b]++
+		}
+	}
+	for b, n := range perBatch {
+		if n != batchRows || b < 0 || b >= int64(len(perBatch)) {
+			t.Errorf("batch %d: %d rows visible of %d (batches seen %d)", b, n, batchRows, len(perBatch))
+		}
+	}
+	return int64(len(perBatch) * batchRows)
 }
 
 // TestWorkerPoolBoundsParallelism verifies that segment tasks never exceed

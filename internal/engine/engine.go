@@ -25,12 +25,14 @@
 //   - c.mu (RWMutex) guards the catalog: the tables map, the UDF registry
 //     and Table.Name. Lookups take the read lock; create/drop/rename take
 //     the write lock. No query execution happens while holding c.mu.
-//   - t.mu (RWMutex, per Table) guards Table.Parts. Scans snapshot the
-//     per-segment slice headers under the read lock; InsertRows replaces
-//     the mutated partitions with freshly allocated slices under the write
-//     lock, so a snapshot taken before an insert never shares a backing
-//     array element with a concurrent append. Rows are immutable once
-//     stored — operators must build new rows, never modify scanned ones.
+//   - t.mu (RWMutex, per Table) guards the table's per-segment chunk
+//     lists. Scans snapshot the list headers under the read lock;
+//     InsertRows and DeleteRows replace a mutated segment's list with a
+//     freshly allocated one under the write lock and never edit a list in
+//     place, so a snapshot taken before a mutation stays valid. Chunks are
+//     immutable once stored — CreateTableAs publishes its operator output
+//     by reference, Scan hands stored chunks to operators without copying,
+//     and operators must build new chunks, never modify their inputs.
 //   - c.statsMu (Mutex) guards the Stats counters, the query log and the
 //     concurrency gauges. It is a leaf lock: nothing else is acquired
 //     while holding it.
@@ -103,25 +105,32 @@ func (s Schema) ColIndex(name string) int {
 const NoDistKey = -1
 
 // Table is a hash-distributed table: rows whose distribution-key column
-// hashes to segment i live in Parts[i]. Parts is guarded by mu; use
-// Cluster.ReadAll (or hold no concurrent writers, as tests do) rather than
-// iterating Parts directly while the cluster is shared.
+// hashes to segment i live in segment i's list of immutable columnar
+// chunks. The lists are copy-on-write (see the package comment); read a
+// table through a plan or Cluster.ReadAll.
 type Table struct {
 	Name    string
 	Schema  Schema
 	DistKey int // column index rows are distributed by, or NoDistKey
-	Parts   [][]Row
 
-	mu sync.RWMutex // guards Parts
+	mu    sync.RWMutex // guards parts
+	parts [][]*Chunk   // per segment, in insertion order; no empty chunks
 }
 
 // Rows returns the total row count across all segments.
 func (t *Table) Rows() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.rowsLocked()
+}
+
+// rowsLocked is Rows for a caller holding t.mu.
+func (t *Table) rowsLocked() int64 {
 	var n int64
-	for _, p := range t.Parts {
-		n += int64(len(p))
+	for _, list := range t.parts {
+		for _, ch := range list {
+			n += int64(ch.length)
+		}
 	}
 	return n
 }
@@ -131,13 +140,13 @@ func (t *Table) Bytes() int64 {
 	return t.Rows() * int64(len(t.Schema)) * DatumSize
 }
 
-// snapshotParts returns a copy of the per-segment slice headers. The rows
-// themselves are shared and immutable; concurrent inserts replace whole
-// partitions, so the snapshot stays a consistent point-in-time view.
-func (t *Table) snapshotParts() [][]Row {
+// snapshotParts returns a copy of the per-segment list headers. Lists and
+// chunks are never modified once published — mutations replace a whole
+// list — so the snapshot stays a consistent point-in-time view.
+func (t *Table) snapshotParts() [][]*Chunk {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return append([][]Row(nil), t.Parts...)
+	return append([][]*Chunk(nil), t.parts...)
 }
 
 // QueryStat records the bookkeeping of one executed query (one
@@ -566,7 +575,7 @@ func (c *Cluster) CreateTable(name string, schema Schema, distKey int) (*Table, 
 	if distKey != NoDistKey && (distKey < 0 || distKey >= len(schema)) {
 		return nil, fmt.Errorf("engine: distribution key %d out of range for %v", distKey, schema)
 	}
-	t := &Table{Name: name, Schema: schema, DistKey: distKey, Parts: make([][]Row, c.segments)}
+	t := &Table{Name: name, Schema: schema, DistKey: distKey, parts: make([][]*Chunk, c.segments)}
 	c.mu.Lock()
 	if _, exists := c.tables[name]; exists {
 		c.mu.Unlock()
@@ -581,9 +590,11 @@ func (c *Cluster) CreateTable(name string, schema Schema, distKey int) (*Table, 
 }
 
 // InsertRows bulk-loads rows into an existing table, distributing them by
-// the table's distribution key, and accounts for the write. Mutated
-// partitions are replaced with freshly allocated slices so concurrent
-// scans keep reading their consistent snapshots.
+// the table's distribution key (round-robin for a NoDistKey table), and
+// accounts for the write. Each touched segment gains one exact-size chunk,
+// appended copy-on-write (appendChunk), so an insert costs O(rows
+// inserted) rather than O(table) and concurrent scans keep reading their
+// consistent snapshots.
 func (c *Cluster) InsertRows(name string, rows []Row) (err error) {
 	defer recoverToError("insert", &err)
 	start := time.Now()
@@ -597,33 +608,35 @@ func (c *Cluster) InsertRows(name string, rows []Row) (err error) {
 		}
 	}
 	t.mu.Lock()
-	// Counting pass: compute each row's segment once, so the per-segment
-	// buffers below are allocated at exact capacity instead of append-grown.
+	// Counting pass: compute each row's segment once, then order the rows
+	// by segment (stably) so each segment's batch converts in one pass.
 	segOf := make([]int32, len(rows))
-	counts := make([]int, c.segments)
-	cursor := len(t.Parts[0]) // round-robin cursor for tables without a distribution key
+	starts := make([]int, c.segments+1)
+	cursor := t.rowsLocked() // round-robin cursor for tables without a distribution key
 	for i, r := range rows {
 		seg := 0
 		if t.DistKey != NoDistKey {
 			seg = c.hashDatum(r[t.DistKey])
 		} else {
-			seg = cursor % c.segments
+			seg = int(cursor % int64(c.segments))
 			cursor++
 		}
 		segOf[i] = int32(seg)
-		counts[seg]++
+		starts[seg+1]++
 	}
-	for seg, n := range counts {
-		if n == 0 {
-			continue
-		}
-		merged := make([]Row, 0, len(t.Parts[seg])+n)
-		merged = append(merged, t.Parts[seg]...)
-		t.Parts[seg] = merged
+	for seg := 0; seg < c.segments; seg++ {
+		starts[seg+1] += starts[seg]
 	}
+	bySeg := make([]Row, len(rows))
+	next := append([]int(nil), starts[:c.segments]...)
 	for i, r := range rows {
-		seg := segOf[i]
-		t.Parts[seg] = append(t.Parts[seg], r)
+		bySeg[next[segOf[i]]] = r
+		next[segOf[i]]++
+	}
+	for seg := 0; seg < c.segments; seg++ {
+		if batch := bySeg[starts[seg]:starts[seg+1]]; len(batch) > 0 {
+			t.parts[seg] = appendChunk(t.parts[seg], rowsToChunk(batch, len(t.Schema)))
+		}
 	}
 	t.mu.Unlock()
 	bytes := int64(len(rows)) * int64(len(t.Schema)) * DatumSize
@@ -644,8 +657,10 @@ func (c *Cluster) InsertRows(name string, rows []Row) (err error) {
 }
 
 // DeleteRows removes the rows of a table for which keep returns false,
-// releasing their space, and returns the number of rows removed. Mutated
-// partitions are replaced with fresh slices so concurrent scans keep their
+// releasing their space, and returns the number of rows removed. keep sees
+// every stored row through one reused buffer, so it must not retain its
+// argument. Only the chunks that lose rows are rewritten, and a changed
+// segment's list is replaced, never edited, so concurrent scans keep their
 // snapshots. A component index on the table goes stale on any removal and
 // is rebuilt before DeleteRows returns (see compidx.go).
 func (c *Cluster) DeleteRows(name string, keep func(Row) bool) (removed int64, err error) {
@@ -655,27 +670,7 @@ func (c *Cluster) DeleteRows(name string, keep func(Row) bool) (removed int64, e
 	if !ok {
 		return 0, fmt.Errorf("engine: table %q does not exist", name)
 	}
-	t.mu.Lock()
-	for seg, part := range t.Parts {
-		n := 0
-		for _, r := range part {
-			if keep(r) {
-				n++
-			}
-		}
-		if n == len(part) {
-			continue
-		}
-		kept := make([]Row, 0, n)
-		for _, r := range part {
-			if keep(r) {
-				kept = append(kept, r)
-			}
-		}
-		removed += int64(len(part) - n)
-		t.Parts[seg] = kept
-	}
-	t.mu.Unlock()
+	removed = t.deleteRows(keep)
 	bytes := removed * int64(len(t.Schema)) * DatumSize
 	c.statsMu.Lock()
 	c.stats.Queries++
@@ -696,6 +691,47 @@ func (c *Cluster) DeleteRows(name string, keep func(Row) bool) (removed int64, e
 		return removed, err
 	}
 	return removed, nil
+}
+
+// deleteRows is DeleteRows' table rewrite: it gathers the kept rows of
+// every chunk that loses any into a fresh chunk, and returns the number of
+// rows removed.
+func (t *Table) deleteRows(keep func(Row) bool) (removed int64) {
+	row := make(Row, len(t.Schema))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for seg, list := range t.parts {
+		var out []*Chunk // non-nil once a chunk of this segment lost rows
+		for i, ch := range list {
+			kp := getI32(ch.length)
+			idx := *kp
+			for r := 0; r < ch.length; r++ {
+				for col := range row {
+					row[col] = ch.datum(col, r)
+				}
+				if keep(row) {
+					idx = append(idx, int32(r))
+				}
+			}
+			if len(idx) < ch.length {
+				if out == nil {
+					out = append(make([]*Chunk, 0, len(list)), list[:i]...)
+				}
+				removed += int64(ch.length - len(idx))
+				if len(idx) > 0 {
+					out = append(out, gatherChunk(ch, idx))
+				}
+			} else if out != nil {
+				out = append(out, ch)
+			}
+			*kp = idx
+			putI32(kp)
+		}
+		if out != nil {
+			t.parts[seg] = out
+		}
+	}
+	return removed
 }
 
 // DropTable removes a table from the catalog. Its space is released
@@ -750,11 +786,11 @@ func (c *Cluster) ReadAll(name string) ([]Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: table %q does not exist", name)
 	}
-	var out []Row
-	for _, p := range t.snapshotParts() {
-		out = append(out, p...)
+	var chunks []*Chunk
+	for _, list := range t.snapshotParts() {
+		chunks = append(chunks, list...)
 	}
-	return out, nil
+	return chunkToRows(chunks...), nil
 }
 
 // accountWrite records a completed write of rows/bytes into the catalog.

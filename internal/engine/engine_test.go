@@ -80,21 +80,42 @@ func TestCreateInsertRead(t *testing.T) {
 	eqRows(t, got, rows)
 }
 
+// segmentRows returns a table's stored rows segment by segment, for tests
+// that check placement.
+func segmentRows(tab *Table) [][]Row {
+	parts := tab.snapshotParts()
+	out := make([][]Row, len(parts))
+	for seg, list := range parts {
+		out[seg] = chunkToRows(list...)
+	}
+	return out
+}
+
 func TestDistributionInvariant(t *testing.T) {
-	// Every row must live on the segment its distribution key hashes to.
+	// Every row must live on the segment its distribution key hashes to;
+	// NULL keys live on segment 0.
 	c := newTestCluster(t, 5)
 	var rows []Row
 	for i := int64(0); i < 1000; i++ {
-		rows = append(rows, Row{I(i), I(i * 7)})
+		key := I(i)
+		if i%50 == 0 {
+			key = NullDatum
+		}
+		rows = append(rows, Row{key, I(i * 7)})
 	}
 	mustCreate(t, c, "e", Schema{"v", "w"}, 0, rows)
 	tab, _ := c.Table("e")
-	for seg, part := range tab.Parts {
+	total := 0
+	for seg, part := range segmentRows(tab) {
+		total += len(part)
 		for _, row := range part {
 			if want := c.hashDatum(row[0]); want != seg {
 				t.Fatalf("row %v on segment %d, want %d", row, seg, want)
 			}
 		}
+	}
+	if total != len(rows) {
+		t.Fatalf("table holds %d rows, want %d", total, len(rows))
 	}
 }
 

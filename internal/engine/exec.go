@@ -11,9 +11,9 @@ import (
 )
 
 // relation is an in-flight distributed intermediate result: one columnar
-// chunk per segment. Rows exist only at the storage boundary — Scan
-// converts stored rows into chunks and CreateTableAs/Query convert back —
-// so every operator between the boundaries runs on flat column arrays.
+// chunk per segment. Scan reads a table's stored chunks, CreateTableAs
+// stores a relation's chunks as they are, and only Query converts them to
+// rows, so every operator runs on flat column arrays.
 type relation struct {
 	schema  Schema
 	parts   []*Chunk
@@ -60,19 +60,23 @@ func (c *Cluster) CreateTableAsCtx(ctx context.Context, name string, p Plan, dis
 			return 0, err
 		}
 	}
-	parts := make([][]Row, c.segments)
-	err = e.parallel(func(seg int) error {
-		parts[seg] = chunkToRows(rel.parts[seg])
-		return nil
-	})
-	if err != nil {
-		return 0, err
+	// Publish the output chunks by reference: chunks are immutable, and no
+	// operator output aliases pooled scratch memory (the shuffle copies out
+	// of its pooled buckets). One backing array holds every segment's
+	// one-chunk list; appendChunk never appends in place.
+	parts := make([][]*Chunk, c.segments)
+	lists := make([]*Chunk, c.segments)
+	for seg, ch := range rel.parts {
+		if ch.length > 0 {
+			lists[seg] = ch
+			parts[seg] = lists[seg : seg+1 : seg+1]
+		}
 	}
-	// The placement shuffle and row conversion ran after the plan's root
-	// operator finished; fold their fault counters into the root node so
-	// the trace accounts for every retry of the statement.
+	// The placement shuffle ran after the plan's root operator finished;
+	// fold its fault counters into the root node so the trace accounts for
+	// every retry of the statement.
 	e.drainFaultCounters(root)
-	t := &Table{Name: name, Schema: rel.schema, DistKey: distKey, Parts: parts}
+	t := &Table{Name: name, Schema: rel.schema, DistKey: distKey, parts: parts}
 	c.mu.Lock()
 	if _, exists := c.tables[name]; exists {
 		c.mu.Unlock()
@@ -133,10 +137,7 @@ func (c *Cluster) QueryAnalyzeCtx(ctx context.Context, p Plan) (_ Schema, _ []Ro
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var out []Row
-	for _, part := range rel.parts {
-		out = append(out, chunkToRows(part)...)
-	}
+	out := chunkToRows(rel.parts...)
 	c.statsMu.Lock()
 	c.stats.Queries++
 	c.statsMu.Unlock()
@@ -232,14 +233,33 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 		if !ok {
 			return nil, nil, fmt.Errorf("engine: table %q does not exist", p.Table)
 		}
+		// A segment holding one stored chunk hands it out by reference;
+		// only segments that inserts left in several chunks are
+		// concatenated, on the worker pool.
 		stored := t.snapshotParts()
+		ncols := len(t.Schema)
 		parts := make([]*Chunk, c.segments)
-		err := e.parallel(func(seg int) error {
-			parts[seg] = rowsToChunk(stored[seg], len(t.Schema))
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
+		concat := false
+		for seg, list := range stored {
+			switch len(list) {
+			case 0:
+				parts[seg] = newChunk(ncols, 0)
+			case 1:
+				parts[seg] = list[0]
+			default:
+				concat = true
+			}
+		}
+		if concat {
+			err := e.parallel(func(seg int) error {
+				if len(stored[seg]) > 1 {
+					parts[seg] = concatChunks(ncols, stored[seg])
+				}
+				return nil
+			})
+			if err != nil {
+				return nil, nil, err
+			}
 		}
 		rel := &relation{schema: t.Schema, parts: parts, distKey: t.DistKey}
 		return rel, e.finishOp("Scan", p.Table, rel, nil, 0, nil, start), nil

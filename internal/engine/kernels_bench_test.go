@@ -344,6 +344,60 @@ func BenchmarkKernelRCRound(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelScanCTAS measures CreateTableAs(Scan(t)) on t's own
+// distribution key, a table → table round trip with no shuffle. Scan
+// hands out the stored chunks and CreateTableAs publishes them by
+// reference, so the work is O(segments), not O(rows): the CI gate holds
+// allocs/op to the same absolute figure at both sizes.
+func BenchmarkKernelScanCTAS(b *testing.B) {
+	for _, n := range []int{1 << 12, 1 << 16} {
+		c := NewCluster(Options{Segments: 8})
+		mustCreateBench(b, c, "t", Schema{"k", "x"}, 0, benchRows(n))
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.CreateTableAs("out", Scan("t"), 0); err != nil {
+					b.Fatal(err)
+				}
+				if err := c.DropTable("out"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkKernelInsertAppend measures a 256-row InsertRows into a table of
+// 64k rows against one of 1k rows. An insert appends one chunk per touched
+// segment instead of copying the segment, so both cost about the same; the
+// CI gate holds the large/small ns/op ratio under 2.
+func BenchmarkKernelInsertAppend(b *testing.B) {
+	const batch, restart = 256, 16
+	rows := benchRows(batch)
+	for _, n := range []int{1 << 10, 1 << 16} {
+		c := NewCluster(Options{Segments: 8})
+		mustCreateBench(b, c, "base", Schema{"k", "x"}, 0, benchRows(n))
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%restart == 0 {
+					// Restart from the base table so the table stays near its
+					// nominal size; the same-key copy shares the base's chunks.
+					b.StopTimer()
+					c.DropTable("t") // absent on the first pass
+					if _, err := c.CreateTableAs("t", Scan("base"), 0); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if err := c.InsertRows("t", rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func mustCreateBench(b *testing.B, c *Cluster, name string, schema Schema, distKey int, rows []Row) {
 	b.Helper()
 	if _, err := c.CreateTable(name, schema, distKey); err != nil {

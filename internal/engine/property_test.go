@@ -159,7 +159,7 @@ func TestRedistributePreservesRows(t *testing.T) {
 	}
 	tab, _ := c.Table("t2")
 	var total int
-	for seg, part := range tab.Parts {
+	for seg, part := range segmentRows(tab) {
 		total += len(part)
 		for _, row := range part {
 			if want := c.hashDatum(row[1]); want != seg {

@@ -635,13 +635,9 @@ func TestPreparedValueResultsMatchText(t *testing.T) {
 				}
 				o.rows = canonRows(rows)
 				if tc.table != "" {
-					tbl, ok := s.Cluster().Table(tc.table)
-					if !ok {
-						t.Fatalf("prepared=%v: table %q missing", prepared, tc.table)
-					}
-					var all []engine.Row
-					for _, part := range tbl.Parts {
-						all = append(all, part...)
+					all, err := s.Cluster().ReadAll(tc.table)
+					if err != nil {
+						t.Fatalf("prepared=%v: %v", prepared, err)
 					}
 					o.table = canonRows(all)
 				}
