@@ -295,14 +295,22 @@ func (b *chunkBuilder) appendCol(c int, v int64, null bool) {
 }
 
 // appendGroupRow starts a new group from row r of a partial-layout chunk:
-// the nk key columns are copied and every aggregate slot starts NULL,
-// mirroring the row engine's fresh aggState.
-func (b *chunkBuilder) appendGroupRow(in *Chunk, r, nk, naggs int) {
+// the nk key columns are copied and every aggregate slot holds row r's
+// partial merged into an empty (NULL) state — what mergeAgg would leave,
+// without creating a null bitmap for a state that is not NULL.
+func (b *chunkBuilder) appendGroupRow(in *Chunk, r, nk int, aggs []Agg) {
 	for c := 0; c < nk; c++ {
 		b.appendCol(c, in.cols[c][r], in.nulls[c].get(r))
 	}
-	for c := nk; c < nk+naggs; c++ {
-		b.appendCol(c, 0, true)
+	for i, a := range aggs {
+		c := nk + i
+		v, null := in.cols[c][r], in.nulls[c].get(r)
+		if a.Op == AggCount {
+			null = false // COUNT adds the partial payload to an empty state
+		} else if null {
+			v = 0
+		}
+		b.appendCol(c, v, null)
 	}
 	b.n++
 }
@@ -357,7 +365,24 @@ func (b *chunkBuilder) setAgg(c int, g int32, v int64) {
 	}
 }
 
-// finish seals the builder into a chunk.
+// finish seals the builder into a chunk. A bitmap whose bits were all
+// cleared again (aggregate states that started NULL) is dropped, keeping
+// the invariant that a nil bitmap is the only form of "no NULLs".
 func (b *chunkBuilder) finish() *Chunk {
+	for c, nb := range b.nulls {
+		if nb != nil && allClear(nb) {
+			b.nulls[c] = nil
+		}
+	}
 	return &Chunk{length: b.n, cols: b.cols, nulls: b.nulls}
+}
+
+// allClear reports whether no bit of nb is set.
+func allClear(nb nullBitmap) bool {
+	for _, w := range nb {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }

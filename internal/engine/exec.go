@@ -636,10 +636,16 @@ func (e *execEnv) execGroupBy(p GroupByPlan, start time.Time) (*relation, *OpMet
 		rel.distKey = 0
 	}
 
+	detail := fmt.Sprintf("keys=%v aggs=%d", p.Keys, len(p.Aggs))
 	if c.profile == ProfileMPP {
 		rel.parts, err = aggregateParts(rel.parts) // map-side combine
 		if err != nil {
 			return nil, nil, err
+		}
+		if rel.distKey == 0 {
+			// Groups were co-located, so the combine was the whole
+			// aggregation: every group is already one row on its segment.
+			return rel, e.finishOp("GroupBy", detail, rel, []*OpMetrics{cm}, 0, segTimes, start), nil
 		}
 	}
 	var moved int64
@@ -659,7 +665,6 @@ func (e *execEnv) execGroupBy(p GroupByPlan, start time.Time) (*relation, *OpMet
 	if err != nil {
 		return nil, nil, err
 	}
-	detail := fmt.Sprintf("keys=%v aggs=%d", p.Keys, len(p.Aggs))
 	return rel, e.finishOp("GroupBy", detail, rel, []*OpMetrics{cm}, moved, segTimes, start), nil
 }
 

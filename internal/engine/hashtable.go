@@ -9,6 +9,19 @@ import "dbcc/internal/xrand"
 // because the engine's hot loops — join build/probe, group-by state
 // lookup, DISTINCT dedup — otherwise spend their time in runtime.mapassign
 // and per-key allocations.
+//
+// Slot bits. A table takes a key's home slot from the HIGH 32 bits of its
+// 64-bit hash (slotOf). The shuffle already spent the low bits: it places
+// a row on segment hash & (segs-1) (segPicker), by the same key hash for
+// joins and group-by and by the same whole-row hash for DISTINCT. Every
+// key a segment receives therefore shares its low log2(segs) hash bits,
+// and a table indexed by them could reach only 1/segs of its slots —
+// linear probing then averages two to three probes per insert at load
+// 1/2 instead of about one.
+//
+// Empty slots read 0: slots store a row or id plus one, so a zeroed slice
+// is an empty table. Slot arrays come from the scratch pools and go back
+// through release when the kernel that built the table returns.
 
 // nextPow2 returns the smallest power of two >= n (and >= 8).
 func nextPow2(n int) int {
@@ -17,6 +30,18 @@ func nextPow2(n int) int {
 		c <<= 1
 	}
 	return c
+}
+
+// slotOf is the home slot of hash h in a table of mask+1 slots: the high
+// half of the hash, which the shuffle's placement did not use.
+func slotOf(h uint64, mask uint32) uint32 { return uint32(h>>32) & mask }
+
+// zeroedI32 returns a pooled box holding n zeroed int32s.
+func zeroedI32(n int) *[]int32 {
+	p := getI32(n)
+	*p = (*p)[:n]
+	clear(*p)
+	return p
 }
 
 // joinTable indexes the build side of a hash join: an open-addressed table
@@ -28,40 +53,47 @@ func nextPow2(n int) int {
 // match order the row engine produced.
 type joinTable struct {
 	keys []int64
-	head []int32 // head[slot] = first build row for keys[slot], -1 if empty
+	head []int32 // head[slot] = first build row for keys[slot] + 1, 0 if empty
 	next []int32 // next[row] = next build row with the same key, -1 at end
 	mask uint32
+
+	kp     *[]int64 // pooled backings of keys, head and next
+	hp, np *[]int32
 }
 
 // newJoinTable sizes a table for n build rows at load factor <= 1/2.
+// Call release once no probe will read it again.
 func newJoinTable(n int) *joinTable {
 	slots := nextPow2(2 * n)
-	t := &joinTable{
-		keys: make([]int64, slots),
-		head: make([]int32, slots),
-		next: make([]int32, n),
-		mask: uint32(slots - 1),
-	}
-	for i := range t.head {
-		t.head[i] = -1
-	}
+	t := &joinTable{kp: getI64(slots), hp: zeroedI32(slots), np: getI32(n), mask: uint32(slots - 1)}
+	// keys and next are only read where head (resp. an inserted row) says
+	// they were written, so their stale pool contents never show.
+	t.keys, t.head, t.next = *t.kp, *t.hp, (*t.np)[:n]
 	return t
+}
+
+// release returns the table's arrays to the scratch pools.
+func (t *joinTable) release() {
+	putI64(t.kp)
+	putI32(t.hp)
+	putI32(t.np)
+	*t = joinTable{}
 }
 
 // insert links build row onto the chain for key.
 func (t *joinTable) insert(key int64, row int32) {
-	s := uint32(xrand.Mix64(uint64(key))) & t.mask
+	s := slotOf(xrand.Mix64(uint64(key)), t.mask)
 	for {
 		h := t.head[s]
-		if h < 0 {
+		if h == 0 {
 			t.keys[s] = key
-			t.head[s] = row
+			t.head[s] = row + 1
 			t.next[row] = -1
 			return
 		}
 		if t.keys[s] == key {
-			t.next[row] = h
-			t.head[s] = row
+			t.next[row] = h - 1
+			t.head[s] = row + 1
 			return
 		}
 		s = (s + 1) & t.mask
@@ -70,14 +102,11 @@ func (t *joinTable) insert(key int64, row int32) {
 
 // lookup returns the first build row matching key, or -1.
 func (t *joinTable) lookup(key int64) int32 {
-	s := uint32(xrand.Mix64(uint64(key))) & t.mask
+	s := slotOf(xrand.Mix64(uint64(key)), t.mask)
 	for {
 		h := t.head[s]
-		if h < 0 {
-			return -1
-		}
-		if t.keys[s] == key {
-			return h
+		if h == 0 || t.keys[s] == key {
+			return h - 1
 		}
 		s = (s + 1) & t.mask
 	}
@@ -90,24 +119,31 @@ func (t *joinTable) lookup(key int64) int32 {
 // one uint64 before falling back to column-wise equality, and growth
 // rehashes from the cache without re-reading any data.
 type groupTable struct {
-	slots  []int32  // dense id per occupied slot, -1 if empty
+	slots  []int32  // id+1 per occupied slot, 0 if empty
 	idHash []uint64 // hash of each admitted id, in id order
 	mask   uint32
-	n      int
+
+	sp *[]int32  // pooled backing of slots
+	hp *[]uint64 // pooled backing of idHash
 }
 
-// newGroupTable sizes a table for about capHint distinct ids.
+// newGroupTable sizes a table for capHint distinct ids; it grows past
+// that. The hash cache starts from whatever capacity its pooled backing
+// has and grows by append, since the number of ids is usually far below
+// the hint. Call release once no probe will read it again.
 func newGroupTable(capHint int) *groupTable {
 	slots := nextPow2(2 * capHint)
-	t := &groupTable{
-		slots:  make([]int32, slots),
-		idHash: make([]uint64, 0, capHint),
-		mask:   uint32(slots - 1),
-	}
-	for i := range t.slots {
-		t.slots[i] = -1
-	}
+	t := &groupTable{sp: zeroedI32(slots), hp: u64Scratch.get(0), mask: uint32(slots - 1)}
+	t.slots, t.idHash = *t.sp, *t.hp
 	return t
+}
+
+// release returns the table's arrays to the scratch pools.
+func (t *groupTable) release() {
+	*t.hp = t.idHash[:0] // keep any capacity append added
+	putI32(t.sp)
+	u64Scratch.put(t.hp)
+	*t = groupTable{}
 }
 
 // insertOrGet returns the id for a row with hash h, admitting a new id
@@ -115,18 +151,17 @@ func newGroupTable(capHint int) *groupTable {
 // caller must record the new id's data before the next insertOrGet call,
 // since later probes may invoke eq against it.
 func (t *groupTable) insertOrGet(h uint64, eq func(id int32) bool) (id int32, found bool) {
-	if 2*(t.n+1) > len(t.slots) {
+	n := len(t.idHash)
+	if 2*(n+1) > len(t.slots) {
 		t.grow()
 	}
-	s := uint32(h) & t.mask
+	s := slotOf(h, t.mask)
 	for {
-		id := t.slots[s]
+		id := t.slots[s] - 1
 		if id < 0 {
-			id = int32(t.n)
-			t.slots[s] = id
+			t.slots[s] = int32(n) + 1
 			t.idHash = append(t.idHash, h)
-			t.n++
-			return id, false
+			return int32(n), false
 		}
 		if t.idHash[id] == h && eq(id) {
 			return id, true
@@ -136,37 +171,56 @@ func (t *groupTable) insertOrGet(h uint64, eq func(id int32) bool) (id int32, fo
 }
 
 // grow doubles the slot array and reinserts every admitted id from the
-// hash cache.
+// hash cache. Kernels size their tables so that only the spill fold, which
+// cannot know its group count up front, ever grows one.
 func (t *groupTable) grow() {
-	slots := make([]int32, 2*len(t.slots))
-	for i := range slots {
-		slots[i] = -1
-	}
+	sp := zeroedI32(2 * len(t.slots))
+	slots := *sp
 	mask := uint32(len(slots) - 1)
 	for id, h := range t.idHash {
-		s := uint32(h) & mask
-		for slots[s] >= 0 {
+		s := slotOf(h, mask)
+		for slots[s] != 0 {
 			s = (s + 1) & mask
 		}
-		slots[s] = int32(id)
+		slots[s] = int32(id) + 1
 	}
-	t.slots = slots
-	t.mask = mask
+	putI32(t.sp)
+	t.sp, t.slots, t.mask = sp, slots, mask
 }
 
-// chunkRowHash mixes columns [lo, hi) of row r into a 64-bit hash, with a
-// fixed perturbation for NULLs (the same construction the whole-row
-// shuffle hash uses, so NULL and zero never collide silently).
-func chunkRowHash(ch *Chunk, lo, hi, r int) uint64 {
-	var h uint64
+// hashBlock is how many rows a kernel hashes per hashRows call. A block of
+// hashes stays in L1 across the column passes, and one pooled block
+// buffer serves a chunk of any length.
+const hashBlock = 1024
+
+// hashRows hashes columns [lo, hi) of the rows of ch from r0 on, as many
+// as fit in buf, and returns the filled prefix of buf: element i is the
+// hash of row r0+i — the hash group-by keys, DISTINCT rows and whole-row
+// shuffle routes are placed and looked up by. It runs a column at a time:
+// one pass per column folds that column into every row's hash,
+// branch-free for a column without NULLs. NULLs mix in a fixed
+// perturbation instead of their payload, so NULL and zero never collide
+// silently.
+func hashRows(ch *Chunk, lo, hi, r0 int, buf []uint64) []uint64 {
+	out := buf[:min(len(buf), ch.length-r0)]
+	clear(out)
 	for c := lo; c < hi; c++ {
-		if ch.nulls[c].get(r) {
-			h = xrand.Mix64(h ^ nullHashSeed)
-		} else {
-			h = xrand.Mix64(h ^ uint64(ch.cols[c][r]))
+		col, nb := ch.cols[c][r0:r0+len(out)], ch.nulls[c]
+		if nb == nil {
+			for i, v := range col {
+				out[i] = xrand.Mix64(out[i] ^ uint64(v))
+			}
+			continue
+		}
+		for i, v := range col {
+			x := uint64(v)
+			if nb.get(r0 + i) {
+				x = nullHashSeed
+			}
+			out[i] = xrand.Mix64(out[i] ^ x)
 		}
 	}
-	return h
+	return out
 }
 
 // nullHashSeed perturbs row hashes for NULL values, matching the historic

@@ -35,9 +35,12 @@ func (p segPicker) of(h uint64) int32 {
 func routeChunk(ch *Chunk, key, segs int, dests []int32) {
 	pick := newSegPicker(segs)
 	if key == NoDistKey {
-		ncols := len(ch.cols)
-		for r := range dests {
-			dests[r] = pick.of(chunkRowHash(ch, 0, ncols, r))
+		hp := u64Scratch.get(hashBlock)
+		defer u64Scratch.put(hp)
+		for r0 := 0; r0 < ch.length; r0 += hashBlock {
+			for i, h := range hashRows(ch, 0, len(ch.cols), r0, *hp) {
+				dests[r0+i] = pick.of(h)
+			}
 		}
 		return
 	}
@@ -211,6 +214,7 @@ func joinChunks(left, right *Chunk, leftKey, rightKey int, kind JoinKind, limit 
 	*lp, *rp = li, ri
 	putI32(lp)
 	putI32(rp)
+	jt.release()
 	if len(blocks) == 1 {
 		return blocks[0]
 	}
@@ -225,10 +229,12 @@ const matchPairBytes = 8
 // column per aggregate) into one row per distinct key, preserving
 // first-seen group order. Lookup is a single hash + open-addressing probe
 // per input row; aggregate state mutates in place in the output builder.
+// The table is sized for every row being its own group, so it never grows.
 func groupChunk(in *Chunk, nk int, aggs []Agg) *Chunk {
 	b := newChunkBuilder(nk+len(aggs), 0)
-	t := newGroupTable(64)
+	t := newGroupTable(in.length)
 	foldChunkInto(b, t, in, nk, aggs)
+	t.release()
 	return b.finish()
 }
 
@@ -237,18 +243,22 @@ func groupChunk(in *Chunk, nk int, aggs []Agg) *Chunk {
 // path (foldPartition) fold a partition's chunks frame by frame into one
 // shared accumulator without materializing their concatenation.
 func foldChunkInto(b *chunkBuilder, t *groupTable, in *Chunk, nk int, aggs []Agg) {
-	na := len(aggs)
-	for r := 0; r < in.length; r++ {
-		h := chunkRowHash(in, 0, nk, r)
-		id, found := t.insertOrGet(h, func(g int32) bool {
-			return builderKeysEqual(b, g, in, r, nk)
-		})
-		if !found {
-			b.appendGroupRow(in, r, nk, na)
-		}
-		for i, a := range aggs {
-			c := nk + i
-			b.mergeAgg(c, id, a.Op, in.cols[c][r], in.nulls[c].get(r))
+	hp := u64Scratch.get(hashBlock)
+	defer u64Scratch.put(hp)
+	for r0 := 0; r0 < in.length; r0 += hashBlock {
+		for i, h := range hashRows(in, 0, nk, r0, *hp) {
+			r := r0 + i
+			id, found := t.insertOrGet(h, func(g int32) bool {
+				return builderKeysEqual(b, g, in, r, nk)
+			})
+			if !found {
+				b.appendGroupRow(in, r, nk, aggs)
+				continue
+			}
+			for j, a := range aggs {
+				c := nk + j
+				b.mergeAgg(c, id, a.Op, in.cols[c][r], in.nulls[c].get(r))
+			}
 		}
 	}
 }
@@ -270,24 +280,30 @@ func builderKeysEqual(b *chunkBuilder, g int32, in *Chunk, r, nk int) bool {
 
 // distinctChunk removes duplicate rows, keeping the first occurrence of
 // each, via one whole-row hash + probe per input row. The survivors are
-// gathered into an exact-capacity output chunk.
+// gathered into an exact-capacity output chunk. Like groupChunk, the table
+// is sized for an input without duplicates.
 func distinctChunk(in *Chunk) *Chunk {
 	ncols := len(in.cols)
-	t := newGroupTable(64)
+	t := newGroupTable(in.length)
 	kp := getI32(in.length)
 	keep := *kp
-	for r := 0; r < in.length; r++ {
-		h := chunkRowHash(in, 0, ncols, r)
-		_, found := t.insertOrGet(h, func(id int32) bool {
-			return chunkRowsEqual(in, int(keep[id]), in, r, 0, ncols)
-		})
-		if !found {
-			keep = append(keep, int32(r))
+	hp := u64Scratch.get(hashBlock)
+	defer u64Scratch.put(hp)
+	for r0 := 0; r0 < in.length; r0 += hashBlock {
+		for i, h := range hashRows(in, 0, ncols, r0, *hp) {
+			r := r0 + i
+			_, found := t.insertOrGet(h, func(id int32) bool {
+				return chunkRowsEqual(in, int(keep[id]), in, r, 0, ncols)
+			})
+			if !found {
+				keep = append(keep, int32(r))
+			}
 		}
 	}
 	out := gatherChunk(in, keep)
 	*kp = keep
 	putI32(kp)
+	t.release()
 	return out
 }
 

@@ -44,6 +44,79 @@ func benchRows(n int) []Row {
 	return rows
 }
 
+// oneSegmentKeys returns the first n non-negative keys that a shuffle over
+// segs segments (a power of two) places on segment seg, i.e. whose
+// Mix64 hash has seg in its low bits. They are what one segment's hash
+// tables see after a redistribution.
+func oneSegmentKeys(n, seg, segs int) []int64 {
+	keys := make([]int64, 0, n)
+	for k := int64(0); len(keys) < n; k++ {
+		if int(xrand.Mix64(uint64(k))&uint64(segs-1)) == seg {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// benchShuffledRows builds n two-column rows as one segment of eight holds
+// them after a shuffle: no NULL keys (the shuffle sends those to segment
+// 0), keys drawn from n/2 values — after a map-side combine a key reaches
+// its segment from only a few sources, so it repeats about twice — and
+// ~10 % NULL values. With onSegment set, key k is replaced by the k-th key
+// the shuffle places on segment 3, so every key shares its low three hash
+// bits with the others; otherwise keys are 0..n/2-1, whose hashes spread
+// over all bits.
+func benchShuffledRows(n int, onSegment bool) []Row {
+	rng := xrand.New(107)
+	var keys []int64
+	if onSegment {
+		keys = oneSegmentKeys(n/2, 3, 8)
+	}
+	rows := make([]Row, n)
+	for i := range rows {
+		k := int64(rng.Uint64n(uint64(n / 2)))
+		if onSegment {
+			k = keys[k]
+		}
+		v := I(int64(rng.Uint64n(1 << 20)))
+		if rng.Uint64n(10) == 0 {
+			v = NullDatum
+		}
+		rows[i] = Row{I(k), v}
+	}
+	return rows
+}
+
+// benchShuffledDistinctRows is benchShuffledRows(n, false) as DISTINCT's
+// whole-row shuffle places it: with onSegment set, the value of each row
+// (its key where the value is NULL, so the NULLs stay) is stepped until
+// the whole-row hash lands on segment 3. Equal rows step equally, so
+// duplicates stay duplicates.
+func benchShuffledDistinctRows(n int, onSegment bool) []Row {
+	rows := benchShuffledRows(n, false)
+	if !onSegment {
+		return rows
+	}
+	for _, r := range rows {
+		c := 1
+		if r[1].Null {
+			c = 0 // keys are never NULL
+		}
+		for referenceRowHash(r)&7 != 3 {
+			r[c] = I(r[c].Int + 1)
+		}
+	}
+	return rows
+}
+
+// shuffledCase names the subcase of benchShuffledRows(n, onSegment).
+func shuffledCase(onSegment bool) string {
+	if onSegment {
+		return "segment"
+	}
+	return "uniform"
+}
+
 // rowJoin replicates the row engine's per-segment hash join (map build +
 // probe with per-row output allocation).
 func rowJoin(left, right []Row, lk, rk int, kind JoinKind) []Row {
@@ -115,6 +188,14 @@ func rowGroupMin(partial []Row) []Row {
 var sinkChunk *Chunk
 var sinkRows []Row
 
+// The "uniform" and "segment" subcases of the join, group-by and distinct
+// benchmarks run the kernel on what one segment holds after a shuffle
+// (benchShuffledRows, benchShuffledDistinctRows), once with keys whose
+// hashes spread over all bits and once with keys the shuffle placed on
+// one segment of eight. The CI gate holds segment within 15 % of uniform:
+// a hash table that took its slots from the hash bits the placement used
+// would reach only an eighth of its slots on a segment.
+
 func BenchmarkKernelJoinProbe(b *testing.B) {
 	for _, n := range []int{1 << 12, 1 << 16} {
 		left, right := benchRows(n), benchRows(n/4)
@@ -129,6 +210,17 @@ func BenchmarkKernelJoinProbe(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sinkRows = rowJoin(left, right, 0, 0, InnerJoin)
+			}
+		})
+	}
+	for _, seg := range []bool{false, true} {
+		const n = 1 << 16
+		lch := rowsToChunk(benchShuffledRows(n, seg), 2)
+		rch := rowsToChunk(benchShuffledRows(n/4, seg), 2)
+		b.Run(fmt.Sprintf("%s/n=%d", shuffledCase(seg), n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkChunk = joinChunks(lch, rch, 0, 0, InnerJoin, math.MaxInt, new(memAcct))
 			}
 		})
 	}
@@ -149,6 +241,16 @@ func BenchmarkKernelGroupByMin(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sinkRows = rowGroupMin(rows)
+			}
+		})
+	}
+	for _, seg := range []bool{false, true} {
+		const n = 1 << 16
+		ch := rowsToChunk(benchShuffledRows(n, seg), 2)
+		b.Run(fmt.Sprintf("%s/n=%d", shuffledCase(seg), n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkChunk = groupChunk(ch, 1, aggs)
 			}
 		})
 	}
@@ -179,6 +281,16 @@ func BenchmarkKernelDistinct(b *testing.B) {
 					keep = append(keep, row)
 				}
 				sinkRows = keep
+			}
+		})
+	}
+	for _, seg := range []bool{false, true} {
+		const n = 1 << 16
+		ch := rowsToChunk(benchShuffledDistinctRows(n, seg), 2)
+		b.Run(fmt.Sprintf("%s/n=%d", shuffledCase(seg), n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkChunk = distinctChunk(ch)
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"dbcc/internal/xrand"
@@ -139,6 +140,18 @@ func TestJoinChunksMatchesReference(t *testing.T) {
 	hotBuild = append(hotBuild, Row{I(8), NullDatum}, Row{NullDatum, I(1)})
 	hotProbe := []Row{{I(7), I(1)}, {I(8), NullDatum}, {NullDatum, I(2)}, {I(7), I(3)}, {I(9), I(4)}, {I(7), NullDatum}}
 	check("hot key", hotProbe, hotBuild, 0, 0)
+	// Keys a shuffle over eight segments places on one segment — they share
+	// their low three hash bits — with NULL keys and repeats on both sides.
+	segKeys := oneSegmentKeys(300, 3, 8)
+	segRows := func(n int) []Row {
+		return seq(n, func(int) Datum {
+			if rng.Uint64n(10) == 0 {
+				return NullDatum
+			}
+			return I(segKeys[rng.Uint64n(uint64(len(segKeys)))])
+		})
+	}
+	check("one segment of 8", segRows(600), segRows(400), 0, 0)
 }
 
 // TestGroupChunkMatchesReference differential-tests the group-by fold
@@ -151,9 +164,9 @@ func TestGroupChunkMatchesReference(t *testing.T) {
 		{Op: AggMax, Arg: Col(1), Name: "mx"},
 		{Op: AggSum, Arg: Col(1), Name: "sm"},
 	}
-	for trial := 0; trial < 40; trial++ {
+	check := func(raw []Row) {
+		t.Helper()
 		// Partial layout: one key column, then one value column per agg.
-		raw := skewedRows(rng, int(rng.Uint64n(250)), 2)
 		partial := make([]Row, len(raw))
 		for i, r := range raw {
 			partial[i] = Row{r[0], r[1], r[1], r[1]}
@@ -190,14 +203,27 @@ func TestGroupChunkMatchesReference(t *testing.T) {
 		}
 		chunkEqualRows(t, groupChunk(rowsToChunk(partial, 4), 1, aggs), want)
 	}
+	for trial := 0; trial < 40; trial++ {
+		check(skewedRows(rng, int(rng.Uint64n(250)), 2))
+	}
+	// Group keys a shuffle over eight segments places on one segment, NULL
+	// keys and NULL values among them.
+	segKeys := oneSegmentKeys(500, 3, 8)
+	raw := skewedRows(rng, 2000, 2)
+	for _, r := range raw {
+		if !r[0].Null {
+			r[0] = I(segKeys[uint64(r[0].Int)%uint64(len(segKeys))])
+		}
+	}
+	check(raw)
 }
 
 // TestDistinctChunkMatchesReference differential-tests the dedup kernel
 // against a map reference, including keep-first order.
 func TestDistinctChunkMatchesReference(t *testing.T) {
 	rng := xrand.New(79)
-	for trial := 0; trial < 40; trial++ {
-		rows := skewedRows(rng, int(rng.Uint64n(300)), 3)
+	check := func(rows []Row) {
+		t.Helper()
 		seen := map[[3]Datum]bool{}
 		var want []Row
 		for _, r := range rows {
@@ -209,10 +235,181 @@ func TestDistinctChunkMatchesReference(t *testing.T) {
 		}
 		chunkEqualRows(t, distinctChunk(rowsToChunk(rows, 3)), want)
 	}
+	for trial := 0; trial < 40; trial++ {
+		check(skewedRows(rng, int(rng.Uint64n(300)), 3))
+	}
+	// Rows DISTINCT's whole-row shuffle over eight segments places on one
+	// segment, NULLs and duplicates among them.
+	var segRows []Row
+	for len(segRows) < 2000 {
+		for _, r := range skewedRows(rng, 100, 3) {
+			if referenceRowHash(r)&7 == 3 {
+				segRows = append(segRows, r)
+			}
+		}
+	}
+	check(segRows)
+}
+
+// TestHashRowsMatchesReference pins hashRows to the row hash's definition:
+// every column range, a NULL in every column position (alone and with
+// others), all-valid columns, and buffers that split the chunk into
+// blocks at arbitrary offsets.
+func TestHashRowsMatchesReference(t *testing.T) {
+	rng := xrand.New(131)
+	const ncols, n = 4, 2*hashBlock + 37
+	rows := make([]Row, n)
+	for i := range rows {
+		row := make(Row, ncols)
+		for c := range row {
+			row[c] = I(int64(rng.Uint64n(1 << 40)))
+		}
+		switch {
+		case i < ncols:
+			row[i] = NullDatum // one NULL, in each position
+		case i < 2*ncols:
+			for c := range row {
+				row[c] = NullDatum // all NULL
+			}
+		case rng.Uint64n(4) == 0:
+			row[rng.Uint64n(ncols)] = NullDatum
+		}
+		rows[i] = row
+	}
+	ch := rowsToChunk(rows, ncols)
+	ch.nulls[ncols-1] = nil // ...and one column with no NULLs at all
+	for i := range rows {
+		if rows[i][ncols-1].Null {
+			rows[i][ncols-1] = I(0)
+		}
+	}
+	for lo := 0; lo <= ncols; lo++ {
+		for hi := lo; hi <= ncols; hi++ {
+			for _, block := range []int{1, 100, hashBlock, n} {
+				buf := make([]uint64, block)
+				for r0 := 0; r0 < n; r0 += block {
+					for i, got := range hashRows(ch, lo, hi, r0, buf) {
+						if want := referenceRowHash(rows[r0+i][lo:hi]); got != want {
+							t.Fatalf("cols [%d,%d) block %d: row %d (%v) hashed to %x, want %x",
+								lo, hi, block, r0+i, rows[r0+i], got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGroupChunkLeavesNoAllClearBitmaps pins the "nil bitmap = no NULLs"
+// invariant on group-by output: aggregate states start from the group's
+// first row instead of a set NULL bit, and a state that was NULL and then
+// got a value leaves no all-clear bitmap behind.
+func TestGroupChunkLeavesNoAllClearBitmaps(t *testing.T) {
+	aggs := []Agg{{Op: AggMin, Arg: Col(1), Name: "mn"}, {Op: AggCount, Name: "n"}}
+	rows := make([]Row, 100)
+	for i := range rows {
+		rows[i] = Row{I(int64(i % 7)), I(int64(i)), I(1)}
+	}
+	out := groupChunk(rowsToChunk(rows, 3), 1, aggs)
+	for c, nb := range out.nulls {
+		if nb != nil {
+			t.Fatalf("no NULL input: column %d of the output has a null bitmap %v", c, nb)
+		}
+	}
+
+	// Group 1 starts NULL and then gets a value; group 2 stays NULL.
+	rows = []Row{{I(1), NullDatum, I(1)}, {I(1), I(5), I(1)}, {I(2), NullDatum, I(1)}, {I(3), I(3), I(1)}}
+	out = groupChunk(rowsToChunk(rows, 3), 1, aggs)
+	chunkEqualRows(t, out, []Row{{I(1), I(5), I(2)}, {I(2), NullDatum, I(1)}, {I(3), I(3), I(1)}})
+	rows[2][1] = I(9)
+	out = groupChunk(rowsToChunk(rows, 3), 1, aggs)
+	if out.nulls[1] != nil {
+		t.Fatalf("every NULL state got a value: min column keeps bitmap %v", out.nulls[1])
+	}
+}
+
+// TestKernelOutputsSurvivePoolReuse runs a join, a group-by and a distinct,
+// then 50 more kernels that take the same pooled hash-table arrays and
+// scratch buffers back out, and asserts the first three outputs are still
+// bit-identical — values, null bitmaps and nil-ness — and equal to a rerun.
+// A pooled array that escaped into an output would be overwritten here.
+func TestKernelOutputsSurvivePoolReuse(t *testing.T) {
+	rng := xrand.New(137)
+	aggs := []Agg{{Op: AggMin, Arg: Col(1), Name: "mn"}, {Op: AggCount, Name: "n"}}
+	partial := func(raw []Row) *Chunk {
+		rows := make([]Row, len(raw))
+		for i, r := range raw {
+			rows[i] = Row{r[0], r[1], I(1)}
+		}
+		return rowsToChunk(rows, 3)
+	}
+	left := rowsToChunk(skewedRows(rng, 3000, 2), 2)
+	right := rowsToChunk(skewedRows(rng, 1500, 2), 2)
+	grouped := partial(skewedRows(rng, 3000, 2))
+	dup := rowsToChunk(skewedRows(rng, 3000, 2), 2)
+	run := func() []*Chunk {
+		return []*Chunk{
+			joinChunks(left, right, 0, 0, LeftOuterJoin, math.MaxInt, new(memAcct)),
+			groupChunk(grouped, 1, aggs),
+			distinctChunk(dup),
+		}
+	}
+	first := run()
+	want := make([]*Chunk, len(first))
+	for i, ch := range first {
+		want[i] = cloneChunk(ch)
+	}
+	for i := 0; i < 50; i++ {
+		ch := rowsToChunk(skewedRows(rng, int(rng.Uint64n(4000)), 2), 2)
+		switch i % 3 {
+		case 0:
+			joinChunks(ch, ch, 0, 1, InnerJoin, math.MaxInt, new(memAcct))
+		case 1:
+			groupChunk(partial(chunkToRows(ch)), 1, aggs)
+		case 2:
+			distinctChunk(ch)
+		}
+	}
+	again := run()
+	for i, name := range []string{"join", "group", "distinct"} {
+		if !chunksIdentical(first[i], want[i]) {
+			t.Fatalf("%s output changed after pooled arrays were reused", name)
+		}
+		if !chunksIdentical(again[i], want[i]) {
+			t.Fatalf("%s output differs on a rerun with recycled pool arrays", name)
+		}
+	}
+}
+
+// cloneChunk deep-copies a chunk, keeping nil bitmaps nil.
+func cloneChunk(ch *Chunk) *Chunk {
+	out := &Chunk{length: ch.length, cols: make([][]int64, len(ch.cols)), nulls: make([]nullBitmap, len(ch.nulls))}
+	for c := range ch.cols {
+		out.cols[c] = append([]int64(nil), ch.cols[c]...)
+		if ch.nulls[c] != nil {
+			out.nulls[c] = append(nullBitmap{}, ch.nulls[c]...)
+		}
+	}
+	return out
+}
+
+// chunksIdentical reports whether two chunks hold the same values and the
+// same null bitmaps, word for word, with nil only where the other is nil.
+func chunksIdentical(a, b *Chunk) bool {
+	if a.length != b.length || len(a.cols) != len(b.cols) {
+		return false
+	}
+	for c := range a.cols {
+		if !slices.Equal(a.cols[c], b.cols[c]) || (a.nulls[c] == nil) != (b.nulls[c] == nil) ||
+			!slices.Equal(a.nulls[c], b.nulls[c]) {
+			return false
+		}
+	}
+	return true
 }
 
 // referenceRowHash recomputes the whole-row shuffle hash from its
-// definition, independently of chunkRowHash.
+// definition, independently of hashRows.
 func referenceRowHash(r Row) uint64 {
 	var h uint64
 	for _, d := range r {

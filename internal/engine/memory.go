@@ -107,7 +107,10 @@ func joinTableBytes(n int) int64 {
 // groupTableBytes is the modelled worst-case size of a groupTable that
 // admits up to n ids: 4-byte slots at load factor <= 1/2 (doubling growth
 // can transiently hold old+new arrays, hence the extra factor) plus the
-// 8-byte hash cache per id.
+// 8-byte hash cache per id. The in-memory folds now size their table for
+// n up front and never grow it; only the spill fold's accumulator grows.
+// The model is kept as it was all the same, so that no spill decision
+// moves with the table's sizing.
 func groupTableBytes(n int) int64 {
 	slots := int64(nextPow2(2 * (n + 1)))
 	return slots*4*2 + int64(n)*8 + 64

@@ -172,6 +172,7 @@ func (e *execEnv) graceJoinPart(seg int, dir, name string, out *chunkBuilder,
 		e.acct.charge(charge)
 		defer e.acct.release(charge)
 		jt := newJoinTable(build.length)
+		defer jt.release()
 		bkeys := build.cols[rk]
 		for i := build.length - 1; i >= 0; i-- {
 			jt.insert(bkeys[i], int32(i))
@@ -282,6 +283,7 @@ func (e *execEnv) blockJoinPart(lpart, rpart *spillPartWriter, out *chunkBuilder
 
 	probeAll := func(block *Chunk) error {
 		jt := newJoinTable(block.length)
+		defer jt.release()
 		bkeys := block.cols[rk]
 		for i := block.length - 1; i >= 0; i-- {
 			jt.insert(bkeys[i], int32(i))
@@ -452,11 +454,16 @@ func (e *execEnv) foldSegment(seg int, in *Chunk, nk int, aggs []Agg, distinct b
 		return nil, err
 	}
 	salt := spillSalt(0)
-	for r := 0; r < in.length; r++ {
-		p := int(xrand.Mix64(chunkRowHash(in, 0, nk, r)^salt) % uint64(fan))
-		if err := ps.appendRowExtra(p, in, r, int64(r)); err != nil {
-			ps.abort()
-			return nil, err
+	hp := u64Scratch.get(hashBlock)
+	defer u64Scratch.put(hp)
+	for r0 := 0; r0 < in.length; r0 += hashBlock {
+		for i, h := range hashRows(in, 0, nk, r0, *hp) {
+			r := r0 + i
+			p := int(xrand.Mix64(h^salt) % uint64(fan))
+			if err := ps.appendRowExtra(p, in, r, int64(r)); err != nil {
+				ps.abort()
+				return nil, err
+			}
 		}
 	}
 	parts, err := ps.finish()
@@ -509,6 +516,8 @@ func (e *execEnv) foldPartition(seg int, dir, name string, part *spillPartWriter
 			ps.abort()
 			return err
 		}
+		hp := u64Scratch.get(hashBlock)
+		defer u64Scratch.put(hp)
 		for {
 			fr, err := sr.next()
 			if err != nil {
@@ -519,12 +528,14 @@ func (e *execEnv) foldPartition(seg int, dir, name string, part *spillPartWriter
 			if fr == nil {
 				break
 			}
-			for r := 0; r < fr.length; r++ {
-				p := int(xrand.Mix64(chunkRowHash(fr, 0, nk, r)^salt) % uint64(fan))
-				if err := ps.appendRow(p, fr, r); err != nil {
-					sr.close()
-					ps.abort()
-					return err
+			for r0 := 0; r0 < fr.length; r0 += hashBlock {
+				for i, h := range hashRows(fr, 0, nk, r0, *hp) {
+					p := int(xrand.Mix64(h^salt) % uint64(fan))
+					if err := ps.appendRow(p, fr, r0+i); err != nil {
+						sr.close()
+						ps.abort()
+						return err
+					}
 				}
 			}
 		}
@@ -550,6 +561,7 @@ func (e *execEnv) foldPartition(seg int, dir, name string, part *spillPartWriter
 	// tracks the accumulator as it grows.
 	b := newChunkBuilder(fcols, 0)
 	t := newGroupTable(64)
+	defer t.release()
 	var charged int64
 	defer func() { e.acct.release(charged) }()
 	sr, err := openSpillReader(part.path)
