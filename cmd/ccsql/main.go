@@ -183,8 +183,8 @@ func meta(db *dbcc.DB, sess *sql.Session, line string, timing *bool, prepared ma
 			s.Queries, s.RowsWritten, float64(s.BytesWritten)/(1<<20),
 			float64(s.LiveBytes)/(1<<20), float64(s.PeakBytes)/(1<<20),
 			float64(s.ShuffleBytes)/(1<<20))
-		if retries, faults, cancelled := db.Cluster().FaultTotals(); retries > 0 || faults > 0 || cancelled > 0 {
-			fmt.Printf("retries=%d faults=%d cancelled=%d\n", retries, faults, cancelled)
+		if s.TaskRetries > 0 || s.TaskFaults > 0 || s.TaskCancelled > 0 {
+			fmt.Printf("retries=%d faults=%d cancelled=%d\n", s.TaskRetries, s.TaskFaults, s.TaskCancelled)
 		}
 		if s.SpilledBytes > 0 || s.PeakWorkBytes > 0 {
 			fmt.Printf("peakWork=%.2fMiB spilled=%.2fMiB spillParts=%d spillPasses=%d\n",

@@ -2,8 +2,10 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"dbcc/internal/ccalg"
 	"dbcc/internal/datagen"
@@ -199,6 +201,36 @@ func TestExperimentsRender(t *testing.T) {
 	SegmentsExperiment(&buf, cfg)
 	if strings.Contains(buf.String(), "error") {
 		t.Fatalf("segments experiment:\n%s", buf.String())
+	}
+}
+
+// TestTransactionExperimentUsesClusterFlags checks A7 builds its
+// clusters from the campaign configuration: a 1ns per-statement deadline
+// must fail every algorithm's run and show up as error lines.
+func TestTransactionExperimentUsesClusterFlags(t *testing.T) {
+	cfg := quickConfig()
+	cfg.QueryTimeout = time.Nanosecond
+	var buf bytes.Buffer
+	TransactionExperiment(&buf, cfg)
+	if got := strings.Count(buf.String(), "error: "); got != len(TableAlgorithms()) {
+		t.Fatalf("want one error line per algorithm under a 1ns timeout, got %d:\n%s", got, buf.String())
+	}
+	if !strings.Contains(buf.String(), context.DeadlineExceeded.Error()) {
+		t.Fatalf("error lines do not name the deadline:\n%s", buf.String())
+	}
+}
+
+// TestConcurrencyExperimentUsesClusterFlags is the E11 counterpart: the
+// shared cluster honours the campaign's per-statement deadline, so the
+// first solo session fails.
+func TestConcurrencyExperimentUsesClusterFlags(t *testing.T) {
+	cfg := quickConfig()
+	cfg.QueryTimeout = time.Nanosecond
+	var buf bytes.Buffer
+	ConcurrencyExperiment(&buf, cfg, 2)
+	if !strings.Contains(buf.String(), "solo session 0: ") ||
+		!strings.Contains(buf.String(), context.DeadlineExceeded.Error()) {
+		t.Fatalf("want a solo-session deadline error under a 1ns timeout:\n%s", buf.String())
 	}
 }
 

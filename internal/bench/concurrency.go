@@ -29,7 +29,7 @@ func ConcurrencyExperiment(w io.Writer, cfg Config, sessions int) {
 		g     *graph.Graph
 	}
 	newCluster := func() (*engine.Cluster, []sessionJob, bool) {
-		c := engine.NewCluster(engine.Options{Segments: cfg.Segments})
+		c := engine.NewCluster(clusterOptions(cfg))
 		ccalg.RegisterUDFs(c)
 		jobs := make([]sessionJob, sessions)
 		for i := range jobs {
@@ -62,6 +62,7 @@ func ConcurrencyExperiment(w io.Writer, cfg Config, sessions int) {
 	if !ok {
 		return
 	}
+	defer c.Close()
 	soloStart := time.Now()
 	for i, j := range jobs {
 		if err := runOne(c, j, cfg.Seed+uint64(i)); err != nil {
@@ -76,6 +77,7 @@ func ConcurrencyExperiment(w io.Writer, cfg Config, sessions int) {
 	if !ok {
 		return
 	}
+	defer c.Close()
 	var wg sync.WaitGroup
 	errs := make([]error, sessions)
 	concStart := time.Now()

@@ -268,34 +268,20 @@ func SegmentsExperiment(w io.Writer, cfg Config) {
 // dropped temporary tables only at commit, peak storage inside a
 // transaction equals the total data written — the metric of Table V, on
 // which Randomised Contraction wins where the instantaneous-peak metric of
-// Table IV favoured Two-Phase.
+// Table IV favoured Two-Phase. One normal run gives both columns: its peak
+// above the input, and its BytesWritten as the in-transaction peak.
 func TransactionExperiment(w io.Writer, cfg Config) {
 	fmt.Fprintln(w, "ABLATION A7 — PEAK SPACE INSIDE A TRANSACTION (Candels40, MiB)")
 	fmt.Fprintf(w, "%-28s %12s %14s\n", "algorithm", "normal peak", "in-transaction")
 	d, _ := DatasetByName("Candels40")
 	g := d.Gen(cfg.Scale, cfg.Seed)
 	for _, alg := range TableAlgorithms() {
-		peaks := make([]float64, 2)
-		ok := true
-		for i, txn := range []bool{false, true} {
-			c := engine.NewCluster(engine.Options{Segments: cfg.Segments, TransactionMode: txn})
-			if err := graph.Load(c, "input", g); err != nil {
-				fmt.Fprintf(w, "%-28s error: %v\n", alg.FullName, err)
-				ok = false
-				break
-			}
-			input := c.Stats().LiveBytes
-			c.ResetStats()
-			if _, err := alg.Run(c, "input", ccalg.Options{Seed: cfg.Seed}); err != nil {
-				fmt.Fprintf(w, "%-28s error: %v\n", alg.FullName, err)
-				ok = false
-				break
-			}
-			peaks[i] = mib(c.Stats().PeakBytes - input)
+		_, m, err := runOnce(g, alg, cfg, 0, cfg.Seed)
+		if err != nil {
+			fmt.Fprintf(w, "%-28s error: %v\n", alg.FullName, err)
+			continue
 		}
-		if ok {
-			fmt.Fprintf(w, "%-28s %12.1f %14.1f\n", alg.FullName, peaks[0], peaks[1])
-		}
+		fmt.Fprintf(w, "%-28s %12.1f %14.1f\n", alg.FullName, mib(m.peak), mib(m.written))
 	}
 }
 

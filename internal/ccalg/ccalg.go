@@ -205,9 +205,7 @@ type run struct {
 	onRound  func(RoundStats)
 	roundLog []RoundStats
 	// Counter snapshot at the start of the current round, for the deltas.
-	q0, w0, b0 int64
-	// Plan-counter snapshot (parses, plan-cache hits and misses).
-	p0, h0, m0 int64
+	round0 engine.Stats
 }
 
 func newRun(c *engine.Cluster, opts Options) *run {
@@ -247,25 +245,23 @@ func (r *run) roundError(alg string, err error) error {
 // beginRound snapshots the cluster counters so endRound can report the
 // round's query count and write volume as deltas.
 func (r *run) beginRound() {
-	r.q0, r.w0, r.b0 = r.c.Counters()
-	r.p0, r.h0, r.m0 = r.c.PlanCounters()
+	r.round0 = r.c.Stats()
 }
 
 // endRound closes the current round: it records the round's statistics in
 // the run log and streams them to the OnRound callback if set.
 func (r *run) endRound(liveVertices, liveEdges int64) {
-	q, w, b := r.c.Counters()
-	p, h, m := r.c.PlanCounters()
+	s, s0 := r.c.Stats(), r.round0
 	rs := RoundStats{
 		Round:        len(r.roundLog) + 1,
 		LiveVertices: liveVertices,
 		LiveEdges:    liveEdges,
-		Queries:      q - r.q0,
-		RowsWritten:  w - r.w0,
-		BytesWritten: b - r.b0,
-		Parses:       p - r.p0,
-		PlanHits:     h - r.h0,
-		PlanMisses:   m - r.m0,
+		Queries:      s.Queries - s0.Queries,
+		RowsWritten:  s.RowsWritten - s0.RowsWritten,
+		BytesWritten: s.BytesWritten - s0.BytesWritten,
+		Parses:       s.Parses - s0.Parses,
+		PlanHits:     s.PlanCacheHits - s0.PlanCacheHits,
+		PlanMisses:   s.PlanCacheMisses - s0.PlanCacheMisses,
 	}
 	r.roundLog = append(r.roundLog, rs)
 	if r.onRound != nil {

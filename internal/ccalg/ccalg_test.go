@@ -248,3 +248,32 @@ func TestDeterministicAcrossRunsAndSegments(t *testing.T) {
 		}
 	}
 }
+
+// TestLiveBytesMatchesCatalogAfterDrivers runs every registered driver and
+// the planner in turn on one cluster and checks the engine's one
+// accounting rule after each: LiveBytes equals the bytes of the tables
+// left in the catalog, so no driver's temp tables leak space or are
+// released twice.
+func TestLiveBytesMatchesCatalogAfterDrivers(t *testing.T) {
+	g := datagen.RMAT(7, 160, 0.57, 0.19, 0.19, 0.05, 3)
+	c := engine.NewCluster(engine.Options{Segments: 4})
+	defer c.Close()
+	if err := graph.Load(c, "input", g); err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range append(ccalg.Algorithms(), ccalg.AutoInfo()) {
+		res, err := info.Run(c, "input", ccalg.Options{Seed: 5})
+		if err != nil {
+			t.Fatalf("%s: %v", info.Name, err)
+		}
+		conformance.CheckCorrect(t, g, res)
+		var sum int64
+		for _, name := range c.TableNames() {
+			tab, _ := c.Table(name)
+			sum += tab.Bytes()
+		}
+		if live := c.Stats().LiveBytes; live != sum {
+			t.Fatalf("after %s: LiveBytes = %d, catalog holds %d bytes (%v)", info.Name, live, sum, c.TableNames())
+		}
+	}
+}

@@ -33,7 +33,7 @@
 //     immutable once stored — CreateTableAs publishes its operator output
 //     by reference, Scan hands stored chunks to operators without copying,
 //     and operators must build new chunks, never modify their inputs.
-//   - c.statsMu (Mutex) guards the Stats counters, the query log and the
+//   - c.statsMu (Mutex) guards the Stats counters, the trace ring and the
 //     concurrency gauges. It is a leaf lock: nothing else is acquired
 //     while holding it.
 //   - Lock order is c.mu before t.mu before c.statsMu; never the reverse.
@@ -149,18 +149,19 @@ func (t *Table) snapshotParts() [][]*Chunk {
 	return append([][]*Chunk(nil), t.parts...)
 }
 
-// QueryStat records the bookkeeping of one executed query (one
-// CreateTableAs, matching the paper's r.log_exec granularity).
-type QueryStat struct {
-	Label       string
-	RowsWritten int64
-	BytesOut    int64
-}
-
-// Stats aggregates the execution counters the paper's Tables IV and V are
-// built from.
+// Stats is the engine's one counter snapshot: the execution counters the
+// paper's Tables IV and V are built from, plus the engine's own gauges.
+// It is fixed-size, so taking one costs the same however long the cluster
+// has run; the trace ring (Trace) is the only per-statement record.
+//
+// One accounting rule governs space: a table's bytes are live from the
+// write that stores them until a DELETE removes them or DROP TABLE drops
+// the table, so between statements LiveBytes equals the sum of
+// Table.Bytes over the catalog. Inside one transaction, where dropped
+// storage is reclaimed only at commit (Sec. VII-B), the peak is the input
+// plus BytesWritten.
 type Stats struct {
-	Queries      int64 // number of CreateTableAs queries executed
+	Queries      int64 // statements executed: CTAS, SELECT, INSERT and DELETE
 	RowsWritten  int64 // total rows written into created tables
 	BytesWritten int64 // total bytes written into created tables (Table V)
 	LiveBytes    int64 // current footprint of all live tables
@@ -171,7 +172,12 @@ type Stats struct {
 	// benchmark harness still reads it; the next benchmark change removes
 	// it.
 	ShuffleSavedBytes int64
-	Log               []QueryStat // per-query log, in execution order
+
+	// Fault-tolerance counters, summed over the operator profiles of every
+	// traced statement (see fault.go).
+	TaskRetries   int64 // segment-task retries
+	TaskFaults    int64 // injected segment faults observed
+	TaskCancelled int64 // segment tasks abandoned by cancellation
 
 	// Memory-bounded execution counters (see memory.go). PeakWorkBytes is
 	// the highest accounted kernel working set of any single statement;
@@ -242,14 +248,6 @@ type Options struct {
 	Workers int
 	// Profile selects the execution environment model.
 	Profile Profile
-	// TransactionMode models running a whole algorithm as one database
-	// transaction (Sec. VII-B): most databases can only reclaim dropped
-	// tables' storage at commit, so dropped tables release their space
-	// from the catalog but not from the live-space accounting. Under this
-	// mode the peak space equals input + total data written — the reason
-	// the paper calls total-written (Table V) "arguably more important"
-	// than instantaneous peak (Table IV).
-	TransactionMode bool
 	// QueryTimeout is the per-statement execution deadline; statements
 	// exceeding it abort with a context.DeadlineExceeded error. 0 means no
 	// deadline. It composes with caller-supplied contexts: whichever
@@ -284,10 +282,9 @@ type Options struct {
 // A Cluster is safe for concurrent use by multiple sessions; see the
 // package comment for the locking discipline.
 type Cluster struct {
-	segments    int
-	workers     int
-	profile     Profile
-	transaction bool
+	segments int
+	workers  int
+	profile  Profile
 
 	queryTimeout   time.Duration
 	injector       *FaultInjector
@@ -310,7 +307,7 @@ type Cluster struct {
 	indexes   map[string]*ComponentIndex
 	rebuilder func(table string) (map[int64]int64, error)
 
-	statsMu  sync.Mutex // guards stats, the concurrency gauges, trace and opTotals
+	statsMu  sync.Mutex // guards stats, the concurrency gauges and trace
 	stats    Stats
 	active   int64
 	peak     int64
@@ -318,7 +315,6 @@ type Cluster struct {
 	trace    []TraceRecord // query-trace ring buffer
 	traceSeq int64         // statements traced since the last reset
 	traceCap int
-	opTotals map[string]OpTotal
 
 	sem chan struct{} // cluster-wide worker-pool slots
 }
@@ -410,7 +406,6 @@ func NewCluster(opts Options) *Cluster {
 		segments:       opts.Segments,
 		workers:        opts.Workers,
 		profile:        opts.Profile,
-		transaction:    opts.TransactionMode,
 		queryTimeout:   opts.QueryTimeout,
 		injector:       opts.FaultInjector,
 		maxTaskRetries: retries,
@@ -422,7 +417,6 @@ func NewCluster(opts Options) *Cluster {
 		indexes:        make(map[string]*ComponentIndex),
 		plans:          newPlanCache(planCacheSize),
 		traceCap:       traceCapacity,
-		opTotals:       make(map[string]OpTotal),
 		sem:            make(chan struct{}, opts.Workers),
 	}
 }
@@ -470,18 +464,17 @@ func (c *Cluster) UDF(name string) (UDF, bool) {
 	return e.fn, ok
 }
 
-// Stats returns a copy of the execution statistics.
+// Stats returns a snapshot of the execution counters.
 func (c *Cluster) Stats() Stats {
 	c.statsMu.Lock()
 	s := c.stats
-	s.Log = append([]QueryStat(nil), c.stats.Log...)
 	c.statsMu.Unlock()
 	s.Parses, s.PlanCacheHits, s.PlanCacheMisses, s.PlanCacheInvalidations = c.plans.counters()
 	return s
 }
 
-// LiveBytes returns the current live table footprint without copying the
-// per-query log (the cheap accessor for per-statement space budgeting).
+// LiveBytes returns the current live table footprint, the one field the
+// per-statement space budget reads.
 func (c *Cluster) LiveBytes() int64 {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
@@ -514,32 +507,21 @@ func (c *Cluster) endStatement() {
 }
 
 // ResetStats clears all counters (keeping live-space accounting consistent
-// with the tables that currently exist), the query-trace ring buffer, the
-// per-operator accumulators and the spill totals (SpilledBytes,
-// SpillPartitions, SpillPasses, PeakWorkBytes), so benchmarks that reset
-// between algorithm runs never leak metrics from one run into the next. The
-// concurrency gauges are not reset. Per-run statistics are only meaningful
-// when runs do not overlap; concurrent sessions share one set of counters.
+// with the tables that currently exist) and the query-trace ring buffer,
+// so benchmarks that reset between algorithm runs never leak metrics from
+// one run into the next. The concurrency gauges are not reset. Per-run
+// statistics are only meaningful when runs do not overlap; concurrent
+// sessions share one set of counters.
 func (c *Cluster) ResetStats() {
 	c.statsMu.Lock()
 	live := c.stats.LiveBytes
 	c.stats = Stats{LiveBytes: live, PeakBytes: live}
 	c.trace = nil
 	c.traceSeq = 0
-	c.opTotals = make(map[string]OpTotal)
 	c.statsMu.Unlock()
 	// Plan-cache counters reset too, but cached plans stay warm: clearing
 	// statistics between benchmark runs must not force replanning.
 	c.plans.resetCounters()
-}
-
-// Counters returns the cheap scalar counters (queries, rows written, bytes
-// written) without copying the per-query log — the accessor round-level
-// instrumentation polls between queries.
-func (c *Cluster) Counters() (queries, rowsWritten, bytesWritten int64) {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	return c.stats.Queries, c.stats.RowsWritten, c.stats.BytesWritten
 }
 
 // hashDatum maps a distribution-key value to a segment.
@@ -640,7 +622,7 @@ func (c *Cluster) InsertRows(name string, rows []Row) (err error) {
 	}
 	t.mu.Unlock()
 	bytes := int64(len(rows)) * int64(len(t.Schema)) * DatumSize
-	c.accountWrite("insert "+name, int64(len(rows)), bytes)
+	c.accountWrite(int64(len(rows)), bytes)
 	c.addTrace(TraceRecord{
 		Kind:    "insert",
 		Target:  name,
@@ -674,10 +656,7 @@ func (c *Cluster) DeleteRows(name string, keep func(Row) bool) (removed int64, e
 	bytes := removed * int64(len(t.Schema)) * DatumSize
 	c.statsMu.Lock()
 	c.stats.Queries++
-	if !c.transaction {
-		c.stats.LiveBytes -= bytes
-	}
-	c.stats.Log = append(c.stats.Log, QueryStat{Label: "delete " + name})
+	c.stats.LiveBytes -= bytes
 	c.statsMu.Unlock()
 	c.addTrace(TraceRecord{
 		Kind:    "delete",
@@ -734,10 +713,7 @@ func (t *Table) deleteRows(keep func(Row) bool) (removed int64) {
 	return removed
 }
 
-// DropTable removes a table from the catalog. Its space is released
-// immediately, except in TransactionMode, where storage for dropped
-// temporary tables stays allocated until the enclosing transaction commits
-// (the rollback-safety behaviour the paper describes in Sec. VII-B).
+// DropTable removes a table from the catalog and releases its space.
 func (c *Cluster) DropTable(name string) error {
 	c.mu.Lock()
 	t, ok := c.tables[name]
@@ -749,12 +725,10 @@ func (c *Cluster) DropTable(name string) error {
 	c.mu.Unlock()
 	c.plans.invalidate(name)
 	c.dropIndexFor(name)
-	if !c.transaction {
-		bytes := t.Bytes()
-		c.statsMu.Lock()
-		c.stats.LiveBytes -= bytes
-		c.statsMu.Unlock()
-	}
+	bytes := t.Bytes()
+	c.statsMu.Lock()
+	c.stats.LiveBytes -= bytes
+	c.statsMu.Unlock()
 	return nil
 }
 
@@ -794,7 +768,7 @@ func (c *Cluster) ReadAll(name string) ([]Row, error) {
 }
 
 // accountWrite records a completed write of rows/bytes into the catalog.
-func (c *Cluster) accountWrite(label string, rows, bytes int64) {
+func (c *Cluster) accountWrite(rows, bytes int64) {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
 	c.stats.Queries++
@@ -804,7 +778,6 @@ func (c *Cluster) accountWrite(label string, rows, bytes int64) {
 	if c.stats.LiveBytes > c.stats.PeakBytes {
 		c.stats.PeakBytes = c.stats.LiveBytes
 	}
-	c.stats.Log = append(c.stats.Log, QueryStat{Label: label, RowsWritten: rows, BytesOut: bytes})
 }
 
 // addShuffleBytes charges redistribution traffic to the statistics.

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"fmt"
 	"sort"
 	"testing"
 )
@@ -368,23 +370,79 @@ func TestGroupByMultipleKeys(t *testing.T) {
 	eqRows(t, rows, want)
 }
 
-func TestStatsQueryLog(t *testing.T) {
+// TestStatsCostIndependentOfHistory pins Stats as a fixed-size snapshot:
+// after thousands of statements without a ResetStats, taking one still
+// allocates nothing (the engine keeps no per-statement log beyond the
+// bounded trace ring).
+func TestStatsCostIndependentOfHistory(t *testing.T) {
 	c := newTestCluster(t, 2)
-	mustCreate(t, c, "t", Schema{"a"}, 0, []Row{{I(1)}})
-	if _, err := c.CreateTableAs("t2", Scan("t"), 0); err != nil {
+	if _, err := c.CreateTable("t", Schema{"a"}, 0); err != nil {
 		t.Fatal(err)
 	}
-	log := c.Stats().Log
-	if len(log) < 2 {
-		t.Fatalf("query log has %d entries", len(log))
+	for i := 0; i < 2000; i++ {
+		if err := c.InsertRows("t", []Row{{I(int64(i))}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	last := log[len(log)-1]
-	if last.Label != "create t2" || last.RowsWritten != 1 {
-		t.Fatalf("last log entry %+v", last)
+	if q := c.Stats().Queries; q != 2000 {
+		t.Fatalf("Queries = %d, want 2000", q)
 	}
-	c.ResetStats()
-	if len(c.Stats().Log) != 0 {
-		t.Fatal("ResetStats kept the log")
+	if allocs := testing.AllocsPerRun(100, func() { _ = c.Stats() }); allocs != 0 {
+		t.Fatalf("Stats() allocates %.1f times after 2000 statements, want 0", allocs)
+	}
+}
+
+// assertLiveBytesMatchCatalog checks the one accounting rule: between
+// statements, LiveBytes is the sum of the catalog's table sizes.
+func assertLiveBytesMatchCatalog(t *testing.T, c *Cluster, after string) {
+	t.Helper()
+	var sum int64
+	for _, name := range c.TableNames() {
+		tab, _ := c.Table(name)
+		sum += tab.Bytes()
+	}
+	if live := c.Stats().LiveBytes; live != sum {
+		t.Fatalf("after %s: LiveBytes = %d, catalog holds %d bytes", after, live, sum)
+	}
+}
+
+func TestLiveBytesMatchesCatalog(t *testing.T) {
+	c := newTestCluster(t, 3)
+	steps := []struct {
+		name string
+		run  func() error
+	}{
+		{"CREATE", func() error { _, err := c.CreateTable("e", Schema{"v", "w"}, 0); return err }},
+		{"INSERT", func() error {
+			return c.InsertRows("e", pairs([2]int64{1, 2}, [2]int64{2, 3}, [2]int64{3, 4}, [2]int64{7, 8}))
+		}},
+		{"CTAS", func() error { _, err := c.CreateTableAs("t1", Scan("e"), 1); return err }},
+		{"cancelled CTAS", func() error {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := c.CreateTableAsCtx(ctx, "t2", Scan("e"), 0); err == nil {
+				return fmt.Errorf("CTAS under a cancelled context succeeded")
+			}
+			return nil
+		}},
+		{"DELETE", func() error {
+			_, err := c.DeleteRows("t1", func(r Row) bool { return r[0].Int != 2 })
+			return err
+		}},
+		{"RENAME", func() error { return c.RenameTable("t1", "t3") }},
+		{"INSERT after RENAME", func() error { return c.InsertRows("t3", pairs([2]int64{9, 9})) }},
+		{"DROP", func() error { return c.DropTable("e") }},
+		{"ResetStats", func() error { c.ResetStats(); return nil }},
+		{"DROP last", func() error { return c.DropTable("t3") }},
+	}
+	for _, st := range steps {
+		if err := st.run(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		assertLiveBytesMatchCatalog(t, c, st.name)
+	}
+	if live := c.Stats().LiveBytes; live != 0 {
+		t.Fatalf("empty catalog holds LiveBytes = %d", live)
 	}
 }
 
@@ -431,32 +489,6 @@ func TestSumAggregateEngine(t *testing.T) {
 	}
 	want := []Row{{I(1), I(15)}, {I(2), NullDatum}}
 	eqRows(t, rows, want)
-}
-
-func TestTransactionModeRetainsDroppedSpace(t *testing.T) {
-	c := NewCluster(Options{Segments: 2, TransactionMode: true})
-	mustCreate(t, c, "e", Schema{"v", "w"}, 0, pairs([2]int64{1, 2}, [2]int64{3, 4}))
-	if _, err := c.CreateTableAs("t1", Scan("e"), 0); err != nil {
-		t.Fatal(err)
-	}
-	liveBefore := c.Stats().LiveBytes
-	if err := c.DropTable("t1"); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().LiveBytes; got != liveBefore {
-		t.Fatalf("transaction mode released space on drop: %d -> %d", liveBefore, got)
-	}
-	if _, ok := c.Table("t1"); ok {
-		t.Fatal("dropped table still in catalog")
-	}
-	// Peak must track cumulative writes: input + both creates.
-	if _, err := c.CreateTableAs("t2", Scan("e"), 0); err != nil {
-		t.Fatal(err)
-	}
-	s := c.Stats()
-	if s.PeakBytes != s.BytesWritten {
-		t.Fatalf("transaction peak %d != total written %d", s.PeakBytes, s.BytesWritten)
-	}
 }
 
 func TestCreateTableAsDuplicate(t *testing.T) {

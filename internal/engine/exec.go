@@ -85,7 +85,7 @@ func (c *Cluster) CreateTableAsCtx(ctx context.Context, name string, p Plan, dis
 	c.tables[name] = t
 	c.mu.Unlock()
 	c.plans.invalidate(name)
-	c.accountWrite("create "+name, t.Rows(), t.Bytes())
+	c.accountWrite(t.Rows(), t.Bytes())
 	c.chargeProfileOverhead()
 	c.addTrace(TraceRecord{
 		Kind:    "create",

@@ -125,7 +125,8 @@ func TestChaosLabelsMatchFaultFree(t *testing.T) {
 			t.Fatalf("%s: fault schedule not deterministic: run1 injected=%d delayed=%d, run2 injected=%d delayed=%d",
 				info.Name, inj1.Injected(), inj1.Delayed(), inj2.Injected(), inj2.Delayed())
 		}
-		retries, faults, _ := c1.FaultTotals()
+		st := c1.Stats()
+		retries, faults := st.TaskRetries, st.TaskFaults
 		if faults != inj1.Injected() {
 			t.Fatalf("%s: cluster counted %d faults, injector produced %d", info.Name, faults, inj1.Injected())
 		}
@@ -286,9 +287,8 @@ func TestExplainAnalyzeShowsRetryCounters(t *testing.T) {
 			t.Fatalf("explain analyze: %v", err)
 		}
 		if strings.Contains(out, "retries=") && strings.Contains(out, "faults=") {
-			retries, faults, _ := c.FaultTotals()
-			if retries == 0 || faults == 0 {
-				t.Fatalf("profile shows counters but cluster totals are retries=%d faults=%d", retries, faults)
+			if st := c.Stats(); st.TaskRetries == 0 || st.TaskFaults == 0 {
+				t.Fatalf("profile shows counters but cluster totals are retries=%d faults=%d", st.TaskRetries, st.TaskFaults)
 			}
 			return
 		}

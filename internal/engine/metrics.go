@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -202,7 +201,7 @@ func fmtDurations(xs []time.Duration) string {
 // paper's r.log_exec driver records.
 type TraceRecord struct {
 	Seq     int64         // statement sequence number (monotonic per cluster)
-	Kind    string        // "create", "select" or "insert"
+	Kind    string        // "create", "select", "insert", "delete" or "index"
 	Target  string        // created/inserted table name ("" for selects)
 	Plan    string        // planned operator tree, as Plan.String()
 	Rows    int64         // rows written (creates/inserts) or returned (selects)
@@ -211,23 +210,6 @@ type TraceRecord struct {
 	Start   time.Time     // wall-clock start of execution
 	Elapsed time.Duration // total execution wall time
 	Root    *OpMetrics    // per-operator profile (nil for plain inserts)
-}
-
-// OpTotal is the cumulative execution profile of one operator kind across
-// all statements since the last ResetStats — the per-operator accumulator
-// behind OpTotals.
-type OpTotal struct {
-	Calls       int64
-	Rows        int64
-	Bytes       int64
-	Shuffle     int64
-	Retries     int64
-	Faults      int64
-	Cancelled   int64
-	Spilled     int64
-	SpillParts  int64
-	SpillPasses int64
-	Elapsed     time.Duration
 }
 
 // traceCapacity is the size of the query-trace ring buffer.
@@ -251,60 +233,8 @@ func (c *Cluster) Trace() []TraceRecord {
 	return out
 }
 
-// OpTotals returns the cumulative per-operator accumulators, keyed by
-// operator name.
-func (c *Cluster) OpTotals() map[string]OpTotal {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	out := make(map[string]OpTotal, len(c.opTotals))
-	for k, v := range c.opTotals {
-		out[k] = v
-	}
-	return out
-}
-
-// FaultTotals sums the retry/fault/cancellation counters over every
-// operator executed since the last ResetStats — the cluster-level
-// fault-tolerance gauges.
-func (c *Cluster) FaultTotals() (retries, faults, cancelled int64) {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	for _, t := range c.opTotals {
-		retries += t.Retries
-		faults += t.Faults
-		cancelled += t.Cancelled
-	}
-	return retries, faults, cancelled
-}
-
-// SpillTotals sums the disk-spill counters over every operator executed
-// since the last ResetStats — the cluster-level memory-bounded-execution
-// gauges (also available on Stats, which additionally survives statements
-// that error before their metrics tree is recorded).
-func (c *Cluster) SpillTotals() (spilledBytes, partitions, passes int64) {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	for _, t := range c.opTotals {
-		spilledBytes += t.Spilled
-		partitions += t.SpillParts
-		passes += t.SpillPasses
-	}
-	return spilledBytes, partitions, passes
-}
-
-// OpNames returns the operator kinds present in OpTotals, sorted.
-func (c *Cluster) OpNames() []string {
-	totals := c.OpTotals()
-	names := make([]string, 0, len(totals))
-	for n := range totals {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// addTrace appends one statement record to the ring buffer and folds its
-// operator profile into the per-operator accumulators.
+// addTrace appends one statement record to the ring buffer and adds its
+// operator profile's fault-tolerance counters to the cluster totals.
 func (c *Cluster) addTrace(rec TraceRecord) {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
@@ -315,29 +245,7 @@ func (c *Cluster) addTrace(rec TraceRecord) {
 		c.trace[int(c.traceSeq)%c.traceCap] = rec
 	}
 	c.traceSeq++
-	c.accumulateOps(rec.Root)
-}
-
-// accumulateOps folds an operator profile tree into opTotals. Caller holds
-// statsMu.
-func (c *Cluster) accumulateOps(m *OpMetrics) {
-	if m == nil {
-		return
-	}
-	t := c.opTotals[m.Op]
-	t.Calls++
-	t.Rows += m.Rows
-	t.Bytes += m.Bytes
-	t.Shuffle += m.Shuffle
-	t.Retries += m.Retries
-	t.Faults += m.Faults
-	t.Cancelled += m.Cancelled
-	t.Spilled += m.Spilled
-	t.SpillParts += m.SpillParts
-	t.SpillPasses += m.SpillPasses
-	t.Elapsed += m.Elapsed
-	c.opTotals[m.Op] = t
-	for _, ch := range m.Children {
-		c.accumulateOps(ch)
-	}
+	c.stats.TaskRetries += rec.Root.TotalRetries()
+	c.stats.TaskFaults += rec.Root.TotalFaults()
+	c.stats.TaskCancelled += rec.Root.TotalCancelled()
 }

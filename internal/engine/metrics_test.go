@@ -141,39 +141,16 @@ func TestTraceRecordKinds(t *testing.T) {
 	}
 }
 
-func TestOpTotals(t *testing.T) {
-	c := newTestCluster(t, 4)
-	loadJoinTables(t, c)
-	analyzeJoinGroupBy(t, c)
-	analyzeJoinGroupBy(t, c)
-	totals := c.OpTotals()
-	if totals["Scan"].Calls != 4 {
-		t.Fatalf("Scan totals %+v, want 4 calls (2 per query)", totals["Scan"])
-	}
-	if totals["HashJoin"].Calls != 2 || totals["HashJoin"].Rows == 0 {
-		t.Fatalf("HashJoin totals %+v, want 2 calls with rows", totals["HashJoin"])
-	}
-	names := c.OpNames()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("OpNames not sorted: %v", names)
-		}
-	}
-}
-
 func TestResetStatsClearsObservability(t *testing.T) {
 	c := newTestCluster(t, 4)
 	loadJoinTables(t, c)
 	analyzeJoinGroupBy(t, c)
-	if len(c.Trace()) == 0 || len(c.OpTotals()) == 0 {
-		t.Fatal("expected trace and op totals before reset")
+	if len(c.Trace()) == 0 {
+		t.Fatal("expected trace records before reset")
 	}
 	c.ResetStats()
 	if recs := c.Trace(); len(recs) != 0 {
 		t.Fatalf("ResetStats left %d trace records", len(recs))
-	}
-	if totals := c.OpTotals(); len(totals) != 0 {
-		t.Fatalf("ResetStats left op totals %v", totals)
 	}
 	// The ring restarts from sequence zero and keeps working.
 	if _, _, err := c.Query(Scan("edges")); err != nil {
@@ -185,18 +162,20 @@ func TestResetStatsClearsObservability(t *testing.T) {
 	}
 }
 
+// TestCountersAccessor checks the per-statement deltas of two Stats
+// snapshots, the subtraction ccalg's round log is built from.
 func TestCountersAccessor(t *testing.T) {
 	c := newTestCluster(t, 2)
 	mustCreate(t, c, "tt", Schema{"a", "b"}, 0, pairs([2]int64{1, 2}, [2]int64{3, 4}))
-	q0, w0, b0 := c.Counters()
+	s0 := c.Stats()
 	if _, err := c.CreateTableAs("tt2", Scan("tt"), 0); err != nil {
 		t.Fatal(err)
 	}
-	q1, w1, b1 := c.Counters()
-	if q1-q0 != 1 {
-		t.Fatalf("query delta %d, want 1", q1-q0)
+	s1 := c.Stats()
+	if q := s1.Queries - s0.Queries; q != 1 {
+		t.Fatalf("query delta %d, want 1", q)
 	}
-	if w1-w0 != 2 || b1-b0 != 2*2*DatumSize {
-		t.Fatalf("write deltas rows=%d bytes=%d, want 2 rows, %d bytes", w1-w0, b1-b0, 2*2*DatumSize)
+	if w, b := s1.RowsWritten-s0.RowsWritten, s1.BytesWritten-s0.BytesWritten; w != 2 || b != 2*2*DatumSize {
+		t.Fatalf("write deltas rows=%d bytes=%d, want 2 rows, %d bytes", w, b, 2*2*DatumSize)
 	}
 }

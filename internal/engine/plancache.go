@@ -229,10 +229,3 @@ func (c *Cluster) NotePlanCacheHit() { c.plans.noteHit() }
 
 // NotePlanCacheMiss counts one cache miss (including validation failures).
 func (c *Cluster) NotePlanCacheMiss() { c.plans.noteMiss() }
-
-// PlanCounters returns the cumulative parse and plan-cache counters, the
-// cheap accessor round-level instrumentation polls between queries.
-func (c *Cluster) PlanCounters() (parses, hits, misses int64) {
-	parses, hits, misses, _ = c.plans.counters()
-	return parses, hits, misses
-}

@@ -107,9 +107,8 @@ func TestPlanCacheCounters(t *testing.T) {
 	defer c.Close()
 	c.PlanCachePut("ns_", "select x", 1, nil)
 	c.PlanCacheGet("ns_", "select x") // get alone moves nothing
-	parses, hits, misses := c.PlanCounters()
-	if parses != 0 || hits != 0 || misses != 0 {
-		t.Fatalf("counters moved without Note calls: %d/%d/%d", parses, hits, misses)
+	if st := c.Stats(); st.Parses != 0 || st.PlanCacheHits != 0 || st.PlanCacheMisses != 0 {
+		t.Fatalf("counters moved without Note calls: %d/%d/%d", st.Parses, st.PlanCacheHits, st.PlanCacheMisses)
 	}
 	c.NoteParse()
 	c.NotePlanCacheHit()

@@ -88,9 +88,6 @@ func TestSpillJoinMatchesInMemory(t *testing.T) {
 		p := JoinPlan{Left: Scan("t"), Right: Scan("t"), LeftKey: 0, RightKey: 0, Kind: kind}
 		runBoth(t, mem, spill, p)
 	}
-	if b, _, _ := spill.SpillTotals(); b == 0 {
-		t.Fatal("SpillTotals reports no spilled bytes")
-	}
 	if s := spill.Stats(); s.SpilledBytes == 0 || s.PeakWorkBytes == 0 {
 		t.Fatalf("Stats missing spill activity: %+v", s)
 	}
@@ -219,9 +216,6 @@ func TestResetStatsClearsSpillTotals(t *testing.T) {
 	if s.SpilledBytes != 0 || s.SpillPartitions != 0 || s.SpillPasses != 0 || s.PeakWorkBytes != 0 {
 		t.Fatalf("ResetStats left spill totals: %+v", s)
 	}
-	if b, p, ps := spill.SpillTotals(); b != 0 || p != 0 || ps != 0 {
-		t.Fatalf("ResetStats left per-operator spill totals: %d %d %d", b, p, ps)
-	}
 }
 
 // TestSpillCleanupAfterStatement asserts no partition files outlive their
@@ -288,8 +282,8 @@ func TestSpillFaultRetry(t *testing.T) {
 	if inj.Injected() == 0 {
 		t.Fatal("no spill faults were injected; lower the threshold or raise the rate")
 	}
-	if retries, faults, _ := spill.FaultTotals(); retries == 0 || faults == 0 {
-		t.Fatalf("spill faults not visible in FaultTotals: retries=%d faults=%d", retries, faults)
+	if s := spill.Stats(); s.TaskRetries == 0 || s.TaskFaults == 0 {
+		t.Fatalf("spill faults not visible in Stats: retries=%d faults=%d", s.TaskRetries, s.TaskFaults)
 	}
 	assertSpillRootEmpty(t, spill)
 }

@@ -18,13 +18,20 @@ type planDeltas struct {
 	parses, hits, misses int64
 }
 
+// planCounters reads the parse and plan-cache counters from a Stats
+// snapshot.
+func planCounters(c *engine.Cluster) (parses, hits, misses int64) {
+	st := c.Stats()
+	return st.Parses, st.PlanCacheHits, st.PlanCacheMisses
+}
+
 func snapCounters(c *engine.Cluster) *planDeltas {
-	p, h, m := c.PlanCounters()
+	p, h, m := planCounters(c)
 	return &planDeltas{c: c, parses: p, hits: h, misses: m}
 }
 
 func (d *planDeltas) delta() (parses, hits, misses int64) {
-	p, h, m := d.c.PlanCounters()
+	p, h, m := planCounters(d.c)
 	return p - d.parses, h - d.hits, m - d.misses
 }
 
@@ -35,7 +42,7 @@ func (d *planDeltas) expect(t *testing.T, what string, parses, hits, misses int6
 		t.Fatalf("%s: parses/hits/misses = %d/%d/%d, want %d/%d/%d",
 			what, p, h, m, parses, hits, misses)
 	}
-	d.parses, d.hits, d.misses = d.c.PlanCounters()
+	d.parses, d.hits, d.misses = planCounters(d.c)
 }
 
 // TestPreparedValueParams checks a value-parameterised SELECT parses once
@@ -127,7 +134,7 @@ func TestPreparedTableParamRenameDance(t *testing.T) {
 	if _, err := s.Exec("ALTER TABLE r2 RENAME TO r1"); err != nil {
 		t.Fatal(err)
 	}
-	d.parses, d.hits, d.misses = s.Cluster().PlanCounters()
+	d.parses, d.hits, d.misses = planCounters(s.Cluster())
 	if _, rows, err := cnt.Query(Table("r1")); err != nil || rows[0][0].Int != 3 {
 		t.Fatalf("count after rename: %v %v", rows, err)
 	}
@@ -461,13 +468,13 @@ func TestResetStatsKeepsTemplatesWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Cluster().ResetStats()
-	if parses, hits, misses := s.Cluster().PlanCounters(); parses != 0 || hits != 0 || misses != 0 {
+	if parses, hits, misses := planCounters(s.Cluster()); parses != 0 || hits != 0 || misses != 0 {
 		t.Fatalf("ResetStats left counters: %d/%d/%d", parses, hits, misses)
 	}
 	if _, _, err := p.Query(); err != nil {
 		t.Fatal(err)
 	}
-	if parses, hits, misses := s.Cluster().PlanCounters(); parses != 0 || hits != 1 || misses != 0 {
+	if parses, hits, misses := planCounters(s.Cluster()); parses != 0 || hits != 1 || misses != 0 {
 		t.Fatalf("post-reset execute: parses/hits/misses = %d/%d/%d, want 0/1/0", parses, hits, misses)
 	}
 }
