@@ -16,7 +16,9 @@
 // -experiment frontier exits non-zero unless log-diameter needs at most
 // half of deterministic contraction's rounds on the 1e6-vertex path, every
 // cell ran cleanly, and the path-512 calibration confirms the |V|-1 closed
-// form (bench.FrontierGate).
+// form (bench.FrontierGate). -experiment stream exits non-zero if any A10
+// cell failed: a statement error, a Watch sequence gap, or a post-delete
+// labelling that differs from Union/Find over the surviving edges.
 //
 // Chaos flags exercise the fault-tolerance layer: -fault-rate injects
 // deterministic segment-task failures at the given probability (retried
@@ -192,7 +194,10 @@ func main() {
 		case "spill":
 			bench.SpillExperiment(out, cfg)
 		case "stream":
-			bench.StreamExperiment(out, cfg)
+			if err := bench.StreamExperiment(out, cfg); err != nil {
+				fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)
+				os.Exit(1)
+			}
 		case "frontier":
 			if err := bench.FrontierGate(bench.FrontierExperiment(out, cfg)); err != nil {
 				fmt.Fprintf(os.Stderr, "ccbench: %v\n", err)

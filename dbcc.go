@@ -208,25 +208,7 @@ func Open(cfg Config) *DB {
 		MemoryBudget:  cfg.MemoryBudget,
 	})
 	ccalg.RegisterUDFs(c)
-	db := &DB{c: c}
-	// Component indexes rebuild after deletes by re-running the paper's
-	// deterministic Randomised Contraction (rc-det) over the base table —
-	// the same driver interactive runs use, flowing through the prepared
-	// statements and cached plans of the round loop. KeepStats: a rebuild
-	// is engine maintenance, not a user run; it must not reset the shared
-	// counters.
-	c.SetComponentRebuilder(func(table string) (map[int64]int64, error) {
-		res, err := db.ConnectedComponentsOf(table, Params{
-			Algorithm:     RandomisedContraction,
-			Deterministic: true,
-			KeepStats:     true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return res.Labels, nil
-	})
-	return db
+	return &DB{c: c}
 }
 
 // Close releases the cluster's on-disk resources (the spill directory of
@@ -339,8 +321,9 @@ type Watch = engine.IndexSub
 
 // CreateComponentIndex builds an incremental connected-components index
 // over an existing two-column edge table: INSERTs update the labelling
-// with bounded union-find work per statement, DELETEs trigger a rebuild
-// through the rc-det driver. Equivalent to the SQL statement
+// with bounded union-find work per statement, and a DELETE that removes
+// rows rebuilds the union-find from the table's surviving rows inside the
+// engine, issuing no SQL. Equivalent to the SQL statement
 // CREATE COMPONENT INDEX ON table.
 func (db *DB) CreateComponentIndex(table string) error {
 	return db.c.CreateComponentIndex(table)

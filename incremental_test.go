@@ -158,8 +158,9 @@ func TestIncrementalPrefixEquivalence(t *testing.T) {
 
 // TestIncrementalDeleteRebuild exercises the other half of the
 // maintenance contract: DELETE statements mark the index stale and
-// trigger a rebuild through the rc-det driver, after which the labelling
-// matches the oracle on the surviving edges.
+// rebuild it from the table's surviving rows, after which the labelling
+// matches the oracle on the surviving edges and holds no vertex that lost
+// its last edge.
 func TestIncrementalDeleteRebuild(t *testing.T) {
 	db := Open(Config{Segments: 4})
 	defer db.Close()
@@ -213,6 +214,23 @@ func TestIncrementalDeleteRebuild(t *testing.T) {
 	if got.NumComponents() != 2 {
 		t.Fatalf("after cutting the bridge: %d components, want 2", got.NumComponents())
 	}
+
+	// Delete the pendant edge (0,1): vertex 0 loses its only edge, so the
+	// rebuilt index must drop it rather than keep it as a singleton.
+	if _, err := s.Exec("DELETE FROM edges WHERE v1 = 0 AND v2 = 1"); err != nil {
+		t.Fatal(err)
+	}
+	got, err = db.ComponentLabels("edges")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := got[0]; ok {
+		t.Fatal("vertex 0 lost its last edge but is still labelled")
+	}
+	if err := partitionEquivalent(t, got, oracleLabels(remaining.Edges[1:])); err != nil {
+		t.Fatal(err)
+	}
+	after = db.Cluster().Stats()
 
 	// A delete that removes nothing must not rebuild.
 	if _, err := s.Exec("DELETE FROM edges WHERE v1 = 99999"); err != nil {

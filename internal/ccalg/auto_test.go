@@ -108,6 +108,7 @@ func TestAutoDecisionIgnoresEngineKnobs(t *testing.T) {
 		{Segments: 16},
 	} {
 		c := engine.NewCluster(opts)
+		defer c.Close() // the budgeted cluster spills, creating a spill directory
 		if err := graph.Load(c, "input", g); err != nil {
 			t.Fatal(err)
 		}

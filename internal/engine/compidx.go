@@ -4,10 +4,10 @@
 // labels stay current under a stream of inserts with amortised
 // near-constant relabel work per edge — no recompute on the insert path.
 // Deletes can split components, which union-find cannot express, so
-// DeleteRows marks the index stale and triggers a rebuild: a full
-// recompute through the cluster's pluggable rebuilder (the dbcc layer
-// installs the deterministic-RC driver via SetComponentRebuilder) or,
-// when none is installed, a local rescan.
+// DeleteRows marks the index stale and rebuilds it: one scan of the
+// table's chunks into a fresh union-find, swapped in whole. The index
+// already holds one entry per vertex in memory, so this is the paper's
+// single-machine optimum (Union/Find) rather than a SQL recompute.
 //
 // Subscribers observe the label stream: every structural change carries a
 // monotonically increasing sequence number, merges identify the losing
@@ -21,6 +21,8 @@ package engine
 import (
 	"fmt"
 	"sync"
+
+	"dbcc/internal/xrand"
 )
 
 // Index event kinds. The values are part of the wire protocol (the Notify
@@ -62,18 +64,76 @@ type IndexSub struct {
 // Close ends the subscription and closes C. It is idempotent.
 func (s *IndexSub) Close() { s.idx.unsubscribe(s.id) }
 
+// forest is the index's union-find: every vertex gets a dense int32 id in
+// arrival order, and parent and rank are indexed by id. A root is its own
+// parent.
+type forest struct {
+	verts  []int64 // id → vertex
+	parent []int32
+	rank   []int8
+	ids    *groupTable // vertex → id, keyed by xrand.Mix64(vertex); nil once released
+}
+
+// release returns the vertex table's arrays to the scratch pools and
+// empties the forest.
+func (f *forest) release() {
+	f.ids.release()
+	*f = forest{}
+}
+
+// id returns v's id, registering an unseen vertex as its own root, and
+// counts a registration as a touched label.
+func (f *forest) id(v int64, touched *int64) int32 {
+	id, found := f.ids.insertOrGet(xrand.Mix64(uint64(v)), func(id int32) bool { return f.verts[id] == v })
+	if !found {
+		f.verts = append(f.verts, v)
+		f.parent = append(f.parent, id)
+		f.rank = append(f.rank, 0)
+		*touched++
+	}
+	return id
+}
+
+// find returns the root of id with path compression, counting every
+// touched label.
+func (f *forest) find(id int32, touched *int64) int32 {
+	root := id
+	for f.parent[root] != root {
+		root = f.parent[root]
+	}
+	for f.parent[id] != root {
+		f.parent[id], id = root, f.parent[id]
+		*touched++
+	}
+	return root
+}
+
+// union joins the components of v and w by rank; on a tie the root of v's
+// component survives. It returns the absorbed and the surviving root,
+// which are equal when v and w were already connected.
+func (f *forest) union(v, w int64, touched *int64) (from, to int32) {
+	rv := f.find(f.id(v, touched), touched)
+	rw := f.find(f.id(w, touched), touched)
+	if rv == rw {
+		return rv, rv
+	}
+	if f.rank[rv] < f.rank[rw] {
+		rv, rw = rw, rv
+	} else if f.rank[rv] == f.rank[rw] {
+		f.rank[rv]++
+	}
+	f.parent[rw] = rv
+	*touched++
+	return rw, rv
+}
+
 // ComponentIndex maintains the connected-component labelling of one edge
 // table under streaming inserts. All methods are safe for concurrent use.
 type ComponentIndex struct {
-	c     *Cluster
-	table string // physical table name (renamed along with the table)
-
-	mu      sync.Mutex
-	parent  map[int64]int64
-	rank    map[int64]int8
-	seq     uint64
-	deletes int64 // delete statements since the last rebuild
-	stale   bool  // deletes happened; labels may over-merge until rebuilt
+	mu     sync.Mutex
+	forest // released when the index is dropped
+	seq    uint64
+	stale  bool // deletes happened; labels may over-merge until rebuilt
 
 	watchers map[uint64]chan IndexEvent
 	nextSub  uint64
@@ -90,33 +150,18 @@ type ComponentIndex struct {
 // more than this many events behind is disconnected (closed channel).
 const subBuffer = 4096
 
-func newComponentIndex(c *Cluster, table string) *ComponentIndex {
+// newComponentIndex returns an empty index sized for about capHint
+// vertices.
+func newComponentIndex(capHint int) *ComponentIndex {
 	return &ComponentIndex{
-		c:        c,
-		table:    table,
-		parent:   make(map[int64]int64),
-		rank:     make(map[int64]int8),
+		forest:   forest{ids: newGroupTable(capHint)},
 		watchers: make(map[uint64]chan IndexEvent),
 	}
 }
 
-// find returns the root of v with path compression, registering unseen
-// vertices, and counts every touched label. Caller holds x.mu.
-func (x *ComponentIndex) find(v int64, touched *int64) int64 {
-	if _, ok := x.parent[v]; !ok {
-		x.parent[v] = v
-		*touched++
-	}
-	root := v
-	for x.parent[root] != root {
-		root = x.parent[root]
-	}
-	for x.parent[v] != root {
-		x.parent[v], v = root, x.parent[v]
-		*touched++
-	}
-	return root
-}
+// dropped reports whether the index was dropped (its forest released).
+// Caller holds x.mu.
+func (x *ComponentIndex) dropped() bool { return x.ids == nil }
 
 // observe folds a batch of inserted rows into the labelling, emitting one
 // merge event per actual union. Rows whose first two columns are not both
@@ -151,26 +196,22 @@ func (x *ComponentIndex) observeChunk(ch *Chunk) (touched, merges int64) {
 }
 
 // addEdge folds edge (v, w) into the labelling, broadcasting a merge event
-// if it joins two components. Caller holds x.mu.
+// if it joins two components. An edge reaching a dropped index is ignored.
+// Caller holds x.mu.
 func (x *ComponentIndex) addEdge(v, w int64, touched, merges *int64) {
+	if x.dropped() {
+		return
+	}
 	if x.rebuilding {
 		x.backlog = append(x.backlog, [2]int64{v, w})
 	}
-	rv, rw := x.find(v, touched), x.find(w, touched)
-	if rv == rw {
+	from, to := x.union(v, w, touched)
+	if from == to {
 		return
 	}
-	// Union by rank; the higher-ranked root survives.
-	if x.rank[rv] < x.rank[rw] {
-		rv, rw = rw, rv
-	} else if x.rank[rv] == x.rank[rw] {
-		x.rank[rv]++
-	}
-	x.parent[rw] = rv
-	*touched++
 	*merges++
 	x.seq++
-	x.broadcast(IndexEvent{Seq: x.seq, Kind: IndexEventMerge, From: rw, To: rv})
+	x.broadcast(IndexEvent{Seq: x.seq, Kind: IndexEventMerge, From: x.verts[from], To: x.verts[to]})
 }
 
 // broadcast fans an event out to every subscriber, disconnecting any
@@ -191,9 +232,9 @@ func (x *ComponentIndex) broadcast(ev IndexEvent) {
 func (x *ComponentIndex) Labels() map[int64]int64 {
 	var touched int64
 	x.mu.Lock()
-	out := make(map[int64]int64, len(x.parent))
-	for v := range x.parent {
-		out[v] = x.find(v, &touched)
+	out := make(map[int64]int64, len(x.verts))
+	for id, v := range x.verts {
+		out[v] = x.verts[x.find(int32(id), &touched)]
 	}
 	x.mu.Unlock()
 	return out
@@ -237,69 +278,44 @@ func (x *ComponentIndex) unsubscribe(id uint64) {
 	x.mu.Unlock()
 }
 
-// closeAll disconnects every subscriber (index dropped or table gone).
-func (x *ComponentIndex) closeAll() {
+// drop disconnects every subscriber and releases the forest (index
+// dropped or table gone). Inserts still in flight then fold into nothing.
+func (x *ComponentIndex) drop() {
 	x.mu.Lock()
 	for id, ch := range x.watchers {
 		close(ch)
 		delete(x.watchers, id)
 	}
+	x.release()
 	x.mu.Unlock()
 }
 
-// noteDeletes records a delete statement and reports whether a rebuild
-// should run now. Policy: every delete statement that removed rows
-// schedules a rebuild (deletes are the rare, expensive direction; inserts
-// are the hot path).
+// noteDeletes marks the index stale and reports whether a rebuild should
+// run now. Policy: every delete statement that removed rows schedules a
+// rebuild (deletes are the rare, expensive direction; inserts are the hot
+// path).
 func (x *ComponentIndex) noteDeletes(removed int64) bool {
 	if removed <= 0 {
 		return false
 	}
 	x.mu.Lock()
-	x.deletes++
 	x.stale = true
 	x.mu.Unlock()
 	return true
 }
 
-// applyRebuild replaces the labelling with a freshly computed one and
-// folds in any edges observed while the rebuild ran.
-func (x *ComponentIndex) applyRebuild(labels map[int64]int64, backlog [][2]int64) {
-	x.mu.Lock()
-	x.parent = make(map[int64]int64, len(labels))
-	x.rank = make(map[int64]int8, len(labels))
-	for v, l := range labels {
-		x.parent[v] = l
-		x.parent[l] = l
-	}
-	var touched int64
-	for _, e := range backlog {
-		rv, rw := x.find(e[0], &touched), x.find(e[1], &touched)
-		if rv == rw {
-			continue
+// observeParts folds every stored chunk of a table snapshot into the
+// labelling and returns the rows read, labels touched and merges made.
+func (x *ComponentIndex) observeParts(parts [][]*Chunk) (rows, touched, merges int64) {
+	for _, list := range parts {
+		for _, ch := range list {
+			t, m := x.observeChunk(ch)
+			rows += int64(ch.length)
+			touched += t
+			merges += m
 		}
-		if x.rank[rv] < x.rank[rw] {
-			rv, rw = rw, rv
-		} else if x.rank[rv] == x.rank[rw] {
-			x.rank[rv]++
-		}
-		x.parent[rw] = rv
 	}
-	x.stale = false
-	x.seq++
-	x.broadcast(IndexEvent{Seq: x.seq, Kind: IndexEventRebuild})
-	x.mu.Unlock()
-}
-
-// SetComponentRebuilder installs the full-recompute hook rebuilds use: a
-// function mapping a physical table name to a fresh vertex→label map. The
-// dbcc layer wires this to the deterministic-RC driver (running through
-// the prepared-statement path); without one, rebuilds rescan the table
-// into a fresh union-find locally.
-func (c *Cluster) SetComponentRebuilder(fn func(table string) (map[int64]int64, error)) {
-	c.idxMu.Lock()
-	c.rebuilder = fn
-	c.idxMu.Unlock()
+	return rows, touched, merges
 }
 
 // CreateComponentIndex builds a component index over an existing edge
@@ -314,7 +330,7 @@ func (c *Cluster) CreateComponentIndex(table string) error {
 	if len(t.Schema) < 2 {
 		return fmt.Errorf("engine: component index needs at least two columns, table %q has %d", table, len(t.Schema))
 	}
-	x := newComponentIndex(c, table)
+	x := newComponentIndex(int(t.Rows()))
 	c.idxMu.Lock()
 	if _, exists := c.indexes[table]; exists {
 		c.idxMu.Unlock()
@@ -324,14 +340,8 @@ func (c *Cluster) CreateComponentIndex(table string) error {
 	c.idxMu.Unlock()
 	// Fold in the rows already stored. Rows inserted concurrently are fed
 	// through the InsertRows hook; re-observing an edge is idempotent.
-	var rows int64
-	for _, list := range t.snapshotParts() {
-		for _, ch := range list {
-			touched, merges := x.observeChunk(ch)
-			rows += int64(ch.length)
-			c.addIndexCounters(touched, merges, 0)
-		}
-	}
+	rows, touched, merges := x.observeParts(t.snapshotParts())
+	c.addIndexCounters(touched, merges, 0)
 	c.addTrace(TraceRecord{
 		Kind:   "index",
 		Target: table,
@@ -352,7 +362,7 @@ func (c *Cluster) DropComponentIndex(table string) error {
 	}
 	delete(c.indexes, table)
 	c.idxMu.Unlock()
-	x.closeAll()
+	x.drop()
 	return nil
 }
 
@@ -365,16 +375,18 @@ func (c *Cluster) ComponentIndex(table string) (*ComponentIndex, bool) {
 }
 
 // feedIndex folds freshly inserted rows into the table's component index,
-// if one exists. Called by InsertRows after the table locks are released.
-func (c *Cluster) feedIndex(table string, rows []Row) {
+// if one exists, and returns the labels touched and merges made. InsertRows
+// calls it while still holding the table's write lock, so a DELETE can
+// never remove rows the index has not seen yet: a rebuild's snapshot then
+// holds exactly the rows fed before it was taken.
+func (c *Cluster) feedIndex(table string, rows []Row) (touched, merges int64) {
 	c.idxMu.Lock()
 	x, ok := c.indexes[table]
 	c.idxMu.Unlock()
 	if !ok {
-		return
+		return 0, 0
 	}
-	touched, merges := x.observe(rows)
-	c.addIndexCounters(touched, merges, 0)
+	return x.observe(rows)
 }
 
 // dropIndexFor tears down the index of a dropped table.
@@ -386,7 +398,7 @@ func (c *Cluster) dropIndexFor(table string) {
 	}
 	c.idxMu.Unlock()
 	if ok {
-		x.closeAll()
+		x.drop()
 	}
 }
 
@@ -395,24 +407,23 @@ func (c *Cluster) renameIndexFor(oldName, newName string) {
 	c.idxMu.Lock()
 	if x, ok := c.indexes[oldName]; ok {
 		delete(c.indexes, oldName)
-		x.table = newName
 		c.indexes[newName] = x
 	}
 	c.idxMu.Unlock()
 }
 
-// maybeRebuildIndex runs a rebuild of the table's index after a delete
-// statement, through the installed rebuilder or a local rescan. Rebuilds
-// are serialized per index; edges inserted while one runs are folded into
-// its result via the backlog. Must be called with no engine locks held —
-// the rebuilder re-enters the cluster to run a full recompute.
-func (c *Cluster) maybeRebuildIndex(table string, removed int64) error {
+// maybeRebuildIndex rebuilds the table's index after a delete statement
+// that removed rows: it scans a snapshot of the table's chunks into a
+// fresh forest, without events, and swaps it in. Vertices whose last edge
+// was deleted drop out. Rebuilds are serialized per index; edges inserted
+// while one scans are replayed from the backlog onto its result. Subscribers
+// see one IndexEventRebuild.
+func (c *Cluster) maybeRebuildIndex(t *Table, table string, removed int64) {
 	c.idxMu.Lock()
 	x, ok := c.indexes[table]
-	rebuilder := c.rebuilder
 	c.idxMu.Unlock()
 	if !ok || !x.noteDeletes(removed) {
-		return nil
+		return
 	}
 	x.rebuildMu.Lock()
 	defer x.rebuildMu.Unlock()
@@ -420,40 +431,28 @@ func (c *Cluster) maybeRebuildIndex(table string, removed int64) error {
 	x.rebuilding = true
 	x.backlog = nil
 	x.mu.Unlock()
-	var labels map[int64]int64
-	var err error
-	if rebuilder != nil {
-		labels, err = rebuilder(table)
-	} else {
-		labels, err = c.rescanLabels(table)
-	}
+	fresh := newComponentIndex(int(t.Rows()))
+	fresh.observeParts(t.snapshotParts())
+	vertices := int64(len(fresh.verts))
+
+	var uncharged int64 // the backlog replay costs no counter
 	x.mu.Lock()
 	x.rebuilding = false
-	backlog := x.backlog
+	if x.dropped() {
+		fresh.release()
+	} else {
+		x.release()
+		x.forest = fresh.forest
+		for _, e := range x.backlog {
+			x.union(e[0], e[1], &uncharged)
+		}
+		x.stale = false
+		x.seq++
+		x.broadcast(IndexEvent{Seq: x.seq, Kind: IndexEventRebuild})
+	}
 	x.backlog = nil
 	x.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("engine: component index rebuild on %q: %w", table, err)
-	}
-	x.applyRebuild(labels, backlog)
-	c.addIndexCounters(int64(len(labels)), 0, 1)
-	return nil
-}
-
-// rescanLabels is the fallback rebuilder: a fresh union-find over the
-// table's current rows.
-func (c *Cluster) rescanLabels(table string) (map[int64]int64, error) {
-	t, ok := c.Table(table)
-	if !ok {
-		return nil, fmt.Errorf("engine: table %q does not exist", table)
-	}
-	scratch := newComponentIndex(c, table)
-	for _, list := range t.snapshotParts() {
-		for _, ch := range list {
-			scratch.observeChunk(ch)
-		}
-	}
-	return scratch.Labels(), nil
+	c.addIndexCounters(vertices, 0, 1)
 }
 
 // addIndexCounters charges index maintenance work to the statistics.

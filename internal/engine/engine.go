@@ -36,6 +36,9 @@
 //   - c.statsMu (Mutex) guards the Stats counters, the trace ring and the
 //     concurrency gauges. It is a leaf lock: nothing else is acquired
 //     while holding it.
+//   - InsertRows feeds a table's component index while holding t.mu, so
+//     c.idxMu (leaf) and the index's own lock nest inside t.mu; index
+//     code never takes a table lock while holding either (compidx.go).
 //   - Lock order is c.mu before t.mu before c.statsMu; never the reverse.
 //   - Segment tasks submitted to the worker pool via parallel must be leaf
 //     computations: they must not issue queries, touch the catalog or call
@@ -201,8 +204,9 @@ type Stats struct {
 	// IndexLabelsTouched counts parent-pointer writes and vertex
 	// registrations on the incremental insert path — the bounded-work
 	// witness: it grows amortised near-constant per inserted edge, never
-	// with the table size. IndexRebuilds counts full recomputes (the
-	// delete path).
+	// with the table size; a rebuild adds the vertex count it rescanned.
+	// IndexRebuilds counts the delete path's rebuilds, each one union-find
+	// rescan of the table.
 	IndexLabelsTouched int64 // union-find labels written by insert maintenance
 	IndexMerges        int64 // component merges performed by inserts
 	IndexRebuilds      int64 // full rebuilds triggered by deletes
@@ -303,9 +307,8 @@ type Cluster struct {
 
 	plans *planCache // compiled-plan cache; own leaf lock, see plancache.go
 
-	idxMu     sync.Mutex // guards indexes and rebuilder (leaf; see compidx.go)
-	indexes   map[string]*ComponentIndex
-	rebuilder func(table string) (map[int64]int64, error)
+	idxMu   sync.Mutex // guards indexes (leaf; see compidx.go)
+	indexes map[string]*ComponentIndex
 
 	statsMu  sync.Mutex // guards stats, the concurrency gauges and trace
 	stats    Stats
@@ -620,7 +623,9 @@ func (c *Cluster) InsertRows(name string, rows []Row) (err error) {
 			t.parts[seg] = appendChunk(t.parts[seg], rowsToChunk(batch, len(t.Schema)))
 		}
 	}
+	touched, merges := c.feedIndex(name, rows)
 	t.mu.Unlock()
+	c.addIndexCounters(touched, merges, 0)
 	bytes := int64(len(rows)) * int64(len(t.Schema)) * DatumSize
 	c.accountWrite(int64(len(rows)), bytes)
 	c.addTrace(TraceRecord{
@@ -632,9 +637,6 @@ func (c *Cluster) InsertRows(name string, rows []Row) (err error) {
 		Start:   start,
 		Elapsed: time.Since(start),
 	})
-	// Incremental index maintenance happens after the table locks are
-	// released; the index has its own lock and the rows are immutable.
-	c.feedIndex(name, rows)
 	return nil
 }
 
@@ -666,9 +668,7 @@ func (c *Cluster) DeleteRows(name string, keep func(Row) bool) (removed int64, e
 		Start:   start,
 		Elapsed: time.Since(start),
 	})
-	if err := c.maybeRebuildIndex(name, removed); err != nil {
-		return removed, err
-	}
+	c.maybeRebuildIndex(t, name, removed)
 	return removed, nil
 }
 
