@@ -10,12 +10,13 @@ import (
 	"testing"
 
 	"dbcc/internal/bench"
+	"dbcc/internal/engine"
 	"dbcc/internal/xrand"
 )
 
 // benchConfig is the reduced-scale configuration for testing.B runs.
 func benchConfig() bench.Config {
-	return bench.Config{Scale: 0.1, Segments: 8, Reps: 1, Seed: 2019, CapacityFactor: 0, Verify: false}
+	return bench.Config{Options: engine.Options{Segments: 8}, Scale: 0.1, Reps: 1, Seed: 2019, CapacityFactor: 0, Verify: false}
 }
 
 // BenchmarkTable1 renders the complexity summary (trivial, kept so every
@@ -167,14 +168,14 @@ func BenchmarkRCMethods(b *testing.B) {
 // (experiment E7, Sec. VII-C).
 func BenchmarkSparkProfile(b *testing.B) {
 	g := GenerateVideo3D(32, 18, 20, 3)
-	for _, spark := range []bool{false, true} {
+	for _, profile := range []Profile{ProfileMPP, ProfileSparkSQL} {
 		name := "mpp"
-		if spark {
+		if profile == ProfileSparkSQL {
 			name = "sparksql"
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				db := Open(Config{SparkSQLProfile: spark})
+				db := Open(Config{Profile: profile})
 				if _, err := db.ConnectedComponents(g, Params{Seed: 1}); err != nil {
 					b.Fatal(err)
 				}

@@ -57,6 +57,7 @@ import (
 	"time"
 
 	"dbcc/internal/bench"
+	"dbcc/internal/engine"
 )
 
 func main() {
@@ -67,17 +68,12 @@ func main() {
 		all        = flag.Bool("all", false, "run everything")
 		scale      = flag.Float64("scale", 1.0, "dataset scale (1.0 ≈ 1/10000 of the paper)")
 		reps       = flag.Int("reps", 3, "repetitions per cell (paper: 3)")
-		segments   = flag.Int("segments", 8, "virtual MPP segments")
 		seed       = flag.Uint64("seed", 2019, "base seed")
 		capacity   = flag.Float64("capacity", 6.2, "cluster storage capacity as a multiple of the largest input (0 = unlimited)")
 		noVerify   = flag.Bool("noverify", false, "skip oracle verification of every labelling")
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
 		conc       = flag.Int("concurrency", 0, "run N concurrent RC sessions on one shared cluster and report throughput")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
-		faultRate  = flag.Float64("fault-rate", 0, "inject segment-task failures at this probability per attempt (0 = off)")
-		faultSeed  = flag.Uint64("fault-seed", 1, "seed for the deterministic fault injector")
-		timeout    = flag.Duration("timeout", 0, "per-statement deadline (0 = none)")
-		memBudget  = flag.Int64("mem-budget", 0, "per-statement working-memory budget in bytes; kernels spill to disk beyond it (0 = unbounded)")
 		checkMicro = flag.String("check-micro", "", "gate a `go test -bench` output file against -micro-baseline and exit")
 		microBase  = flag.String("micro-baseline", "internal/bench/testdata/microbench_baseline.json", "microbenchmark baseline file for -check-micro")
 
@@ -91,6 +87,8 @@ func main() {
 		stream       = flag.Bool("stream", false, "run -loadgen in streaming mode: edge inserts against a component index plus Watch subscribers; exits non-zero on sequence gaps, no events or no rebuilds")
 		watchers     = flag.Int("watchers", 8, "Watch subscriptions held open during a -stream loadgen run")
 	)
+	var opts engine.Options
+	opts.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *checkMicro != "" {
@@ -107,16 +105,12 @@ func main() {
 	}
 
 	cfg := bench.Config{
+		Options:        opts,
 		Scale:          *scale,
-		Segments:       *segments,
 		Reps:           *reps,
 		Seed:           *seed,
 		CapacityFactor: *capacity,
 		Verify:         !*noVerify,
-		FaultRate:      *faultRate,
-		FaultSeed:      *faultSeed,
-		QueryTimeout:   *timeout,
-		MemoryBudget:   *memBudget,
 	}
 	progress := func(s string) {
 		if !*quiet {

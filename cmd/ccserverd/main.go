@@ -6,8 +6,9 @@
 //
 //	ccserverd -addr 127.0.0.1:7744
 //
-// Engine flags mirror the library's dbcc.Config: -segments, -workers,
-// -mem-budget, -timeout, plus the chaos knobs -fault-rate/-fault-seed.
+// Engine flags set the library's dbcc.Config: the cluster flags every
+// command shares (-segments, -mem-budget, -timeout and the chaos knobs
+// -fault-rate/-fault-seed) plus -workers.
 // Admission flags bound per-tenant load: -tenant-statements concurrent
 // statements per tenant, -tenant-queue waiting statements beyond the
 // cap, -queue-timeout the longest a queued statement waits before the
@@ -36,13 +37,7 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", "127.0.0.1:7744", "TCP listen address (\":0\" picks a free port)")
-		segments  = flag.Int("segments", 8, "virtual MPP segments")
-		workers   = flag.Int("workers", 0, "worker-pool bound across all sessions (0 = GOMAXPROCS)")
-		memBudget = flag.Int64("mem-budget", 0, "per-statement working-memory budget in bytes (0 = unbounded)")
-		timeout   = flag.Duration("timeout", 0, "per-statement deadline (0 = none)")
-		faultRate = flag.Float64("fault-rate", 0, "inject segment-task failures at this probability (0 = off)")
-		faultSeed = flag.Uint64("fault-seed", 1, "seed for the deterministic fault injector")
+		addr = flag.String("addr", "127.0.0.1:7744", "TCP listen address (\":0\" picks a free port)")
 
 		tenantStmts  = flag.Int("tenant-statements", 4, "concurrent statements per tenant")
 		tenantQueue  = flag.Int("tenant-queue", 16, "queued statements per tenant beyond the cap (-1 disables queueing)")
@@ -50,18 +45,14 @@ func main() {
 		authToken    = flag.String("auth-token", "", "shared secret clients must present (empty disables auth)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "longest a graceful drain waits for in-flight statements")
 	)
+	var cluster dbcc.Config
+	cluster.RegisterFlags(flag.CommandLine)
+	flag.IntVar(&cluster.Workers, "workers", 0, "worker-pool bound across all sessions (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	srv := server.New(server.Config{
 		Addr: *addr,
-		DB: dbcc.Config{
-			Segments:     *segments,
-			Workers:      *workers,
-			MemoryBudget: *memBudget,
-			QueryTimeout: *timeout,
-			FaultRate:    *faultRate,
-			FaultSeed:    *faultSeed,
-		},
+		DB:   cluster,
 		Admission: server.AdmissionConfig{
 			TenantStatements: *tenantStmts,
 			TenantQueue:      *tenantQueue,
@@ -74,7 +65,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("ccserverd: listening on %s (%d segments, %d statements/tenant, queue %d, queue timeout %s)\n",
-		srv.Addr(), *segments, *tenantStmts, *tenantQueue, *queueTimeout)
+		srv.Addr(), srv.DB().Cluster().Segments(), *tenantStmts, *tenantQueue, *queueTimeout)
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)

@@ -39,20 +39,11 @@ import (
 )
 
 func main() {
-	segments := flag.Int("segments", 0, "virtual MPP segments (0 = default)")
-	faultRate := flag.Float64("fault-rate", 0, "inject segment-task failures at this probability per attempt (0 = off)")
-	faultSeed := flag.Uint64("fault-seed", 1, "seed for the deterministic fault injector")
-	timeout := flag.Duration("timeout", 0, "per-statement deadline (0 = none)")
-	memBudget := flag.Int64("mem-budget", 0, "per-statement working-memory budget in bytes; kernels spill to disk beyond it (0 = unbounded)")
+	var cfg dbcc.Config
+	cfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	db := dbcc.Open(dbcc.Config{
-		Segments:     *segments,
-		FaultRate:    *faultRate,
-		FaultSeed:    *faultSeed,
-		QueryTimeout: *timeout,
-		MemoryBudget: *memBudget,
-	})
+	db := dbcc.Open(cfg)
 	defer db.Close()
 	sess := db.SQL()
 	in := bufio.NewScanner(os.Stdin)

@@ -62,39 +62,26 @@ var ErrSpaceLimit = ccalg.ErrSpaceLimit
 // cause, so errors.Is(err, ErrSpaceLimit) still works.
 type RoundError = ccalg.RoundError
 
-// Config configures the embedded MPP cluster.
-type Config struct {
-	// Segments is the number of virtual MPP segments (parallel workers);
-	// 0 selects the default of 8.
-	Segments int
-	// Workers bounds how many segment tasks execute simultaneously across
-	// all concurrent sessions; 0 selects GOMAXPROCS. Raising Segments
-	// beyond Workers refines data placement without oversubscribing the
-	// host.
-	Workers int
-	// SparkSQLProfile models executing on Spark SQL instead of a mature
-	// MPP database (Sec. VII-C): no map-side combine and a fixed
-	// scheduling cost per query.
-	SparkSQLProfile bool
-	// QueryTimeout aborts any single statement that runs longer than
-	// this; 0 means no per-query deadline. Algorithms surface the
-	// timeout as a *RoundError wrapping context.DeadlineExceeded.
-	QueryTimeout time.Duration
-	// FaultRate enables deterministic fault injection: every segment
-	// task attempt fails with this probability (and is retried by the
-	// engine with capped exponential backoff). 0 disables injection.
-	FaultRate float64
-	// FaultSeed seeds the fault injector; the injected fault schedule is
-	// a pure function of the seed and the statement sequence, so chaos
-	// runs reproduce exactly.
-	FaultSeed uint64
-	// MemoryBudget bounds the working memory (hash tables, sort state,
-	// partition buffers) of any single statement, in bytes; kernels that
-	// would exceed their per-segment share spill partitions to temporary
-	// files and produce bit-identical results. 0 means unbounded (the
-	// classic all-in-memory engine).
-	MemoryBudget int64
-}
+// Config configures the embedded MPP cluster: segments, worker-pool
+// bound, execution profile, per-statement deadline and memory budget, and
+// the fault model. It is the engine's own option set; the zero value is
+// an 8-segment MPP cluster with no deadline, no budget and no faults.
+type Config = engine.Options
+
+// Re-exported engine configuration types.
+type (
+	// FaultConfig is Config.Faults: deterministic fault injection and the
+	// retry policy that absorbs it.
+	FaultConfig = engine.FaultConfig
+	// Profile is Config.Profile: the execution environment modelled.
+	Profile = engine.Profile
+)
+
+// Execution profiles.
+const (
+	ProfileMPP      = engine.ProfileMPP      // a mature MPP database (HAWQ), the default
+	ProfileSparkSQL = engine.ProfileSparkSQL // Spark SQL (Sec. VII-C): no map-side combine, per-query scheduling cost
+)
 
 // Algorithm names accepted by Params.Algorithm.
 const (
@@ -186,27 +173,10 @@ type DB struct {
 	n atomic.Uint64 // scratch input-table name counter
 }
 
-// Open creates an embedded cluster.
+// Open creates an embedded cluster with the paper's user-defined
+// functions registered.
 func Open(cfg Config) *DB {
-	profile := engine.ProfileMPP
-	if cfg.SparkSQLProfile {
-		profile = engine.ProfileSparkSQL
-	}
-	var injector *engine.FaultInjector
-	if cfg.FaultRate > 0 {
-		injector = engine.NewFaultInjector(engine.FaultConfig{
-			Seed:        cfg.FaultSeed,
-			FailureRate: cfg.FaultRate,
-		})
-	}
-	c := engine.NewCluster(engine.Options{
-		Segments:      cfg.Segments,
-		Workers:       cfg.Workers,
-		Profile:       profile,
-		QueryTimeout:  cfg.QueryTimeout,
-		FaultInjector: injector,
-		MemoryBudget:  cfg.MemoryBudget,
-	})
+	c := engine.NewCluster(cfg)
 	ccalg.RegisterUDFs(c)
 	return &DB{c: c}
 }

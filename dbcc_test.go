@@ -121,7 +121,10 @@ func TestReadGraph(t *testing.T) {
 }
 
 func TestSparkProfileStillCorrect(t *testing.T) {
-	db := Open(Config{Segments: 3, SparkSQLProfile: true})
+	db := Open(Config{Segments: 3, Profile: ProfileSparkSQL})
+	if got := db.Cluster().Profile(); got != ProfileSparkSQL {
+		t.Fatalf("cluster profile %v, want ProfileSparkSQL", got)
+	}
 	g := GenerateImage2D(15, 15, 3)
 	res, err := db.ConnectedComponents(g, Params{Seed: 1})
 	if err != nil {

@@ -9,12 +9,13 @@ import (
 
 	"dbcc/internal/ccalg"
 	"dbcc/internal/datagen"
+	"dbcc/internal/engine"
 	"dbcc/internal/xrand"
 )
 
 // quickConfig is a fast configuration for unit-testing the harness.
 func quickConfig() Config {
-	return Config{Scale: 0.05, Segments: 4, Reps: 1, Seed: 7, CapacityFactor: 0, Verify: true}
+	return Config{Options: engine.Options{Segments: 4}, Scale: 0.05, Reps: 1, Seed: 7, CapacityFactor: 0, Verify: true}
 }
 
 func TestDatasetsRegistry(t *testing.T) {

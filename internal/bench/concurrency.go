@@ -29,7 +29,7 @@ func ConcurrencyExperiment(w io.Writer, cfg Config, sessions int) {
 		g     *graph.Graph
 	}
 	newCluster := func() (*engine.Cluster, []sessionJob, bool) {
-		c := engine.NewCluster(clusterOptions(cfg))
+		c := engine.NewCluster(cfg.Options)
 		ccalg.RegisterUDFs(c)
 		jobs := make([]sessionJob, sessions)
 		for i := range jobs {

@@ -154,9 +154,9 @@ func SparkExperiment(w io.Writer, cfg Config) {
 	d, _ := DatasetByName("Candels10")
 	g := d.Gen(cfg.Scale, cfg.Seed)
 	mpp := cfg
-	mpp.SparkProfile = false
+	mpp.Profile = engine.ProfileMPP
 	spark := cfg
-	spark.SparkProfile = true
+	spark.Profile = engine.ProfileSparkSQL
 	_, mMPP, err1 := runOnce(g, rcInfo, mpp, 0, cfg.Seed)
 	_, mSpark, err2 := runOnce(g, rcInfo, spark, 0, cfg.Seed)
 	if err1 != nil || err2 != nil {
@@ -348,9 +348,9 @@ func SpillExperiment(w io.Writer, cfg Config) {
 // working-memory budget, returning the labelling, wall-clock seconds and
 // the engine counters.
 func runSpillCell(g *graph.Graph, a ccalg.Info, cfg Config, budget int64) (graph.Labelling, float64, engine.Stats, error) {
-	bcfg := cfg
-	bcfg.MemoryBudget = budget
-	c := engine.NewCluster(clusterOptions(bcfg))
+	opts := cfg.Options
+	opts.MemoryBudget = budget
+	c := engine.NewCluster(opts)
 	defer c.Close()
 	if err := graph.Load(c, "input", g); err != nil {
 		return nil, 0, engine.Stats{}, err
@@ -374,7 +374,7 @@ type rcMetrics struct {
 // runRCConfigured runs Randomised Contraction with explicit RC options on
 // a fresh cluster.
 func runRCConfigured(g *graph.Graph, cfg Config, rc ccalg.RCOptions) (rcMetrics, error) {
-	c := engine.NewCluster(clusterOptions(cfg))
+	c := engine.NewCluster(cfg.Options)
 	defer c.Close()
 	if err := graph.Load(c, "input", g); err != nil {
 		return rcMetrics{}, err
@@ -452,7 +452,7 @@ func StreamExperiment(w io.Writer, cfg Config) error {
 
 // streamCell runs one family of the streaming ablation.
 func streamCell(w io.Writer, cfg Config, name string, g *graph.Graph) error {
-	c := engine.NewCluster(clusterOptions(cfg))
+	c := engine.NewCluster(cfg.Options)
 	defer c.Close()
 	ccalg.RegisterUDFs(c)
 	s := sql.NewSession(c)

@@ -63,7 +63,7 @@ func FrontierExperiment(w io.Writer, cfg Config) []FrontierEntry {
 	for _, ds := range frontierDatasets(cfg.Seed) {
 		cells := map[string]string{}
 		// The planner's decision, from the same pre-scan Auto would run.
-		c := engine.NewCluster(clusterOptions(cfg))
+		c := engine.NewCluster(cfg.Options)
 		if err := graph.Load(c, "input", ds.g); err != nil {
 			fmt.Fprintf(w, "%-18s load failed: %v\n", ds.name, err)
 			c.Close()
@@ -141,7 +141,7 @@ func runFrontierCell(dsName string, g *graph.Graph, alg string, cfg Config) Fron
 		entry.Error = fmt.Sprintf("unknown algorithm %q", alg)
 		return entry
 	}
-	c := engine.NewCluster(clusterOptions(cfg))
+	c := engine.NewCluster(cfg.Options)
 	defer c.Close()
 	if err := graph.Load(c, "input", g); err != nil {
 		entry.Error = err.Error()

@@ -12,12 +12,12 @@ import (
 	"dbcc/internal/verify"
 )
 
-// Config controls a benchmark campaign.
+// Config controls a benchmark campaign: the campaign's own settings, plus
+// the engine options every cluster it builds runs with.
 type Config struct {
+	engine.Options
 	// Scale multiplies dataset sizes (1.0 ≈ 1/10 000 of the paper).
 	Scale float64
-	// Segments is the virtual MPP segment count.
-	Segments int
 	// Reps is the number of repetitions per (dataset, algorithm) cell;
 	// the paper ran three.
 	Reps int
@@ -27,25 +27,8 @@ type Config struct {
 	// the largest dataset's input size — the resource wall that produces
 	// the paper's "did not finish" entries. 0 disables the limit.
 	CapacityFactor float64
-	// SparkProfile switches the engine to the Spark SQL model.
-	SparkProfile bool
 	// Verify cross-checks every labelling against the Union/Find oracle.
 	Verify bool
-	// FaultRate injects deterministic segment-task failures at this
-	// probability per task attempt (retried by the engine); 0 disables
-	// injection. Chaos campaigns exercise the paper's claim that the
-	// algorithms are correct on a substrate with failing segment tasks.
-	FaultRate float64
-	// FaultSeed seeds the fault injector (the fault schedule is a pure
-	// function of the seed and statement sequence).
-	FaultSeed uint64
-	// QueryTimeout aborts any single statement exceeding this duration;
-	// 0 disables the per-query deadline.
-	QueryTimeout time.Duration
-	// MemoryBudget bounds each statement's working memory in bytes;
-	// kernels spill partitions to disk beyond their per-segment share.
-	// 0 means unbounded.
-	MemoryBudget int64
 }
 
 // DefaultConfig returns the configuration used for the committed
@@ -56,7 +39,7 @@ type Config struct {
 // datasets (Andromeda, Bitcoin full, Candels80/160) and far below the
 // quadratic blow-ups of Hash-to-Min and Cracker on Path100M.
 func DefaultConfig() Config {
-	return Config{Scale: 1.0, Segments: 8, Reps: 3, Seed: 2019, CapacityFactor: 6.2, Verify: true}
+	return Config{Options: engine.Options{Segments: 8}, Scale: 1.0, Reps: 3, Seed: 2019, CapacityFactor: 6.2, Verify: true}
 }
 
 // Outcome is the result of one (dataset, algorithm) cell, aggregated over
@@ -150,32 +133,9 @@ type metrics struct {
 	written int64
 }
 
-// clusterOptions builds the engine options for one benchmark cluster,
-// including the fault-injection and per-query-deadline settings.
-func clusterOptions(cfg Config) engine.Options {
-	profile := engine.ProfileMPP
-	if cfg.SparkProfile {
-		profile = engine.ProfileSparkSQL
-	}
-	var injector *engine.FaultInjector
-	if cfg.FaultRate > 0 {
-		injector = engine.NewFaultInjector(engine.FaultConfig{
-			Seed:        cfg.FaultSeed,
-			FailureRate: cfg.FaultRate,
-		})
-	}
-	return engine.Options{
-		Segments:      cfg.Segments,
-		Profile:       profile,
-		QueryTimeout:  cfg.QueryTimeout,
-		FaultInjector: injector,
-		MemoryBudget:  cfg.MemoryBudget,
-	}
-}
-
 // runOnce executes one repetition on a fresh cluster.
 func runOnce(g *graph.Graph, alg ccalg.Info, cfg Config, capacity int64, seed uint64) (*ccalg.Result, metrics, error) {
-	c := engine.NewCluster(clusterOptions(cfg))
+	c := engine.NewCluster(cfg.Options)
 	defer c.Close()
 	if err := graph.Load(c, "input", g); err != nil {
 		return nil, metrics{}, err

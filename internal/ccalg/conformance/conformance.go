@@ -41,7 +41,7 @@ func Drivers() []ccalg.Info {
 // RunOn loads g into a fresh cluster and runs algorithm fn on it.
 func RunOn(t *testing.T, fn ccalg.Func, g *graph.Graph, opts ccalg.Options) (*ccalg.Result, *engine.Cluster) {
 	t.Helper()
-	c := engine.NewCluster(engine.Options{Segments: 4})
+	c := newCluster(t, engine.Options{Segments: 4})
 	if err := graph.Load(c, "input", g); err != nil {
 		t.Fatal(err)
 	}
@@ -178,21 +178,27 @@ func Graphs() map[string]*graph.Graph {
 	return out
 }
 
-// faultyCluster builds a cluster with 5% injected task faults (and a low
-// spill-write fault rate), retried aggressively so runs always finish.
-func faultyCluster(budget int64) *engine.Cluster {
-	return engine.NewCluster(engine.Options{
-		Segments:     4,
-		MemoryBudget: budget,
-		FaultInjector: engine.NewFaultInjector(engine.FaultConfig{
-			Seed:             1234,
-			FailureRate:      0.05,
-			SpillFailureRate: 0.0002,
-		}),
-		RetryBackoff:   time.Microsecond,
-		MaxTaskRetries: 10,
-		RetryBudget:    10000,
-	})
+// ChaosFaults is the fault model of the suite's chaotic runs: 5% of
+// task attempts die outright, and spill writes fail at a much lower
+// per-write rate because one spilling kernel can perform hundreds of
+// writes per attempt under a pathological budget, and the per-attempt
+// failure probability must stay inside what the retry policy absorbs.
+// Retries are generous and nearly free so runs always finish.
+var ChaosFaults = engine.FaultConfig{
+	Seed:             1234,
+	FailureRate:      0.05,
+	SpillFailureRate: 0.0002,
+	RetryBackoff:     time.Microsecond,
+	MaxTaskRetries:   10,
+	RetryBudget:      10000,
+}
+
+// newCluster builds a cluster that is closed, and its spill directory
+// removed, when t and its subtests finish.
+func newCluster(t *testing.T, opts engine.Options) *engine.Cluster {
+	c := engine.NewCluster(opts)
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
 // Suite runs the full conformance suite against one driver. Each clause of
@@ -227,7 +233,7 @@ func Suite(t *testing.T, info ccalg.Info) {
 	})
 
 	t.Run("cancel", func(t *testing.T) {
-		c := engine.NewCluster(engine.Options{Segments: 4})
+		c := newCluster(t, engine.Options{Segments: 4})
 		// A graph large enough that the run is still going when cancel
 		// fires mid-flight.
 		if err := graph.Load(c, "input", datagen.Bitcoin(5000, 7)); err != nil {
@@ -272,7 +278,7 @@ func Suite(t *testing.T, info ccalg.Info) {
 		g := datagen.Bitcoin(150, 9)
 		clean, _ := RunOn(t, info.Run, g, ccalg.Options{Seed: 5})
 		CheckCorrect(t, g, clean)
-		c := faultyCluster(0)
+		c := newCluster(t, engine.Options{Segments: 4, Faults: ChaosFaults})
 		if err := graph.Load(c, "input", g); err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +295,7 @@ func Suite(t *testing.T, info ccalg.Info) {
 		const budget = 8 << 10
 		g := datagen.ErdosRenyi(120, 260, 5)
 		unbounded, _ := RunOn(t, info.Run, g, ccalg.Options{Seed: 5})
-		c := engine.NewCluster(engine.Options{Segments: 4, MemoryBudget: budget})
+		c := newCluster(t, engine.Options{Segments: 4, MemoryBudget: budget})
 		if err := graph.Load(c, "input", g); err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +347,7 @@ func Suite(t *testing.T, info ccalg.Info) {
 
 	t.Run("cleanup", func(t *testing.T) {
 		g := datagen.ErdosRenyi(40, 60, 4)
-		c := engine.NewCluster(engine.Options{Segments: 3})
+		c := newCluster(t, engine.Options{Segments: 3})
 		if err := graph.Load(c, "input", g); err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +361,7 @@ func Suite(t *testing.T, info ccalg.Info) {
 
 	t.Run("space-limit", func(t *testing.T) {
 		g := datagen.Path(2000)
-		c := engine.NewCluster(engine.Options{Segments: 3})
+		c := newCluster(t, engine.Options{Segments: 3})
 		if err := graph.Load(c, "input", g); err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +375,7 @@ func Suite(t *testing.T, info ccalg.Info) {
 	})
 
 	t.Run("empty", func(t *testing.T) {
-		c := engine.NewCluster(engine.Options{Segments: 2})
+		c := newCluster(t, engine.Options{Segments: 2})
 		if err := graph.Load(c, "input", graph.New(0)); err != nil {
 			t.Fatal(err)
 		}
@@ -383,7 +389,7 @@ func Suite(t *testing.T, info ccalg.Info) {
 	})
 
 	t.Run("validation", func(t *testing.T) {
-		c := engine.NewCluster(engine.Options{Segments: 2})
+		c := newCluster(t, engine.Options{Segments: 2})
 		if _, err := c.CreateTable("bad", engine.Schema{"a", "b", "c"}, 0); err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,34 @@
 package conformance
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"dbcc/internal/ccalg"
 	"dbcc/internal/datagen"
 	"dbcc/internal/unionfind"
 )
+
+// TestMain runs the package's tests with TMPDIR pointing at a fresh
+// directory and fails the run if any cluster's spill directory outlives
+// them: every cluster the suite builds must be closed.
+func TestMain(m *testing.M) {
+	tmp, err := os.MkdirTemp("", "conformance-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	os.Setenv("TMPDIR", tmp)
+	code := m.Run()
+	if leaked, _ := filepath.Glob(filepath.Join(tmp, "dbcc-spill-*")); len(leaked) > 0 {
+		fmt.Fprintf(os.Stderr, "FAIL: %d spill directories outlived the tests: %v\n", len(leaked), leaked)
+		code = 1
+	}
+	os.RemoveAll(tmp)
+	os.Exit(code)
+}
 
 // TestConformance instantiates the shared driver-contract suite for every
 // driver: the paper's five algorithms, the two frontier drivers and the

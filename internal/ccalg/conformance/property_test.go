@@ -5,7 +5,6 @@ import (
 	"os"
 	"strconv"
 	"testing"
-	"time"
 
 	"dbcc/internal/ccalg"
 	"dbcc/internal/datagen"
@@ -106,24 +105,9 @@ func randomFamilies(rng *xrand.Rand) map[string]*graph.Graph {
 
 // propertyCluster builds a cluster for one (budget, faults) cell.
 func propertyCluster(budget int64, faulty bool) *engine.Cluster {
-	opts := engine.Options{
-		Segments:     4,
-		MemoryBudget: budget,
-	}
+	opts := engine.Options{Segments: 4, MemoryBudget: budget}
 	if faulty {
-		// 5% of task attempts die outright; spill writes fail at a much
-		// lower per-write rate because one spilling kernel can perform
-		// hundreds of writes per attempt under the pathological budget, and
-		// the per-attempt failure probability must stay inside what the
-		// retry policy absorbs.
-		opts.FaultInjector = engine.NewFaultInjector(engine.FaultConfig{
-			Seed:             1234,
-			FailureRate:      0.05,
-			SpillFailureRate: 0.0002,
-		})
-		opts.RetryBackoff = time.Microsecond
-		opts.MaxTaskRetries = 10
-		opts.RetryBudget = 10000
+		opts.Faults = ChaosFaults
 	}
 	return engine.NewCluster(opts)
 }

@@ -52,6 +52,7 @@
 package engine
 
 import (
+	"flag"
 	"fmt"
 	"runtime"
 	"sort"
@@ -257,21 +258,11 @@ type Options struct {
 	// deadline. It composes with caller-supplied contexts: whichever
 	// cancels first wins.
 	QueryTimeout time.Duration
-	// FaultInjector, when non-nil, injects deterministic segment-task
-	// failures and latency spikes (see FaultConfig) — the chaos harness
-	// modelling segment failure in an MPP cluster.
-	FaultInjector *FaultInjector
-	// MaxTaskRetries is how many times one segment task is retried after
-	// an injected fault before its query fails; 0 means the default of 3,
-	// negative disables retries.
-	MaxTaskRetries int
-	// RetryBackoff is the base of the capped exponential backoff between
-	// task retries; 0 means the default of 200µs.
-	RetryBackoff time.Duration
-	// RetryBudget caps the total retries one statement may consume across
-	// all its tasks; 0 means the default of 1024, negative disables
-	// retries entirely.
-	RetryBudget int
+	// Faults configures deterministic fault injection and the retry policy
+	// that absorbs it (see FaultConfig) — the chaos harness modelling
+	// segment failure in an MPP cluster. The zero value injects nothing and
+	// keeps the default retry policy.
+	Faults FaultConfig
 	// MemoryBudget bounds each statement's kernel working memory (hash
 	// tables, sort state, spill buffers) in bytes; segment tasks whose
 	// working set would exceed budget/Segments run spilling kernel
@@ -279,6 +270,17 @@ type Options struct {
 	// external merge sort — see memory.go and spill_kernels.go). 0 means
 	// unbounded, the historical in-memory behaviour.
 	MemoryBudget int64
+}
+
+// RegisterFlags registers the cluster flags every command shares —
+// -segments, -timeout, -fault-rate, -fault-seed and -mem-budget — bound
+// straight into o's fields, so o is ready to use once fs is parsed.
+func (o *Options) RegisterFlags(fs *flag.FlagSet) {
+	fs.IntVar(&o.Segments, "segments", 8, "virtual MPP segments")
+	fs.DurationVar(&o.QueryTimeout, "timeout", 0, "per-statement deadline (0 = none)")
+	fs.Float64Var(&o.Faults.FailureRate, "fault-rate", 0, "inject segment-task failures at this probability per attempt (0 = off)")
+	fs.Uint64Var(&o.Faults.Seed, "fault-seed", 1, "seed for the deterministic fault injector")
+	fs.Int64Var(&o.MemoryBudget, "mem-budget", 0, "per-statement working-memory budget in bytes; kernels spill to disk beyond it (0 = unbounded)")
 }
 
 // Cluster is the in-process MPP database: a catalog of distributed tables,
@@ -389,17 +391,17 @@ func NewCluster(opts Options) *Cluster {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	retries := opts.MaxTaskRetries
+	retries := opts.Faults.MaxTaskRetries
 	if retries == 0 {
 		retries = 3
 	} else if retries < 0 {
 		retries = 0
 	}
-	backoff := opts.RetryBackoff
+	backoff := opts.Faults.RetryBackoff
 	if backoff <= 0 {
 		backoff = 200 * time.Microsecond
 	}
-	budget := opts.RetryBudget
+	budget := opts.Faults.RetryBudget
 	if budget == 0 {
 		budget = 1024
 	} else if budget < 0 {
@@ -410,7 +412,7 @@ func NewCluster(opts Options) *Cluster {
 		workers:        opts.Workers,
 		profile:        opts.Profile,
 		queryTimeout:   opts.QueryTimeout,
-		injector:       opts.FaultInjector,
+		injector:       newFaultInjector(opts.Faults),
 		maxTaskRetries: retries,
 		retryBackoff:   backoff,
 		retryBudget:    budget,

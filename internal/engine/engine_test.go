@@ -2,15 +2,44 @@ package engine
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 )
 
 // newTestCluster returns a small cluster for tests.
 func newTestCluster(t *testing.T, segs int) *Cluster {
 	t.Helper()
 	return NewCluster(Options{Segments: segs})
+}
+
+// TestRegisterFlags checks the shared cluster flags on a fresh FlagSet:
+// their defaults, and that each one lands in its Options field.
+func TestRegisterFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		want Options
+	}{
+		{"", Options{Segments: 8, Faults: FaultConfig{Seed: 1}}},
+		{"-fault-rate 0.05", Options{Segments: 8, Faults: FaultConfig{Seed: 1, FailureRate: 0.05}}},
+		{"-segments 3 -fault-seed 9", Options{Segments: 3, Faults: FaultConfig{Seed: 9}}},
+		{"-timeout 2s -mem-budget 65536", Options{
+			Segments: 8, QueryTimeout: 2 * time.Second, MemoryBudget: 65536, Faults: FaultConfig{Seed: 1},
+		}},
+	} {
+		var got Options
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		got.RegisterFlags(fs)
+		if err := fs.Parse(strings.Fields(tc.args)); err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		if got != tc.want {
+			t.Errorf("%q: got %+v, want %+v", tc.args, got, tc.want)
+		}
+	}
 }
 
 // mustCreate loads rows into a fresh table.

@@ -10,14 +10,14 @@
 //     Options.QueryTimeout deadlines are honoured between operators and
 //     between segment tasks, and in-flight tasks are drained before the
 //     statement returns — no goroutine outlives its query);
-//   - Options.FaultInjector simulates segment failure and latency spikes,
+//   - Options.Faults simulates segment failure and latency spikes,
 //     deterministically per seed: whether a given task attempt fails is a
 //     pure function of (seed, statement, operator, segment, attempt), so a
 //     chaos run is exactly reproducible regardless of goroutine schedule;
 //   - failed task attempts are retried with capped exponential backoff up
-//     to Options.MaxTaskRetries times per task and Options.RetryBudget
-//     times per statement, and every retry/fault/cancellation is counted
-//     in the operator's OpMetrics (EXPLAIN ANALYZE prints them);
+//     to Faults.MaxTaskRetries times per task and Faults.RetryBudget times
+//     per statement, and every retry/fault/cancellation is counted in the
+//     operator's OpMetrics (EXPLAIN ANALYZE prints them);
 //   - a task that panics (malformed plan, broken UDF) is converted into an
 //     error that fails its query, not the process, and on the first task
 //     error the remaining tasks of the fan-out are cancelled with the
@@ -43,7 +43,10 @@ import (
 // the query immediately.
 var ErrInjectedFault = errors.New("engine: injected segment fault")
 
-// FaultConfig parameterises a FaultInjector.
+// FaultConfig is the cluster's fault model: which segment-task attempts
+// and spill writes the injector fails, and the retry policy that absorbs
+// those failures. Injected faults are the only errors the engine retries,
+// so the policy belongs with them. The zero value injects nothing.
 type FaultConfig struct {
 	// Seed drives all fault decisions; two runs issuing the same statement
 	// sequence under the same seed inject exactly the same faults.
@@ -62,6 +65,18 @@ type FaultConfig struct {
 	// Spill faults are retried exactly like segment failures: the whole
 	// segment-task attempt reruns and overwrites its partition files.
 	SpillFailureRate float64
+
+	// MaxTaskRetries is how many times one segment task is retried after
+	// an injected fault before its query fails; 0 means the default of 3,
+	// negative disables retries.
+	MaxTaskRetries int
+	// RetryBackoff is the base of the capped exponential backoff between
+	// task retries; 0 means the default of 200µs.
+	RetryBackoff time.Duration
+	// RetryBudget caps the total retries one statement may consume across
+	// all its tasks; 0 means the default of 1024, negative disables
+	// retries entirely.
+	RetryBudget int
 }
 
 // FaultInjector deterministically injects segment-task failures and
@@ -73,13 +88,21 @@ type FaultInjector struct {
 	delayed  atomic.Int64 // total latency spikes injected
 }
 
-// NewFaultInjector builds an injector; nil-safe to pass into Options.
-func NewFaultInjector(cfg FaultConfig) *FaultInjector {
+// newFaultInjector builds the injector for cfg, or returns nil when no
+// rate is above 0 and nothing would ever be injected.
+func newFaultInjector(cfg FaultConfig) *FaultInjector {
+	if cfg.FailureRate <= 0 && cfg.LatencyRate <= 0 && cfg.SpillFailureRate <= 0 {
+		return nil
+	}
 	if cfg.Latency <= 0 {
 		cfg.Latency = 200 * time.Microsecond
 	}
 	return &FaultInjector{cfg: cfg}
 }
+
+// FaultInjector returns the cluster's fault injector, or nil when
+// Options.Faults injects nothing.
+func (c *Cluster) FaultInjector() *FaultInjector { return c.injector }
 
 // Injected returns the total number of failures this injector produced.
 func (f *FaultInjector) Injected() int64 { return f.injected.Load() }

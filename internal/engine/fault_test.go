@@ -96,19 +96,19 @@ func TestChaosLabelsMatchFaultFree(t *testing.T) {
 			t.Fatalf("%s fault-free: %v", info.Name, err)
 		}
 		chaos := func() (*ccalg.Result, *engine.FaultInjector, *engine.Cluster) {
-			inj := engine.NewFaultInjector(engine.FaultConfig{
+			faults := engine.FaultConfig{
 				Seed:        42,
 				FailureRate: 0.05,
 				LatencyRate: 0.05,
 				Latency:     50 * time.Microsecond,
-			})
+			}
 			res, c, err := runAlg(t, info, g,
-				engine.Options{Segments: 4, FaultInjector: inj},
+				engine.Options{Segments: 4, Faults: faults},
 				ccalg.Options{Seed: 1})
 			if err != nil {
 				t.Fatalf("%s under 5%% faults: %v", info.Name, err)
 			}
-			return res, inj, c
+			return res, c.FaultInjector(), c
 		}
 		res1, inj1, c1 := chaos()
 		_, inj2, _ := chaos()
@@ -140,25 +140,43 @@ func TestChaosLabelsMatchFaultFree(t *testing.T) {
 
 // TestChaosExhaustedRetriesReturnRoundError drives the failure rate to
 // 100% so every retry is burned, and checks the typed partial-progress
-// error: a *ccalg.RoundError that still unwraps to ErrInjectedFault.
+// error: a *ccalg.RoundError that still unwraps to ErrInjectedFault. The
+// cases pin that each retry-policy field of FaultConfig reaches the retry
+// loop: the per-task cap (default 3 retries) and the statement budget.
 func TestChaosExhaustedRetriesReturnRoundError(t *testing.T) {
-	inj := engine.NewFaultInjector(engine.FaultConfig{Seed: 1, FailureRate: 1})
-	info, _ := ccalg.ByName("rc")
-	_, _, err := runAlg(t, info, chaosGraph(),
-		engine.Options{Segments: 4, FaultInjector: inj, RetryBackoff: time.Microsecond},
-		ccalg.Options{Seed: 1})
-	if err == nil {
-		t.Fatal("run succeeded with a 100% failure rate")
-	}
-	var re *ccalg.RoundError
-	if !errors.As(err, &re) {
-		t.Fatalf("error is %T (%v), want *ccalg.RoundError", err, err)
-	}
-	if !errors.Is(err, engine.ErrInjectedFault) {
-		t.Fatalf("RoundError does not unwrap to ErrInjectedFault: %v", err)
-	}
-	if re.Algorithm != "rc" || re.Round < 1 {
-		t.Fatalf("RoundError carries algorithm=%q round=%d", re.Algorithm, re.Round)
+	for _, tc := range []struct {
+		name   string
+		faults engine.FaultConfig
+		want   string
+	}{
+		{"default", engine.FaultConfig{}, "after 4 attempts"},
+		{"max-task-retries", engine.FaultConfig{MaxTaskRetries: 2}, "after 3 attempts"},
+		{"retry-budget", engine.FaultConfig{RetryBudget: 1}, "retry budget exhausted"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			faults := tc.faults
+			faults.Seed, faults.FailureRate, faults.RetryBackoff = 1, 1, time.Microsecond
+			info, _ := ccalg.ByName("rc")
+			_, _, err := runAlg(t, info, chaosGraph(),
+				engine.Options{Segments: 4, Faults: faults},
+				ccalg.Options{Seed: 1})
+			if err == nil {
+				t.Fatal("run succeeded with a 100% failure rate")
+			}
+			var re *ccalg.RoundError
+			if !errors.As(err, &re) {
+				t.Fatalf("error is %T (%v), want *ccalg.RoundError", err, err)
+			}
+			if !errors.Is(err, engine.ErrInjectedFault) {
+				t.Fatalf("RoundError does not unwrap to ErrInjectedFault: %v", err)
+			}
+			if re.Algorithm != "rc" || re.Round < 1 {
+				t.Fatalf("RoundError carries algorithm=%q round=%d", re.Algorithm, re.Round)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not say %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -260,8 +278,9 @@ func TestQueryTimeoutAbortsRun(t *testing.T) {
 // TestExplainAnalyzeShowsRetryCounters checks that injected faults and
 // the retries that absorb them surface in the EXPLAIN ANALYZE profile.
 func TestExplainAnalyzeShowsRetryCounters(t *testing.T) {
-	inj := engine.NewFaultInjector(engine.FaultConfig{Seed: 3, FailureRate: 0.1})
-	c := engine.NewCluster(engine.Options{Segments: 8, FaultInjector: inj, RetryBackoff: time.Microsecond})
+	c := engine.NewCluster(engine.Options{Segments: 8, Faults: engine.FaultConfig{
+		Seed: 3, FailureRate: 0.1, RetryBackoff: time.Microsecond,
+	}})
 	sess := sql.NewSession(c)
 	if _, err := sess.Exec("create table t (v1, v2) distributed by (v1);"); err != nil {
 		t.Fatalf("create: %v", err)
@@ -293,7 +312,7 @@ func TestExplainAnalyzeShowsRetryCounters(t *testing.T) {
 			return
 		}
 	}
-	t.Fatalf("no EXPLAIN ANALYZE profile showed retry/fault counters in 100 statements (injector produced %d faults)", inj.Injected())
+	t.Fatalf("no EXPLAIN ANALYZE profile showed retry/fault counters in 100 statements (injector produced %d faults)", c.FaultInjector().Injected())
 }
 
 // TestPanicInUDFFailsOnlyThatQuery registers user-defined functions that

@@ -234,8 +234,7 @@ func TestSpillCleanupAfterStatement(t *testing.T) {
 // partition files are removed anyway.
 func TestSpillCleanupAfterError(t *testing.T) {
 	rng := xrand.New(137)
-	inj := NewFaultInjector(FaultConfig{Seed: 7, SpillFailureRate: 1})
-	c := NewCluster(Options{Segments: 4, MemoryBudget: spillBudget, FaultInjector: inj})
+	c := NewCluster(Options{Segments: 4, MemoryBudget: spillBudget, Faults: FaultConfig{Seed: 7, SpillFailureRate: 1}})
 	t.Cleanup(func() { c.Close() })
 	mustCreate(t, c, "t", Schema{"k", "x"}, 0, joinableRows(rng, 2000))
 	if _, _, err := c.Query(Distinct(Scan("t"))); err == nil {
@@ -256,11 +255,12 @@ func TestSpillFaultRetry(t *testing.T) {
 	// of a thousand spill writes, so the per-write rate must stay low
 	// enough that the per-attempt failure probability is well inside what
 	// the retry policy absorbs.
-	inj := NewFaultInjector(FaultConfig{Seed: 11, SpillFailureRate: 0.0002})
 	spill := NewCluster(Options{
 		Segments: 4, MemoryBudget: spillBudget,
-		FaultInjector: inj, RetryBackoff: time.Microsecond,
-		MaxTaskRetries: 12, RetryBudget: 400,
+		Faults: FaultConfig{
+			Seed: 11, SpillFailureRate: 0.0002,
+			RetryBackoff: time.Microsecond, MaxTaskRetries: 12, RetryBudget: 400,
+		},
 	})
 	t.Cleanup(func() { spill.Close() })
 	mustCreate(t, spill, "t", Schema{"k", "x"}, 0, rows)
@@ -279,7 +279,7 @@ func TestSpillFaultRetry(t *testing.T) {
 		}
 		sameRows(t, got, want)
 	}
-	if inj.Injected() == 0 {
+	if spill.FaultInjector().Injected() == 0 {
 		t.Fatal("no spill faults were injected; lower the threshold or raise the rate")
 	}
 	if s := spill.Stats(); s.TaskRetries == 0 || s.TaskFaults == 0 {
