@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"dbcc/internal/engine"
+	"dbcc/internal/sql"
 )
 
 // The adaptive planner's thresholds. They are deliberately coarse: the
@@ -37,6 +38,16 @@ const (
 	// RoundStats stream, not of wall time, so runs stay reproducible.
 	autoBlowupFactor = 8
 	autoRoundCeiling = 512
+)
+
+// The pre-scan's statistics over the input $1, each one aggregate query
+// over its symmetrised, deduplicated, loop-free edge set, nothing
+// materialised.
+var (
+	autoDegrees      = `(select v, count(*) as deg from ` + edgeSet("$1") + ` as ed group by v)`
+	autoSQLVertices  = `select count(*) as n from ` + autoDegrees + ` as d`
+	autoSQLEdges     = `select count(*) as n from ` + edgeSet("$1") + ` as ed`
+	autoSQLMaxDegree = `select max(deg) as maxdeg from ` + autoDegrees + ` as d`
 )
 
 // Prescan is the cheap statistics pass behind a planning decision.
@@ -83,21 +94,14 @@ func PlanAlgorithm(c *engine.Cluster, input string, opts Options) (AutoDecision,
 	defer r.cleanup()
 
 	var d AutoDecision
-
-	// Degree table of the symmetrised, deduplicated, loop-free graph —
-	// aggregated in one streaming pass, nothing materialised.
-	edges := engine.Distinct(engine.Filter(symmetric(input),
-		engine.Bin(engine.OpNe, engine.Col(0), engine.Col(1))))
-	deg := engine.GroupBy(edges, []int{0}, engine.Agg{Op: engine.AggCount, Name: "deg"})
 	var err error
-	if d.Prescan.Vertices, err = countRows(r.ctx, c, deg); err != nil {
+	if d.Prescan.Vertices, err = r.count(autoSQLVertices, sql.Table(input)); err != nil {
 		return d, err
 	}
-	if d.Prescan.Edges, err = countRows(r.ctx, c, edges); err != nil {
+	if d.Prescan.Edges, err = r.count(autoSQLEdges, sql.Table(input)); err != nil {
 		return d, err
 	}
-	if d.Prescan.MaxDegree, err = aggInt(r, engine.GroupBy(deg, nil,
-		engine.Agg{Op: engine.AggMax, Arg: engine.Col(1), Name: "maxdeg"})); err != nil {
+	if d.Prescan.MaxDegree, err = r.count(autoSQLMaxDegree, sql.Table(input)); err != nil {
 		return d, err
 	}
 	if d.Prescan.Vertices > 0 {
@@ -136,41 +140,25 @@ func PlanAlgorithm(c *engine.Cluster, input string, opts Options) (AutoDecision,
 	return d, nil
 }
 
-// probeDiameter runs up to autoProbeRounds rounds of BFS-style minimum
+// probeDiameter runs up to autoProbeRounds rounds of BFS's minimum
 // propagation (l(v) ← min of l over the closed neighbourhood) over the
-// full graph, recording whether labels converge. Convergence in k rounds
-// bounds every component's radius from its minimum vertex by k.
+// full graph, starting from the identity labelling, and records whether
+// labels converge. Convergence in k rounds bounds every component's radius
+// from its minimum vertex by k.
 func probeDiameter(r *run, input string, p *Prescan) error {
 	if _, err := initFrontier(r, input, "pb"); err != nil {
 		return err
 	}
-	e := r.scan("pb_e")
-	l := r.scan("pb_l")
-	l2 := r.scan("pb_l2")
-	// Columns after joining edges with labels on the far endpoint:
-	// (v, w, w, l(w)); group to the minimum neighbour label, then fold
-	// into the current labels (left join keeps isolated vertices).
-	nbrMin := engine.GroupBy(engine.Join(e, l, 1, 0), []int{0},
-		engine.Agg{Op: engine.AggMin, Arg: engine.Col(3), Name: "m"})
-	step := engine.Project(engine.LeftJoin(l, nbrMin, 0, 0),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Least(engine.Col(1), engine.Coalesce(engine.Col(3), engine.Col(1))), Name: "r"})
-	changedPlan := engine.Filter(engine.Join(l, l2, 0, 0),
-		engine.Bin(engine.OpNe, engine.Col(1), engine.Col(3)))
-
 	for i := 1; i <= autoProbeRounds; i++ {
 		p.ProbeRounds = i
-		if _, err := r.create("pb_l2", step, 0); err != nil {
+		if _, err := r.create("pb_l2", bfsSQLStep, r.tab("pb_l"), r.tab("pb_e")); err != nil {
 			return err
 		}
-		changed, err := countRows(r.ctx, r.c, changedPlan)
+		changed, err := r.count(sqlCountChanged, r.tab("pb_l"), r.tab("pb_l2"))
 		if err != nil {
 			return err
 		}
-		if err := r.drop("pb_l"); err != nil {
-			return err
-		}
-		if err := r.rename("pb_l2", "pb_l"); err != nil {
+		if err := r.replace("pb_l", "pb_l2"); err != nil {
 			return err
 		}
 		if changed == 0 {

@@ -82,6 +82,31 @@ func TestAutoPrescanStats(t *testing.T) {
 	}
 }
 
+// TestAutoProbeReadsTempNamedInput plans a path stored under the names of
+// the diameter probe's own temp tables: the probe must keep reading the
+// caller's table after creating its temps, so the decision and the
+// pre-scan match those for the same path under a neutral name.
+func TestAutoProbeReadsTempNamedInput(t *testing.T) {
+	plan := func(name string) ccalg.AutoDecision {
+		c := engine.NewCluster(engine.Options{Segments: 4})
+		defer c.Close()
+		if err := graph.Load(c, name, datagen.Path(200)); err != nil {
+			t.Fatal(err)
+		}
+		d, err := ccalg.PlanAlgorithm(c, name, ccalg.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	want := plan("input")
+	for _, name := range []string{"pb_l", "pb_e"} {
+		if got := plan(name); got != want {
+			t.Errorf("input %q planned %+v, want %+v", name, got, want)
+		}
+	}
+}
+
 // TestAutoRunsItsPlan checks the driver end to end on one graph per
 // planned algorithm: Auto must run its plan and label correctly.
 func TestAutoRunsItsPlan(t *testing.T) {

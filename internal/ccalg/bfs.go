@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dbcc/internal/engine"
+	"dbcc/internal/sql"
 )
 
 // BFS is the naive "Breadth First Search" strategy of Sec. IV, which is how
@@ -15,59 +16,40 @@ import (
 // diameter — the behaviour that makes it unsuitable for Big Data (a
 // sequentially numbered path of n vertices takes n−1 rounds).
 func BFS(c *engine.Cluster, input string, opts Options) (*Result, error) {
-	if err := validateInput(c, input); err != nil {
-		return nil, err
-	}
-	r := newRun(c, opts)
-	defer r.cleanup()
-	res, err := runBFS(r, c, input)
-	if err != nil {
-		return nil, r.roundError("bfs", err)
-	}
-	return res, nil
+	return drive(c, input, opts, "bfs", runBFS)
 }
 
-func runBFS(r *run, c *engine.Cluster, input string) (*Result, error) {
+// bfsSQLStep is one propagation round, shared with the adaptive
+// planner's diameter probe: every vertex's label ($2, (v, r) rows)
+// improves to the minimum label in its closed neighbourhood over the
+// symmetric edge table $3. Vertices without neighbours keep their label,
+// because least ignores the NULL of the left join.
+const bfsSQLStep = `
+	create table $1 as
+	select l.v, least(l.r, n.m) as r
+	from $2 as l left join (
+		select e.v, min(nl.r) as m
+		from $3 as e (v, w), $2 as nl
+		where e.w = nl.v
+		group by e.v) as n on l.v = n.v
+	distributed by (v)`
+
+func runBFS(r *run, input string) (*Result, error) {
 	// Symmetrised edge table, distributed by source. BFS never shrinks the
 	// edge set, so this count is the constant live-edge figure of the round
 	// log — the reason its per-round cost does not decay.
-	liveE, err := r.create("bfs_e", symmetric(input), 0)
+	liveE, err := r.create("bfs_e", sqlSymmetric, sql.Table(input))
 	if err != nil {
 		return nil, err
 	}
 	// Initial labels: minimum of the closed neighbourhood.
-	initial := engine.Project(
-		engine.GroupBy(r.scan("bfs_e"), []int{0},
-			engine.Agg{Op: engine.AggMin, Arg: engine.Col(1), Name: "mw"}),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Least(engine.Col(0), engine.Col(1)), Name: "r"},
-	)
-	if _, err := r.create("bfs_l", initial, 0); err != nil {
+	if _, err := r.create("bfs_l", sqlClosedMin, r.tab("bfs_e")); err != nil {
 		return nil, err
 	}
 
-	// The round-loop plans are built once, outside the loop — the engine
-	// analogue of a prepared statement. The rename dance keeps the table
-	// names stable (bfs_l2 is always created fresh and renamed to bfs_l),
-	// so the same immutable plan values execute every round.
-	//
-	// Neighbour labels: for each edge (v, w), the label of w.
-	// Columns after join: v, w, lv(v), lv(r).
-	nbr := engine.Join(r.scan("bfs_e"), r.scan("bfs_l"), 1, 0)
-	nbrMin := engine.GroupBy(nbr, []int{0},
-		engine.Agg{Op: engine.AggMin, Arg: engine.Col(3), Name: "mr"})
-	// Improved label: min(own label, best neighbour label).
-	joined := engine.LeftJoin(r.scan("bfs_l"), nbrMin, 0, 0)
-	improved := engine.Project(joined,
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Least(engine.Col(1), engine.Col(3)), Name: "r"},
-	)
-	// Converged when no vertex changed its representative.
-	changedPlan := engine.Filter(
-		engine.Join(r.scan("bfs_l"), r.scan("bfs_l2"), 0, 0),
-		engine.Bin(engine.OpNe, engine.Col(1), engine.Col(3)),
-	)
-
+	// The rename dance keeps the table names stable (bfs_l2 is always
+	// created fresh and renamed to bfs_l), so the same statements run
+	// every round.
 	rounds := 0
 	for {
 		rounds++
@@ -75,18 +57,16 @@ func runBFS(r *run, c *engine.Cluster, input string) (*Result, error) {
 			return nil, fmt.Errorf("ccalg: BFS exceeded %d rounds", maxRounds)
 		}
 		r.beginRound()
-		liveV, err := r.create("bfs_l2", improved, 0)
+		liveV, err := r.create("bfs_l2", bfsSQLStep, r.tab("bfs_l"), r.tab("bfs_e"))
 		if err != nil {
 			return nil, err
 		}
-		changed, err := countRows(r.ctx, c, changedPlan)
+		// Converged when no vertex changed its representative.
+		changed, err := r.count(sqlCountChanged, r.tab("bfs_l"), r.tab("bfs_l2"))
 		if err != nil {
 			return nil, err
 		}
-		if err := r.drop("bfs_l"); err != nil {
-			return nil, err
-		}
-		if err := r.rename("bfs_l2", "bfs_l"); err != nil {
+		if err := r.replace("bfs_l", "bfs_l2"); err != nil {
 			return nil, err
 		}
 		r.endRound(liveV, liveE)

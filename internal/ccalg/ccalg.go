@@ -1,5 +1,7 @@
-// Package ccalg implements the five distributed connected-components
-// algorithms of the paper's evaluation, all executing on the MPP engine:
+// Package ccalg implements the registry of distributed connected-components
+// drivers (Algorithms, plus the adaptive planner Auto), every one of them a
+// program of prepared SQL rounds issued through the SQL layer, the way the
+// paper ran its own algorithm and ported its contenders to HAWQ (Sec. VII):
 //
 //   - RandomisedContraction — the paper's contribution (Sec. V), driven by
 //     the literal SQL of Appendix A, in the Fig. 3 (deterministic space)
@@ -11,13 +13,16 @@
 //   - TwoPhase — Kiveris et al. (SoCC 2014), alternating large-star /
 //     small-star, Θ(log²|V|) rounds with linear space;
 //   - Cracker — Lulli et al. (TPDS 2017), vertex pruning with a
-//     propagation tree.
+//     propagation tree;
+//   - LocalContract and LogDiameter — the frontier drivers in the style of
+//     arXiv:1807.10727 and arXiv:1805.03055.
 //
-// Every algorithm takes an input table of (v1, v2) edge rows (loop edges
-// representing isolated vertices) and produces a labelling. A configurable
-// live-space budget reproduces the paper's "did not finish" outcomes: runs
-// whose temporary tables exceed the budget abort with ErrSpaceLimit, which
-// is how Hash-to-Min and Cracker fail on the path datasets in Table III.
+// Every algorithm takes an input table of two-column edge rows, whatever
+// its columns are called (loop edges representing isolated vertices), and
+// produces a labelling. A configurable live-space budget reproduces the
+// paper's "did not finish" outcomes: runs whose temporary tables exceed
+// the budget abort with ErrSpaceLimit, which is how Hash-to-Min and
+// Cracker fail on the path datasets in Table III.
 package ccalg
 
 import (
@@ -28,6 +33,7 @@ import (
 
 	"dbcc/internal/engine"
 	"dbcc/internal/graph"
+	"dbcc/internal/sql"
 )
 
 // ErrSpaceLimit is returned when an algorithm's live table footprint
@@ -192,15 +198,25 @@ func ByName(name string) (Info, bool) {
 var runSeq atomic.Uint64
 
 // run wraps the per-algorithm bookkeeping shared by all implementations:
-// the run-private temp-table namespace, the space budget check and
-// temp-table cleanup on failure. The temps set holds catalog (physical)
-// names.
+// the run-private temp-table namespace, the one statement path, the space
+// budget check and temp-table cleanup on failure. The temps set holds
+// catalog (physical) names.
 type run struct {
 	c        *engine.Cluster
 	ctx      context.Context
 	maxBytes int64
 	ns       string
 	temps    map[string]struct{}
+	// s is the run's SQL session, carrying the run's context so
+	// cancellation reaches every statement. It has no namespace of its
+	// own: every table is bound by its catalog name — the caller's input
+	// as given, temps through tab — so no temp can shadow the input, and
+	// concurrent runs never collide because temp names carry ns.
+	s *sql.Session
+	// stmts holds each statement shape's prepared handle: a shape is
+	// parsed once per run, and its plan template is cached engine-wide
+	// (every table is a parameter, so templates are shared across runs).
+	stmts map[string]*sql.Prepared
 
 	onRound  func(RoundStats)
 	roundLog []RoundStats
@@ -213,14 +229,33 @@ func newRun(c *engine.Cluster, opts Options) *run {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	ns := fmt.Sprintf("run%d_", runSeq.Add(1))
 	return &run{
 		c:        c,
 		ctx:      ctx,
 		maxBytes: opts.MaxLiveBytes,
-		ns:       fmt.Sprintf("run%d_", runSeq.Add(1)),
+		ns:       ns,
 		temps:    make(map[string]struct{}),
+		s:        sql.NewSession(c).WithContext(ctx),
+		stmts:    make(map[string]*sql.Prepared),
 		onRound:  opts.OnRound,
 	}
+}
+
+// drive runs a driver body under the contract every driver shares: input
+// validation, a fresh run, temp-table cleanup, and a RoundError carrying
+// the partial round log on failure.
+func drive(c *engine.Cluster, input string, opts Options, name string, body func(r *run, input string) (*Result, error)) (*Result, error) {
+	if err := validateInput(c, input); err != nil {
+		return nil, err
+	}
+	r := newRun(c, opts)
+	defer r.cleanup()
+	res, err := body(r, input)
+	if err != nil {
+		return nil, r.roundError(name, err)
+	}
+	return res, nil
 }
 
 // roundError wraps a mid-algorithm failure in a RoundError carrying the
@@ -274,8 +309,9 @@ func (r *run) endRound(liveVertices, liveEdges int64) {
 // here.
 func (r *run) t(name string) string { return r.ns + name }
 
-// scan returns a plan reading a run-private temp table.
-func (r *run) scan(name string) engine.Plan { return engine.Scan(r.t(name)) }
+// tab binds the run temp table name to a table parameter; the caller's
+// input is bound as sql.Table(input).
+func (r *run) tab(name string) sql.Arg { return sql.Table(r.t(name)) }
 
 // checkSpace enforces the live-space budget. Under concurrent sessions the
 // footprint is the cluster-wide total, matching the paper's shared-storage
@@ -287,16 +323,61 @@ func (r *run) checkSpace() error {
 	return nil
 }
 
-// create materialises a plan as a run-private temp table and applies the
-// space check.
-func (r *run) create(name string, p engine.Plan, distKey int) (int64, error) {
-	phys := r.t(name)
-	n, err := r.c.CreateTableAsCtx(r.ctx, phys, p, distKey)
+// stmt returns the prepared handle of a statement shape, parsing the
+// shape on its first use in the run.
+func (r *run) stmt(src string) (*sql.Prepared, error) {
+	if h, ok := r.stmts[src]; ok {
+		return h, nil
+	}
+	h, err := r.s.Prepare(src)
+	if err != nil {
+		return nil, err
+	}
+	r.stmts[src] = h
+	return h, nil
+}
+
+// prepare parses shapes ahead of their first use, for drivers whose later
+// rounds run statements the first round may not: rounds after the first
+// stay parse-free.
+func (r *run) prepare(srcs ...string) error {
+	for _, src := range srcs {
+		if _, err := r.stmt(src); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// create runs a CREATE TABLE AS shape with $1 bound to the run-private
+// target table and args to $2..., tracks the new table for cleanup and
+// applies the space check. It returns the rows written.
+func (r *run) create(target, src string, args ...sql.Arg) (int64, error) {
+	h, err := r.stmt(src)
 	if err != nil {
 		return 0, err
 	}
-	r.temps[phys] = struct{}{}
+	n, err := h.Exec(append([]sql.Arg{r.tab(target)}, args...)...)
+	if err != nil {
+		return 0, err
+	}
+	r.temps[r.t(target)] = struct{}{}
 	return n, r.checkSpace()
+}
+
+// count runs an aggregate shape — a count, or a MAX or SUM — without
+// materialising anything and returns its value. An aggregate over no rows
+// yields no row, or NULL for MAX and SUM; both read as 0.
+func (r *run) count(src string, args ...sql.Arg) (int64, error) {
+	h, err := r.stmt(src)
+	if err != nil {
+		return 0, err
+	}
+	_, rows, err := h.Query(args...)
+	if err != nil || len(rows) == 0 || rows[0][0].Null {
+		return 0, err
+	}
+	return rows[0][0].Int, nil
 }
 
 // drop removes run-private temp tables.
@@ -323,6 +404,15 @@ func (r *run) rename(oldName, newName string) error {
 	return nil
 }
 
+// replace drops table name and renames next to it: the rename dance that
+// lets every round's statements read the same table names.
+func (r *run) replace(name, next string) error {
+	if err := r.drop(name); err != nil {
+		return err
+	}
+	return r.rename(next, name)
+}
+
 // cleanup drops any temp tables still live (used on error paths).
 func (r *run) cleanup() {
 	for n := range r.temps {
@@ -340,31 +430,70 @@ func (r *run) labelsOf(table string) (graph.Labelling, error) {
 	return graph.FromRows(rows)
 }
 
-// countRows runs a counting query over a plan without materialising it.
-func countRows(ctx context.Context, c *engine.Cluster, p engine.Plan) (int64, error) {
-	counted := engine.GroupBy(p, nil, engine.Agg{Op: engine.AggCount, Name: "n"})
-	_, rows, err := c.QueryCtx(ctx, counted)
-	if err != nil {
-		return 0, err
-	}
-	if len(rows) == 0 {
-		return 0, nil
-	}
-	return rows[0][0].Int, nil
+// The statement shapes several drivers share. Every table is a $N
+// parameter, so one shape serves every round's renamed tables. Tables the
+// drivers create name edge columns (v, w) and label columns (v, r); shapes
+// that accept tables of either kind, or the caller's input, read them
+// through an alias column list, so stored column names never matter.
+const (
+	// sqlSymmetric is Appendix A's setup query: the input $2 with every
+	// edge in both orientations, distributed by the first column.
+	sqlSymmetric = `
+		create table $1 as
+		select v1, v2 from $2 as e (v1, v2)
+		union all
+		select v2, v1 from $2 as e2 (v1, v2)
+		distributed by (v1)`
+	// sqlClosedMin labels every vertex of the symmetric edge table $2 with
+	// the minimum of its closed neighbourhood.
+	sqlClosedMin = `
+		create table $1 as
+		select v, least(v, min(w)) as r from $2 as e (v, w) group by v
+		distributed by (v)`
+	// sqlGroupMin maps every first-column value of $2 to its minimum
+	// second-column value.
+	sqlGroupMin = `
+		create table $1 as
+		select v, min(w) as r from $2 as t (v, w) group by v
+		distributed by (v)`
+	// sqlCount counts the rows of $1.
+	sqlCount = `select count(*) as n from $1 as t`
+	// sqlCountChanged counts the vertices whose label differs between the
+	// labellings $1 and $2.
+	sqlCountChanged = `
+		select count(*) as n from $1 as a (v, r), $2 as b (v, r)
+		where a.v = b.v and a.r != b.r`
+	// sqlCountUnion counts the distinct rows of two two-column tables
+	// together: with equal cardinalities, the tables hold the same set
+	// exactly when this count equals either's.
+	sqlCountUnion = `
+		select count(*) as n from (
+			select distinct x, y from (
+				select x, y from $1 as a (x, y)
+				union all
+				select x, y from $2 as b (x, y)) as u) as d`
+)
+
+// symmetric returns the edge table bound to parameter p as a derived
+// table of (v, w) rows holding every edge in both orientations — the
+// setup query as a FROM item, for statements that consume it in place.
+func symmetric(p string) string {
+	return `(select v, w from ` + p + ` as e (v, w) union all select w, v from ` + p + ` as e2 (v, w))`
 }
 
-// symmetric returns the standard setup plan: the input edge table unioned
-// with its swap, giving each undirected edge both orientations (the first
-// query of Appendix A).
-func symmetric(input string) engine.Plan {
-	fwd := engine.Project(engine.Scan(input),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Col(1), Name: "w"})
-	rev := engine.Project(engine.Scan(input),
-		engine.ProjCol{Expr: engine.Col(1), Name: "v"},
-		engine.ProjCol{Expr: engine.Col(0), Name: "w"})
-	return engine.UnionAll(fwd, rev)
+// edgeSet returns symmetric(p) deduplicated and without loops: the live
+// edge set most drivers start from.
+func edgeSet(p string) string {
+	return `(select distinct v, w from ` + symmetric(p) + ` as s where v != w)`
 }
+
+// Input-reading shapes built from the derived tables above.
+var (
+	// sqlEdges materialises edgeSet($2).
+	sqlEdges = `create table $1 as select v, w from ` + edgeSet("$2") + ` as ed distributed by (v)`
+	// sqlVertices materialises the input's vertex set, one (v) row each.
+	sqlVertices = `create table $1 as select v from ` + symmetric("$2") + ` as s group by v distributed by (v)`
+)
 
 // validateInput checks the algorithm input contract.
 func validateInput(c *engine.Cluster, input string) error {

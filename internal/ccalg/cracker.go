@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dbcc/internal/engine"
+	"dbcc/internal/sql"
 )
 
 // Cracker is the vertex-pruning algorithm of Lulli et al. ("Fast connected
@@ -25,28 +26,96 @@ import (
 // is what inflates communication on path-shaped inputs (Table I's
 // O(|V|·|E|/log|V|) bound and the Path100M failure in Table III).
 func Cracker(c *engine.Cluster, input string, opts Options) (*Result, error) {
-	if err := validateInput(c, input); err != nil {
-		return nil, err
-	}
-	r := newRun(c, opts)
-	defer r.cleanup()
-	res, err := runCracker(r, c, input)
-	if err != nil {
-		return nil, r.roundError("cr", err)
-	}
-	return res, nil
+	return drive(c, input, opts, "cr", runCracker)
 }
 
-func runCracker(r *run, c *engine.Cluster, input string) (*Result, error) {
+// Cracker's statement shapes. The working graph and the candidate table
+// hold (v, w) and (v, c) rows; minima, labels and the propagation tree
+// (v, r) and (parent, child) rows.
+const (
+	// crSQLCandidates is min selection: each edge (u, v) of $2 proposes
+	// u's minimum ($3) to v, and each vertex proposes its minimum to
+	// itself; the table holds (receiver, candidate) pairs.
+	crSQLCandidates = `
+		create table $1 as
+		select distinct v, c from (
+			select e.w as v, m.r as c from $2 as e, $3 as m where e.v = m.v
+			union all
+			select v, r from $3 as m2) as x
+		distributed by (v)`
+	// crSQLLive: the survivors, vertices that are somebody's minimum
+	// (v ∈ C(v)).
+	crSQLLive = `
+		create table $1 as
+		select distinct v from $2 as g where v = c
+		distributed by (v)`
+	// crSQLPruned attaches every non-surviving vertex of the candidate
+	// minima $2 to its minimum, as tree rows (parent, child); $3 are the
+	// survivors.
+	crSQLPruned = `
+		create table $1 as
+		select vm.r as parent, vm.v as child
+		from $2 as vm left join $3 as lv on vm.v = lv.v
+		where lv.v is null
+		distributed by (child)`
+	// crSQLRelink is the next graph: every candidate of $2 re-linked to
+	// its receiver's minimum ($3), re-symmetrised, loops dropped.
+	crSQLRelink = `
+		create table $1 as
+		select distinct v, w from (
+			select vm.r as v, g.c as w from $2 as g, $3 as vm where g.v = vm.v
+			union all
+			select g2.c, vm2.r from $2 as g2, $3 as vm2 where g2.v = vm2.v) as x
+		where v != w
+		distributed by (v)`
+	// crSQLNextV: the vertices of the next graph $2.
+	crSQLNextV = `
+		create table $1 as
+		select distinct v from $2 as e group by v
+		distributed by (v)`
+	// crSQLRoots: survivors ($2) that were not pruned (children of $3) and
+	// no longer touch an edge ($4) seed their component, as tree rows
+	// (v, v).
+	crSQLRoots = `
+		create table $1 as
+		select lv.v as parent, lv.v as child
+		from $2 as lv
+			left join (select distinct child as v from $3 as pr) as pc on lv.v = pc.v
+			left join $4 as nv on lv.v = nv.v
+		where pc.v is null and nv.v is null
+		distributed by (child)`
+	// crSQLTreeRoots seeds the labels at the tree's roots ($2).
+	crSQLTreeRoots = `
+		create table $1 as
+		select child as v, parent as r from $2 as t where parent = child
+		distributed by (v)`
+	// crSQLPropagate pushes the labels $3 one tree ($2) level down: the
+	// children of labelled parents inherit the label, united with the
+	// existing labels and deduplicated (each child has one parent, so no
+	// conflicts arise).
+	crSQLPropagate = `
+		create table $1 as
+		select distinct v, r from (
+			select v, r from $3 as l
+			union all
+			select t.child, l2.r from $2 as t, $3 as l2 where t.parent = l2.v) as x
+		distributed by (v)`
+	// crSQLFinal labels every input vertex ($2): isolated input vertices
+	// (loop edges) never enter the working graph and label themselves.
+	crSQLFinal = `
+		create table $1 as
+		select a.v, coalesce(l.r, a.v) as r
+		from $2 as a left join $3 as l on a.v = l.v
+		distributed by (v)`
+)
+
+func runCracker(r *run, input string) (*Result, error) {
 	// Working edge set: symmetric, deduplicated, loop-free.
-	if _, err := r.create("cr_e", engine.Distinct(engine.Filter(symmetric(input),
-		engine.Bin(engine.OpNe, engine.Col(0), engine.Col(1)))), 0); err != nil {
+	if _, err := r.create("cr_e", sqlEdges, sql.Table(input)); err != nil {
 		return nil, err
 	}
 	// All original vertices, for final labelling.
-	if _, err := r.create("cr_allv", engine.Project(
-		engine.GroupBy(symmetric(input), []int{0}),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"}), 0); err != nil {
+	if _, err := r.create("cr_allv", sqlVertices, sql.Table(input)); err != nil {
 		return nil, err
 	}
 	// Propagation tree rows (parent, child); roots appear as (v, v).
@@ -54,11 +123,15 @@ func runCracker(r *run, c *engine.Cluster, input string) (*Result, error) {
 		return nil, err
 	}
 	r.temps[r.t("cr_tree")] = struct{}{}
+	// Propagation rounds follow the contraction rounds; prepare their
+	// statement now so they stay parse-free.
+	if err := r.prepare(crSQLPropagate); err != nil {
+		return nil, err
+	}
 
-	plans := newCRPlans(r)
 	rounds := 0
 	for {
-		n, err := countRows(r.ctx, c, plans.eCount)
+		n, err := r.count(sqlCount, r.tab("cr_e"))
 		if err != nil {
 			return nil, err
 		}
@@ -70,7 +143,7 @@ func runCracker(r *run, c *engine.Cluster, input string) (*Result, error) {
 			return nil, fmt.Errorf("ccalg: Cracker exceeded %d rounds", maxRounds)
 		}
 		r.beginRound()
-		liveV, liveE, err := crackerRound(r, plans)
+		liveV, liveE, err := crackerRound(r)
 		if err != nil {
 			return nil, err
 		}
@@ -78,30 +151,14 @@ func runCracker(r *run, c *engine.Cluster, input string) (*Result, error) {
 	}
 
 	// Propagation: seed labels at the roots, then push one tree level per
-	// round until every reachable vertex is labelled.
-	roots := engine.Project(
-		engine.Filter(r.scan("cr_tree"),
-			engine.Bin(engine.OpEq, engine.Col(0), engine.Col(1))),
-		engine.ProjCol{Expr: engine.Col(1), Name: "v"},
-		engine.ProjCol{Expr: engine.Col(0), Name: "r"},
-	)
-	if _, err := r.create("cr_lab", roots, 0); err != nil {
+	// round until every reachable vertex is labelled. The rename dance
+	// keeps the names stable across propagation rounds.
+	if _, err := r.create("cr_lab", crSQLTreeRoots, r.tab("cr_tree")); err != nil {
 		return nil, err
 	}
-	// Children of labelled parents inherit the label; union with the
-	// existing labels and deduplicate (each child has one parent, so
-	// no conflicts arise). Built once: the rename dance keeps the names
-	// stable across propagation rounds.
-	children := engine.Project(
-		engine.Join(r.scan("cr_tree"), r.scan("cr_lab"), 0, 0),
-		engine.ProjCol{Expr: engine.Col(1), Name: "v"},
-		engine.ProjCol{Expr: engine.Col(3), Name: "r"},
-	)
-	propagate := engine.Distinct(engine.UnionAll(r.scan("cr_lab"), children))
-	labCount := r.scan("cr_lab")
 	prev := int64(-1)
 	for {
-		n, err := countRows(r.ctx, c, labCount)
+		n, err := r.count(sqlCount, r.tab("cr_lab"))
 		if err != nil {
 			return nil, err
 		}
@@ -111,14 +168,11 @@ func runCracker(r *run, c *engine.Cluster, input string) (*Result, error) {
 		prev = n
 		rounds++
 		r.beginRound()
-		labelled, err := r.create("cr_lab2", propagate, 0)
+		labelled, err := r.create("cr_lab2", crSQLPropagate, r.tab("cr_tree"), r.tab("cr_lab"))
 		if err != nil {
 			return nil, err
 		}
-		if err := r.drop("cr_lab"); err != nil {
-			return nil, err
-		}
-		if err := r.rename("cr_lab2", "cr_lab"); err != nil {
+		if err := r.replace("cr_lab", "cr_lab2"); err != nil {
 			return nil, err
 		}
 		// Propagation rounds run on the edge-free tree: the labelled vertex
@@ -126,14 +180,7 @@ func runCracker(r *run, c *engine.Cluster, input string) (*Result, error) {
 		r.endRound(labelled, 0)
 	}
 
-	// Isolated input vertices (loop edges) never enter the working graph;
-	// they label themselves.
-	final := engine.Project(
-		engine.LeftJoin(r.scan("cr_allv"), r.scan("cr_lab"), 0, 0),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Coalesce(engine.Col(2), engine.Col(0)), Name: "r"},
-	)
-	if _, err := r.create("cr_result", final, 0); err != nil {
+	if _, err := r.create("cr_result", crSQLFinal, r.tab("cr_allv"), r.tab("cr_lab")); err != nil {
 		return nil, err
 	}
 	labels, err := r.labelsOf("cr_result")
@@ -146,99 +193,15 @@ func runCracker(r *run, c *engine.Cluster, input string) (*Result, error) {
 	return &Result{Labels: labels, Rounds: rounds, RoundLog: r.roundLog}, nil
 }
 
-// crPlans holds the round loop's plans, built once per run
-// (prepared-statement style): the rename dance keeps the cr_* names
-// stable, so the same immutable plan values execute every round.
-type crPlans struct {
-	eCount     engine.Plan
-	m          engine.Plan // min of the closed neighbourhood per vertex
-	candidates engine.Plan // min-selection proposals (receiver, candidate)
-	vmin       engine.Plan // vmin(v) = min C(v)
-	live       engine.Plan // surviving vertices (somebody's minimum)
-	prunedTree engine.Plan // tree rows for pruned vertices
-	nextGraph  engine.Plan // re-linked, re-symmetrised next edge set
-	nextV      engine.Plan // vertices of the next graph
-	rootRows   engine.Plan // tree rows for this round's roots
-}
-
-func newCRPlans(r *run) *crPlans {
-	p := &crPlans{eCount: r.scan("cr_e")}
-	p.m = engine.Project(
-		engine.GroupBy(r.scan("cr_e"), []int{0},
-			engine.Agg{Op: engine.AggMin, Arg: engine.Col(1), Name: "mn"}),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Least(engine.Col(0), engine.Col(1)), Name: "m"},
-	)
-	// Min selection: candidate proposals (receiver, candidate). Each edge
-	// row (u, v) sends u's minimum to v; each vertex also proposes its
-	// minimum to itself.
-	toNeighbours := engine.Project(
-		engine.Join(r.scan("cr_e"), r.scan("cr_m"), 0, 0),
-		engine.ProjCol{Expr: engine.Col(1), Name: "v"},
-		engine.ProjCol{Expr: engine.Col(3), Name: "c"},
-	)
-	toSelf := engine.Project(r.scan("cr_m"),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Col(1), Name: "c"})
-	p.candidates = engine.Distinct(engine.UnionAll(toNeighbours, toSelf))
-	p.vmin = engine.GroupBy(r.scan("cr_g"), []int{0},
-		engine.Agg{Op: engine.AggMin, Arg: engine.Col(1), Name: "vmin"})
-	// Survivors: vertices that are somebody's minimum (v ∈ C(v)).
-	survivors := engine.Project(
-		engine.Filter(r.scan("cr_g"),
-			engine.Bin(engine.OpEq, engine.Col(0), engine.Col(1))),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-	)
-	p.live = engine.Distinct(survivors)
-	// Pruned vertices attach to their candidate minimum in the tree.
-	// Columns after left join: v, vmin, v(live).
-	p.prunedTree = engine.Project(
-		engine.Filter(
-			engine.LeftJoin(r.scan("cr_vmin"), r.scan("cr_live"), 0, 0),
-			engine.IsNull(engine.Col(2))),
-		engine.ProjCol{Expr: engine.Col(1), Name: "parent"},
-		engine.ProjCol{Expr: engine.Col(0), Name: "child"},
-	)
-	// Next graph: every candidate re-linked to its receiver's minimum,
-	// re-symmetrised, loops dropped. Join columns: v, c, v, vmin.
-	relinked := engine.Project(
-		engine.Join(r.scan("cr_g"), r.scan("cr_vmin"), 0, 0),
-		engine.ProjCol{Expr: engine.Col(3), Name: "v"},
-		engine.ProjCol{Expr: engine.Col(1), Name: "w"},
-	)
-	rev := engine.Project(relinked,
-		engine.ProjCol{Expr: engine.Col(1), Name: "v"},
-		engine.ProjCol{Expr: engine.Col(0), Name: "w"})
-	p.nextGraph = engine.Distinct(engine.Filter(engine.UnionAll(relinked, rev),
-		engine.Bin(engine.OpNe, engine.Col(0), engine.Col(1))))
-	p.nextV = engine.Distinct(engine.Project(
-		engine.GroupBy(r.scan("cr_e2"), []int{0}),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"}))
-	// Roots: surviving vertices that no longer touch any edge and were not
-	// pruned — they seed their component. Columns after the two left
-	// joins: v, v(pruned child), v(next-graph vertex).
-	prunedChildren := engine.Project(r.scan("cr_prune"),
-		engine.ProjCol{Expr: engine.Col(1), Name: "v"})
-	lj1 := engine.LeftJoin(r.scan("cr_live"), engine.Distinct(prunedChildren), 0, 0)
-	lj2 := engine.LeftJoin(lj1, r.scan("cr_nextv"), 0, 0)
-	p.rootRows = engine.Project(
-		engine.Filter(lj2, engine.Bin(engine.OpAnd,
-			engine.IsNull(engine.Col(1)), engine.IsNull(engine.Col(2)))),
-		engine.ProjCol{Expr: engine.Col(0), Name: "parent"},
-		engine.ProjCol{Expr: engine.Col(0), Name: "child"},
-	)
-	return p
-}
-
 // crackerRound performs one min-selection + pruning round, replacing cr_e
 // and appending to cr_tree. It returns the surviving (unpruned) vertex
 // count and the edge count of the next graph.
-func crackerRound(r *run, p *crPlans) (int64, int64, error) {
+func crackerRound(r *run) (int64, int64, error) {
 	c := r.c
-	if _, err := r.create("cr_m", p.m, 0); err != nil {
+	if _, err := r.create("cr_m", sqlClosedMin, r.tab("cr_e")); err != nil {
 		return 0, 0, err
 	}
-	if _, err := r.create("cr_g", p.candidates, 0); err != nil {
+	if _, err := r.create("cr_g", crSQLCandidates, r.tab("cr_e"), r.tab("cr_m")); err != nil {
 		return 0, 0, err
 	}
 	// The previous graph is no longer needed once the candidate table
@@ -246,24 +209,26 @@ func crackerRound(r *run, p *crPlans) (int64, int64, error) {
 	if err := r.drop("cr_m", "cr_e"); err != nil {
 		return 0, 0, err
 	}
-	if _, err := r.create("cr_vmin", p.vmin, 0); err != nil {
+	// vmin(v) = min C(v).
+	if _, err := r.create("cr_vmin", sqlGroupMin, r.tab("cr_g")); err != nil {
 		return 0, 0, err
 	}
-	liveV, err := r.create("cr_live", p.live, 0)
+	liveV, err := r.create("cr_live", crSQLLive, r.tab("cr_g"))
 	if err != nil {
 		return 0, 0, err
 	}
-	if _, err := r.create("cr_prune", p.prunedTree, 1); err != nil {
+	if _, err := r.create("cr_prune", crSQLPruned, r.tab("cr_vmin"), r.tab("cr_live")); err != nil {
 		return 0, 0, err
 	}
-	liveE, err := r.create("cr_e2", p.nextGraph, 0)
+	liveE, err := r.create("cr_e2", crSQLRelink, r.tab("cr_g"), r.tab("cr_vmin"))
 	if err != nil {
 		return 0, 0, err
 	}
-	if _, err := r.create("cr_nextv", p.nextV, 0); err != nil {
+	if _, err := r.create("cr_nextv", crSQLNextV, r.tab("cr_e2")); err != nil {
 		return 0, 0, err
 	}
-	if _, err := r.create("cr_roots", p.rootRows, 1); err != nil {
+	if _, err := r.create("cr_roots", crSQLRoots,
+		r.tab("cr_live"), r.tab("cr_prune"), r.tab("cr_nextv")); err != nil {
 		return 0, 0, err
 	}
 	// Append this round's tree rows.

@@ -3,7 +3,7 @@ package ccalg
 import (
 	"fmt"
 
-	"dbcc/internal/engine"
+	"dbcc/internal/sql"
 )
 
 // Shared machinery of the two frontier drivers (LocalContract and
@@ -17,82 +17,56 @@ import (
 // differ only in how P is chosen and in LogDiameter's graph-exponentiation
 // step, so everything else lives here.
 //
-// All plans below are built once per run and executed every round through
-// the rename dance (<p>_e2 is always created fresh and renamed to <p>_e,
-// and so on) — the engine analogue of prepared statements, matching the
-// BFS/Two-Phase drivers.
+// The statements below run every round through the rename dance
+// (<p>_e2 is always created fresh and renamed to <p>_e, and so on), with
+// E holding (v, w) rows and P and L (v, r) rows.
+const (
+	// frontierSQLJump is one pointer-doubling step over P ($2),
+	// p2(v) = p(p(v)). P is total over the live vertices and closed under
+	// itself (every representative is a live vertex), so the inner join
+	// loses no rows.
+	frontierSQLJump = `
+		create table $1 as
+		select a.v, b.r from $2 as a, $2 as b where a.r = b.v
+		distributed by (v)`
+	// frontierSQLContract rewrites both endpoints of every edge of E ($2)
+	// through the fixpointed P ($3), drops the loops contraction created
+	// and deduplicates. E holds both orientations, so the output is
+	// symmetric by symmetry of the input.
+	frontierSQLContract = `
+		create table $1 as
+		select distinct h.v, p2.r as w
+		from (select p.r as v, e.w from $2 as e, $3 as p where e.v = p.v) as h, $3 as p2
+		where h.w = p2.v and h.v != p2.r
+		distributed by (v)`
+	// frontierSQLFold folds P ($3) into the original-vertex labels L ($2):
+	// representatives contracted away in earlier rounds are absent from P,
+	// so a left join keeps their final labels.
+	frontierSQLFold = `
+		create table $1 as
+		select l.v, coalesce(p.r, l.r) as r
+		from $2 as l left join $3 as p on l.r = p.v
+		distributed by (v)`
+	// frontierSQLLiveV counts the distinct endpoints of the live edge set.
+	frontierSQLLiveV = `select count(*) as n from (select v from $1 as e group by v) as x`
+)
 
-// frontierPlans holds the round-loop plans shared by both drivers.
-type frontierPlans struct {
-	jump        engine.Plan // p2(v) = p(p(v)): one pointer-doubling step
-	jumpChanged engine.Plan // rows whose pointer the doubling step moved
-	contract    engine.Plan // E rewritten through P, loops dropped, deduplicated
-	fold        engine.Plan // L rewritten through P
-	liveV       engine.Plan // distinct endpoints of the live edge set
-}
-
-// newFrontierPlans builds the shared round-loop plans for the run-private
-// tables <prefix>_e, <prefix>_p, <prefix>_p2 and <prefix>_l.
-func newFrontierPlans(r *run, prefix string) frontierPlans {
-	e := r.scan(prefix + "_e")
-	p := r.scan(prefix + "_p")
-	p2 := r.scan(prefix + "_p2")
-	l := r.scan(prefix + "_l")
-
-	// One pointer-doubling step. P is total over the live vertices and
-	// closed under itself (every representative is a live vertex), so the
-	// inner join loses no rows. Columns after join: v, p(v), p(v), p(p(v)).
-	jump := engine.Project(engine.Join(p, p, 1, 0),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Col(3), Name: "r"})
-	jumpChanged := engine.Filter(engine.Join(p, p2, 0, 0),
-		engine.Bin(engine.OpNe, engine.Col(1), engine.Col(3)))
-
-	// Rewrite both endpoints of every edge through the (fixpointed) P:
-	// two joins, then drop the loops contraction created and deduplicate.
-	// E holds both orientations, so the output is symmetric by symmetry of
-	// the input. Columns: (u, w, u, r(u)) → (r(u), w) → (r(u), w, w, r(w)).
-	half := engine.Project(engine.Join(e, p, 0, 0),
-		engine.ProjCol{Expr: engine.Col(3), Name: "v"},
-		engine.ProjCol{Expr: engine.Col(1), Name: "w"})
-	full := engine.Project(engine.Join(half, p, 1, 0),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Col(3), Name: "w"})
-	contract := engine.Distinct(engine.Filter(full,
-		engine.Bin(engine.OpNe, engine.Col(0), engine.Col(1))))
-
-	// Fold P into the original-vertex labels: representatives contracted
-	// away in earlier rounds are absent from P, so a left join keeps their
-	// final labels. Columns: (orig, cur, cur, root).
-	fold := engine.Project(engine.LeftJoin(l, p, 1, 0),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Coalesce(engine.Col(3), engine.Col(1)), Name: "r"})
-
-	return frontierPlans{
-		jump:        jump,
-		jumpChanged: jumpChanged,
-		contract:    contract,
-		fold:        fold,
-		liveV:       engine.GroupBy(e, []int{0}),
-	}
-}
+// frontierSQLLabels is the identity labelling over every input vertex,
+// loop-only vertices included.
+var frontierSQLLabels = `
+	create table $1 as
+	select v, v as r from ` + symmetric("$2") + ` as s group by v
+	distributed by (v)`
 
 // initFrontier materialises the run's starting state: <prefix>_l as the
-// identity labelling over every input vertex (loop-only vertices
-// included), and <prefix>_e as the symmetric, deduplicated, loop-free live
-// edge set. It returns the live edge count (both orientations, matching
-// the LiveEdges convention of the BFS round log).
+// identity labelling and <prefix>_e as the live edge set. It returns the
+// live edge count (both orientations, matching the LiveEdges convention
+// of the BFS round log).
 func initFrontier(r *run, input, prefix string) (int64, error) {
-	verts := engine.Project(
-		engine.GroupBy(symmetric(input), []int{0}),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Col(0), Name: "r"})
-	if _, err := r.create(prefix+"_l", verts, 0); err != nil {
+	if _, err := r.create(prefix+"_l", frontierSQLLabels, sql.Table(input)); err != nil {
 		return 0, err
 	}
-	edges := engine.Distinct(engine.Filter(symmetric(input),
-		engine.Bin(engine.OpNe, engine.Col(0), engine.Col(1))))
-	return r.create(prefix+"_e", edges, 0)
+	return r.create(prefix+"_e", sqlEdges, sql.Table(input))
 }
 
 // contractStep finishes a round whose representative table <prefix>_p has
@@ -100,45 +74,43 @@ func initFrontier(r *run, input, prefix string) (int64, error) {
 // guarantee P is acyclic, so the doubling terminates in logarithmically
 // many steps), contracts the edge set through it, folds it into the
 // labels, and returns the surviving (liveVertices, liveEdges).
-func contractStep(r *run, prefix string, fp *frontierPlans) (int64, int64, error) {
+func contractStep(r *run, prefix string) (int64, int64, error) {
+	e, p, p2, l := prefix+"_e", prefix+"_p", prefix+"_p2", prefix+"_l"
 	for i := 0; ; i++ {
 		if i > maxRounds {
 			return 0, 0, fmt.Errorf("ccalg: %s pointer jumping exceeded %d steps", prefix, maxRounds)
 		}
-		if _, err := r.create(prefix+"_p2", fp.jump, 0); err != nil {
+		if _, err := r.create(p2, frontierSQLJump, r.tab(p)); err != nil {
 			return 0, 0, err
 		}
-		changed, err := countRows(r.ctx, r.c, fp.jumpChanged)
+		changed, err := r.count(sqlCountChanged, r.tab(p), r.tab(p2))
 		if err != nil {
 			return 0, 0, err
 		}
-		if err := r.drop(prefix + "_p"); err != nil {
-			return 0, 0, err
-		}
-		if err := r.rename(prefix+"_p2", prefix+"_p"); err != nil {
+		if err := r.replace(p, p2); err != nil {
 			return 0, 0, err
 		}
 		if changed == 0 {
 			break
 		}
 	}
-	liveE, err := r.create(prefix+"_e2", fp.contract, 0)
+	liveE, err := r.create(e+"2", frontierSQLContract, r.tab(e), r.tab(p))
 	if err != nil {
 		return 0, 0, err
 	}
-	if _, err := r.create(prefix+"_l2", fp.fold, 0); err != nil {
+	if _, err := r.create(l+"2", frontierSQLFold, r.tab(l), r.tab(p)); err != nil {
 		return 0, 0, err
 	}
-	if err := r.drop(prefix+"_e", prefix+"_l", prefix+"_p"); err != nil {
+	if err := r.drop(e, l, p); err != nil {
 		return 0, 0, err
 	}
-	if err := r.rename(prefix+"_e2", prefix+"_e"); err != nil {
+	if err := r.rename(e+"2", e); err != nil {
 		return 0, 0, err
 	}
-	if err := r.rename(prefix+"_l2", prefix+"_l"); err != nil {
+	if err := r.rename(l+"2", l); err != nil {
 		return 0, 0, err
 	}
-	liveV, err := countRows(r.ctx, r.c, fp.liveV)
+	liveV, err := r.count(frontierSQLLiveV, r.tab(e))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -155,17 +127,4 @@ func finishFrontier(r *run, prefix string, rounds int) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Labels: labels, Rounds: rounds, RoundLog: r.roundLog}, nil
-}
-
-// aggInt evaluates a single-row, single-column aggregate plan (0 when the
-// aggregate has no input rows, e.g. MAX over an empty table).
-func aggInt(r *run, p engine.Plan) (int64, error) {
-	_, rows, err := r.c.QueryCtx(r.ctx, p)
-	if err != nil {
-		return 0, err
-	}
-	if len(rows) == 0 || rows[0][0].Null {
-		return 0, nil
-	}
-	return rows[0][0].Int, nil
 }

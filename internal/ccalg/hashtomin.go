@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dbcc/internal/engine"
+	"dbcc/internal/sql"
 )
 
 // HashToMin is the algorithm of Rastogi et al. ("Finding connected
@@ -23,60 +24,57 @@ import (
 // path-shaped datasets of Table III (reproduced here through the
 // live-space budget).
 func HashToMin(c *engine.Cluster, input string, opts Options) (*Result, error) {
-	if err := validateInput(c, input); err != nil {
-		return nil, err
-	}
-	r := newRun(c, opts)
-	defer r.cleanup()
-	res, err := runHashToMin(r, c, input)
-	if err != nil {
-		return nil, r.roundError("hm", err)
-	}
-	return res, nil
+	return drive(c, input, opts, "hm", runHashToMin)
 }
 
-func runHashToMin(r *run, c *engine.Cluster, input string) (*Result, error) {
-	// Initial clusters: C(v) = N[v] — both edge orientations plus a self
-	// row per vertex; the raw map output is materialised first, MapReduce
-	// style, then reduced to the deduplicated state.
-	self := engine.Project(
-		engine.GroupBy(symmetric(input), []int{0}),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Col(0), Name: "u"},
-	)
-	if _, err := r.create("hm_map", engine.UnionAll(symmetric(input), self), 0); err != nil {
+// Hash-to-Min's statement shapes. Cluster tables hold (v, u) rows, u ∈ C(v).
+const (
+	// hmSQLMap is the map phase: every vertex sends its cluster C(v) ($2)
+	// to its minimum m(v) ($3), (m, u), and the minimum to every member,
+	// (u, m). The raw message table is materialised before the reduce, as
+	// in the paper's MapReduce-to-SQL port.
+	hmSQLMap = `
+		create table $1 as
+		select m.r as v, c.u from $2 as c, $3 as m where c.v = m.v
+		union all
+		select c2.u, m2.r from $2 as c2, $3 as m2 where c2.v = m2.v
+		distributed by (v)`
+	// hmSQLReduce deduplicates the messages $2 into the next cluster state.
+	hmSQLReduce = `
+		create table $1 as
+		select distinct v, u from $2 as msg
+		distributed by (v)`
+)
+
+// hmSQLInit is the initial map output, C(v) = N[v]: both edge
+// orientations plus a self row per vertex.
+var hmSQLInit = `
+	create table $1 as
+	select v, w as u from ` + symmetric("$2") + ` as s
+	union all
+	select v, v from ` + symmetric("$2") + ` as s2 group by v
+	distributed by (v)`
+
+func runHashToMin(r *run, input string) (*Result, error) {
+	// The raw map output is materialised first, MapReduce style, then
+	// reduced to the deduplicated state.
+	if _, err := r.create("hm_map", hmSQLInit, sql.Table(input)); err != nil {
 		return nil, err
 	}
-	if _, err := r.create("hm_c", engine.Distinct(r.scan("hm_map")), 0); err != nil {
+	if _, err := r.create("hm_c", hmSQLReduce, r.tab("hm_map")); err != nil {
 		return nil, err
 	}
 	if err := r.drop("hm_map"); err != nil {
 		return nil, err
 	}
+	// The set comparison runs only in rounds whose cardinalities tie;
+	// prepare it now so whichever round first needs it stays parse-free.
+	if err := r.prepare(sqlCountUnion); err != nil {
+		return nil, err
+	}
 
-	// Round-loop plans, built once outside the loop (prepared-statement
-	// style): the rename dance keeps hm_c / hm_m / hm_map names stable, so
-	// the same immutable plan values execute every round.
-	//
-	// m(v) = min C(v). Its cardinality is the vertex count.
-	mPlan := engine.GroupBy(r.scan("hm_c"), []int{0},
-		engine.Agg{Op: engine.AggMin, Arg: engine.Col(1), Name: "m"})
-	// Join columns: v, u, v, m.
-	joined := engine.Join(r.scan("hm_c"), r.scan("hm_m"), 0, 0)
-	// Map phase: send the cluster to the min, (m, u), and the min to
-	// every member, (u, m). The raw message table is materialised
-	// before the reduce, as in the paper's MapReduce-to-SQL port.
-	toMin := engine.Project(joined,
-		engine.ProjCol{Expr: engine.Col(3), Name: "v"},
-		engine.ProjCol{Expr: engine.Col(1), Name: "u"})
-	toMembers := engine.Project(joined,
-		engine.ProjCol{Expr: engine.Col(1), Name: "v"},
-		engine.ProjCol{Expr: engine.Col(3), Name: "u"})
-	mapPlan := engine.UnionAll(toMin, toMembers)
-	reducePlan := engine.Distinct(r.scan("hm_map"))
-	cCount := r.scan("hm_c")
-	unionCount := engine.Distinct(engine.UnionAll(r.scan("hm_c"), r.scan("hm_c2")))
-
+	// The rename dance keeps the hm_c / hm_m / hm_map names stable, so the
+	// same statements run every round.
 	rounds := 0
 	for {
 		rounds++
@@ -84,15 +82,15 @@ func runHashToMin(r *run, c *engine.Cluster, input string) (*Result, error) {
 			return nil, fmt.Errorf("ccalg: Hash-to-Min exceeded %d rounds", maxRounds)
 		}
 		r.beginRound()
-		liveV, err := r.create("hm_m", mPlan, 0)
+		// m(v) = min C(v). Its cardinality is the vertex count.
+		liveV, err := r.create("hm_m", sqlGroupMin, r.tab("hm_c"))
 		if err != nil {
 			return nil, err
 		}
-		if _, err := r.create("hm_map", mapPlan, 0); err != nil {
+		if _, err := r.create("hm_map", hmSQLMap, r.tab("hm_c"), r.tab("hm_m")); err != nil {
 			return nil, err
 		}
-		// Reduce phase: deduplicate into the next cluster state.
-		n2, err := r.create("hm_c2", reducePlan, 0)
+		n2, err := r.create("hm_c2", hmSQLReduce, r.tab("hm_map"))
 		if err != nil {
 			return nil, err
 		}
@@ -102,22 +100,19 @@ func runHashToMin(r *run, c *engine.Cluster, input string) (*Result, error) {
 		// Converged when the cluster table is unchanged (a fixpoint of the
 		// update). Multiset equality: equal cardinalities and the distinct
 		// union no larger than either side.
-		n1, err := countRows(r.ctx, c, cCount)
+		n1, err := r.count(sqlCount, r.tab("hm_c"))
 		if err != nil {
 			return nil, err
 		}
 		same := false
 		if n1 == n2 {
-			nu, err := countRows(r.ctx, c, unionCount)
+			nu, err := r.count(sqlCountUnion, r.tab("hm_c"), r.tab("hm_c2"))
 			if err != nil {
 				return nil, err
 			}
 			same = nu == n1
 		}
-		if err := r.drop("hm_c"); err != nil {
-			return nil, err
-		}
-		if err := r.rename("hm_c2", "hm_c"); err != nil {
+		if err := r.replace("hm_c", "hm_c2"); err != nil {
 			return nil, err
 		}
 		// The live state for Hash-to-Min is the cluster table — its
@@ -130,9 +125,7 @@ func runHashToMin(r *run, c *engine.Cluster, input string) (*Result, error) {
 
 	// At the fixpoint every vertex's cluster contains its component
 	// minimum, so the label is min C(v).
-	if _, err := r.create("hm_result",
-		engine.GroupBy(r.scan("hm_c"), []int{0},
-			engine.Agg{Op: engine.AggMin, Arg: engine.Col(1), Name: "r"}), 0); err != nil {
+	if _, err := r.create("hm_result", sqlGroupMin, r.tab("hm_c")); err != nil {
 		return nil, err
 	}
 	labels, err := r.labelsOf("hm_result")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dbcc/internal/engine"
+	"dbcc/internal/sql"
 )
 
 // Local contraction's degree-threshold schedule: vertices of degree at
@@ -33,29 +34,44 @@ const (
 // points at a hub, and hubs are fixpoints — so the shared pointer-doubling
 // step contracts whole trees per round.
 func LocalContract(c *engine.Cluster, input string, opts Options) (*Result, error) {
-	if err := validateInput(c, input); err != nil {
-		return nil, err
-	}
-	r := newRun(c, opts)
-	defer r.cleanup()
-	res, err := runLocalContract(r, input)
-	if err != nil {
-		return nil, r.roundError("lc", err)
-	}
-	return res, nil
+	return drive(c, input, opts, "lc", runLocalContract)
 }
+
+// Local contraction's statement shapes.
+const (
+	// lcSQLDegree: the degree of every live vertex of E ($2). E is
+	// symmetric, so the out-degree is the degree.
+	lcSQLDegree = `
+		create table $1 as
+		select v, count(*) as deg from $2 as e group by v
+		distributed by (v)`
+	// lcSQLRep builds the round's representative map over E ($2) and the
+	// degrees ($3) at threshold τ ($4):
+	//
+	//	rep(v) = v                      when deg(v) > τ (hub exception)
+	//	       = min hub neighbour      when v is low but hub-adjacent
+	//	       = min(N(v) ∪ {v})        otherwise (plain local contraction)
+	//
+	// composed as two left joins: the closed-neighbourhood minimum,
+	// overridden by the hub-neighbour minimum, overridden by self for hubs.
+	lcSQLRep = `
+		create table $1 as
+		select a.v, coalesce(hb.v, hn.h, a.r) as r
+		from (select v, least(v, min(w)) as r from $2 as e group by v) as a
+			left join (
+				select e2.v, min(e2.w) as h
+				from $2 as e2, $3 as d
+				where e2.w = d.v and d.deg > $4
+				group by e2.v) as hn on a.v = hn.v
+			left join (select v from $3 as d2 where deg > $4) as hb on a.v = hb.v
+		distributed by (v)`
+)
 
 func runLocalContract(r *run, input string) (*Result, error) {
 	liveE, err := initFrontier(r, input, "lc")
 	if err != nil {
 		return nil, err
 	}
-	fp := newFrontierPlans(r, "lc")
-	e := r.scan("lc_e")
-
-	// Degree of every live vertex (E is symmetric, so the out-degree is
-	// the degree), rebuilt per round into lc_d.
-	deg := engine.GroupBy(e, []int{0}, engine.Agg{Op: engine.AggCount, Name: "deg"})
 
 	rounds := 0
 	tau := int64(lcInitialTau)
@@ -65,20 +81,16 @@ func runLocalContract(r *run, input string) (*Result, error) {
 			return nil, fmt.Errorf("ccalg: Local Contraction exceeded %d rounds", maxRounds)
 		}
 		r.beginRound()
-		if _, err := r.create("lc_d", deg, 0); err != nil {
+		if _, err := r.create("lc_d", lcSQLDegree, r.tab("lc_e")); err != nil {
 			return nil, err
 		}
-		// The τ-dependent plans are re-instantiated from their template
-		// each round with the current threshold as a literal — the Plan-API
-		// analogue of binding a parameter on a prepared statement. Nothing
-		// is parsed; the surrounding plans stay fixed.
-		if _, err := r.create("lc_p", lcRepPlan(r, tau), 0); err != nil {
+		if _, err := r.create("lc_p", lcSQLRep, r.tab("lc_e"), r.tab("lc_d"), sql.Int(tau)); err != nil {
 			return nil, err
 		}
 		if err := r.drop("lc_d"); err != nil {
 			return nil, err
 		}
-		liveV, nextE, err := contractStep(r, "lc", &fp)
+		liveV, nextE, err := contractStep(r, "lc")
 		if err != nil {
 			return nil, err
 		}
@@ -92,43 +104,4 @@ func runLocalContract(r *run, input string) (*Result, error) {
 		}
 	}
 	return finishFrontier(r, "lc", rounds)
-}
-
-// lcRepPlan builds the round's representative map at threshold tau:
-//
-//	rep(v) = v                      when deg(v) > τ (hub exception)
-//	       = min hub neighbour      when v is low but hub-adjacent
-//	       = min(N(v) ∪ {v})        otherwise (plain local contraction)
-//
-// composed as two left joins over the lc_d degree table: the closed-
-// neighbourhood minimum, overridden by the hub-neighbour minimum,
-// overridden by self for hubs.
-func lcRepPlan(r *run, tau int64) engine.Plan {
-	e := r.scan("lc_e")
-	d := r.scan("lc_d")
-	hub := engine.Bin(engine.OpGt, engine.Col(1), engine.Const(tau))
-
-	// Minimum of the closed neighbourhood, per live vertex.
-	allMin := engine.Project(
-		engine.GroupBy(e, []int{0},
-			engine.Agg{Op: engine.AggMin, Arg: engine.Col(1), Name: "mw"}),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Least(engine.Col(0), engine.Col(1)), Name: "r"})
-	// Minimum hub neighbour, where one exists. Columns after joining each
-	// edge with the neighbour's degree row: (v, w, w, deg(w)).
-	hubNbrMin := engine.GroupBy(
-		engine.Filter(engine.Join(e, d, 1, 0), engine.Bin(engine.OpGt, engine.Col(3), engine.Const(tau))),
-		[]int{0},
-		engine.Agg{Op: engine.AggMin, Arg: engine.Col(1), Name: "h"})
-	// The hub set itself: one column of vertices with deg > τ.
-	hubs := engine.Project(engine.Filter(d, hub),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"})
-
-	// Columns: (v, m) ⟕ (v, h) → (v, m, v', h) ⟕ (v) → (v, m, v', h, hv).
-	// coalesce(hv, h, m): self for hubs, hub neighbour for hub-adjacent
-	// lows, neighbourhood minimum for the rest.
-	joined := engine.LeftJoin(engine.LeftJoin(allMin, hubNbrMin, 0, 0), hubs, 0, 0)
-	return engine.Project(joined,
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Coalesce(engine.Col(4), engine.Col(3), engine.Col(1)), Name: "r"})
 }

@@ -42,51 +42,45 @@ const ldProbeFactor = 16
 // materialised edge table, and a square that would exceed the cap is
 // skipped rather than materialised.
 func LogDiameter(c *engine.Cluster, input string, opts Options) (*Result, error) {
-	if err := validateInput(c, input); err != nil {
-		return nil, err
-	}
-	r := newRun(c, opts)
-	defer r.cleanup()
-	res, err := runLogDiameter(r, input)
-	if err != nil {
-		return nil, r.roundError("ld", err)
-	}
-	return res, nil
+	return drive(c, input, opts, "ld", runLogDiameter)
 }
+
+// ldPairBound is the raw two-hop candidate total Σ_v deg(v)² over the
+// edge table $1, phrased without a multiply operator as the sum of deg(v)
+// over the edge rows (u, v): each edge joined with the degree of its head.
+const ldPairBound = `
+	select sum(d.deg) as pairs
+	from $1 as e, (select v, count(*) as deg from $1 as e2 group by v) as d
+	where e.w = d.v`
+
+// ldSquared returns graph exponentiation over the edge table bound to p as
+// a derived table: the current edges unioned with every two-hop edge,
+// deduplicated, loops dropped.
+func ldSquared(p string) string {
+	return `(select distinct v, w from (
+		select v, w from ` + p + ` as e
+		union all
+		select a.v, b.w from ` + p + ` as a, ` + p + ` as b where a.w = b.v) as x
+		where v != w)`
+}
+
+// The exponentiation's exact pre-count and its materialisation.
+var (
+	ldCountSquare = `select count(*) as n from ` + ldSquared("$1") + ` as sq`
+	ldSQLSquare   = `create table $1 as select v, w from ` + ldSquared("$2") + ` as sq distributed by (v)`
+)
 
 func runLogDiameter(r *run, input string) (*Result, error) {
 	liveE, err := initFrontier(r, input, "ld")
 	if err != nil {
 		return nil, err
 	}
-	fp := newFrontierPlans(r, "ld")
-	e := r.scan("ld_e")
-
-	// Graph exponentiation: the current edges unioned with every two-hop
-	// edge, deduplicated, loops dropped. Columns after the self-join on
-	// w = v': (u, w, w, x) → (u, x).
-	twoHop := engine.Project(engine.Join(e, e, 1, 0),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Col(3), Name: "w"})
-	squared := engine.Distinct(engine.Filter(engine.UnionAll(e, twoHop),
-		engine.Bin(engine.OpNe, engine.Col(0), engine.Col(1))))
-
-	// Raw two-hop candidate total Σ_v deg(v)², phrased without a multiply
-	// operator as the sum of deg(v) over the edge rows (u, v): join each
-	// edge with the degree of its head and sum that column.
-	deg := engine.GroupBy(e, []int{0},
-		engine.Agg{Op: engine.AggCount, Name: "deg"})
-	pairBound := engine.GroupBy(engine.Join(e, deg, 1, 0), nil,
-		engine.Agg{Op: engine.AggSum, Arg: engine.Col(3), Name: "pairs"})
-
-	// Label contraction: every live vertex points at the minimum of its
-	// closed neighbourhood — acyclic (pointers strictly decrease), so the
-	// pointer doubling of contractStep terminates.
-	rep := engine.Project(
-		engine.GroupBy(e, []int{0},
-			engine.Agg{Op: engine.AggMin, Arg: engine.Col(1), Name: "mw"}),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Least(engine.Col(0), engine.Col(1)), Name: "r"})
+	// A round squares only when the expansion budget allows, so the first
+	// square may come after round one; prepare its statements now so every
+	// later round stays parse-free.
+	if err := r.prepare(ldCountSquare, ldSQLSquare); err != nil {
+		return nil, err
+	}
 
 	rounds := 0
 	for {
@@ -101,35 +95,34 @@ func runLogDiameter(r *run, input string) (*Result, error) {
 		// Both stream through the engine without materialising, so a
 		// rejected square never touches the space accountant.
 		if liveE > 0 {
-			raw, err := aggInt(r, pairBound)
+			raw, err := r.count(ldPairBound, r.tab("ld_e"))
 			if err != nil {
 				return nil, err
 			}
 			sq := int64(-1)
 			if raw <= ldProbeFactor*liveE {
-				if sq, err = countRows(r.ctx, r.c, squared); err != nil {
+				if sq, err = r.count(ldCountSquare, r.tab("ld_e")); err != nil {
 					return nil, err
 				}
 			}
 			if sq >= 0 && sq <= ldExpandFactor*liveE {
-				liveE, err = r.create("ld_esq", squared, 0)
+				liveE, err = r.create("ld_esq", ldSQLSquare, r.tab("ld_e"))
 				if err != nil {
 					return nil, err
 				}
-				if err := r.drop("ld_e"); err != nil {
-					return nil, err
-				}
-				if err := r.rename("ld_esq", "ld_e"); err != nil {
+				if err := r.replace("ld_e", "ld_esq"); err != nil {
 					return nil, err
 				}
 			}
 		}
-		// Contraction.
-		if _, err := r.create("ld_p", rep, 0); err != nil {
+		// Label contraction: every live vertex points at the minimum of its
+		// closed neighbourhood — acyclic (pointers strictly decrease), so
+		// the pointer doubling of contractStep terminates.
+		if _, err := r.create("ld_p", sqlClosedMin, r.tab("ld_e")); err != nil {
 			return nil, err
 		}
 		var liveV int64
-		liveV, liveE, err = contractStep(r, "ld", &fp)
+		liveV, liveE, err = contractStep(r, "ld")
 		if err != nil {
 			return nil, err
 		}

@@ -87,21 +87,9 @@ type RCOptions struct {
 // Appendix A (adapted per method and variant) through the SQL layer, just
 // as the paper's Python driver issues it to HAWQ.
 func RandomisedContraction(c *engine.Cluster, input string, opts Options) (*Result, error) {
-	if err := validateInput(c, input); err != nil {
-		return nil, err
-	}
-	RegisterUDFs(c)
-	r := newRun(c, opts)
-	defer r.cleanup()
-	// The session shares the run's temp-table namespace, so the literal
-	// Appendix A table names in the SQL below resolve to run-private
-	// catalog names and concurrent RC sessions never collide; it also
-	// carries the run's context so cancellation reaches every statement.
-	res, err := runRC(r, sql.SessionWithNamespace(c, r.ns).WithContext(r.ctx), input, opts)
-	if err != nil {
-		return nil, r.roundError("rc", err)
-	}
-	return res, nil
+	return drive(c, input, opts, "rc", func(r *run, input string) (*Result, error) {
+		return runRC(r, input, opts)
+	})
 }
 
 // rcKeys holds one round's randomisation parameters.
@@ -120,19 +108,11 @@ func drawKeys(rng *xrand.Rand) rcKeys {
 	}
 }
 
-// The Appendix A statement shapes, written once with $N parameters: $1 is
-// always the CTAS target, table parameters carry the round-varying
-// rc_reps<i> / renamed graph tables, value parameters the round keys. Each
-// shape is prepared once per run (one parse) and its plan template is
-// cached engine-wide; because every table reference is a parameter the
-// templates are namespace-independent and shared across runs.
+// The Appendix A statement shapes (the setup query is the shared
+// sqlSymmetric), written once with $N parameters: $1 is always the CTAS
+// target, table parameters carry the round-varying rc_reps<i> / renamed
+// graph tables, value parameters the round keys.
 const (
-	rcSQLSetup = `
-		create table $1 as
-		select v1, v2 from $2 as e
-		union all
-		select v2, v1 from $2 as e2
-		distributed by (v1)`
 	rcSQLContract1 = `
 		create table $1 as
 		select r1.rep as v1, g.v2 as v2
@@ -158,63 +138,14 @@ const (
 		distributed by (v)`
 )
 
-// rcStmts issues the driver's SQL as prepared statements: each distinct
-// statement shape is parsed and planned once per run, and every round
-// binds that round's table names and keys.
-type rcStmts struct {
-	r       *run
-	s       *sql.Session
-	byShape map[string]*sql.Prepared
-}
-
-func newRCStmts(r *run, s *sql.Session) *rcStmts {
-	return &rcStmts{r: r, s: s, byShape: make(map[string]*sql.Prepared)}
-}
-
-func (p *rcStmts) handle(src string) (*sql.Prepared, error) {
-	if h, ok := p.byShape[src]; ok {
-		return h, nil
-	}
-	h, err := p.s.Prepare(src)
-	if err != nil {
-		return nil, err
-	}
-	p.byShape[src] = h
-	return h, nil
-}
-
-// create runs a CTAS shape with $1 bound to the target temp table,
-// tracking the temp for cleanup and applying the run's space guard.
-func (p *rcStmts) create(target, src string, args ...sql.Arg) (int64, error) {
-	h, err := p.handle(src)
-	if err != nil {
-		return 0, err
-	}
-	n, err := h.Exec(append([]sql.Arg{sql.Table(target)}, args...)...)
-	if err != nil {
-		return 0, err
-	}
-	p.r.temps[p.r.t(target)] = struct{}{}
-	return n, p.r.checkSpace()
-}
-
-// query runs a SELECT shape.
-func (p *rcStmts) query(src string, args ...sql.Arg) (engine.Schema, []engine.Row, error) {
-	h, err := p.handle(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h.Query(args...)
-}
-
-func runRC(r *run, s *sql.Session, input string, opts Options) (*Result, error) {
+func runRC(r *run, input string, opts Options) (*Result, error) {
+	RegisterUDFs(r.c)
 	rng := xrand.New(opts.Seed)
 	method := opts.RC.Method
 	variant := opts.RC.Variant
-	p := newRCStmts(r, s)
 
 	// Setup (Appendix A): symmetrise the edge table.
-	if _, err := p.create("rc_graph", rcSQLSetup, sql.Table(input)); err != nil {
+	if _, err := r.create("rc_graph", sqlSymmetric, sql.Table(input)); err != nil {
 		return nil, err
 	}
 
@@ -241,9 +172,9 @@ func runRC(r *run, s *sql.Session, input string, opts Options) (*Result, error) 
 		var liveV int64
 		var err error
 		if method == FiniteFields || method == GFPrime {
-			liveV, err = rcRepsAffine(p, method, reps, keys)
+			liveV, err = rcRepsAffine(r, method, reps, keys)
 		} else {
-			liveV, err = rcRepsArgmin(p, method, reps, keys)
+			liveV, err = rcRepsArgmin(r, method, reps, keys)
 		}
 		if err != nil {
 			return nil, err
@@ -251,15 +182,15 @@ func runRC(r *run, s *sql.Session, input string, opts Options) (*Result, error) 
 
 		// Contraction, split into the two queries of Appendix A so the
 		// write-volume accounting matches the measured implementation.
-		if _, err := p.create("rc_graph2", rcSQLContract1,
-			sql.Table("rc_graph"), sql.Table(reps)); err != nil {
+		if _, err := r.create("rc_graph2", rcSQLContract1,
+			r.tab("rc_graph"), r.tab(reps)); err != nil {
 			return nil, err
 		}
 		if err := r.drop("rc_graph"); err != nil {
 			return nil, err
 		}
-		size, err := p.create("rc_graph3", rcSQLContract2,
-			sql.Table("rc_graph2"), sql.Table(reps))
+		size, err := r.create("rc_graph3", rcSQLContract2,
+			r.tab("rc_graph2"), r.tab(reps))
 		if err != nil {
 			return nil, err
 		}
@@ -273,7 +204,7 @@ func runRC(r *run, s *sql.Session, input string, opts Options) (*Result, error) 
 		// The Safe (Fig. 3) variant folds the round's representative table
 		// into the running composition L immediately and drops it.
 		if variant == Safe {
-			if err := rcFoldSafe(p, method, round, keys); err != nil {
+			if err := rcFoldSafe(r, method, round, keys); err != nil {
 				return nil, err
 			}
 		}
@@ -294,7 +225,7 @@ func runRC(r *run, s *sql.Session, input string, opts Options) (*Result, error) 
 			return nil, err
 		}
 	case Fast:
-		if err := rcComposeFast(p, method, stack); err != nil {
+		if err := rcComposeFast(r, method, stack); err != nil {
 			return nil, err
 		}
 	}
@@ -321,14 +252,14 @@ func rcFn(method Method) string {
 // min-relabelling optimisation (Sec. V-D): representatives are the
 // h-transformed IDs, so a plain min aggregate suffices. It returns the
 // representative-table cardinality — the round's live vertex count.
-func rcRepsAffine(p *rcStmts, method Method, reps string, k rcKeys) (int64, error) {
+func rcRepsAffine(r *run, method Method, reps string, k rcKeys) (int64, error) {
 	src := fmt.Sprintf(`
 		create table $1 as
 		select v1 v, least(%[1]s($2, v1, $3), min(%[1]s($2, v2, $3))) rep
 		from $4 as g
 		group by v1
 		distributed by (v)`, rcFn(method))
-	return p.create(reps, src, sql.Int(k.a), sql.Int(k.b), sql.Table("rc_graph"))
+	return r.create(reps, src, sql.Int(k.a), sql.Int(k.b), r.tab("rc_graph"))
 }
 
 // rcRepsArgmin computes the round's representatives as
@@ -338,7 +269,7 @@ func rcRepsAffine(p *rcStmts, method Method, reps string, k rcKeys) (int64, erro
 // still a valid representative choice (any r(v) ∈ N[v] preserves
 // connectivity). It returns the representative-table cardinality — the
 // round's live vertex count.
-func rcRepsArgmin(p *rcStmts, method Method, reps string, k rcKeys) (int64, error) {
+func rcRepsArgmin(r *run, method Method, reps string, k rcKeys) (int64, error) {
 	h := "hrand"
 	if method == Encryption {
 		h = "enc"
@@ -351,17 +282,17 @@ func rcRepsArgmin(p *rcStmts, method Method, reps string, k rcKeys) (int64, erro
 		union all
 		select g2.v1 as v, g2.v1 as w, %[1]s($2, g2.v1) as h from $3 as g2 group by g2.v1
 		distributed by (v)`, h)
-	if _, err := p.create("rc_nh", nhSrc, sql.Int(k.key), sql.Table("rc_graph")); err != nil {
+	if _, err := r.create("rc_nh", nhSrc, sql.Int(k.key), r.tab("rc_graph")); err != nil {
 		return 0, err
 	}
-	if _, err := p.create("rc_minh", rcSQLMinH, sql.Table("rc_nh")); err != nil {
+	if _, err := r.create("rc_minh", rcSQLMinH, r.tab("rc_nh")); err != nil {
 		return 0, err
 	}
-	n, err := p.create(reps, rcSQLArgmin, sql.Table("rc_nh"), sql.Table("rc_minh"))
+	n, err := r.create(reps, rcSQLArgmin, r.tab("rc_nh"), r.tab("rc_minh"))
 	if err != nil {
 		return 0, err
 	}
-	return n, p.r.drop("rc_nh", "rc_minh")
+	return n, r.drop("rc_nh", "rc_minh")
 }
 
 // rcRelabelSQL renders the Fig. 3 / Fig. 4 composition shape: relabel is
@@ -378,8 +309,7 @@ func rcRelabelSQL(left, right, relabel string) string {
 // rcFoldSafe folds the round's representative table into the running
 // composition table rc_l (Fig. 3's else branch) and drops it, keeping the
 // space bound deterministic.
-func rcFoldSafe(p *rcStmts, method Method, round int, k rcKeys) error {
-	r := p.r
+func rcFoldSafe(r *run, method Method, round int, k rcKeys) error {
 	reps := fmt.Sprintf("rc_reps%d", round)
 	if round == 1 {
 		return r.rename(reps, "rc_l")
@@ -392,12 +322,12 @@ func rcFoldSafe(p *rcStmts, method Method, round int, k rcKeys) error {
 	switch method {
 	case FiniteFields, GFPrime:
 		src = rcRelabelSQL("l", "rr", rcFn(method)+"($4, l.rep, $5)")
-		args = []sql.Arg{sql.Table("rc_l"), sql.Table(reps), sql.Int(k.a), sql.Int(k.b)}
+		args = []sql.Arg{r.tab("rc_l"), r.tab(reps), sql.Int(k.a), sql.Int(k.b)}
 	default:
 		src = rcRelabelSQL("l", "rr", "l.rep")
-		args = []sql.Arg{sql.Table("rc_l"), sql.Table(reps)}
+		args = []sql.Arg{r.tab("rc_l"), r.tab(reps)}
 	}
-	if _, err := p.create("rc_tmp", src, args...); err != nil {
+	if _, err := r.create("rc_tmp", src, args...); err != nil {
 		return err
 	}
 	if err := r.drop("rc_l", reps); err != nil {
@@ -409,17 +339,20 @@ func rcFoldSafe(p *rcStmts, method Method, round int, k rcKeys) error {
 // rcComposeFast composes the stacked representative tables back to front
 // (Fig. 4's second loop / Appendix A), accumulating the affine coefficient
 // composition for the GF methods exactly as the paper's Python does.
-func rcComposeFast(p *rcStmts, method Method, stack []rcKeys) error {
-	r := p.r
+func rcComposeFast(r *run, method Method, stack []rcKeys) error {
 	gfMethod := method == FiniteFields || method == GFPrime
 	axbSrc := fmt.Sprintf("select %s($1, $2, $3) as r", rcFn(method))
 	axb := func(a, x, b int64) (int64, error) {
-		_, rows, err := p.query(axbSrc, sql.Int(a), sql.Int(x), sql.Int(b))
+		h, err := r.stmt(axbSrc)
+		var rows []engine.Row
+		if err == nil {
+			_, rows, err = h.Query(sql.Int(a), sql.Int(x), sql.Int(b))
+		}
+		if err == nil && (len(rows) != 1 || rows[0][0].Null) {
+			err = fmt.Errorf("returned %v, want one non-NULL value", rows)
+		}
 		if err != nil {
 			return 0, fmt.Errorf("ccalg: %s self-query failed: %w", rcFn(method), err)
-		}
-		if len(rows) != 1 {
-			return 0, fmt.Errorf("ccalg: %s self-query returned %d rows, want 1", rcFn(method), len(rows))
 		}
 		return rows[0][0].Int, nil
 	}
@@ -441,12 +374,12 @@ func rcComposeFast(p *rcStmts, method Method, stack []rcKeys) error {
 			}
 			accA, accB = newA, newB
 			src = rcRelabelSQL("r1", "r2", rcFn(method)+"($4, r1.rep, $5)")
-			args = []sql.Arg{sql.Table(r1), sql.Table(r2), sql.Int(accA), sql.Int(accB)}
+			args = []sql.Arg{r.tab(r1), r.tab(r2), sql.Int(accA), sql.Int(accB)}
 		} else {
 			src = rcRelabelSQL("r1", "r2", "r1.rep")
-			args = []sql.Arg{sql.Table(r1), sql.Table(r2)}
+			args = []sql.Arg{r.tab(r1), r.tab(r2)}
 		}
-		if _, err := p.create("rc_tmp", src, args...); err != nil {
+		if _, err := r.create("rc_tmp", src, args...); err != nil {
 			return err
 		}
 		if err := r.drop(r1, r2); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dbcc/internal/engine"
+	"dbcc/internal/sql"
 )
 
 // TwoPhase is the algorithm of Kiveris et al. ("Connected components in
@@ -25,36 +26,68 @@ import (
 // rounds — and the pathological round count on the adversarially numbered
 // PathUnion dataset (Table III).
 func TwoPhase(c *engine.Cluster, input string, opts Options) (*Result, error) {
-	if err := validateInput(c, input); err != nil {
-		return nil, err
-	}
-	r := newRun(c, opts)
-	defer r.cleanup()
-	res, err := runTwoPhase(r, input)
-	if err != nil {
-		return nil, r.roundError("tp", err)
-	}
-	return res, nil
+	return drive(c, input, opts, "tp", runTwoPhase)
 }
 
+// Two-Phase's statement shapes. The canonical edge table $2 is expanded
+// to both orientations, symmetric("$2"), inside each statement only;
+// grouping that by v yields m(v) = min N[v].
+var (
+	// tpSQLCanonical is the initial working edge set: canonical (larger,
+	// smaller) order, deduplicated, loops dropped (isolated vertices are
+	// reattached at labelling time).
+	tpSQLCanonical = `
+		create table $1 as
+		select distinct v, w from ` + symmetric("$2") + ` as s where v > w
+		distributed by (v)`
+	// tpSQLMin: m(v), the minimum of v's closed neighbourhood.
+	tpSQLMin = `
+		create table $1 as
+		select v, least(v, min(w)) as m from ` + symmetric("$2") + ` as s group by v
+		distributed by (v)`
+	// tpSQLLarge: the large-star output {(u, m(v)) : u ∈ N(v), u > v}.
+	tpSQLLarge = `
+		create table $1 as
+		select distinct s.w as v, m.m as w
+		from ` + symmetric("$2") + ` as s, $3 as m
+		where s.v = m.v and s.w > s.v and s.w != m.m
+		distributed by (v)`
+	// tpSQLSmall: the small-star output {(u, m(v)) : u ∈ N(v), u < v} ∪
+	// {(v, m(v))}.
+	tpSQLSmall = `
+		create table $1 as
+		select distinct v, w from (
+			select s.w as v, m.m as w
+			from ` + symmetric("$2") + ` as s, $3 as m
+			where s.v = m.v and s.w < s.v
+			union all
+			select v, m from $3 as m2) as x
+		where v != w
+		distributed by (v)`
+	// tpSQLLabel labels the vertices $2 by the star forest $3: a vertex's
+	// label is its centre, or itself when it has no edge left.
+	tpSQLLabel = `
+		create table $1 as
+		select a.v, least(a.v, sl.m) as r
+		from $2 as a left join (select v, min(w) as m from $3 as e group by v) as sl on a.v = sl.v
+		distributed by (v)`
+)
+
 func runTwoPhase(r *run, input string) (*Result, error) {
-	// Working edge set in canonical (larger, smaller) order, deduplicated,
-	// loops dropped (isolated vertices are reattached at labelling time).
-	canon := engine.Project(symmetric(input),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Col(1), Name: "w"})
-	canonFiltered := engine.Filter(canon, engine.Bin(engine.OpGt, engine.Col(0), engine.Col(1)))
-	if _, err := r.create("tp_e", engine.Distinct(canonFiltered), 0); err != nil {
+	if _, err := r.create("tp_e", tpSQLCanonical, sql.Table(input)); err != nil {
 		return nil, err
 	}
 	// All original vertices, for the final labelling.
-	if _, err := r.create("tp_v", engine.Project(
-		engine.GroupBy(symmetric(input), []int{0}),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"}), 0); err != nil {
+	if _, err := r.create("tp_v", sqlVertices, sql.Table(input)); err != nil {
+		return nil, err
+	}
+	// The set comparison runs only when a star leaves the edge count
+	// unchanged; prepare it now so whichever round first needs it stays
+	// parse-free.
+	if err := r.prepare(sqlCountUnion); err != nil {
 		return nil, err
 	}
 
-	plans := newTPPlans(r)
 	rounds := 0
 	for {
 		rounds++
@@ -62,18 +95,18 @@ func runTwoPhase(r *run, input string) (*Result, error) {
 			return nil, fmt.Errorf("ccalg: Two-Phase exceeded %d rounds", maxRounds)
 		}
 		r.beginRound()
-		if _, _, err := tpStar(r, plans, true); err != nil { // large-star
+		if _, _, err := tpStar(r, tpSQLLarge); err != nil {
 			return nil, err
 		}
-		changed, err := tpStarChanged(r, plans)
+		changed, err := tpStarChanged(r)
 		if err != nil {
 			return nil, err
 		}
-		liveV, liveE, err := tpStar(r, plans, false) // small-star
+		liveV, liveE, err := tpStar(r, tpSQLSmall)
 		if err != nil {
 			return nil, err
 		}
-		changed2, err := tpStarChanged(r, plans)
+		changed2, err := tpStarChanged(r)
 		if err != nil {
 			return nil, err
 		}
@@ -84,17 +117,8 @@ func runTwoPhase(r *run, input string) (*Result, error) {
 	}
 
 	// The fixpoint is a star forest in canonical order: every edge is
-	// (member, centre) with centre the component minimum. Vertices with no
-	// remaining edge label themselves.
-	starLabel := engine.GroupBy(r.scan("tp_e"), []int{0},
-		engine.Agg{Op: engine.AggMin, Arg: engine.Col(1), Name: "m"})
-	// Columns after left join: v, v(star), m.
-	labelled := engine.Project(
-		engine.LeftJoin(r.scan("tp_v"), starLabel, 0, 0),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Least(engine.Col(0), engine.Col(2)), Name: "r"},
-	)
-	if _, err := r.create("tp_result", labelled, 0); err != nil {
+	// (member, centre) with centre the component minimum.
+	if _, err := r.create("tp_result", tpSQLLabel, r.tab("tp_v"), r.tab("tp_e")); err != nil {
 		return nil, err
 	}
 	labels, err := r.labelsOf("tp_result")
@@ -107,82 +131,20 @@ func runTwoPhase(r *run, input string) (*Result, error) {
 	return &Result{Labels: labels, Rounds: rounds, RoundLog: r.roundLog}, nil
 }
 
-// tpPlans holds the round loop's plans, built once per run
-// (prepared-statement style): the rename dance keeps the tp_e / tp_m /
-// tp_prev names stable, so the same immutable plan values execute every
-// round.
-type tpPlans struct {
-	m          engine.Plan // m(v) = min of the closed neighbourhood
-	largeOut   engine.Plan // large-star output edges
-	smallOut   engine.Plan // small-star output edges
-	prevCount  engine.Plan
-	eCount     engine.Plan
-	unionCount engine.Plan
-}
-
-func newTPPlans(r *run) *tpPlans {
-	sym := engine.UnionAll(
-		engine.Project(r.scan("tp_e"),
-			engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-			engine.ProjCol{Expr: engine.Col(1), Name: "u"}),
-		engine.Project(r.scan("tp_e"),
-			engine.ProjCol{Expr: engine.Col(1), Name: "v"},
-			engine.ProjCol{Expr: engine.Col(0), Name: "u"}),
-	)
-	m := engine.Project(
-		engine.GroupBy(sym, []int{0},
-			engine.Agg{Op: engine.AggMin, Arg: engine.Col(1), Name: "mn"}),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Least(engine.Col(0), engine.Col(1)), Name: "m"},
-	)
-	// Join columns: v, u, v, m.
-	joined := engine.Join(sym, r.scan("tp_m"), 0, 0)
-	star := func(cmp engine.BinOp) engine.Plan {
-		return engine.Project(
-			engine.Filter(joined, engine.Bin(cmp, engine.Col(1), engine.Col(0))),
-			engine.ProjCol{Expr: engine.Col(1), Name: "v"},
-			engine.ProjCol{Expr: engine.Col(3), Name: "w"},
-		)
-	}
-	// Small-star also links v itself to the minimum.
-	selfLink := engine.Project(r.scan("tp_m"),
-		engine.ProjCol{Expr: engine.Col(0), Name: "v"},
-		engine.ProjCol{Expr: engine.Col(1), Name: "w"})
-	canon := func(edges engine.Plan) engine.Plan {
-		return engine.Distinct(engine.Filter(edges,
-			engine.Bin(engine.OpNe, engine.Col(0), engine.Col(1))))
-	}
-	return &tpPlans{
-		m:          m,
-		largeOut:   canon(star(engine.OpGt)),
-		smallOut:   canon(engine.UnionAll(star(engine.OpLt), selfLink)),
-		prevCount:  r.scan("tp_prev"),
-		eCount:     r.scan("tp_e"),
-		unionCount: engine.Distinct(engine.UnionAll(r.scan("tp_prev"), r.scan("tp_e"))),
-	}
-}
-
-// tpStar applies one star operation to tp_e, leaving the previous edge set
-// in tp_prev for the change check. It returns the live vertex count (the
-// vertices still touching an edge before the operation) and the edge count
-// of the star output.
+// tpStar applies one star operation (the tpSQLLarge or tpSQLSmall shape)
+// to tp_e, leaving the previous edge set in tp_prev for the change check.
+// The rename dance keeps the tp_e / tp_m / tp_prev names stable across
+// rounds. It returns the live vertex count (the vertices still touching
+// an edge before the operation) and the edge count of the star output.
 //
-// The canonical edge table is expanded to both orientations inside the
-// plan; grouping by the first column then yields m(v) = min(N[v]). The
-// large-star output is {(u, m(v)) : u ∈ N(v), u > v}; the small-star
-// output is {(u, m(v)) : u ∈ N(v), u < v} ∪ {(v, m(v))}. In both cases
-// u > m(v) whenever the pair is not a loop, so the output is already
-// canonical and deduplication suffices.
-func tpStar(r *run, p *tpPlans, large bool) (int64, int64, error) {
-	liveV, err := r.create("tp_m", p.m, 0)
+// In both operations u > m(v) whenever the output pair is not a loop, so
+// the output is already canonical and deduplication suffices.
+func tpStar(r *run, star string) (int64, int64, error) {
+	liveV, err := r.create("tp_m", tpSQLMin, r.tab("tp_e"))
 	if err != nil {
 		return 0, 0, err
 	}
-	out := p.largeOut
-	if !large {
-		out = p.smallOut
-	}
-	liveE, err := r.create("tp_e2", out, 0)
+	liveE, err := r.create("tp_e2", star, r.tab("tp_e"), r.tab("tp_m"))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -197,18 +159,18 @@ func tpStar(r *run, p *tpPlans, large bool) (int64, int64, error) {
 
 // tpStarChanged reports whether the last star operation changed the edge
 // set, and drops the saved previous edge set.
-func tpStarChanged(r *run, p *tpPlans) (bool, error) {
-	n1, err := countRows(r.ctx, r.c, p.prevCount)
+func tpStarChanged(r *run) (bool, error) {
+	n1, err := r.count(sqlCount, r.tab("tp_prev"))
 	if err != nil {
 		return false, err
 	}
-	n2, err := countRows(r.ctx, r.c, p.eCount)
+	n2, err := r.count(sqlCount, r.tab("tp_e"))
 	if err != nil {
 		return false, err
 	}
 	changed := true
 	if n1 == n2 {
-		nu, err := countRows(r.ctx, r.c, p.unionCount)
+		nu, err := r.count(sqlCountUnion, r.tab("tp_prev"), r.tab("tp_e"))
 		if err != nil {
 			return false, err
 		}

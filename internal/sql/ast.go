@@ -1,5 +1,7 @@
 package sql
 
+import "fmt"
+
 // Statement is a parsed SQL statement.
 type Statement interface{ stmt() }
 
@@ -132,14 +134,18 @@ type FromItem struct {
 	Joins []JoinClause
 }
 
-// TableRef names a stored table with an optional alias. Param is the $N
-// index when the table name is a prepared-statement parameter (Table is
-// then ""); parameterised tables need an explicit alias to be referenced
-// by qualified column names.
+// TableRef is one relation of a FROM clause: a stored table, or a derived
+// table (Sub, a parenthesised SELECT, which always carries an alias). Param
+// is the $N index when the table name is a prepared-statement parameter
+// (Table is then ""); parameterised tables need an explicit alias to be
+// referenced by qualified column names. Cols, when set, renames the
+// relation's columns positionally (the "AS e (v1, v2)" alias list).
 type TableRef struct {
 	Table string
 	Param int
+	Sub   *SelectStmt
 	Alias string
+	Cols  []string
 }
 
 // Name returns the alias if present, else the table name (empty for an
@@ -149,6 +155,15 @@ func (t TableRef) Name() string {
 		return t.Alias
 	}
 	return t.Table
+}
+
+// label names the relation in error messages: its alias or table name,
+// or $N for an unaliased table parameter.
+func (t TableRef) label() string {
+	if t.Name() == "" && t.Param > 0 {
+		return fmt.Sprintf("$%d", t.Param)
+	}
+	return t.Name()
 }
 
 // JoinClause is an explicit join hanging off a FromItem.
@@ -189,9 +204,16 @@ type BinaryExpr struct {
 // ParamRef is a $N prepared-statement value parameter (1-based).
 type ParamRef struct{ Index int }
 
+// IsNullExpr is "expr IS NULL", or "expr IS NOT NULL" with Negate set.
+type IsNullExpr struct {
+	Arg    Expr
+	Negate bool
+}
+
 func (*Ident) expr()      {}
 func (*NumLit) expr()     {}
 func (*NullLit) expr()    {}
 func (*Call) expr()       {}
 func (*BinaryExpr) expr() {}
 func (*ParamRef) expr()   {}
+func (*IsNullExpr) expr() {}

@@ -8,9 +8,31 @@ import (
 
 // parser consumes a token stream.
 type parser struct {
-	toks []token
-	i    int
+	toks  []token
+	i     int
+	depth int // current nesting of parentheses, call arguments and subqueries
 }
+
+// maxDepth bounds how deep the trees the parser builds may nest —
+// parenthesised expressions, function-call arguments, FROM subqueries, and
+// the left-deep trees of AND/OR/+/- chains and UNION ALL chains — so
+// hostile text fails with an error instead of exhausting the goroutine
+// stack (while parsing, planning or executing), a fatal error no recover
+// can catch.
+const maxDepth = 256
+
+// enter descends one nesting level. Every rule that calls it first defers
+// p.setDepth(p.depth), which restores the depth the rule started at however
+// it returns; chain rules then enter once per link.
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > maxDepth {
+		return p.errf("nesting deeper than %d levels", maxDepth)
+	}
+	return nil
+}
+
+func (p *parser) setDepth(d int) { p.depth = d }
 
 // Parse parses a script of zero or more semicolon-separated statements.
 func Parse(src string) ([]Statement, error) {
@@ -198,36 +220,11 @@ func (p *parser) createTableAs() (Statement, error) {
 	// Plain DDL form: CREATE TABLE name (col, col, ...).
 	if p.acceptSym("(") {
 		plain := &CreateTablePlain{Name: name, NameParam: nameParam}
-		for {
-			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			plain.Cols = append(plain.Cols, col)
-			if !p.acceptSym(",") {
-				break
-			}
-		}
-		if err := p.expectSym(")"); err != nil {
+		if plain.Cols, err = p.columnList(); err != nil {
 			return nil, err
 		}
-		if p.acceptKw("distributed") {
-			if err := p.expectKw("by"); err != nil {
-				return nil, err
-			}
-			if err := p.expectSym("("); err != nil {
-				return nil, err
-			}
-			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectSym(")"); err != nil {
-				return nil, err
-			}
-			plain.DistBy = col
-		}
-		return plain, nil
+		plain.DistBy, err = p.distributedBy()
+		return plain, err
 	}
 	if err := p.expectKw("as"); err != nil {
 		return nil, err
@@ -237,23 +234,27 @@ func (p *parser) createTableAs() (Statement, error) {
 		return nil, err
 	}
 	stmt := &CreateTableAs{Name: name, NameParam: nameParam, Select: sel}
-	if p.acceptKw("distributed") {
-		if err := p.expectKw("by"); err != nil {
-			return nil, err
-		}
-		if err := p.expectSym("("); err != nil {
-			return nil, err
-		}
-		col, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectSym(")"); err != nil {
-			return nil, err
-		}
-		stmt.DistBy = col
+	stmt.DistBy, err = p.distributedBy()
+	return stmt, err
+}
+
+// distributedBy parses an optional DISTRIBUTED BY (col) clause, returning
+// "" when there is none.
+func (p *parser) distributedBy() (string, error) {
+	if !p.acceptKw("distributed") {
+		return "", nil
 	}
-	return stmt, nil
+	if err := p.expectKw("by"); err != nil {
+		return "", err
+	}
+	if err := p.expectSym("("); err != nil {
+		return "", err
+	}
+	col, err := p.ident()
+	if err != nil {
+		return "", err
+	}
+	return col, p.expectSym(")")
 }
 
 func (p *parser) dropTable() (Statement, error) {
@@ -381,11 +382,69 @@ func (p *parser) deleteFrom() (Statement, error) {
 	return st, nil
 }
 
+// selectStmt parses SELECT blocks chained by UNION ALL, then the ORDER BY
+// and LIMIT that apply to the whole chain (stored on its last block).
 func (p *parser) selectStmt() (*SelectStmt, error) {
+	first, err := p.selectBlock()
+	if err != nil {
+		return nil, err
+	}
+	last := first
+	defer p.setDepth(p.depth)
+	for p.acceptKw("union") {
+		if err := p.expectKw("all"); err != nil {
+			return nil, err
+		}
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		if last.UnionAll, err = p.selectBlock(); err != nil {
+			return nil, err
+		}
+		last = last.UnionAll
+	}
+	if p.acceptKw("order") {
+		if err := p.expectKw("by"); err != nil {
+			return nil, err
+		}
+		for {
+			col, err := p.ident()
+			if err != nil {
+				return nil, err
+			}
+			item := OrderItem{Col: col}
+			if p.acceptKw("desc") {
+				item.Desc = true
+			} else {
+				p.acceptKw("asc")
+			}
+			last.OrderBy = append(last.OrderBy, item)
+			if !p.acceptSym(",") {
+				break
+			}
+		}
+	}
+	if p.acceptKw("limit") {
+		t := p.peek()
+		if t.kind != tokNumber {
+			return nil, p.errf("expected number after LIMIT, found %q", t.text)
+		}
+		p.next()
+		n, err := strconv.ParseInt(t.text, 10, 64)
+		if err != nil || n < 0 {
+			return nil, p.errf("bad LIMIT %q", t.text)
+		}
+		last.Limit = n
+	}
+	return first, nil
+}
+
+// selectBlock parses one SELECT ... [FROM] [WHERE] [GROUP BY] block.
+func (p *parser) selectBlock() (*SelectStmt, error) {
 	if err := p.expectKw("select"); err != nil {
 		return nil, err
 	}
-	sel := &SelectStmt{}
+	sel := &SelectStmt{Limit: -1}
 	if p.acceptKw("distinct") {
 		sel.Distinct = true
 	}
@@ -434,50 +493,6 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 			}
 		}
 	}
-	if p.acceptKw("union") {
-		if err := p.expectKw("all"); err != nil {
-			return nil, err
-		}
-		rest, err := p.selectStmt()
-		if err != nil {
-			return nil, err
-		}
-		sel.UnionAll = rest
-	}
-	sel.Limit = -1
-	if p.acceptKw("order") {
-		if err := p.expectKw("by"); err != nil {
-			return nil, err
-		}
-		for {
-			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			item := OrderItem{Col: col}
-			if p.acceptKw("desc") {
-				item.Desc = true
-			} else {
-				p.acceptKw("asc")
-			}
-			sel.OrderBy = append(sel.OrderBy, item)
-			if !p.acceptSym(",") {
-				break
-			}
-		}
-	}
-	if p.acceptKw("limit") {
-		t := p.peek()
-		if t.kind != tokNumber {
-			return nil, p.errf("expected number after LIMIT, found %q", t.text)
-		}
-		p.next()
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil || n < 0 {
-			return nil, p.errf("bad LIMIT %q", t.text)
-		}
-		sel.Limit = n
-	}
 	return sel, nil
 }
 
@@ -514,7 +529,7 @@ func isReservedWord(s string) bool {
 		"distinct", "left", "outer", "inner", "join", "on", "order",
 		"having", "as", "distributed", "create", "table", "drop", "alter",
 		"rename", "to", "insert", "into", "values", "explain", "limit",
-		"asc", "desc", "delete":
+		"asc", "desc", "delete", "is":
 		return true
 	}
 	return false
@@ -532,7 +547,8 @@ func isClauseKeyword(s string) bool {
 }
 
 // fromItem parses a table reference followed by any number of explicit
-// joins: "t [AS a] [LEFT [OUTER] JOIN t2 [AS b] ON ( expr )]*".
+// joins: "t [AS a] [LEFT [OUTER] JOIN t2 [AS b] ON ( expr )]*", where each
+// table may also be a derived table "(select ...) [AS] a".
 func (p *parser) fromItem() (FromItem, error) {
 	ref, err := p.tableRef()
 	if err != nil {
@@ -574,26 +590,56 @@ func (p *parser) fromItem() (FromItem, error) {
 	}
 }
 
+// tableRef parses "name [[AS] alias [(col, ...)]]", with a $N parameter
+// or a parenthesised SELECT (which must be aliased) in place of the name.
 func (p *parser) tableRef() (TableRef, error) {
-	name, param, err := p.tableName()
-	if err != nil {
-		return TableRef{}, err
-	}
-	ref := TableRef{Table: name, Param: param}
-	if p.acceptKw("as") {
-		alias, err := p.ident()
-		if err != nil {
+	var ref TableRef
+	var err error
+	if p.acceptSym("(") {
+		defer p.setDepth(p.depth)
+		if err := p.enter(); err != nil {
 			return TableRef{}, err
 		}
-		ref.Alias = alias
-		return ref, nil
+		if ref.Sub, err = p.selectStmt(); err != nil {
+			return TableRef{}, err
+		}
+		if err := p.expectSym(")"); err != nil {
+			return TableRef{}, err
+		}
+	} else if ref.Table, ref.Param, err = p.tableName(); err != nil {
+		return TableRef{}, err
 	}
-	t := p.peek()
-	if t.kind == tokIdent && !isFromKeyword(t.text) {
+	if p.acceptKw("as") {
+		if ref.Alias, err = p.ident(); err != nil {
+			return TableRef{}, err
+		}
+	} else if t := p.peek(); t.kind == tokIdent && !isFromKeyword(t.text) {
 		ref.Alias = strings.ToLower(t.text)
 		p.next()
 	}
-	return ref, nil
+	if ref.Sub != nil && ref.Alias == "" {
+		return TableRef{}, p.errf("a subquery in FROM must have an alias")
+	}
+	if ref.Alias != "" && p.acceptSym("(") {
+		ref.Cols, err = p.columnList()
+	}
+	return ref, err
+}
+
+// columnList parses "col, col, ...)" — a column-name list whose opening
+// parenthesis the caller consumed.
+func (p *parser) columnList() ([]string, error) {
+	var cols []string
+	for {
+		col, err := p.ident()
+		if err != nil {
+			return nil, err
+		}
+		cols = append(cols, col)
+		if !p.acceptSym(",") {
+			return cols, p.expectSym(")")
+		}
+	}
 }
 
 // isFromKeyword lists keywords that end a table reference and cannot be
@@ -631,7 +677,11 @@ func (p *parser) orExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.setDepth(p.depth)
 	for p.acceptKw("or") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		r, err := p.andExpr()
 		if err != nil {
 			return nil, err
@@ -646,7 +696,11 @@ func (p *parser) andExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.setDepth(p.depth)
 	for p.acceptKw("and") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		r, err := p.cmpExpr()
 		if err != nil {
 			return nil, err
@@ -656,13 +710,14 @@ func (p *parser) andExpr() (Expr, error) {
 	return l, nil
 }
 
+// cmpExpr parses an optional comparison, then an optional IS [NOT] NULL
+// test of its result (IS binds looser than comparison, as in PostgreSQL).
 func (p *parser) cmpExpr() (Expr, error) {
 	l, err := p.addExpr()
 	if err != nil {
 		return nil, err
 	}
-	t := p.peek()
-	if t.kind == tokSymbol {
+	if t := p.peek(); t.kind == tokSymbol {
 		switch t.text {
 		case "=", "!=", "<>", "<", "<=", ">", ">=":
 			p.next()
@@ -674,8 +729,15 @@ func (p *parser) cmpExpr() (Expr, error) {
 			if op == "<>" {
 				op = "!="
 			}
-			return &BinaryExpr{Op: op, L: l, R: r}, nil
+			l = &BinaryExpr{Op: op, L: l, R: r}
 		}
+	}
+	if p.acceptKw("is") {
+		neg := p.acceptKw("not")
+		if err := p.expectKw("null"); err != nil {
+			return nil, err
+		}
+		l = &IsNullExpr{Arg: l, Negate: neg}
 	}
 	return l, nil
 }
@@ -685,10 +747,14 @@ func (p *parser) addExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.setDepth(p.depth)
 	for {
 		t := p.peek()
 		if t.kind == tokSymbol && (t.text == "+" || t.text == "-") {
 			p.next()
+			if err := p.enter(); err != nil {
+				return nil, err
+			}
 			r, err := p.primary()
 			if err != nil {
 				return nil, err
@@ -732,6 +798,10 @@ func (p *parser) primary() (Expr, error) {
 		return &NumLit{Val: v}, nil
 	case t.kind == tokSymbol && t.text == "(":
 		p.next()
+		defer p.setDepth(p.depth)
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		e, err := p.expression()
 		if err != nil {
 			return nil, err
@@ -762,6 +832,10 @@ func (p *parser) primary() (Expr, error) {
 			}
 			if p.acceptSym(")") {
 				return call, nil
+			}
+			defer p.setDepth(p.depth)
+			if err := p.enter(); err != nil {
+				return nil, err
 			}
 			for {
 				a, err := p.expression()

@@ -179,33 +179,40 @@ func planOneSelect(c *engine.Cluster, sel *SelectStmt, resolve Resolver, pp *pla
 func planFrom(c *engine.Cluster, sel *SelectStmt, resolve Resolver, pp *planParams) (engine.Plan, scope, error) {
 	var plan engine.Plan = engine.Values(nil, []engine.Row{{}})
 	var sc scope
-	var remaining []FromItem
-	if len(sel.From) > 0 {
-		// Plan the first FROM item (base table plus its explicit joins).
-		var err error
-		if plan, sc, err = planFromItem(c, sel.From[0], resolve, pp); err != nil {
+	// Plan every FROM item (a relation plus its explicit joins) exactly once;
+	// the join search below only matches conjuncts against their scopes, so
+	// a derived table is never re-planned however the items are ordered.
+	type fromPlan struct {
+		plan engine.Plan
+		sc   scope
+		ref  TableRef
+	}
+	var remaining []fromPlan
+	for i, fi := range sel.From {
+		p, s, err := planFromItem(c, fi, resolve, pp)
+		if err != nil {
 			return nil, nil, err
 		}
-		remaining = append(remaining, sel.From[1:]...) // a copy: the loop below edits it
+		if i == 0 {
+			plan, sc = p, s
+			continue
+		}
+		remaining = append(remaining, fromPlan{p, s, fi.Table})
 	}
 	conjuncts := splitConjuncts(sel.Where)
-	// Greedily fold in comma-joined tables using WHERE equi-join conjuncts,
+	// Greedily fold in comma-joined items using WHERE equi-join conjuncts,
 	// the way a database planner orders a join list.
 	for len(remaining) > 0 {
 		progressed := false
-		for ri, p := range remaining {
-			rPlan, rScope, err := planFromItem(c, p, resolve, pp)
-			if err != nil {
-				return nil, nil, err
-			}
-			// Find a conjunct linking current scope to this table's scope.
+		for ri, r := range remaining {
+			// Find a conjunct linking current scope to this item's scope.
 			for ci, cj := range conjuncts {
-				lk, rk, ok := equiJoinKeys(cj, sc, rScope)
+				lk, rk, ok := equiJoinKeys(cj, sc, r.sc)
 				if !ok {
 					continue
 				}
-				plan = engine.Join(plan, rPlan, lk, rk)
-				sc = append(append(scope{}, sc...), rScope...)
+				plan = engine.Join(plan, r.plan, lk, rk)
+				sc = append(append(scope{}, sc...), r.sc...)
 				conjuncts = append(conjuncts[:ci], conjuncts[ci+1:]...)
 				remaining = append(remaining[:ri], remaining[ri+1:]...)
 				progressed = true
@@ -216,7 +223,7 @@ func planFrom(c *engine.Cluster, sel *SelectStmt, resolve Resolver, pp *planPara
 			}
 		}
 		if !progressed {
-			return nil, nil, fmt.Errorf("sql: no join condition found for table %q (cartesian products are not supported)", remaining[0].Table.Name())
+			return nil, nil, fmt.Errorf("sql: no join condition found for table %q (cartesian products are not supported)", remaining[0].ref.label())
 		}
 	}
 	// Apply leftover conjuncts as filters.
@@ -256,14 +263,38 @@ func planFromItem(c *engine.Cluster, fi FromItem, resolve Resolver, pp *planPara
 	return plan, sc, nil
 }
 
-// planTableRef plans a base table scan with its alias scope. The catalog
-// lookup goes through the resolver, while the column qualifier stays the
-// name (or alias) as written, so session-namespaced tables keep their
-// source-level names inside expressions. Parameterised references take
-// their schema from the table currently bound to the parameter; in
-// template mode the scan is emitted under a placeholder name that execute
-// substitutes.
+// planTableRef plans one FROM relation with its alias scope: every column
+// is qualified by the alias (or table name) as written, and an alias column
+// list renames the columns positionally.
 func planTableRef(c *engine.Cluster, ref TableRef, resolve Resolver, pp *planParams) (engine.Plan, scope, error) {
+	plan, cols, err := planRelation(c, ref, resolve, pp)
+	if err != nil {
+		return nil, nil, err
+	}
+	if ref.Cols != nil {
+		if len(ref.Cols) != len(cols) {
+			return nil, nil, fmt.Errorf("sql: %q has %d columns, but its alias lists %d", ref.label(), len(cols), len(ref.Cols))
+		}
+		cols = ref.Cols
+	}
+	sc := make(scope, len(cols))
+	for i, col := range cols {
+		sc[i] = scopeCol{qual: ref.Name(), name: col}
+	}
+	return plan, sc, nil
+}
+
+// planRelation plans the relation a TableRef reads and returns its column
+// names. A derived table is planned like any SELECT, with the statement's
+// parameters. A base table's catalog lookup goes through the resolver, so
+// session-namespaced tables keep their source-level names inside
+// expressions. Parameterised references take their schema from the table
+// currently bound to the parameter; in template mode the scan is emitted
+// under a placeholder name that execute substitutes.
+func planRelation(c *engine.Cluster, ref TableRef, resolve Resolver, pp *planParams) (engine.Plan, engine.Schema, error) {
+	if ref.Sub != nil {
+		return planSelectParams(c, ref.Sub, resolve, pp)
+	}
 	if ref.Param > 0 {
 		if pp == nil || pp.tables == nil {
 			return nil, nil, fmt.Errorf("sql: table parameter $%d requires Prepare", ref.Param)
@@ -276,10 +307,6 @@ func planTableRef(c *engine.Cluster, ref TableRef, resolve Resolver, pp *planPar
 		if !ok {
 			return nil, nil, fmt.Errorf("sql: table %q does not exist", phys)
 		}
-		sc := make(scope, len(t.Schema))
-		for i, col := range t.Schema {
-			sc[i] = scopeCol{qual: ref.Name(), name: col}
-		}
 		if pp.paramSchemas == nil {
 			pp.paramSchemas = make(map[int]engine.Schema)
 		}
@@ -288,7 +315,7 @@ func planTableRef(c *engine.Cluster, ref TableRef, resolve Resolver, pp *planPar
 		if pp.placeholders {
 			name = paramScanName(ref.Param)
 		}
-		return engine.Scan(name), sc, nil
+		return engine.Scan(name), t.Schema, nil
 	}
 	stored := ref.Table
 	if resolve != nil {
@@ -305,11 +332,7 @@ func planTableRef(c *engine.Cluster, ref TableRef, resolve Resolver, pp *planPar
 			schema:  append(engine.Schema(nil), t.Schema...),
 		})
 	}
-	sc := make(scope, len(t.Schema))
-	for i, col := range t.Schema {
-		sc[i] = scopeCol{qual: ref.Name(), name: col}
-	}
-	return engine.Scan(stored), sc, nil
+	return engine.Scan(stored), t.Schema, nil
 }
 
 // splitConjuncts flattens a WHERE expression into AND-connected conjuncts.
@@ -363,6 +386,8 @@ func containsAgg(e Expr) bool {
 		}
 	case *BinaryExpr:
 		return containsAgg(e.L) || containsAgg(e.R)
+	case *IsNullExpr:
+		return containsAgg(e.Arg)
 	}
 	return false
 }
@@ -371,6 +396,25 @@ func containsAgg(e Expr) bool {
 // scope. Aggregate calls are rejected here; they are handled by
 // planAggregate.
 func compileScalar(c *engine.Cluster, e Expr, sc scope) (engine.Expr, error) {
+	return compileExpr(c, e, sc.colRef, func(call *Call) (engine.Expr, error) {
+		return nil, fmt.Errorf("sql: aggregate %s() is not allowed here", call.Name)
+	})
+}
+
+// colRef compiles a column reference against the scope.
+func (s scope) colRef(id *Ident) (engine.Expr, error) {
+	idx, err := s.resolve(id)
+	if err != nil {
+		return nil, err
+	}
+	return engine.NamedCol(idx, identString(id)), nil
+}
+
+// compileExpr lowers an AST expression to an engine expression; col and
+// agg compile the leaves whose meaning depends on the row layout the
+// expression reads — column references and aggregate calls.
+func compileExpr(c *engine.Cluster, e Expr, col func(*Ident) (engine.Expr, error), agg func(*Call) (engine.Expr, error)) (engine.Expr, error) {
+	sub := func(e Expr) (engine.Expr, error) { return compileExpr(c, e, col, agg) }
 	switch e := e.(type) {
 	case *NumLit:
 		return engine.Const(e.Val), nil
@@ -379,32 +423,34 @@ func compileScalar(c *engine.Cluster, e Expr, sc scope) (engine.Expr, error) {
 	case *ParamRef:
 		return paramExpr{Index: e.Index}, nil
 	case *Ident:
-		idx, err := sc.resolve(e)
-		if err != nil {
-			return nil, err
-		}
-		return engine.NamedCol(idx, identString(e)), nil
+		return col(e)
 	case *BinaryExpr:
 		op, ok := binOps[e.Op]
 		if !ok {
 			return nil, fmt.Errorf("sql: unsupported operator %q", e.Op)
 		}
-		l, err := compileScalar(c, e.L, sc)
+		l, err := sub(e.L)
 		if err != nil {
 			return nil, err
 		}
-		r, err := compileScalar(c, e.R, sc)
+		r, err := sub(e.R)
 		if err != nil {
 			return nil, err
 		}
 		return engine.Bin(op, l, r), nil
+	case *IsNullExpr:
+		arg, err := sub(e.Arg)
+		if err != nil {
+			return nil, err
+		}
+		return engine.IsNullExpr{Arg: arg, Negate: e.Negate}, nil
 	case *Call:
 		if isAggName(e.Name) {
-			return nil, fmt.Errorf("sql: aggregate %s() is not allowed here", e.Name)
+			return agg(e)
 		}
 		args := make([]engine.Expr, len(e.Args))
 		for i, a := range e.Args {
-			ea, err := compileScalar(c, a, sc)
+			ea, err := sub(a)
 			if err != nil {
 				return nil, err
 			}
@@ -504,6 +550,8 @@ func planAggregate(c *engine.Cluster, sel *SelectStmt, in engine.Plan, sc scope)
 				return err
 			}
 			return collect(e.R)
+		case *IsNullExpr:
+			return collect(e.Arg)
 		}
 		return nil
 	}
@@ -516,65 +564,22 @@ func planAggregate(c *engine.Cluster, sel *SelectStmt, in engine.Plan, sc scope)
 
 	// Compile select items against the post-aggregation row layout:
 	// group keys first, then aggregate results.
-	var compilePost func(e Expr) (engine.Expr, error)
-	compilePost = func(e Expr) (engine.Expr, error) {
-		switch e := e.(type) {
-		case *NumLit:
-			return engine.Const(e.Val), nil
-		case *NullLit:
-			return engine.Null, nil
-		case *ParamRef:
-			return paramExpr{Index: e.Index}, nil
-		case *Ident:
-			idx, err := sc.resolve(e)
-			if err != nil {
-				return nil, err
-			}
-			out, ok := keyOut[idx]
-			if !ok {
-				return nil, fmt.Errorf("sql: column %q must appear in the GROUP BY clause or be used in an aggregate function", identString(e))
-			}
-			return engine.NamedCol(out, identString(e)), nil
-		case *Call:
-			if isAggName(e.Name) {
-				return engine.Col(aggPos[e]), nil
-			}
-			args := make([]engine.Expr, len(e.Args))
-			for i, a := range e.Args {
-				ea, err := compilePost(a)
-				if err != nil {
-					return nil, err
-				}
-				args[i] = ea
-			}
-			switch e.Name {
-			case "least":
-				return engine.Least(args...), nil
-			case "coalesce":
-				return engine.Coalesce(args...), nil
-			}
-			return c.CallUDF(e.Name, args...)
-		case *BinaryExpr:
-			op, ok := binOps[e.Op]
-			if !ok {
-				return nil, fmt.Errorf("sql: unsupported operator %q", e.Op)
-			}
-			l, err := compilePost(e.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := compilePost(e.R)
-			if err != nil {
-				return nil, err
-			}
-			return engine.Bin(op, l, r), nil
+	groupCol := func(id *Ident) (engine.Expr, error) {
+		idx, err := sc.resolve(id)
+		if err != nil {
+			return nil, err
 		}
-		return nil, fmt.Errorf("sql: unsupported expression %T", e)
+		out, ok := keyOut[idx]
+		if !ok {
+			return nil, fmt.Errorf("sql: column %q must appear in the GROUP BY clause or be used in an aggregate function", identString(id))
+		}
+		return engine.NamedCol(out, identString(id)), nil
 	}
+	aggResult := func(call *Call) (engine.Expr, error) { return engine.Col(aggPos[call]), nil }
 	cols := make([]engine.ProjCol, len(sel.Items))
 	names := make(engine.Schema, len(sel.Items))
 	for i, item := range sel.Items {
-		e, err := compilePost(item.Expr)
+		e, err := compileExpr(c, item.Expr, groupCol, aggResult)
 		if err != nil {
 			return nil, nil, err
 		}

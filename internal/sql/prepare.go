@@ -679,22 +679,30 @@ func collectStmtParams(st Statement, values, tables map[int]bool) {
 }
 
 func collectSelectParams(sel *SelectStmt, values, tables map[int]bool) {
+	walkSelect(sel, func(ref TableRef) {
+		if ref.Param > 0 {
+			tables[ref.Param] = true
+		}
+	}, func(e Expr) { collectExprParams(e, values) })
+}
+
+// walkSelect calls ref for every table reference and expr for every
+// expression of a SELECT, its UNION ALL blocks and its subqueries.
+func walkSelect(sel *SelectStmt, ref func(TableRef), expr func(Expr)) {
 	for ; sel != nil; sel = sel.UnionAll {
 		for _, item := range sel.Items {
-			collectExprParams(item.Expr, values)
+			expr(item.Expr)
 		}
 		for _, fi := range sel.From {
-			if fi.Table.Param > 0 {
-				tables[fi.Table.Param] = true
-			}
+			ref(fi.Table)
+			walkSelect(fi.Table.Sub, ref, expr)
 			for _, j := range fi.Joins {
-				if j.Table.Param > 0 {
-					tables[j.Table.Param] = true
-				}
-				collectExprParams(j.On, values)
+				ref(j.Table)
+				walkSelect(j.Table.Sub, ref, expr)
+				expr(j.On)
 			}
 		}
-		collectExprParams(sel.Where, values)
+		expr(sel.Where)
 	}
 }
 
@@ -710,12 +718,15 @@ func collectExprParams(e Expr, values map[int]bool) {
 		for _, a := range e.Args {
 			collectExprParams(a, values)
 		}
+	case *IsNullExpr:
+		collectExprParams(e.Arg, values)
 	}
 }
 
 // namesFixedTable reports whether a SELECT or CREATE TABLE AS reads a
-// table by literal name. Plans that do not — every table reference a
-// parameter, or no table at all — are cached namespace-independently.
+// table by literal name, in any of its subqueries. Plans that do not —
+// every table reference a parameter, or no table at all — are cached
+// namespace-independently.
 func namesFixedTable(st Statement) bool {
 	var sel *SelectStmt
 	switch st := st.(type) {
@@ -724,19 +735,11 @@ func namesFixedTable(st Statement) bool {
 	case *SelectQuery:
 		sel = st.Select
 	}
-	for ; sel != nil; sel = sel.UnionAll {
-		for _, fi := range sel.From {
-			if fi.Table.Param == 0 {
-				return true
-			}
-			for _, j := range fi.Joins {
-				if j.Table.Param == 0 {
-					return true
-				}
-			}
-		}
-	}
-	return false
+	fixed := false
+	walkSelect(sel, func(ref TableRef) {
+		fixed = fixed || (ref.Sub == nil && ref.Param == 0)
+	}, func(Expr) {})
+	return fixed
 }
 
 // normalizeTokens renders a token stream in canonical form — lower-cased

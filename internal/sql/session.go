@@ -43,9 +43,8 @@ func NewIsolatedSession(c *engine.Cluster) *Session {
 }
 
 // SessionWithNamespace creates a session with an explicit temporary-table
-// namespace prefix. Callers that create tables through both the SQL layer
-// and the engine API (package ccalg's runs) pass the same prefix to both
-// so the two views agree on physical names.
+// namespace prefix, so a caller that also knows the physical names (the
+// server's per-tenant sessions) can compute them itself.
 func SessionWithNamespace(c *engine.Cluster, ns string) *Session {
 	return &Session{c: c, ns: ns}
 }

@@ -273,6 +273,15 @@ func TestCartesianRejected(t *testing.T) {
 	if err == nil {
 		t.Fatal("cartesian product accepted")
 	}
+	// An unaliased table parameter is named by its $N in the error.
+	p, err := s.Prepare("select x.v1 from $1 as x, $2 where x.v1 > 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = p.Query(Table("a"), Table("b"))
+	if err == nil || !strings.Contains(err.Error(), `table "$2"`) {
+		t.Fatalf("cartesian product over a parameter: err = %v, want it to name $2", err)
+	}
 }
 
 func TestWhereFilter(t *testing.T) {
