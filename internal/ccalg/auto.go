@@ -1,7 +1,6 @@
 package ccalg
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -33,9 +32,10 @@ const (
 	autoProbeRounds = 6
 	// autoBlowupFactor / autoRoundCeiling: the live monitor abandons the
 	// planned driver and falls back to Two-Phase when its live edge set
-	// grows past autoBlowupFactor times the input's, or its round count
-	// passes autoRoundCeiling. Both triggers are functions of the
-	// RoundStats stream, not of wall time, so runs stay reproducible.
+	// grows past autoBlowupFactor times the input's (the pre-scan's edge
+	// count), or its round count passes autoRoundCeiling. Both triggers
+	// are functions of the RoundStats stream, not of wall time, so runs
+	// stay reproducible.
 	autoBlowupFactor = 8
 	autoRoundCeiling = 512
 )
@@ -90,9 +90,15 @@ func PlanAlgorithm(c *engine.Cluster, input string, opts Options) (AutoDecision,
 	if err := validateInput(c, input); err != nil {
 		return AutoDecision{}, err
 	}
-	r := newRun(c, opts)
-	defer r.cleanup()
+	r := newRun(c, opts, "auto")
+	// The probe drops its tables on success; after a failure, dropping
+	// is best-effort and the failure is the error to report.
+	defer r.dropTemps()
+	return plan(r, input, opts)
+}
 
+// plan is PlanAlgorithm's pre-scan and rules, run inside r.
+func plan(r *run, input string, opts Options) (AutoDecision, error) {
 	var d AutoDecision
 	var err error
 	if d.Prescan.Vertices, err = r.count(autoSQLVertices, sql.Table(input)); err != nil {
@@ -112,7 +118,7 @@ func PlanAlgorithm(c *engine.Cluster, input string, opts Options) (AutoDecision,
 		d.Algorithm, d.Reason = "rc-det", "no edges: every vertex is its own component"
 		return d, nil
 	}
-	if t, ok := c.Table(input); ok && opts.MaxLiveBytes > 0 && opts.MaxLiveBytes < autoBudgetHeadroom*t.Bytes() {
+	if t, ok := r.c.Table(input); ok && opts.MaxLiveBytes > 0 && opts.MaxLiveBytes < autoBudgetHeadroom*t.Bytes() {
 		d.Algorithm = "tp"
 		d.Reason = fmt.Sprintf("space budget %d B under %d× the input's %d B: two-phase has the flattest space profile",
 			opts.MaxLiveBytes, autoBudgetHeadroom, t.Bytes())
@@ -169,129 +175,82 @@ func probeDiameter(r *run, input string, p *Prescan) error {
 	return r.drop("pb_l", "pb_e")
 }
 
-// Auto is the adaptive planner driver: it pre-scans the input with
-// PlanAlgorithm, runs the chosen driver, and watches its RoundStats stream
-// live — a run whose live edge set blows past autoBlowupFactor times the
-// input's, or whose round count passes autoRoundCeiling, is cancelled and
-// restarted under Two-Phase, with the fallback's rounds renumbered to
-// continue the stream. The planner only ever picks deterministic drivers,
+// Auto is the adaptive planner driver: it pre-scans the input as
+// PlanAlgorithm does, runs the chosen driver, and watches its RoundStats
+// stream live — a run whose live edge set blows past autoBlowupFactor
+// times the input's, or whose round count passes autoRoundCeiling, is
+// abandoned and Two-Phase takes over in the same run, its rounds
+// continuing the log. The planner only ever picks deterministic drivers,
 // and both monitor triggers are functions of the round statistics alone,
 // so Auto is as reproducible as any single driver.
 func Auto(c *engine.Cluster, input string, opts Options) (*Result, error) {
-	if err := validateInput(c, input); err != nil {
-		return nil, err
-	}
-	d, err := PlanAlgorithm(c, input, opts)
+	m := autoMonitor{blowup: autoBlowupFactor, ceiling: autoRoundCeiling}
+	return drive(c, input, opts, "auto", func(r *run, input string) (string, error) {
+		return runAuto(r, input, opts, m)
+	})
+}
+
+// runAuto is Auto's body under the monitor m.
+func runAuto(r *run, input string, opts Options, m autoMonitor) (string, error) {
+	d, err := plan(r, input, opts)
 	if err != nil {
-		var re *RoundError
-		if !errors.As(err, &re) {
-			err = &RoundError{Algorithm: "auto", Round: 1, Err: err}
-		}
-		return nil, err
+		return "", err
 	}
-	res, err := runPlanned(c, input, opts, d.Algorithm)
-	if err == nil || d.Algorithm == "tp" {
-		return res, err
+	r.alg = d.Algorithm
+	var b body
+	switch d.Algorithm {
+	case "rc-det":
+		r.alg = "rc"
+		opts.RC.Deterministic = true
+		b = rcBody(opts)
+	case "lc":
+		b = runLocalContract
+	case "ld":
+		b = runLogDiameter
+	case "tp":
+		// Two-Phase is the fallback itself, so it runs unwatched.
+		return runTwoPhase(r, input)
+	default:
+		return "", fmt.Errorf("ccalg: auto planned unknown algorithm %q", d.Algorithm)
+	}
+	m.input = d.Prescan.Edges
+	r.watch = m.check
+	labels, err := b(r, input)
+	if !errors.Is(err, errAutoAbort) {
+		return labels, err
 	}
 	// A monitor abort (and nothing else) falls back to Two-Phase; genuine
-	// failures — the caller's cancellation, space exhaustion, validation —
-	// propagate as-is.
-	var abort *autoAbort
-	if !errors.As(err, &abort) {
-		return nil, err
+	// failures — the caller's cancellation, space exhaustion — propagate
+	// as-is. The abandoned driver's tables go first, so the fallback runs
+	// within the same space budget.
+	r.watch = nil
+	if err := r.dropTemps(); err != nil {
+		return "", err
 	}
-	offset := len(abort.log)
-	fbOpts := opts
-	fbOpts.OnRound = renumberOnRound(opts.OnRound, offset)
-	fb, err := TwoPhase(c, input, fbOpts)
-	if err != nil {
-		return nil, err
-	}
-	merged := append(append([]RoundStats(nil), abort.log...), renumberLog(fb.RoundLog, offset)...)
-	return &Result{Labels: fb.Labels, Rounds: offset + fb.Rounds, RoundLog: merged}, nil
+	r.alg = "tp"
+	return runTwoPhase(r, input)
 }
 
-// autoAbort is the sentinel the live monitor cancels a planned run with.
-type autoAbort struct {
-	reason string
-	log    []RoundStats // rounds completed before the abort
+// autoMonitor is Auto's live monitor: its check, the planned driver's
+// watch, abandons the driver when its live edge set grows past blowup
+// times the input's edge count or its round count passes ceiling.
+type autoMonitor struct {
+	blowup  int64
+	ceiling int
+	// input is the pre-scan's edge count, in the symmetric, deduplicated,
+	// loop-free convention of the contraction drivers' LiveEdges.
+	input int64
 }
 
-func (a *autoAbort) Error() string { return "ccalg: auto monitor abort: " + a.reason }
-
-// runPlanned executes the planner's choice under the live monitor.
-func runPlanned(c *engine.Cluster, input string, opts Options, algorithm string) (*Result, error) {
-	runOpts := opts
-	name := algorithm
-	if algorithm == "rc-det" {
-		name = "rc"
-		runOpts.RC.Deterministic = true
+func (m autoMonitor) check(rs RoundStats) error {
+	switch {
+	case rs.LiveEdges > m.blowup*m.input:
+		return fmt.Errorf("%w: live edges %d blew past %d× the input's %d", errAutoAbort, rs.LiveEdges, m.blowup, m.input)
+	case rs.Round > m.ceiling:
+		return fmt.Errorf("%w: passed %d rounds without converging", errAutoAbort, m.ceiling)
 	}
-	info, ok := ByName(name)
-	if !ok {
-		return nil, fmt.Errorf("ccalg: auto planned unknown algorithm %q", algorithm)
-	}
-
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	runOpts.Context = ctx
-
-	abort := &autoAbort{}
-	tripped := false
-	var inputEdges int64
-	runOpts.OnRound = func(rs RoundStats) {
-		if !tripped {
-			abort.log = append(abort.log, rs)
-			if rs.Round == 1 {
-				inputEdges = rs.LiveEdges
-			}
-			switch {
-			case rs.Round > 1 && inputEdges > 0 && rs.LiveEdges > autoBlowupFactor*inputEdges:
-				abort.reason = fmt.Sprintf("%s live edges %d blew past %d× the input's %d",
-					algorithm, rs.LiveEdges, autoBlowupFactor, inputEdges)
-				tripped = true
-			case rs.Round > autoRoundCeiling:
-				abort.reason = fmt.Sprintf("%s passed %d rounds without converging", algorithm, autoRoundCeiling)
-				tripped = true
-			}
-			if tripped {
-				cancel()
-			}
-		}
-		if opts.OnRound != nil {
-			opts.OnRound(rs)
-		}
-	}
-
-	res, err := info.Run(c, input, runOpts)
-	if err != nil && tripped && (opts.Context == nil || opts.Context.Err() == nil) {
-		return nil, abort
-	}
-	return res, err
+	return nil
 }
 
-// renumberOnRound shifts the Round numbers a fallback run reports so the
-// caller's OnRound stream keeps strictly increasing round numbers across
-// the switch.
-func renumberOnRound(onRound func(RoundStats), offset int) func(RoundStats) {
-	if onRound == nil {
-		return nil
-	}
-	return func(rs RoundStats) {
-		rs.Round += offset
-		onRound(rs)
-	}
-}
-
-func renumberLog(log []RoundStats, offset int) []RoundStats {
-	out := make([]RoundStats, len(log))
-	for i, rs := range log {
-		rs.Round += offset
-		out[i] = rs
-	}
-	return out
-}
+// errAutoAbort is the error the monitor abandons a planned driver with.
+var errAutoAbort = errors.New("ccalg: auto monitor abandoned the planned driver")

@@ -1,8 +1,6 @@
 package ccalg
 
 import (
-	"fmt"
-
 	"dbcc/internal/engine"
 	"dbcc/internal/sql"
 )
@@ -34,53 +32,32 @@ const bfsSQLStep = `
 		group by e.v) as n on l.v = n.v
 	distributed by (v)`
 
-func runBFS(r *run, input string) (*Result, error) {
+func runBFS(r *run, input string) (string, error) {
 	// Symmetrised edge table, distributed by source. BFS never shrinks the
 	// edge set, so this count is the constant live-edge figure of the round
 	// log — the reason its per-round cost does not decay.
 	liveE, err := r.create("bfs_e", sqlSymmetric, sql.Table(input))
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	// Initial labels: minimum of the closed neighbourhood.
 	if _, err := r.create("bfs_l", sqlClosedMin, r.tab("bfs_e")); err != nil {
-		return nil, err
+		return "", err
 	}
 
 	// The rename dance keeps the table names stable (bfs_l2 is always
 	// created fresh and renamed to bfs_l), so the same statements run
 	// every round.
-	rounds := 0
-	for {
-		rounds++
-		if rounds > maxRounds {
-			return nil, fmt.Errorf("ccalg: BFS exceeded %d rounds", maxRounds)
-		}
-		r.beginRound()
+	return "bfs_l", r.rounds(func() (int64, int64, bool, error) {
 		liveV, err := r.create("bfs_l2", bfsSQLStep, r.tab("bfs_l"), r.tab("bfs_e"))
 		if err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
 		// Converged when no vertex changed its representative.
 		changed, err := r.count(sqlCountChanged, r.tab("bfs_l"), r.tab("bfs_l2"))
 		if err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
-		if err := r.replace("bfs_l", "bfs_l2"); err != nil {
-			return nil, err
-		}
-		r.endRound(liveV, liveE)
-		if changed == 0 {
-			break
-		}
-	}
-
-	labels, err := r.labelsOf("bfs_l")
-	if err != nil {
-		return nil, err
-	}
-	if err := r.drop("bfs_l", "bfs_e"); err != nil {
-		return nil, err
-	}
-	return &Result{Labels: labels, Rounds: rounds, RoundLog: r.roundLog}, nil
+		return liveV, liveE, changed == 0, r.replace("bfs_l", "bfs_l2")
+	})
 }

@@ -52,7 +52,9 @@ const maxRounds = 100000
 // instead of losing the whole run. errors.Is/As see through it to the
 // underlying cause via Unwrap.
 type RoundError struct {
-	// Algorithm is the short registry name of the failed run ("rc", ...).
+	// Algorithm is the short registry name of the driver that was running
+	// ("rc", ...). An auto run names its pre-scan "auto", then the planned
+	// driver ("rc" for rc-det), then "tp" once the fallback has begun.
 	Algorithm string
 	// Round is the 1-based round that failed (one past the last completed
 	// round).
@@ -198,12 +200,11 @@ func ByName(name string) (Info, bool) {
 var runSeq atomic.Uint64
 
 // run wraps the per-algorithm bookkeeping shared by all implementations:
-// the run-private temp-table namespace, the one statement path, the space
-// budget check and temp-table cleanup on failure. The temps set holds
-// catalog (physical) names.
+// the run-private temp-table namespace, the one statement path, the one
+// round loop, the space budget check and temp-table cleanup. The temps set
+// holds catalog (physical) names.
 type run struct {
 	c        *engine.Cluster
-	ctx      context.Context
 	maxBytes int64
 	ns       string
 	temps    map[string]struct{}
@@ -218,13 +219,17 @@ type run struct {
 	// (every table is a parameter, so templates are shared across runs).
 	stmts map[string]*sql.Prepared
 
-	onRound  func(RoundStats)
-	roundLog []RoundStats
-	// Counter snapshot at the start of the current round, for the deltas.
-	round0 engine.Stats
+	// alg names the driver running now, for errors: Auto switches it as
+	// it moves from its pre-scan to the planned driver and the fallback.
+	alg     string
+	onRound func(RoundStats)
+	// watch, when set, sees every round that is not the run's last; an
+	// error from it ends the round loop with that error.
+	watch func(RoundStats) error
+	log   []RoundStats
 }
 
-func newRun(c *engine.Cluster, opts Options) *run {
+func newRun(c *engine.Cluster, opts Options, alg string) *run {
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -232,75 +237,104 @@ func newRun(c *engine.Cluster, opts Options) *run {
 	ns := fmt.Sprintf("run%d_", runSeq.Add(1))
 	return &run{
 		c:        c,
-		ctx:      ctx,
 		maxBytes: opts.MaxLiveBytes,
 		ns:       ns,
 		temps:    make(map[string]struct{}),
 		s:        sql.NewSession(c).WithContext(ctx),
 		stmts:    make(map[string]*sql.Prepared),
+		alg:      alg,
 		onRound:  opts.OnRound,
 	}
 }
 
+// body is a driver: it runs its rounds through run.rounds and returns the
+// run-private (v, r) table holding the labelling.
+type body func(r *run, input string) (string, error)
+
 // drive runs a driver body under the contract every driver shares: input
-// validation, a fresh run, temp-table cleanup, and a RoundError carrying
-// the partial round log on failure.
-func drive(c *engine.Cluster, input string, opts Options, name string, body func(r *run, input string) (*Result, error)) (*Result, error) {
+// validation, a fresh run, the read-out of the body's label table,
+// temp-table cleanup, and a RoundError carrying the partial round log on
+// failure.
+func drive(c *engine.Cluster, input string, opts Options, alg string, b body) (*Result, error) {
 	if err := validateInput(c, input); err != nil {
 		return nil, err
 	}
-	r := newRun(c, opts)
-	defer r.cleanup()
-	res, err := body(r, input)
+	r := newRun(c, opts, alg)
+	labels, err := b(r, input)
+	var res *Result
+	if err == nil {
+		res, err = r.result(labels)
+	}
 	if err != nil {
-		return nil, r.roundError(name, err)
+		// Best-effort: the run's own failure is the error to report.
+		_ = r.dropTemps()
+		return nil, &RoundError{
+			Algorithm: r.alg,
+			Round:     len(r.log) + 1,
+			RoundLog:  append([]RoundStats(nil), r.log...),
+			Err:       err,
+		}
 	}
 	return res, nil
 }
 
-// roundError wraps a mid-algorithm failure in a RoundError carrying the
-// run's partial round log. Errors that already are RoundErrors pass
-// through unchanged (nested drivers).
-func (r *run) roundError(alg string, err error) error {
-	if err == nil {
-		return nil
+// result reads the labelling out of the run-private (v, r) table, drops
+// every temp table still live and builds the run's Result.
+func (r *run) result(table string) (*Result, error) {
+	rows, err := r.c.ReadAll(r.t(table))
+	if err != nil {
+		return nil, err
 	}
-	var re *RoundError
-	if errors.As(err, &re) {
-		return err
+	labels, err := graph.FromRows(rows)
+	if err != nil {
+		return nil, err
 	}
-	return &RoundError{
-		Algorithm: alg,
-		Round:     len(r.roundLog) + 1,
-		RoundLog:  append([]RoundStats(nil), r.roundLog...),
-		Err:       err,
+	if err := r.dropTemps(); err != nil {
+		return nil, err
 	}
+	return &Result{Labels: labels, Rounds: len(r.log), RoundLog: r.log}, nil
 }
 
-// beginRound snapshots the cluster counters so endRound can report the
-// round's query count and write volume as deltas.
-func (r *run) beginRound() {
-	r.round0 = r.c.Stats()
-}
-
-// endRound closes the current round: it records the round's statistics in
-// the run log and streams them to the OnRound callback if set.
-func (r *run) endRound(liveVertices, liveEdges int64) {
-	s, s0 := r.c.Stats(), r.round0
-	rs := RoundStats{
-		Round:        len(r.roundLog) + 1,
-		LiveVertices: liveVertices,
-		LiveEdges:    liveEdges,
-		Queries:      s.Queries - s0.Queries,
-		RowsWritten:  s.RowsWritten - s0.RowsWritten,
-		BytesWritten: s.BytesWritten - s0.BytesWritten,
-		Parses:       s.Parses - s0.Parses,
-		PlanHits:     s.PlanCacheHits - s0.PlanCacheHits,
-		PlanMisses:   s.PlanCacheMisses - s0.PlanCacheMisses,
-	}
-	r.roundLog = append(r.roundLog, rs)
-	if r.onRound != nil {
-		r.onRound(rs)
+// rounds is the one round loop: it runs round until it reports done. It
+// numbers the rounds (continuing the run's log, so a fallback driver's
+// rounds follow the abandoned ones), bounds them by maxRounds, takes each
+// round's counter deltas, and logs and streams its RoundStats. Rounds that
+// are not the last are shown to the run's watch.
+func (r *run) rounds(round func() (liveV, liveE int64, done bool, err error)) error {
+	for {
+		n := len(r.log) + 1
+		if n > maxRounds {
+			return fmt.Errorf("ccalg: %s exceeded %d rounds", r.alg, maxRounds)
+		}
+		s0 := r.c.Stats()
+		liveV, liveE, done, err := round()
+		if err != nil {
+			return err
+		}
+		s := r.c.Stats()
+		rs := RoundStats{
+			Round:        n,
+			LiveVertices: liveV,
+			LiveEdges:    liveE,
+			Queries:      s.Queries - s0.Queries,
+			RowsWritten:  s.RowsWritten - s0.RowsWritten,
+			BytesWritten: s.BytesWritten - s0.BytesWritten,
+			Parses:       s.Parses - s0.Parses,
+			PlanHits:     s.PlanCacheHits - s0.PlanCacheHits,
+			PlanMisses:   s.PlanCacheMisses - s0.PlanCacheMisses,
+		}
+		r.log = append(r.log, rs)
+		if r.onRound != nil {
+			r.onRound(rs)
+		}
+		if done {
+			return nil
+		}
+		if r.watch != nil {
+			if err := r.watch(rs); err != nil {
+				return err
+			}
+		}
 	}
 }
 
@@ -413,21 +447,18 @@ func (r *run) replace(name, next string) error {
 	return r.rename(next, name)
 }
 
-// cleanup drops any temp tables still live (used on error paths).
-func (r *run) cleanup() {
+// dropTemps drops every temp table still live. It tries them all and
+// returns the failures; tables it could not drop stay tracked.
+func (r *run) dropTemps() error {
+	var errs []error
 	for n := range r.temps {
-		_ = r.c.DropTable(n)
+		if err := r.c.DropTable(n); err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		delete(r.temps, n)
 	}
-	r.temps = map[string]struct{}{}
-}
-
-// labelsOf reads a run-private (v, rep) table into a labelling.
-func (r *run) labelsOf(table string) (graph.Labelling, error) {
-	rows, err := r.c.ReadAll(r.t(table))
-	if err != nil {
-		return nil, err
-	}
-	return graph.FromRows(rows)
+	return errors.Join(errs...)
 }
 
 // The statement shapes several drivers share. Every table is a $N

@@ -270,6 +270,9 @@ func Suite(t *testing.T, info ccalg.Info) {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled run's error does not unwrap to context.Canceled: %v", err)
 			}
+			if names := c.TableNames(); len(names) != 1 || names[0] != "input" {
+				t.Fatalf("tables left behind after the cancelled run: %v", names)
+			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("cancelled run did not return within 5s")
 		}

@@ -1,8 +1,6 @@
 package ccalg
 
 import (
-	"fmt"
-
 	"dbcc/internal/engine"
 	"dbcc/internal/sql"
 )
@@ -109,88 +107,61 @@ const (
 		distributed by (v)`
 )
 
-func runCracker(r *run, input string) (*Result, error) {
+func runCracker(r *run, input string) (string, error) {
 	// Working edge set: symmetric, deduplicated, loop-free.
-	if _, err := r.create("cr_e", sqlEdges, sql.Table(input)); err != nil {
-		return nil, err
+	liveE, err := r.create("cr_e", sqlEdges, sql.Table(input))
+	if err != nil {
+		return "", err
 	}
 	// All original vertices, for final labelling.
 	if _, err := r.create("cr_allv", sqlVertices, sql.Table(input)); err != nil {
-		return nil, err
+		return "", err
 	}
 	// Propagation tree rows (parent, child); roots appear as (v, v).
 	if _, err := r.c.CreateTable(r.t("cr_tree"), engine.Schema{"parent", "child"}, 1); err != nil {
-		return nil, err
+		return "", err
 	}
 	r.temps[r.t("cr_tree")] = struct{}{}
 	// Propagation rounds follow the contraction rounds; prepare their
 	// statement now so they stay parse-free.
 	if err := r.prepare(crSQLPropagate); err != nil {
-		return nil, err
+		return "", err
 	}
 
-	rounds := 0
-	for {
-		n, err := r.count(sqlCount, r.tab("cr_e"))
+	// Contraction rounds run while the graph has edges.
+	if liveE > 0 {
+		err := r.rounds(func() (int64, int64, bool, error) {
+			liveV, nextE, err := crackerRound(r)
+			return liveV, nextE, nextE == 0, err
+		})
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		if n == 0 {
-			break
-		}
-		rounds++
-		if rounds > maxRounds {
-			return nil, fmt.Errorf("ccalg: Cracker exceeded %d rounds", maxRounds)
-		}
-		r.beginRound()
-		liveV, liveE, err := crackerRound(r)
-		if err != nil {
-			return nil, err
-		}
-		r.endRound(liveV, liveE)
 	}
 
 	// Propagation: seed labels at the roots, then push one tree level per
-	// round until every reachable vertex is labelled. The rename dance
-	// keeps the names stable across propagation rounds.
-	if _, err := r.create("cr_lab", crSQLTreeRoots, r.tab("cr_tree")); err != nil {
-		return nil, err
+	// round until a round labels no new vertex. The rename dance keeps the
+	// names stable across propagation rounds.
+	labelled, err := r.create("cr_lab", crSQLTreeRoots, r.tab("cr_tree"))
+	if err != nil {
+		return "", err
 	}
-	prev := int64(-1)
-	for {
-		n, err := r.count(sqlCount, r.tab("cr_lab"))
-		if err != nil {
-			return nil, err
-		}
-		if n == prev {
-			break
-		}
-		prev = n
-		rounds++
-		r.beginRound()
-		labelled, err := r.create("cr_lab2", crSQLPropagate, r.tab("cr_tree"), r.tab("cr_lab"))
-		if err != nil {
-			return nil, err
-		}
-		if err := r.replace("cr_lab", "cr_lab2"); err != nil {
-			return nil, err
+	err = r.rounds(func() (int64, int64, bool, error) {
+		prev := labelled
+		var err error
+		if labelled, err = r.create("cr_lab2", crSQLPropagate, r.tab("cr_tree"), r.tab("cr_lab")); err != nil {
+			return 0, 0, false, err
 		}
 		// Propagation rounds run on the edge-free tree: the labelled vertex
 		// count grows level by level while the live edge set stays empty.
-		r.endRound(labelled, 0)
+		return labelled, 0, labelled == prev, r.replace("cr_lab", "cr_lab2")
+	})
+	if err != nil {
+		return "", err
 	}
 
-	if _, err := r.create("cr_result", crSQLFinal, r.tab("cr_allv"), r.tab("cr_lab")); err != nil {
-		return nil, err
-	}
-	labels, err := r.labelsOf("cr_result")
-	if err != nil {
-		return nil, err
-	}
-	if err := r.drop("cr_result", "cr_lab", "cr_tree", "cr_allv", "cr_e"); err != nil {
-		return nil, err
-	}
-	return &Result{Labels: labels, Rounds: rounds, RoundLog: r.roundLog}, nil
+	_, err = r.create("cr_result", crSQLFinal, r.tab("cr_allv"), r.tab("cr_lab"))
+	return "cr_result", err
 }
 
 // crackerRound performs one min-selection + pruning round, replacing cr_e

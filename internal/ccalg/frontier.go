@@ -116,15 +116,3 @@ func contractStep(r *run, prefix string) (int64, int64, error) {
 	}
 	return liveV, liveE, nil
 }
-
-// finishFrontier reads the final labelling and drops the run's state.
-func finishFrontier(r *run, prefix string, rounds int) (*Result, error) {
-	labels, err := r.labelsOf(prefix + "_l")
-	if err != nil {
-		return nil, err
-	}
-	if err := r.drop(prefix+"_l", prefix+"_e"); err != nil {
-		return nil, err
-	}
-	return &Result{Labels: labels, Rounds: rounds, RoundLog: r.roundLog}, nil
-}

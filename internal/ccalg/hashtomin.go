@@ -1,8 +1,6 @@
 package ccalg
 
 import (
-	"fmt"
-
 	"dbcc/internal/engine"
 	"dbcc/internal/sql"
 )
@@ -55,85 +53,67 @@ var hmSQLInit = `
 	select v, v from ` + symmetric("$2") + ` as s2 group by v
 	distributed by (v)`
 
-func runHashToMin(r *run, input string) (*Result, error) {
+func runHashToMin(r *run, input string) (string, error) {
 	// The raw map output is materialised first, MapReduce style, then
 	// reduced to the deduplicated state.
 	if _, err := r.create("hm_map", hmSQLInit, sql.Table(input)); err != nil {
-		return nil, err
+		return "", err
 	}
 	if _, err := r.create("hm_c", hmSQLReduce, r.tab("hm_map")); err != nil {
-		return nil, err
+		return "", err
 	}
 	if err := r.drop("hm_map"); err != nil {
-		return nil, err
+		return "", err
 	}
 	// The set comparison runs only in rounds whose cardinalities tie;
 	// prepare it now so whichever round first needs it stays parse-free.
 	if err := r.prepare(sqlCountUnion); err != nil {
-		return nil, err
+		return "", err
 	}
 
 	// The rename dance keeps the hm_c / hm_m / hm_map names stable, so the
 	// same statements run every round.
-	rounds := 0
-	for {
-		rounds++
-		if rounds > maxRounds {
-			return nil, fmt.Errorf("ccalg: Hash-to-Min exceeded %d rounds", maxRounds)
-		}
-		r.beginRound()
+	err := r.rounds(func() (int64, int64, bool, error) {
 		// m(v) = min C(v). Its cardinality is the vertex count.
 		liveV, err := r.create("hm_m", sqlGroupMin, r.tab("hm_c"))
 		if err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
 		if _, err := r.create("hm_map", hmSQLMap, r.tab("hm_c"), r.tab("hm_m")); err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
 		n2, err := r.create("hm_c2", hmSQLReduce, r.tab("hm_map"))
 		if err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
 		if err := r.drop("hm_map", "hm_m"); err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
 		// Converged when the cluster table is unchanged (a fixpoint of the
 		// update). Multiset equality: equal cardinalities and the distinct
 		// union no larger than either side.
 		n1, err := r.count(sqlCount, r.tab("hm_c"))
 		if err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
 		same := false
 		if n1 == n2 {
 			nu, err := r.count(sqlCountUnion, r.tab("hm_c"), r.tab("hm_c2"))
 			if err != nil {
-				return nil, err
+				return 0, 0, false, err
 			}
 			same = nu == n1
 		}
-		if err := r.replace("hm_c", "hm_c2"); err != nil {
-			return nil, err
-		}
 		// The live state for Hash-to-Min is the cluster table — its
 		// quadratic growth (not shrinkage) is what the round log exposes.
-		r.endRound(liveV, n2)
-		if same {
-			break
-		}
+		return liveV, n2, same, r.replace("hm_c", "hm_c2")
+	})
+	if err != nil {
+		return "", err
 	}
 
 	// At the fixpoint every vertex's cluster contains its component
 	// minimum, so the label is min C(v).
-	if _, err := r.create("hm_result", sqlGroupMin, r.tab("hm_c")); err != nil {
-		return nil, err
-	}
-	labels, err := r.labelsOf("hm_result")
-	if err != nil {
-		return nil, err
-	}
-	if err := r.drop("hm_result", "hm_c"); err != nil {
-		return nil, err
-	}
-	return &Result{Labels: labels, Rounds: rounds, RoundLog: r.roundLog}, nil
+	_, err = r.create("hm_result", sqlGroupMin, r.tab("hm_c"))
+	return "hm_result", err
 }

@@ -1,8 +1,6 @@
 package ccalg
 
 import (
-	"fmt"
-
 	"dbcc/internal/engine"
 	"dbcc/internal/sql"
 )
@@ -67,41 +65,26 @@ const (
 		distributed by (v)`
 )
 
-func runLocalContract(r *run, input string) (*Result, error) {
-	liveE, err := initFrontier(r, input, "lc")
-	if err != nil {
-		return nil, err
+func runLocalContract(r *run, input string) (string, error) {
+	if _, err := initFrontier(r, input, "lc"); err != nil {
+		return "", err
 	}
 
-	rounds := 0
 	tau := int64(lcInitialTau)
-	for {
-		rounds++
-		if rounds > maxRounds {
-			return nil, fmt.Errorf("ccalg: Local Contraction exceeded %d rounds", maxRounds)
-		}
-		r.beginRound()
+	return "lc_l", r.rounds(func() (int64, int64, bool, error) {
 		if _, err := r.create("lc_d", lcSQLDegree, r.tab("lc_e")); err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
 		if _, err := r.create("lc_p", lcSQLRep, r.tab("lc_e"), r.tab("lc_d"), sql.Int(tau)); err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
 		if err := r.drop("lc_d"); err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
-		liveV, nextE, err := contractStep(r, "lc")
-		if err != nil {
-			return nil, err
-		}
-		liveE = nextE
-		r.endRound(liveV, liveE)
-		if liveE == 0 {
-			break
-		}
+		liveV, liveE, err := contractStep(r, "lc")
 		if tau < 1<<40 {
 			tau *= lcTauGrowth
 		}
-	}
-	return finishFrontier(r, "lc", rounds)
+		return liveV, liveE, liveE == 0, err
+	})
 }

@@ -1,10 +1,6 @@
 package ccalg
 
-import (
-	"fmt"
-
-	"dbcc/internal/engine"
-)
+import "dbcc/internal/engine"
 
 // ldExpandFactor caps the graph-exponentiation step: a round keeps its
 // squared edge set only when it is at most this multiple of the current
@@ -70,25 +66,19 @@ var (
 	ldSQLSquare   = `create table $1 as select v, w from ` + ldSquared("$2") + ` as sq distributed by (v)`
 )
 
-func runLogDiameter(r *run, input string) (*Result, error) {
+func runLogDiameter(r *run, input string) (string, error) {
 	liveE, err := initFrontier(r, input, "ld")
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	// A round squares only when the expansion budget allows, so the first
 	// square may come after round one; prepare its statements now so every
 	// later round stays parse-free.
 	if err := r.prepare(ldCountSquare, ldSQLSquare); err != nil {
-		return nil, err
+		return "", err
 	}
 
-	rounds := 0
-	for {
-		rounds++
-		if rounds > maxRounds {
-			return nil, fmt.Errorf("ccalg: Log-Diameter exceeded %d rounds", maxRounds)
-		}
-		r.beginRound()
+	return "ld_l", r.rounds(func() (int64, int64, bool, error) {
 		// Exponentiation, kept only within the per-round expansion budget.
 		// Two tiers: the raw-pair bound decides whether the exact count is
 		// affordable, the exact count decides whether the square is kept.
@@ -97,21 +87,20 @@ func runLogDiameter(r *run, input string) (*Result, error) {
 		if liveE > 0 {
 			raw, err := r.count(ldPairBound, r.tab("ld_e"))
 			if err != nil {
-				return nil, err
+				return 0, 0, false, err
 			}
 			sq := int64(-1)
 			if raw <= ldProbeFactor*liveE {
 				if sq, err = r.count(ldCountSquare, r.tab("ld_e")); err != nil {
-					return nil, err
+					return 0, 0, false, err
 				}
 			}
 			if sq >= 0 && sq <= ldExpandFactor*liveE {
-				liveE, err = r.create("ld_esq", ldSQLSquare, r.tab("ld_e"))
-				if err != nil {
-					return nil, err
+				if liveE, err = r.create("ld_esq", ldSQLSquare, r.tab("ld_e")); err != nil {
+					return 0, 0, false, err
 				}
 				if err := r.replace("ld_e", "ld_esq"); err != nil {
-					return nil, err
+					return 0, 0, false, err
 				}
 			}
 		}
@@ -119,17 +108,11 @@ func runLogDiameter(r *run, input string) (*Result, error) {
 		// closed neighbourhood — acyclic (pointers strictly decrease), so
 		// the pointer doubling of contractStep terminates.
 		if _, err := r.create("ld_p", sqlClosedMin, r.tab("ld_e")); err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
 		var liveV int64
+		var err error
 		liveV, liveE, err = contractStep(r, "ld")
-		if err != nil {
-			return nil, err
-		}
-		r.endRound(liveV, liveE)
-		if liveE == 0 {
-			break
-		}
-	}
-	return finishFrontier(r, "ld", rounds)
+		return liveV, liveE, liveE == 0, err
+	})
 }

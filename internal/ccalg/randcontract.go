@@ -87,9 +87,7 @@ type RCOptions struct {
 // Appendix A (adapted per method and variant) through the SQL layer, just
 // as the paper's Python driver issues it to HAWQ.
 func RandomisedContraction(c *engine.Cluster, input string, opts Options) (*Result, error) {
-	return drive(c, input, opts, "rc", func(r *run, input string) (*Result, error) {
-		return runRC(r, input, opts)
-	})
+	return drive(c, input, opts, "rc", rcBody(opts))
 }
 
 // rcKeys holds one round's randomisation parameters.
@@ -138,7 +136,14 @@ const (
 		distributed by (v)`
 )
 
-func runRC(r *run, input string, opts Options) (*Result, error) {
+// rcBody is the driver body for the run options' seed and RC knobs.
+func rcBody(opts Options) body {
+	return func(r *run, input string) (string, error) {
+		return runRC(r, input, opts)
+	}
+}
+
+func runRC(r *run, input string, opts Options) (string, error) {
 	RegisterUDFs(r.c)
 	rng := xrand.New(opts.Seed)
 	method := opts.RC.Method
@@ -146,17 +151,11 @@ func runRC(r *run, input string, opts Options) (*Result, error) {
 
 	// Setup (Appendix A): symmetrise the edge table.
 	if _, err := r.create("rc_graph", sqlSymmetric, sql.Table(input)); err != nil {
-		return nil, err
+		return "", err
 	}
 
 	var stack []rcKeys
-	round := 0
-	for {
-		round++
-		if round > maxRounds {
-			return nil, fmt.Errorf("ccalg: randomised contraction exceeded %d rounds", maxRounds)
-		}
-		r.beginRound()
+	err := r.rounds(func() (int64, int64, bool, error) {
 		var keys rcKeys
 		switch {
 		case opts.RC.Deterministic:
@@ -166,9 +165,12 @@ func runRC(r *run, input string, opts Options) (*Result, error) {
 		default:
 			keys = drawKeys(rng)
 		}
+		// Representative tables are numbered by contraction step, not by
+		// the run's round number, which the composition must not depend on.
 		stack = append(stack, keys)
+		step := len(stack)
 
-		reps := fmt.Sprintf("rc_reps%d", round)
+		reps := fmt.Sprintf("rc_reps%d", step)
 		var liveV int64
 		var err error
 		if method == FiniteFields || method == GFPrime {
@@ -177,67 +179,51 @@ func runRC(r *run, input string, opts Options) (*Result, error) {
 			liveV, err = rcRepsArgmin(r, method, reps, keys)
 		}
 		if err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
 
 		// Contraction, split into the two queries of Appendix A so the
 		// write-volume accounting matches the measured implementation.
 		if _, err := r.create("rc_graph2", rcSQLContract1,
 			r.tab("rc_graph"), r.tab(reps)); err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
 		if err := r.drop("rc_graph"); err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
 		size, err := r.create("rc_graph3", rcSQLContract2,
 			r.tab("rc_graph2"), r.tab(reps))
 		if err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
 		if err := r.drop("rc_graph2"); err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
 		if err := r.rename("rc_graph3", "rc_graph"); err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
 
 		// The Safe (Fig. 3) variant folds the round's representative table
 		// into the running composition L immediately and drops it.
 		if variant == Safe {
-			if err := rcFoldSafe(r, method, round, keys); err != nil {
-				return nil, err
+			if err := rcFoldSafe(r, method, step, keys); err != nil {
+				return 0, 0, false, err
 			}
 		}
-		r.endRound(liveV, size)
-
-		if size == 0 {
-			break
-		}
+		return liveV, size, size == 0, nil
+	})
+	if err != nil {
+		return "", err
 	}
 	if err := r.drop("rc_graph"); err != nil {
-		return nil, err
+		return "", err
 	}
 
 	// Composition.
-	switch variant {
-	case Safe:
-		if err := r.rename("rc_l", "rc_result"); err != nil {
-			return nil, err
-		}
-	case Fast:
-		if err := rcComposeFast(r, method, stack); err != nil {
-			return nil, err
-		}
+	if variant == Safe {
+		return "rc_l", nil
 	}
-
-	labels, err := r.labelsOf("rc_result")
-	if err != nil {
-		return nil, err
-	}
-	if err := r.drop("rc_result"); err != nil {
-		return nil, err
-	}
-	return &Result{Labels: labels, Rounds: len(stack), RoundLog: r.roundLog}, nil
+	return "rc_reps1", rcComposeFast(r, method, stack)
 }
 
 // rcFn names the affine-map UDF of a GF method.
@@ -306,12 +292,12 @@ func rcRelabelSQL(left, right, relabel string) string {
 		distributed by (v)`, left, right, relabel)
 }
 
-// rcFoldSafe folds the round's representative table into the running
-// composition table rc_l (Fig. 3's else branch) and drops it, keeping the
-// space bound deterministic.
-func rcFoldSafe(r *run, method Method, round int, k rcKeys) error {
-	reps := fmt.Sprintf("rc_reps%d", round)
-	if round == 1 {
+// rcFoldSafe folds the representative table of contraction step step into
+// the running composition table rc_l (Fig. 3's else branch) and drops it,
+// keeping the space bound deterministic.
+func rcFoldSafe(r *run, method Method, step int, k rcKeys) error {
+	reps := fmt.Sprintf("rc_reps%d", step)
+	if step == 1 {
 		return r.rename(reps, "rc_l")
 	}
 	// Vertices whose label dropped out of this round's computation must be
@@ -337,8 +323,9 @@ func rcFoldSafe(r *run, method Method, round int, k rcKeys) error {
 }
 
 // rcComposeFast composes the stacked representative tables back to front
-// (Fig. 4's second loop / Appendix A), accumulating the affine coefficient
-// composition for the GF methods exactly as the paper's Python does.
+// (Fig. 4's second loop / Appendix A) into rc_reps1, accumulating the
+// affine coefficient composition for the GF methods exactly as the
+// paper's Python does.
 func rcComposeFast(r *run, method Method, stack []rcKeys) error {
 	gfMethod := method == FiniteFields || method == GFPrime
 	axbSrc := fmt.Sprintf("select %s($1, $2, $3) as r", rcFn(method))
@@ -389,5 +376,5 @@ func rcComposeFast(r *run, method Method, stack []rcKeys) error {
 			return err
 		}
 	}
-	return r.rename("rc_reps1", "rc_result")
+	return nil
 }

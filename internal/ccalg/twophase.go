@@ -1,8 +1,6 @@
 package ccalg
 
 import (
-	"fmt"
-
 	"dbcc/internal/engine"
 	"dbcc/internal/sql"
 )
@@ -73,62 +71,44 @@ var (
 		distributed by (v)`
 )
 
-func runTwoPhase(r *run, input string) (*Result, error) {
+func runTwoPhase(r *run, input string) (string, error) {
 	if _, err := r.create("tp_e", tpSQLCanonical, sql.Table(input)); err != nil {
-		return nil, err
+		return "", err
 	}
 	// All original vertices, for the final labelling.
 	if _, err := r.create("tp_v", sqlVertices, sql.Table(input)); err != nil {
-		return nil, err
+		return "", err
 	}
 	// The set comparison runs only when a star leaves the edge count
 	// unchanged; prepare it now so whichever round first needs it stays
 	// parse-free.
 	if err := r.prepare(sqlCountUnion); err != nil {
-		return nil, err
+		return "", err
 	}
 
-	rounds := 0
-	for {
-		rounds++
-		if rounds > maxRounds {
-			return nil, fmt.Errorf("ccalg: Two-Phase exceeded %d rounds", maxRounds)
-		}
-		r.beginRound()
+	err := r.rounds(func() (int64, int64, bool, error) {
 		if _, _, err := tpStar(r, tpSQLLarge); err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
 		changed, err := tpStarChanged(r)
 		if err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
 		liveV, liveE, err := tpStar(r, tpSQLSmall)
 		if err != nil {
-			return nil, err
+			return 0, 0, false, err
 		}
 		changed2, err := tpStarChanged(r)
-		if err != nil {
-			return nil, err
-		}
-		r.endRound(liveV, liveE)
-		if !changed && !changed2 {
-			break
-		}
+		return liveV, liveE, !changed && !changed2, err
+	})
+	if err != nil {
+		return "", err
 	}
 
 	// The fixpoint is a star forest in canonical order: every edge is
 	// (member, centre) with centre the component minimum.
-	if _, err := r.create("tp_result", tpSQLLabel, r.tab("tp_v"), r.tab("tp_e")); err != nil {
-		return nil, err
-	}
-	labels, err := r.labelsOf("tp_result")
-	if err != nil {
-		return nil, err
-	}
-	if err := r.drop("tp_result", "tp_e", "tp_v"); err != nil {
-		return nil, err
-	}
-	return &Result{Labels: labels, Rounds: rounds, RoundLog: r.roundLog}, nil
+	_, err = r.create("tp_result", tpSQLLabel, r.tab("tp_v"), r.tab("tp_e"))
+	return "tp_result", err
 }
 
 // tpStar applies one star operation (the tpSQLLarge or tpSQLSmall shape)
