@@ -18,8 +18,7 @@
 // SIGTERM or SIGINT triggers a graceful drain: the listener closes, new
 // statements are rejected with 503, in-flight statements finish (bounded
 // by -drain-timeout, after which they are cancelled through the engine's
-// context plumbing), and the cluster's spill directory is removed. A
-// clean drain exits 0.
+// context plumbing). A clean drain exits 0.
 package main
 
 import (

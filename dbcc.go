@@ -181,10 +181,10 @@ func Open(cfg Config) *DB {
 	return &DB{c: c}
 }
 
-// Close releases the cluster's on-disk resources (the spill directory of
-// memory-bounded execution). A DB remains usable without ever calling
-// Close — statements clean their own partition files up — but long-lived
-// processes opening many DBs should Close each when done.
+// Close closes the DB. A spilling statement closes its own spill file as
+// it finishes, so a DB holds nothing on disk between statements and Close
+// has nothing to release today; it stays so callers can treat a DB like
+// any other closable resource.
 func (db *DB) Close() error { return db.c.Close() }
 
 // Cluster exposes the underlying engine for advanced use (custom plans,

@@ -295,7 +295,7 @@ func TransactionExperiment(w io.Writer, cfg Config) {
 // their Grace-partitioned spilling paths. The labellings must be
 // identical — spilling is an execution strategy, not a semantics change —
 // so the rows report only what the budget costs: wall-clock slowdown and
-// the spill volume written to partition files.
+// the spill volume written.
 func SpillExperiment(w io.Writer, cfg Config) {
 	fmt.Fprintln(w, "ABLATION A9 — MEMORY-BOUNDED EXECUTION (work_mem = unbounded peak / 10)")
 	d, _ := DatasetByName("Bitcoin addresses")

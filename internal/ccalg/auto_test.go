@@ -133,7 +133,7 @@ func TestAutoDecisionIgnoresEngineKnobs(t *testing.T) {
 		{Segments: 16},
 	} {
 		c := engine.NewCluster(opts)
-		defer c.Close() // the budgeted cluster spills, creating a spill directory
+		defer c.Close()
 		if err := graph.Load(c, "input", g); err != nil {
 			t.Fatal(err)
 		}

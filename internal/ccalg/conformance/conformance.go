@@ -194,8 +194,8 @@ var ChaosFaults = engine.FaultConfig{
 	RetryBudget:      10000,
 }
 
-// newCluster builds a cluster that is closed, and its spill directory
-// removed, when t and its subtests finish.
+// newCluster builds a cluster that is closed when t and its subtests
+// finish.
 func newCluster(t *testing.T, opts engine.Options) *engine.Cluster {
 	c := engine.NewCluster(opts)
 	t.Cleanup(func() { c.Close() })

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dbcc/internal/ccalg"
@@ -12,8 +13,9 @@ import (
 )
 
 // TestMain runs the package's tests with TMPDIR pointing at a fresh
-// directory and fails the run if any cluster's spill directory outlives
-// them: every cluster the suite builds must be closed.
+// directory and fails the run if anything outlives them: a descriptor
+// still open on a spill file (an unlinked one reads ".../dbcc-spill-N
+// (deleted)" under /proc/self/fd), or any entry left in that directory.
 func TestMain(m *testing.M) {
 	tmp, err := os.MkdirTemp("", "conformance-")
 	if err != nil {
@@ -22,8 +24,24 @@ func TestMain(m *testing.M) {
 	}
 	os.Setenv("TMPDIR", tmp)
 	code := m.Run()
-	if leaked, _ := filepath.Glob(filepath.Join(tmp, "dbcc-spill-*")); len(leaked) > 0 {
-		fmt.Fprintf(os.Stderr, "FAIL: %d spill directories outlived the tests: %v\n", len(leaked), leaked)
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "FAIL: listing open descriptors: %v\n", err)
+		code = 1
+	}
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil &&
+			strings.Contains(target, "dbcc-spill-") {
+			fmt.Fprintf(os.Stderr, "FAIL: spill file %s still open after the tests\n", target)
+			code = 1
+		}
+	}
+	if ents, _ := os.ReadDir(tmp); len(ents) > 0 {
+		names := make([]string, len(ents))
+		for i, e := range ents {
+			names[i] = e.Name()
+		}
+		fmt.Fprintf(os.Stderr, "FAIL: %d entries outlived the tests in TMPDIR: %v\n", len(ents), names)
 		code = 1
 	}
 	os.RemoveAll(tmp)

@@ -189,7 +189,7 @@ type Stats struct {
 	// totals accumulate across statements and are cleared by ResetStats.
 	PeakWorkBytes   int64 // peak accounted working memory of one statement
 	SpilledBytes    int64 // bytes written to spill files
-	SpillPartitions int64 // spill partition/run files created
+	SpillPartitions int64 // spill partitions/runs written
 	SpillPasses     int64 // partitioning / run-formation passes
 
 	// Prepared-statement / plan-cache counters (see plancache.go). Parses
@@ -299,9 +299,6 @@ type Cluster struct {
 	retryBudget    int
 	memBudget      int64
 	stmtSeq        atomic.Uint64 // statement numbering for fault determinism
-
-	spillMu   sync.Mutex // guards spillRoot
-	spillRoot string     // lazily created spill directory; "" until first spill
 
 	mu     sync.RWMutex // guards tables, udfs, Table.Name
 	tables map[string]*Table

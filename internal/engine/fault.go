@@ -63,7 +63,8 @@ type FaultConfig struct {
 	// SpillFailureRate is the probability in [0, 1] that any one spill-file
 	// write fails — the disk failure surface of memory-bounded execution.
 	// Spill faults are retried exactly like segment failures: the whole
-	// segment-task attempt reruns and overwrites its partition files.
+	// segment-task attempt reruns and writes fresh extents of the
+	// statement's spill file.
 	SpillFailureRate float64
 
 	// MaxTaskRetries is how many times one segment task is retried after
@@ -186,16 +187,17 @@ type execEnv struct {
 	opCancelled atomic.Int64
 
 	// Memory-bounded execution state: the statement's working-memory
-	// ledger, its spill directory (created on first spill, removed by
-	// close), the per-operator spill counters finishOp drains, and each
-	// segment's current attempt number (spill writes key their fault
-	// decisions on it; only the goroutine running segment seg's task
-	// touches curAttempt[seg] at any moment).
-	acct        memAcct
-	spillOnce   sync.Once
-	spillDir    string
-	spillDirErr error
-	curAttempt  []atomic.Int32
+	// ledger, its spill file (created on first spill write, closed by
+	// close) and the file's end offset, the per-operator spill counters
+	// finishOp drains, and each segment's current attempt number (spill
+	// writes key their fault decisions on it; only the goroutine running
+	// segment seg's task touches curAttempt[seg] at any moment).
+	acct       memAcct
+	spillOnce  sync.Once
+	spill      *os.File
+	spillErr   error
+	spillEnd   atomic.Int64
+	curAttempt []atomic.Int32
 
 	opSpilled     atomic.Int64
 	opSpillParts  atomic.Int64
@@ -210,12 +212,14 @@ func (c *Cluster) newExecEnv(ctx context.Context) *execEnv {
 	return e
 }
 
-// close releases the statement's execution resources: its spill directory
-// (removing partition files whether the statement succeeded or errored
-// mid-spill) and the fold of its memory ledger into the cluster stats.
+// close releases the statement's execution resources: its spill file
+// (already unlinked, so closing it frees the space whether the statement
+// succeeded, failed or was cancelled mid-spill) and the fold of its
+// memory ledger into the cluster stats. Every segment task has drained by
+// then, so nothing still writes to the file.
 func (e *execEnv) close() {
-	if e.spillDir != "" {
-		os.RemoveAll(e.spillDir)
+	if e.spill != nil {
+		e.spill.Close()
 	}
 	spilled := e.acct.spilledBytes.Load()
 	peak := e.acct.peak.Load()

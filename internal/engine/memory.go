@@ -35,8 +35,8 @@ type memAcct struct {
 	used atomic.Int64 // live accounted working-set bytes
 	peak atomic.Int64 // maximum of used over the statement
 
-	spilledBytes atomic.Int64 // bytes written to spill files
-	spillParts   atomic.Int64 // spill partition/run files created
+	spilledBytes atomic.Int64 // bytes written to the spill file
+	spillParts   atomic.Int64 // spill partitions/runs written
 	spillPasses  atomic.Int64 // partitioning / run-formation passes
 }
 

@@ -1,23 +1,23 @@
 package engine
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 )
 
 // Disk spilling: the file substrate of the memory-bounded kernels.
 //
-// Spilling kernels write sequences of encoded chunks ("frames") into
-// partition files under a per-statement directory of the cluster's spill
-// root (an os.MkdirTemp directory created on first use and removed by
-// Cluster.Close). The statement directory is removed when the statement
-// finishes — success or failure — so an error mid-spill never leaks
-// partition files; the leak-check tests scan SpillRoot afterwards.
+// A statement that spills gets one temp file (dbcc-spill-* in
+// os.TempDir()), created by its first spill write and unlinked at once:
+// from then on only the open descriptor keeps it, so nothing is left on
+// disk once execEnv.close closes it — whether the statement succeeded,
+// failed or was cancelled mid-spill. Segment tasks write frames into it
+// concurrently, each reserving its byte range with an atomic add on the
+// file's end offset and writing there with WriteAt. A partition, or a
+// sort run, is the list of extents its frames occupy; readers ReadAt
+// each extent and check its length prefix before decoding.
 //
 // Each frame is length-prefixed and self-describing:
 //
@@ -30,23 +30,22 @@ import (
 //
 // decodeChunkFrame validates the header against sanity caps and the
 // available byte count before allocating, so a corrupted or adversarial
-// file (the fuzz target FuzzChunkCodec) fails cleanly instead of
+// frame (the fuzz target FuzzChunkCodec) fails cleanly instead of
 // panicking or over-allocating.
 //
-// Spill file writes are a failure surface for the fault injector:
+// Spill writes are a failure surface for the fault injector:
 // FaultConfig.SpillFailureRate makes individual frame writes fail with
 // ErrInjectedFault, deterministically per (seed, statement, operator,
 // segment, attempt, write ordinal). The failure propagates out of the
-// segment task and is retried by the ordinary retry loop; partition files
-// are opened with O_TRUNC under deterministic names, so a retried attempt
-// overwrites its predecessor's partial output — the idempotence the
-// engine's task model requires.
+// segment task and is retried by the ordinary retry loop; the retried
+// attempt writes fresh extents, and the abandoned ones are dead space
+// until the statement's file closes — the idempotence the engine's task
+// model requires.
 
 // Sanity caps for decoding untrusted frames.
 const (
-	spillMaxCols       = 1 << 12
-	spillMaxRows       = 1 << 24
-	spillMaxFrameBytes = 1 << 30
+	spillMaxCols = 1 << 12
+	spillMaxRows = 1 << 24
 )
 
 // errSpillCorrupt marks a malformed spill frame.
@@ -137,63 +136,32 @@ func decodeChunkFrame(data []byte) (*Chunk, int, error) {
 	return ch, off, nil
 }
 
-// ensureSpillRoot lazily creates the cluster's spill root directory.
-func (c *Cluster) ensureSpillRoot() (string, error) {
-	c.spillMu.Lock()
-	defer c.spillMu.Unlock()
-	if c.spillRoot == "" {
-		dir, err := os.MkdirTemp("", "dbcc-spill-")
-		if err != nil {
-			return "", fmt.Errorf("engine: creating spill root: %w", err)
-		}
-		c.spillRoot = dir
-	}
-	return c.spillRoot, nil
-}
+// Close releases the cluster's disk resources. Spill files belong to
+// their statements, which close them as they finish, so a cluster holds
+// nothing on disk between statements and Close has nothing to release.
+// It stays so callers can close a cluster like any other resource; it is
+// safe to call any number of times.
+func (c *Cluster) Close() error { return nil }
 
-// SpillRoot returns the cluster's spill directory, or "" if no statement
-// has spilled yet. Statement subdirectories are removed when their
-// statement finishes, so between statements the root is empty — the
-// invariant the spill leak-check tests scan for.
-func (c *Cluster) SpillRoot() string {
-	c.spillMu.Lock()
-	defer c.spillMu.Unlock()
-	return c.spillRoot
-}
-
-// Close releases the cluster's disk resources (the spill root directory
-// and everything under it). The cluster remains usable; a later spill
-// recreates the root. Close is safe to call multiple times and on
-// clusters that never spilled.
-func (c *Cluster) Close() error {
-	c.spillMu.Lock()
-	dir := c.spillRoot
-	c.spillRoot = ""
-	c.spillMu.Unlock()
-	if dir == "" {
-		return nil
-	}
-	return os.RemoveAll(dir)
-}
-
-// ensureSpillDir lazily creates this statement's spill directory. Safe
-// for concurrent use by segment tasks; the directory is removed by
-// execEnv.close when the statement finishes.
-func (e *execEnv) ensureSpillDir() (string, error) {
+// spillFile returns the statement's spill file, creating it on first use:
+// a dbcc-spill-* temp file unlinked at once, so its descriptor is the only
+// reference and execEnv.close returns the space to the OS with it. Safe
+// for concurrent use by segment tasks.
+func (e *execEnv) spillFile() (*os.File, error) {
 	e.spillOnce.Do(func() {
-		root, err := e.c.ensureSpillRoot()
+		f, err := os.CreateTemp("", "dbcc-spill-*")
 		if err != nil {
-			e.spillDirErr = err
+			e.spillErr = fmt.Errorf("engine: creating spill file: %w", err)
 			return
 		}
-		dir := filepath.Join(root, fmt.Sprintf("stmt%d", e.stmt))
-		if err := os.MkdirAll(dir, 0o700); err != nil {
-			e.spillDirErr = fmt.Errorf("engine: creating statement spill dir: %w", err)
+		if err := os.Remove(f.Name()); err != nil {
+			f.Close()
+			e.spillErr = fmt.Errorf("engine: unlinking spill file: %w", err)
 			return
 		}
-		e.spillDir = dir
+		e.spill = f
 	})
-	return e.spillDir, e.spillDirErr
+	return e.spill, e.spillErr
 }
 
 // noteSpill records spill activity in both the operator counters (drained
@@ -231,8 +199,8 @@ func (e *execEnv) spillIOFault(seg int, ordinal *int64) error {
 // spillFanout picks the partition fan-out for an estimated working set:
 // enough partitions that each is expected to fit the share, between 2 and
 // 32 (the paper's substrate, like PostgreSQL's hash join, caps fan-out
-// and recurses on oversized partitions instead of opening thousands of
-// files). The fan-out is additionally capped so the partition buffers
+// and recurses on oversized partitions instead of buffering thousands of
+// partitions). The fan-out is additionally capped so the partition buffers
 // alone — at their one-row floor — never exceed half the share: a very
 // tight share gets fewer partitions and deeper recursion instead of a
 // structural budget breach.
@@ -260,24 +228,28 @@ func spillSalt(depth int) uint64 {
 // the budget, the same escape hatch real executors use.
 const maxSpillDepth = 6
 
-// spillPartWriter buffers rows for one partition file and writes framed
-// chunks through the fault-injection hook.
-type spillPartWriter struct {
-	f     *os.File
-	path  string
+// extent is one frame's byte range in the statement's spill file, length
+// prefix included.
+type extent struct{ off, n int64 }
+
+// spillPart is one partition (or sort run): the extents of its frames in
+// write order, the rows and bytes they hold, and the buffer of rows not
+// yet written.
+type spillPart struct {
+	exts  []extent
 	b     *chunkBuilder
-	rows  int64 // rows written to the file (excluding the open buffer)
-	bytes int64 // bytes written to the file
+	rows  int64
+	bytes int64
 }
 
-// partitionSet fans one segment task's rows out into fanout partition
-// files. Buffer sizes adapt to the share so the set's in-memory footprint
-// stays within it; the footprint is charged to the statement ledger for
-// the set's lifetime.
+// partitionSet fans one segment task's rows out into fanout partitions.
+// Buffer sizes adapt to the share so the set's in-memory footprint stays
+// within it; the footprint is charged to the statement ledger for the
+// set's lifetime.
 type partitionSet struct {
 	e       *execEnv
 	seg     int
-	parts   []*spillPartWriter
+	parts   []*spillPart
 	ncols   int
 	bufRows int
 	scratch []byte
@@ -304,30 +276,22 @@ func spillBufRows(share int64, fanout, ncols int) int {
 	return int(rows)
 }
 
-// newPartitionSet creates fanout partition files under dir named
-// "<base>_p<i>". Files are created with O_TRUNC semantics (os.Create), so
-// a retried task attempt deterministically overwrites its own partials.
-func (e *execEnv) newPartitionSet(seg int, dir, base string, fanout, ncols int, ioSeq *int64) (*partitionSet, error) {
+// newPartitionSet opens fanout empty partitions of ncols columns.
+func (e *execEnv) newPartitionSet(seg, fanout, ncols int, ioSeq *int64) *partitionSet {
 	ps := &partitionSet{
 		e:       e,
 		seg:     seg,
-		parts:   make([]*spillPartWriter, fanout),
+		parts:   make([]*spillPart, fanout),
 		ncols:   ncols,
 		bufRows: spillBufRows(e.segShare(), fanout, ncols),
 		ioSeq:   ioSeq,
 	}
 	for i := range ps.parts {
-		path := filepath.Join(dir, fmt.Sprintf("%s_p%d.part", base, i))
-		f, err := os.Create(path)
-		if err != nil {
-			ps.abort()
-			return nil, fmt.Errorf("engine: creating spill partition: %w", err)
-		}
-		ps.parts[i] = &spillPartWriter{f: f, path: path, b: newChunkBuilder(ncols, 0)}
+		ps.parts[i] = &spillPart{b: newChunkBuilder(ncols, 0)}
 	}
 	ps.charged = int64(fanout) * int64(ps.bufRows) * int64(ncols) * 8
 	e.acct.charge(ps.charged)
-	return ps, nil
+	return ps
 }
 
 // appendRow routes all columns of row r of ch into partition p.
@@ -359,22 +323,29 @@ func (ps *partitionSet) appendRowExtra(p int, ch *Chunk, r int, extra int64) err
 	return nil
 }
 
-// writeSpillFrame length-prefixes, encodes and writes one frame through
-// the fault-injection hook, returning the bytes written. The caller's
-// scratch buffer is reused across frames.
-func (e *execEnv) writeSpillFrame(seg int, f *os.File, scratch *[]byte, fr *Chunk, ioSeq *int64) (int64, error) {
+// writeSpillFrame length-prefixes and encodes one frame, passes the
+// fault-injection hook, reserves the frame's extent at the end of the
+// statement's spill file and writes it there. The caller's scratch buffer
+// is reused across frames.
+func (e *execEnv) writeSpillFrame(seg int, scratch *[]byte, fr *Chunk, ioSeq *int64) (extent, error) {
+	f, err := e.spillFile()
+	if err != nil {
+		return extent{}, err
+	}
 	buf := (*scratch)[:0]
 	buf = binary.LittleEndian.AppendUint32(buf, 0) // frameLen placeholder
 	buf = encodeChunkFrame(buf, fr)
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(buf)-4))
 	*scratch = buf
 	if err := e.spillIOFault(seg, ioSeq); err != nil {
-		return 0, err
+		return extent{}, err
 	}
-	if _, err := f.Write(buf); err != nil {
-		return 0, fmt.Errorf("engine: writing spill frame: %w", err)
+	n := int64(len(buf))
+	ext := extent{off: e.spillEnd.Add(n) - n, n: n}
+	if _, err := f.WriteAt(buf, ext.off); err != nil {
+		return extent{}, fmt.Errorf("engine: writing spill frame: %w", err)
 	}
-	return int64(len(buf)), nil
+	return ext, nil
 }
 
 // flush encodes and writes partition p's buffered rows as one frame.
@@ -384,32 +355,28 @@ func (ps *partitionSet) flush(p int) error {
 		return nil
 	}
 	n := w.b.n
-	nb, err := ps.e.writeSpillFrame(ps.seg, w.f, &ps.scratch, w.b.finish(), ps.ioSeq)
+	ext, err := ps.e.writeSpillFrame(ps.seg, &ps.scratch, w.b.finish(), ps.ioSeq)
 	if err != nil {
 		return err
 	}
+	w.exts = append(w.exts, ext)
 	w.rows += int64(n)
-	w.bytes += nb
+	w.bytes += ext.n
 	w.b = newChunkBuilder(ps.ncols, 0)
 	return nil
 }
 
-// finish flushes and closes every partition file, reports the pass to the
-// spill counters, releases the buffer charge, and returns the writers
-// (rows/bytes per partition) for the caller to read back.
-func (ps *partitionSet) finish() ([]*spillPartWriter, error) {
+// finish flushes every partition, reports the pass to the spill counters,
+// releases the buffer charge, and returns the partitions for the caller
+// to read back.
+func (ps *partitionSet) finish() ([]*spillPart, error) {
 	var total int64
-	for p := range ps.parts {
+	for p, w := range ps.parts {
 		if err := ps.flush(p); err != nil {
 			ps.abort()
 			return nil, err
 		}
-		if err := ps.parts[p].f.Close(); err != nil {
-			ps.abort()
-			return nil, fmt.Errorf("engine: closing spill partition: %w", err)
-		}
-		ps.parts[p].f = nil
-		total += ps.parts[p].bytes
+		total += w.bytes
 	}
 	ps.e.acct.release(ps.charged)
 	ps.charged = 0
@@ -417,83 +384,62 @@ func (ps *partitionSet) finish() ([]*spillPartWriter, error) {
 	return ps.parts, nil
 }
 
-// abort closes any open files and releases charges after a failure. The
-// files themselves are removed with the statement's spill directory.
+// abort releases the set's buffer charge after a failure. Extents already
+// written stay dead space in the spill file until the statement closes it.
 func (ps *partitionSet) abort() {
-	for _, w := range ps.parts {
-		if w != nil && w.f != nil {
-			w.f.Close()
-			w.f = nil
-		}
-	}
 	ps.e.acct.release(ps.charged)
 	ps.charged = 0
 }
 
-// spillReader streams frames back out of one partition file.
-type spillReader struct {
-	f   *os.File
-	br  *bufio.Reader
-	buf []byte
-}
-
-func openSpillReader(path string) (*spillReader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("engine: opening spill partition: %w", err)
-	}
-	return &spillReader{f: f, br: bufio.NewReaderSize(f, 1<<15)}, nil
-}
-
-// next returns the next frame, or (nil, nil) at end of file.
-func (sr *spillReader) next() (*Chunk, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(sr.br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("engine: reading spill frame header: %w", err)
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n == 0 || n > spillMaxFrameBytes {
-		return nil, errSpillCorrupt
-	}
-	if cap(sr.buf) < int(n) {
-		sr.buf = make([]byte, n)
-	}
-	sr.buf = sr.buf[:n]
-	if _, err := io.ReadFull(sr.br, sr.buf); err != nil {
-		return nil, fmt.Errorf("engine: reading spill frame: %w", err)
-	}
-	ch, _, err := decodeChunkFrame(sr.buf)
-	return ch, err
-}
-
-func (sr *spillReader) close() {
-	if sr.f != nil {
-		sr.f.Close()
-		sr.f = nil
-	}
-}
-
-// readPartition reads a whole partition file back as one chunk of ncols
-// columns (the build side of a grace join sub-partition).
-func readPartition(path string, ncols int) (*Chunk, error) {
-	sr, err := openSpillReader(path)
+// readFrame reads and decodes the frame at ext, reusing *buf. The length
+// prefix must agree with the extent before the body is decoded.
+func (e *execEnv) readFrame(ext extent, buf *[]byte) (*Chunk, error) {
+	f, err := e.spillFile()
 	if err != nil {
 		return nil, err
 	}
-	defer sr.close()
-	var frames []*Chunk
-	for {
-		fr, err := sr.next()
+	if ext.n <= 4 {
+		return nil, errSpillCorrupt
+	}
+	if int64(cap(*buf)) < ext.n {
+		*buf = make([]byte, ext.n)
+	}
+	b := (*buf)[:ext.n]
+	if _, err := f.ReadAt(b, ext.off); err != nil {
+		return nil, fmt.Errorf("engine: reading spill frame: %w", err)
+	}
+	if int64(binary.LittleEndian.Uint32(b)) != ext.n-4 {
+		return nil, errSpillCorrupt
+	}
+	ch, _, err := decodeChunkFrame(b[4:])
+	return ch, err
+}
+
+// eachFrame decodes the frames of exts in order and hands each to fn.
+func (e *execEnv) eachFrame(exts []extent, fn func(*Chunk) error) error {
+	var buf []byte
+	for _, ext := range exts {
+		fr, err := e.readFrame(ext, &buf)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if fr == nil {
-			break
+		if err := fn(fr); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// readPartition reads a whole partition back as one chunk of ncols
+// columns (the build side of a grace join sub-partition).
+func (e *execEnv) readPartition(part *spillPart, ncols int) (*Chunk, error) {
+	var frames []*Chunk
+	err := e.eachFrame(part.exts, func(fr *Chunk) error {
 		frames = append(frames, fr)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(frames) == 1 {
 		return frames[0], nil

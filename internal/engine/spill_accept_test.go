@@ -3,7 +3,7 @@
 // the working memory its unbounded run peaked at, and it must still
 // complete with the identical labelling, actually spill to disk, keep its
 // accounted working memory within the budget, surface the spill activity
-// in EXPLAIN ANALYZE, and leave no partition files behind.
+// in EXPLAIN ANALYZE, and leave no spill file behind.
 //
 // The suite lives in package engine_test (like the chaos suite) so it can
 // drive the engine through the real ccalg workloads. When SPILL_LOG_DIR
@@ -68,6 +68,8 @@ func TestSpillTenPercentBudgetAllAlgorithms(t *testing.T) {
 				budget = env
 			}
 
+			tmp := t.TempDir()
+			t.Setenv("TMPDIR", tmp)
 			res, c, err := runAlg(t, info, g,
 				engine.Options{Segments: 4, MemoryBudget: budget}, ccalg.Options{Seed: 1})
 			if c != nil {
@@ -115,15 +117,13 @@ func TestSpillTenPercentBudgetAllAlgorithms(t *testing.T) {
 				t.Fatal("no traced statement shows spill activity")
 			}
 
-			// (e) No partition files outlive their statements.
-			if root := c.SpillRoot(); root != "" {
-				ents, err := os.ReadDir(root)
-				if err != nil {
-					t.Fatalf("reading spill root: %v", err)
-				}
-				if len(ents) != 0 {
-					t.Fatalf("%d statement spill dirs leaked under %s", len(ents), root)
-				}
+			// (e) No spill file outlives its statement: no descriptor still
+			// refers to one, and the run's TMPDIR is empty.
+			if open := engine.OpenSpillFiles(t); len(open) > 0 {
+				t.Fatalf("spill files still open after the run: %v", open)
+			}
+			if ents, err := os.ReadDir(tmp); err != nil || len(ents) != 0 {
+				t.Fatalf("TMPDIR after the run: %d entries (%v)", len(ents), err)
 			}
 
 			writeSpillLog(t, info.Name, budget, s)

@@ -1,10 +1,7 @@
 package engine
 
 import (
-	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"dbcc/internal/xrand"
@@ -14,12 +11,13 @@ import (
 // partitioned group-by/DISTINCT fold, and external merge sort. Each
 // segment task estimates the working set of the in-memory kernel first
 // and runs it unchanged when it fits the task's share of the statement
-// budget; otherwise the spilling variant partitions its input into files
-// (see spill.go) whose partitions are processed one at a time, recursing
-// with a fresh hash salt on partitions that still exceed the share.
+// budget; otherwise the spilling variant partitions its input into the
+// statement's spill file (see spill.go), processes the partitions one at
+// a time, and recurses with a fresh hash salt on partitions that still
+// exceed the share.
 //
 // Every spilling variant is bit-identical to its in-memory kernel: rows
-// carry a hidden original-row-index column through the partition files,
+// carry a hidden original-row-index column through the partitions,
 // and the final output is re-ordered by it —
 //
 //   - grace join tags both sides, emits matches with hidden
@@ -52,24 +50,16 @@ func (e *execEnv) joinSegment(seg int, left, right *Chunk, lk, rk int, kind Join
 		defer e.acct.release(w)
 		return joinChunks(left, right, lk, rk, kind, limit, &e.acct), nil
 	}
-	dir, err := e.ensureSpillDir()
-	if err != nil {
-		return nil, err
-	}
 	lw, rw := len(left.cols), len(right.cols)
 	wideRow := int64(max(lw, rw)+1) * 8
 	fan := spillFanout(est, e.segShare(), wideRow)
-	name := fmt.Sprintf("op%d_seg%d_J", e.opSeq.Load(), seg)
 	var ioSeq int64
 
 	// Pass 0: partition both sides by the join key, tagging every row with
 	// its original index. NULL probe keys can never match but must still
 	// surface for outer joins, so they ride in partition 0; NULL build keys
 	// are dropped, as the in-memory kernel never inserts them.
-	lps, err := e.newPartitionSet(seg, dir, name+"_L", fan, lw+1, &ioSeq)
-	if err != nil {
-		return nil, err
-	}
+	lps := e.newPartitionSet(seg, fan, lw+1, &ioSeq)
 	salt := spillSalt(0)
 	lkeys, lnulls := left.cols[lk], left.nulls[lk]
 	for r := 0; r < left.length; r++ {
@@ -86,10 +76,7 @@ func (e *execEnv) joinSegment(seg int, left, right *Chunk, lk, rk int, kind Join
 	if err != nil {
 		return nil, err
 	}
-	rps, err := e.newPartitionSet(seg, dir, name+"_R", fan, rw+1, &ioSeq)
-	if err != nil {
-		return nil, err
-	}
+	rps := e.newPartitionSet(seg, fan, rw+1, &ioSeq)
 	rkeys, rnulls := right.cols[rk], right.nulls[rk]
 	for r := 0; r < right.length; r++ {
 		if rnulls.get(r) {
@@ -108,8 +95,7 @@ func (e *execEnv) joinSegment(seg int, left, right *Chunk, lk, rk int, kind Join
 
 	out := newChunkBuilder(lw+rw+2, 0)
 	for p := 0; p < fan; p++ {
-		child := fmt.Sprintf("%s_p%d", name, p)
-		if err := e.graceJoinPart(seg, dir, child, out, lparts[p], rparts[p],
+		if err := e.graceJoinPart(seg, out, lparts[p], rparts[p],
 			lw, rw, lk, rk, kind, int64(right.length), 1, &ioSeq); err != nil {
 			return nil, err
 		}
@@ -137,25 +123,24 @@ func (e *execEnv) joinSegment(seg int, left, right *Chunk, lk, rk int, kind Join
 // salt while the build side still exceeds the share (and is still
 // shrinking — identical keys cannot be split further), joined in memory
 // otherwise. Matches are appended to out with the hidden index pair.
-func (e *execEnv) graceJoinPart(seg int, dir, name string, out *chunkBuilder,
-	lpart, rpart *spillPartWriter, lw, rw, lk, rk int, kind JoinKind,
+func (e *execEnv) graceJoinPart(seg int, out *chunkBuilder,
+	lpart, rpart *spillPart, lw, rw, lk, rk int, kind JoinKind,
 	parentBuildRows int64, depth int, ioSeq *int64) error {
 	buildRows := rpart.rows
 	est := buildRows*int64(rw+1)*8 + joinTableBytes(int(buildRows))
 	if e.shouldSpill(est) && depth < maxSpillDepth && buildRows < parentBuildRows {
 		fan := spillFanout(est, e.segShare(), int64(max(lw, rw)+1)*8)
 		salt := spillSalt(depth)
-		lsub, err := e.repartitionByKey(seg, dir, name+"_L", lpart.path, lw+1, lk, fan, salt, true, ioSeq)
+		lsub, err := e.repartitionByKey(seg, lpart, lw+1, lk, fan, salt, true, ioSeq)
 		if err != nil {
 			return err
 		}
-		rsub, err := e.repartitionByKey(seg, dir, name+"_R", rpart.path, rw+1, rk, fan, salt, false, ioSeq)
+		rsub, err := e.repartitionByKey(seg, rpart, rw+1, rk, fan, salt, false, ioSeq)
 		if err != nil {
 			return err
 		}
 		for p := 0; p < fan; p++ {
-			child := fmt.Sprintf("%s_d%d_p%d", name, depth, p)
-			if err := e.graceJoinPart(seg, dir, child, out, lsub[p], rsub[p],
+			if err := e.graceJoinPart(seg, out, lsub[p], rsub[p],
 				lw, rw, lk, rk, kind, buildRows, depth+1, ioSeq); err != nil {
 				return err
 			}
@@ -164,7 +149,7 @@ func (e *execEnv) graceJoinPart(seg int, dir, name string, out *chunkBuilder,
 	}
 
 	if !e.shouldSpill(est) {
-		build, err := readPartition(rpart.path, rw+1)
+		build, err := e.readPartition(rpart, rw+1)
 		if err != nil {
 			return err
 		}
@@ -177,23 +162,9 @@ func (e *execEnv) graceJoinPart(seg int, dir, name string, out *chunkBuilder,
 		for i := build.length - 1; i >= 0; i-- {
 			jt.insert(bkeys[i], int32(i))
 		}
-		sr, err := openSpillReader(lpart.path)
-		if err != nil {
-			return err
-		}
-		defer sr.close()
-		for {
-			pf, err := sr.next()
-			if err != nil {
-				return err
-			}
-			if pf == nil {
-				return nil
-			}
-			if err := probeAgainst(out, pf, build, jt, lw, rw, lk, rk, kind, nil, 0); err != nil {
-				return err
-			}
-		}
+		return e.eachFrame(lpart.exts, func(pf *Chunk) error {
+			return probeAgainst(out, pf, build, jt, lw, rw, lk, rk, kind, nil, 0)
+		})
 	}
 	// The partition still exceeds the share but cannot shrink (one
 	// extremely hot key, or the depth cap): no amount of re-partitioning
@@ -257,11 +228,11 @@ func probeAgainst(out *chunkBuilder, pf, build *Chunk, jt *joinTable, lw, rw, lk
 }
 
 // blockJoinPart joins one unsplittable partition pair within the share:
-// the build file streams through in fixed-size blocks, each block's hash
-// table probes the whole probe file, and (for outer joins) a bitmap over
-// probe ordinals collects matches so pad rows are emitted exactly once in
-// a final pass.
-func (e *execEnv) blockJoinPart(lpart, rpart *spillPartWriter, out *chunkBuilder,
+// the build partition streams through in fixed-size blocks, each block's
+// hash table probes the whole probe partition, and (for outer joins) a
+// bitmap over probe ordinals collects matches so pad rows are emitted
+// exactly once in a final pass.
+func (e *execEnv) blockJoinPart(lpart, rpart *spillPart, out *chunkBuilder,
 	lw, rw, lk, rk int, kind JoinKind) error {
 	share := e.segShare()
 	rowB := int64(rw+1) * 8
@@ -288,41 +259,16 @@ func (e *execEnv) blockJoinPart(lpart, rpart *spillPartWriter, out *chunkBuilder
 		for i := block.length - 1; i >= 0; i-- {
 			jt.insert(bkeys[i], int32(i))
 		}
-		sr, err := openSpillReader(lpart.path)
-		if err != nil {
-			return err
-		}
-		defer sr.close()
 		var ord int64
-		for {
-			pf, err := sr.next()
-			if err != nil {
-				return err
-			}
-			if pf == nil {
-				return nil
-			}
-			if err := probeAgainst(out, pf, block, jt, lw, rw, lk, rk, kind, matched, ord); err != nil {
-				return err
-			}
+		return e.eachFrame(lpart.exts, func(pf *Chunk) error {
+			err := probeAgainst(out, pf, block, jt, lw, rw, lk, rk, kind, matched, ord)
 			ord += int64(pf.length)
-		}
+			return err
+		})
 	}
 
 	bb := newChunkBuilder(rw+1, 0)
-	br, err := openSpillReader(rpart.path)
-	if err != nil {
-		return err
-	}
-	defer br.close()
-	for {
-		bf, err := br.next()
-		if err != nil {
-			return err
-		}
-		if bf == nil {
-			break
-		}
+	err := e.eachFrame(rpart.exts, func(bf *Chunk) error {
 		for r := 0; r < bf.length; r++ {
 			for c := 0; c <= rw; c++ {
 				bb.appendCol(c, bf.cols[c][r], bf.nulls[c].get(r))
@@ -335,6 +281,10 @@ func (e *execEnv) blockJoinPart(lpart, rpart *spillPartWriter, out *chunkBuilder
 				bb = newChunkBuilder(rw+1, 0)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if bb.n > 0 {
 		if err := probeAll(bb.finish()); err != nil {
@@ -346,20 +296,8 @@ func (e *execEnv) blockJoinPart(lpart, rpart *spillPartWriter, out *chunkBuilder
 		return nil
 	}
 	// Pad pass: probe rows no block matched (NULL keys included).
-	sr, err := openSpillReader(lpart.path)
-	if err != nil {
-		return err
-	}
-	defer sr.close()
 	var ord int64
-	for {
-		pf, err := sr.next()
-		if err != nil {
-			return err
-		}
-		if pf == nil {
-			return nil
-		}
+	return e.eachFrame(lpart.exts, func(pf *Chunk) error {
 		for r := 0; r < pf.length; r++ {
 			o := ord + int64(r)
 			if matched[o/64]&(1<<(uint(o)%64)) != 0 {
@@ -376,34 +314,18 @@ func (e *execEnv) blockJoinPart(lpart, rpart *spillPartWriter, out *chunkBuilder
 			out.n++
 		}
 		ord += int64(pf.length)
-	}
+		return nil
+	})
 }
 
-// repartitionByKey streams a partition file into fanout sub-partitions
-// under a new salt. Rows already carry their hidden index column; the key
-// column position is unchanged. keepNull routes NULL-key rows to
-// sub-partition 0 (probe sides); files never contain NULL build keys.
-func (e *execEnv) repartitionByKey(seg int, dir, base, path string, ncols, key, fanout int,
-	salt uint64, keepNull bool, ioSeq *int64) ([]*spillPartWriter, error) {
-	ps, err := e.newPartitionSet(seg, dir, base, fanout, ncols, ioSeq)
-	if err != nil {
-		return nil, err
-	}
-	sr, err := openSpillReader(path)
-	if err != nil {
-		ps.abort()
-		return nil, err
-	}
-	defer sr.close()
-	for {
-		fr, err := sr.next()
-		if err != nil {
-			ps.abort()
-			return nil, err
-		}
-		if fr == nil {
-			break
-		}
+// repartitionByKey streams a partition into fanout sub-partitions under a
+// new salt. Rows already carry their hidden index column; the key column
+// position is unchanged. keepNull routes NULL-key rows to sub-partition 0
+// (probe sides); build partitions never hold NULL keys.
+func (e *execEnv) repartitionByKey(seg int, part *spillPart, ncols, key, fanout int,
+	salt uint64, keepNull bool, ioSeq *int64) ([]*spillPart, error) {
+	ps := e.newPartitionSet(seg, fanout, ncols, ioSeq)
+	err := e.eachFrame(part.exts, func(fr *Chunk) error {
 		keys, nulls := fr.cols[key], fr.nulls[key]
 		for r := 0; r < fr.length; r++ {
 			p := 0
@@ -415,10 +337,14 @@ func (e *execEnv) repartitionByKey(seg int, dir, base, path string, ncols, key, 
 				p = int(xrand.Mix64(uint64(keys[r])^salt) % uint64(fanout))
 			}
 			if err := ps.appendRow(p, fr, r); err != nil {
-				ps.abort()
-				return nil, err
+				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		ps.abort()
+		return nil, err
 	}
 	return ps.finish()
 }
@@ -438,21 +364,13 @@ func (e *execEnv) foldSegment(seg int, in *Chunk, nk int, aggs []Agg, distinct b
 		}
 		return groupChunk(in, nk, aggs), nil
 	}
-	dir, err := e.ensureSpillDir()
-	if err != nil {
-		return nil, err
-	}
 	ncols := len(in.cols)
 	fan := spillFanout(est, e.segShare(), int64(ncols+1)*8)
-	name := fmt.Sprintf("op%d_seg%d_G", e.opSeq.Load(), seg)
 	var ioSeq int64
 
 	// Pass 0: partition by key hash, tagging rows with their original
 	// index; all rows of one group land in one partition.
-	ps, err := e.newPartitionSet(seg, dir, name, fan, ncols+1, &ioSeq)
-	if err != nil {
-		return nil, err
-	}
+	ps := e.newPartitionSet(seg, fan, ncols+1, &ioSeq)
 	salt := spillSalt(0)
 	hp := u64Scratch.get(hashBlock)
 	defer u64Scratch.put(hp)
@@ -478,8 +396,7 @@ func (e *execEnv) foldSegment(seg int, in *Chunk, nk int, aggs []Agg, distinct b
 	foldAggs = append(foldAggs, Agg{Op: AggMin})
 	var outs []*Chunk
 	for p := 0; p < fan; p++ {
-		child := fmt.Sprintf("%s_p%d", name, p)
-		if err := e.foldPartition(seg, dir, child, parts[p], nk, foldAggs,
+		if err := e.foldPartition(seg, parts[p], nk, foldAggs,
 			int64(in.length), 1, &ioSeq, &outs); err != nil {
 			return nil, err
 		}
@@ -496,57 +413,41 @@ func (e *execEnv) foldSegment(seg int, in *Chunk, nk int, aggs []Agg, distinct b
 	return stripCols(gatherChunk(all, idx), ncols), nil
 }
 
-// foldPartition folds one partition file into group rows, recursing with
+// foldPartition folds one partition into group rows, recursing with
 // a fresh salt while the partition exceeds the share and still shrinks.
 // Folded chunks (keys, aggregates, hidden first-occurrence index) are
 // appended to outs.
-func (e *execEnv) foldPartition(seg int, dir, name string, part *spillPartWriter,
+func (e *execEnv) foldPartition(seg int, part *spillPart,
 	nk int, foldAggs []Agg, parentRows int64, depth int, ioSeq *int64, outs *[]*Chunk) error {
-	fcols := nk + len(foldAggs) // file layout: keys, agg partials, hidden index
+	fcols := nk + len(foldAggs) // frame layout: keys, agg partials, hidden index
 	est := part.rows*int64(fcols)*8 + groupTableBytes(int(part.rows))
 	if e.shouldSpill(est) && depth < maxSpillDepth && part.rows < parentRows {
 		fan := spillFanout(est, e.segShare(), int64(fcols)*8)
 		salt := spillSalt(depth)
-		ps, err := e.newPartitionSet(seg, dir, name, fan, fcols, ioSeq)
-		if err != nil {
-			return err
-		}
-		sr, err := openSpillReader(part.path)
-		if err != nil {
-			ps.abort()
-			return err
-		}
+		ps := e.newPartitionSet(seg, fan, fcols, ioSeq)
 		hp := u64Scratch.get(hashBlock)
 		defer u64Scratch.put(hp)
-		for {
-			fr, err := sr.next()
-			if err != nil {
-				sr.close()
-				ps.abort()
-				return err
-			}
-			if fr == nil {
-				break
-			}
+		err := e.eachFrame(part.exts, func(fr *Chunk) error {
 			for r0 := 0; r0 < fr.length; r0 += hashBlock {
 				for i, h := range hashRows(fr, 0, nk, r0, *hp) {
 					p := int(xrand.Mix64(h^salt) % uint64(fan))
 					if err := ps.appendRow(p, fr, r0+i); err != nil {
-						sr.close()
-						ps.abort()
 						return err
 					}
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			ps.abort()
+			return err
 		}
-		sr.close()
 		sub, err := ps.finish()
 		if err != nil {
 			return err
 		}
 		for p := 0; p < fan; p++ {
-			child := fmt.Sprintf("%s_d%d_p%d", name, depth, p)
-			if err := e.foldPartition(seg, dir, child, sub[p], nk, foldAggs,
+			if err := e.foldPartition(seg, sub[p], nk, foldAggs,
 				part.rows, depth+1, ioSeq, outs); err != nil {
 				return err
 			}
@@ -564,24 +465,16 @@ func (e *execEnv) foldPartition(seg int, dir, name string, part *spillPartWriter
 	defer t.release()
 	var charged int64
 	defer func() { e.acct.release(charged) }()
-	sr, err := openSpillReader(part.path)
-	if err != nil {
-		return err
-	}
-	defer sr.close()
-	for {
-		fr, err := sr.next()
-		if err != nil {
-			return err
-		}
-		if fr == nil {
-			break
-		}
+	err := e.eachFrame(part.exts, func(fr *Chunk) error {
 		foldChunkInto(b, t, fr, nk, foldAggs)
 		if c := int64(b.n)*int64(fcols)*8 + groupTableBytes(b.n); c > charged {
 			e.acct.charge(c - charged)
 			charged = c
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	*outs = append(*outs, b.finish())
 	return nil
@@ -618,10 +511,6 @@ func (e *execEnv) sortSegment(seg int, ch *Chunk, keys []SortKey) (*Chunk, []int
 		return ch, idx, nil
 	}
 
-	dir, err := e.ensureSpillDir()
-	if err != nil {
-		return nil, nil, err
-	}
 	ncols := len(ch.cols)
 	share := e.segShare()
 	rowB := int64(ncols) * 8
@@ -653,7 +542,6 @@ func (e *execEnv) sortSegment(seg int, ch *Chunk, keys []SortKey) (*Chunk, []int
 	if frameRows > 512 {
 		frameRows = 512
 	}
-	name := fmt.Sprintf("op%d_seg%d_S", e.opSeq.Load(), seg)
 	var ioSeq int64
 
 	// Run formation: consecutive ranges sorted with the original position
@@ -664,7 +552,7 @@ func (e *execEnv) sortSegment(seg int, ch *Chunk, keys []SortKey) (*Chunk, []int
 	e.acct.charge(bufCharge)
 	var scratch []byte
 	var runBytes int64
-	paths := make([]string, nRuns)
+	runs := make([][]extent, nRuns)
 	for run := 0; run < nRuns; run++ {
 		lo := run * runRows
 		hi := lo + runRows
@@ -682,55 +570,43 @@ func (e *execEnv) sortSegment(seg int, ch *Chunk, keys []SortKey) (*Chunk, []int
 			}
 			return a < b
 		})
-		paths[run] = filepath.Join(dir, fmt.Sprintf("%s_r%d.run", name, run))
-		f, err := os.Create(paths[run])
-		if err != nil {
-			e.acct.release(bufCharge)
-			return nil, nil, fmt.Errorf("engine: creating sort run: %w", err)
-		}
 		for off := 0; off < len(idx); off += frameRows {
 			end := off + frameRows
 			if end > len(idx) {
 				end = len(idx)
 			}
 			fr := gatherChunk(ch, idx[off:end])
-			nb, err := e.writeSpillFrame(seg, f, &scratch, fr, &ioSeq)
+			ext, err := e.writeSpillFrame(seg, &scratch, fr, &ioSeq)
 			if err != nil {
-				f.Close()
 				e.acct.release(bufCharge)
 				return nil, nil, err
 			}
-			runBytes += nb
-		}
-		if err := f.Close(); err != nil {
-			e.acct.release(bufCharge)
-			return nil, nil, fmt.Errorf("engine: closing sort run: %w", err)
+			runs[run] = append(runs[run], ext)
+			runBytes += ext.n
 		}
 	}
 	e.acct.release(bufCharge)
 	e.noteSpill(runBytes, int64(nRuns), 1)
 
-	// K-way merge of the runs, one buffered frame per run.
+	// K-way merge of the runs, one buffered frame per run: cur[i] is run
+	// i's current frame (nil once the run is exhausted), pos[i] the row
+	// within it, and runs[i] the extents not yet read.
 	mergeCharge := int64(nRuns) * int64(frameRows) * rowB
 	e.acct.charge(mergeCharge)
 	defer e.acct.release(mergeCharge)
-	readers := make([]*spillReader, nRuns)
 	cur := make([]*Chunk, nRuns)
 	pos := make([]int, nRuns)
-	defer func() {
-		for _, r := range readers {
-			if r != nil {
-				r.close()
-			}
+	var buf []byte
+	advance := func(i int) (err error) {
+		cur[i], pos[i] = nil, 0
+		if len(runs[i]) > 0 {
+			cur[i], err = e.readFrame(runs[i][0], &buf)
+			runs[i] = runs[i][1:]
 		}
-	}()
-	for i := range readers {
-		sr, err := openSpillReader(paths[i])
-		if err != nil {
-			return nil, nil, err
-		}
-		readers[i] = sr
-		if cur[i], err = sr.next(); err != nil {
+		return err
+	}
+	for i := range runs {
+		if err := advance(i); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -755,11 +631,9 @@ func (e *execEnv) sortSegment(seg int, ch *Chunk, keys []SortKey) (*Chunk, []int
 		}
 		pos[best]++
 		if pos[best] >= bc.length {
-			nxt, err := readers[best].next()
-			if err != nil {
+			if err := advance(best); err != nil {
 				return nil, nil, err
 			}
-			cur[best], pos[best] = nxt, 0
 		}
 	}
 	idx := make([]int32, n)

@@ -2,7 +2,10 @@ package engine
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -36,9 +39,10 @@ func joinableRows(rng *xrand.Rand, n int) []Row {
 }
 
 // spillPair creates an unbounded and a tightly budgeted cluster over the
-// same table.
+// same table, with the test's spill files in a fresh temp directory.
 func spillPair(t *testing.T, schema Schema, rows []Row) (mem, spill *Cluster) {
 	t.Helper()
+	t.Setenv("TMPDIR", t.TempDir())
 	mem = NewCluster(Options{Segments: 4})
 	spill = NewCluster(Options{Segments: 4, MemoryBudget: spillBudget})
 	t.Cleanup(func() { spill.Close() })
@@ -91,6 +95,7 @@ func TestSpillJoinMatchesInMemory(t *testing.T) {
 	if s := spill.Stats(); s.SpilledBytes == 0 || s.PeakWorkBytes == 0 {
 		t.Fatalf("Stats missing spill activity: %+v", s)
 	}
+	assertSpillCounters(t, spill, spillCounters{SpilledBytes: 559724, SpillPartitions: 1488, SpillPasses: 324})
 }
 
 // TestBudgetedJoinChargesMatchLists pins the in-memory join's accounting
@@ -154,6 +159,7 @@ func TestSpillGroupByMatchesInMemory(t *testing.T) {
 		Agg{Op: AggMax, Arg: Col(1), Name: "mx"},
 		Agg{Op: AggCount, Name: "n"})
 	runBoth(t, mem, spill, p)
+	assertSpillCounters(t, spill, spillCounters{SpilledBytes: 434912, SpillPartitions: 688, SpillPasses: 138})
 }
 
 func TestSpillDistinctMatchesInMemory(t *testing.T) {
@@ -164,6 +170,7 @@ func TestSpillDistinctMatchesInMemory(t *testing.T) {
 	}
 	mem, spill := spillPair(t, Schema{"a", "b"}, rows)
 	runBoth(t, mem, spill, Distinct(Scan("t")))
+	assertSpillCounters(t, spill, spillCounters{SpilledBytes: 227283, SpillPartitions: 536, SpillPasses: 118})
 }
 
 // TestSpillSortMatchesInMemory drives the external merge sort with heavy
@@ -184,6 +191,7 @@ func TestSpillSortMatchesInMemory(t *testing.T) {
 		p := Sort(Scan("t"), []SortKey{{Col: 0, Desc: desc}}, -1)
 		runBoth(t, mem, spill, p)
 	}
+	assertSpillCounters(t, spill, spillCounters{SpilledBytes: 205992, SpillPartitions: 130, SpillPasses: 8})
 }
 
 // TestSpillExplainAnalyze asserts the spill counters surface in the
@@ -218,29 +226,62 @@ func TestResetStatsClearsSpillTotals(t *testing.T) {
 	}
 }
 
-// TestSpillCleanupAfterStatement asserts no partition files outlive their
-// statement: after a spilling query completes, the spill root is empty.
+// TestSpillCleanupAfterStatement asserts no spill file outlives its
+// statement: after a spilling query completes, no descriptor refers to
+// one and the temp directory is empty.
 func TestSpillCleanupAfterStatement(t *testing.T) {
 	rng := xrand.New(131)
 	_, spill := spillPair(t, Schema{"k", "x"}, joinableRows(rng, 2000))
 	if _, _, err := spill.Query(Distinct(Scan("t"))); err != nil {
 		t.Fatal(err)
 	}
-	assertSpillRootEmpty(t, spill)
+	if spill.Stats().SpilledBytes == 0 {
+		t.Fatal("query did not spill")
+	}
+	assertNoSpillFiles(t)
 }
 
 // TestSpillCleanupAfterError injects a certain spill-write failure with
 // no retry budget, so the statement errors mid-spill, and asserts its
-// partition files are removed anyway.
+// spill file is released anyway.
 func TestSpillCleanupAfterError(t *testing.T) {
 	rng := xrand.New(137)
+	t.Setenv("TMPDIR", t.TempDir())
 	c := NewCluster(Options{Segments: 4, MemoryBudget: spillBudget, Faults: FaultConfig{Seed: 7, SpillFailureRate: 1}})
 	t.Cleanup(func() { c.Close() })
 	mustCreate(t, c, "t", Schema{"k", "x"}, 0, joinableRows(rng, 2000))
-	if _, _, err := c.Query(Distinct(Scan("t"))); err == nil {
-		t.Fatal("query with certain spill failures succeeded")
+	if _, _, err := c.Query(Distinct(Scan("t"))); !errors.Is(err, ErrInjectedFault) {
+		t.Fatalf("query with certain spill failures returned %v, want an injected fault", err)
 	}
-	assertSpillRootEmpty(t, c)
+	assertNoSpillFiles(t)
+}
+
+// TestSpillCleanupAfterCancel cancels a statement between two spilling
+// operators: a UDF over the inner DISTINCT's output cancels the context,
+// so the statement fails while its spill file is open, and the file must
+// be released anyway.
+func TestSpillCleanupAfterCancel(t *testing.T) {
+	rng := xrand.New(151)
+	_, spill := spillPair(t, Schema{"k", "x"}, joinableRows(rng, 2000))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	spill.RegisterUDF("cancel_stmt", func(args []Datum) Datum {
+		cancel()
+		return args[0]
+	})
+	call, err := spill.CallUDF("cancel_stmt", Col(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Distinct(Project(Distinct(Scan("t")),
+		ProjCol{Expr: call, Name: "k"}, ProjCol{Expr: Col(1), Name: "x"}))
+	if _, _, err := spill.QueryCtx(ctx, p); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled statement returned %v, want context.Canceled", err)
+	}
+	if spill.Stats().SpilledBytes == 0 {
+		t.Fatal("statement was cancelled before it spilled")
+	}
+	assertNoSpillFiles(t)
 }
 
 // TestSpillFaultRetry composes spilling with the fault injector at a rate
@@ -251,6 +292,7 @@ func TestSpillFaultRetry(t *testing.T) {
 	rows := joinableRows(rng, 2000)
 	mem := NewCluster(Options{Segments: 4})
 	mustCreate(t, mem, "t", Schema{"k", "x"}, 0, rows)
+	t.Setenv("TMPDIR", t.TempDir())
 	// Under this pathological budget a task attempt performs on the order
 	// of a thousand spill writes, so the per-write rate must stay low
 	// enough that the per-attempt failure probability is well inside what
@@ -285,27 +327,69 @@ func TestSpillFaultRetry(t *testing.T) {
 	if s := spill.Stats(); s.TaskRetries == 0 || s.TaskFaults == 0 {
 		t.Fatalf("spill faults not visible in Stats: retries=%d faults=%d", s.TaskRetries, s.TaskFaults)
 	}
-	assertSpillRootEmpty(t, spill)
+	assertSpillCounters(t, spill, spillCounters{
+		SpilledBytes: 3272554, SpillPartitions: 8972, SpillPasses: 1934, TaskRetries: 17, TaskFaults: 17})
+	assertNoSpillFiles(t)
 }
 
-// assertSpillRootEmpty scans the cluster's spill root for leftover
-// statement directories.
-func assertSpillRootEmpty(t *testing.T, c *Cluster) {
+// spillCounters is the part of Stats the spill kernels and their fault
+// schedule determine.
+type spillCounters struct {
+	SpilledBytes, SpillPartitions, SpillPasses, TaskRetries, TaskFaults int64
+}
+
+// assertSpillCounters compares a cluster's spill counters with pinned
+// values. The pins were recorded from the file-per-partition spill
+// layout; the spill file's layout must change neither the frames written
+// nor the fault schedule, so a mismatch is a regression, never a reason
+// to rerecord.
+func assertSpillCounters(t *testing.T, c *Cluster, want spillCounters) {
 	t.Helper()
-	root := c.SpillRoot()
-	if root == "" {
-		t.Fatal("cluster never created a spill root")
+	s := c.Stats()
+	got := spillCounters{s.SpilledBytes, s.SpillPartitions, s.SpillPasses, s.TaskRetries, s.TaskFaults}
+	if got != want {
+		t.Fatalf("spill counters %+v, pinned %+v", got, want)
 	}
-	ents, err := os.ReadDir(root)
+}
+
+// OpenSpillFiles returns the targets of this process's open descriptors
+// that name a spill file (an unlinked one reads ".../dbcc-spill-N
+// (deleted)"). It reads /proc/self/fd, so it needs Linux; the external
+// test package uses it too.
+func OpenSpillFiles(t testing.TB) []string {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
 	if err != nil {
-		t.Fatalf("reading spill root: %v", err)
+		t.Fatalf("listing open descriptors: %v", err)
+	}
+	var open []string
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.Contains(target, "dbcc-spill-") {
+			open = append(open, target)
+		}
+	}
+	return open
+}
+
+// assertNoSpillFiles asserts that every statement released its spill
+// file: no descriptor still refers to one, and the test's temp directory
+// (TMPDIR, set to a fresh directory by the caller) holds no entry at all.
+func assertNoSpillFiles(t *testing.T) {
+	t.Helper()
+	if open := OpenSpillFiles(t); len(open) > 0 {
+		t.Fatalf("spill files still open after their statements finished: %v", open)
+	}
+	ents, err := os.ReadDir(os.TempDir())
+	if err != nil {
+		t.Fatalf("reading TMPDIR: %v", err)
 	}
 	if len(ents) != 0 {
 		names := make([]string, len(ents))
 		for i, e := range ents {
 			names[i] = e.Name()
 		}
-		t.Fatalf("spill root not empty after statements finished: %v", names)
+		t.Fatalf("TMPDIR not empty after statements finished: %v", names)
 	}
 }
 

@@ -15,8 +15,7 @@
 // stats message, and 429-style overload errors once queueing is
 // exhausted. Graceful drain (Shutdown) stops accepting connections,
 // rejects new statements with 503, lets in-flight statements finish,
-// then closes the engine — releasing the spill root like any in-process
-// Cluster.Close caller.
+// then closes the engine like any in-process caller.
 package server
 
 import (
@@ -171,9 +170,8 @@ func (s *Server) Serve() error {
 
 // Shutdown drains the server gracefully: stop accepting connections,
 // reject statements that arrive from now on with CodeUnavailable, wait
-// for in-flight statements to finish, close the connections, and release
-// the engine's disk resources (Cluster.Close — the spill root and any
-// partition files under it are removed). When ctx expires before the
+// for in-flight statements to finish, close the connections, and close
+// the DB. When ctx expires before the
 // in-flight statements finish, they are cancelled through the engine's
 // context plumbing (prompt abort, no goroutine leaks) and ctx's error is
 // returned; a clean drain returns nil.

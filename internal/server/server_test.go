@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -324,10 +325,12 @@ func TestDrainLeavesNoGoroutines(t *testing.T) {
 	waitNoExtraGoroutines(t, base)
 }
 
-// TestDrainRemovesSpillDirs is the server-path Cluster.Close contract: a
-// drained server whose sessions spilled must leave no spill directory
-// behind.
-func TestDrainRemovesSpillDirs(t *testing.T) {
+// TestDrainLeavesNoSpillFiles is the server-path spill contract: a
+// server whose sessions spilled holds no spill file once their statements
+// finish, and still none after it drains.
+func TestDrainLeavesNoSpillFiles(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	srv := startServer(t, server.Config{
 		// The spill suite's squeeze: 4 KiB budget over 4 segments = 1 KiB
 		// per task share, so a 2000-row group-by must spill partitions.
@@ -370,24 +373,34 @@ func TestDrainRemovesSpillDirs(t *testing.T) {
 	if cl.Stats().SpilledBytes == 0 {
 		t.Fatal("workload did not spill; the test no longer exercises the spill path")
 	}
-	root := cl.SpillRoot()
-	if root == "" {
-		t.Fatal("no spill root after a spilling statement")
-	}
-	if _, err := os.Stat(root); err != nil {
-		t.Fatalf("spill root missing before drain: %v", err)
-	}
+	assertNoSpillFiles(t, tmp, "before drain")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	if got := cl.SpillRoot(); got != "" {
-		t.Fatalf("spill root still registered after drain: %q", got)
+	assertNoSpillFiles(t, tmp, "after drain")
+}
+
+// assertNoSpillFiles fails the test if any descriptor of this process
+// still refers to a spill file (an unlinked one reads ".../dbcc-spill-N
+// (deleted)" under /proc/self/fd) or if tmp, the test's TMPDIR, holds any
+// entry.
+func assertNoSpillFiles(t *testing.T, tmp, when string) {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatalf("listing open descriptors: %v", err)
 	}
-	if _, err := os.Stat(root); !os.IsNotExist(err) {
-		t.Fatalf("spill dir %s survived the drain: %v", root, err)
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil &&
+			strings.Contains(target, "dbcc-spill-") {
+			t.Fatalf("%s: spill file %s still open", when, target)
+		}
+	}
+	if ents, err := os.ReadDir(tmp); err != nil || len(ents) != 0 {
+		t.Fatalf("%s: TMPDIR holds %d entries (%v)", when, len(ents), err)
 	}
 }
 
