@@ -104,12 +104,12 @@ func RoundsExperiment(w io.Writer, cfg Config) {
 		g := datagen.Path(n)
 		rcInfo, _ := ccalg.ByName("rc")
 		tpInfo, _ := ccalg.ByName("tp")
-		rcRes, _, err := runOnce(g, rcInfo, cfg, 0, cfg.Seed)
+		rcRes, _, err := runOnce(g, rcInfo, cfg, ccalg.Options{Seed: cfg.Seed})
 		if err != nil {
 			fmt.Fprintf(w, "%-10d RC error: %v\n", n, err)
 			continue
 		}
-		tpRes, _, err := runOnce(g, tpInfo, cfg, 0, cfg.Seed)
+		tpRes, _, err := runOnce(g, tpInfo, cfg, ccalg.Options{Seed: cfg.Seed})
 		if err != nil {
 			fmt.Fprintf(w, "%-10d TP error: %v\n", n, err)
 			continue
@@ -129,7 +129,7 @@ func ScalingExperiment(w io.Writer, cfg Config) {
 	for _, name := range []string{"Candels10", "Candels20", "Candels40", "Candels80", "Candels160"} {
 		d, _ := DatasetByName(name)
 		g := d.Gen(cfg.Scale, cfg.Seed)
-		res, m, err := runOnce(g, rcInfo, cfg, 0, cfg.Seed)
+		res, m, err := runOnce(g, rcInfo, cfg, ccalg.Options{Seed: cfg.Seed})
 		if err != nil {
 			fmt.Fprintf(w, "%-12s error: %v\n", name, err)
 			continue
@@ -157,8 +157,8 @@ func SparkExperiment(w io.Writer, cfg Config) {
 	mpp.Profile = engine.ProfileMPP
 	spark := cfg
 	spark.Profile = engine.ProfileSparkSQL
-	_, mMPP, err1 := runOnce(g, rcInfo, mpp, 0, cfg.Seed)
-	_, mSpark, err2 := runOnce(g, rcInfo, spark, 0, cfg.Seed)
+	_, mMPP, err1 := runOnce(g, rcInfo, mpp, ccalg.Options{Seed: cfg.Seed})
+	_, mSpark, err2 := runOnce(g, rcInfo, spark, ccalg.Options{Seed: cfg.Seed})
 	if err1 != nil || err2 != nil {
 		fmt.Fprintf(w, "error: %v %v\n", err1, err2)
 		return
@@ -167,9 +167,9 @@ func SparkExperiment(w io.Writer, cfg Config) {
 		mMPP.secs, mSpark.secs, mSpark.secs/mMPP.secs)
 
 	streets := datagen.StreetGrid(int(140*math.Sqrt(cfg.Scale*10)), int(140*math.Sqrt(cfg.Scale*10)), 0.55, cfg.Seed)
-	_, mRC, err1 := runOnce(streets, rcInfo, mpp, 0, cfg.Seed)
-	_, mCR, err2 := runOnce(streets, crInfo, mpp, 0, cfg.Seed)
-	_, mCRSpark, err3 := runOnce(streets, crInfo, spark, 0, cfg.Seed)
+	_, mRC, err1 := runOnce(streets, rcInfo, mpp, ccalg.Options{Seed: cfg.Seed})
+	_, mCR, err2 := runOnce(streets, crInfo, mpp, ccalg.Options{Seed: cfg.Seed})
+	_, mCRSpark, err3 := runOnce(streets, crInfo, spark, ccalg.Options{Seed: cfg.Seed})
 	if err1 != nil || err2 != nil || err3 != nil {
 		fmt.Fprintf(w, "error: %v %v %v\n", err1, err2, err3)
 		return
@@ -187,17 +187,18 @@ func SparkExperiment(w io.Writer, cfg Config) {
 func VariantsExperiment(w io.Writer, cfg Config) {
 	fmt.Fprintln(w, "ABLATION A1 — FIG. 3 (SAFE) VS FIG. 4 (FAST) VARIANT")
 	fmt.Fprintf(w, "%-18s %-10s %10s %12s %12s\n", "dataset", "variant", "seconds", "peak MiB", "written MiB")
+	rcInfo, _ := ccalg.ByName("rc")
 	for _, name := range []string{"Bitcoin addresses", "Candels40", "RMAT"} {
 		d, _ := DatasetByName(name)
 		g := d.Gen(cfg.Scale, cfg.Seed)
 		for _, variant := range []ccalg.Variant{ccalg.Fast, ccalg.Safe} {
-			m, err := runRCConfigured(g, cfg, ccalg.RCOptions{Variant: variant})
+			_, m, err := runOnce(g, rcInfo, cfg, ccalg.Options{Seed: cfg.Seed, RC: ccalg.RCOptions{Variant: variant}})
 			if err != nil {
 				fmt.Fprintf(w, "%-18s %-10s error: %v\n", name, variant, err)
 				continue
 			}
 			fmt.Fprintf(w, "%-18s %-10s %10.2f %12.1f %12.1f\n",
-				name, variant, m.secs, mib(m.peak), mib(m.written))
+				name, variant, m.secs, mib(m.peak), mib(m.stats.BytesWritten))
 		}
 	}
 }
@@ -212,13 +213,14 @@ func MethodsExperiment(w io.Writer, cfg Config) {
 	fmt.Fprintf(w, "%-16s %10s %8s %12s\n", "method", "seconds", "rounds", "written MiB")
 	d, _ := DatasetByName("Candels40")
 	g := d.Gen(cfg.Scale, cfg.Seed)
+	rcInfo, _ := ccalg.ByName("rc")
 	for _, method := range []ccalg.Method{ccalg.FiniteFields, ccalg.GFPrime, ccalg.Encryption, ccalg.RandomReals} {
-		m, err := runRCConfigured(g, cfg, ccalg.RCOptions{Method: method})
+		res, m, err := runOnce(g, rcInfo, cfg, ccalg.Options{Seed: cfg.Seed, RC: ccalg.RCOptions{Method: method}})
 		if err != nil {
 			fmt.Fprintf(w, "%-16s error: %v\n", method, err)
 			continue
 		}
-		fmt.Fprintf(w, "%-16s %10.2f %8d %12.1f\n", method, m.secs, m.rounds, mib(m.written))
+		fmt.Fprintf(w, "%-16s %10.2f %8d %12.1f\n", method, m.secs, res.Rounds, mib(m.stats.BytesWritten))
 	}
 }
 
@@ -236,13 +238,14 @@ func RerandomExperiment(w io.Writer, cfg Config) {
 		{"single fixed random key", ccalg.RCOptions{NoRerandomise: true}},
 		{"no randomisation (Fig. 2a)", ccalg.RCOptions{Deterministic: true}},
 	}
+	rcInfo, _ := ccalg.ByName("rc")
 	for _, mode := range modes {
-		m, err := runRCConfigured(g, cfg, mode.rc)
+		res, m, err := runOnce(g, rcInfo, cfg, ccalg.Options{Seed: cfg.Seed, RC: mode.rc})
 		if err != nil {
 			fmt.Fprintf(w, "%-34s error: %v\n", mode.name, err)
 			continue
 		}
-		fmt.Fprintf(w, "%-34s %8d %10.2f\n", mode.name, m.rounds, m.secs)
+		fmt.Fprintf(w, "%-34s %8d %10.2f\n", mode.name, res.Rounds, m.secs)
 	}
 }
 
@@ -253,10 +256,11 @@ func SegmentsExperiment(w io.Writer, cfg Config) {
 	fmt.Fprintf(w, "%-10s %10s\n", "segments", "seconds")
 	d, _ := DatasetByName("Candels40")
 	g := d.Gen(cfg.Scale, cfg.Seed)
+	rcInfo, _ := ccalg.ByName("rc")
 	for _, segs := range []int{1, 2, 4, 8, 16} {
 		c := cfg
 		c.Segments = segs
-		m, err := runRCConfigured(g, c, ccalg.RCOptions{})
+		_, m, err := runOnce(g, rcInfo, c, ccalg.Options{Seed: cfg.Seed})
 		if err != nil {
 			fmt.Fprintf(w, "%-10d error: %v\n", segs, err)
 			continue
@@ -278,12 +282,12 @@ func TransactionExperiment(w io.Writer, cfg Config) {
 	d, _ := DatasetByName("Candels40")
 	g := d.Gen(cfg.Scale, cfg.Seed)
 	for _, alg := range TableAlgorithms() {
-		_, m, err := runOnce(g, alg, cfg, 0, cfg.Seed)
+		_, m, err := runOnce(g, alg, cfg, ccalg.Options{Seed: cfg.Seed})
 		if err != nil {
 			fmt.Fprintf(w, "%-28s error: %v\n", alg.FullName, err)
 			continue
 		}
-		fmt.Fprintf(w, "%-28s %12.1f %14.1f\n", alg.FullName, mib(m.peak), mib(m.written))
+		fmt.Fprintf(w, "%-28s %12.1f %14.1f\n", alg.FullName, mib(m.peak), mib(m.stats.BytesWritten))
 	}
 }
 
@@ -310,24 +314,25 @@ func SpillExperiment(w io.Writer, cfg Config) {
 		},
 	}
 	for _, a := range append(TableAlgorithms(), rcDet) {
-		base, baseSecs, baseStats, err := runSpillCell(g, a, cfg, 0)
+		base, bm, err := runOnce(g, a, cfg, ccalg.Options{Seed: cfg.Seed})
 		if err != nil {
 			fmt.Fprintf(w, "%-38s error: %v\n", a.FullName, err)
 			continue
 		}
-		if baseStats.PeakWorkBytes == 0 {
+		if bm.stats.PeakWorkBytes == 0 {
 			fmt.Fprintf(w, "%-38s no accounted working memory\n", a.FullName)
 			continue
 		}
-		budget := baseStats.PeakWorkBytes / 10
-		labels, secs, st, err := runSpillCell(g, a, cfg, budget)
+		bounded := cfg
+		bounded.MemoryBudget = bm.stats.PeakWorkBytes / 10
+		res, m, err := runOnce(g, a, bounded, ccalg.Options{Seed: cfg.Seed})
 		if err != nil {
 			fmt.Fprintf(w, "%-38s budgeted run error: %v\n", a.FullName, err)
 			continue
 		}
-		same := len(labels) == len(base)
-		for v, l := range base {
-			if labels[v] != l {
+		same := len(res.Labels) == len(base.Labels)
+		for v, l := range base.Labels {
+			if res.Labels[v] != l {
 				same = false
 				break
 			}
@@ -337,65 +342,11 @@ func SpillExperiment(w io.Writer, cfg Config) {
 			continue
 		}
 		fmt.Fprintf(w, "%-38s %8.2f %10.1f %11.1f %12.2f %7d %8.2fx\n",
-			a.FullName, secs,
-			float64(baseStats.PeakWorkBytes)/(1<<10), float64(budget)/(1<<10),
-			float64(st.SpilledBytes)/(1<<20), st.SpillPartitions, secs/baseSecs)
+			a.FullName, m.secs,
+			float64(bm.stats.PeakWorkBytes)/(1<<10), float64(bounded.MemoryBudget)/(1<<10),
+			float64(m.stats.SpilledBytes)/(1<<20), m.stats.SpillPartitions, m.secs/bm.secs)
 	}
 	fmt.Fprintln(w, "(identical labellings verified per row; peak accounted memory stays within the budget)")
-}
-
-// runSpillCell runs one algorithm once on a fresh cluster under the given
-// working-memory budget, returning the labelling, wall-clock seconds and
-// the engine counters.
-func runSpillCell(g *graph.Graph, a ccalg.Info, cfg Config, budget int64) (graph.Labelling, float64, engine.Stats, error) {
-	opts := cfg.Options
-	opts.MemoryBudget = budget
-	c := engine.NewCluster(opts)
-	defer c.Close()
-	if err := graph.Load(c, "input", g); err != nil {
-		return nil, 0, engine.Stats{}, err
-	}
-	c.ResetStats()
-	start := time.Now()
-	res, err := a.Run(c, "input", ccalg.Options{Seed: cfg.Seed})
-	secs := time.Since(start).Seconds()
-	if err != nil {
-		return nil, secs, c.Stats(), err
-	}
-	return res.Labels, secs, c.Stats(), nil
-}
-
-// rcMetrics extends metrics with the round count.
-type rcMetrics struct {
-	metrics
-	rounds int
-}
-
-// runRCConfigured runs Randomised Contraction with explicit RC options on
-// a fresh cluster.
-func runRCConfigured(g *graph.Graph, cfg Config, rc ccalg.RCOptions) (rcMetrics, error) {
-	c := engine.NewCluster(cfg.Options)
-	defer c.Close()
-	if err := graph.Load(c, "input", g); err != nil {
-		return rcMetrics{}, err
-	}
-	input := c.Stats().LiveBytes
-	c.ResetStats()
-	start := time.Now()
-	res, err := ccalg.RandomisedContraction(c, "input", ccalg.Options{Seed: cfg.Seed, RC: rc})
-	if err != nil {
-		return rcMetrics{}, err
-	}
-	st := c.Stats()
-	return rcMetrics{
-		metrics: metrics{
-			secs:    time.Since(start).Seconds(),
-			input:   input,
-			peak:    st.PeakBytes - input,
-			written: st.BytesWritten,
-		},
-		rounds: res.Rounds,
-	}, nil
 }
 
 // StreamExperiment is ablation A10: incremental connected components.

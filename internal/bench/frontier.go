@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"dbcc/internal/ccalg"
 	"dbcc/internal/datagen"
@@ -85,7 +84,23 @@ func FrontierExperiment(w io.Writer, cfg Config) []FrontierEntry {
 				cells[alg] = fmt.Sprintf("%d (derived)", entry.Rounds)
 				continue
 			}
-			entry := runFrontierCell(ds.name, ds.g, alg, cfg)
+			entry := FrontierEntry{Dataset: ds.name, Name: alg}
+			name, opts := alg, ccalg.Options{Seed: cfg.Seed}
+			if alg == "rc-det" {
+				name, opts.RC.Deterministic = "rc", true
+			}
+			info, _ := ccalg.ByName(name)
+			res, m, err := runOnce(ds.g, info, cfg, opts)
+			entry.WallSecs = m.secs
+			if err == nil {
+				entry.Rounds = res.Rounds
+				if cfg.Verify {
+					err = verify.Labelling(ds.g, res.Labels)
+				}
+			}
+			if err != nil {
+				entry.Error = err.Error()
+			}
 			entries = append(entries, entry)
 			if entry.Error != "" {
 				cells[alg] = "error"
@@ -124,41 +139,4 @@ func FrontierGate(entries []FrontierEntry) error {
 		return fmt.Errorf("frontier: ld took %d rounds on path-1e6, more than half of rc-det's %d", ld, rc)
 	}
 	return nil
-}
-
-// runFrontierCell executes one (dataset, algorithm) cell on a fresh
-// cluster and verifies the labelling against the oracle.
-func runFrontierCell(dsName string, g *graph.Graph, alg string, cfg Config) FrontierEntry {
-	entry := FrontierEntry{Dataset: dsName, Name: alg}
-	opts := ccalg.Options{Seed: cfg.Seed}
-	name := alg
-	if alg == "rc-det" {
-		name = "rc"
-		opts.RC.Deterministic = true
-	}
-	info, ok := ccalg.ByName(name)
-	if !ok {
-		entry.Error = fmt.Sprintf("unknown algorithm %q", alg)
-		return entry
-	}
-	c := engine.NewCluster(cfg.Options)
-	defer c.Close()
-	if err := graph.Load(c, "input", g); err != nil {
-		entry.Error = err.Error()
-		return entry
-	}
-	start := time.Now()
-	res, err := info.Run(c, "input", opts)
-	entry.WallSecs = time.Since(start).Seconds()
-	if err != nil {
-		entry.Error = err.Error()
-		return entry
-	}
-	entry.Rounds = res.Rounds
-	if cfg.Verify {
-		if verr := verify.Labelling(g, res.Labels); verr != nil {
-			entry.Error = verr.Error()
-		}
-	}
-	return entry
 }

@@ -30,12 +30,12 @@ func NaiveExperiment(w io.Writer, cfg Config) {
 	rcInfo, _ := ccalg.ByName("rc")
 	for _, n := range []int{64, 128, 256, 512} {
 		g := datagen.Path(n)
-		bfsRes, _, err := runOnce(g, bfsInfo, cfg, 0, cfg.Seed)
+		bfsRes, _, err := runOnce(g, bfsInfo, cfg, ccalg.Options{Seed: cfg.Seed})
 		if err != nil {
 			fmt.Fprintf(w, "%-8d BFS error: %v\n", n, err)
 			continue
 		}
-		rcRes, _, err := runOnce(g, rcInfo, cfg, 0, cfg.Seed)
+		rcRes, _, err := runOnce(g, rcInfo, cfg, ccalg.Options{Seed: cfg.Seed})
 		if err != nil {
 			fmt.Fprintf(w, "%-8d RC error: %v\n", n, err)
 			continue

@@ -94,7 +94,7 @@ func Run(ds Dataset, alg ccalg.Info, cfg Config, capacity int64) Outcome {
 	for rep := 0; rep < max(1, cfg.Reps); rep++ {
 		seed := cfg.Seed + uint64(rep)
 		g := ds.Gen(cfg.Scale, cfg.Seed) // same graph across reps; seeds vary the algorithm
-		res, m, err := runOnce(g, alg, cfg, capacity, seed)
+		res, m, err := runOnce(g, alg, cfg, ccalg.Options{Seed: seed, MaxLiveBytes: capacity})
 		if err != nil {
 			if errors.Is(err, ccalg.ErrSpaceLimit) {
 				out.DNF = true
@@ -115,7 +115,7 @@ func Run(ds Dataset, alg ccalg.Info, cfg Config, capacity int64) Outcome {
 		out.Rounds = res.Rounds
 		out.InputBytes = m.input
 		out.PeakBytes = m.peak
-		out.Written = m.written
+		out.Written = m.stats.BytesWritten
 		out.Components = res.Labels.NumComponents()
 		out.VertexN = int64(len(res.Labels))
 		out.EdgeN = int64(g.NumEdges())
@@ -125,16 +125,20 @@ func Run(ds Dataset, alg ccalg.Info, cfg Config, capacity int64) Outcome {
 	return out
 }
 
-// metrics captures one repetition's engine accounting.
+// metrics captures one repetition's measurements: the run's wall-clock
+// seconds, the loaded input's live bytes, the peak live bytes above the
+// input and the engine counters of the run alone.
 type metrics struct {
-	secs    float64
-	input   int64
-	peak    int64
-	written int64
+	secs  float64
+	input int64
+	peak  int64
+	stats engine.Stats
 }
 
-// runOnce executes one repetition on a fresh cluster.
-func runOnce(g *graph.Graph, alg ccalg.Info, cfg Config, capacity int64, seed uint64) (*ccalg.Result, metrics, error) {
+// runOnce executes one repetition: it loads g as table "input" on a fresh
+// cluster with cfg's engine options, resets the counters and runs alg once
+// with opts. The metrics are filled in even when the run fails.
+func runOnce(g *graph.Graph, alg ccalg.Info, cfg Config, opts ccalg.Options) (*ccalg.Result, metrics, error) {
 	c := engine.NewCluster(cfg.Options)
 	defer c.Close()
 	if err := graph.Load(c, "input", g); err != nil {
@@ -143,10 +147,9 @@ func runOnce(g *graph.Graph, alg ccalg.Info, cfg Config, capacity int64, seed ui
 	input := c.Stats().LiveBytes
 	c.ResetStats()
 	start := time.Now()
-	res, err := alg.Run(c, "input", ccalg.Options{Seed: seed, MaxLiveBytes: capacity})
-	secs := time.Since(start).Seconds()
-	st := c.Stats()
-	m := metrics{secs: secs, input: input, peak: st.PeakBytes - input, written: st.BytesWritten}
+	res, err := alg.Run(c, "input", opts)
+	m := metrics{secs: time.Since(start).Seconds(), input: input, stats: c.Stats()}
+	m.peak = m.stats.PeakBytes - input
 	if err != nil {
 		return nil, m, err
 	}

@@ -383,15 +383,21 @@ func (r *run) prepare(srcs ...string) error {
 	return nil
 }
 
-// create runs a CREATE TABLE AS shape with $1 bound to the run-private
-// target table and args to $2..., tracks the new table for cleanup and
-// applies the space check. It returns the rows written.
-func (r *run) create(target, src string, args ...sql.Arg) (int64, error) {
+// exec runs a statement shape with args bound to $1... and returns the
+// rows it wrote.
+func (r *run) exec(src string, args ...sql.Arg) (int64, error) {
 	h, err := r.stmt(src)
 	if err != nil {
 		return 0, err
 	}
-	n, err := h.Exec(append([]sql.Arg{r.tab(target)}, args...)...)
+	return h.Exec(args...)
+}
+
+// create runs a CREATE TABLE AS shape with $1 bound to the run-private
+// target table and args to $2..., tracks the new table for cleanup and
+// applies the space check. It returns the rows written.
+func (r *run) create(target, src string, args ...sql.Arg) (int64, error) {
+	n, err := r.exec(src, append([]sql.Arg{r.tab(target)}, args...)...)
 	if err != nil {
 		return 0, err
 	}

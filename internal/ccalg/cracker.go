@@ -82,6 +82,13 @@ const (
 			left join $4 as nv on lv.v = nv.v
 		where pc.v is null and nv.v is null
 		distributed by (child)`
+	// crSQLAppendTree appends a round's tree rows to the tree $1: the
+	// pruned vertices ($2) and the roots ($3).
+	crSQLAppendTree = `
+		insert into $1
+		select parent, child from $2 as p
+		union all
+		select parent, child from $3 as q`
 	// crSQLTreeRoots seeds the labels at the tree's roots ($2).
 	crSQLTreeRoots = `
 		create table $1 as
@@ -168,7 +175,6 @@ func runCracker(r *run, input string) (string, error) {
 // and appending to cr_tree. It returns the surviving (unpruned) vertex
 // count and the edge count of the next graph.
 func crackerRound(r *run) (int64, int64, error) {
-	c := r.c
 	if _, err := r.create("cr_m", sqlClosedMin, r.tab("cr_e")); err != nil {
 		return 0, 0, err
 	}
@@ -202,16 +208,7 @@ func crackerRound(r *run) (int64, int64, error) {
 		r.tab("cr_live"), r.tab("cr_prune"), r.tab("cr_nextv")); err != nil {
 		return 0, 0, err
 	}
-	// Append this round's tree rows.
-	treeRows, err := c.ReadAll(r.t("cr_prune"))
-	if err != nil {
-		return 0, 0, err
-	}
-	rootRowsData, err := c.ReadAll(r.t("cr_roots"))
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := c.InsertRows(r.t("cr_tree"), append(treeRows, rootRowsData...)); err != nil {
+	if _, err := r.exec(crSQLAppendTree, r.tab("cr_tree"), r.tab("cr_prune"), r.tab("cr_roots")); err != nil {
 		return 0, 0, err
 	}
 	if err := r.drop("cr_g", "cr_vmin", "cr_live", "cr_prune", "cr_roots", "cr_nextv"); err != nil {

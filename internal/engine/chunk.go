@@ -7,10 +7,13 @@ package engine
 // immutable chunks per segment, Scan hands them to the operators (join,
 // group-by, distinct, shuffle, sort), which run as kernels directly over
 // chunks, and CreateTableAs publishes its output chunks as the new table by
-// reference. Rows exist only at the public edge — InsertRows and
-// DeleteRows arguments, Query and ReadAll results — where rowsToChunk and
-// chunkToRows translate. The public API — Datum, Row, Table, Plan — is
-// unchanged by the columnar representation.
+// reference. Every INSERT writes one chunk through appendRows, which
+// places its rows with the shuffle's router and feeds the component index
+// the same chunk: INSERT … SELECT concatenates its plan's output chunks,
+// and InsertRows converts its rows once. Rows exist only at the public
+// edge — InsertRows and DeleteRows arguments, Query and ReadAll results —
+// where rowsToChunk and chunkToRows translate. The public API — Datum,
+// Row, Table, Plan — is unchanged by the columnar representation.
 
 // nullBitmap marks the NULL rows of one chunk column, one bit per row. A
 // nil bitmap means the column contains no NULLs, so the common all-valid

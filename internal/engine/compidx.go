@@ -1,7 +1,7 @@
 // Component indexes: incremental connected-component maintenance for edge
 // tables. A ComponentIndex is a union-find structure over a table's first
-// two int64 columns that InsertRows feeds as rows arrive, so component
-// labels stay current under a stream of inserts with amortised
+// two int64 columns that every INSERT feeds its chunk as it arrives, so
+// component labels stay current under a stream of inserts with amortised
 // near-constant relabel work per edge — no recompute on the insert path.
 // Deletes can split components, which union-find cannot express, so
 // DeleteRows marks the index stale and rebuilds it: one scan of the
@@ -163,24 +163,10 @@ func newComponentIndex(capHint int) *ComponentIndex {
 // Caller holds x.mu.
 func (x *ComponentIndex) dropped() bool { return x.ids == nil }
 
-// observe folds a batch of inserted rows into the labelling, emitting one
-// merge event per actual union. Rows whose first two columns are not both
-// non-NULL int64s are ignored (they carry no edge). Returns the labels
-// touched and merges performed, for the cluster counters.
-func (x *ComponentIndex) observe(rows []Row) (touched, merges int64) {
-	x.mu.Lock()
-	for _, r := range rows {
-		if len(r) < 2 || r[0].Null || r[1].Null {
-			continue
-		}
-		x.addEdge(r[0].Int, r[1].Int, &touched, &merges)
-	}
-	x.mu.Unlock()
-	return touched, merges
-}
-
-// observeChunk is observe over a stored chunk, reading its first two
-// columns directly.
+// observeChunk folds a chunk of inserted rows into the labelling, in row
+// order, emitting one merge event per actual union. Rows whose first two
+// columns are not both non-NULL carry no edge and are ignored. Returns the
+// labels touched and merges performed, for the cluster counters.
 func (x *ComponentIndex) observeChunk(ch *Chunk) (touched, merges int64) {
 	vs, ws := ch.cols[0], ch.cols[1]
 	vn, wn := ch.nulls[0], ch.nulls[1]
@@ -320,8 +306,8 @@ func (x *ComponentIndex) observeParts(parts [][]*Chunk) (rows, touched, merges i
 
 // CreateComponentIndex builds a component index over an existing edge
 // table (first two columns are the edge endpoints) by scanning its
-// current rows, and registers it for maintenance by subsequent InsertRows
-// and DeleteRows calls.
+// current rows, and registers it for maintenance by subsequent INSERT and
+// DELETE statements.
 func (c *Cluster) CreateComponentIndex(table string) error {
 	t, ok := c.Table(table)
 	if !ok {
@@ -339,7 +325,7 @@ func (c *Cluster) CreateComponentIndex(table string) error {
 	c.indexes[table] = x
 	c.idxMu.Unlock()
 	// Fold in the rows already stored. Rows inserted concurrently are fed
-	// through the InsertRows hook; re-observing an edge is idempotent.
+	// through appendRows' feed; re-observing an edge is idempotent.
 	rows, touched, merges := x.observeParts(t.snapshotParts())
 	c.addIndexCounters(touched, merges, 0)
 	c.addTrace(TraceRecord{
@@ -374,19 +360,19 @@ func (c *Cluster) ComponentIndex(table string) (*ComponentIndex, bool) {
 	return x, ok
 }
 
-// feedIndex folds freshly inserted rows into the table's component index,
-// if one exists, and returns the labels touched and merges made. InsertRows
-// calls it while still holding the table's write lock, so a DELETE can
-// never remove rows the index has not seen yet: a rebuild's snapshot then
-// holds exactly the rows fed before it was taken.
-func (c *Cluster) feedIndex(table string, rows []Row) (touched, merges int64) {
+// feedIndex folds a chunk of freshly inserted rows into the table's
+// component index, if one exists, and returns the labels touched and
+// merges made. appendRows calls it while still holding the table's write
+// lock, so a DELETE can never remove rows the index has not seen yet: a
+// rebuild's snapshot then holds exactly the rows fed before it was taken.
+func (c *Cluster) feedIndex(table string, ch *Chunk) (touched, merges int64) {
 	c.idxMu.Lock()
 	x, ok := c.indexes[table]
 	c.idxMu.Unlock()
 	if !ok {
 		return 0, 0
 	}
-	return x.observe(rows)
+	return x.observeChunk(ch)
 }
 
 // dropIndexFor tears down the index of a dropped table.

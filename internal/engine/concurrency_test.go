@@ -8,6 +8,7 @@ package engine
 // (caught by the arithmetic) fail the build.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -86,10 +87,9 @@ func TestConcurrentSessionsStress(t *testing.T) {
 		t.Errorf("Stats.LiveBytes = %d after dropping every table, want 0", st.LiveBytes)
 	}
 
-	// Concurrency gauges: CreateTableAs and Query are statements,
-	// InsertRows is not.
+	// Concurrency gauges: all four are statements.
 	cs := c.ConcurrencyStats()
-	if want := int64(goroutines * iters * 3); cs.Total != want {
+	if want := int64(goroutines * iters * perIter); cs.Total != want {
 		t.Errorf("ConcurrencyStats.Total = %d, want %d", cs.Total, want)
 	}
 	if cs.Active != 0 {
@@ -245,7 +245,7 @@ func TestWorkerPoolBoundsParallelism(t *testing.T) {
 	}
 
 	var cur, peak atomic.Int64
-	task := func(seg int) {
+	task := func(seg int) error {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -260,6 +260,7 @@ func TestWorkerPoolBoundsParallelism(t *testing.T) {
 		}
 		_ = s
 		cur.Add(-1)
+		return nil
 	}
 
 	// Several goroutines issue parallel fan-outs at once; the semaphore
@@ -269,7 +270,9 @@ func TestWorkerPoolBoundsParallelism(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.parallel(task)
+			if err := c.newExecEnv(context.Background()).parallel(task); err != nil {
+				t.Error(err)
+			}
 		}()
 	}
 	wg.Wait()
@@ -290,7 +293,13 @@ func TestParallelCoversAllSegments(t *testing.T) {
 	} {
 		c := NewCluster(Options{Segments: tc.segs, Workers: tc.workers})
 		counts := make([]atomic.Int64, tc.segs)
-		c.parallel(func(seg int) { counts[seg].Add(1) })
+		err := c.newExecEnv(context.Background()).parallel(func(seg int) error {
+			counts[seg].Add(1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for s := range counts {
 			if got := counts[s].Load(); got != 1 {
 				t.Errorf("segments=%d workers=%d: segment %d ran %d times, want 1",

@@ -19,8 +19,12 @@
 // # Concurrency and locking discipline
 //
 // A Cluster is safe for concurrent use by multiple sessions: independent
-// queries (CreateTableAs, Query, InsertRows, DropTable, ...) may execute
-// simultaneously from different goroutines. The discipline is:
+// statements (CreateTableAs, Query, InsertRows, InsertSelectCtx,
+// DeleteRows) and DDL (DropTable, ...) may execute simultaneously from
+// different goroutines. Every statement enters through one wrapper
+// (Cluster.statement in exec.go) for panic recovery, the concurrency
+// gauges, its deadline, the query count and its trace record. The
+// discipline is:
 //
 //   - c.mu (RWMutex) guards the catalog: the tables map, the UDF registry
 //     and Table.Name. Lookups take the read lock; create/drop/rename take
@@ -36,13 +40,15 @@
 //   - c.statsMu (Mutex) guards the Stats counters, the trace ring and the
 //     concurrency gauges. It is a leaf lock: nothing else is acquired
 //     while holding it.
-//   - InsertRows feeds a table's component index while holding t.mu, so
-//     c.idxMu (leaf) and the index's own lock nest inside t.mu; index
-//     code never takes a table lock while holding either (compidx.go).
+//   - appendRows, every INSERT's write path, feeds a table's component
+//     index while holding t.mu, so c.idxMu (leaf) and the index's own lock
+//     nest inside t.mu; index code never takes a table lock while holding
+//     either (compidx.go).
 //   - Lock order is c.mu before t.mu before c.statsMu; never the reverse.
-//   - Segment tasks submitted to the worker pool via parallel must be leaf
-//     computations: they must not issue queries, touch the catalog or call
-//     parallel again, or the pool's cluster-wide bound could deadlock.
+//   - Segment tasks submitted to the worker pool via execEnv.parallel must
+//     be leaf computations: they must not issue queries, touch the catalog
+//     or call parallel again, or the pool's cluster-wide bound could
+//     deadlock.
 //
 // Statements are individually atomic but multi-statement sequences are
 // not isolated: two sessions creating the same table name race benignly
@@ -52,6 +58,7 @@
 package engine
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"runtime"
@@ -59,8 +66,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"dbcc/internal/xrand"
 )
 
 // Datum is a single column value: a 64-bit integer or SQL NULL.
@@ -216,8 +221,9 @@ type Stats struct {
 // ConcurrencyStats reports the multi-session activity of a cluster, the
 // observability hook for the concurrent-session support.
 type ConcurrencyStats struct {
-	// Active is the number of statements (CreateTableAs, Query) executing
-	// right now.
+	// Active is the number of statements executing right now: CREATE
+	// TABLE AS, SELECT, INSERT (InsertRows and INSERT … SELECT) and
+	// DELETE all count.
 	Active int64
 	// Peak is the highest number of simultaneously executing statements
 	// observed since the cluster was created.
@@ -526,14 +532,6 @@ func (c *Cluster) ResetStats() {
 	c.plans.resetCounters()
 }
 
-// hashDatum maps a distribution-key value to a segment.
-func (c *Cluster) hashDatum(d Datum) int {
-	if d.Null {
-		return 0
-	}
-	return int(xrand.Mix64(uint64(d.Int)) % uint64(c.segments))
-}
-
 // Table returns the named table.
 func (c *Cluster) Table(name string) (*Table, bool) {
 	c.mu.RLock()
@@ -575,111 +573,109 @@ func (c *Cluster) CreateTable(name string, schema Schema, distKey int) (*Table, 
 
 // InsertRows bulk-loads rows into an existing table, distributing them by
 // the table's distribution key (round-robin for a NoDistKey table), and
-// accounts for the write. Each touched segment gains one exact-size chunk,
-// appended copy-on-write (appendChunk), so an insert costs O(rows
-// inserted) rather than O(table) and concurrent scans keep reading their
-// consistent snapshots.
-func (c *Cluster) InsertRows(name string, rows []Row) (err error) {
-	defer recoverToError("insert", &err)
-	start := time.Now()
-	t, ok := c.Table(name)
-	if !ok {
-		return fmt.Errorf("engine: table %q does not exist", name)
-	}
-	for _, r := range rows {
-		if len(r) != len(t.Schema) {
-			return fmt.Errorf("engine: row arity %d does not match schema %v", len(r), t.Schema)
+// accounts for the write. The rows are converted to one chunk and placed
+// by appendRows, so an insert costs O(rows inserted) rather than O(table)
+// and concurrent scans keep reading their consistent snapshots.
+func (c *Cluster) InsertRows(name string, rows []Row) error {
+	return c.statement(context.Background(), "insert", name, func(s *statement) error {
+		t, ok := c.Table(name)
+		if !ok {
+			return fmt.Errorf("engine: table %q does not exist", name)
 		}
-	}
-	t.mu.Lock()
-	// Counting pass: compute each row's segment once, then order the rows
-	// by segment (stably) so each segment's batch converts in one pass.
-	segOf := make([]int32, len(rows))
-	starts := make([]int, c.segments+1)
-	cursor := t.rowsLocked() // round-robin cursor for tables without a distribution key
-	for i, r := range rows {
-		seg := 0
-		if t.DistKey != NoDistKey {
-			seg = c.hashDatum(r[t.DistKey])
-		} else {
-			seg = int(cursor % int64(c.segments))
-			cursor++
+		for _, r := range rows {
+			if len(r) != len(t.Schema) {
+				return fmt.Errorf("engine: row arity %d does not match schema %v", len(r), t.Schema)
+			}
 		}
-		segOf[i] = int32(seg)
-		starts[seg+1]++
-	}
-	for seg := 0; seg < c.segments; seg++ {
-		starts[seg+1] += starts[seg]
-	}
-	bySeg := make([]Row, len(rows))
-	next := append([]int(nil), starts[:c.segments]...)
-	for i, r := range rows {
-		bySeg[next[segOf[i]]] = r
-		next[segOf[i]]++
-	}
-	for seg := 0; seg < c.segments; seg++ {
-		if batch := bySeg[starts[seg]:starts[seg+1]]; len(batch) > 0 {
-			t.parts[seg] = appendChunk(t.parts[seg], rowsToChunk(batch, len(t.Schema)))
-		}
-	}
-	touched, merges := c.feedIndex(name, rows)
-	t.mu.Unlock()
-	c.addIndexCounters(touched, merges, 0)
-	bytes := int64(len(rows)) * int64(len(t.Schema)) * DatumSize
-	c.accountWrite(int64(len(rows)), bytes)
-	c.addTrace(TraceRecord{
-		Kind:    "insert",
-		Target:  name,
-		Plan:    fmt.Sprintf("Insert(%s, %d rows)", name, len(rows)),
-		Rows:    int64(len(rows)),
-		Bytes:   bytes,
-		Start:   start,
-		Elapsed: time.Since(start),
+		c.appendRows(s, name, t, rowsToChunk(rows, len(t.Schema)))
+		s.rec.Plan = fmt.Sprintf("Insert(%s, %d rows)", name, len(rows))
+		return nil
 	})
-	return nil
+}
+
+// appendRows is the one write path of INSERT: it places ch's rows on the
+// table's segments with the shuffle's router (routeChunk: the
+// distribution key's hash, NULL on segment 0) or, for a NoDistKey table,
+// round-robin from the table's row count, appends one exact-size chunk per
+// touched segment copy-on-write (appendChunk), and feeds the table's
+// component index ch in row order. It accounts the write and returns the
+// rows written.
+func (c *Cluster) appendRows(s *statement, name string, t *Table, ch *Chunk) int64 {
+	n := ch.length
+	dp := getI32(n)
+	dests := (*dp)[:n]
+	t.mu.Lock()
+	if t.DistKey != NoDistKey {
+		routeChunk(ch, t.DistKey, c.segments, dests)
+	} else {
+		cursor := t.rowsLocked()
+		for r := range dests {
+			dests[r] = int32((cursor + int64(r)) % int64(c.segments))
+		}
+	}
+	one := n > 0
+	for _, d := range dests {
+		if d != dests[0] {
+			one = false
+			break
+		}
+	}
+	if one {
+		// Every row lands on one segment: store ch itself.
+		t.parts[dests[0]] = appendChunk(t.parts[dests[0]], ch)
+	} else {
+		// The stored chunks share one fresh backing array.
+		for seg, b := range radixPartitionChunk(ch, dests, c.segments, make([]int64, len(ch.cols)*n)) {
+			if b.length > 0 {
+				t.parts[seg] = appendChunk(t.parts[seg], b)
+			}
+		}
+	}
+	touched, merges := c.feedIndex(name, ch)
+	t.mu.Unlock()
+	*dp = dests
+	putI32(dp)
+	c.addIndexCounters(touched, merges, 0)
+	s.rec.Rows, s.rec.Bytes = int64(n), int64(n)*int64(len(t.Schema))*DatumSize
+	c.accountWrite(s.rec.Rows, s.rec.Bytes)
+	return s.rec.Rows
 }
 
 // DeleteRows removes the rows of a table for which keep returns false,
 // releasing their space, and returns the number of rows removed. keep sees
 // every stored row through one reused buffer, so it must not retain its
-// argument. Only the chunks that lose rows are rewritten, and a changed
-// segment's list is replaced, never edited, so concurrent scans keep their
-// snapshots. A component index on the table goes stale on any removal and
-// is rebuilt before DeleteRows returns (see compidx.go).
+// argument. A DELETE is atomic: keep runs over every row before any
+// segment changes, so a keep that panics part-way removes nothing. Only
+// the chunks that lose rows are rewritten, and a changed segment's list is
+// replaced, never edited, so concurrent scans keep their snapshots. A
+// component index on the table goes stale on any removal and is rebuilt
+// before DeleteRows returns (see compidx.go).
 func (c *Cluster) DeleteRows(name string, keep func(Row) bool) (removed int64, err error) {
-	defer recoverToError("delete", &err)
-	start := time.Now()
-	t, ok := c.Table(name)
-	if !ok {
-		return 0, fmt.Errorf("engine: table %q does not exist", name)
-	}
-	removed = t.deleteRows(keep)
-	bytes := removed * int64(len(t.Schema)) * DatumSize
-	c.statsMu.Lock()
-	c.stats.Queries++
-	c.stats.LiveBytes -= bytes
-	c.statsMu.Unlock()
-	c.addTrace(TraceRecord{
-		Kind:    "delete",
-		Target:  name,
-		Plan:    fmt.Sprintf("Delete(%s, %d rows)", name, removed),
-		Rows:    removed,
-		Start:   start,
-		Elapsed: time.Since(start),
+	err = c.statement(context.Background(), "delete", name, func(s *statement) error {
+		t, ok := c.Table(name)
+		if !ok {
+			return fmt.Errorf("engine: table %q does not exist", name)
+		}
+		removed = t.deleteRows(keep)
+		c.statsMu.Lock()
+		c.stats.LiveBytes -= removed * int64(len(t.Schema)) * DatumSize
+		c.statsMu.Unlock()
+		s.rec.Plan, s.rec.Rows = fmt.Sprintf("Delete(%s, %d rows)", name, removed), removed
+		c.maybeRebuildIndex(t, name, removed)
+		return nil
 	})
-	c.maybeRebuildIndex(t, name, removed)
-	return removed, nil
+	return removed, err
 }
 
 // deleteRows is DeleteRows' table rewrite: it gathers the kept rows of
-// every chunk that loses any into a fresh chunk, and returns the number of
-// rows removed.
+// every chunk that loses any into a fresh chunk and returns the number of
+// rows removed. Every segment's new list is built before any is stored.
 func (t *Table) deleteRows(keep func(Row) bool) (removed int64) {
 	row := make(Row, len(t.Schema))
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	next := make([][]*Chunk, len(t.parts)) // a segment's new list; nil if unchanged
 	for seg, list := range t.parts {
-		var out []*Chunk // non-nil once a chunk of this segment lost rows
 		for i, ch := range list {
 			kp := getI32(ch.length)
 			idx := *kp
@@ -692,21 +688,23 @@ func (t *Table) deleteRows(keep func(Row) bool) (removed int64) {
 				}
 			}
 			if len(idx) < ch.length {
-				if out == nil {
-					out = append(make([]*Chunk, 0, len(list)), list[:i]...)
+				if next[seg] == nil {
+					next[seg] = append(make([]*Chunk, 0, len(list)), list[:i]...)
 				}
 				removed += int64(ch.length - len(idx))
 				if len(idx) > 0 {
-					out = append(out, gatherChunk(ch, idx))
+					next[seg] = append(next[seg], gatherChunk(ch, idx))
 				}
-			} else if out != nil {
-				out = append(out, ch)
+			} else if next[seg] != nil {
+				next[seg] = append(next[seg], ch)
 			}
 			*kp = idx
 			putI32(kp)
 		}
-		if out != nil {
-			t.parts[seg] = out
+	}
+	for seg, list := range next {
+		if list != nil {
+			t.parts[seg] = list
 		}
 	}
 	return removed
@@ -770,7 +768,6 @@ func (c *Cluster) ReadAll(name string) ([]Row, error) {
 func (c *Cluster) accountWrite(rows, bytes int64) {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
-	c.stats.Queries++
 	c.stats.RowsWritten += rows
 	c.stats.BytesWritten += bytes
 	c.stats.LiveBytes += bytes
@@ -784,45 +781,4 @@ func (c *Cluster) addShuffleBytes(n int64) {
 	c.statsMu.Lock()
 	c.stats.ShuffleBytes += n
 	c.statsMu.Unlock()
-}
-
-// parallel runs fn(seg) for every segment and waits. Instead of one
-// goroutine per segment, at most Workers segment tasks run at any moment
-// across the whole cluster: each call spawns min(Workers, Segments)
-// goroutines that pull segment indices from a shared counter, and every
-// task additionally holds a slot of the cluster-wide pool, so many
-// concurrent sessions cannot oversubscribe the host. fn must be a leaf
-// computation (no queries, no catalog access, no nested parallel).
-func (c *Cluster) parallel(fn func(seg int)) {
-	n := c.segments
-	spawn := c.workers
-	if spawn > n {
-		spawn = n
-	}
-	if spawn <= 1 {
-		for s := 0; s < n; s++ {
-			c.sem <- struct{}{}
-			fn(s)
-			<-c.sem
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(spawn)
-	for w := 0; w < spawn; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				s := int(next.Add(1)) - 1
-				if s >= n {
-					return
-				}
-				c.sem <- struct{}{}
-				fn(s)
-				<-c.sem
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -140,7 +140,7 @@ func TestDistributionInvariant(t *testing.T) {
 	for seg, part := range segmentRows(tab) {
 		total += len(part)
 		for _, row := range part {
-			if want := c.hashDatum(row[0]); want != seg {
+			if want := segmentOf(c, row, 0); want != seg {
 				t.Fatalf("row %v on segment %d, want %d", row, seg, want)
 			}
 		}
@@ -148,6 +148,14 @@ func TestDistributionInvariant(t *testing.T) {
 	if total != len(rows) {
 		t.Fatalf("table holds %d rows, want %d", total, len(rows))
 	}
+}
+
+// segmentOf is the segment the shuffle's router (routeChunk) places row on
+// when the rows are distributed by column key.
+func segmentOf(c *Cluster, row Row, key int) int {
+	var dest [1]int32
+	routeChunk(rowsToChunk([]Row{row}, len(row)), key, c.segments, dest[:])
+	return int(dest[0])
 }
 
 func TestDDLErrors(t *testing.T) {

@@ -20,6 +20,62 @@ type relation struct {
 	distKey int // column the rows are currently hash-distributed by, or NoDistKey
 }
 
+// statement is one executing statement: the caller's context, the
+// execution environment of its plan and the trace record its table logic
+// fills in. The environment is nil until run opens one, so a statement
+// without a plan pays for no deadline and takes no statement number,
+// leaving the fault schedule of later statements alone.
+type statement struct {
+	c      *Cluster
+	ctx    context.Context
+	e      *execEnv
+	cancel context.CancelFunc
+	rec    TraceRecord
+}
+
+// run executes the statement's plan under the per-statement deadline in a
+// fresh execution environment and records the plan and its operator
+// profile in the trace record.
+func (s *statement) run(p Plan) (*relation, error) {
+	var ctx context.Context
+	ctx, s.cancel = s.c.statementContext(s.ctx)
+	s.e = s.c.newExecEnv(ctx)
+	rel, root, err := s.e.exec(p)
+	if err != nil {
+		return nil, err
+	}
+	s.rec.Plan, s.rec.Root, s.rec.Shuffle = p.String(), root, root.TotalShuffle()
+	return rel, nil
+}
+
+// statement runs body as one statement of the given trace kind between the
+// prologue and epilogue every entry point shares: panic recovery, the
+// concurrency gauges, the deadline and execution environment of its plan
+// (run) and, once body succeeds, the query count, the profile charge and
+// the trace record. body keeps only the statement's own table logic.
+func (c *Cluster) statement(ctx context.Context, kind, target string, body func(s *statement) error) (err error) {
+	defer recoverToError(kind, &err)
+	c.beginStatement()
+	defer c.endStatement()
+	s := &statement{c: c, ctx: ctx, rec: TraceRecord{Kind: kind, Target: target, Start: time.Now()}}
+	defer func() {
+		if s.e != nil {
+			s.e.close()
+			s.cancel()
+		}
+	}()
+	if err := body(s); err != nil {
+		return err
+	}
+	c.statsMu.Lock()
+	c.stats.Queries++
+	c.statsMu.Unlock()
+	c.chargeProfileOverhead()
+	s.rec.Elapsed = time.Since(s.rec.Start)
+	c.addTrace(s.rec)
+	return nil
+}
+
 // CreateTableAs executes the plan, materialises its output as a new table
 // hash-distributed by column distKey (NoDistKey for arbitrary placement),
 // and returns the number of rows written — the value the paper's driver
@@ -33,72 +89,57 @@ func (c *Cluster) CreateTableAs(name string, p Plan, distKey int) (int64, error)
 // operators and between segment tasks, draining in-flight tasks before
 // returning.
 func (c *Cluster) CreateTableAsCtx(ctx context.Context, name string, p Plan, distKey int) (rows int64, err error) {
-	defer recoverToError("create table "+name, &err)
-	c.beginStatement()
-	defer c.endStatement()
-	ctx, cancel := c.statementContext(ctx)
-	defer cancel()
-	// Fast-fail before executing; the authoritative check is the atomic
-	// publish below (another session may create the name meanwhile).
-	if _, exists := c.Table(name); exists {
-		return 0, fmt.Errorf("engine: table %q already exists", name)
-	}
-	start := time.Now()
-	e := c.newExecEnv(ctx)
-	defer e.close()
-	rel, root, err := e.exec(p)
-	if err != nil {
-		return 0, err
-	}
-	var placeShuffle int64
-	if distKey != NoDistKey {
-		if distKey < 0 || distKey >= len(rel.schema) {
-			return 0, fmt.Errorf("engine: distribution key %d out of range for %v", distKey, rel.schema)
+	err = c.statement(ctx, "create", name, func(s *statement) error {
+		// Fast-fail before executing; the authoritative check is the atomic
+		// publish below (another session may create the name meanwhile).
+		if _, exists := c.Table(name); exists {
+			return fmt.Errorf("engine: table %q already exists", name)
 		}
-		rel, placeShuffle, err = e.redistribute(rel, distKey)
+		rel, err := s.run(p)
 		if err != nil {
-			return 0, err
+			return err
 		}
-	}
-	// Publish the output chunks by reference: chunks are immutable, and no
-	// operator output aliases pooled scratch memory (the shuffle copies out
-	// of its pooled buckets). One backing array holds every segment's
-	// one-chunk list; appendChunk never appends in place.
-	parts := make([][]*Chunk, c.segments)
-	lists := make([]*Chunk, c.segments)
-	for seg, ch := range rel.parts {
-		if ch.length > 0 {
-			lists[seg] = ch
-			parts[seg] = lists[seg : seg+1 : seg+1]
+		if distKey != NoDistKey {
+			if distKey < 0 || distKey >= len(rel.schema) {
+				return fmt.Errorf("engine: distribution key %d out of range for %v", distKey, rel.schema)
+			}
+			var placeShuffle int64
+			if rel, placeShuffle, err = s.e.redistribute(rel, distKey); err != nil {
+				return err
+			}
+			s.rec.Shuffle += placeShuffle
 		}
-	}
-	// The placement shuffle ran after the plan's root operator finished;
-	// fold its fault counters into the root node so the trace accounts for
-	// every retry of the statement.
-	e.drainFaultCounters(root)
-	t := &Table{Name: name, Schema: rel.schema, DistKey: distKey, parts: parts}
-	c.mu.Lock()
-	if _, exists := c.tables[name]; exists {
+		// Publish the output chunks by reference: chunks are immutable, and
+		// no operator output aliases pooled scratch memory (the shuffle
+		// copies out of its pooled buckets). One backing array holds every
+		// segment's one-chunk list; appendChunk never appends in place.
+		parts := make([][]*Chunk, c.segments)
+		lists := make([]*Chunk, c.segments)
+		for seg, ch := range rel.parts {
+			if ch.length > 0 {
+				lists[seg] = ch
+				parts[seg] = lists[seg : seg+1 : seg+1]
+			}
+		}
+		// The placement shuffle ran after the plan's root operator finished;
+		// fold its fault counters into the root node so the trace accounts
+		// for every retry of the statement.
+		s.e.drainFaultCounters(s.rec.Root)
+		t := &Table{Name: name, Schema: rel.schema, DistKey: distKey, parts: parts}
+		c.mu.Lock()
+		if _, exists := c.tables[name]; exists {
+			c.mu.Unlock()
+			return fmt.Errorf("engine: table %q already exists", name)
+		}
+		c.tables[name] = t
 		c.mu.Unlock()
-		return 0, fmt.Errorf("engine: table %q already exists", name)
-	}
-	c.tables[name] = t
-	c.mu.Unlock()
-	c.plans.invalidate(name)
-	c.accountWrite(t.Rows(), t.Bytes())
-	c.chargeProfileOverhead()
-	c.addTrace(TraceRecord{
-		Kind:    "create",
-		Target:  name,
-		Plan:    p.String(),
-		Rows:    t.Rows(),
-		Bytes:   t.Bytes(),
-		Shuffle: root.TotalShuffle() + placeShuffle,
-		Start:   start,
-		Elapsed: time.Since(start),
-		Root:    root,
+		c.plans.invalidate(name)
+		rows = t.Rows()
+		s.rec.Rows, s.rec.Bytes = rows, t.Bytes()
+		c.accountWrite(rows, s.rec.Bytes)
+		return nil
 	})
-	return t.Rows(), nil
+	return rows, err
 }
 
 // Query executes the plan and gathers all result rows onto the coordinator,
@@ -116,43 +157,44 @@ func (c *Cluster) QueryCtx(ctx context.Context, p Plan) (Schema, []Row, error) {
 	return schema, rows, err
 }
 
-// QueryAnalyze is Query returning additionally the per-operator execution
-// profile of the run — the engine half of EXPLAIN ANALYZE.
-func (c *Cluster) QueryAnalyze(p Plan) (Schema, []Row, *OpMetrics, error) {
-	return c.QueryAnalyzeCtx(context.Background(), p)
-}
-
-// QueryAnalyzeCtx is QueryAnalyze executing under a context (see
-// CreateTableAsCtx).
-func (c *Cluster) QueryAnalyzeCtx(ctx context.Context, p Plan) (_ Schema, _ []Row, _ *OpMetrics, err error) {
-	defer recoverToError("query", &err)
-	c.beginStatement()
-	defer c.endStatement()
-	ctx, cancel := c.statementContext(ctx)
-	defer cancel()
-	start := time.Now()
-	e := c.newExecEnv(ctx)
-	defer e.close()
-	rel, root, err := e.exec(p)
+// QueryAnalyzeCtx is QueryCtx returning additionally the per-operator
+// execution profile of the run — the engine half of EXPLAIN ANALYZE.
+func (c *Cluster) QueryAnalyzeCtx(ctx context.Context, p Plan) (schema Schema, rows []Row, root *OpMetrics, err error) {
+	err = c.statement(ctx, "select", "", func(s *statement) error {
+		rel, err := s.run(p)
+		if err != nil {
+			return err
+		}
+		schema, rows, root = rel.schema, chunkToRows(rel.parts...), s.rec.Root
+		s.rec.Rows, s.rec.Bytes = int64(len(rows)), root.Bytes
+		return nil
+	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	out := chunkToRows(rel.parts...)
-	c.statsMu.Lock()
-	c.stats.Queries++
-	c.statsMu.Unlock()
-	c.chargeProfileOverhead()
-	c.addTrace(TraceRecord{
-		Kind:    "select",
-		Plan:    p.String(),
-		Rows:    int64(len(out)),
-		Bytes:   root.Bytes,
-		Shuffle: root.TotalShuffle(),
-		Start:   start,
-		Elapsed: time.Since(start),
-		Root:    root,
+	return schema, rows, root, nil
+}
+
+// InsertSelectCtx executes the plan and appends its output to an existing
+// table, SQL's INSERT … SELECT, returning the rows written. The output,
+// concatenated in segment order, is placed as InsertRows places its rows.
+func (c *Cluster) InsertSelectCtx(ctx context.Context, name string, p Plan) (rows int64, err error) {
+	err = c.statement(ctx, "insert", name, func(s *statement) error {
+		t, ok := c.Table(name)
+		if !ok {
+			return fmt.Errorf("engine: table %q does not exist", name)
+		}
+		rel, err := s.run(p)
+		if err != nil {
+			return err
+		}
+		if len(rel.schema) != len(t.Schema) {
+			return fmt.Errorf("engine: row arity %d does not match schema %v", len(rel.schema), t.Schema)
+		}
+		rows = c.appendRows(s, name, t, concatChunks(len(t.Schema), rel.parts))
+		return nil
 	})
-	return rel.schema, out, root, nil
+	return rows, err
 }
 
 // profileSink keeps the synthetic scheduling work below observable so the
@@ -518,7 +560,8 @@ func (e *execEnv) shuffle(in *relation, key int) (*relation, int64, error) {
 		dp := getI32(ch.length)
 		dests := (*dp)[:ch.length]
 		routeChunk(ch, key, segs, dests)
-		b, flat := radixPartitionChunk(ch, dests, segs)
+		flat := getI64(ncols * ch.length)
+		b := radixPartitionChunk(ch, dests, segs, *flat)
 		*dp = dests
 		putI32(dp)
 		// Every row that is not in this source's own bucket crosses the

@@ -72,21 +72,20 @@ func routeChunk(ch *Chunk, key, segs int, dests []int32) {
 // column-at-a-time: per column, one pass over the rows scatters into the
 // destination slices, which keeps a single source column and a handful of
 // destination cursors hot in cache instead of striding across every column
-// of every destination per row. All destination columns share one pooled
-// flat backing array (returned for release via putI64 once the buckets
-// have been consumed); the backing is stale pool memory, so every slot is
-// written exactly once — NULL slots are explicitly zeroed so a bucket is
-// bit-identical to a freshly allocated chunk. Null bitmaps are allocated
-// fresh, never pooled.
-func radixPartitionChunk(ch *Chunk, dests []int32, nparts int) ([]*Chunk, *[]int64) {
+// of every destination per row. All destination columns share the flat
+// backing array the caller passes, ncols × rows long: the shuffle passes
+// pooled scratch memory and releases it once the buckets are consumed; an
+// INSERT passes a fresh array, which its stored chunks keep. A pooled
+// backing is stale, so every slot is written exactly once — NULL slots are
+// explicitly zeroed so a bucket is bit-identical to a freshly allocated
+// chunk. Null bitmaps are allocated fresh, never pooled.
+func radixPartitionChunk(ch *Chunk, dests []int32, nparts int, flat []int64) []*Chunk {
 	ncols := len(ch.cols)
 	n := ch.length
 	counts := make([]int32, nparts)
 	for _, d := range dests[:n] {
 		counts[d]++
 	}
-	fp := getI64(ncols * n)
-	flat := *fp
 	parts := chunksFromFlat(ncols, counts, flat)
 
 	// gslot[r] is row r's slot within the concatenated bucket set: buckets
@@ -134,7 +133,7 @@ func radixPartitionChunk(ch *Chunk, dests []int32, nparts int) ([]*Chunk, *[]int
 	}
 	*gp = gslot
 	putI32(gp)
-	return parts, fp
+	return parts
 }
 
 // joinChunks joins one segment's co-located chunks: a hash table is built

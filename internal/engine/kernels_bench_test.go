@@ -408,7 +408,8 @@ func BenchmarkKernelRadixPartition(b *testing.B) {
 		b.Run(fmt.Sprintf("kernel/%s/n=%d", name, n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				parts, fp := radixPartitionChunk(ch, dests, 8)
+				fp := getI64(len(ch.cols) * ch.length)
+				parts := radixPartitionChunk(ch, dests, 8, *fp)
 				sinkChunk = parts[0]
 				putI64(fp)
 			}

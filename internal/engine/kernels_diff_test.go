@@ -539,7 +539,8 @@ func TestRadixPartitionMatchesReference(t *testing.T) {
 			}
 		}
 
-		parts, fp := radixPartitionChunk(ch, dests, nparts)
+		fp := getI64(ncols * ch.length)
+		parts := radixPartitionChunk(ch, dests, nparts, *fp)
 		want := referencePartition(ch, dests, nparts)
 		for d := 0; d < nparts; d++ {
 			chunkEqualRows(t, parts[d], want[d])
@@ -592,7 +593,7 @@ func TestKernelOpMetricsRowCounts(t *testing.T) {
 			JoinPlan{Left: Scan("t"), Right: Scan("t"), LeftKey: 0, RightKey: 0, Kind: InnerJoin},
 			[]int{0},
 			Agg{Op: AggCount, Name: "n"})
-		_, got, root, err := c.QueryAnalyze(p)
+		_, got, root, err := c.QueryAnalyzeCtx(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -607,7 +608,7 @@ func TestKernelOpMetricsRowCounts(t *testing.T) {
 			t.Fatalf("trial %d: join OpMetrics.Rows = %d, want %d", trial, join.Rows, joinOut)
 		}
 
-		_, drows, droot, err := c.QueryAnalyze(Distinct(Scan("t")))
+		_, drows, droot, err := c.QueryAnalyzeCtx(context.Background(), Distinct(Scan("t")))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,7 +86,8 @@ func FuzzRadixPartition(f *testing.F) {
 			}
 		}
 
-		parts, fp := radixPartitionChunk(ch, dests, nparts)
+		fp := getI64(len(ch.cols) * ch.length)
+		parts := radixPartitionChunk(ch, dests, nparts, *fp)
 		defer putI64(fp)
 		want := referencePartition(ch, dests, nparts)
 

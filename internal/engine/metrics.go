@@ -209,7 +209,7 @@ type TraceRecord struct {
 	Shuffle int64         // bytes redistributed between segments
 	Start   time.Time     // wall-clock start of execution
 	Elapsed time.Duration // total execution wall time
-	Root    *OpMetrics    // per-operator profile (nil for plain inserts)
+	Root    *OpMetrics    // per-operator profile (nil for InsertRows and deletes, which run no plan)
 }
 
 // traceCapacity is the size of the query-trace ring buffer.

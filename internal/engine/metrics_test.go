@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -14,7 +15,7 @@ func analyzeJoinGroupBy(t *testing.T, c *Cluster) (Schema, []Row, *OpMetrics) {
 		[]int{3},
 		Agg{Op: AggCount, Name: "n"},
 	)
-	schema, rows, root, err := c.QueryAnalyze(plan)
+	schema, rows, root, err := c.QueryAnalyzeCtx(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,7 +162,7 @@ func TestRedistributePreservesRows(t *testing.T) {
 	for seg, part := range segmentRows(tab) {
 		total += len(part)
 		for _, row := range part {
-			if want := c.hashDatum(row[1]); want != seg {
+			if want := segmentOf(c, row, 1); want != seg {
 				t.Fatalf("row %v on segment %d, want %d", row, seg, want)
 			}
 		}

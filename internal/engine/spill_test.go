@@ -74,7 +74,7 @@ func runBoth(t *testing.T, mem, spill *Cluster, p Plan) {
 	if err != nil {
 		t.Fatalf("in-memory query: %v", err)
 	}
-	_, got, root, err := spill.QueryAnalyze(p)
+	_, got, root, err := spill.QueryAnalyzeCtx(context.Background(), p)
 	if err != nil {
 		t.Fatalf("budgeted query: %v", err)
 	}
@@ -199,7 +199,7 @@ func TestSpillSortMatchesInMemory(t *testing.T) {
 func TestSpillExplainAnalyze(t *testing.T) {
 	rng := xrand.New(113)
 	_, spill := spillPair(t, Schema{"k", "x"}, joinableRows(rng, 2000))
-	_, _, root, err := spill.QueryAnalyze(
+	_, _, root, err := spill.QueryAnalyzeCtx(context.Background(),
 		JoinPlan{Left: Scan("t"), Right: Scan("t"), LeftKey: 0, RightKey: 0, Kind: InnerJoin})
 	if err != nil {
 		t.Fatal(err)

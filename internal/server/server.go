@@ -391,10 +391,15 @@ func (cs *connState) sendError(code uint16, msg string) bool {
 	return cs.send(wire.Frame{Type: wire.TypeError, Payload: wire.EncodeError(wire.WireError{Code: code, Message: msg})})
 }
 
-// errorCode classifies a statement failure into a wire error code.
+// errorCode classifies a statement failure into a wire error code: text
+// the SQL layer could not parse, or a Query of a statement that is not a
+// single SELECT, is the client's error (400).
 func errorCode(err error) uint16 {
 	var oe *OverloadError
+	var pe *sql.ParseError
 	switch {
+	case errors.As(err, &pe), errors.Is(err, sql.ErrNotQuery):
+		return wire.CodeParse
 	case errors.As(err, &oe):
 		return wire.CodeOverloaded
 	case errors.Is(err, ErrDraining):
@@ -529,18 +534,6 @@ func (cs *connState) serveExecPrepared(payload []byte, queued time.Duration) {
 }
 
 func (cs *connState) serveExec(src string, queued time.Duration) {
-	// Parse before executing so malformed statements report 400, not 500.
-	// This validation parse is pure; the session's own Exec counts the
-	// real one and consults the text-keyed plan cache.
-	stmts, err := sql.Parse(src)
-	if err != nil {
-		cs.sendError(wire.CodeParse, err.Error())
-		return
-	}
-	if len(stmts) == 0 {
-		cs.sendError(wire.CodeParse, "empty statement")
-		return
-	}
 	rows, err := cs.sess.WithContext(cs.s.baseCtx).Exec(src)
 	if err != nil {
 		cs.sendError(errorCode(err), err.Error())
@@ -550,15 +543,6 @@ func (cs *connState) serveExec(src string, queued time.Duration) {
 }
 
 func (cs *connState) serveQuery(src string, queued time.Duration) {
-	st, err := sql.ParseOne(src)
-	if err != nil {
-		cs.sendError(wire.CodeParse, err.Error())
-		return
-	}
-	if _, ok := st.(*sql.SelectQuery); !ok {
-		cs.sendError(wire.CodeParse, fmt.Sprintf("Query requires a SELECT statement, got %T", st))
-		return
-	}
 	schema, rows, err := cs.sess.WithContext(cs.s.baseCtx).Query(src)
 	if err != nil {
 		cs.sendError(errorCode(err), err.Error())

@@ -212,6 +212,52 @@ func TestStatementErrors(t *testing.T) {
 	}
 }
 
+// TestStatementTextErrorsAre400 pins the client-error classification of
+// text statements, made by the SQL layer's one parse: malformed and empty
+// text and a Query of a statement that is not one SELECT answer 400,
+// while an execution failure of well-formed text answers 500.
+func TestStatementTextErrorsAre400(t *testing.T) {
+	srv := startServer(t, server.Config{DB: dbcc.Config{Segments: 2}})
+	c := dial(t, srv, "acme")
+	if _, _, err := c.Exec("CREATE TABLE e (v1, v2)"); err != nil {
+		t.Fatal(err)
+	}
+	code := func(err error) uint16 {
+		var we *wire.WireError
+		if !errors.As(err, &we) {
+			t.Fatalf("not a wire error: %v", err)
+		}
+		return we.Code
+	}
+	for _, src := range []string{"SELECT v1 FROM", "SELECT @ FROM e", "", " ; ;"} {
+		if _, _, err := c.Exec(src); code(err) != wire.CodeParse {
+			t.Errorf("Exec(%q): %v, want code %d", src, err, wire.CodeParse)
+		}
+		if _, _, err := c.Query(src); code(err) != wire.CodeParse {
+			t.Errorf("Query(%q): %v, want code %d", src, err, wire.CodeParse)
+		}
+	}
+	for _, src := range []string{"CREATE TABLE f (a)", "INSERT INTO e VALUES (1, 2)",
+		"SELECT v1 FROM e; SELECT v2 FROM e", "CREATE TABLE g AS SELECT v1 FROM e"} {
+		if _, _, err := c.Query(src); code(err) != wire.CodeParse {
+			t.Errorf("Query(%q): %v, want code %d", src, err, wire.CodeParse)
+		}
+	}
+	// A CTAS whose template the plan cache holds is refused the same way.
+	if _, _, err := c.Exec("CREATE TABLE h AS SELECT v1 FROM e"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Query("CREATE TABLE h AS SELECT v1 FROM e"); code(err) != wire.CodeParse {
+		t.Errorf("Query of a cached CTAS: %v, want code %d", err, wire.CodeParse)
+	}
+	if _, _, err := c.Query("SELECT v1 FROM missing"); code(err) != wire.CodeInternal {
+		t.Errorf("query on a missing table: %v, want code %d", err, wire.CodeInternal)
+	}
+	if _, _, err := c.Query("SELECT v1 FROM e"); err != nil {
+		t.Errorf("the connection did not survive the errors: %v", err)
+	}
+}
+
 // slowCC starts a connected-components run that takes long enough to
 // still be in flight when the test acts, and reports its completion.
 func slowCC(t *testing.T, srv *server.Server, c *client.Client) chan error {

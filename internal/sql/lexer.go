@@ -72,7 +72,7 @@ func lex(src string) ([]token, error) {
 				l.pos++
 			}
 			if l.pos == start+1 {
-				return nil, fmt.Errorf("sql: expected parameter number after $ at offset %d", start)
+				return nil, &ParseError{fmt.Sprintf("sql: expected parameter number after $ at offset %d", start)}
 			}
 			l.emit(tokParam, l.src[start+1:l.pos], start)
 		default:
@@ -91,7 +91,7 @@ func lex(src string) ([]token, error) {
 				l.pos++
 				l.emit(tokSymbol, string(c), start)
 			default:
-				return nil, fmt.Errorf("sql: unexpected character %q at offset %d", c, l.pos)
+				return nil, &ParseError{fmt.Sprintf("sql: unexpected character %q at offset %d", c, l.pos)}
 			}
 		}
 	}

@@ -121,8 +121,14 @@ func (p *parser) acceptSym(sym string) bool {
 	return false
 }
 
+// ParseError is statement text the lexer or parser rejected, or text that
+// holds no statement: a fault of the text, not of its execution.
+type ParseError struct{ Msg string }
+
+func (e *ParseError) Error() string { return e.Msg }
+
 func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("sql: offset %d: %s", p.peek().pos, fmt.Sprintf(format, args...))
+	return &ParseError{fmt.Sprintf("sql: offset %d: %s", p.peek().pos, fmt.Sprintf(format, args...))}
 }
 
 // ident consumes an identifier (keywords double as identifiers in this

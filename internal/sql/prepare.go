@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -165,7 +166,7 @@ func (s *Session) prepareTokens(src string, toks []token, norm string) (*Prepare
 		return nil, err
 	}
 	if len(stmts) == 0 {
-		return nil, fmt.Errorf("sql: empty statement")
+		return nil, &ParseError{"sql: empty statement"}
 	}
 	valueParams := make(map[int]bool)
 	tableParams := make(map[int]bool)
@@ -283,14 +284,14 @@ func (s *Session) ExecutePrepared(b *Bound) (int64, error) {
 // schema and rows.
 func (s *Session) QueryPrepared(b *Bound) (engine.Schema, []engine.Row, error) {
 	if !b.p.IsQuery() {
-		return nil, nil, errNotQuery
+		return nil, nil, ErrNotQuery
 	}
 	_, names, rows, err := s.execute(b.p, b.args)
 	return names, rows, err
 }
 
-// errNotQuery refuses Query on anything but a single SELECT.
-var errNotQuery = fmt.Errorf("sql: Query requires a single SELECT statement")
+// ErrNotQuery refuses Query on anything but a single SELECT.
+var ErrNotQuery = errors.New("sql: Query requires a single SELECT statement")
 
 // execute is the one statement executor behind Exec, Query and their
 // prepared forms. It runs every statement of the script with args bound

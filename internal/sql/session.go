@@ -167,7 +167,7 @@ func (s *Session) runText(src string, query bool) (int64, engine.Schema, []engin
 	norm := normalizeTokens(toks)
 	if t, ok := s.lookupTemplate(s.ns, norm, nil); ok {
 		if query && t.isCTAS {
-			return 0, nil, nil, errNotQuery
+			return 0, nil, nil, ErrNotQuery
 		}
 		s.c.NotePlanCacheHit()
 		return s.runTemplate(t, nil)
@@ -177,7 +177,7 @@ func (s *Session) runText(src string, query bool) (int64, engine.Schema, []engin
 		return 0, nil, nil, err
 	}
 	if query && !p.IsQuery() {
-		return 0, nil, nil, errNotQuery
+		return 0, nil, nil, ErrNotQuery
 	}
 	return s.execute(p, nil)
 }
@@ -266,14 +266,7 @@ func (s *Session) execStmt(st Statement, args []Arg) (int64, error) {
 			return 0, fmt.Errorf("sql: INSERT SELECT produces %d columns, table %q has %d",
 				len(names), name, len(t.Schema))
 		}
-		_, rows, err := s.c.QueryCtx(s.context(), plan)
-		if err != nil {
-			return 0, err
-		}
-		if err := s.c.InsertRows(phys, rows); err != nil {
-			return 0, err
-		}
-		return int64(len(rows)), nil
+		return s.c.InsertSelectCtx(s.context(), phys, plan)
 
 	case *DeleteStmt:
 		name := tableArg(st.Name, st.NameParam, args)
