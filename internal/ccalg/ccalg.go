@@ -493,8 +493,6 @@ const (
 		create table $1 as
 		select v, min(w) as r from $2 as t (v, w) group by v
 		distributed by (v)`
-	// sqlCount counts the rows of $1.
-	sqlCount = `select count(*) as n from $1 as t`
 	// sqlCountChanged counts the vertices whose label differs between the
 	// labellings $1 and $2.
 	sqlCountChanged = `

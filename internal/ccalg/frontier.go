@@ -110,9 +110,13 @@ func contractStep(r *run, prefix string) (int64, int64, error) {
 	if err := r.rename(l+"2", l); err != nil {
 		return 0, 0, err
 	}
-	liveV, err := r.count(frontierSQLLiveV, r.tab(e))
-	if err != nil {
-		return 0, 0, err
+	// The live vertices are the endpoints of the contracted edge set; an
+	// empty one, as its CREATE TABLE AS reported, has none to count.
+	var liveV int64
+	if liveE > 0 {
+		if liveV, err = r.count(frontierSQLLiveV, r.tab(e)); err != nil {
+			return 0, 0, err
+		}
 	}
 	return liveV, liveE, nil
 }

@@ -59,7 +59,8 @@ func runHashToMin(r *run, input string) (string, error) {
 	if _, err := r.create("hm_map", hmSQLInit, sql.Table(input)); err != nil {
 		return "", err
 	}
-	if _, err := r.create("hm_c", hmSQLReduce, r.tab("hm_map")); err != nil {
+	n1, err := r.create("hm_c", hmSQLReduce, r.tab("hm_map"))
+	if err != nil {
 		return "", err
 	}
 	if err := r.drop("hm_map"); err != nil {
@@ -72,8 +73,9 @@ func runHashToMin(r *run, input string) (string, error) {
 	}
 
 	// The rename dance keeps the hm_c / hm_m / hm_map names stable, so the
-	// same statements run every round.
-	err := r.rounds(func() (int64, int64, bool, error) {
+	// same statements run every round; n1 is hm_c's cardinality, as the
+	// reduce that wrote it reported.
+	err = r.rounds(func() (int64, int64, bool, error) {
 		// m(v) = min C(v). Its cardinality is the vertex count.
 		liveV, err := r.create("hm_m", sqlGroupMin, r.tab("hm_c"))
 		if err != nil {
@@ -90,12 +92,8 @@ func runHashToMin(r *run, input string) (string, error) {
 			return 0, 0, false, err
 		}
 		// Converged when the cluster table is unchanged (a fixpoint of the
-		// update). Multiset equality: equal cardinalities and the distinct
-		// union no larger than either side.
-		n1, err := r.count(sqlCount, r.tab("hm_c"))
-		if err != nil {
-			return 0, 0, false, err
-		}
+		// update). Set equality: equal cardinalities and the distinct union
+		// no larger than either side.
 		same := false
 		if n1 == n2 {
 			nu, err := r.count(sqlCountUnion, r.tab("hm_c"), r.tab("hm_c2"))
@@ -106,6 +104,7 @@ func runHashToMin(r *run, input string) (string, error) {
 		}
 		// The live state for Hash-to-Min is the cluster table — its
 		// quadratic growth (not shrinkage) is what the round log exposes.
+		n1 = n2
 		return liveV, n2, same, r.replace("hm_c", "hm_c2")
 	})
 	if err != nil {

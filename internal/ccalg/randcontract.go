@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dbcc/internal/engine"
+	"dbcc/internal/gf"
 	"dbcc/internal/sql"
 	"dbcc/internal/xrand"
 )
@@ -322,27 +323,22 @@ func rcFoldSafe(r *run, method Method, step int, k rcKeys) error {
 	return r.rename("rc_tmp", "rc_l")
 }
 
+// rcAxB is the affine map of a GF method, a·x+b, computed by the function
+// its UDF calls (rcFn), so coordinator arithmetic and SQL agree bit for bit.
+func rcAxB(method Method, a, x, b int64) int64 {
+	if method == GFPrime {
+		return int64(gf.AxBP(uint64(a), uint64(x), uint64(b)))
+	}
+	return int64(gf.AxB(uint64(a), uint64(x), uint64(b)))
+}
+
 // rcComposeFast composes the stacked representative tables back to front
-// (Fig. 4's second loop / Appendix A) into rc_reps1, accumulating the
-// affine coefficient composition for the GF methods exactly as the
-// paper's Python does.
+// (Fig. 4's second loop / Appendix A) into rc_reps1. For the GF methods the
+// affine coefficients of the composed map are accumulated on the
+// coordinator: two field operations on int64s read no table, so they issue
+// no statement.
 func rcComposeFast(r *run, method Method, stack []rcKeys) error {
 	gfMethod := method == FiniteFields || method == GFPrime
-	axbSrc := fmt.Sprintf("select %s($1, $2, $3) as r", rcFn(method))
-	axb := func(a, x, b int64) (int64, error) {
-		h, err := r.stmt(axbSrc)
-		var rows []engine.Row
-		if err == nil {
-			_, rows, err = h.Query(sql.Int(a), sql.Int(x), sql.Int(b))
-		}
-		if err == nil && (len(rows) != 1 || rows[0][0].Null) {
-			err = fmt.Errorf("returned %v, want one non-NULL value", rows)
-		}
-		if err != nil {
-			return 0, fmt.Errorf("ccalg: %s self-query failed: %w", rcFn(method), err)
-		}
-		return rows[0][0].Int, nil
-	}
 	accA, accB := int64(1), int64(0)
 	for i := len(stack) - 1; i >= 1; i-- {
 		var src string
@@ -351,15 +347,7 @@ func rcComposeFast(r *run, method Method, stack []rcKeys) error {
 		r2 := fmt.Sprintf("rc_reps%d", i+1)
 		if gfMethod {
 			k := stack[i]
-			newA, err := axb(accA, k.a, 0)
-			if err != nil {
-				return err
-			}
-			newB, err := axb(accA, k.b, accB)
-			if err != nil {
-				return err
-			}
-			accA, accB = newA, newB
+			accA, accB = rcAxB(method, accA, k.a, 0), rcAxB(method, accA, k.b, accB)
 			src = rcRelabelSQL("r1", "r2", rcFn(method)+"($4, r1.rep, $5)")
 			args = []sql.Arg{r.tab(r1), r.tab(r2), sql.Int(accA), sql.Int(accB)}
 		} else {

@@ -56,16 +56,17 @@ func TestRCRoundLogShrinkage(t *testing.T) {
 // precisely the same statements for a fixed input, so any change here
 // means an engine or driver change altered the round program; update the
 // constant only for an intended one.
-const rcDetQueries = 28
+const rcDetQueries = 20
 
 // rcDetParses pins the SQL parse count of the same run. The driver
 // prepares each of its distinct statement shapes exactly once — setup,
-// representative selection, the two contraction steps, relabeling, and the
-// constant hash probe — so a whole run costs six parses regardless of how
-// many rounds it takes; every round-loop execution is a plan-cache hit.
+// representative selection, the two contraction steps and relabeling (the
+// composed map's coefficients are computed on the coordinator, with no
+// statement) — so a whole run costs five parses regardless of how many
+// rounds it takes; every round-loop execution is a plan-cache hit.
 // A higher number means a statement stopped being prepared (or a shape was
 // duplicated) and the prepare-once economics regressed.
-const rcDetParses = 6
+const rcDetParses = 5
 
 func TestRCDetQueryCountPinned(t *testing.T) {
 	g := datagen.Bitcoin(120, 2019)

@@ -72,7 +72,8 @@ var (
 )
 
 func runTwoPhase(r *run, input string) (string, error) {
-	if _, err := r.create("tp_e", tpSQLCanonical, sql.Table(input)); err != nil {
+	size, err := r.create("tp_e", tpSQLCanonical, sql.Table(input))
+	if err != nil {
 		return "", err
 	}
 	// All original vertices, for the final labelling.
@@ -86,20 +87,24 @@ func runTwoPhase(r *run, input string) (string, error) {
 		return "", err
 	}
 
-	err := r.rounds(func() (int64, int64, bool, error) {
-		if _, _, err := tpStar(r, tpSQLLarge); err != nil {
-			return 0, 0, false, err
-		}
-		changed, err := tpStarChanged(r)
+	// size is tp_e's cardinality, as the CREATE TABLE AS that wrote it
+	// reported: each star's change check compares it with the output's.
+	err = r.rounds(func() (int64, int64, bool, error) {
+		_, large, err := tpStar(r, tpSQLLarge)
 		if err != nil {
 			return 0, 0, false, err
 		}
-		liveV, liveE, err := tpStar(r, tpSQLSmall)
+		changed, err := tpStarChanged(r, size, large)
 		if err != nil {
 			return 0, 0, false, err
 		}
-		changed2, err := tpStarChanged(r)
-		return liveV, liveE, !changed && !changed2, err
+		liveV, small, err := tpStar(r, tpSQLSmall)
+		if err != nil {
+			return 0, 0, false, err
+		}
+		changed2, err := tpStarChanged(r, large, small)
+		size = small
+		return liveV, small, !changed && !changed2, err
 	})
 	if err != nil {
 		return "", err
@@ -138,23 +143,17 @@ func tpStar(r *run, star string) (int64, int64, error) {
 }
 
 // tpStarChanged reports whether the last star operation changed the edge
-// set, and drops the saved previous edge set.
-func tpStarChanged(r *run) (bool, error) {
-	n1, err := r.count(sqlCount, r.tab("tp_prev"))
-	if err != nil {
-		return false, err
-	}
-	n2, err := r.count(sqlCount, r.tab("tp_e"))
-	if err != nil {
-		return false, err
-	}
-	changed := true
-	if n1 == n2 {
+// set, and drops the saved previous edge set. prev and next are the
+// cardinalities of tp_prev and tp_e, known from the statements that wrote
+// them; only when they tie does a set comparison have to decide.
+func tpStarChanged(r *run, prev, next int64) (bool, error) {
+	changed := prev != next
+	if !changed {
 		nu, err := r.count(sqlCountUnion, r.tab("tp_prev"), r.tab("tp_e"))
 		if err != nil {
 			return false, err
 		}
-		changed = nu != n1
+		changed = nu != prev
 	}
 	return changed, r.drop("tp_prev")
 }

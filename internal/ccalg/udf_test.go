@@ -6,6 +6,7 @@ import (
 	"dbcc/internal/blowfish"
 	"dbcc/internal/engine"
 	"dbcc/internal/gf"
+	"dbcc/internal/sql"
 	"dbcc/internal/xrand"
 )
 
@@ -147,6 +148,60 @@ func TestBuiltinUDFsColumnMatchesScalar(t *testing.T) {
 				if r[3] != want || r[4] != want {
 					t.Fatalf("%s on %v: column form %v, scalar form %v, formula %v", name, r[:3], r[3], r[4], want)
 				}
+			}
+		}
+	}
+}
+
+// TestComposeArithmeticMatchesUDFs pins the coordinator's affine
+// arithmetic, rcAxB, which composes Fast RC's coefficients, against the
+// registered axplusb and axbp functions evaluated by a SQL select, over
+// random triples plus the identity coefficients (a = 1, b = 0) and
+// high-bit values. The composition's a is always a GF(p) element (a
+// previous axbp result), so the a values stay below 2^64−59.
+func TestComposeArithmeticMatchesUDFs(t *testing.T) {
+	c := engine.NewCluster(engine.Options{Segments: 4})
+	defer c.Close()
+	RegisterUDFs(c)
+	const top = -1 << 63
+	prime := gf.PrimeP
+	as := []int64{1, 2, 3, top, top + 1, 1<<63 - 1, int64(prime - 1)}
+	xs := append([]int64{0, -1, int64(prime)}, as...)
+	rng := xrand.New(2020)
+	var rows []engine.Row
+	for _, a := range as {
+		for _, x := range xs {
+			for _, b := range xs {
+				rows = append(rows, engine.Row{engine.I(a), engine.I(x), engine.I(b)})
+			}
+		}
+	}
+	for len(rows) < 1200 {
+		r := engine.Row{engine.I(int64(rng.NonZeroUint64())), engine.I(int64(rng.Uint64())), engine.I(int64(rng.Uint64()))}
+		if len(rows)%4 == 0 {
+			r[0], r[2] = engine.I(1), engine.I(0) // the composition's starting coefficients
+		}
+		rows = append(rows, r)
+	}
+	if _, err := c.CreateTable("t", engine.Schema{"a", "x", "b"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.InsertRows("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	s := sql.NewSession(c)
+	for _, m := range []Method{FiniteFields, GFPrime} {
+		_, got, err := s.Query("select a, x, b, " + rcFn(m) + "(a, x, b) as r from t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(rows) {
+			t.Fatalf("%s: %d rows, want %d", m, len(got), len(rows))
+		}
+		for _, r := range got {
+			a, x, b := r[0].Int, r[1].Int, r[2].Int
+			if want := rcAxB(m, a, x, b); r[3].Null || r[3].Int != want {
+				t.Fatalf("%s(%d, %d, %d): SQL %v, coordinator %d", rcFn(m), a, x, b, r[3], want)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -76,7 +77,7 @@ func TestComponentIndexInsertsRacingRebuilds(t *testing.T) {
 		// Each delete removes one residue class of v1+v2, a few percent
 		// of the rows; one that finds nothing to remove does not rebuild.
 		for k, done := int64(0), 0; done < rebuilds; k = (k + 1) % 7 {
-			removed, err := c.DeleteRows("edges", func(r engine.Row) bool { return (r[0].Int+r[1].Int)%7 != k })
+			removed, err := c.DeleteRows(context.Background(), "edges", func(r engine.Row) bool { return (r[0].Int+r[1].Int)%7 != k })
 			if deleteErr = err; err != nil {
 				return
 			}

@@ -645,18 +645,24 @@ func (c *Cluster) appendRows(s *statement, name string, t *Table, ch *Chunk) int
 // releasing their space, and returns the number of rows removed. keep sees
 // every stored row through one reused buffer, so it must not retain its
 // argument. A DELETE is atomic: keep runs over every row before any
-// segment changes, so a keep that panics part-way removes nothing. Only
-// the chunks that lose rows are rewritten, and a changed segment's list is
-// replaced, never edited, so concurrent scans keep their snapshots. A
-// component index on the table goes stale on any removal and is rebuilt
-// before DeleteRows returns (see compidx.go).
-func (c *Cluster) DeleteRows(name string, keep func(Row) bool) (removed int64, err error) {
-	err = c.statement(context.Background(), "delete", name, func(s *statement) error {
+// segment changes, so a keep that panics part-way, or a DELETE cancelled
+// or past its deadline, removes nothing. Only the chunks that lose rows
+// are rewritten, and a changed segment's list is replaced, never edited,
+// so concurrent scans keep their snapshots. A component index on the
+// table goes stale on any removal and is rebuilt before DeleteRows
+// returns (see compidx.go). Cancelling ctx, or exceeding
+// Options.QueryTimeout, aborts the statement: the predicate checks the
+// statement's context every deleteCheckRows rows.
+func (c *Cluster) DeleteRows(ctx context.Context, name string, keep func(Row) bool) (removed int64, err error) {
+	err = c.statement(ctx, "delete", name, func(s *statement) error {
 		t, ok := c.Table(name)
 		if !ok {
 			return fmt.Errorf("engine: table %q does not exist", name)
 		}
-		removed = t.deleteRows(keep)
+		var err error
+		if removed, err = t.deleteRows(s.deadline(), keep); err != nil {
+			return err
+		}
 		c.statsMu.Lock()
 		c.stats.LiveBytes -= removed * int64(len(t.Schema)) * DatumSize
 		c.statsMu.Unlock()
@@ -667,10 +673,15 @@ func (c *Cluster) DeleteRows(name string, keep func(Row) bool) (removed int64, e
 	return removed, err
 }
 
+// deleteCheckRows is how many rows a DELETE's predicate sees between two
+// checks of the statement's context inside one chunk.
+const deleteCheckRows = 64
+
 // deleteRows is DeleteRows' table rewrite: it gathers the kept rows of
 // every chunk that loses any into a fresh chunk and returns the number of
-// rows removed. Every segment's new list is built before any is stored.
-func (t *Table) deleteRows(keep func(Row) bool) (removed int64) {
+// rows removed. Every segment's new list is built before any is stored,
+// so a cancelled ctx leaves the table as it was.
+func (t *Table) deleteRows(ctx context.Context, keep func(Row) bool) (removed int64, err error) {
 	row := make(Row, len(t.Schema))
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -680,6 +691,12 @@ func (t *Table) deleteRows(keep func(Row) bool) (removed int64) {
 			kp := getI32(ch.length)
 			idx := *kp
 			for r := 0; r < ch.length; r++ {
+				if r%deleteCheckRows == 0 {
+					if err := ctx.Err(); err != nil {
+						putI32(kp)
+						return 0, cancelErr(err)
+					}
+				}
 				for col := range row {
 					row[col] = ch.datum(col, r)
 				}
@@ -702,12 +719,15 @@ func (t *Table) deleteRows(keep func(Row) bool) (removed int64) {
 			putI32(kp)
 		}
 	}
+	if err := ctx.Err(); err != nil {
+		return 0, cancelErr(err)
+	}
 	for seg, list := range next {
 		if list != nil {
 			t.parts[seg] = list
 		}
 	}
-	return removed
+	return removed, nil
 }
 
 // DropTable removes a table from the catalog and releases its space.

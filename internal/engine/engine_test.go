@@ -463,7 +463,7 @@ func TestLiveBytesMatchesCatalog(t *testing.T) {
 			return nil
 		}},
 		{"DELETE", func() error {
-			_, err := c.DeleteRows("t1", func(r Row) bool { return r[0].Int != 2 })
+			_, err := c.DeleteRows(context.Background(), "t1", func(r Row) bool { return r[0].Int != 2 })
 			return err
 		}},
 		{"RENAME", func() error { return c.RenameTable("t1", "t3") }},

@@ -23,8 +23,9 @@ type relation struct {
 // statement is one executing statement: the caller's context, the
 // execution environment of its plan and the trace record its table logic
 // fills in. The environment is nil until run opens one, so a statement
-// without a plan pays for no deadline and takes no statement number,
-// leaving the fault schedule of later statements alone.
+// without a plan takes no statement number, leaving the fault schedule of
+// later statements alone; one that needs the per-statement deadline
+// without a plan (DELETE) opens just that, with deadline.
 type statement struct {
 	c      *Cluster
 	ctx    context.Context
@@ -33,13 +34,19 @@ type statement struct {
 	rec    TraceRecord
 }
 
+// deadline opens the statement's context under the per-statement
+// deadline; the statement's epilogue cancels it.
+func (s *statement) deadline() context.Context {
+	var ctx context.Context
+	ctx, s.cancel = s.c.statementContext(s.ctx)
+	return ctx
+}
+
 // run executes the statement's plan under the per-statement deadline in a
 // fresh execution environment and records the plan and its operator
 // profile in the trace record.
 func (s *statement) run(p Plan) (*relation, error) {
-	var ctx context.Context
-	ctx, s.cancel = s.c.statementContext(s.ctx)
-	s.e = s.c.newExecEnv(ctx)
+	s.e = s.c.newExecEnv(s.deadline())
 	rel, root, err := s.e.exec(p)
 	if err != nil {
 		return nil, err
@@ -61,6 +68,8 @@ func (c *Cluster) statement(ctx context.Context, kind, target string, body func(
 	defer func() {
 		if s.e != nil {
 			s.e.close()
+		}
+		if s.cancel != nil {
 			s.cancel()
 		}
 	}()

@@ -9,14 +9,14 @@ import (
 )
 
 // This file implements $1-style prepared statements: parse and plan once,
-// execute many times. A Prepared handle carries the parsed AST. A SELECT or
-// CREATE TABLE AS is compiled on first execute into a planTemplate — an
-// engine plan whose value parameters are paramExpr placeholders and whose
-// parameterised table scans read placeholder names — and cached in the
-// engine's plan cache. Each execute rebuilds a concrete plan by walking the
-// immutable template and substituting the bound constants and physical
-// table names, which is orders of magnitude cheaper than parsing and
-// planning SQL text. Every other statement binds the same way at execute
+// execute many times. A Prepared handle carries the parsed AST. A SELECT,
+// CREATE TABLE AS or INSERT … SELECT is compiled on first execute into a
+// planTemplate — an engine plan whose value parameters are paramExpr
+// placeholders and whose parameterised table scans read placeholder names
+// — and cached in the engine's plan cache. Each execute rebuilds a
+// concrete plan by walking the immutable template and substituting the
+// bound constants and physical table names, which is orders of magnitude
+// cheaper than parsing and planning SQL text. Every other statement binds the same way at execute
 // time: table parameters name the tables it touches, and value parameters
 // bind into the expressions and plans it compiles. Unparameterised text
 // (Session.Exec/Query) is a Prepared with zero parameters and runs through
@@ -296,13 +296,14 @@ var ErrNotQuery = errors.New("sql: Query requires a single SELECT statement")
 // execute is the one statement executor behind Exec, Query and their
 // prepared forms. It runs every statement of the script with args bound
 // and returns the last statement's row count, plus its schema and rows
-// when it is a SELECT. SELECT and CREATE TABLE AS run from cached plan
-// templates; every other statement binds its arguments in execStmt.
+// when it is a SELECT. SELECT, CREATE TABLE AS and INSERT … SELECT run
+// from cached plan templates; every other statement binds its arguments
+// in execStmt.
 func (s *Session) execute(p *Prepared, args []Arg) (n int64, names engine.Schema, rows []engine.Row, err error) {
 	for i, st := range p.stmts {
 		names, rows = nil, nil
 		switch st.(type) {
-		case *SelectQuery, *CreateTableAs:
+		case *SelectQuery, *CreateTableAs, *InsertSelect:
 			var t *planTemplate
 			if t, err = s.templateFor(p, i, args); err == nil {
 				n, names, rows, err = s.runTemplate(t, args)
@@ -318,19 +319,29 @@ func (s *Session) execute(p *Prepared, args []Arg) (n int64, names engine.Schema
 }
 
 // planTemplate is a compiled parameterised plan stored in the engine's
-// plan cache: the plan tree with placeholders, the output names, the
-// resolved distribution key and target of a CTAS, and the catalog facts
+// plan cache: the plan tree with placeholders, the output names, what the
+// statement does with the output (return it, or write it to a target
+// table), the resolved distribution key of a CTAS, and the catalog facts
 // the plan assumed (validated on every cache hit).
 type planTemplate struct {
 	plan        engine.Plan
 	names       engine.Schema
-	isCTAS      bool
-	target      string // CTAS target logical name
-	targetParam int    // $N of a parameterised CTAS target, else 0
+	kind        templateKind
+	target      string // CTAS or INSERT target logical name
+	targetParam int    // $N of a parameterised target, else 0
 	distKey     int
 	deps        []tableDep
 	paramScans  []paramScan
 }
+
+// templateKind is what a template's statement does with the plan output.
+type templateKind int
+
+const (
+	templateSelect templateKind = iota // return the rows
+	templateCreate                     // CREATE TABLE AS: write a new table
+	templateInsert                     // INSERT … SELECT: append to a table
+)
 
 // paramScan records one table parameter of a template: its $N index, the
 // placeholder scan name baked into the template plan, and the schema it
@@ -357,8 +368,8 @@ func (s *Session) lookupTemplate(nsKey, norm string, args []Arg) (*planTemplate,
 	return nil, false
 }
 
-// templateFor returns the plan template for SELECT or CREATE TABLE AS
-// sub-statement i of a script. Hits are validated against the current
+// templateFor returns the plan template for SELECT, CREATE TABLE AS or
+// INSERT … SELECT sub-statement i of a script. Hits are validated against the current
 // catalog before reuse; a miss (or failed validation) plans the statement
 // and caches the template under (nsKey, norm), keyed to the physical
 // tables it depends on.
@@ -381,7 +392,10 @@ func (s *Session) templateFor(p *Prepared, i int, args []Arg) (*planTemplate, er
 		sel = st.Select
 	case *CreateTableAs:
 		sel, distBy = st.Select, st.DistBy
-		t.isCTAS, t.target, t.targetParam = true, st.Name, st.NameParam
+		t.kind, t.target, t.targetParam = templateCreate, st.Name, st.NameParam
+	case *InsertSelect:
+		sel = st.Select
+		t.kind, t.target, t.targetParam = templateInsert, st.Name, st.NameParam
 	}
 	pp := &planParams{tables: s.resolveTableArgs(args), placeholders: true}
 	plan, names, err := planSelectParams(s.c, sel, s.resolver(), pp)
@@ -405,13 +419,27 @@ func (s *Session) templateFor(p *Prepared, i int, args []Arg) (*planTemplate, er
 	return t, nil
 }
 
-// runTemplate executes a template with its arguments bound: a CTAS
-// writes its target table and reports the rows written, a SELECT returns
-// its schema and rows.
+// runTemplate executes a template with its arguments bound: a CTAS or
+// INSERT … SELECT writes its target table and reports the rows written, a
+// SELECT returns its schema and rows.
 func (s *Session) runTemplate(t *planTemplate, args []Arg) (int64, engine.Schema, []engine.Row, error) {
 	plan := s.instantiate(t, args)
-	if t.isCTAS {
+	switch t.kind {
+	case templateCreate:
 		n, err := s.c.CreateTableAsCtx(s.context(), s.tempName(tableArg(t.target, t.targetParam, args)), plan, t.distKey)
+		return n, nil, nil, err
+	case templateInsert:
+		name := tableArg(t.target, t.targetParam, args)
+		phys := s.Resolve(name)
+		tbl, ok := s.c.Table(phys)
+		if !ok {
+			return 0, nil, nil, fmt.Errorf("sql: table %q does not exist", name)
+		}
+		if len(t.names) != len(tbl.Schema) {
+			return 0, nil, nil, fmt.Errorf("sql: INSERT SELECT produces %d columns, table %q has %d",
+				len(t.names), name, len(tbl.Schema))
+		}
+		n, err := s.c.InsertSelectCtx(s.context(), phys, plan)
 		return n, nil, nil, err
 	}
 	_, rows, err := s.c.QueryCtx(s.context(), plan)
@@ -724,8 +752,8 @@ func collectExprParams(e Expr, values map[int]bool) {
 	}
 }
 
-// namesFixedTable reports whether a SELECT or CREATE TABLE AS reads a
-// table by literal name, in any of its subqueries. Plans that do not —
+// namesFixedTable reports whether a SELECT, CREATE TABLE AS or INSERT …
+// SELECT reads a table by literal name, in any of its subqueries. Plans that do not —
 // every table reference a parameter, or no table at all — are cached
 // namespace-independently.
 func namesFixedTable(st Statement) bool {
@@ -734,6 +762,8 @@ func namesFixedTable(st Statement) bool {
 	case *CreateTableAs:
 		sel = st.Select
 	case *SelectQuery:
+		sel = st.Select
+	case *InsertSelect:
 		sel = st.Select
 	}
 	fixed := false

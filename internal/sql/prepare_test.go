@@ -659,9 +659,9 @@ func TestPreparedValueResultsMatchText(t *testing.T) {
 }
 
 // TestConstSelectTemplateSharedAcrossNamespaces checks a FROM-less
-// prepared SELECT — RC's compose self-query — is an ordinary plan
-// template: it names no fixed table, so sessions in different temp
-// namespaces share one cache entry, one miss then hits.
+// prepared SELECT is an ordinary plan template: it names no fixed table,
+// so sessions in different temp namespaces share one cache entry, one
+// miss then hits.
 func TestConstSelectTemplateSharedAcrossNamespaces(t *testing.T) {
 	c := newSession(t).Cluster()
 	defer c.Close()

@@ -166,7 +166,7 @@ func (s *Session) runText(src string, query bool) (int64, engine.Schema, []engin
 	}
 	norm := normalizeTokens(toks)
 	if t, ok := s.lookupTemplate(s.ns, norm, nil); ok {
-		if query && t.isCTAS {
+		if query && t.kind != templateSelect {
 			return 0, nil, nil, ErrNotQuery
 		}
 		s.c.NotePlanCacheHit()
@@ -183,9 +183,9 @@ func (s *Session) runText(src string, query bool) (int64, engine.Schema, []engin
 }
 
 // execStmt executes one statement that runs without a plan template —
-// DDL, INSERT, DELETE and EXPLAIN — with args bound: table names come
-// from the table parameters, and value parameters bind into the
-// expressions and plans the statement compiles.
+// DDL, INSERT … VALUES, DELETE and EXPLAIN — with args bound: table
+// names come from the table parameters, and value parameters bind into
+// the expressions and plans the statement compiles.
 func (s *Session) execStmt(st Statement, args []Arg) (int64, error) {
 	switch st := st.(type) {
 	case *CreateTablePlain:
@@ -251,23 +251,6 @@ func (s *Session) execStmt(st Statement, args []Arg) (int64, error) {
 		}
 		return int64(len(rows)), nil
 
-	case *InsertSelect:
-		name := tableArg(st.Name, st.NameParam, args)
-		phys := s.Resolve(name)
-		t, ok := s.c.Table(phys)
-		if !ok {
-			return 0, fmt.Errorf("sql: table %q does not exist", name)
-		}
-		plan, names, err := s.planBound(st.Select, args)
-		if err != nil {
-			return 0, err
-		}
-		if len(names) != len(t.Schema) {
-			return 0, fmt.Errorf("sql: INSERT SELECT produces %d columns, table %q has %d",
-				len(names), name, len(t.Schema))
-		}
-		return s.c.InsertSelectCtx(s.context(), phys, plan)
-
 	case *DeleteStmt:
 		name := tableArg(st.Name, st.NameParam, args)
 		phys := s.Resolve(name)
@@ -291,7 +274,7 @@ func (s *Session) execStmt(st Statement, args []Arg) (int64, error) {
 				return d.Null || d.Int == 0 // keep rows the filter does not match
 			}
 		}
-		return s.c.DeleteRows(phys, keep)
+		return s.c.DeleteRows(s.context(), phys, keep)
 
 	case *CreateComponentIndex:
 		return 0, s.c.CreateComponentIndex(s.Resolve(tableArg(st.Table, st.TableParam, args)))

@@ -1,8 +1,11 @@
 package sql
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"dbcc/internal/engine"
 )
@@ -103,6 +106,43 @@ func TestFailedDeleteRemovesNothing(t *testing.T) {
 	}
 	if x.Stale() || x.Seq() != seq || !reflect.DeepEqual(x.Labels(), labels) {
 		t.Error("failed DELETE changed the component index")
+	}
+	if cs := c.ConcurrencyStats(); cs.Active != 0 {
+		t.Errorf("%d statements still active", cs.Active)
+	}
+}
+
+// TestDeleteHonoursDeadline runs a DELETE whose predicate takes far longer
+// than the cluster's per-statement timeout: the statement fails with the
+// deadline error and leaves the table and the live-space accounting as
+// they were.
+func TestDeleteHonoursDeadline(t *testing.T) {
+	c := engine.NewCluster(engine.Options{Segments: 4, QueryTimeout: time.Millisecond})
+	defer c.Close()
+	c.RegisterUDF("slow", func(args []engine.Datum) engine.Datum {
+		time.Sleep(20 * time.Microsecond)
+		return args[0]
+	})
+	s := NewSession(c)
+	var edges [][2]int64
+	for i := int64(0); i < 2000; i++ {
+		edges = append(edges, [2]int64{i, i + 5000})
+	}
+	loadEdges(t, s, "a", edges)
+	tab, _ := c.Table("a")
+	before := c.Stats()
+
+	start := time.Now()
+	_, err := s.Exec("delete from a where slow(v1) = 5")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("DELETE past its deadline returned %v after %v, want a deadline error", err, time.Since(start))
+	}
+	tab, _ = c.Table("a")
+	if tab.Rows() != 2000 {
+		t.Errorf("DELETE past its deadline left %d rows, want 2000", tab.Rows())
+	}
+	if after := c.Stats(); after.LiveBytes != tab.Bytes() || after.LiveBytes != before.LiveBytes {
+		t.Errorf("LiveBytes %d, table bytes %d, before %d: want all equal", after.LiveBytes, tab.Bytes(), before.LiveBytes)
 	}
 	if cs := c.ConcurrencyStats(); cs.Active != 0 {
 		t.Errorf("%d statements still active", cs.Active)
