@@ -158,14 +158,15 @@ func TestBuiltinUDFsColumnMatchesScalar(t *testing.T) {
 // registered axplusb and axbp functions evaluated by a SQL select, over
 // random triples plus the identity coefficients (a = 1, b = 0) and
 // high-bit values. The composition's a is always a GF(p) element (a
-// previous axbp result), so the a values stay below 2^64−59.
+// previous axbp result), but SQL can pass axbp any value, so the a values
+// also reach p, p+1 and 2^64−1, where every operand is unreduced.
 func TestComposeArithmeticMatchesUDFs(t *testing.T) {
 	c := engine.NewCluster(engine.Options{Segments: 4})
 	defer c.Close()
 	RegisterUDFs(c)
 	const top = -1 << 63
 	prime := gf.PrimeP
-	as := []int64{1, 2, 3, top, top + 1, 1<<63 - 1, int64(prime - 1)}
+	as := []int64{1, 2, 3, top, top + 1, 1<<63 - 1, int64(prime - 1), int64(prime), int64(prime + 1), -1}
 	xs := append([]int64{0, -1, int64(prime)}, as...)
 	rng := xrand.New(2020)
 	var rows []engine.Row
@@ -190,6 +191,10 @@ func TestComposeArithmeticMatchesUDFs(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sql.NewSession(c)
+	// 2^64−1 ≡ 58 (mod p), so axbp(−1, −1, −1) = 58·58 + 58.
+	if _, got, err := s.Query("select axbp(-1, -1, -1) as r"); err != nil || len(got) != 1 || got[0][0] != engine.I(3422) {
+		t.Fatalf("select axbp(-1, -1, -1) = %v, %v; want 3422", got, err)
+	}
 	for _, m := range []Method{FiniteFields, GFPrime} {
 		_, got, err := s.Query("select a, x, b, " + rcFn(m) + "(a, x, b) as r from t")
 		if err != nil {

@@ -202,6 +202,8 @@ func gatherChunk(in *Chunk, idx []int32) *Chunk {
 // gatherInto fills column oc of out, which has len(idx) rows, with column
 // c of in at the rows idx names. With pads set idx may hold -1, which
 // yields NULL: the right-hand columns of an unmatched left-outer-join row.
+// Every slot is written, a NULL's with zero, so out's column may be backed
+// by stale pooled memory.
 func gatherInto(out *Chunk, oc int, in *Chunk, c int, idx []int32, pads bool) {
 	src, dst := in.cols[c], out.cols[oc]
 	nb := in.nulls[c]
@@ -213,6 +215,7 @@ func gatherInto(out *Chunk, oc int, in *Chunk, c int, idx []int32, pads bool) {
 	}
 	for i, r := range idx {
 		if r < 0 || nb.get(int(r)) {
+			dst[i] = 0
 			out.ensureNulls(oc).set(i)
 		} else {
 			dst[i] = src[r]

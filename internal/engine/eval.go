@@ -398,6 +398,83 @@ func combineBinVec(op BinOp, l, r colVec, n int) (colVec, error) {
 	return out, nil
 }
 
+// selectCompare is the one-pass form of a filter whose predicate compares
+// a column with a column or a non-NULL literal, SQL's commonest WHERE: it
+// writes to kept (capacity at least the selection's length) the rows of ch
+// that sel lists, or of every row when sel is nil, on which the comparison
+// is true, without evaluating the predicate into a vector first. kept may
+// be sel's own backing array. ok is false for any other predicate, which
+// the caller evaluates with evalRows.
+func selectCompare(e Expr, ch *Chunk, sel, kept []int32) (out []int32, ok bool) {
+	b, isBin := e.(BinExpr)
+	if !isBin || b.Op > OpGe {
+		return nil, false
+	}
+	op, left, right := b.Op, b.Left, b.Right
+	if _, isCol := left.(ColRef); !isCol {
+		// literal op column: compare the column the other way round.
+		op, left, right = [...]BinOp{OpEq, OpNe, OpGt, OpGe, OpLt, OpLe}[op], right, left
+	}
+	col := func(e Expr) ([]int64, nullBitmap, bool) {
+		ref, isCol := e.(ColRef)
+		if !isCol || ref.Idx < 0 || ref.Idx >= len(ch.cols) {
+			return nil, nil, false
+		}
+		return ch.cols[ref.Idx], ch.nulls[ref.Idx], true
+	}
+	x, xn, ok := col(left)
+	if !ok {
+		return nil, false
+	}
+	y, yn, isCol := col(right)
+	var lit int64
+	if !isCol {
+		c, isConst := right.(ConstExpr)
+		if !isConst || c.Val.Null {
+			return nil, false
+		}
+		lit = c.Val.Int
+	}
+	n := ch.length
+	if sel != nil {
+		n = len(sel)
+	}
+	kept = kept[:n]
+	j := 0
+	for i := 0; i < n; i++ {
+		row := i
+		if sel != nil {
+			row = int(sel[i])
+		}
+		v := lit
+		if isCol {
+			v = y[row]
+		}
+		kept[j] = int32(row)
+		if op.holds(x[row], v) && !xn.get(row) && !yn.get(row) {
+			j++
+		}
+	}
+	return kept[:j], true
+}
+
+// holds reports whether the comparison op holds between x and y.
+func (op BinOp) holds(x, y int64) bool {
+	switch op {
+	case OpEq:
+		return x == y
+	case OpNe:
+		return x != y
+	case OpLt:
+		return x < y
+	case OpLe:
+		return x <= y
+	case OpGt:
+		return x > y
+	}
+	return x >= y
+}
+
 // chunkFromVecs assembles evaluated columns into a chunk; column slices
 // are aliased, not copied (chunks and vectors are immutable).
 func chunkFromVecs(vecs []colVec, n int) *Chunk {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"dbcc/internal/xrand"
@@ -159,6 +160,66 @@ func TestEvalVecSelMatchesGather(t *testing.T) {
 		}
 		if a, b := allocs(small), allocs(large); b > a || a > 24 {
 			t.Errorf("%s: %.0f allocations over 16 rows, %.0f over 4096 — must not grow with the selection", x.name, a, b)
+		}
+	}
+}
+
+// TestSelectCompareMatchesEval holds the one-pass comparison filter to
+// the general path it short-cuts — evaluate the predicate, keep the rows
+// where it is true — for every comparison operator, every operand shape
+// it takes (column against column, column against literal, literal
+// against column) and the ones it leaves to evalRows (a NULL literal, two
+// literals, arithmetic), over columns with NULLs, with and without a
+// selection.
+func TestSelectCompareMatchesEval(t *testing.T) {
+	rng := xrand.New(61)
+	rows := make([]Row, 500)
+	for i := range rows {
+		rows[i] = Row{I(int64(rng.Uint64n(5))), I(int64(rng.Uint64n(5))), I(int64(rng.Uint64n(5)))}
+		if rng.Uint64n(6) == 0 {
+			rows[i][rng.Uint64n(2)] = NullDatum
+		}
+	}
+	ch := rowsToChunk(rows, 3)
+	var sel []int32
+	for r := 0; r < len(rows); r += 1 + int(rng.Uint64n(3)) {
+		sel = append(sel, int32(r))
+	}
+	for op := OpEq; op <= OpGe; op++ {
+		for _, shape := range []struct {
+			l, r Expr
+			fast bool
+		}{
+			{Col(0), Col(1), true}, {Col(0), Col(2), true}, {Col(1), Const(2), true}, {Const(2), Col(0), true},
+			{Col(0), Null, false}, {Const(1), Const(2), false}, {Bin(OpAdd, Col(0), Col(1)), Col(2), false},
+		} {
+			pred := Bin(op, shape.l, shape.r)
+			for _, s := range [][]int32{nil, sel} {
+				got, ok := selectCompare(pred, ch, s, make([]int32, len(rows)))
+				if ok != shape.fast {
+					t.Fatalf("%s: one-pass form taken = %v, want %v", pred, ok, shape.fast)
+				}
+				if !ok {
+					continue
+				}
+				pv, err := evalRows(pred, ch, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []int32
+				for i, v := range pv.vals {
+					if v != 0 && !pv.null(i) {
+						r := int32(i)
+						if s != nil {
+							r = s[i]
+						}
+						want = append(want, r)
+					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s (selection %v): kept %v, want %v", pred, s != nil, got, want)
+				}
+			}
 		}
 	}
 }

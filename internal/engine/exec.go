@@ -250,20 +250,32 @@ func (e *execEnv) drainFaultCounters(m *OpMetrics) {
 // previous operator finished.
 func (e *execEnv) finishOp(op, detail string, rel *relation, children []*OpMetrics,
 	shuffle int64, segTimes []time.Duration, start time.Time) *OpMetrics {
+	segRows := make([]int64, len(rel.parts))
+	for i, p := range rel.parts {
+		segRows[i] = int64(p.length)
+	}
+	return e.opNode(op, detail, segRows, len(rel.schema), children, shuffle, segTimes, start)
+}
+
+// opNode is finishOp for an operator whose output rows per segment are
+// counted rather than held: a join whose rows the pipeline above it
+// consumed inside the join's own task. width is the operator's output
+// width in columns.
+func (e *execEnv) opNode(op, detail string, segRows []int64, width int, children []*OpMetrics,
+	shuffle int64, segTimes []time.Duration, start time.Time) *OpMetrics {
 	m := &OpMetrics{
 		Op:       op,
 		Detail:   detail,
 		Shuffle:  shuffle,
 		Elapsed:  time.Since(start),
+		SegRows:  segRows,
 		SegTimes: segTimes,
 		Children: children,
 	}
-	m.SegRows = make([]int64, len(rel.parts))
-	for i, p := range rel.parts {
-		m.SegRows[i] = int64(p.length)
-		m.Rows += int64(p.length)
+	for _, n := range segRows {
+		m.Rows += n
 	}
-	m.Bytes = m.Rows * int64(len(rel.schema)) * DatumSize
+	m.Bytes = m.Rows * int64(width) * DatumSize
 	e.drainFaultCounters(m)
 	return m
 }
@@ -321,7 +333,7 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 		rel := &relation{schema: p.Cols, parts: parts, distKey: NoDistKey}
 		return rel, e.finishOp("Values", "", rel, nil, 0, nil, start), nil
 
-	case FilterPlan, ProjectPlan:
+	case FilterPlan, ProjectPlan, JoinPlan:
 		return e.execPipeline(p, start)
 
 	case UnionAllPlan:
@@ -383,145 +395,293 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 
 	case GroupByPlan:
 		return e.execGroupBy(p, start)
-
-	case JoinPlan:
-		return e.execJoin(p, start)
 	}
 	return nil, nil, fmt.Errorf("engine: unknown plan node %T", p)
 }
 
+// pipeline is the Project?(Filter*) chain execPipeline runs over its
+// source: a projection over zero or more filters, a filter chain alone,
+// or, over a join, nothing at all, which passes the join's rows through.
+type pipeline struct {
+	filters []FilterPlan // outermost first
+	proj    *ProjectPlan // nil: the surviving rows at full width
+}
+
 // execPipeline executes a Project?(Filter*(X)) chain — a projection over
 // zero or more filters, or a filter chain alone — as one pipeline: the
-// innermost predicate evaluates over the child's full chunk, every outer
+// innermost predicate evaluates over the source's full chunk, every outer
 // predicate only over the rows still selected, and the projection (when
 // present) computes its expressions directly over the final selection into
 // dense output vectors. No intermediate filtered chunk is ever
 // materialised, yet the metrics tree carries one node per logical operator
 // (EXPLAIN ANALYZE output keeps its shape; TestQueryAnalyzeMetrics'
 // per-node invariants hold).
+//
+// A hash join is a pipeline source of its own, and a bare join is a
+// pipeline with an empty chain: the chain runs inside the join's segment
+// task over its match lists (execJoin, joinMatches.pipe), so the join
+// gathers only the columns the chain reads, and the projection's only for
+// the rows the filters keep. That task's time, faults and spills are
+// charged to the join's node; the Filter and Project nodes above it keep
+// their row counts and carry no segment times.
 func (e *execEnv) execPipeline(p Plan, start time.Time) (*relation, *OpMetrics, error) {
 	c := e.c
-	var proj *ProjectPlan
-	if pp, ok := p.(ProjectPlan); ok {
-		proj = &pp
-		p = pp.Input
-	}
-	// Collect the filter chain, outermost first.
-	var filters []FilterPlan
-	for {
-		f, ok := p.(FilterPlan)
-		if !ok {
-			break
-		}
-		filters = append(filters, f)
-		p = f.Input
-	}
-	in, cm, err := e.exec(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	schema := in.schema
-	outKey := in.distKey
-	if proj != nil {
-		schema, err = proj.Schema(c)
+	pl, p := splitPipeline(p)
+	var (
+		in       *relation
+		node     *OpMetrics
+		rows     [][]int64 // rows[seg][fi]: the rows filter fi kept on segment seg
+		segTimes []time.Duration
+		err      error
+	)
+	if jp, ok := p.(JoinPlan); ok {
+		in, node, rows, err = e.execJoin(jp, start, pl)
 		if err != nil {
+			return nil, nil, err
+		}
+		if len(pl.filters) == 0 && pl.proj == nil {
+			return in, node, nil
+		}
+	} else {
+		var src *relation
+		if src, node, err = e.exec(p); err != nil {
+			return nil, nil, err
+		}
+		in = &relation{schema: src.schema, parts: make([]*Chunk, c.segments), distKey: src.distKey}
+		rows = make([][]int64, c.segments)
+		segTimes, err = e.parallelTimed(func(seg int) error {
+			r := make([]int64, len(pl.filters))
+			ch, perr := pl.run(src.parts[seg], r)
+			if perr != nil {
+				return perr
+			}
+			in.parts[seg], rows[seg] = ch, r
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	// in.parts holds the pipeline's output; in.schema and in.distKey are
+	// still its source's.
+	rel := &relation{schema: in.schema, parts: in.parts, distKey: in.distKey}
+	if pl.proj != nil {
+		if rel.schema, err = pl.proj.Schema(c); err != nil {
 			return nil, nil, err
 		}
 		// A projection that passes the current distribution column through
 		// unchanged preserves the distribution (filters never disturb it).
-		outKey = NoDistKey
+		rel.distKey = NoDistKey
 		if in.distKey != NoDistKey {
-			for i, col := range proj.Cols {
+			for i, col := range pl.proj.Cols {
 				if ref, ok := col.Expr.(ColRef); ok && ref.Idx == in.distKey {
-					outKey = i
+					rel.distKey = i
 					break
 				}
 			}
 		}
 	}
-	// Surviving rows per segment after each filter, innermost filter last.
-	counts := make([][]int64, len(filters))
-	for i := range counts {
-		counts[i] = make([]int64, c.segments)
-	}
-	out := make([]*Chunk, c.segments)
-	segTimes, err := e.parallelTimed(func(seg int) error {
-		ch := in.parts[seg]
-		// sel lists the selected rows; nil selects every row (evalRows), so
-		// a projection without filters aliases or computes whole columns.
-		var sel []int32
-		if len(filters) > 0 {
-			kp := getI32(ch.length)
-			defer putI32(kp)
-			for fi := len(filters) - 1; fi >= 0; fi-- {
-				pv, perr := evalRows(filters[fi].Pred, ch, sel)
-				if perr != nil {
-					return perr
-				}
-				// Compact in place: kept[j] is written only after sel[i],
-				// i >= j, has been read.
-				kept := (*kp)[:0]
-				for i := range pv.vals {
-					if !pv.null(i) && pv.vals[i] != 0 {
-						r := int32(i)
-						if sel != nil {
-							r = sel[i]
-						}
-						kept = append(kept, r)
-					}
-				}
-				sel, *kp = kept, kept
-				counts[fi][seg] = int64(len(sel))
-			}
-		}
-		if proj == nil {
-			out[seg] = gatherChunk(ch, sel)
-			return nil
-		}
-		n := ch.length
-		if sel != nil {
-			n = len(sel)
-		}
-		vecs := make([]colVec, len(proj.Cols))
-		for i, col := range proj.Cols {
-			v, verr := evalRows(col.Expr, ch, sel)
-			if verr != nil {
-				return verr
-			}
-			vecs[i] = v
-		}
-		out[seg] = chunkFromVecs(vecs, n)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
 	// Rebuild the per-operator metrics chain from the inside out; every
 	// logical Filter gets its own node with its measured selectivity.
 	inWidth := int64(len(in.schema))
-	node := cm
-	for fi := len(filters) - 1; fi >= 0; fi-- {
-		var rows int64
-		for _, k := range counts[fi] {
-			rows += k
+	for fi := len(pl.filters) - 1; fi >= 0; fi-- {
+		segRows := make([]int64, c.segments)
+		var total int64
+		for seg, r := range rows {
+			segRows[seg] = r[fi]
+			total += r[fi]
 		}
 		node = &OpMetrics{
 			Op:       "Filter",
-			Detail:   filters[fi].Pred.String(),
-			Rows:     rows,
-			Bytes:    rows * inWidth * DatumSize,
+			Detail:   pl.filters[fi].Pred.String(),
+			Rows:     total,
+			Bytes:    total * inWidth * DatumSize,
 			Elapsed:  time.Since(start),
-			SegRows:  counts[fi],
+			SegRows:  segRows,
 			Children: []*OpMetrics{node},
 		}
 	}
-	rel := &relation{schema: schema, parts: out, distKey: outKey}
-	if proj == nil {
+	if pl.proj == nil {
 		// The outermost Filter produced rel; let finishOp build its node (so
 		// the fault counters drain there) on top of the inner chain.
-		return rel, e.finishOp("Filter", filters[0].Pred.String(), rel, node.Children, 0, segTimes, start), nil
+		return rel, e.finishOp("Filter", node.Detail, rel, node.Children, 0, segTimes, start), nil
 	}
 	return rel, e.finishOp("Project", "", rel, []*OpMetrics{node}, 0, segTimes, start), nil
+}
+
+// splitPipeline splits a plan into its Project?(Filter*) chain and the
+// chain's source.
+func splitPipeline(p Plan) (pipeline, Plan) {
+	var pl pipeline
+	if pp, ok := p.(ProjectPlan); ok {
+		pl.proj = &pp
+		p = pp.Input
+	}
+	for {
+		f, ok := p.(FilterPlan)
+		if !ok {
+			return pl, p
+		}
+		pl.filters = append(pl.filters, f)
+		p = f.Input
+	}
+}
+
+// run executes the pipeline over one chunk of its source: the filters
+// select rows, the projection (or, without one, a gather) computes the
+// output over the selection. r[fi] gains the rows filter fi kept.
+func (pl pipeline) run(ch *Chunk, r []int64) (*Chunk, error) {
+	// sel lists the selected rows; nil selects every row (evalRows), so a
+	// projection without filters aliases or computes whole columns.
+	var sel []int32
+	if len(pl.filters) > 0 {
+		kp, kept, err := pl.filter(ch, r)
+		defer putI32(kp)
+		if err != nil {
+			return nil, err
+		}
+		sel = kept
+	}
+	if pl.proj == nil {
+		return gatherChunk(ch, sel), nil
+	}
+	return pl.project(ch, sel)
+}
+
+// filter runs the filter chain over every row of ch, innermost filter
+// first, each outer predicate over only the rows the inner ones kept. It
+// returns the surviving rows, ascending, in a pooled box the caller
+// releases with putI32 (on error too); r[fi] gains the rows filter fi
+// kept.
+func (pl pipeline) filter(ch *Chunk, r []int64) (*[]int32, []int32, error) {
+	kp := getI32(ch.length)
+	var sel []int32
+	for fi := len(pl.filters) - 1; fi >= 0; fi-- {
+		// Both forms compact in place: kept[j] is written only after
+		// sel[i], i >= j, has been read.
+		kept, ok := selectCompare(pl.filters[fi].Pred, ch, sel, *kp)
+		if !ok {
+			pv, err := evalRows(pl.filters[fi].Pred, ch, sel)
+			if err != nil {
+				return kp, nil, err
+			}
+			kept = (*kp)[:len(pv.vals)]
+			j := 0
+			for i, v := range pv.vals {
+				row := int32(i)
+				if sel != nil {
+					row = sel[i]
+				}
+				kept[j] = row
+				if v != 0 && !pv.null(i) {
+					j++
+				}
+			}
+			kept = kept[:j]
+		}
+		sel, *kp = kept, kept
+		r[fi] += int64(len(sel))
+	}
+	return kp, sel, nil
+}
+
+// project evaluates the projection over the rows of ch that sel lists
+// (every row when sel is nil) into dense output columns.
+func (pl pipeline) project(ch *Chunk, sel []int32) (*Chunk, error) {
+	n := ch.length
+	if sel != nil {
+		n = len(sel)
+	}
+	vecs := make([]colVec, len(pl.proj.Cols))
+	for i, col := range pl.proj.Cols {
+		v, err := evalRows(col.Expr, ch, sel)
+		if err != nil {
+			return nil, err
+		}
+		vecs[i] = v
+	}
+	return chunkFromVecs(vecs, n), nil
+}
+
+// joinReads is the set of a join's output columns that a pipeline over
+// it reads, split by where the join's segment task gathers them. The
+// filters' columns are gathered at every match into pooled scratch. The
+// projection's are gathered at the surviving matches only: a column it
+// passes through unchanged into the output chunk (every column, when
+// there is no projection), one only its computed expressions read into
+// pooled scratch. A column nothing reads is never gathered.
+type joinReads struct {
+	filter  []int // read by a filter
+	out     []int // passed through to the output
+	scratch []int // read only by the projection's computed expressions
+}
+
+// reads computes the joinReads of the pipeline over a join of width
+// columns.
+func (pl pipeline) reads(width int) joinReads {
+	filter, out, scratch := make([]bool, width), make([]bool, width), make([]bool, width)
+	for _, f := range pl.filters {
+		markCols(f.Pred, filter)
+	}
+	if pl.proj == nil {
+		for c := range out {
+			out[c] = true
+		}
+	} else {
+		for _, col := range pl.proj.Cols {
+			if ref, ok := col.Expr.(ColRef); ok {
+				markCols(ref, out)
+			} else {
+				markCols(col.Expr, scratch)
+			}
+		}
+	}
+	var r joinReads
+	for c := 0; c < width; c++ {
+		if filter[c] {
+			r.filter = append(r.filter, c)
+		}
+		if out[c] {
+			r.out = append(r.out, c)
+		} else if scratch[c] {
+			r.scratch = append(r.scratch, c)
+		}
+	}
+	return r
+}
+
+// markCols marks in cols every column e reads. An expression whose
+// structure it cannot see (an Expr implementation of another package)
+// reads every column.
+func markCols(e Expr, cols []bool) {
+	switch e := e.(type) {
+	case ColRef:
+		if e.Idx >= 0 && e.Idx < len(cols) {
+			cols[e.Idx] = true
+		}
+	case ConstExpr:
+	case BinExpr:
+		markCols(e.Left, cols)
+		markCols(e.Right, cols)
+	case IsNullExpr:
+		markCols(e.Arg, cols)
+	case CoalesceExpr:
+		for _, a := range e.Args {
+			markCols(a, cols)
+		}
+	case LeastExpr:
+		for _, a := range e.Args {
+			markCols(a, cols)
+		}
+	case UDFExpr:
+		for _, a := range e.Args {
+			markCols(a, cols)
+		}
+	default:
+		for c := range cols {
+			cols[c] = true
+		}
+	}
 }
 
 // newParts allocates a per-segment chunk set of empty chunks.
@@ -723,53 +883,62 @@ func (e *execEnv) execGroupBy(p GroupByPlan, start time.Time) (*relation, *OpMet
 // execJoin evaluates a distributed hash equi-join: both sides are
 // redistributed by their join keys (if not already co-located), then each
 // segment joins its share with the int64-keyed open-addressing hash table
-// built on the right side.
-func (e *execEnv) execJoin(p JoinPlan, start time.Time) (*relation, *OpMetrics, error) {
+// built on the right side and runs the pipeline pl over its matches in the
+// same task (joinSegment). It returns pl's output chunks in a relation
+// with the join's schema and distribution, the join's metrics node, whose
+// rows are the matches before any filter, and per segment the rows each
+// filter of pl kept.
+func (e *execEnv) execJoin(p JoinPlan, start time.Time, pl pipeline) (*relation, *OpMetrics, [][]int64, error) {
 	c := e.c
 	left, lm, err := e.exec(p.Left)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	right, rm, err := e.exec(p.Right)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if p.LeftKey < 0 || p.LeftKey >= len(left.schema) {
-		return nil, nil, fmt.Errorf("engine: left join key %d out of range for %v", p.LeftKey, left.schema)
+		return nil, nil, nil, fmt.Errorf("engine: left join key %d out of range for %v", p.LeftKey, left.schema)
 	}
 	if p.RightKey < 0 || p.RightKey >= len(right.schema) {
-		return nil, nil, fmt.Errorf("engine: right join key %d out of range for %v", p.RightKey, right.schema)
+		return nil, nil, nil, fmt.Errorf("engine: right join key %d out of range for %v", p.RightKey, right.schema)
 	}
 	schema, err := p.Schema(c)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	left, lmoved, err := e.redistribute(left, p.LeftKey)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	right, rmoved, err := e.redistribute(right, p.RightKey)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 
+	reads := pl.reads(len(schema))
+	nf := len(pl.filters)
 	out := make([]*Chunk, c.segments)
+	rows := make([][]int64, c.segments)
+	matches := make([]int64, c.segments)
 	segTimes, err := e.parallelTimed(func(seg int) error {
-		ch, jerr := e.joinSegment(seg, left.parts[seg], right.parts[seg], p.LeftKey, p.RightKey, p.Kind)
+		r := make([]int64, nf+1) // the filters' kept rows, then the matches
+		ch, jerr := e.joinSegment(seg, left.parts[seg], right.parts[seg], p, pl, reads, r)
 		if jerr != nil {
 			return jerr
 		}
-		out[seg] = ch
+		out[seg], rows[seg], matches[seg] = ch, r[:nf], r[nf]
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	rel := &relation{schema: schema, parts: out, distKey: p.LeftKey}
 	op := "HashJoin"
 	if p.Kind == LeftOuterJoin {
 		op = "HashLeftJoin"
 	}
 	detail := fmt.Sprintf("$%d = $%d", p.LeftKey, p.RightKey)
-	return rel, e.finishOp(op, detail, rel, []*OpMetrics{lm, rm}, lmoved+rmoved, segTimes, start), nil
+	node := e.opNode(op, detail, matches, len(schema), []*OpMetrics{lm, rm}, lmoved+rmoved, segTimes, start)
+	return &relation{schema: schema, parts: out, distKey: p.LeftKey}, node, rows, nil
 }

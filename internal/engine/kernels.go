@@ -144,18 +144,19 @@ func radixPartitionChunk(ch *Chunk, dests []int32, nparts int, flat []int64) []*
 // order — the exact match order the row engine produced.
 //
 // The probe writes no output values. It fills two pooled match-index lists
-// — for every output row, the probe row and the build row it pairs (-1 for
-// the pad of an unmatched outer row) — after which the output chunk is
-// allocated once at its exact size and gathered column by column. The
-// lists are working memory like the hash table: they are charged to acct
-// while they are live and never hold more than limit pairs. A join with
-// more matches than that (a hot key under a tight budget) is emitted in
-// several blocks, each probed, gathered and released in turn, and the
-// blocks are concatenated — same rows, same order.
-func joinChunks(left, right *Chunk, leftKey, rightKey int, kind JoinKind, limit int, acct *memAcct) *Chunk {
-	lw, rw := len(left.cols), len(right.cols)
-
+// — for every match, the probe row and the build row it pairs (-1 for the
+// pad of an unmatched outer row) — over which the pipeline pl runs
+// (joinMatches.pipe), gathering only the columns reads names. The lists
+// are working memory like the hash table: they are charged to acct while
+// they are live and never hold more than limit pairs. A join with more
+// matches than that (a hot key under a tight budget) is emitted in several
+// blocks, each probed, piped and released in turn, and the blocks'
+// outputs are concatenated — same rows, same order. r[fi] gains the rows
+// filter fi of pl kept and r[len(pl.filters)] the matches.
+func joinChunks(left, right *Chunk, leftKey, rightKey int, kind JoinKind, limit int, acct *memAcct,
+	pl pipeline, reads joinReads, r []int64) (*Chunk, error) {
 	jt := newJoinTable(right.length)
+	defer jt.release()
 	rkeys := right.cols[rightKey]
 	rnulls := right.nulls[rightKey]
 	for i := right.length - 1; i >= 0; i-- {
@@ -170,13 +171,15 @@ func joinChunks(left, right *Chunk, leftKey, rightKey int, kind JoinKind, limit 
 	lnulls := left.nulls[leftKey]
 	hint := min(left.length, limit) // exact for a key-unique build side
 	lp, rp := getI32(hint), getI32(hint)
-	li, ri := *lp, *rp
+	defer func() { putI32(lp); putI32(rp) }()
 	var blocks []*Chunk
 	// row is the next probe row; chain, when >= 0, is where row's match
-	// chain resumes after a block filled up in the middle of it.
+	// chain resumes after a block filled up in the middle of it. The first
+	// block is piped even when it is empty, so an empty join still has the
+	// pipeline's output shape.
 	row, chain := 0, int32(-1)
-	for row < left.length {
-		li, ri = li[:0], ri[:0]
+	for {
+		li, ri := (*lp)[:0], (*rp)[:0]
 		for row < left.length && len(li) < limit {
 			m := chain
 			if m < 0 && !lnulls.get(row) {
@@ -198,26 +201,88 @@ func joinChunks(left, right *Chunk, leftKey, rightKey int, kind JoinKind, limit 
 				row++ // chain done; otherwise the block is full and the next one resumes it
 			}
 		}
+		*lp, *rp = li, ri
 		pairBytes := int64(len(li)) * matchPairBytes
 		acct.charge(pairBytes)
-		out := newChunk(lw+rw, len(li))
-		for c := 0; c < lw; c++ {
-			gatherInto(out, c, left, c, li, false)
-		}
-		for c := 0; c < rw; c++ {
-			gatherInto(out, lw+c, right, c, ri, outer)
-		}
+		out, err := joinMatches{left, right, li, ri, outer}.pipe(pl, reads, r)
 		acct.release(pairBytes)
+		if err != nil {
+			return nil, err
+		}
 		blocks = append(blocks, out)
+		if row >= left.length {
+			break
+		}
 	}
-	*lp, *rp = li, ri
-	putI32(lp)
-	putI32(rp)
-	jt.release()
 	if len(blocks) == 1 {
-		return blocks[0]
+		return blocks[0], nil
 	}
-	return concatChunks(lw+rw, blocks)
+	return concatChunks(len(blocks[0].cols), blocks), nil
+}
+
+// joinMatches is a join's output held as match lists: output row i pairs
+// probe row li[i] of left with build row ri[i] of right, or, when ri[i]
+// is -1, with NULLs (an unmatched row of a left outer join).
+type joinMatches struct {
+	left, right *Chunk
+	li, ri      []int32
+	outer       bool
+}
+
+// pipe runs the pipeline over the matches and returns its output rows.
+// The filters' columns are gathered at every match into pooled scratch,
+// the filters compact the match lists in place, and only then are the
+// projection's columns gathered, at the surviving matches; its computed
+// expressions evaluate over the survivors only. No pooled memory reaches
+// the output: the columns it passes through are gathered into a fresh
+// array, and computed columns are fresh vectors. r[fi] gains the rows
+// filter fi kept and r[len(pl.filters)] the matches.
+func (m joinMatches) pipe(pl pipeline, reads joinReads, r []int64) (*Chunk, error) {
+	nf := len(pl.filters)
+	r[nf] += int64(len(m.li))
+	if nf > 0 {
+		fp := getI64(len(reads.filter) * len(m.li))
+		kp, sel, err := pl.filter(m.gather(nil, reads.filter, *fp), r)
+		putI64(fp)
+		if err == nil {
+			for j, i := range sel { // sel ascends, so j <= i
+				m.li[j], m.ri[j] = m.li[i], m.ri[i]
+			}
+			m.li, m.ri = m.li[:len(sel)], m.ri[:len(sel)]
+		}
+		putI32(kp)
+		if err != nil {
+			return nil, err
+		}
+	}
+	ch := m.gather(nil, reads.out, make([]int64, len(reads.out)*len(m.li)))
+	if pl.proj == nil {
+		return ch, nil // reads.out is every column
+	}
+	sp := getI64(len(reads.scratch) * len(m.li))
+	defer putI64(sp)
+	return pl.project(m.gather(ch, reads.scratch, *sp), nil)
+}
+
+// gather gathers the join-output columns cols at the matches into ch, or
+// into a new chunk of the join's full width when ch is nil, whose other
+// columns stay nil. flat backs the gathered columns, len(cols)·len(li)
+// values, each of which is written, so it may be stale pooled memory.
+func (m joinMatches) gather(ch *Chunk, cols []int, flat []int64) *Chunk {
+	n, lw := len(m.li), len(m.left.cols)
+	if ch == nil {
+		w := lw + len(m.right.cols)
+		ch = &Chunk{length: n, cols: make([][]int64, w), nulls: make([]nullBitmap, w)}
+	}
+	for j, c := range cols {
+		ch.cols[c] = flat[j*n : (j+1)*n : (j+1)*n]
+		if c < lw {
+			gatherInto(ch, c, m.left, c, m.li, false)
+		} else {
+			gatherInto(ch, c, m.right, c-lw, m.ri, m.outer)
+		}
+	}
+	return ch
 }
 
 // matchPairBytes is the accounted size of one match-list entry of

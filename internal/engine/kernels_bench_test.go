@@ -202,8 +202,9 @@ func BenchmarkKernelJoinProbe(b *testing.B) {
 		lch, rch := rowsToChunk(left, 2), rowsToChunk(right, 2)
 		b.Run(fmt.Sprintf("kernel/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
+			reads, r := pipeline{}.reads(4), make([]int64, 1)
 			for i := 0; i < b.N; i++ {
-				sinkChunk = joinChunks(lch, rch, 0, 0, InnerJoin, math.MaxInt, new(memAcct))
+				sinkChunk, _ = joinChunks(lch, rch, 0, 0, InnerJoin, math.MaxInt, new(memAcct), pipeline{}, reads, r)
 			}
 		})
 		b.Run(fmt.Sprintf("rows/n=%d", n), func(b *testing.B) {
@@ -219,11 +220,56 @@ func BenchmarkKernelJoinProbe(b *testing.B) {
 		rch := rowsToChunk(benchShuffledRows(n/4, seg), 2)
 		b.Run(fmt.Sprintf("%s/n=%d", shuffledCase(seg), n), func(b *testing.B) {
 			b.ReportAllocs()
+			reads, r := pipeline{}.reads(4), make([]int64, 1)
 			for i := 0; i < b.N; i++ {
-				sinkChunk = joinChunks(lch, rch, 0, 0, InnerJoin, math.MaxInt, new(memAcct))
+				sinkChunk, _ = joinChunks(lch, rch, 0, 0, InnerJoin, math.MaxInt, new(memAcct), pipeline{}, reads, r)
 			}
 		})
 	}
+}
+
+// BenchmarkKernelJoinPipeline measures late materialisation on the shape
+// of the contraction round's second join: edges g(v1, v2) joined with the
+// representatives r(v, rep) on g.v2 = r.v, filtered by g.v1 != r.rep
+// (a third of the matches fail it) and projected to (g.v1, r.rep).
+// "fused" runs the filter and projection inside the join kernel over its
+// match lists; "unfused" gathers every column of every match and then
+// runs the same pipeline over that chunk. CI gates fused/unfused and
+// pins fused's allocations (internal/bench/testdata/microbench_baseline.json).
+func BenchmarkKernelJoinPipeline(b *testing.B) {
+	const n = 1 << 16
+	rng := xrand.New(43)
+	reps := make([]Row, n/4)
+	for i := range reps {
+		reps[i] = Row{I(int64(i)), I(int64(rng.Uint64n(n / 8)))}
+	}
+	edges := make([]Row, n)
+	for i := range edges {
+		v2 := rng.Uint64n(n / 4)
+		v1 := I(int64(rng.Uint64n(n / 8)))
+		if rng.Uint64n(3) == 0 {
+			v1 = reps[v2][1] // the edge's endpoints already share a representative
+		}
+		edges[i] = Row{v1, I(int64(v2))}
+	}
+	lch, rch := rowsToChunk(edges, 2), rowsToChunk(reps, 2)
+	pl, _ := splitPipeline(Project(Filter(JoinPlan{}, Bin(OpNe, Col(0), Col(3))),
+		ProjCol{Expr: Col(0), Name: "v1"}, ProjCol{Expr: Col(3), Name: "v2"}))
+	reads, full := pl.reads(4), pipeline{}.reads(4)
+	r := make([]int64, 2)
+	b.Run(fmt.Sprintf("fused/n=%d", n), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkChunk, _ = joinChunks(lch, rch, 1, 0, InnerJoin, math.MaxInt, new(memAcct), pl, reads, r)
+		}
+	})
+	b.Run(fmt.Sprintf("unfused/n=%d", n), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			joined, _ := joinChunks(lch, rch, 1, 0, InnerJoin, math.MaxInt, new(memAcct), pipeline{}, full, r)
+			sinkChunk, _ = pl.run(joined, r)
+		}
+	})
 }
 
 func BenchmarkKernelGroupByMin(b *testing.B) {

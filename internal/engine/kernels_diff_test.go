@@ -80,6 +80,17 @@ func referenceJoin(left, right []Row, lk, rk, rw int, kind JoinKind) []Row {
 	return want
 }
 
+// fullJoin runs the join kernel with an empty pipeline: every match, at
+// the join's full width.
+func fullJoin(left, right *Chunk, lk, rk int, kind JoinKind, limit int, acct *memAcct) *Chunk {
+	reads := pipeline{}.reads(len(left.cols) + len(right.cols))
+	ch, err := joinChunks(left, right, lk, rk, kind, limit, acct, pipeline{}, reads, make([]int64, 1))
+	if err != nil {
+		panic(err) // an empty pipeline evaluates nothing
+	}
+	return ch
+}
+
 // TestJoinChunksMatchesReference differential-tests the join kernel
 // against the nested-loop reference on one pair of chunks, including the
 // exact match order — for both join kinds, and for match-list limits from
@@ -96,7 +107,7 @@ func TestJoinChunksMatchesReference(t *testing.T) {
 					continue // thousands of tiny blocks only cost time
 				}
 				acct := new(memAcct)
-				got := joinChunks(lch, rch, lk, rk, kind, limit, acct)
+				got := fullJoin(lch, rch, lk, rk, kind, limit, acct)
 				if len(got.cols) != 4 {
 					t.Fatalf("%s kind %v: %d output columns, want 4", name, kind, len(got.cols))
 				}
@@ -328,11 +339,14 @@ func TestGroupChunkLeavesNoAllClearBitmaps(t *testing.T) {
 	}
 }
 
-// TestKernelOutputsSurvivePoolReuse runs a join, a group-by and a distinct,
-// then 50 more kernels that take the same pooled hash-table arrays and
-// scratch buffers back out, and asserts the first three outputs are still
-// bit-identical — values, null bitmaps and nil-ness — and equal to a rerun.
-// A pooled array that escaped into an output would be overwritten here.
+// TestKernelOutputsSurvivePoolReuse runs a join, a join with a fused
+// pipeline, a group-by and a distinct, and writes a table through a fused
+// join pipeline, then runs 50 more kernels and fused statements that take
+// the same pooled hash-table arrays, match lists and scratch columns back
+// out, and asserts the first outputs and the table's stored chunks are
+// still bit-identical — values, null bitmaps and nil-ness — and equal to a
+// rerun. A pooled array that escaped into an output would be overwritten
+// here.
 func TestKernelOutputsSurvivePoolReuse(t *testing.T) {
 	rng := xrand.New(137)
 	aggs := []Agg{{Op: AggMin, Arg: Col(1), Name: "mn"}, {Op: AggCount, Name: "n"}}
@@ -343,16 +357,52 @@ func TestKernelOutputsSurvivePoolReuse(t *testing.T) {
 		}
 		return rowsToChunk(rows, 3)
 	}
-	left := rowsToChunk(skewedRows(rng, 3000, 2), 2)
-	right := rowsToChunk(skewedRows(rng, 1500, 2), 2)
+	// The fused pipeline reads its filter column and its computed columns'
+	// input from pooled scratch, with NULLs in both (NULL payloads and left
+	// outer pads).
+	fused := Project(Filter(JoinPlan{Left: Scan("l"), Right: Scan("r"), Kind: LeftOuterJoin}, Bin(OpNe, Col(1), Const(1))),
+		ProjCol{Expr: Col(0), Name: "k"}, ProjCol{Expr: Coalesce(Col(3), Col(1)), Name: "c"},
+		ProjCol{Expr: Bin(OpAdd, Col(3), Const(1)), Name: "s"})
+	pl, _ := splitPipeline(fused)
+	reads := pl.reads(4)
+	pipe := func(left, right *Chunk, kind JoinKind) *Chunk {
+		ch, err := joinChunks(left, right, 0, 0, kind, math.MaxInt, new(memAcct), pl, reads, make([]int64, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ch
+	}
+	lrows, rrows := skewedRows(rng, 3000, 2), skewedRows(rng, 1500, 2)
+	left, right := rowsToChunk(lrows, 2), rowsToChunk(rrows, 2)
 	grouped := partial(skewedRows(rng, 3000, 2))
 	dup := rowsToChunk(skewedRows(rng, 3000, 2), 2)
+	c := NewCluster(Options{Segments: 4})
+	mustCreate(t, c, "l", Schema{"k", "a"}, 1, lrows)
+	mustCreate(t, c, "r", Schema{"k", "b"}, 1, rrows)
+	ctas := 0
+	write := func() *Table {
+		name := fmt.Sprintf("fused%d", ctas)
+		ctas++
+		if _, err := c.CreateTableAs(name, fused, NoDistKey); err != nil {
+			t.Fatal(err)
+		}
+		tab, _ := c.Table(name)
+		return tab
+	}
+	stored := func(tab *Table) []*Chunk {
+		var chunks []*Chunk
+		for _, list := range tab.snapshotParts() {
+			chunks = append(chunks, list...)
+		}
+		return chunks
+	}
 	run := func() []*Chunk {
-		return []*Chunk{
-			joinChunks(left, right, 0, 0, LeftOuterJoin, math.MaxInt, new(memAcct)),
+		return append([]*Chunk{
+			fullJoin(left, right, 0, 0, LeftOuterJoin, math.MaxInt, new(memAcct)),
+			pipe(left, right, LeftOuterJoin),
 			groupChunk(grouped, 1, aggs),
 			distinctChunk(dup),
-		}
+		}, stored(write())...)
 	}
 	first := run()
 	want := make([]*Chunk, len(first))
@@ -361,17 +411,26 @@ func TestKernelOutputsSurvivePoolReuse(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		ch := rowsToChunk(skewedRows(rng, int(rng.Uint64n(4000)), 2), 2)
-		switch i % 3 {
+		switch i % 5 {
 		case 0:
-			joinChunks(ch, ch, 0, 1, InnerJoin, math.MaxInt, new(memAcct))
+			fullJoin(ch, ch, 0, 1, InnerJoin, math.MaxInt, new(memAcct))
 		case 1:
 			groupChunk(partial(chunkToRows(ch)), 1, aggs)
 		case 2:
 			distinctChunk(ch)
+		case 3:
+			pipe(ch, ch, LeftOuterJoin)
+		case 4:
+			write()
 		}
 	}
 	again := run()
-	for i, name := range []string{"join", "group", "distinct"} {
+	names := []string{"join", "fused join", "group", "distinct"}
+	for i := range want {
+		name := "fused table chunk"
+		if i < len(names) {
+			name = names[i]
+		}
 		if !chunksIdentical(first[i], want[i]) {
 			t.Fatalf("%s output changed after pooled arrays were reused", name)
 		}

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"dbcc/internal/xrand"
@@ -121,4 +123,111 @@ func FuzzRadixPartition(f *testing.F) {
 			t.Fatalf("buckets hold %d rows, want %d", total, n)
 		}
 	})
+}
+
+// FuzzJoinPipeline holds the join kernel with a fused pipeline to the
+// unfused evaluation — the nested-loop join's full-width rows, filtered
+// and projected row at a time — on arbitrary inputs: rows, their order,
+// their NULLs and the operators' row counts must be identical, for any
+// join kind, match-list limit and test pipeline (joinPipeCases), and the
+// output must equal, bit for bit (chunksSameRows), the pipeline run over
+// the full-width join chunk.
+//
+// Input layout: byte 0 picks the pipeline, byte 1 the join kind (low
+// bit) and the limit, byte 2 how many of the rows that follow are left
+// rows; every row is three value bytes, 0xff meaning NULL, and the key
+// byte is folded onto a few values so that rows match.
+func FuzzJoinPipeline(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 2, 1, 2, 3, 1, 5, 5, 1, 7, 2, 0xff, 1, 1})
+	f.Add([]byte{3, 5, 3, 0, 1, 2, 0, 0xff, 4, 0xff, 2, 2, 0, 9, 0xff, 0, 3, 3, 1, 1, 1})
+	hot := []byte{8, 2, 20}
+	for i := 0; i < 60; i++ {
+		hot = append(hot, byte(i%2), byte(i*7), byte(0xff*(i%5/4)))
+	}
+	f.Add(hot)
+	f.Add([]byte("02\x020000 0000")) // two one-pair blocks under a literal NULL column
+
+	cases := joinPipeCases()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		pc := cases[int(data[0])%len(cases)]
+		kind := InnerJoin
+		if data[1]&1 != 0 {
+			kind = LeftOuterJoin
+		}
+		limit := []int{1, 2, 5, 64, math.MaxInt}[int(data[1]>>1)%5]
+		nleft := int(data[2])
+		data = data[3:]
+		n := min(len(data)/3, 600)
+		var left, right []Row
+		for r := 0; r < n; r++ {
+			row := make(Row, 3)
+			for c := range row {
+				b := data[3*r+c]
+				switch {
+				case b == 0xff:
+					row[c] = NullDatum
+				case c == 0:
+					row[c] = I(int64(b % 4))
+				default:
+					row[c] = I(int64(int8(b)))
+				}
+			}
+			if r < nleft {
+				left = append(left, row)
+			} else {
+				right = append(right, row)
+			}
+		}
+		pl := pc.pipeline()
+		want, wantKept := pc.reference(referenceJoin(left, right, 0, 0, 3, kind))
+		r := make([]int64, len(pl.filters)+1)
+		got, err := joinChunks(rowsToChunk(left, 3), rowsToChunk(right, 3), 0, 0, kind, limit,
+			new(memAcct), pl, pl.reads(6), r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunkEqualRows(t, got, want)
+		for i := range pl.filters {
+			if r[i] != wantKept[len(pl.filters)-1-i] {
+				t.Fatalf("%s: filter %d kept %d rows, want %d", pc.name, i, r[i], wantKept[len(pl.filters)-1-i])
+			}
+		}
+		// Bit for bit, payloads under NULLs and nil bitmaps included, the
+		// fused output is what the pipeline computes over the full-width
+		// join: stale pooled scratch must not show through anywhere.
+		unfused, err := pl.run(fullJoin(rowsToChunk(left, 3), rowsToChunk(right, 3), 0, 0, kind, limit, new(memAcct)),
+			make([]int64, len(pl.filters)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !chunksSameRows(got, unfused) {
+			t.Fatalf("%s: fused output differs from the unfused pipeline's bit for bit", pc.name)
+		}
+	})
+}
+
+// chunksSameRows reports whether two chunks hold the same rows bit for
+// bit: the same values, payloads under NULLs included, the same NULL bits
+// and nil bitmaps in the same columns. Bitmap bits past the last row are
+// not rows: a literal NULL column sets whole words, and concatenating
+// blocks copies only the rows' bits.
+func chunksSameRows(a, b *Chunk) bool {
+	if a.length != b.length || len(a.cols) != len(b.cols) {
+		return false
+	}
+	for c := range a.cols {
+		if !slices.Equal(a.cols[c], b.cols[c]) || (a.nulls[c] == nil) != (b.nulls[c] == nil) {
+			return false
+		}
+		for r := 0; r < a.length; r++ {
+			if a.nulls[c].get(r) != b.nulls[c].get(r) {
+				return false
+			}
+		}
+	}
+	return true
 }

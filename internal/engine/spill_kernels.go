@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"dbcc/internal/xrand"
@@ -20,11 +21,11 @@ import (
 // carry a hidden original-row-index column through the partitions,
 // and the final output is re-ordered by it —
 //
-//   - grace join tags both sides, emits matches with hidden
-//     (probeIdx, buildIdx) columns (buildIdx −1 for the padded rows of a
-//     left outer join) and index-sorts the concatenated partition outputs
-//     by that pair, reproducing the in-memory order exactly: probe order,
-//     ascending build row within one probe row;
+//   - grace join tags both sides, emits each match as its hidden
+//     (probeIdx, buildIdx) pair alone (buildIdx −1 for the padded rows of
+//     a left outer join) and sorts the pairs, reproducing the in-memory
+//     kernel's match lists exactly — probe order, ascending build row
+//     within one probe row — over which the same pipeline then runs;
 //   - the fold adds a MIN aggregate over the hidden row index, giving
 //     each group its first-occurrence position, and sorts group rows by
 //     it — first-seen order, as groupChunk and distinctChunk produce;
@@ -33,9 +34,13 @@ import (
 //     across runs), so the merge is exactly the stable in-memory sort.
 
 // joinSegment joins one segment's co-located chunks under the memory
-// budget: in-memory when the build side and its hash table fit the
-// segment share, Grace-partitioned otherwise.
-func (e *execEnv) joinSegment(seg int, left, right *Chunk, lk, rk int, kind JoinKind) (*Chunk, error) {
+// budget — in-memory when the build side and its hash table fit the
+// segment share, Grace-partitioned otherwise — and runs the pipeline pl
+// over the matches, gathering the columns reads names (joinMatches.pipe).
+// r[fi] gains the rows filter fi of pl kept and r[len(pl.filters)] the
+// matches.
+func (e *execEnv) joinSegment(seg int, left, right *Chunk, p JoinPlan, pl pipeline, reads joinReads, r []int64) (*Chunk, error) {
+	lk, rk, kind := p.LeftKey, p.RightKey, p.Kind
 	// The in-memory kernel's working set is the hash table plus its match
 	// lists, which it keeps within whatever the table leaves of the share —
 	// at least the one pair the estimate reserves.
@@ -48,7 +53,7 @@ func (e *execEnv) joinSegment(seg int, left, right *Chunk, lk, rk int, kind Join
 		}
 		e.acct.charge(w)
 		defer e.acct.release(w)
-		return joinChunks(left, right, lk, rk, kind, limit, &e.acct), nil
+		return joinChunks(left, right, lk, rk, kind, limit, &e.acct, pl, reads, r)
 	}
 	lw, rw := len(left.cols), len(right.cols)
 	wideRow := int64(max(lw, rw)+1) * 8
@@ -93,37 +98,39 @@ func (e *execEnv) joinSegment(seg int, left, right *Chunk, lk, rk int, kind Join
 		return nil, err
 	}
 
-	out := newChunkBuilder(lw+rw+2, 0)
+	var pairs []uint64
 	for p := 0; p < fan; p++ {
-		if err := e.graceJoinPart(seg, out, lparts[p], rparts[p],
+		if err := e.graceJoinPart(seg, &pairs, lparts[p], rparts[p],
 			lw, rw, lk, rk, kind, int64(right.length), 1, &ioSeq); err != nil {
 			return nil, err
 		}
 	}
-	res := out.finish()
-
-	// Restore the in-memory emission order via the hidden index pair, then
-	// strip the hidden columns.
-	pc, bc := res.cols[lw+rw], res.cols[lw+rw+1]
-	idx := make([]int32, res.length)
-	for i := range idx {
-		idx[i] = int32(i)
+	// Sorting the packed index pairs restores the in-memory kernel's match
+	// order; the pipeline then runs over the same match lists it does.
+	slices.Sort(pairs)
+	lp, rp := getI32(len(pairs)), getI32(len(pairs))
+	defer func() { putI32(lp); putI32(rp) }()
+	li, ri := (*lp)[:len(pairs)], (*rp)[:len(pairs)]
+	for i, pr := range pairs {
+		li[i], ri[i] = int32(pr>>32), int32(uint32(pr))-1
 	}
-	sort.Slice(idx, func(i, j int) bool {
-		a, b := idx[i], idx[j]
-		if pc[a] != pc[b] {
-			return pc[a] < pc[b]
-		}
-		return bc[a] < bc[b]
-	})
-	return stripCols(gatherChunk(res, idx), lw+rw), nil
+	return joinMatches{left, right, li, ri, kind == LeftOuterJoin}.pipe(pl, reads, r)
+}
+
+// matchPair packs the hidden (probe row, build row) index pair of a grace
+// join match so that packed pairs sort in the in-memory kernel's match
+// order: probe row first, then ascending build row. The build row of an
+// unmatched outer row's pad is -1.
+func matchPair(probe, build int64) uint64 {
+	return uint64(probe)<<32 | uint64(build+1)
 }
 
 // graceJoinPart processes one partition pair: re-partitioned with a fresh
 // salt while the build side still exceeds the share (and is still
 // shrinking — identical keys cannot be split further), joined in memory
-// otherwise. Matches are appended to out with the hidden index pair.
-func (e *execEnv) graceJoinPart(seg int, out *chunkBuilder,
+// otherwise. Matches are appended to out as packed index pairs
+// (matchPair).
+func (e *execEnv) graceJoinPart(seg int, out *[]uint64,
 	lpart, rpart *spillPart, lw, rw, lk, rk int, kind JoinKind,
 	parentBuildRows int64, depth int, ioSeq *int64) error {
 	buildRows := rpart.rows
@@ -163,29 +170,29 @@ func (e *execEnv) graceJoinPart(seg int, out *chunkBuilder,
 			jt.insert(bkeys[i], int32(i))
 		}
 		return e.eachFrame(lpart.exts, func(pf *Chunk) error {
-			return probeAgainst(out, pf, build, jt, lw, rw, lk, rk, kind, nil, 0)
+			probeAgainst(out, pf, build, jt, lw, rw, lk, kind, nil, 0)
+			return nil
 		})
 	}
 	// The partition still exceeds the share but cannot shrink (one
 	// extremely hot key, or the depth cap): no amount of re-partitioning
 	// helps, so fall back to a block nested-loop hash join — the build
 	// side streams through in blocks that fit the share, the probe side is
-	// re-scanned once per block. Matches carry the hidden index pair, so
-	// the final re-sort restores the exact in-memory order regardless of
-	// block boundaries.
+	// re-scanned once per block. Matches are index pairs, so the final
+	// sort restores the exact in-memory order regardless of block
+	// boundaries.
 	return e.blockJoinPart(lpart, rpart, out, lw, rw, lk, rk, kind)
 }
 
 // probeAgainst streams one probe frame through a build chunk's hash
-// table, appending matches (with the hidden index pair) to out. When
-// matched is nil (single-table grace mode) unmatched probe rows of a left
-// outer join are padded immediately; when non-nil (block nested-loop
-// mode, where a row unmatched by this block may match a later one) it
-// records which probe ordinals found a match instead, and the caller
-// emits the pads in a final pass. ordBase is the ordinal of the frame's
-// first row.
-func probeAgainst(out *chunkBuilder, pf, build *Chunk, jt *joinTable, lw, rw, lk, rk int,
-	kind JoinKind, matched []uint64, ordBase int64) error {
+// table, appending its matches to out as packed index pairs. When matched
+// is nil (single-table grace mode) unmatched probe rows of a left outer
+// join are padded immediately; when non-nil (block nested-loop mode,
+// where a row unmatched by this block may match a later one) it records
+// which probe ordinals found a match instead, and the caller emits the
+// pads in a final pass. ordBase is the ordinal of the frame's first row.
+func probeAgainst(out *[]uint64, pf, build *Chunk, jt *joinTable, lw, rw, lk int,
+	kind JoinKind, matched []uint64, ordBase int64) {
 	pkeys, pnulls := pf.cols[lk], pf.nulls[lk]
 	pidx := pf.cols[lw]
 	bidx := build.cols[rw]
@@ -196,15 +203,7 @@ func probeAgainst(out *chunkBuilder, pf, build *Chunk, jt *joinTable, lw, rw, lk
 		}
 		if m < 0 {
 			if matched == nil && kind == LeftOuterJoin {
-				for c := 0; c < lw; c++ {
-					out.appendCol(c, pf.cols[c][r], pf.nulls[c].get(r))
-				}
-				for c := 0; c < rw; c++ {
-					out.appendCol(lw+c, 0, true)
-				}
-				out.appendCol(lw+rw, pidx[r], false)
-				out.appendCol(lw+rw+1, -1, false)
-				out.n++
+				*out = append(*out, matchPair(pidx[r], -1))
 			}
 			continue
 		}
@@ -213,18 +212,9 @@ func probeAgainst(out *chunkBuilder, pf, build *Chunk, jt *joinTable, lw, rw, lk
 			matched[ord/64] |= 1 << (uint(ord) % 64)
 		}
 		for ; m >= 0; m = jt.next[m] {
-			for c := 0; c < lw; c++ {
-				out.appendCol(c, pf.cols[c][r], pf.nulls[c].get(r))
-			}
-			for c := 0; c < rw; c++ {
-				out.appendCol(lw+c, build.cols[c][int(m)], build.nulls[c].get(int(m)))
-			}
-			out.appendCol(lw+rw, pidx[r], false)
-			out.appendCol(lw+rw+1, bidx[m], false)
-			out.n++
+			*out = append(*out, matchPair(pidx[r], bidx[m]))
 		}
 	}
-	return nil
 }
 
 // blockJoinPart joins one unsplittable partition pair within the share:
@@ -232,7 +222,7 @@ func probeAgainst(out *chunkBuilder, pf, build *Chunk, jt *joinTable, lw, rw, lk
 // hash table probes the whole probe partition, and (for outer joins) a
 // bitmap over probe ordinals collects matches so pad rows are emitted
 // exactly once in a final pass.
-func (e *execEnv) blockJoinPart(lpart, rpart *spillPart, out *chunkBuilder,
+func (e *execEnv) blockJoinPart(lpart, rpart *spillPart, out *[]uint64,
 	lw, rw, lk, rk int, kind JoinKind) error {
 	share := e.segShare()
 	rowB := int64(rw+1) * 8
@@ -261,9 +251,9 @@ func (e *execEnv) blockJoinPart(lpart, rpart *spillPart, out *chunkBuilder,
 		}
 		var ord int64
 		return e.eachFrame(lpart.exts, func(pf *Chunk) error {
-			err := probeAgainst(out, pf, block, jt, lw, rw, lk, rk, kind, matched, ord)
+			probeAgainst(out, pf, block, jt, lw, rw, lk, kind, matched, ord)
 			ord += int64(pf.length)
-			return err
+			return nil
 		})
 	}
 
@@ -300,18 +290,9 @@ func (e *execEnv) blockJoinPart(lpart, rpart *spillPart, out *chunkBuilder,
 	return e.eachFrame(lpart.exts, func(pf *Chunk) error {
 		for r := 0; r < pf.length; r++ {
 			o := ord + int64(r)
-			if matched[o/64]&(1<<(uint(o)%64)) != 0 {
-				continue
+			if matched[o/64]&(1<<(uint(o)%64)) == 0 {
+				*out = append(*out, matchPair(pf.cols[lw][r], -1))
 			}
-			for c := 0; c < lw; c++ {
-				out.appendCol(c, pf.cols[c][r], pf.nulls[c].get(r))
-			}
-			for c := 0; c < rw; c++ {
-				out.appendCol(lw+c, 0, true)
-			}
-			out.appendCol(lw+rw, pf.cols[lw][r], false)
-			out.appendCol(lw+rw+1, -1, false)
-			out.n++
 		}
 		ord += int64(pf.length)
 		return nil

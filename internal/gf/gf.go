@@ -17,6 +17,8 @@
 // can be explicitly inverted (x = a⁻¹·(y + b)).
 package gf
 
+import "math/bits"
+
 // IrrPoly is the low part of the irreducible reduction polynomial
 // x^64 + x^4 + x^3 + x + 1: the term x^64 is implicit, the remaining
 // coefficients are 0x1b = x^4 + x^3 + x + 1.
@@ -45,7 +47,7 @@ func Mul(a, x uint64) uint64 {
 	return r
 }
 
-// mulTables holds 16 tables of 256 entries each for table-driven
+// mulTables holds 8 tables of 256 entries each for table-driven
 // multiplication: mulTables[i][v] = mulBase · (v · x^(8i)) for the base
 // element the tables were built for. See NewMultiplier.
 type mulTables [8][256]uint64
@@ -60,17 +62,15 @@ type Multiplier struct {
 }
 
 // NewMultiplier returns a Multiplier computing a·x for arbitrary x.
+// Multiplication distributes over XOR, so tab[i][v] is built from the
+// entry for v with its lowest set bit cleared plus that bit's power:
+// 255 XORs per table instead of a bit test per bit of every entry.
 func NewMultiplier(a uint64) *Multiplier {
 	m := &Multiplier{a: a}
-	// shifted[k] = a · x^k for k = 0..7 within a byte, recomputed per byte
-	// position below. Build tab[i][v] = a · (v << 8i) by accumulating the
-	// contribution of each bit of v.
-	base := a
+	p := a // a · x^(8i+k) as k runs through byte i
 	for i := 0; i < 8; i++ {
-		// powers[k] = a · x^(8i+k)
 		var powers [8]uint64
-		p := base
-		for k := 0; k < 8; k++ {
+		for k := range powers {
 			powers[k] = p
 			if p&(1<<63) != 0 {
 				p = p<<1 ^ IrrPoly
@@ -78,16 +78,10 @@ func NewMultiplier(a uint64) *Multiplier {
 				p <<= 1
 			}
 		}
-		for v := 0; v < 256; v++ {
-			var r uint64
-			for k := 0; k < 8; k++ {
-				if v&(1<<k) != 0 {
-					r ^= powers[k]
-				}
-			}
-			m.tab[i][v] = r
+		t := &m.tab[i]
+		for v := 1; v < 256; v++ {
+			t[v] = t[v&(v-1)] ^ powers[bits.TrailingZeros8(uint8(v))]
 		}
-		base = p
 	}
 	return m
 }

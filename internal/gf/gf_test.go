@@ -1,8 +1,11 @@
 package gf
 
 import (
+	"math/big"
 	"testing"
 	"testing/quick"
+
+	"dbcc/internal/xrand"
 )
 
 func TestAddIsXor(t *testing.T) {
@@ -137,6 +140,26 @@ func TestMultiplierMatchesMul(t *testing.T) {
 	}
 }
 
+// TestMultiplierTableMatchesMul checks every entry of the incrementally
+// built tables against the schoolbook product: tab[i][v] = a · (v << 8i).
+func TestMultiplierTableMatchesMul(t *testing.T) {
+	rng := xrand.New(64)
+	as := []uint64{0, 1, 1 << 63, ^uint64(0)}
+	for len(as) < 12 {
+		as = append(as, rng.Uint64())
+	}
+	for _, a := range as {
+		m := NewMultiplier(a)
+		for i := range m.tab {
+			for v := range m.tab[i] {
+				if got, want := m.tab[i][v], Mul(a, uint64(v)<<(8*i)); got != want {
+					t.Fatalf("a=%#x: tab[%d][%#x] = %#x, want %#x", a, i, v, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestAffine(t *testing.T) {
 	h := NewAffine(0x9e3779b97f4a7c15, 0x1234)
 	inv := h.Inverse()
@@ -184,6 +207,46 @@ func TestPrimeFieldBasics(t *testing.T) {
 	}
 }
 
+// TestPrimeFieldMatchesBigInt checks MulP, AddP, SubP and AxBP against
+// math/big on every combination of edge values — unreduced operands up to
+// 2^64−1 included — and on random triples over the whole uint64 range.
+func TestPrimeFieldMatchesBigInt(t *testing.T) {
+	p := new(big.Int).SetUint64(PrimeP)
+	mod := func(z *big.Int) uint64 { return z.Mod(z, p).Uint64() }
+	bi := func(v uint64) *big.Int { return new(big.Int).SetUint64(v) }
+	check := func(a, x, b uint64) {
+		t.Helper()
+		if got, want := MulP(a, x), mod(new(big.Int).Mul(bi(a), bi(x))); got != want {
+			t.Fatalf("MulP(%d, %d) = %d, want %d", a, x, got, want)
+		}
+		if got, want := AddP(a, b), mod(new(big.Int).Add(bi(a), bi(b))); got != want {
+			t.Fatalf("AddP(%d, %d) = %d, want %d", a, b, got, want)
+		}
+		if got, want := SubP(a, b), mod(new(big.Int).Sub(bi(a), bi(b))); got != want {
+			t.Fatalf("SubP(%d, %d) = %d, want %d", a, b, got, want)
+		}
+		axb := new(big.Int).Mul(bi(a), bi(x))
+		if got, want := AxBP(a, x, b), mod(axb.Add(axb, bi(b))); got != want {
+			t.Fatalf("AxBP(%d, %d, %d) = %d, want %d", a, x, b, got, want)
+		}
+	}
+	edges := []uint64{0, 1, 2, 1 << 63, PrimeP - 1, PrimeP, PrimeP + 1, ^uint64(0) - 1, ^uint64(0)}
+	for _, a := range edges {
+		for _, x := range edges {
+			for _, b := range edges {
+				check(a, x, b)
+			}
+		}
+	}
+	if got := AddP(^uint64(0), ^uint64(0)); got != 116 {
+		t.Fatalf("AddP(2^64-1, 2^64-1) = %d, want 116", got)
+	}
+	rng := xrand.New(59)
+	for i := 0; i < 5000; i++ {
+		check(rng.Uint64(), rng.Uint64(), rng.Uint64())
+	}
+}
+
 func TestInvP(t *testing.T) {
 	err := quick.Check(func(a uint64) bool {
 		a %= PrimeP
@@ -228,6 +291,16 @@ func BenchmarkMultiplier(b *testing.B) {
 	var acc uint64
 	for i := 0; i < b.N; i++ {
 		acc ^= m.Mul(uint64(i))
+	}
+	sink = acc
+}
+
+// BenchmarkNewMultiplier measures building the tables, which every
+// finite-fields contraction round does once.
+func BenchmarkNewMultiplier(b *testing.B) {
+	var acc uint64
+	for i := 0; i < b.N; i++ {
+		acc ^= NewMultiplier(0x9e3779b97f4a7c15 + uint64(i)).tab[7][255]
 	}
 	sink = acc
 }
