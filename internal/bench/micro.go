@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -23,6 +24,11 @@ import (
 //     the machine and pins the relative speedup — the radix-vs-counting
 //     entry, for example, enforces the shuffle kernel's ≥2× win on every
 //     run.
+//
+// A run may repeat each benchmark (-count=N). Every sample is kept: a
+// ratio is taken between the two sides' median ns/op, so one sample a
+// noisy host slowed does not fail the gate, and allocs/op is gated on
+// the largest sample, so no sample may over-allocate.
 
 // MicroResult is one parsed benchmark line.
 type MicroResult struct {
@@ -31,11 +37,12 @@ type MicroResult struct {
 	AllocsPerOp int64
 }
 
-// ParseGoBench parses `go test -bench -benchmem` output into results keyed
-// by benchmark name. The trailing GOMAXPROCS suffix ("-8") is stripped so
-// names are stable across machines; non-benchmark lines are ignored.
-func ParseGoBench(text string) map[string]MicroResult {
-	out := map[string]MicroResult{}
+// ParseGoBench parses `go test -bench -benchmem` output into every sample
+// of each benchmark, in output order, keyed by benchmark name. The
+// trailing GOMAXPROCS suffix ("-8") is stripped so names are stable
+// across machines; non-benchmark lines are ignored.
+func ParseGoBench(text string) map[string][]MicroResult {
+	out := map[string][]MicroResult{}
 	sc := bufio.NewScanner(strings.NewReader(text))
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -69,7 +76,7 @@ func ParseGoBench(text string) map[string]MicroResult {
 			}
 		}
 		if seen {
-			out[name] = r
+			out[name] = append(out[name], r)
 		}
 	}
 	return out
@@ -110,22 +117,26 @@ func LoadMicroBaseline(path string) (*MicroBaseline, error) {
 	return &b, nil
 }
 
-// Check compares parsed benchmark results against the baseline. Every
+// Check compares parsed benchmark samples against the baseline. Every
 // gated benchmark must be present in the results — a missing one means the
 // benchmark was renamed or silently skipped, which is itself a failure.
 // A nil error means every gate passed.
-func (b *MicroBaseline) Check(results map[string]MicroResult) error {
+func (b *MicroBaseline) Check(results map[string][]MicroResult) error {
 	var problems []string
 	for name, expected := range b.AllocsPerOp {
-		r, ok := results[name]
+		samples, ok := results[name]
 		if !ok {
 			problems = append(problems, fmt.Sprintf("%s: no result (renamed or not run?)", name))
 			continue
 		}
+		var most int64
+		for _, r := range samples {
+			most = max(most, r.AllocsPerOp)
+		}
 		limit := int64(float64(expected) * (1 + b.Tolerance))
-		if r.AllocsPerOp > limit {
+		if most > limit {
 			problems = append(problems, fmt.Sprintf("%s: %d allocs/op, baseline expects ≤%d (%d +%.0f%%)",
-				name, r.AllocsPerOp, limit, expected, 100*b.Tolerance))
+				name, most, limit, expected, 100*b.Tolerance))
 		}
 	}
 	for _, g := range b.NsRatios {
@@ -139,20 +150,35 @@ func (b *MicroBaseline) Check(results map[string]MicroResult) error {
 			problems = append(problems, fmt.Sprintf("%s: no result for %s", g.Name, g.Denominator))
 			continue
 		}
-		if den.NsPerOp <= 0 {
+		numNs, denNs := medianNs(num), medianNs(den)
+		if denNs <= 0 {
 			problems = append(problems, fmt.Sprintf("%s: degenerate denominator %s", g.Name, g.Denominator))
 			continue
 		}
-		ratio := num.NsPerOp / den.NsPerOp
-		if ratio > g.Max {
-			problems = append(problems, fmt.Sprintf("%s: ns/op ratio %.2f exceeds %.2f (%s=%.0fns vs %s=%.0fns)",
-				g.Name, ratio, g.Max, g.Numerator, num.NsPerOp, g.Denominator, den.NsPerOp))
+		if ratio := numNs / denNs; ratio > g.Max {
+			problems = append(problems, fmt.Sprintf("%s: median ns/op ratio %.2f exceeds %.2f (%s=%.0fns vs %s=%.0fns, %d/%d samples)",
+				g.Name, ratio, g.Max, g.Numerator, numNs, g.Denominator, denNs, len(num), len(den)))
 		}
 	}
 	if len(problems) > 0 {
 		return fmt.Errorf("bench: microbenchmark gate failed:\n  %s", strings.Join(problems, "\n  "))
 	}
 	return nil
+}
+
+// medianNs is the median ns/op of a benchmark's samples (the mean of the
+// middle two for an even count).
+func medianNs(samples []MicroResult) float64 {
+	ns := make([]float64, len(samples))
+	for i, r := range samples {
+		ns[i] = r.NsPerOp
+	}
+	sort.Float64s(ns)
+	mid := len(ns) / 2
+	if len(ns)%2 == 0 {
+		return (ns[mid-1] + ns[mid]) / 2
+	}
+	return ns[mid]
 }
 
 // CheckMicroFile loads a `go test -bench` output file and a baseline and

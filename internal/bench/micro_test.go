@@ -29,8 +29,57 @@ func TestParseGoBench(t *testing.T) {
 	if !ok {
 		t.Fatalf("GOMAXPROCS suffix not stripped: %v", results)
 	}
-	if r.NsPerOp != 308466 || r.BytesPerOp != 775376 || r.AllocsPerOp != 90 {
+	if len(r) != 1 || r[0].NsPerOp != 308466 || r[0].BytesPerOp != 775376 || r[0].AllocsPerOp != 90 {
 		t.Fatalf("parsed %+v", r)
+	}
+}
+
+// repeatedBenchOutput is a -count=5 run of a ratio-gated pair: the kernel
+// runs near 0.3× its baseline, except one sample a noisy host slowed to
+// 1.2×, and one sample of the kernel allocates more than the others.
+const repeatedBenchOutput = `BenchmarkKernelGroupByMin/segment/n=65536-2 	 100	 300000 ns/op	 1000 B/op	 12 allocs/op
+BenchmarkKernelGroupByMin/uniform/n=65536-2 	 100	1000000 ns/op	 1000 B/op	 12 allocs/op
+BenchmarkKernelGroupByMin/segment/n=65536-2 	 100	1200000 ns/op	 1000 B/op	 12 allocs/op
+BenchmarkKernelGroupByMin/uniform/n=65536-2 	 100	1000000 ns/op	 1000 B/op	 12 allocs/op
+BenchmarkKernelGroupByMin/segment/n=65536-2 	 100	 310000 ns/op	 1000 B/op	 12 allocs/op
+BenchmarkKernelGroupByMin/uniform/n=65536-2 	 100	 990000 ns/op	 1000 B/op	 12 allocs/op
+BenchmarkKernelGroupByMin/segment/n=65536-2 	 100	 290000 ns/op	 1000 B/op	 19 allocs/op
+BenchmarkKernelGroupByMin/uniform/n=65536-2 	 100	1010000 ns/op	 1000 B/op	 12 allocs/op
+BenchmarkKernelGroupByMin/segment/n=65536-2 	 100	 305000 ns/op	 1000 B/op	 12 allocs/op
+BenchmarkKernelGroupByMin/uniform/n=65536-2 	 100	1000000 ns/op	 1000 B/op	 12 allocs/op
+`
+
+// TestMicroBaselineCheckSamples pins how the gate reads repeated samples:
+// a ratio compares the two sides' medians, so one outlier passes and a
+// median over the bound fails, while allocs/op is held to every sample.
+func TestMicroBaselineCheckSamples(t *testing.T) {
+	results := ParseGoBench(repeatedBenchOutput)
+	if n := len(results["BenchmarkKernelGroupByMin/segment/n=65536"]); n != 5 {
+		t.Fatalf("kept %d samples, want 5", n)
+	}
+	gate := func(max float64) []NsRatioGate {
+		return []NsRatioGate{{
+			Name:        "segment vs uniform",
+			Numerator:   "BenchmarkKernelGroupByMin/segment/n=65536",
+			Denominator: "BenchmarkKernelGroupByMin/uniform/n=65536",
+			Max:         max,
+		}}
+	}
+	// The outlier alone reads 1.2, over the bound; the medians read 0.30.
+	if err := (&MicroBaseline{Tolerance: 0.15, NsRatios: gate(0.5)}).Check(results); err != nil {
+		t.Fatalf("one outlier sample failed the median gate: %v", err)
+	}
+	if err := (&MicroBaseline{Tolerance: 0.15, NsRatios: gate(0.25)}).Check(results); err == nil || !strings.Contains(err.Error(), "ratio 0.30") {
+		t.Fatalf("a median ratio of 0.30 passed a 0.25 gate: %v", err)
+	}
+	// Four samples allocate 12 and one 19: 19 > 12 × 1.15 fails.
+	allocs := &MicroBaseline{Tolerance: 0.15, AllocsPerOp: map[string]int64{"BenchmarkKernelGroupByMin/segment/n=65536": 12}}
+	if err := allocs.Check(results); err == nil || !strings.Contains(err.Error(), "19 allocs/op") {
+		t.Fatalf("an over-allocating sample passed the gate: %v", err)
+	}
+	allocs.AllocsPerOp = map[string]int64{"BenchmarkKernelGroupByMin/uniform/n=65536": 12}
+	if err := allocs.Check(results); err != nil {
+		t.Fatalf("samples at the baseline failed: %v", err)
 	}
 }
 

@@ -40,15 +40,13 @@ const (
 	autoRoundCeiling = 512
 )
 
-// The pre-scan's statistics over the input $1, each one aggregate query
-// over its symmetrised, deduplicated, loop-free edge set, nothing
-// materialised.
-var (
-	autoDegrees      = `(select v, count(*) as deg from ` + edgeSet("$1") + ` as ed group by v)`
-	autoSQLVertices  = `select count(*) as n from ` + autoDegrees + ` as d`
-	autoSQLEdges     = `select count(*) as n from ` + edgeSet("$1") + ` as ed`
-	autoSQLMaxDegree = `select max(deg) as maxdeg from ` + autoDegrees + ` as d`
-)
+// autoSQLPrescan is the pre-scan: one aggregate over the degrees of the
+// input $1's symmetrised, deduplicated, loop-free edge set, nothing
+// materialised. Its vertex count, degree sum (the edge count: the set
+// holds each edge in both directions) and maximum degree are
+// Prescan.Vertices, Edges and MaxDegree.
+var autoSQLPrescan = `select count(*) as n, sum(deg) as e, max(deg) as maxdeg from ` +
+	`(select v, count(*) as deg from ` + edgeSet("$1") + ` as ed group by v) as d`
 
 // Prescan is the cheap statistics pass behind a planning decision.
 type Prescan struct {
@@ -83,7 +81,7 @@ type AutoDecision struct {
 //  4. diameter probe does not converge → ld (round count tracks log D)
 //  5. otherwise                        → rc-det (the paper's best all-rounder)
 //
-// Rules 1–3 cost three aggregate queries and no temp tables; the probe
+// Rules 1–3 cost one aggregate query and no temp tables; the probe
 // (rule 4) materialises a label table and runs up to autoProbeRounds
 // minimum-propagation rounds — the "few BFS probes" of the design note.
 func PlanAlgorithm(c *engine.Cluster, input string, opts Options) (AutoDecision, error) {
@@ -100,14 +98,8 @@ func PlanAlgorithm(c *engine.Cluster, input string, opts Options) (AutoDecision,
 // plan is PlanAlgorithm's pre-scan and rules, run inside r.
 func plan(r *run, input string, opts Options) (AutoDecision, error) {
 	var d AutoDecision
-	var err error
-	if d.Prescan.Vertices, err = r.count(autoSQLVertices, sql.Table(input)); err != nil {
-		return d, err
-	}
-	if d.Prescan.Edges, err = r.count(autoSQLEdges, sql.Table(input)); err != nil {
-		return d, err
-	}
-	if d.Prescan.MaxDegree, err = r.count(autoSQLMaxDegree, sql.Table(input)); err != nil {
+	if err := r.counts(autoSQLPrescan, []sql.Arg{sql.Table(input)},
+		&d.Prescan.Vertices, &d.Prescan.Edges, &d.Prescan.MaxDegree); err != nil {
 		return d, err
 	}
 	if d.Prescan.Vertices > 0 {

@@ -409,15 +409,29 @@ func (r *run) create(target, src string, args ...sql.Arg) (int64, error) {
 // materialising anything and returns its value. An aggregate over no rows
 // yields no row, or NULL for MAX and SUM; both read as 0.
 func (r *run) count(src string, args ...sql.Arg) (int64, error) {
+	var n int64
+	return n, r.counts(src, args, &n)
+}
+
+// counts is count for a shape of several aggregates: it stores the
+// first len(outs) columns of its row in outs, in order, each read as
+// count reads its one.
+func (r *run) counts(src string, args []sql.Arg, outs ...*int64) error {
 	h, err := r.stmt(src)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	_, rows, err := h.Query(args...)
-	if err != nil || len(rows) == 0 || rows[0][0].Null {
-		return 0, err
+	if err != nil {
+		return err
 	}
-	return rows[0][0].Int, nil
+	for i, o := range outs {
+		*o = 0
+		if len(rows) > 0 && !rows[0][i].Null {
+			*o = rows[0][i].Int
+		}
+	}
+	return nil
 }
 
 // drop removes run-private temp tables.

@@ -10,9 +10,10 @@ package engine
 // reference. Every INSERT writes one chunk through appendRows, which
 // places its rows with the shuffle's router and feeds the component index
 // the same chunk: INSERT … SELECT concatenates its plan's output chunks,
-// and InsertRows converts its rows once. Rows exist only at the public
-// edge — InsertRows and DeleteRows arguments, Query and ReadAll results —
-// where rowsToChunk and chunkToRows translate. The public API — Datum,
+// and InsertRows converts its rows once. DeleteRows filters the stored
+// chunks in place. Rows exist only at the public edge — InsertRows
+// arguments, Query and ReadAll results — where rowsToChunk and
+// chunkToRows translate. The public API — Datum,
 // Row, Table, Plan — is unchanged by the columnar representation.
 
 // nullBitmap marks the NULL rows of one chunk column, one bit per row. A

@@ -76,8 +76,18 @@ func TestComponentIndexInsertsRacingRebuilds(t *testing.T) {
 		defer deleterDone.Store(true)
 		// Each delete removes one residue class of v1+v2, a few percent
 		// of the rows; one that finds nothing to remove does not rebuild.
+		// No operator computes a residue, so a test function does.
+		c.RegisterColumnUDF("mod7", func(out []int64, args []engine.UDFArg) {
+			for i := range out {
+				out[i] = args[0].At(i) % 7
+			}
+		})
+		residue, err := c.CallUDF("mod7", engine.Bin(engine.OpAdd, engine.Col(0), engine.Col(1)))
+		if deleteErr = err; err != nil {
+			return
+		}
 		for k, done := int64(0), 0; done < rebuilds; k = (k + 1) % 7 {
-			removed, err := c.DeleteRows(context.Background(), "edges", func(r engine.Row) bool { return (r[0].Int+r[1].Int)%7 != k })
+			removed, err := c.DeleteRows(context.Background(), engine.Filter(engine.Scan("edges"), engine.Bin(engine.OpEq, residue, engine.Const(k))))
 			if deleteErr = err; err != nil {
 				return
 			}

@@ -48,7 +48,8 @@
 //   - Segment tasks submitted to the worker pool via execEnv.parallel must
 //     be leaf computations: they must not issue queries, touch the catalog
 //     or call parallel again, or the pool's cluster-wide bound could
-//     deadlock.
+//     deadlock. They take no table lock either, which is what lets
+//     DeleteRows run its tasks while it holds its table's t.mu.
 //
 // Statements are individually atomic but multi-statement sequences are
 // not isolated: two sessions creating the same table name race benignly
@@ -641,93 +642,87 @@ func (c *Cluster) appendRows(s *statement, name string, t *Table, ch *Chunk) int
 	return s.rec.Rows
 }
 
-// DeleteRows removes the rows of a table for which keep returns false,
-// releasing their space, and returns the number of rows removed. keep sees
-// every stored row through one reused buffer, so it must not retain its
-// argument. A DELETE is atomic: keep runs over every row before any
-// segment changes, so a keep that panics part-way, or a DELETE cancelled
-// or past its deadline, removes nothing. Only the chunks that lose rows
-// are rewritten, and a changed segment's list is replaced, never edited,
-// so concurrent scans keep their snapshots. A component index on the
-// table goes stale on any removal and is rebuilt before DeleteRows
-// returns (see compidx.go). Cancelling ctx, or exceeding
-// Options.QueryTimeout, aborts the statement: the predicate checks the
-// statement's context every deleteCheckRows rows.
-func (c *Cluster) DeleteRows(ctx context.Context, name string, keep func(Row) bool) (removed int64, err error) {
-	err = c.statement(ctx, "delete", name, func(s *statement) error {
-		t, ok := c.Table(name)
+// DeleteRows removes the rows of a table that a filter chain over its scan
+// selects, releasing their space, and returns the number removed. p is
+// Filter*(Scan(t)), the plan of SELECT * FROM t WHERE …; a bare Scan(t)
+// deletes every row. The chain runs as the scan pipeline's filter over
+// each stored chunk, one task per segment on the worker pool, so a DELETE
+// removes exactly the rows that SELECT returns and has the fault
+// injection, retries and cancellation of any statement. A DELETE is
+// atomic: a failed task, a cancel or the statement's deadline removes
+// nothing. Only the chunks that lose rows are rewritten, and a changed
+// segment's list is replaced, never edited, so concurrent scans keep their
+// snapshots. A component index on the table goes stale on any removal and
+// is rebuilt before DeleteRows returns (see compidx.go).
+func (c *Cluster) DeleteRows(ctx context.Context, p Plan) (removed int64, err error) {
+	pl, src := splitPipeline(p)
+	scan, ok := src.(ScanPlan)
+	if !ok || pl.proj != nil {
+		return 0, fmt.Errorf("engine: DELETE takes filters over a table scan, not %s", p)
+	}
+	err = c.statement(ctx, "delete", scan.Table, func(s *statement) error {
+		t, ok := c.Table(scan.Table)
 		if !ok {
-			return fmt.Errorf("engine: table %q does not exist", name)
+			return fmt.Errorf("engine: table %q does not exist", scan.Table)
 		}
 		var err error
-		if removed, err = t.deleteRows(s.deadline(), keep); err != nil {
+		if removed, err = s.open().deleteRows(t, pl); err != nil {
 			return err
 		}
 		c.statsMu.Lock()
 		c.stats.LiveBytes -= removed * int64(len(t.Schema)) * DatumSize
 		c.statsMu.Unlock()
-		s.rec.Plan, s.rec.Rows = fmt.Sprintf("Delete(%s, %d rows)", name, removed), removed
-		c.maybeRebuildIndex(t, name, removed)
+		s.rec.Plan, s.rec.Rows = fmt.Sprintf("Delete(%s, %d rows)", p, removed), removed
+		c.maybeRebuildIndex(t, scan.Table, removed)
 		return nil
 	})
 	return removed, err
 }
 
-// deleteCheckRows is how many rows a DELETE's predicate sees between two
-// checks of the statement's context inside one chunk.
-const deleteCheckRows = 64
-
-// deleteRows is DeleteRows' table rewrite: it gathers the kept rows of
-// every chunk that loses any into a fresh chunk and returns the number of
-// rows removed. Every segment's new list is built before any is stored,
-// so a cancelled ctx leaves the table as it was.
-func (t *Table) deleteRows(ctx context.Context, keep func(Row) bool) (removed int64, err error) {
-	row := make(Row, len(t.Schema))
+// deleteRows is DeleteRows' table rewrite. It holds the table's write lock
+// from the first read to the swap, so no insert lands in between. Each
+// segment's task runs pl over the segment's stored chunks and publishes
+// the segment's new list into its own slot (nil while no chunk loses a
+// row); a retried task starts its list afresh. The lists are stored only
+// once every task has succeeded and parallel has found the statement
+// still live, so a failed or cancelled DELETE leaves the table as it was.
+func (e *execEnv) deleteRows(t *Table, pl pipeline) (int64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	next := make([][]*Chunk, len(t.parts)) // a segment's new list; nil if unchanged
-	for seg, list := range t.parts {
+	next := make([][]*Chunk, len(t.parts))
+	removed := make([]int64, len(t.parts))
+	err := e.parallel(func(seg int) error {
+		list := t.parts[seg]
+		var out []*Chunk
+		var n int64
+		r := make([]int64, len(pl.filters))
 		for i, ch := range list {
-			kp := getI32(ch.length)
-			idx := *kp
-			for r := 0; r < ch.length; r++ {
-				if r%deleteCheckRows == 0 {
-					if err := ctx.Err(); err != nil {
-						putI32(kp)
-						return 0, cancelErr(err)
-					}
-				}
-				for col := range row {
-					row[col] = ch.datum(col, r)
-				}
-				if keep(row) {
-					idx = append(idx, int32(r))
-				}
+			kept, dropped, err := pl.remove(ch, r)
+			if err != nil {
+				return err
 			}
-			if len(idx) < ch.length {
-				if next[seg] == nil {
-					next[seg] = append(make([]*Chunk, 0, len(list)), list[:i]...)
-				}
-				removed += int64(ch.length - len(idx))
-				if len(idx) > 0 {
-					next[seg] = append(next[seg], gatherChunk(ch, idx))
-				}
-			} else if next[seg] != nil {
-				next[seg] = append(next[seg], ch)
+			if dropped > 0 && out == nil {
+				out = append(make([]*Chunk, 0, len(list)), list[:i]...)
 			}
-			*kp = idx
-			putI32(kp)
+			if out != nil && kept != nil {
+				out = append(out, kept)
+			}
+			n += int64(dropped)
 		}
+		next[seg], removed[seg] = out, n
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	if err := ctx.Err(); err != nil {
-		return 0, cancelErr(err)
-	}
+	var total int64
 	for seg, list := range next {
 		if list != nil {
 			t.parts[seg] = list
 		}
+		total += removed[seg]
 	}
-	return removed, nil
+	return total, nil
 }
 
 // DropTable removes a table from the catalog and releases its space.

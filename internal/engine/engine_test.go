@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -463,7 +464,7 @@ func TestLiveBytesMatchesCatalog(t *testing.T) {
 			return nil
 		}},
 		{"DELETE", func() error {
-			_, err := c.DeleteRows(context.Background(), "t1", func(r Row) bool { return r[0].Int != 2 })
+			_, err := c.DeleteRows(context.Background(), Filter(Scan("t1"), Bin(OpEq, Col(0), Const(2))))
 			return err
 		}},
 		{"RENAME", func() error { return c.RenameTable("t1", "t3") }},
@@ -536,18 +537,28 @@ func TestCreateTableAsDuplicate(t *testing.T) {
 	}
 }
 
+// evalOne evaluates e over the one-row chunk holding row.
+func evalOne(t *testing.T, e Expr, row Row) Datum {
+	t.Helper()
+	v, err := evalVec(e, rowsToChunk([]Row{row}, len(row)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v.datum(0)
+}
+
 func TestLeastCoalesce(t *testing.T) {
 	row := Row{I(5), NullDatum, I(3)}
-	if got := Least(Col(0), Col(1), Col(2)).Eval(row); got.Null || got.Int != 3 {
+	if got := evalOne(t, Least(Col(0), Col(1), Col(2)), row); got.Null || got.Int != 3 {
 		t.Errorf("least = %v, want 3", got)
 	}
-	if got := Least(Col(1)).Eval(row); !got.Null {
+	if got := evalOne(t, Least(Col(1)), row); !got.Null {
 		t.Errorf("least of all NULL = %v, want NULL", got)
 	}
-	if got := Coalesce(Col(1), Col(0)).Eval(row); got.Null || got.Int != 5 {
+	if got := evalOne(t, Coalesce(Col(1), Col(0)), row); got.Null || got.Int != 5 {
 		t.Errorf("coalesce = %v, want 5", got)
 	}
-	if got := Coalesce(Col(1), Col(1)).Eval(row); !got.Null {
+	if got := evalOne(t, Coalesce(Col(1), Col(1)), row); !got.Null {
 		t.Errorf("coalesce of NULLs = %v, want NULL", got)
 	}
 }
@@ -564,7 +575,7 @@ func TestUDF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := expr.Eval(Row{I(21)}); got.Int != 42 {
+	if got := evalOne(t, expr, Row{I(21)}); got.Int != 42 {
 		t.Fatalf("udf = %v", got)
 	}
 	if _, err := c.CallUDF("missing"); err == nil {
@@ -607,4 +618,93 @@ func TestShuffleBytesAccounting(t *testing.T) {
 	if c.Stats().ShuffleBytes == 0 {
 		t.Error("redistribution recorded no shuffle traffic")
 	}
+}
+
+// TestDeleteKeepsUntouchedChunks pins DELETE's copy-on-write: a DELETE
+// that matches nothing leaves every stored chunk and every segment list in
+// place, and one that matches rows replaces only the chunks that lose
+// some, dropping those that lose all.
+func TestDeleteKeepsUntouchedChunks(t *testing.T) {
+	c := newTestCluster(t, 3)
+	mustCreate(t, c, "t", Schema{"k", "v"}, 0, nil)
+	// Batches of 16, 4 and 1 rows per key, v = 100 × batch + row: each
+	// under half its predecessor, so every batch stays a chunk of its own.
+	for b, perKey := range []int{16, 4, 1} {
+		var rows []Row
+		for i := 0; i < 6*perKey; i++ {
+			rows = append(rows, Row{I(int64(i % 6)), I(int64(100*b + i))})
+		}
+		if err := c.InsertRows("t", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab, _ := c.Table("t")
+	before := tab.snapshotParts()
+	del := func(pred Expr) int64 {
+		t.Helper()
+		n, err := c.DeleteRows(context.Background(), Filter(Scan("t"), pred))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+
+	if n := del(Bin(OpGt, Col(1), Const(1000))); n != 0 {
+		t.Fatalf("DELETE matching nothing removed %d rows", n)
+	}
+	for seg, list := range tab.snapshotParts() {
+		if len(list) != len(before[seg]) || len(list) > 0 && &list[0] != &before[seg][0] {
+			t.Fatalf("segment %d: a DELETE matching nothing replaced the list", seg)
+		}
+		for i, ch := range list {
+			if ch != before[seg][i] {
+				t.Fatalf("segment %d chunk %d: a DELETE matching nothing replaced it", seg, i)
+			}
+		}
+	}
+
+	// v < 100 or v = 101: batch 0 and one row of batch 1.
+	if n := del(Bin(OpOr, Bin(OpLt, Col(1), Const(100)), Bin(OpEq, Col(1), Const(101)))); n != 97 {
+		t.Fatalf("removed %d rows, want 97", n)
+	}
+	fates := map[string]int{}
+	for seg, list := range tab.snapshotParts() {
+		var want []*Chunk // nil: a chunk rebuilt from the rows this one keeps
+		var keeps [][]int64
+		for _, ch := range before[seg] {
+			var kept []int64
+			for _, v := range ch.cols[1] {
+				if v >= 100 && v != 101 {
+					kept = append(kept, v)
+				}
+			}
+			switch len(kept) {
+			case 0:
+				fates["dropped"]++
+				continue
+			case ch.length:
+				fates["kept"]++
+				want = append(want, ch)
+			default:
+				fates["rebuilt"]++
+				want = append(want, nil)
+			}
+			keeps = append(keeps, kept)
+		}
+		if len(list) != len(want) {
+			t.Fatalf("segment %d holds %d chunks, want %d", seg, len(list), len(want))
+		}
+		for i, ch := range list {
+			if want[i] != nil && ch != want[i] {
+				t.Fatalf("segment %d chunk %d: a chunk that lost no row was replaced", seg, i)
+			}
+			if want[i] == nil && (slices.Contains(before[seg], ch) || !slices.Equal(ch.cols[1], keeps[i])) {
+				t.Fatalf("segment %d chunk %d holds %v, want a new chunk of %v", seg, i, ch.cols[1], keeps[i])
+			}
+		}
+	}
+	if fates["dropped"] == 0 || fates["kept"] == 0 || fates["rebuilt"] != 1 {
+		t.Fatalf("chunk fates %v: want some dropped, some kept and one rebuilt", fates)
+	}
+	assertLiveBytesMatchCatalog(t, c, "DELETE")
 }

@@ -2,18 +2,21 @@ package engine
 
 import "fmt"
 
-// Vectorized expression evaluation over chunks. evalVec computes an
-// expression once per chunk instead of once per row: column references
-// alias the input column (zero copies), arithmetic and comparisons run as
-// tight loops over flat []int64 with word-wise null propagation, a function
-// with a column kernel is called once per chunk (evalColumnUDF), and only
-// genuinely row-oriented expressions (scalar-only UDFs, unknown Expr
-// implementations) fall back to a scalar loop — with a reused argument
-// buffer, so even the fallback allocates per chunk, not per row.
+// Vectorized expression evaluation over chunks, the engine's one
+// evaluator. evalRows computes an expression once per chunk instead of
+// once per row: column references alias the input column (zero copies),
+// arithmetic and comparisons run as tight loops over flat []int64 with
+// word-wise null propagation, a function with a column kernel is called
+// once per chunk (evalColumnUDF), and only a scalar-only UDF runs a loop
+// of calls — with a reused argument buffer, so it allocates per chunk,
+// not per row. A value that reads no column (an INSERT … VALUES item) is
+// evaluated over the one row with no columns a FROM-less SELECT reads
+// (EvalConst).
 //
 // Evaluation is fallible: a malformed plan (an unknown operator smuggled
-// into a BinExpr) surfaces as a returned error that fails its query, never
-// as a process-killing panic.
+// into a BinExpr, an Expr type the engine does not know) surfaces as a
+// returned error that fails its statement, never as a process-killing
+// panic.
 
 // colVec is one evaluated expression column: values plus an optional null
 // bitmap (nil = no NULLs), the same layout as a chunk column.
@@ -92,6 +95,9 @@ func evalRows(e Expr, ch *Chunk, sel []int32) (colVec, error) {
 	}
 	switch e := e.(type) {
 	case ColRef:
+		if e.Idx < 0 || e.Idx >= len(ch.cols) {
+			return colVec{}, fmt.Errorf("engine: column %s out of range for %d columns", e, len(ch.cols))
+		}
 		src, nb := ch.cols[e.Idx], ch.nulls[e.Idx]
 		if sel == nil {
 			return colVec{vals: src, nulls: nb}, nil
@@ -211,27 +217,18 @@ func evalRows(e Expr, ch *Chunk, sel []int32) (colVec, error) {
 		return out, nil
 
 	default:
-		// Unknown Expr implementation: reconstruct each row into a scratch
-		// buffer and evaluate the row-oriented interface.
-		scratch := make(Row, len(ch.cols))
-		out := colVec{vals: make([]int64, n)}
-		for i := 0; i < n; i++ {
-			r := i
-			if sel != nil {
-				r = int(sel[i])
-			}
-			for c := range scratch {
-				scratch[c] = ch.datum(c, r)
-			}
-			d := e.Eval(scratch)
-			if d.Null {
-				out.setNull(i, n)
-			} else {
-				out.vals[i] = d.Int
-			}
-		}
-		return out, nil
+		return colVec{}, fmt.Errorf("engine: cannot evaluate expression %s of type %T", e, e)
 	}
+}
+
+// EvalConst evaluates an expression that reads no column over the one row
+// with no columns a FROM-less SELECT reads.
+func EvalConst(e Expr) (Datum, error) {
+	v, err := evalRows(e, newChunk(0, 1), nil)
+	if err != nil {
+		return Datum{}, err
+	}
+	return v.datum(0), nil
 }
 
 // constVec is a literal as an n-row vector.
@@ -313,8 +310,7 @@ func evalColumnUDF(e UDFExpr, ch *Chunk, sel []int32, n int) (colVec, error) {
 
 // combineBinVec combines two evaluated operand vectors of length n under a
 // binary operator. Comparisons and arithmetic propagate NULL by bitmap
-// union; AND/OR run a scalar loop for SQL's three-valued logic, mirroring
-// BinExpr.Eval exactly.
+// union; AND/OR run a scalar loop for SQL's three-valued logic.
 func combineBinVec(op BinOp, l, r colVec, n int) (colVec, error) {
 	out := colVec{vals: make([]int64, n)}
 

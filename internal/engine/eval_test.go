@@ -1,29 +1,23 @@
 package engine
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"dbcc/internal/xrand"
 )
 
-// opaqueExpr is an Expr implementation the vectorized evaluator knows
-// nothing about, so it takes the row-oriented fallback.
+// opaqueExpr is an Expr implementation the engine does not know.
 type opaqueExpr struct{}
-
-func (opaqueExpr) Eval(row Row) Datum {
-	if row[0].Null {
-		return row[1]
-	}
-	return I(row[0].Int * 3)
-}
 
 func (opaqueExpr) String() string { return "opaque" }
 
 // TestEvalVecSelMatchesGather pins the selected evaluator's contract for
 // every Expr kind, NULLs included: evalVecSel(e, ch, sel) equals
-// evalVec(e, gather(ch, sel)) and the row-at-a-time Eval of each selected
-// row. It also pins the cost model that makes the scan pipeline worthwhile:
+// evalVec(e, gather(ch, sel)) and the reference evaluator evalRow on each
+// selected row. It also pins the cost model that makes the scan pipeline worthwhile:
 // the number of allocations of a selected evaluation depends on the
 // expression, not on how many rows are selected — no per-row Row rebuild,
 // no per-row argument slice.
@@ -92,7 +86,6 @@ func TestEvalVecSelMatchesGather(t *testing.T) {
 		{"column udf, all constants", call("cadd", Const(5), Const(6))},
 		{"column udf, NULL constant", call("cadd", Col(0), Null)},
 		{"column udf over expressions", call("cadd", Bin(OpSub, Col(0), Col(1)), Least(Col(1), Col(2)))},
-		{"opaque expression", opaqueExpr{}},
 		{"nested", Bin(OpOr, IsNull(Col(2)), Bin(OpLt, call("cadd", Col(0), Const(1)), Coalesce(Col(1), Const(0))))},
 	}
 	for _, op := range []BinOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpAdd, OpSub, OpAnd, OpOr} {
@@ -143,7 +136,7 @@ func TestEvalVecSelMatchesGather(t *testing.T) {
 					x.name, selName, len(got.vals), len(want.vals), len(sel))
 			}
 			for i, r := range sel {
-				oracle := x.e.Eval(rows[r])
+				oracle := evalRow(x.e, rows[r])
 				if got.datum(i) != oracle || want.datum(i) != oracle {
 					t.Fatalf("%s over %s, row %d: selected %v, gathered %v, row-at-a-time %v",
 						x.name, selName, r, got.datum(i), want.datum(i), oracle)
@@ -221,5 +214,66 @@ func TestSelectCompareMatchesEval(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEvalUnknownExprFails pins that evalRows knows every expression it
+// runs: an Expr type of another package fails its statement with an
+// error naming the type, as does a column reference past the input's
+// columns, and neither panics.
+func TestEvalUnknownExprFails(t *testing.T) {
+	ch := rowsToChunk([]Row{{I(1), I(2)}}, 2)
+	for _, e := range []Expr{opaqueExpr{}, Bin(OpAdd, Col(0), opaqueExpr{}), Col(2)} {
+		if _, err := evalVec(e, ch); err == nil {
+			t.Fatalf("%s evaluated", e)
+		}
+	}
+	if _, err := evalVec(opaqueExpr{}, ch); !strings.Contains(err.Error(), "engine.opaqueExpr") {
+		t.Fatalf("error %q does not name the type", err)
+	}
+	c := newTestCluster(t, 2)
+	mustCreate(t, c, "t", Schema{"a", "b"}, 0, pairs([2]int64{1, 2}, [2]int64{3, 4}))
+	if _, _, err := c.Query(Filter(Scan("t"), opaqueExpr{})); err == nil || !strings.Contains(err.Error(), "opaqueExpr") {
+		t.Fatalf("a query filtering on an unknown expression returned %v", err)
+	}
+	if _, err := c.DeleteRows(context.Background(), Filter(Scan("t"), opaqueExpr{})); err == nil {
+		t.Fatal("a DELETE filtering on an unknown expression succeeded")
+	}
+	if tab, _ := c.Table("t"); tab.Rows() != 2 {
+		t.Fatalf("a failed DELETE left %d rows, want 2", tab.Rows())
+	}
+}
+
+// TestEvalConst evaluates INSERT … VALUES items: literals, NULL,
+// arithmetic and functions of literals, over the one row with no
+// columns a FROM-less SELECT reads.
+func TestEvalConst(t *testing.T) {
+	c := newTestCluster(t, 2)
+	c.RegisterColumnUDF("twice", func(out []int64, args []UDFArg) {
+		for i := range out {
+			out[i] = 2 * args[0].At(i)
+		}
+	})
+	twice, err := c.CallUDF("twice", Bin(OpSub, Const(5), Const(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		e    Expr
+		want Datum
+	}{
+		{Const(7), I(7)},
+		{Null, NullDatum},
+		{Bin(OpAdd, Const(2), Const(3)), I(5)},
+		{Coalesce(Null, Const(4)), I(4)},
+		{twice, I(-6)},
+	} {
+		got, err := EvalConst(tc.e)
+		if err != nil || got != tc.want {
+			t.Fatalf("EvalConst(%s) = %v, %v; want %v", tc.e, got, err, tc.want)
+		}
+	}
+	if _, err := EvalConst(Col(0)); err == nil {
+		t.Fatal("EvalConst of a column reference succeeded")
 	}
 }

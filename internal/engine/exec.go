@@ -22,10 +22,9 @@ type relation struct {
 
 // statement is one executing statement: the caller's context, the
 // execution environment of its plan and the trace record its table logic
-// fills in. The environment is nil until run opens one, so a statement
-// without a plan takes no statement number, leaving the fault schedule of
-// later statements alone; one that needs the per-statement deadline
-// without a plan (DELETE) opens just that, with deadline.
+// fills in. The environment is nil until open opens one, so a statement
+// without a plan (INSERT) takes no statement number, leaving the fault
+// schedule of later statements alone.
 type statement struct {
 	c      *Cluster
 	ctx    context.Context
@@ -34,20 +33,20 @@ type statement struct {
 	rec    TraceRecord
 }
 
-// deadline opens the statement's context under the per-statement
-// deadline; the statement's epilogue cancels it.
-func (s *statement) deadline() context.Context {
+// open opens the statement's execution environment under the
+// per-statement deadline; the statement's epilogue closes the one and
+// cancels the other.
+func (s *statement) open() *execEnv {
 	var ctx context.Context
 	ctx, s.cancel = s.c.statementContext(s.ctx)
-	return ctx
+	s.e = s.c.newExecEnv(ctx)
+	return s.e
 }
 
-// run executes the statement's plan under the per-statement deadline in a
-// fresh execution environment and records the plan and its operator
-// profile in the trace record.
+// run executes the statement's plan in a fresh execution environment and
+// records the plan and its operator profile in the trace record.
 func (s *statement) run(p Plan) (*relation, error) {
-	s.e = s.c.newExecEnv(s.deadline())
-	rel, root, err := s.e.exec(p)
+	rel, root, err := s.open().exec(p)
 	if err != nil {
 		return nil, err
 	}
@@ -585,6 +584,38 @@ func (pl pipeline) filter(ch *Chunk, r []int64) (*[]int32, []int32, error) {
 	return kp, sel, nil
 }
 
+// remove returns ch without the rows the filter chain selects, and how
+// many rows that drops: ch itself when it drops none, nil when it drops
+// every row (as a chain of no filters does), else a fresh chunk of the
+// rows it keeps. r[fi] gains the rows filter fi selected.
+func (pl pipeline) remove(ch *Chunk, r []int64) (*Chunk, int, error) {
+	if len(pl.filters) == 0 {
+		return nil, ch.length, nil
+	}
+	dp, dropped, err := pl.filter(ch, r)
+	defer putI32(dp)
+	switch {
+	case err != nil:
+		return nil, 0, err
+	case len(dropped) == 0:
+		return ch, 0, nil
+	case len(dropped) == ch.length:
+		return nil, ch.length, nil
+	}
+	kp := getI32(ch.length - len(dropped))
+	defer putI32(kp)
+	kept := *kp
+	for row, d := 0, 0; row < ch.length; row++ {
+		if d < len(dropped) && dropped[d] == int32(row) {
+			d++
+		} else {
+			kept = append(kept, int32(row))
+		}
+	}
+	*kp = kept
+	return gatherChunk(ch, kept), len(dropped), nil
+}
+
 // project evaluates the projection over the rows of ch that sel lists
 // (every row when sel is nil) into dense output columns.
 func (pl pipeline) project(ch *Chunk, sel []int32) (*Chunk, error) {
@@ -650,16 +681,14 @@ func (pl pipeline) reads(width int) joinReads {
 	return r
 }
 
-// markCols marks in cols every column e reads. An expression whose
-// structure it cannot see (an Expr implementation of another package)
-// reads every column.
+// markCols marks in cols every column e reads. An Expr type the engine
+// does not know marks nothing: evaluating it fails its statement.
 func markCols(e Expr, cols []bool) {
 	switch e := e.(type) {
 	case ColRef:
 		if e.Idx >= 0 && e.Idx < len(cols) {
 			cols[e.Idx] = true
 		}
-	case ConstExpr:
 	case BinExpr:
 		markCols(e.Left, cols)
 		markCols(e.Right, cols)
@@ -676,10 +705,6 @@ func markCols(e Expr, cols []bool) {
 	case UDFExpr:
 		for _, a := range e.Args {
 			markCols(a, cols)
-		}
-	default:
-		for c := range cols {
-			cols[c] = true
 		}
 	}
 }

@@ -147,22 +147,13 @@ func (f *FaultInjector) decideSpillIO(stmt uint64, op int64, seg, attempt int, n
 	return false
 }
 
-// evalPanic carries an expression-evaluation failure through interfaces
-// that cannot return errors (Expr.Eval); the task runner's and statement
-// boundary's recover guards convert it back into its plain error.
-type evalPanic struct{ err error }
-
 // recoverToError converts a panic escaping a statement into a returned
 // error, so a malformed plan or broken UDF fails one query instead of the
 // whole process. Segment-task panics are already converted by the task
-// runner; this boundary guard catches coordinator-side evaluation.
+// runner; this boundary guard catches the statement's coordinator code.
 func recoverToError(label string, err *error) {
 	r := recover()
 	if r == nil {
-		return
-	}
-	if ep, ok := r.(evalPanic); ok {
-		*err = ep.err
 		return
 	}
 	*err = fmt.Errorf("engine: panic during %s: %v\n%s", label, r, debug.Stack())
@@ -421,10 +412,6 @@ func (e *execEnv) attemptTask(ctx context.Context, opID int64, seg, attempt int,
 	defer func() {
 		r := recover()
 		if r == nil {
-			return
-		}
-		if ep, ok := r.(evalPanic); ok {
-			err = ep.err
 			return
 		}
 		err = fmt.Errorf("engine: segment %d task panicked: %v\n%s", seg, r, debug.Stack())

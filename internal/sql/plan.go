@@ -237,6 +237,15 @@ func planFrom(c *engine.Cluster, sel *SelectStmt, resolve Resolver, pp *planPara
 	return plan, sc, nil
 }
 
+// planDelete plans DELETE FROM t WHERE p as the FROM of SELECT * FROM t
+// WHERE p: a Filter per WHERE conjunct over Scan(t), the chain the
+// engine's DeleteRows runs over the table's stored chunks.
+func planDelete(c *engine.Cluster, st *DeleteStmt, resolve Resolver, pp *planParams) (engine.Plan, error) {
+	sel := &SelectStmt{From: []FromItem{{Table: TableRef{Table: st.Name, Param: st.NameParam}}}, Where: st.Where}
+	plan, _, err := planFrom(c, sel, resolve, pp)
+	return plan, err
+}
+
 // planFromItem plans one FROM element: a base table and its explicit JOIN
 // chain.
 func planFromItem(c *engine.Cluster, fi FromItem, resolve Resolver, pp *planParams) (engine.Plan, scope, error) {

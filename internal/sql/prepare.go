@@ -99,13 +99,9 @@ func (e *BindError) Error() string { return "sql: bind: " + e.Msg }
 
 // paramExpr is a $N placeholder inside a compiled plan or expression. It
 // never executes: instantiation replaces it with a ConstExpr before the
-// engine sees the plan, so Eval firing means a placeholder escaped
-// substitution.
+// engine sees the plan, and the engine fails a statement that still holds
+// one, naming its type.
 type paramExpr struct{ Index int }
-
-func (e paramExpr) Eval(engine.Row) engine.Datum {
-	panic(fmt.Sprintf("sql: unsubstituted parameter $%d reached execution", e.Index))
-}
 
 func (e paramExpr) String() string { return fmt.Sprintf("$%d", e.Index) }
 

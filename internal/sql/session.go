@@ -242,7 +242,9 @@ func (s *Session) execStmt(st Statement, args []Arg) (int64, error) {
 				if err != nil {
 					return 0, err
 				}
-				row[j] = instantiateExpr(ce, args).Eval(nil)
+				if row[j], err = engine.EvalConst(instantiateExpr(ce, args)); err != nil {
+					return 0, err
+				}
 			}
 			rows[i] = row
 		}
@@ -252,29 +254,11 @@ func (s *Session) execStmt(st Statement, args []Arg) (int64, error) {
 		return int64(len(rows)), nil
 
 	case *DeleteStmt:
-		name := tableArg(st.Name, st.NameParam, args)
-		phys := s.Resolve(name)
-		t, ok := s.c.Table(phys)
-		if !ok {
-			return 0, fmt.Errorf("sql: table %q does not exist", name)
+		plan, err := planDelete(s.c, st, s.resolver(), &planParams{tables: s.resolveTableArgs(args)})
+		if err != nil {
+			return 0, err
 		}
-		keep := func(engine.Row) bool { return false } // no WHERE: delete all
-		if st.Where != nil {
-			sc := make(scope, len(t.Schema))
-			for i, col := range t.Schema {
-				sc[i] = scopeCol{qual: name, name: col}
-			}
-			pred, err := compileScalar(s.c, st.Where, sc)
-			if err != nil {
-				return 0, err
-			}
-			pred = instantiateExpr(pred, args)
-			keep = func(r engine.Row) bool {
-				d := pred.Eval(r)
-				return d.Null || d.Int == 0 // keep rows the filter does not match
-			}
-		}
-		return s.c.DeleteRows(s.context(), phys, keep)
+		return s.c.DeleteRows(s.context(), instantiatePlan(plan, nil, args))
 
 	case *CreateComponentIndex:
 		return 0, s.c.CreateComponentIndex(s.Resolve(tableArg(st.Table, st.TableParam, args)))
