@@ -14,9 +14,9 @@ import (
 // it against a committed baseline. Two kinds of gate keep the check
 // meaningful on arbitrary CI machines:
 //
-//   - allocs/op is deterministic for a given implementation, so it is
-//     gated per benchmark against an absolute expected value (with the
-//     baseline tolerance absorbing benign off-by-a-few drift from pool
+//   - allocs/op and B/op are deterministic for a given implementation,
+//     so they are gated per benchmark against an absolute expected value
+//     (with the baseline tolerance absorbing benign drift from pool
 //     warmup);
 //   - ns/op is machine-dependent, so wall time is gated only as a *ratio*
 //     between two benchmarks of the same run (the columnar kernel vs the
@@ -27,8 +27,8 @@ import (
 //
 // A run may repeat each benchmark (-count=N). Every sample is kept: a
 // ratio is taken between the two sides' median ns/op, so one sample a
-// noisy host slowed does not fail the gate, and allocs/op is gated on
-// the largest sample, so no sample may over-allocate.
+// noisy host slowed does not fail the gate, and allocs/op and B/op are
+// gated on the largest sample, so no sample may over-allocate.
 
 // MicroResult is one parsed benchmark line.
 type MicroResult struct {
@@ -100,6 +100,9 @@ type MicroBaseline struct {
 	// AllocsPerOp maps benchmark name (GOMAXPROCS suffix stripped) to its
 	// expected allocations per operation.
 	AllocsPerOp map[string]int64 `json:"allocs_per_op"`
+	// BytesPerOp maps benchmark name to its expected bytes allocated per
+	// operation, gated like AllocsPerOp.
+	BytesPerOp map[string]int64 `json:"bytes_per_op"`
 	// NsRatios are the relative wall-time gates.
 	NsRatios []NsRatioGate `json:"ns_ratios"`
 }
@@ -123,22 +126,26 @@ func LoadMicroBaseline(path string) (*MicroBaseline, error) {
 // A nil error means every gate passed.
 func (b *MicroBaseline) Check(results map[string][]MicroResult) error {
 	var problems []string
-	for name, expected := range b.AllocsPerOp {
-		samples, ok := results[name]
-		if !ok {
-			problems = append(problems, fmt.Sprintf("%s: no result (renamed or not run?)", name))
-			continue
-		}
-		var most int64
-		for _, r := range samples {
-			most = max(most, r.AllocsPerOp)
-		}
-		limit := int64(float64(expected) * (1 + b.Tolerance))
-		if most > limit {
-			problems = append(problems, fmt.Sprintf("%s: %d allocs/op, baseline expects ≤%d (%d +%.0f%%)",
-				name, most, limit, expected, 100*b.Tolerance))
+	perOp := func(gates map[string]int64, unit string, of func(MicroResult) int64) {
+		for name, expected := range gates {
+			samples, ok := results[name]
+			if !ok {
+				problems = append(problems, fmt.Sprintf("%s: no result (renamed or not run?)", name))
+				continue
+			}
+			var most int64
+			for _, r := range samples {
+				most = max(most, of(r))
+			}
+			limit := int64(float64(expected) * (1 + b.Tolerance))
+			if most > limit {
+				problems = append(problems, fmt.Sprintf("%s: %d %s, baseline expects ≤%d (%d +%.0f%%)",
+					name, most, unit, limit, expected, 100*b.Tolerance))
+			}
 		}
 	}
+	perOp(b.AllocsPerOp, "allocs/op", func(r MicroResult) int64 { return r.AllocsPerOp })
+	perOp(b.BytesPerOp, "B/op", func(r MicroResult) int64 { return r.BytesPerOp })
 	for _, g := range b.NsRatios {
 		num, ok := results[g.Numerator]
 		if !ok {

@@ -83,6 +83,27 @@ func TestMicroBaselineCheckSamples(t *testing.T) {
 	}
 }
 
+// TestMicroBaselineCheckBytes pins the B/op gate: like allocs/op it is
+// held to the largest sample within the tolerance, and a gated benchmark
+// missing from the run fails.
+func TestMicroBaselineCheckBytes(t *testing.T) {
+	results := ParseGoBench(sampleBenchOutput + `BenchmarkKernelRCRound-2 	 100	 300000 ns/op	 2000000 B/op	 900 allocs/op
+BenchmarkKernelRCRound-2 	 100	 300000 ns/op	 2400000 B/op	 900 allocs/op
+`)
+	gate := func(name string, want int64) *MicroBaseline {
+		return &MicroBaseline{Tolerance: 0.15, BytesPerOp: map[string]int64{name: want}}
+	}
+	if err := gate("BenchmarkKernelRCRound", 2100000).Check(results); err != nil {
+		t.Fatalf("2.4 MB/op within 15%% of 2.1 MB failed: %v", err)
+	}
+	if err := gate("BenchmarkKernelRCRound", 2000000).Check(results); err == nil || !strings.Contains(err.Error(), "2400000 B/op") {
+		t.Fatalf("a 2.4 MB/op sample passed a 2.0 MB +15%% gate: %v", err)
+	}
+	if err := gate("BenchmarkKernelStatementTP", 1).Check(results); err == nil || !strings.Contains(err.Error(), "no result") {
+		t.Fatalf("a gated benchmark missing from the run passed: %v", err)
+	}
+}
+
 func TestMicroBaselineCheck(t *testing.T) {
 	results := ParseGoBench(sampleBenchOutput)
 	good := &MicroBaseline{

@@ -13,8 +13,15 @@ package engine
 // and InsertRows converts its rows once. DeleteRows filters the stored
 // chunks in place. Rows exist only at the public edge — InsertRows
 // arguments, Query and ReadAll results — where rowsToChunk and
-// chunkToRows translate. The public API — Datum,
-// Row, Table, Plan — is unchanged by the columnar representation.
+// chunkToRows translate. The public API — Datum, Row, Table, Plan — is
+// unchanged by the columnar representation.
+//
+// Ownership: a table or a result holds only fresh memory, and everything
+// else belongs to the statement. The column values of a chunk one operator
+// hands another come from the statement's arena (pools.go) and go back to
+// the pool when the statement ends. A chunk a table keeps is fresh: the
+// placement shuffle's output, INSERT's and DELETE's chunks, or a root
+// CreateTableAs copies out of the arena. Null bitmaps are always fresh.
 
 // nullBitmap marks the NULL rows of one chunk column, one bit per row. A
 // nil bitmap means the column contains no NULLs, so the common all-valid
@@ -49,20 +56,7 @@ type Chunk struct {
 // newChunk allocates a chunk of ncols columns and exactly n rows, all
 // values zero and non-NULL. Kernels that know their output cardinality
 // (shuffle placement, gathers, concatenations) fill it in place.
-func newChunk(ncols, n int) *Chunk {
-	ch := &Chunk{
-		length: n,
-		cols:   make([][]int64, ncols),
-		nulls:  make([]nullBitmap, ncols),
-	}
-	if n > 0 {
-		flat := make([]int64, ncols*n)
-		for c := range ch.cols {
-			ch.cols[c] = flat[c*n : (c+1)*n : (c+1)*n]
-		}
-	}
-	return ch
-}
+func newChunk(ncols, n int) *Chunk { return (*arena)(nil).chunk(ncols, n) }
 
 // Len returns the number of rows.
 func (ch *Chunk) Len() int { return ch.length }
@@ -172,8 +166,8 @@ func chunkToRows(chunks ...*Chunk) []Row {
 // valid. The trailing chunks are merged while the last one is at least
 // half the size of the one before it, which keeps sizes roughly geometric:
 // a segment holds O(log rows) chunks, and a row is copied O(log rows)
-// times over the life of the table. ch must not alias pooled scratch
-// memory (chunksFromFlat, getI64).
+// times over the life of the table. ch must hold only fresh memory: no
+// pooled backing (chunksFromFlat, getI64) and no statement's arena.
 func appendChunk(list []*Chunk, ch *Chunk) []*Chunk {
 	i, size := len(list), ch.length
 	for i > 0 && 2*size >= list[i-1].length {
@@ -185,15 +179,16 @@ func appendChunk(list []*Chunk, ch *Chunk) []*Chunk {
 	if i == len(list) {
 		out[i] = ch
 	} else {
-		out[i] = concatChunks(len(ch.cols), append(list[i:len(list):len(list)], ch))
+		out[i] = concatChunks(nil, len(ch.cols), append(list[i:len(list):len(list)], ch))
 	}
 	return out
 }
 
-// gatherChunk copies the selected rows, in index order, into a fresh
-// exact-capacity chunk (the output path of Filter, Distinct and Sort).
-func gatherChunk(in *Chunk, idx []int32) *Chunk {
-	out := newChunk(len(in.cols), len(idx))
+// gatherChunk copies the selected rows, in index order, into an
+// exact-capacity chunk taken from a, or fresh when a is nil (the output
+// path of Filter, Distinct and Sort).
+func gatherChunk(a *arena, in *Chunk, idx []int32) *Chunk {
+	out := a.chunk(len(in.cols), len(idx))
 	for c := range in.cols {
 		gatherInto(out, c, in, c, idx, false)
 	}
@@ -244,13 +239,14 @@ func copyChunkInto(dst, src *Chunk, off int) int {
 }
 
 // concatChunks concatenates chunks of identical arity into one
-// exact-capacity chunk (UnionAll, gather-to-coordinator, shuffle destinations).
-func concatChunks(ncols int, chunks []*Chunk) *Chunk {
+// exact-capacity chunk taken from a, or fresh when a is nil (UnionAll,
+// gather-to-coordinator, shuffle destinations, stored-chunk merges).
+func concatChunks(a *arena, ncols int, chunks []*Chunk) *Chunk {
 	total := 0
 	for _, ch := range chunks {
 		total += ch.length
 	}
-	out := newChunk(ncols, total)
+	out := a.chunk(ncols, total)
 	off := 0
 	for _, ch := range chunks {
 		off = copyChunkInto(out, ch, off)
@@ -260,7 +256,8 @@ func concatChunks(ncols int, chunks []*Chunk) *Chunk {
 
 // chunkBuilder grows a chunk whose output cardinality is not known up
 // front (group-by states, spill partition buffers). Columns grow by amortized
-// append; null bitmaps are allocated per column on first NULL and
+// append, or fill a backing sized for every input row (arena.builder); null
+// bitmaps are allocated per column on first NULL and
 // zero-extended lazily, so all-valid columns never touch them. Group-by
 // kernels additionally mutate aggregate state in place through mergeAgg.
 type chunkBuilder struct {
@@ -269,17 +266,8 @@ type chunkBuilder struct {
 	n     int
 }
 
-func newChunkBuilder(ncols, capHint int) *chunkBuilder {
-	b := &chunkBuilder{
-		cols:  make([][]int64, ncols),
-		nulls: make([]nullBitmap, ncols),
-	}
-	if capHint > 0 {
-		for c := range b.cols {
-			b.cols[c] = make([]int64, 0, capHint)
-		}
-	}
-	return b
+func newChunkBuilder(ncols int) *chunkBuilder {
+	return &chunkBuilder{cols: make([][]int64, ncols), nulls: make([]nullBitmap, ncols)}
 }
 
 // setNull marks row i of column c NULL, growing the bitmap to cover i.

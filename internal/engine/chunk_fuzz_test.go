@@ -17,7 +17,7 @@ func FuzzChunkCodec(f *testing.F) {
 		{0, 0}, {1, 0}, {0, 5}, {1, 1}, {2, 3}, {3, 64}, {2, 65}, {4, 130},
 	}
 	for _, s := range shapes {
-		b := newChunkBuilder(s.ncols, 0)
+		b := newChunkBuilder(s.ncols)
 		for r := 0; r < s.nrows; r++ {
 			for c := 0; c < s.ncols; c++ {
 				b.appendCol(c, int64(r*31+c), (r+c)%5 == 0)

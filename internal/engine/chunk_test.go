@@ -49,7 +49,7 @@ func TestShuffleChargesWireSize(t *testing.T) {
 	for s := 1; s < 4; s++ {
 		in.parts[s] = newChunk(2, 0)
 	}
-	out, moved, err := c.newExecEnv(context.Background()).redistribute(in, 0)
+	out, moved, err := c.newExecEnv(context.Background()).redistribute(in, 0, nil)
 	if err != nil {
 		t.Fatalf("shuffle: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestRowsChunkRoundTrip(t *testing.T) {
 func TestGatherAndConcat(t *testing.T) {
 	rows := []Row{{I(10), NullDatum}, {I(20), I(2)}, {I(30), NullDatum}, {I(40), I(4)}}
 	ch := rowsToChunk(rows, 2)
-	g := gatherChunk(ch, []int32{3, 0})
+	g := gatherChunk(nil, ch, []int32{3, 0})
 	want := []Row{{I(40), I(4)}, {I(10), NullDatum}}
 	got := chunkToRows(g)
 	for r := range want {
@@ -112,7 +112,7 @@ func TestGatherAndConcat(t *testing.T) {
 		}
 	}
 
-	cc := concatChunks(2, []*Chunk{g, newChunk(2, 0), ch})
+	cc := concatChunks(nil, 2, []*Chunk{g, newChunk(2, 0), ch})
 	if cc.Len() != 6 {
 		t.Fatalf("concat length = %d, want 6", cc.Len())
 	}
@@ -128,7 +128,7 @@ func TestGatherAndConcat(t *testing.T) {
 }
 
 func TestNullBitmapLazyGrowth(t *testing.T) {
-	b := newChunkBuilder(1, 0)
+	b := newChunkBuilder(1)
 	b.appendCol(0, 7, false)
 	b.n++
 	b.appendCol(0, 0, true)
@@ -173,7 +173,7 @@ func TestBuilderMergeAgg(t *testing.T) {
 		{AggCount, []step{{1, false}, {0, false}, {1, false}}, 2, false},
 	}
 	for i, tc := range cases {
-		b := newChunkBuilder(1, 0)
+		b := newChunkBuilder(1)
 		b.appendCol(0, 0, true) // fresh state starts NULL
 		b.n++
 		for _, s := range tc.steps {

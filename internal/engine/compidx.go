@@ -416,8 +416,11 @@ func (c *Cluster) maybeRebuildIndex(t *Table, table string, removed int64) {
 	x.mu.Lock()
 	x.rebuilding = true
 	x.backlog = nil
+	// Deletes only remove vertices, so the current index's vertex count
+	// sizes the rebuilt one; the table's row count would oversize it.
+	hint := len(x.verts)
 	x.mu.Unlock()
-	fresh := newComponentIndex(int(t.Rows()))
+	fresh := newComponentIndex(hint)
 	fresh.observeParts(t.snapshotParts())
 	vertices := int64(len(fresh.verts))
 

@@ -336,7 +336,8 @@ type UDF func(args []Datum) Datum
 
 // ColumnUDF is the column form of a user-defined function: the engine
 // calls it once per chunk instead of once per row, with len(out) rows to
-// fill. Each argument is either one value per row (Col) or, when the plan
+// fill; out may hold stale values on entry, so the kernel writes every
+// row. Each argument is either one value per row (Col) or, when the plan
 // passes a literal or bound parameter, a single Const for the whole chunk —
 // never materialised as a vector, so work that depends only on a constant
 // argument (a multiplication table, a cipher key schedule) is done once
@@ -697,7 +698,7 @@ func (e *execEnv) deleteRows(t *Table, pl pipeline) (int64, error) {
 		var n int64
 		r := make([]int64, len(pl.filters))
 		for i, ch := range list {
-			kept, dropped, err := pl.remove(ch, r)
+			kept, dropped, err := pl.remove(ch, r, &e.scratch)
 			if err != nil {
 				return err
 			}

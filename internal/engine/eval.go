@@ -64,31 +64,20 @@ func orNulls(a, b nullBitmap, n int) nullBitmap {
 	return out
 }
 
-// evalVec evaluates e over every row of ch.
-func evalVec(e Expr, ch *Chunk) (colVec, error) { return evalRows(e, ch, nil) }
-
-// evalVecSel evaluates e over only the selected rows of ch, producing a
-// dense vector of len(sel) values: output row i corresponds to input row
-// sel[i], and evalVecSel(e, ch, sel) row i equals evalVec(e, ch) row
-// sel[i] exactly (values, NULLs and errors). Unlike evalRows, whose nil
-// selection means every row, a nil sel here selects none.
-func evalVecSel(e Expr, ch *Chunk, sel []int32) (colVec, error) {
-	if sel == nil {
-		sel = []int32{}
-	}
-	return evalRows(e, ch, sel)
-}
-
-// evalRows is the one evaluator behind evalVec, evalVecSel and the scan
-// pipeline (execPipeline): it computes e over the rows of ch listed in sel,
-// or over every row when sel is nil, so outer filters and projections over
-// an already-filtered chunk compute just the surviving rows instead of
-// gathering them into an intermediate chunk first. Only the leaves look at
-// the selection — a column reference aliases the
-// input column (no selection) or gathers the selected rows; every operator
-// above them combines dense operand vectors, so the selected form costs
-// the same per row as the full one.
-func evalRows(e Expr, ch *Chunk, sel []int32) (colVec, error) {
+// evalRows is the one evaluator behind the scan pipeline (execPipeline),
+// the join pipeline and the group-by's partial chunks: it computes e over
+// the rows of ch listed in sel, or over every row when sel is nil, so
+// outer filters and projections over an already-filtered chunk compute
+// just the surviving rows instead of gathering them into an intermediate
+// chunk first. Only the leaves look at the selection — a column reference
+// aliases the input column (no selection) or gathers the selected rows;
+// every operator above them combines dense operand vectors, so the
+// selected form costs the same per row as the full one.
+//
+// Every vector it computes is taken from a (fresh when a is nil) and has
+// each of its n values written; a column reference without a selection
+// aliases its input column instead.
+func evalRows(e Expr, ch *Chunk, sel []int32, a *arena) (colVec, error) {
 	n := len(sel)
 	if sel == nil {
 		n = ch.length
@@ -102,7 +91,7 @@ func evalRows(e Expr, ch *Chunk, sel []int32) (colVec, error) {
 		if sel == nil {
 			return colVec{vals: src, nulls: nb}, nil
 		}
-		out := colVec{vals: make([]int64, n)}
+		out := colVec{vals: a.alloc(n)}
 		if nb == nil {
 			for i, r := range sel {
 				out.vals[i] = src[r]
@@ -110,82 +99,81 @@ func evalRows(e Expr, ch *Chunk, sel []int32) (colVec, error) {
 			return out, nil
 		}
 		for i, r := range sel {
+			v := src[r]
 			if nb.get(int(r)) {
+				v = 0
 				out.setNull(i, n)
-			} else {
-				out.vals[i] = src[r]
 			}
+			out.vals[i] = v
 		}
 		return out, nil
 
 	case ConstExpr:
-		return constVec(e.Val, n), nil
+		return constVec(e.Val, n, a), nil
 
 	case BinExpr:
-		l, err := evalRows(e.Left, ch, sel)
+		l, err := evalRows(e.Left, ch, sel, a)
 		if err != nil {
 			return colVec{}, err
 		}
-		r, err := evalRows(e.Right, ch, sel)
+		r, err := evalRows(e.Right, ch, sel, a)
 		if err != nil {
 			return colVec{}, err
 		}
-		return combineBinVec(e.Op, l, r, n)
+		return combineBinVec(e.Op, l, r, n, a)
 
 	case IsNullExpr:
-		arg, err := evalRows(e.Arg, ch, sel)
+		arg, err := evalRows(e.Arg, ch, sel, a)
 		if err != nil {
 			return colVec{}, err
 		}
-		out := colVec{vals: make([]int64, n)}
+		out := colVec{vals: a.alloc(n)}
 		for i := 0; i < n; i++ {
-			if arg.null(i) != e.Negate {
-				out.vals[i] = 1
-			}
+			out.vals[i] = b2i(arg.null(i) != e.Negate)
 		}
 		return out, nil
 
 	case CoalesceExpr:
-		args, err := evalArgVecs(e.Args, ch, sel)
+		args, err := evalArgVecs(e.Args, ch, sel, a)
 		if err != nil {
 			return colVec{}, err
 		}
-		out := colVec{vals: make([]int64, n)}
+		out := colVec{vals: a.alloc(n)}
 		for i := 0; i < n; i++ {
 			hit := false
-			for _, a := range args {
-				if !a.null(i) {
-					out.vals[i] = a.vals[i]
+			for _, arg := range args {
+				if !arg.null(i) {
+					out.vals[i] = arg.vals[i]
 					hit = true
 					break
 				}
 			}
 			if !hit {
+				out.vals[i] = 0
 				out.setNull(i, n)
 			}
 		}
 		return out, nil
 
 	case LeastExpr:
-		args, err := evalArgVecs(e.Args, ch, sel)
+		args, err := evalArgVecs(e.Args, ch, sel, a)
 		if err != nil {
 			return colVec{}, err
 		}
-		out := colVec{vals: make([]int64, n)}
+		out := colVec{vals: a.alloc(n)}
 		for i := 0; i < n; i++ {
 			hit := false
 			var best int64
-			for _, a := range args {
-				if a.null(i) {
+			for _, arg := range args {
+				if arg.null(i) {
 					continue
 				}
-				if v := a.vals[i]; !hit || v < best {
+				if v := arg.vals[i]; !hit || v < best {
 					best, hit = v, true
 				}
 			}
-			if hit {
-				out.vals[i] = best
-			} else {
+			out.vals[i] = best // zero under a NULL
+			if !hit {
 				out.setNull(i, n)
 			}
 		}
@@ -193,22 +181,23 @@ func evalRows(e Expr, ch *Chunk, sel []int32) (colVec, error) {
 
 	case UDFExpr:
 		if e.Col != nil {
-			return evalColumnUDF(e, ch, sel, n)
+			return evalColumnUDF(e, ch, sel, n, a)
 		}
 		// Scalar-only function: one call per row through a reused argument
 		// buffer.
-		args, err := evalArgVecs(e.Args, ch, sel)
+		args, err := evalArgVecs(e.Args, ch, sel, a)
 		if err != nil {
 			return colVec{}, err
 		}
 		argBuf := make([]Datum, len(args))
-		out := colVec{vals: make([]int64, n)}
+		out := colVec{vals: a.alloc(n)}
 		for i := 0; i < n; i++ {
 			for j := range args {
 				argBuf[j] = args[j].datum(i)
 			}
 			d := e.Fn(argBuf)
 			if d.Null {
+				out.vals[i] = 0
 				out.setNull(i, n)
 			} else {
 				out.vals[i] = d.Int
@@ -224,36 +213,45 @@ func evalRows(e Expr, ch *Chunk, sel []int32) (colVec, error) {
 // EvalConst evaluates an expression that reads no column over the one row
 // with no columns a FROM-less SELECT reads.
 func EvalConst(e Expr) (Datum, error) {
-	v, err := evalRows(e, newChunk(0, 1), nil)
+	v, err := evalRows(e, newChunk(0, 1), nil, nil)
 	if err != nil {
 		return Datum{}, err
 	}
 	return v.datum(0), nil
 }
 
-// constVec is a literal as an n-row vector.
-func constVec(d Datum, n int) colVec {
-	vals := make([]int64, n)
+// constVec is a literal as an n-row vector taken from a.
+func constVec(d Datum, n int, a *arena) colVec {
 	if d.Null {
 		nb := newNullBitmap(n)
 		for i := range nb {
 			nb[i] = ^uint64(0)
 		}
-		return colVec{vals: vals, nulls: nb}
+		return colVec{vals: a.zeroed(n), nulls: nb}
 	}
-	if d.Int != 0 {
-		for i := range vals {
-			vals[i] = d.Int
-		}
+	if d.Int == 0 {
+		return colVec{vals: a.zeroed(n)}
+	}
+	vals := a.alloc(n)
+	for i := range vals {
+		vals[i] = d.Int
 	}
 	return colVec{vals: vals}
 }
 
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // evalArgVecs evaluates an argument list.
-func evalArgVecs(args []Expr, ch *Chunk, sel []int32) ([]colVec, error) {
+func evalArgVecs(args []Expr, ch *Chunk, sel []int32, a *arena) ([]colVec, error) {
 	out := make([]colVec, len(args))
-	for i, a := range args {
-		v, err := evalRows(a, ch, sel)
+	for i, arg := range args {
+		v, err := evalRows(arg, ch, sel, a)
 		if err != nil {
 			return nil, err
 		}
@@ -269,17 +267,17 @@ func evalArgVecs(args []Expr, ch *Chunk, sel []int32) ([]colVec, error) {
 // NULL handling: the result's null bitmap is the union of the argument
 // bitmaps, a NULL literal makes the whole column NULL without a call, and
 // the payload under every NULL is zeroed like in any other chunk column.
-func evalColumnUDF(e UDFExpr, ch *Chunk, sel []int32, n int) (colVec, error) {
+func evalColumnUDF(e UDFExpr, ch *Chunk, sel []int32, n int, a *arena) (colVec, error) {
 	args := make([]UDFArg, len(e.Args))
 	var nulls nullBitmap
 	nullConst := false
-	for i, a := range e.Args {
-		if c, ok := a.(ConstExpr); ok {
+	for i, arg := range e.Args {
+		if c, ok := arg.(ConstExpr); ok {
 			nullConst = nullConst || c.Val.Null
 			args[i].Const = c.Val.Int
 			continue
 		}
-		v, err := evalRows(a, ch, sel)
+		v, err := evalRows(arg, ch, sel, a)
 		if err != nil {
 			return colVec{}, err
 		}
@@ -291,9 +289,9 @@ func evalColumnUDF(e UDFExpr, ch *Chunk, sel []int32, n int) (colVec, error) {
 		}
 	}
 	if nullConst {
-		return constVec(NullDatum, n), nil
+		return constVec(NullDatum, n, a), nil
 	}
-	out := colVec{vals: make([]int64, n), nulls: nulls}
+	out := colVec{vals: a.alloc(n), nulls: nulls}
 	if n == 0 {
 		return out, nil // an empty chunk's columns are nil, which UDFArg reads as a constant
 	}
@@ -311,32 +309,36 @@ func evalColumnUDF(e UDFExpr, ch *Chunk, sel []int32, n int) (colVec, error) {
 // combineBinVec combines two evaluated operand vectors of length n under a
 // binary operator. Comparisons and arithmetic propagate NULL by bitmap
 // union; AND/OR run a scalar loop for SQL's three-valued logic.
-func combineBinVec(op BinOp, l, r colVec, n int) (colVec, error) {
-	out := colVec{vals: make([]int64, n)}
+func combineBinVec(op BinOp, l, r colVec, n int, a *arena) (colVec, error) {
+	out := colVec{vals: a.alloc(n)}
 
 	switch op {
 	case OpAnd:
 		for i := 0; i < n; i++ {
 			ln, rn := l.null(i), r.null(i)
+			var v int64
 			switch {
 			case !ln && l.vals[i] == 0 || !rn && r.vals[i] == 0:
 				// false AND anything = false
 			case ln || rn:
 				out.setNull(i, n)
 			default:
-				out.vals[i] = 1
+				v = 1
 			}
+			out.vals[i] = v
 		}
 		return out, nil
 	case OpOr:
 		for i := 0; i < n; i++ {
 			ln, rn := l.null(i), r.null(i)
+			var v int64
 			switch {
 			case !ln && l.vals[i] != 0 || !rn && r.vals[i] != 0:
-				out.vals[i] = 1
+				v = 1
 			case ln || rn:
 				out.setNull(i, n)
 			}
+			out.vals[i] = v
 		}
 		return out, nil
 	}
@@ -354,39 +356,27 @@ func combineBinVec(op BinOp, l, r colVec, n int) (colVec, error) {
 		}
 	case OpEq:
 		for i := 0; i < n; i++ {
-			if lv[i] == rv[i] {
-				ov[i] = 1
-			}
+			ov[i] = b2i(lv[i] == rv[i])
 		}
 	case OpNe:
 		for i := 0; i < n; i++ {
-			if lv[i] != rv[i] {
-				ov[i] = 1
-			}
+			ov[i] = b2i(lv[i] != rv[i])
 		}
 	case OpLt:
 		for i := 0; i < n; i++ {
-			if lv[i] < rv[i] {
-				ov[i] = 1
-			}
+			ov[i] = b2i(lv[i] < rv[i])
 		}
 	case OpLe:
 		for i := 0; i < n; i++ {
-			if lv[i] <= rv[i] {
-				ov[i] = 1
-			}
+			ov[i] = b2i(lv[i] <= rv[i])
 		}
 	case OpGt:
 		for i := 0; i < n; i++ {
-			if lv[i] > rv[i] {
-				ov[i] = 1
-			}
+			ov[i] = b2i(lv[i] > rv[i])
 		}
 	case OpGe:
 		for i := 0; i < n; i++ {
-			if lv[i] >= rv[i] {
-				ov[i] = 1
-			}
+			ov[i] = b2i(lv[i] >= rv[i])
 		}
 	default:
 		return colVec{}, fmt.Errorf("engine: unknown binary operator %d in vectorized eval", op)

@@ -127,7 +127,7 @@ func TestEvalVecSelMatchesGather(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s over %s: %v", x.name, selName, err)
 			}
-			want, err := evalVec(x.e, gatherChunk(ch, sel))
+			want, err := evalVec(x.e, gatherChunk(nil, ch, sel))
 			if err != nil {
 				t.Fatalf("%s over gathered %s: %v", x.name, selName, err)
 			}
@@ -195,7 +195,7 @@ func TestSelectCompareMatchesEval(t *testing.T) {
 				if !ok {
 					continue
 				}
-				pv, err := evalRows(pred, ch, s)
+				pv, err := evalRows(pred, ch, s, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -276,4 +276,19 @@ func TestEvalConst(t *testing.T) {
 	if _, err := EvalConst(Col(0)); err == nil {
 		t.Fatal("EvalConst of a column reference succeeded")
 	}
+}
+
+// evalVec evaluates e over every row of ch into fresh vectors.
+func evalVec(e Expr, ch *Chunk) (colVec, error) { return evalRows(e, ch, nil, nil) }
+
+// evalVecSel evaluates e over only the selected rows of ch, producing a
+// dense vector of len(sel) values: output row i corresponds to input row
+// sel[i], and evalVecSel(e, ch, sel) row i equals evalVec(e, ch) row
+// sel[i] exactly (values, NULLs and errors). Unlike evalRows, whose nil
+// selection means every row, a nil sel here selects none.
+func evalVecSel(e Expr, ch *Chunk, sel []int32) (colVec, error) {
+	if sel == nil {
+		sel = []int32{}
+	}
+	return evalRows(e, ch, sel, nil)
 }

@@ -112,19 +112,26 @@ func (c *Cluster) CreateTableAsCtx(ctx context.Context, name string, p Plan, dis
 				return fmt.Errorf("engine: distribution key %d out of range for %v", distKey, rel.schema)
 			}
 			var placeShuffle int64
-			if rel, placeShuffle, err = s.e.redistribute(rel, distKey); err != nil {
+			if rel, placeShuffle, err = s.e.redistribute(rel, distKey, nil); err != nil {
 				return err
 			}
 			s.rec.Shuffle += placeShuffle
 		}
-		// Publish the output chunks by reference: chunks are immutable, and
-		// no operator output aliases pooled scratch memory (the shuffle
-		// copies out of its pooled buckets). One backing array holds every
-		// segment's one-chunk list; appendChunk never appends in place.
+		// Publish the output chunks by reference: chunks are immutable,
+		// and a table holds only fresh memory. The placement shuffle's
+		// destinations are fresh; a root that needed none (it was already
+		// placed, or the table has no distribution key) is copied out of
+		// the statement's arena when a column points into it — a fold or
+		// join output, or a projection aliasing a UNION ALL or scan
+		// concatenation. One backing array holds every segment's
+		// one-chunk list; appendChunk never appends in place.
 		parts := make([][]*Chunk, c.segments)
 		lists := make([]*Chunk, c.segments)
 		for seg, ch := range rel.parts {
 			if ch.length > 0 {
+				if s.e.scratch.owns(ch) {
+					ch = concatChunks(nil, len(ch.cols), []*Chunk{ch})
+				}
 				lists[seg] = ch
 				parts[seg] = lists[seg : seg+1 : seg+1]
 			}
@@ -199,7 +206,7 @@ func (c *Cluster) InsertSelectCtx(ctx context.Context, name string, p Plan) (row
 		if len(rel.schema) != len(t.Schema) {
 			return fmt.Errorf("engine: row arity %d does not match schema %v", len(rel.schema), t.Schema)
 		}
-		rows = c.appendRows(s, name, t, concatChunks(len(t.Schema), rel.parts))
+		rows = c.appendRows(s, name, t, concatChunks(nil, len(t.Schema), rel.parts))
 		return nil
 	})
 	return rows, err
@@ -297,7 +304,7 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 		}
 		// A segment holding one stored chunk hands it out by reference;
 		// only segments that inserts left in several chunks are
-		// concatenated, on the worker pool.
+		// concatenated, on the worker pool, into the statement's arena.
 		stored := t.snapshotParts()
 		ncols := len(t.Schema)
 		parts := make([]*Chunk, c.segments)
@@ -315,7 +322,7 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 		if concat {
 			err := e.parallel(func(seg int) error {
 				if len(stored[seg]) > 1 {
-					parts[seg] = concatChunks(ncols, stored[seg])
+					parts[seg] = concatChunks(&e.scratch, ncols, stored[seg])
 				}
 				return nil
 			})
@@ -356,7 +363,7 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 			for i, in := range ins {
 				pieces[i] = in.parts[seg]
 			}
-			out[seg] = concatChunks(len(schema), pieces)
+			out[seg] = concatChunks(&e.scratch, len(schema), pieces)
 			return nil
 		})
 		if err != nil {
@@ -370,7 +377,7 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		shuffled, moved, err := e.shuffle(in, NoDistKey) // by a hash of the whole row
+		shuffled, moved, err := e.shuffle(in, NoDistKey, &e.scratch) // by a hash of the whole row
 		if err != nil {
 			return nil, nil, err
 		}
@@ -450,7 +457,7 @@ func (e *execEnv) execPipeline(p Plan, start time.Time) (*relation, *OpMetrics, 
 		rows = make([][]int64, c.segments)
 		segTimes, err = e.parallelTimed(func(seg int) error {
 			r := make([]int64, len(pl.filters))
-			ch, perr := pl.run(src.parts[seg], r)
+			ch, perr := pl.run(src.parts[seg], r, &e.scratch)
 			if perr != nil {
 				return perr
 			}
@@ -528,13 +535,14 @@ func splitPipeline(p Plan) (pipeline, Plan) {
 
 // run executes the pipeline over one chunk of its source: the filters
 // select rows, the projection (or, without one, a gather) computes the
-// output over the selection. r[fi] gains the rows filter fi kept.
-func (pl pipeline) run(ch *Chunk, r []int64) (*Chunk, error) {
+// output over the selection into memory taken from a. r[fi] gains the rows
+// filter fi kept.
+func (pl pipeline) run(ch *Chunk, r []int64, a *arena) (*Chunk, error) {
 	// sel lists the selected rows; nil selects every row (evalRows), so a
 	// projection without filters aliases or computes whole columns.
 	var sel []int32
 	if len(pl.filters) > 0 {
-		kp, kept, err := pl.filter(ch, r)
+		kp, kept, err := pl.filter(ch, r, a)
 		defer putI32(kp)
 		if err != nil {
 			return nil, err
@@ -542,17 +550,18 @@ func (pl pipeline) run(ch *Chunk, r []int64) (*Chunk, error) {
 		sel = kept
 	}
 	if pl.proj == nil {
-		return gatherChunk(ch, sel), nil
+		return gatherChunk(a, ch, sel), nil
 	}
-	return pl.project(ch, sel)
+	return pl.project(ch, sel, a)
 }
 
 // filter runs the filter chain over every row of ch, innermost filter
 // first, each outer predicate over only the rows the inner ones kept. It
 // returns the surviving rows, ascending, in a pooled box the caller
 // releases with putI32 (on error too); r[fi] gains the rows filter fi
-// kept.
-func (pl pipeline) filter(ch *Chunk, r []int64) (*[]int32, []int32, error) {
+// kept. Predicates that do not run as selectCompare evaluate into vectors
+// taken from a.
+func (pl pipeline) filter(ch *Chunk, r []int64, a *arena) (*[]int32, []int32, error) {
 	kp := getI32(ch.length)
 	var sel []int32
 	for fi := len(pl.filters) - 1; fi >= 0; fi-- {
@@ -560,7 +569,7 @@ func (pl pipeline) filter(ch *Chunk, r []int64) (*[]int32, []int32, error) {
 		// sel[i], i >= j, has been read.
 		kept, ok := selectCompare(pl.filters[fi].Pred, ch, sel, *kp)
 		if !ok {
-			pv, err := evalRows(pl.filters[fi].Pred, ch, sel)
+			pv, err := evalRows(pl.filters[fi].Pred, ch, sel, a)
 			if err != nil {
 				return kp, nil, err
 			}
@@ -587,12 +596,13 @@ func (pl pipeline) filter(ch *Chunk, r []int64) (*[]int32, []int32, error) {
 // remove returns ch without the rows the filter chain selects, and how
 // many rows that drops: ch itself when it drops none, nil when it drops
 // every row (as a chain of no filters does), else a fresh chunk of the
-// rows it keeps. r[fi] gains the rows filter fi selected.
-func (pl pipeline) remove(ch *Chunk, r []int64) (*Chunk, int, error) {
+// rows it keeps, which the table stores. The predicates evaluate into
+// vectors taken from a. r[fi] gains the rows filter fi selected.
+func (pl pipeline) remove(ch *Chunk, r []int64, a *arena) (*Chunk, int, error) {
 	if len(pl.filters) == 0 {
 		return nil, ch.length, nil
 	}
-	dp, dropped, err := pl.filter(ch, r)
+	dp, dropped, err := pl.filter(ch, r, a)
 	defer putI32(dp)
 	switch {
 	case err != nil:
@@ -613,19 +623,20 @@ func (pl pipeline) remove(ch *Chunk, r []int64) (*Chunk, int, error) {
 		}
 	}
 	*kp = kept
-	return gatherChunk(ch, kept), len(dropped), nil
+	return gatherChunk(nil, ch, kept), len(dropped), nil
 }
 
 // project evaluates the projection over the rows of ch that sel lists
-// (every row when sel is nil) into dense output columns.
-func (pl pipeline) project(ch *Chunk, sel []int32) (*Chunk, error) {
+// (every row when sel is nil) into dense output columns taken from a; a
+// column reference without a selection aliases its input column.
+func (pl pipeline) project(ch *Chunk, sel []int32, a *arena) (*Chunk, error) {
 	n := ch.length
 	if sel != nil {
 		n = len(sel)
 	}
 	vecs := make([]colVec, len(pl.proj.Cols))
 	for i, col := range pl.proj.Cols {
-		v, err := evalRows(col.Expr, ch, sel)
+		v, err := evalRows(col.Expr, ch, sel, a)
 		if err != nil {
 			return nil, err
 		}
@@ -719,12 +730,13 @@ func (c *Cluster) newParts(ncols int) []*Chunk {
 }
 
 // redistribute hash-shuffles a relation so rows are placed by column key,
-// returning the bytes moved between segments.
-func (e *execEnv) redistribute(in *relation, key int) (*relation, int64, error) {
+// returning the bytes moved between segments. The destinations are taken
+// from a (see shuffle).
+func (e *execEnv) redistribute(in *relation, key int, a *arena) (*relation, int64, error) {
 	if in.distKey == key {
 		return in, 0, nil
 	}
-	return e.shuffle(in, key)
+	return e.shuffle(in, key, a)
 }
 
 // shuffle is the radix-partitioned shuffle kernel behind every
@@ -732,15 +744,18 @@ func (e *execEnv) redistribute(in *relation, key int) (*relation, int64, error) 
 // the key column's hash, or by the whole row's hash when key is NoDistKey
 // (routeChunk), then radixPartitionChunk scatters them column-at-a-time
 // into per-destination buckets backed by one pooled flat array; each
-// destination concatenates its incoming buckets, after which the pooled
-// backings are released. Rows that change segments are charged
+// destination concatenates its incoming buckets into a chunk taken from a,
+// after which the pooled backings are released. A shuffle feeding a join,
+// DISTINCT or group-by passes the statement's arena; the placement shuffle
+// of CREATE TABLE AS passes nil, as its destinations become the table.
+// Rows that change segments are charged
 // DatumWireSize bytes per value, the width of the canonical row encoding;
 // output rows arrive in source-major order, stable within each source —
 // both bit-identical to the historical counting shuffle (pinned by
 // TestShuffleMatchesReference and the radix differential tests). Each task
 // publishes into its own slot only when it completes, so a retried or
 // cancelled task never leaves partial state behind.
-func (e *execEnv) shuffle(in *relation, key int) (*relation, int64, error) {
+func (e *execEnv) shuffle(in *relation, key int, a *arena) (*relation, int64, error) {
 	ncols := len(in.schema)
 	segs := e.c.segments
 	rowBytes := int64(ncols) * DatumWireSize
@@ -784,7 +799,7 @@ func (e *execEnv) shuffle(in *relation, key int) (*relation, int64, error) {
 		for src := 0; src < segs; src++ {
 			pieces[src] = buckets[src][dst]
 		}
-		out[dst] = concatChunks(ncols, pieces)
+		out[dst] = concatChunks(a, ncols, pieces)
 		return nil
 	})
 	releaseFlats()
@@ -856,7 +871,7 @@ func (e *execEnv) execGroupBy(p GroupByPlan, start time.Time) (*relation, *OpMet
 	// Convert input chunks to partial layout.
 	partial := make([]*Chunk, c.segments)
 	err = e.parallel(func(seg int) error {
-		ch, err := buildPartialChunk(in.parts[seg], p.Keys, p.Aggs)
+		ch, err := buildPartialChunk(in.parts[seg], p.Keys, p.Aggs, &e.scratch)
 		if err != nil {
 			return err
 		}
@@ -888,12 +903,12 @@ func (e *execEnv) execGroupBy(p GroupByPlan, start time.Time) (*relation, *OpMet
 	var moved int64
 	if nk == 0 {
 		// Global aggregate: gather everything to segment 0.
-		all := concatChunks(len(schema), rel.parts)
+		all := concatChunks(&e.scratch, len(schema), rel.parts)
 		parts := c.newParts(len(schema))
 		parts[0] = all
 		rel = &relation{schema: schema, parts: parts, distKey: NoDistKey}
 	} else if rel.distKey != 0 {
-		rel, moved, err = e.redistribute(rel, 0)
+		rel, moved, err = e.redistribute(rel, 0, &e.scratch)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -933,11 +948,11 @@ func (e *execEnv) execJoin(p JoinPlan, start time.Time, pl pipeline) (*relation,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	left, lmoved, err := e.redistribute(left, p.LeftKey)
+	left, lmoved, err := e.redistribute(left, p.LeftKey, &e.scratch)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	right, rmoved, err := e.redistribute(right, p.RightKey)
+	right, rmoved, err := e.redistribute(right, p.RightKey, &e.scratch)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -193,6 +193,10 @@ type execEnv struct {
 	opSpilled     atomic.Int64
 	opSpillParts  atomic.Int64
 	opSpillPasses atomic.Int64
+
+	// scratch is the statement's arena: the column memory of the chunks
+	// its operators hand one another, returned by close.
+	scratch arena
 }
 
 // newExecEnv opens the execution environment for one statement.
@@ -203,12 +207,14 @@ func (c *Cluster) newExecEnv(ctx context.Context) *execEnv {
 	return e
 }
 
-// close releases the statement's execution resources: its spill file
-// (already unlinked, so closing it frees the space whether the statement
-// succeeded, failed or was cancelled mid-spill) and the fold of its
-// memory ledger into the cluster stats. Every segment task has drained by
-// then, so nothing still writes to the file.
+// close releases the statement's execution resources: its arena's
+// memory, its spill file (already unlinked, so closing it frees the space
+// whether the statement succeeded, failed or was cancelled mid-spill) and
+// the fold of its memory ledger into the cluster stats. Every segment task
+// has drained by then, so nothing still reads or writes the arena or the
+// file.
 func (e *execEnv) close() {
+	e.scratch.release()
 	if e.spill != nil {
 		e.spill.Close()
 	}

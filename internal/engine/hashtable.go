@@ -127,14 +127,14 @@ type groupTable struct {
 	hp *[]uint64 // pooled backing of idHash
 }
 
-// newGroupTable sizes a table for capHint distinct ids; it grows past
-// that. The hash cache starts from whatever capacity its pooled backing
-// has and grows by append, since the number of ids is usually far below
-// the hint. Call release once no probe will read it again.
+// newGroupTable sizes a table, slots and hash cache alike, for capHint
+// distinct ids; it grows past that. Both come from the scratch pools, so
+// sizing the cache for the hint costs nothing once the pool is warm. Call
+// release once no probe will read it again.
 func newGroupTable(capHint int) *groupTable {
 	slots := nextPow2(2 * capHint)
-	t := &groupTable{sp: zeroedI32(slots), hp: u64Scratch.get(0), mask: uint32(slots - 1)}
-	t.slots, t.idHash = *t.sp, *t.hp
+	t := &groupTable{sp: zeroedI32(slots), hp: u64Scratch.get(capHint), mask: uint32(slots - 1)}
+	t.slots, t.idHash = *t.sp, (*t.hp)[:0]
 	return t
 }
 

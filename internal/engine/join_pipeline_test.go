@@ -150,7 +150,7 @@ func TestJoinPipelineKernelMatchesUnfused(t *testing.T) {
 					}
 					r := make([]int64, len(pl.filters)+1)
 					acct := new(memAcct)
-					got, err := joinChunks(lch, rch, 0, 0, kind, limit, acct, pl, reads, r)
+					got, err := joinChunks(lch, rch, 0, 0, kind, limit, acct, pl, reads, r, nil)
 					if err != nil {
 						t.Fatalf("%s input %d kind %v limit %d: %v", pc.name, in, kind, limit, err)
 					}

@@ -151,10 +151,11 @@ func radixPartitionChunk(ch *Chunk, dests []int32, nparts int, flat []int64) []*
 // they are live and never hold more than limit pairs. A join with more
 // matches than that (a hot key under a tight budget) is emitted in several
 // blocks, each probed, piped and released in turn, and the blocks'
-// outputs are concatenated — same rows, same order. r[fi] gains the rows
-// filter fi of pl kept and r[len(pl.filters)] the matches.
+// outputs are concatenated — same rows, same order. The output is taken
+// from the statement's arena a. r[fi] gains the rows filter fi of pl kept
+// and r[len(pl.filters)] the matches.
 func joinChunks(left, right *Chunk, leftKey, rightKey int, kind JoinKind, limit int, acct *memAcct,
-	pl pipeline, reads joinReads, r []int64) (*Chunk, error) {
+	pl pipeline, reads joinReads, r []int64, a *arena) (*Chunk, error) {
 	jt := newJoinTable(right.length)
 	defer jt.release()
 	rkeys := right.cols[rightKey]
@@ -204,7 +205,7 @@ func joinChunks(left, right *Chunk, leftKey, rightKey int, kind JoinKind, limit 
 		*lp, *rp = li, ri
 		pairBytes := int64(len(li)) * matchPairBytes
 		acct.charge(pairBytes)
-		out, err := joinMatches{left, right, li, ri, outer}.pipe(pl, reads, r)
+		out, err := joinMatches{left, right, li, ri, outer}.pipe(pl, reads, r, a)
 		acct.release(pairBytes)
 		if err != nil {
 			return nil, err
@@ -217,7 +218,7 @@ func joinChunks(left, right *Chunk, leftKey, rightKey int, kind JoinKind, limit 
 	if len(blocks) == 1 {
 		return blocks[0], nil
 	}
-	return concatChunks(len(blocks[0].cols), blocks), nil
+	return concatChunks(a, len(blocks[0].cols), blocks), nil
 }
 
 // joinMatches is a join's output held as match lists: output row i pairs
@@ -233,16 +234,18 @@ type joinMatches struct {
 // The filters' columns are gathered at every match into pooled scratch,
 // the filters compact the match lists in place, and only then are the
 // projection's columns gathered, at the surviving matches; its computed
-// expressions evaluate over the survivors only. No pooled memory reaches
-// the output: the columns it passes through are gathered into a fresh
-// array, and computed columns are fresh vectors. r[fi] gains the rows
-// filter fi kept and r[len(pl.filters)] the matches.
-func (m joinMatches) pipe(pl pipeline, reads joinReads, r []int64) (*Chunk, error) {
+// expressions evaluate over the survivors only. The output belongs to the
+// statement: the columns it passes through are gathered into one backing
+// taken from the arena a, and computed columns are vectors taken from it,
+// while the filters' and computed expressions' inputs go back to the pool
+// before pipe returns. r[fi] gains the rows filter fi kept and
+// r[len(pl.filters)] the matches.
+func (m joinMatches) pipe(pl pipeline, reads joinReads, r []int64, a *arena) (*Chunk, error) {
 	nf := len(pl.filters)
 	r[nf] += int64(len(m.li))
 	if nf > 0 {
 		fp := getI64(len(reads.filter) * len(m.li))
-		kp, sel, err := pl.filter(m.gather(nil, reads.filter, *fp), r)
+		kp, sel, err := pl.filter(m.gather(nil, reads.filter, *fp), r, a)
 		putI64(fp)
 		if err == nil {
 			for j, i := range sel { // sel ascends, so j <= i
@@ -255,13 +258,13 @@ func (m joinMatches) pipe(pl pipeline, reads joinReads, r []int64) (*Chunk, erro
 			return nil, err
 		}
 	}
-	ch := m.gather(nil, reads.out, make([]int64, len(reads.out)*len(m.li)))
+	ch := m.gather(nil, reads.out, a.alloc(len(reads.out)*len(m.li)))
 	if pl.proj == nil {
 		return ch, nil // reads.out is every column
 	}
 	sp := getI64(len(reads.scratch) * len(m.li))
 	defer putI64(sp)
-	return pl.project(m.gather(ch, reads.scratch, *sp), nil)
+	return pl.project(m.gather(ch, reads.scratch, *sp), nil, a)
 }
 
 // gather gathers the join-output columns cols at the matches into ch, or
@@ -293,9 +296,10 @@ const matchPairBytes = 8
 // column per aggregate) into one row per distinct key, preserving
 // first-seen group order. Lookup is a single hash + open-addressing probe
 // per input row; aggregate state mutates in place in the output builder.
-// The table is sized for every row being its own group, so it never grows.
-func groupChunk(in *Chunk, nk int, aggs []Agg) *Chunk {
-	b := newChunkBuilder(nk+len(aggs), 0)
+// The table and the builder's columns, taken from the arena a, are sized
+// for every row being its own group, so neither ever grows.
+func groupChunk(in *Chunk, nk int, aggs []Agg, a *arena) *Chunk {
+	b := a.builder(nk+len(aggs), in.length)
 	t := newGroupTable(in.length)
 	foldChunkInto(b, t, in, nk, aggs)
 	t.release()
@@ -344,9 +348,9 @@ func builderKeysEqual(b *chunkBuilder, g int32, in *Chunk, r, nk int) bool {
 
 // distinctChunk removes duplicate rows, keeping the first occurrence of
 // each, via one whole-row hash + probe per input row. The survivors are
-// gathered into an exact-capacity output chunk. Like groupChunk, the table
-// is sized for an input without duplicates.
-func distinctChunk(in *Chunk) *Chunk {
+// gathered into an exact-capacity output chunk taken from the arena a.
+// Like groupChunk, the table is sized for an input without duplicates.
+func distinctChunk(in *Chunk, a *arena) *Chunk {
 	ncols := len(in.cols)
 	t := newGroupTable(in.length)
 	kp := getI32(in.length)
@@ -364,7 +368,7 @@ func distinctChunk(in *Chunk) *Chunk {
 			}
 		}
 	}
-	out := gatherChunk(in, keep)
+	out := gatherChunk(a, in, keep)
 	*kp = keep
 	putI32(kp)
 	t.release()
@@ -375,35 +379,30 @@ func distinctChunk(in *Chunk) *Chunk {
 // partial layout: the nk key columns (aliased, not copied) followed by one
 // column per aggregate holding its per-row partial value — the evaluated
 // argument for MIN/MAX/SUM, and a 0/1 non-NULL indicator (or constant 1
-// for count(*)) for COUNT.
-func buildPartialChunk(in *Chunk, keys []int, aggs []Agg) (*Chunk, error) {
+// for count(*)) for COUNT. The aggregate columns are taken from the
+// arena a.
+func buildPartialChunk(in *Chunk, keys []int, aggs []Agg, a *arena) (*Chunk, error) {
 	n := in.length
 	vecs := make([]colVec, len(keys)+len(aggs))
 	for i, k := range keys {
 		vecs[i] = colVec{vals: in.cols[k], nulls: in.nulls[k]}
 	}
-	for i, a := range aggs {
+	for i, agg := range aggs {
 		switch {
-		case a.Op == AggCount && a.Arg == nil:
-			ones := make([]int64, n)
-			for j := range ones {
-				ones[j] = 1
-			}
-			vecs[len(keys)+i] = colVec{vals: ones}
-		case a.Op == AggCount:
-			arg, err := evalVec(a.Arg, in)
+		case agg.Op == AggCount && agg.Arg == nil:
+			vecs[len(keys)+i] = constVec(I(1), n, a)
+		case agg.Op == AggCount:
+			arg, err := evalRows(agg.Arg, in, nil, a)
 			if err != nil {
 				return nil, err
 			}
-			counts := make([]int64, n)
-			for j := 0; j < n; j++ {
-				if !arg.null(j) {
-					counts[j] = 1
-				}
+			counts := a.alloc(n)
+			for j := range counts {
+				counts[j] = b2i(!arg.null(j))
 			}
 			vecs[len(keys)+i] = colVec{vals: counts}
 		default:
-			arg, err := evalVec(a.Arg, in)
+			arg, err := evalRows(agg.Arg, in, nil, a)
 			if err != nil {
 				return nil, err
 			}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"dbcc/internal/xrand"
@@ -204,7 +206,7 @@ func BenchmarkKernelJoinProbe(b *testing.B) {
 			b.ReportAllocs()
 			reads, r := pipeline{}.reads(4), make([]int64, 1)
 			for i := 0; i < b.N; i++ {
-				sinkChunk, _ = joinChunks(lch, rch, 0, 0, InnerJoin, math.MaxInt, new(memAcct), pipeline{}, reads, r)
+				sinkChunk, _ = joinChunks(lch, rch, 0, 0, InnerJoin, math.MaxInt, new(memAcct), pipeline{}, reads, r, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("rows/n=%d", n), func(b *testing.B) {
@@ -222,7 +224,7 @@ func BenchmarkKernelJoinProbe(b *testing.B) {
 			b.ReportAllocs()
 			reads, r := pipeline{}.reads(4), make([]int64, 1)
 			for i := 0; i < b.N; i++ {
-				sinkChunk, _ = joinChunks(lch, rch, 0, 0, InnerJoin, math.MaxInt, new(memAcct), pipeline{}, reads, r)
+				sinkChunk, _ = joinChunks(lch, rch, 0, 0, InnerJoin, math.MaxInt, new(memAcct), pipeline{}, reads, r, nil)
 			}
 		})
 	}
@@ -260,14 +262,14 @@ func BenchmarkKernelJoinPipeline(b *testing.B) {
 	b.Run(fmt.Sprintf("fused/n=%d", n), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sinkChunk, _ = joinChunks(lch, rch, 1, 0, InnerJoin, math.MaxInt, new(memAcct), pl, reads, r)
+			sinkChunk, _ = joinChunks(lch, rch, 1, 0, InnerJoin, math.MaxInt, new(memAcct), pl, reads, r, nil)
 		}
 	})
 	b.Run(fmt.Sprintf("unfused/n=%d", n), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			joined, _ := joinChunks(lch, rch, 1, 0, InnerJoin, math.MaxInt, new(memAcct), pipeline{}, full, r)
-			sinkChunk, _ = pl.run(joined, r)
+			joined, _ := joinChunks(lch, rch, 1, 0, InnerJoin, math.MaxInt, new(memAcct), pipeline{}, full, r, nil)
+			sinkChunk, _ = pl.run(joined, r, nil)
 		}
 	})
 }
@@ -280,7 +282,7 @@ func BenchmarkKernelGroupByMin(b *testing.B) {
 		b.Run(fmt.Sprintf("kernel/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkChunk = groupChunk(ch, 1, aggs)
+				sinkChunk = groupChunk(ch, 1, aggs, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("rows/n=%d", n), func(b *testing.B) {
@@ -296,7 +298,7 @@ func BenchmarkKernelGroupByMin(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/n=%d", shuffledCase(seg), n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkChunk = groupChunk(ch, 1, aggs)
+				sinkChunk = groupChunk(ch, 1, aggs, nil)
 			}
 		})
 	}
@@ -309,7 +311,7 @@ func BenchmarkKernelDistinct(b *testing.B) {
 		b.Run(fmt.Sprintf("kernel/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkChunk = distinctChunk(ch)
+				sinkChunk = distinctChunk(ch, nil)
 			}
 		})
 		b.Run(fmt.Sprintf("rows/n=%d", n), func(b *testing.B) {
@@ -336,7 +338,7 @@ func BenchmarkKernelDistinct(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/n=%d", shuffledCase(seg), n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkChunk = distinctChunk(ch)
+				sinkChunk = distinctChunk(ch, nil)
 			}
 		})
 	}
@@ -357,7 +359,7 @@ func BenchmarkKernelShuffle(b *testing.B) {
 		b.Run(fmt.Sprintf("kernel/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, _, _ := c.newExecEnv(context.Background()).redistribute(in, 0)
+				out, _, _ := c.newExecEnv(context.Background()).redistribute(in, 0, nil)
 				sinkChunk = out.parts[0]
 			}
 		})
@@ -503,6 +505,48 @@ func BenchmarkKernelRCRound(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelStatementTP runs Two-Phase's large-star statement
+// (tpSQLLarge in internal/ccalg) as one CREATE TABLE AS over 65,536 edges:
+// UNION ALL of both orientations, a join with the per-vertex minimum table,
+// two filters, a projection and DISTINCT, placed by its first column.
+// Every chunk but the placed output comes from the statement's arena, so
+// B/op stays near the bytes of the table the statement writes; the CI gate
+// pins bytes_per_op.
+func BenchmarkKernelStatementTP(b *testing.B) {
+	const nv, ne = 1 << 14, 1 << 16
+	rng := xrand.New(109)
+	c := NewCluster(Options{Segments: 8})
+	edges := make([]Row, ne)
+	for i := range edges {
+		v, w := int64(rng.Uint64n(nv)), int64(rng.Uint64n(nv))
+		edges[i] = Row{I(max(v, w)), I(min(v, w))}
+	}
+	mins := make([]Row, nv)
+	for v := range mins {
+		mins[v] = Row{I(int64(v)), I(int64(rng.Uint64n(uint64(v) + 1)))}
+	}
+	mustCreateBench(b, c, "e", Schema{"v", "w"}, 0, edges)
+	mustCreateBench(b, c, "m", Schema{"v", "m"}, 0, mins)
+	// select distinct s.w as v, m.m as w
+	// from (select v, w from e union all select w, v from e) as s, m
+	// where s.v = m.v and s.w > s.v and s.w != m.m distributed by (v)
+	sym := UnionAll(Project(Scan("e"), ProjCol{Expr: Col(0), Name: "v"}, ProjCol{Expr: Col(1), Name: "w"}),
+		Project(Scan("e"), ProjCol{Expr: Col(1), Name: "v"}, ProjCol{Expr: Col(0), Name: "w"}))
+	join := JoinPlan{Left: sym, Right: Scan("m"), LeftKey: 0, RightKey: 0, Kind: InnerJoin}
+	p := Distinct(Project(Filter(Filter(join, Bin(OpGt, Col(1), Col(0))), Bin(OpNe, Col(1), Col(3))),
+		ProjCol{Expr: Col(1), Name: "v"}, ProjCol{Expr: Col(3), Name: "w"}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.CreateTableAs("out", p, 0); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.DropTable("out"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkKernelScanCTAS measures CreateTableAs(Scan(t)) on t's own
 // distribution key, a table → table round trip with no shuffle. Scan
 // hands out the stored chunks and CreateTableAs publishes them by
@@ -588,6 +632,65 @@ func TestScratchPoolRoundTripAllocFree(t *testing.T) {
 	// and force one refill.
 	if allocs > 0.1 {
 		t.Fatalf("scratch pool round-trip costs %.2f allocs/op, want ~0", allocs)
+	}
+}
+
+// TestScanOfMultiChunkSegmentsAllocatesLittle pins that Scan concatenates
+// a segment's stored chunks into the statement's arena. A table written by
+// 500 InsertRows batches of 256 rows keeps several chunks per segment, so
+// every scan of it concatenates the whole table. The count below, SQL's
+// select count(*) as n from t where v1 = 5 and v2 = 7, must allocate in
+// the steady state (median of 5 runs after warm-up) under a quarter of
+// the table's bytes: the concatenations, the filter's survivors and the
+// aggregate's chunks all come back from the pool.
+func TestScanOfMultiChunkSegmentsAllocatesLittle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts at random, so pooled memory is not reused")
+	}
+	c := NewCluster(Options{Segments: 8})
+	if _, err := c.CreateTable("t", Schema{"v1", "v2"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(44)
+	for b := 0; b < 500; b++ {
+		rows := make([]Row, 256)
+		for i := range rows {
+			rows[i] = Row{I(int64(rng.Uint64n(64))), I(int64(rng.Uint64n(64)))}
+		}
+		if err := c.InsertRows("t", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab, _ := c.Table("t")
+	multi := false
+	for _, list := range tab.snapshotParts() {
+		multi = multi || len(list) > 1
+	}
+	if !multi {
+		t.Fatal("no segment holds more than one stored chunk; the scan concatenates nothing")
+	}
+	count := Project(GroupBy(Filter(Filter(Scan("t"), Bin(OpEq, Col(0), Const(5))), Bin(OpEq, Col(1), Const(7))),
+		nil, Agg{Op: AggCount, Name: "n"}), ProjCol{Expr: Col(0), Name: "n"})
+	run := func() uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, _, err := c.Query(count); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	allocs := make([]uint64, 5)
+	for i := range allocs {
+		allocs[i] = run()
+	}
+	slices.Sort(allocs)
+	if limit := uint64(tab.Bytes() / 4); allocs[2] >= limit {
+		t.Fatalf("a count over a multi-chunk table allocates %d bytes (median of %v), want < %d, a quarter of the table's %d bytes",
+			allocs[2], allocs, limit, tab.Bytes())
 	}
 }
 

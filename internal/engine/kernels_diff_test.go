@@ -2,10 +2,14 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"dbcc/internal/xrand"
 )
@@ -84,7 +88,7 @@ func referenceJoin(left, right []Row, lk, rk, rw int, kind JoinKind) []Row {
 // the join's full width.
 func fullJoin(left, right *Chunk, lk, rk int, kind JoinKind, limit int, acct *memAcct) *Chunk {
 	reads := pipeline{}.reads(len(left.cols) + len(right.cols))
-	ch, err := joinChunks(left, right, lk, rk, kind, limit, acct, pipeline{}, reads, make([]int64, 1))
+	ch, err := joinChunks(left, right, lk, rk, kind, limit, acct, pipeline{}, reads, make([]int64, 1), nil)
 	if err != nil {
 		panic(err) // an empty pipeline evaluates nothing
 	}
@@ -212,7 +216,7 @@ func TestGroupChunkMatchesReference(t *testing.T) {
 			st := ref[k]
 			want[i] = Row{k, st.mn, st.mx, st.sm}
 		}
-		chunkEqualRows(t, groupChunk(rowsToChunk(partial, 4), 1, aggs), want)
+		chunkEqualRows(t, groupChunk(rowsToChunk(partial, 4), 1, aggs, nil), want)
 	}
 	for trial := 0; trial < 40; trial++ {
 		check(skewedRows(rng, int(rng.Uint64n(250)), 2))
@@ -244,7 +248,7 @@ func TestDistinctChunkMatchesReference(t *testing.T) {
 				want = append(want, r)
 			}
 		}
-		chunkEqualRows(t, distinctChunk(rowsToChunk(rows, 3)), want)
+		chunkEqualRows(t, distinctChunk(rowsToChunk(rows, 3), nil), want)
 	}
 	for trial := 0; trial < 40; trial++ {
 		check(skewedRows(rng, int(rng.Uint64n(300)), 3))
@@ -321,7 +325,7 @@ func TestGroupChunkLeavesNoAllClearBitmaps(t *testing.T) {
 	for i := range rows {
 		rows[i] = Row{I(int64(i % 7)), I(int64(i)), I(1)}
 	}
-	out := groupChunk(rowsToChunk(rows, 3), 1, aggs)
+	out := groupChunk(rowsToChunk(rows, 3), 1, aggs, nil)
 	for c, nb := range out.nulls {
 		if nb != nil {
 			t.Fatalf("no NULL input: column %d of the output has a null bitmap %v", c, nb)
@@ -330,10 +334,10 @@ func TestGroupChunkLeavesNoAllClearBitmaps(t *testing.T) {
 
 	// Group 1 starts NULL and then gets a value; group 2 stays NULL.
 	rows = []Row{{I(1), NullDatum, I(1)}, {I(1), I(5), I(1)}, {I(2), NullDatum, I(1)}, {I(3), I(3), I(1)}}
-	out = groupChunk(rowsToChunk(rows, 3), 1, aggs)
+	out = groupChunk(rowsToChunk(rows, 3), 1, aggs, nil)
 	chunkEqualRows(t, out, []Row{{I(1), I(5), I(2)}, {I(2), NullDatum, I(1)}, {I(3), I(3), I(1)}})
 	rows[2][1] = I(9)
-	out = groupChunk(rowsToChunk(rows, 3), 1, aggs)
+	out = groupChunk(rowsToChunk(rows, 3), 1, aggs, nil)
 	if out.nulls[1] != nil {
 		t.Fatalf("every NULL state got a value: min column keeps bitmap %v", out.nulls[1])
 	}
@@ -366,7 +370,7 @@ func TestKernelOutputsSurvivePoolReuse(t *testing.T) {
 	pl, _ := splitPipeline(fused)
 	reads := pl.reads(4)
 	pipe := func(left, right *Chunk, kind JoinKind) *Chunk {
-		ch, err := joinChunks(left, right, 0, 0, kind, math.MaxInt, new(memAcct), pl, reads, make([]int64, 2))
+		ch, err := joinChunks(left, right, 0, 0, kind, math.MaxInt, new(memAcct), pl, reads, make([]int64, 2), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,8 +404,8 @@ func TestKernelOutputsSurvivePoolReuse(t *testing.T) {
 		return append([]*Chunk{
 			fullJoin(left, right, 0, 0, LeftOuterJoin, math.MaxInt, new(memAcct)),
 			pipe(left, right, LeftOuterJoin),
-			groupChunk(grouped, 1, aggs),
-			distinctChunk(dup),
+			groupChunk(grouped, 1, aggs, nil),
+			distinctChunk(dup, nil),
 		}, stored(write())...)
 	}
 	first := run()
@@ -415,9 +419,9 @@ func TestKernelOutputsSurvivePoolReuse(t *testing.T) {
 		case 0:
 			fullJoin(ch, ch, 0, 1, InnerJoin, math.MaxInt, new(memAcct))
 		case 1:
-			groupChunk(partial(chunkToRows(ch)), 1, aggs)
+			groupChunk(partial(chunkToRows(ch)), 1, aggs, nil)
 		case 2:
-			distinctChunk(ch)
+			distinctChunk(ch, nil)
 		case 3:
 			pipe(ch, ch, LeftOuterJoin)
 		case 4:
@@ -438,6 +442,225 @@ func TestKernelOutputsSurvivePoolReuse(t *testing.T) {
 			t.Fatalf("%s output differs on a rerun with recycled pool arrays", name)
 		}
 	}
+}
+
+// arenaPoison is the pattern TestStatementScratchNeverEscapes writes over
+// every pooled int64 box.
+const arenaPoison = int64(-0x5a5a5a5a5a5a5a5b)
+
+// drainI64Pool empties the int64 scratch pool, the arena's source, and
+// returns its boxes. With GOMAXPROCS at 1 every pooled box is reachable
+// from the one P, so nothing stays behind.
+func drainI64Pool() []*[]int64 {
+	var boxes []*[]int64
+	for k := range i64Scratch.classes {
+		for {
+			p, _ := i64Scratch.classes[k].Get().(*[]int64)
+			if p == nil {
+				break
+			}
+			boxes = append(boxes, p)
+		}
+	}
+	return boxes
+}
+
+// poisonBoxes overwrites every value of every box, up to its capacity.
+func poisonBoxes(boxes []*[]int64) {
+	for _, p := range boxes {
+		s := (*p)[:cap(*p)]
+		for i := range s {
+			s[i] = arenaPoison
+		}
+	}
+}
+
+// refillI64Pool puts boxes back into the int64 scratch pool.
+func refillI64Pool(boxes []*[]int64) {
+	for _, p := range boxes {
+		putI64(p)
+	}
+}
+
+// TestStatementScratchNeverEscapes holds the arena's ownership rule: a
+// table or a result holds only fresh memory, and everything else belongs
+// to the statement and goes back to the pool when it ends. After each
+// statement kind — CTAS with a placement shuffle, CTAS of a co-located
+// group-by, CTAS of a projection aliasing a UNION ALL or a scan
+// concatenation, INSERT … SELECT onto one segment, Query, EXPLAIN
+// ANALYZE, DELETE, a run under 20 % injected faults and one spilling under
+// a memory budget — it drains the pool, poisons every box and compares
+// the stored tables and returned rows with a rerun on a fresh cluster that
+// takes only fresh memory. The statements themselves run on poisoned
+// pooled memory from the case before, so a kernel that reads a slot it
+// did not write shows too. A cancelled statement must keep its arena
+// until its in-flight tasks have drained: a box drained from the pool
+// while its task is still blocked must stay poisoned.
+func TestStatementScratchNeverEscapes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := xrand.New(211)
+	rowsA := skewedRows(rng, 2400, 2)
+	rowsB := skewedRows(rng, 1800, 2)
+	for i := range rowsA[:300] {
+		rowsA[i][0] = I(3) // one key for INSERT … SELECT onto a single segment
+	}
+	setup := func(t *testing.T, opts Options) *Cluster {
+		opts.Segments, opts.Workers = 4, 4
+		c := NewCluster(opts)
+		// a's segments hold several stored chunks, so Scan concatenates.
+		mustCreate(t, c, "a", Schema{"k", "v"}, 0, rowsA[:600])
+		for off := 600; off < len(rowsA); off += 600 {
+			if err := c.InsertRows("a", rowsA[off:off+600]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustCreate(t, c, "b", Schema{"k", "w"}, 1, rowsB)
+		mustCreate(t, c, "dst", Schema{"k", "v"}, 0, nil)
+		return c
+	}
+	join := JoinPlan{Left: Scan("a"), Right: Scan("b"), LeftKey: 0, RightKey: 0, Kind: LeftOuterJoin}
+	fused := Project(Filter(join, Bin(OpNe, Col(1), Const(1))),
+		ProjCol{Expr: Col(0), Name: "k"}, ProjCol{Expr: Coalesce(Col(3), Col(1)), Name: "c"},
+		ProjCol{Expr: Bin(OpAdd, Col(3), Const(1)), Name: "s"})
+	grouped := GroupBy(fused, []int{1}, Agg{Op: AggMin, Arg: Col(0), Name: "mn"}, Agg{Op: AggCount, Name: "n"})
+	ctas := func(p Plan, distKey int) func(*Cluster) ([]Row, error) {
+		return func(c *Cluster) ([]Row, error) {
+			_, err := c.CreateTableAs("out", p, distKey)
+			return nil, err
+		}
+	}
+	type statementCase struct {
+		name   string
+		opts   Options
+		tables []string
+		run    func(c *Cluster) ([]Row, error)
+	}
+	cases := []statementCase{
+		{name: "ctas placement shuffle", tables: []string{"out"}, run: ctas(Distinct(fused), 2)},
+		{name: "ctas co-located group-by", tables: []string{"out"},
+			run: ctas(GroupBy(Scan("a"), []int{0}, Agg{Op: AggMin, Arg: Col(1), Name: "mn"},
+				Agg{Op: AggCount, Name: "n"}), 0)},
+		{name: "ctas projection aliasing union", tables: []string{"out"},
+			run: ctas(Project(UnionAll(Scan("a"), Scan("b")), ProjCol{Expr: Col(1), Name: "v"},
+				ProjCol{Expr: Col(0), Name: "k"}), NoDistKey)},
+		{name: "ctas projection aliasing scan", tables: []string{"out"},
+			run: ctas(Project(Scan("a"), ProjCol{Expr: Col(1), Name: "v"}), NoDistKey)},
+		{name: "insert select onto one segment", tables: []string{"dst"},
+			run: func(c *Cluster) ([]Row, error) {
+				_, err := c.InsertSelectCtx(context.Background(), "dst", Distinct(Filter(Scan("a"), Bin(OpEq, Col(0), Const(3)))))
+				return nil, err
+			}},
+		{name: "query", run: func(c *Cluster) ([]Row, error) {
+			_, rows, err := c.Query(grouped)
+			return rows, err
+		}},
+		{name: "explain analyze", run: func(c *Cluster) ([]Row, error) {
+			_, rows, _, err := c.QueryAnalyzeCtx(context.Background(), Distinct(Project(UnionAll(Scan("a"), Scan("b")),
+				ProjCol{Expr: Bin(OpAdd, Col(0), Col(1)), Name: "s"})))
+			return rows, err
+		}},
+		{name: "delete", tables: []string{"a"}, run: func(c *Cluster) ([]Row, error) {
+			_, err := c.DeleteRows(context.Background(), Filter(Scan("a"), Bin(OpGt, Bin(OpAdd, Col(0), Col(1)), Const(4))))
+			return nil, err
+		}},
+		{name: "faults and retries", opts: Options{Faults: FaultConfig{Seed: 5, FailureRate: 0.2}},
+			tables: []string{"out"}, run: ctas(grouped, 0)},
+		{name: "spill under a memory budget", opts: Options{MemoryBudget: 1 << 16},
+			tables: []string{"out"}, run: ctas(Distinct(grouped), NoDistKey)},
+	}
+	snapshot := func(t *testing.T, c *Cluster, tables []string, rows []Row) [][][]Row {
+		out := [][][]Row{{rows}}
+		for _, name := range tables {
+			tab, ok := c.Table(name)
+			if !ok {
+				t.Fatalf("table %s missing", name)
+			}
+			out = append(out, segmentRows(tab))
+		}
+		return out
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := setup(t, tc.opts)
+			rows, err := tc.run(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := c.Stats(); tc.opts.MemoryBudget > 0 && st.SpilledBytes == 0 || tc.opts.Faults.FailureRate > 0 && st.TaskRetries == 0 {
+				t.Fatalf("the statement neither spilled nor retried as its case needs: %+v", st)
+			}
+			boxes := drainI64Pool()
+			poisonBoxes(boxes)
+			refillI64Pool(boxes)
+			got := snapshot(t, c, tc.tables, rows)
+
+			// The rerun takes only fresh memory: the pool's boxes sit aside.
+			boxes = drainI64Pool()
+			ref := setup(t, Options{})
+			refRows, err := tc.run(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := snapshot(t, ref, tc.tables, refRows)
+			refillI64Pool(boxes)
+			if len(rows) == 0 && len(tc.tables) == 0 {
+				t.Fatal("the case checks nothing")
+			}
+			for i := range want {
+				for seg := range want[i] {
+					if !slices.EqualFunc(got[i][seg], want[i][seg], slices.Equal) {
+						t.Fatalf("snapshot %d segment %d differs from a rerun on fresh memory after the pool was poisoned", i, seg)
+					}
+				}
+			}
+		})
+	}
+
+	t.Run("cancelled mid-flight", func(t *testing.T) {
+		c := setup(t, Options{})
+		started, unblock := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		c.RegisterColumnUDF("stall", func(out []int64, args []UDFArg) {
+			once.Do(func() { close(started) })
+			<-unblock
+			for i := range out {
+				out[i] = args[0].At(i)
+			}
+		})
+		stall, err := c.CallUDF("stall", Col(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			// The union's concatenations and the UDF's output vectors are
+			// arena memory taken before and while the tasks stall.
+			_, err := c.CreateTableAsCtx(ctx, "out", Project(UnionAll(Scan("a"), Scan("b")),
+				ProjCol{Expr: stall, Name: "v"}), NoDistKey)
+			done <- err
+		}()
+		<-started
+		cancel()
+		time.Sleep(20 * time.Millisecond) // room for an early release to happen
+		boxes := drainI64Pool()
+		poisonBoxes(boxes)
+		close(unblock)
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled CTAS returned %v, want context.Canceled", err)
+		}
+		for _, p := range boxes {
+			for _, v := range (*p)[:cap(*p)] {
+				if v != arenaPoison {
+					t.Fatal("a box the pool held while the cancelled statement's tasks were in flight was written by them")
+				}
+			}
+		}
+		refillI64Pool(boxes)
+		if _, ok := c.Table("out"); ok {
+			t.Fatal("cancelled CTAS published its table")
+		}
+	})
 }
 
 // cloneChunk deep-copies a chunk, keeping nil bitmaps nil.
@@ -519,7 +742,7 @@ func TestShuffleMatchesReference(t *testing.T) {
 				}
 				return int(xrand.Mix64(uint64(r[0].Int)) % uint64(segs))
 			}
-			out, moved, err := c.newExecEnv(context.Background()).shuffle(in, key)
+			out, moved, err := c.newExecEnv(context.Background()).shuffle(in, key, nil)
 			if err != nil {
 				t.Fatalf("shuffle: %v", err)
 			}

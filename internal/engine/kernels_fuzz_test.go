@@ -186,7 +186,7 @@ func FuzzJoinPipeline(f *testing.F) {
 		want, wantKept := pc.reference(referenceJoin(left, right, 0, 0, 3, kind))
 		r := make([]int64, len(pl.filters)+1)
 		got, err := joinChunks(rowsToChunk(left, 3), rowsToChunk(right, 3), 0, 0, kind, limit,
-			new(memAcct), pl, pl.reads(6), r)
+			new(memAcct), pl, pl.reads(6), r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func FuzzJoinPipeline(f *testing.F) {
 		// fused output is what the pipeline computes over the full-width
 		// join: stale pooled scratch must not show through anywhere.
 		unfused, err := pl.run(fullJoin(rowsToChunk(left, 3), rowsToChunk(right, 3), 0, 0, kind, limit, new(memAcct)),
-			make([]int64, len(pl.filters)))
+			make([]int64, len(pl.filters)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

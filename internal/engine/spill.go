@@ -287,7 +287,7 @@ func (e *execEnv) newPartitionSet(seg, fanout, ncols int, ioSeq *int64) *partiti
 		ioSeq:   ioSeq,
 	}
 	for i := range ps.parts {
-		ps.parts[i] = &spillPart{b: newChunkBuilder(ncols, 0)}
+		ps.parts[i] = &spillPart{b: newChunkBuilder(ncols)}
 	}
 	ps.charged = int64(fanout) * int64(ps.bufRows) * int64(ncols) * 8
 	e.acct.charge(ps.charged)
@@ -362,7 +362,7 @@ func (ps *partitionSet) flush(p int) error {
 	w.exts = append(w.exts, ext)
 	w.rows += int64(n)
 	w.bytes += ext.n
-	w.b = newChunkBuilder(ps.ncols, 0)
+	w.b = newChunkBuilder(ps.ncols)
 	return nil
 }
 
@@ -444,5 +444,5 @@ func (e *execEnv) readPartition(part *spillPart, ncols int) (*Chunk, error) {
 	if len(frames) == 1 {
 		return frames[0], nil
 	}
-	return concatChunks(ncols, frames), nil
+	return concatChunks(nil, ncols, frames), nil
 }

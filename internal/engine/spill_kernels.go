@@ -53,7 +53,7 @@ func (e *execEnv) joinSegment(seg int, left, right *Chunk, p JoinPlan, pl pipeli
 		}
 		e.acct.charge(w)
 		defer e.acct.release(w)
-		return joinChunks(left, right, lk, rk, kind, limit, &e.acct, pl, reads, r)
+		return joinChunks(left, right, lk, rk, kind, limit, &e.acct, pl, reads, r, &e.scratch)
 	}
 	lw, rw := len(left.cols), len(right.cols)
 	wideRow := int64(max(lw, rw)+1) * 8
@@ -114,7 +114,7 @@ func (e *execEnv) joinSegment(seg int, left, right *Chunk, p JoinPlan, pl pipeli
 	for i, pr := range pairs {
 		li[i], ri[i] = int32(pr>>32), int32(uint32(pr))-1
 	}
-	return joinMatches{left, right, li, ri, kind == LeftOuterJoin}.pipe(pl, reads, r)
+	return joinMatches{left, right, li, ri, kind == LeftOuterJoin}.pipe(pl, reads, r, nil)
 }
 
 // matchPair packs the hidden (probe row, build row) index pair of a grace
@@ -257,7 +257,7 @@ func (e *execEnv) blockJoinPart(lpart, rpart *spillPart, out *[]uint64,
 		})
 	}
 
-	bb := newChunkBuilder(rw+1, 0)
+	bb := newChunkBuilder(rw + 1)
 	err := e.eachFrame(rpart.exts, func(bf *Chunk) error {
 		for r := 0; r < bf.length; r++ {
 			for c := 0; c <= rw; c++ {
@@ -268,7 +268,7 @@ func (e *execEnv) blockJoinPart(lpart, rpart *spillPart, out *[]uint64,
 				if err := probeAll(bb.finish()); err != nil {
 					return err
 				}
-				bb = newChunkBuilder(rw+1, 0)
+				bb = newChunkBuilder(rw + 1)
 			}
 		}
 		return nil
@@ -341,9 +341,9 @@ func (e *execEnv) foldSegment(seg int, in *Chunk, nk int, aggs []Agg, distinct b
 		e.acct.charge(w)
 		defer e.acct.release(w)
 		if distinct {
-			return distinctChunk(in), nil
+			return distinctChunk(in, &e.scratch), nil
 		}
-		return groupChunk(in, nk, aggs), nil
+		return groupChunk(in, nk, aggs, &e.scratch), nil
 	}
 	ncols := len(in.cols)
 	fan := spillFanout(est, e.segShare(), int64(ncols+1)*8)
@@ -382,7 +382,7 @@ func (e *execEnv) foldSegment(seg int, in *Chunk, nk int, aggs []Agg, distinct b
 			return nil, err
 		}
 	}
-	all := concatChunks(ncols+1, outs)
+	all := concatChunks(nil, ncols+1, outs)
 
 	// Restore first-seen order via the hidden first-occurrence column.
 	hidden := all.cols[ncols]
@@ -391,7 +391,7 @@ func (e *execEnv) foldSegment(seg int, in *Chunk, nk int, aggs []Agg, distinct b
 		idx[i] = int32(i)
 	}
 	sort.Slice(idx, func(i, j int) bool { return hidden[idx[i]] < hidden[idx[j]] })
-	return stripCols(gatherChunk(all, idx), ncols), nil
+	return stripCols(gatherChunk(nil, all, idx), ncols), nil
 }
 
 // foldPartition folds one partition into group rows, recursing with
@@ -441,7 +441,7 @@ func (e *execEnv) foldPartition(seg int, part *spillPart,
 	// that could not shrink (one hot key) folds into few groups and stays
 	// within the share even though its row count does not. The charge
 	// tracks the accumulator as it grows.
-	b := newChunkBuilder(fcols, 0)
+	b := newChunkBuilder(fcols)
 	t := newGroupTable(64)
 	defer t.release()
 	var charged int64
@@ -556,7 +556,7 @@ func (e *execEnv) sortSegment(seg int, ch *Chunk, keys []SortKey) (*Chunk, []int
 			if end > len(idx) {
 				end = len(idx)
 			}
-			fr := gatherChunk(ch, idx[off:end])
+			fr := gatherChunk(nil, ch, idx[off:end])
 			ext, err := e.writeSpillFrame(seg, &scratch, fr, &ioSeq)
 			if err != nil {
 				e.acct.release(bufCharge)

@@ -401,7 +401,7 @@ func TestSpillCodecRoundTrip(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		ncols := int(rng.Uint64n(5))
 		nrows := int(rng.Uint64n(200))
-		b := newChunkBuilder(ncols, 0)
+		b := newChunkBuilder(ncols)
 		for r := 0; r < nrows; r++ {
 			for c := 0; c < ncols; c++ {
 				b.appendCol(c, int64(rng.Uint64()), rng.Uint64n(4) == 0)
@@ -434,7 +434,7 @@ func TestSpillCodecRoundTrip(t *testing.T) {
 // TestSpillCodecRejectsCorrupt asserts truncated or corrupted frames fail
 // cleanly with errSpillCorrupt-class errors rather than panicking.
 func TestSpillCodecRejectsCorrupt(t *testing.T) {
-	b := newChunkBuilder(2, 0)
+	b := newChunkBuilder(2)
 	for r := 0; r < 100; r++ {
 		b.appendCol(0, int64(r), false)
 		b.appendCol(1, int64(r), r%3 == 0)
