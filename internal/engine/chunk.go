@@ -61,42 +61,6 @@ func newChunk(ncols, n int) *Chunk { return (*arena)(nil).chunk(ncols, n) }
 // Len returns the number of rows.
 func (ch *Chunk) Len() int { return ch.length }
 
-// chunksFromFlat carves a set of chunks out of one shared flat backing
-// array: chunk i has ncols columns of counts[i] rows each. The layout is
-// column-major across the whole set — all chunks' column 0 first, then all
-// chunks' column 1, ... — so a caller that knows a row's global slot g
-// (its offset within the concatenated chunk set) addresses column c at
-// flat[c*total+g], independent of which chunk the row landed in. The radix
-// shuffle kernel uses this to back a whole per-destination bucket set with
-// a single pooled allocation and to scatter each column in one pass over a
-// single destination slice. The backing array's contents are NOT cleared —
-// callers must write every slot (see radixPartitionChunk) — and the
-// produced chunks alias flat, so they must not outlive its return to the
-// pool.
-func chunksFromFlat(ncols int, counts []int32, flat []int64) []*Chunk {
-	total := 0
-	for _, cnt := range counts {
-		total += int(cnt)
-	}
-	out := make([]*Chunk, len(counts))
-	start := 0
-	for i, cnt := range counts {
-		n := int(cnt)
-		ch := &Chunk{
-			length: n,
-			cols:   make([][]int64, ncols),
-			nulls:  make([]nullBitmap, ncols),
-		}
-		for c := 0; c < ncols; c++ {
-			off := c*total + start
-			ch.cols[c] = flat[off : off+n : off+n]
-		}
-		out[i] = ch
-		start += n
-	}
-	return out
-}
-
 // datum materialises one value as a Datum. NULL values come back exactly
 // as NullDatum (payload zero), so rows converted out of a chunk compare
 // equal under == to rows that never went through the columnar layer.
@@ -167,7 +131,7 @@ func chunkToRows(chunks ...*Chunk) []Row {
 // half the size of the one before it, which keeps sizes roughly geometric:
 // a segment holds O(log rows) chunks, and a row is copied O(log rows)
 // times over the life of the table. ch must hold only fresh memory: no
-// pooled backing (chunksFromFlat, getI64) and no statement's arena.
+// pooled box (getI64) and no statement's arena.
 func appendChunk(list []*Chunk, ch *Chunk) []*Chunk {
 	i, size := len(list), ch.length
 	for i > 0 && 2*size >= list[i-1].length {
@@ -190,18 +154,18 @@ func appendChunk(list []*Chunk, ch *Chunk) []*Chunk {
 func gatherChunk(a *arena, in *Chunk, idx []int32) *Chunk {
 	out := a.chunk(len(in.cols), len(idx))
 	for c := range in.cols {
-		gatherInto(out, c, in, c, idx, false)
+		gatherInto(out, c, 0, in, c, idx, false)
 	}
 	return out
 }
 
-// gatherInto fills column oc of out, which has len(idx) rows, with column
-// c of in at the rows idx names. With pads set idx may hold -1, which
-// yields NULL: the right-hand columns of an unmatched left-outer-join row.
-// Every slot is written, a NULL's with zero, so out's column may be backed
+// gatherInto fills column oc of out, from row off on, with column c of in
+// at the rows idx names. With pads set idx may hold -1, which yields NULL:
+// the right-hand columns of an unmatched left-outer-join row. Every slot
+// it covers is written, a NULL's with zero, so out's column may be backed
 // by stale pooled memory.
-func gatherInto(out *Chunk, oc int, in *Chunk, c int, idx []int32, pads bool) {
-	src, dst := in.cols[c], out.cols[oc]
+func gatherInto(out *Chunk, oc, off int, in *Chunk, c int, idx []int32, pads bool) {
+	src, dst := in.cols[c], out.cols[oc][off:off+len(idx)]
 	nb := in.nulls[c]
 	if nb == nil && !pads {
 		for i, r := range idx {
@@ -212,7 +176,7 @@ func gatherInto(out *Chunk, oc int, in *Chunk, c int, idx []int32, pads bool) {
 	for i, r := range idx {
 		if r < 0 || nb.get(int(r)) {
 			dst[i] = 0
-			out.ensureNulls(oc).set(i)
+			out.ensureNulls(oc).set(off + i)
 		} else {
 			dst[i] = src[r]
 		}
@@ -240,7 +204,7 @@ func copyChunkInto(dst, src *Chunk, off int) int {
 
 // concatChunks concatenates chunks of identical arity into one
 // exact-capacity chunk taken from a, or fresh when a is nil (UnionAll,
-// gather-to-coordinator, shuffle destinations, stored-chunk merges).
+// gather-to-coordinator, stored-chunk merges).
 func concatChunks(a *arena, ncols int, chunks []*Chunk) *Chunk {
 	total := 0
 	for _, ch := range chunks {

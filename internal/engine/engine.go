@@ -598,10 +598,11 @@ func (c *Cluster) InsertRows(name string, rows []Row) error {
 // appendRows is the one write path of INSERT: it places ch's rows on the
 // table's segments with the shuffle's router (routeChunk: the
 // distribution key's hash, NULL on segment 0) or, for a NoDistKey table,
-// round-robin from the table's row count, appends one exact-size chunk per
-// touched segment copy-on-write (appendChunk), and feeds the table's
-// component index ch in row order. It accounts the write and returns the
-// rows written.
+// round-robin from the table's row count, gathers one fresh exact-size
+// chunk per touched segment with the shuffle's partition kernel
+// (partitionChunk), appends each copy-on-write (appendChunk), and feeds
+// the table's component index ch in row order. It accounts the write and
+// returns the rows written.
 func (c *Cluster) appendRows(s *statement, name string, t *Table, ch *Chunk) int64 {
 	n := ch.length
 	dp := getI32(n)
@@ -626,8 +627,7 @@ func (c *Cluster) appendRows(s *statement, name string, t *Table, ch *Chunk) int
 		// Every row lands on one segment: store ch itself.
 		t.parts[dests[0]] = appendChunk(t.parts[dests[0]], ch)
 	} else {
-		// The stored chunks share one fresh backing array.
-		for seg, b := range radixPartitionChunk(ch, dests, c.segments, make([]int64, len(ch.cols)*n)) {
+		for seg, b := range partitionChunk(ch, dests, c.segments, nil) {
 			if b.length > 0 {
 				t.parts[seg] = appendChunk(t.parts[seg], b)
 			}

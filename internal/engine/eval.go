@@ -1,6 +1,9 @@
 package engine
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Vectorized expression evaluation over chunks, the engine's one
 // evaluator. evalRows computes an expression once per chunk instead of
@@ -42,6 +45,19 @@ func (v *colVec) setNull(i, n int) {
 		v.nulls = newNullBitmap(n)
 	}
 	v.nulls.set(i)
+}
+
+// zeroNulls stores zero under every NULL of the vector, so its payloads
+// obey the chunk rule that a NULL reads zero whatever computed the row.
+func (v colVec) zeroNulls() {
+	for w, word := range v.nulls {
+		for word != 0 {
+			if i := w<<6 | bits.TrailingZeros64(word); i < len(v.vals) {
+				v.vals[i] = 0
+			}
+			word &= word - 1
+		}
+	}
 }
 
 // orNulls unions two null bitmaps (NULL if either side is NULL) sized for
@@ -296,13 +312,7 @@ func evalColumnUDF(e UDFExpr, ch *Chunk, sel []int32, n int, a *arena) (colVec, 
 		return out, nil // an empty chunk's columns are nil, which UDFArg reads as a constant
 	}
 	e.Col(out.vals, args)
-	if nulls != nil {
-		for i := range out.vals {
-			if nulls.get(i) {
-				out.vals[i] = 0
-			}
-		}
-	}
+	out.zeroNulls()
 	return out, nil
 }
 
@@ -381,6 +391,7 @@ func combineBinVec(op BinOp, l, r colVec, n int, a *arena) (colVec, error) {
 	default:
 		return colVec{}, fmt.Errorf("engine: unknown binary operator %d in vectorized eval", op)
 	}
+	out.zeroNulls()
 	return out, nil
 }
 

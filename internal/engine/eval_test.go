@@ -292,3 +292,40 @@ func evalVecSel(e Expr, ch *Chunk, sel []int32) (colVec, error) {
 	}
 	return evalRows(e, ch, sel, nil)
 }
+
+// TestStoredNullPayloadsReadZero holds arithmetic and comparisons to the
+// chunk rule that a NULL's payload reads zero: CREATE TABLE AS SELECT of
+// a + b, a - b and every comparison over (5, NULL) and (NULL, 0) stores
+// NULL with payload 0 in every column, not the other operand's value or
+// the comparison of the payloads.
+func TestStoredNullPayloadsReadZero(t *testing.T) {
+	c := newTestCluster(t, 2)
+	mustCreate(t, c, "t", Schema{"a", "b"}, NoDistKey, []Row{{I(5), NullDatum}, {NullDatum, I(0)}})
+	var cols []ProjCol
+	for _, op := range []BinOp{OpAdd, OpSub, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe} {
+		cols = append(cols, ProjCol{Expr: Bin(op, Col(0), Col(1)), Name: fmt.Sprintf("c%d", op)})
+	}
+	if _, err := c.CreateTableAs("out", Project(Scan("t"), cols...), NoDistKey); err != nil {
+		t.Fatal(err)
+	}
+	tab, _ := c.Table("out")
+	rows := 0
+	for _, list := range tab.snapshotParts() {
+		for _, ch := range list {
+			for c := range ch.cols {
+				for r := 0; r < ch.length; r++ {
+					if !ch.nulls[c].get(r) {
+						t.Fatalf("%s of a row with a NULL operand is not NULL", cols[c].Expr)
+					}
+					if ch.cols[c][r] != 0 {
+						t.Fatalf("%s stored NULL with payload %d", cols[c].Expr, ch.cols[c][r])
+					}
+				}
+			}
+			rows += ch.length
+		}
+	}
+	if rows != 2 {
+		t.Fatalf("stored %d rows, want 2", rows)
+	}
+}

@@ -739,76 +739,70 @@ func (e *execEnv) redistribute(in *relation, key int, a *arena) (*relation, int6
 	return e.shuffle(in, key, a)
 }
 
-// shuffle is the radix-partitioned shuffle kernel behind every
-// redistribution. Each source segment maps its rows to destinations by
-// the key column's hash, or by the whole row's hash when key is NoDistKey
-// (routeChunk), then radixPartitionChunk scatters them column-at-a-time
-// into per-destination buckets backed by one pooled flat array; each
-// destination concatenates its incoming buckets into a chunk taken from a,
-// after which the pooled backings are released. A shuffle feeding a join,
-// DISTINCT or group-by passes the statement's arena; the placement shuffle
-// of CREATE TABLE AS passes nil, as its destinations become the table.
-// Rows that change segments are charged
-// DatumWireSize bytes per value, the width of the canonical row encoding;
-// output rows arrive in source-major order, stable within each source —
-// both bit-identical to the historical counting shuffle (pinned by
-// TestShuffleMatchesReference and the radix differential tests). Each task
-// publishes into its own slot only when it completes, so a retried or
-// cancelled task never leaves partial state behind.
+// shuffle is the partitioned shuffle behind every redistribution: route,
+// count, gather. Phase 1 runs one task per source segment: it maps each
+// row to a destination by the key column's hash, or by the whole row's
+// hash when key is NoDistKey (routeChunk), then counts its rows per
+// destination and sorts its row indices by destination into a pooled
+// permutation (partitionRows). Phase 2 runs one task per destination: it
+// takes its chunk once, at its final size, and gathers every source's
+// slice of rows into it (gatherRows), so each value is copied once. A shuffle feeding a join, DISTINCT or group-by
+// takes its destinations from the statement's arena a; the placement
+// shuffle of CREATE TABLE AS passes nil, as its destinations become the
+// table. Rows that change segments are charged DatumWireSize bytes per
+// value, the width of the canonical row encoding; output rows arrive in
+// source-major order, stable within each source — both bit-identical to
+// the historical counting shuffle (pinned by TestShuffleMatchesReference
+// and the partition differential tests). Each task writes only its own
+// slots, so a retried task rewrites its own output; the permutations go
+// back to the pool when the shuffle returns, on every path, and a failed
+// or cancelled shuffle returns no relation.
 func (e *execEnv) shuffle(in *relation, key int, a *arena) (*relation, int64, error) {
 	ncols := len(in.schema)
 	segs := e.c.segments
-	rowBytes := int64(ncols) * DatumWireSize
-	// Phase 1: each source segment maps rows to destinations, then
-	// radix-partitions them into per-destination buckets.
-	buckets := make([][]*Chunk, segs) // [src][dst]
-	flats := make([]*[]int64, segs)   // pooled bucket backings, released after phase 2
-	moved := make([]int64, segs)
+	bounds := make([]int32, segs*(segs+1)) // every source's routing bounds, one backing
+	rts := make([]routing, segs)
+	perms := make([]*[]int32, segs)
+	defer func() {
+		for _, pp := range perms {
+			if pp != nil {
+				putI32(pp)
+			}
+		}
+	}()
 	err := e.parallel(func(src int) error {
 		ch := in.parts[src]
 		dp := getI32(ch.length)
 		dests := (*dp)[:ch.length]
 		routeChunk(ch, key, segs, dests)
-		flat := getI64(ncols * ch.length)
-		b := radixPartitionChunk(ch, dests, segs, *flat)
-		*dp = dests
+		perms[src] = getI32(ch.length)
+		rt := routing{bounds: bounds[src*(segs+1) : (src+1)*(segs+1)], perm: (*perms[src])[:ch.length]}
+		partitionRows(dests, rt)
 		putI32(dp)
-		// Every row that is not in this source's own bucket crosses the
-		// interconnect.
-		moved[src] = int64(ch.length-b[src].length) * rowBytes
-		buckets[src] = b
-		flats[src] = flat
+		rts[src] = rt
 		return nil
 	})
-	releaseFlats := func() {
-		for _, fp := range flats {
-			if fp != nil {
-				putI64(fp)
-			}
-		}
-	}
 	if err != nil {
-		releaseFlats()
 		return nil, 0, err
 	}
-	// Phase 2: each destination concatenates its incoming buckets, copying
-	// them out of the pooled backings.
 	out := make([]*Chunk, segs)
 	err = e.parallel(func(dst int) error {
-		pieces := make([]*Chunk, segs)
-		for src := 0; src < segs; src++ {
-			pieces[src] = buckets[src][dst]
+		n := 0
+		for _, rt := range rts {
+			n += len(rt.rows(dst))
 		}
-		out[dst] = concatChunks(a, ncols, pieces)
+		ch := a.chunk(ncols, n)
+		gatherRows(ch, in.parts, rts, dst)
+		out[dst] = ch
 		return nil
 	})
-	releaseFlats()
 	if err != nil {
 		return nil, 0, err
 	}
+	// Every row a source does not route to itself crosses the interconnect.
 	var total int64
-	for _, m := range moved {
-		total += m
+	for src, rt := range rts {
+		total += int64(in.parts[src].length-len(rt.rows(src))) * int64(ncols) * DatumWireSize
 	}
 	e.c.addShuffleBytes(total)
 	return &relation{schema: in.schema, parts: out, distKey: key}, total, nil

@@ -5,7 +5,10 @@ package engine
 // tables. Each kernel is a pure function over immutable input chunks so
 // it can run as a leaf task on the worker pool, be differential-tested
 // against a row-at-a-time reference, and be benchmarked in isolation
-// (see kernels_bench_test.go).
+// (see kernels_bench_test.go). The shuffle's partition kernel moves each
+// value once: partitionRows sorts a source's row indices by destination,
+// and each destination gathers its rows from every source straight into
+// its output chunk (gatherRows).
 
 import "dbcc/internal/xrand"
 
@@ -60,79 +63,95 @@ func routeChunk(ch *Chunk, key, segs int, dests []int32) {
 	}
 }
 
-// radixPartitionChunk splits one source chunk into nparts per-destination
-// chunks — the radix step of the partitioned shuffle. dests[r] names row
-// r's destination part. Rows keep their source order within each
-// destination, so concatenating the per-source buckets downstream
-// reproduces the exact source-major row order of the historical counting
-// shuffle (pinned by TestShuffleMatchesReference and the differential
-// tests).
-//
-// Unlike the counting shuffle's row-at-a-time placement, values move
-// column-at-a-time: per column, one pass over the rows scatters into the
-// destination slices, which keeps a single source column and a handful of
-// destination cursors hot in cache instead of striding across every column
-// of every destination per row. All destination columns share the flat
-// backing array the caller passes, ncols × rows long: the shuffle passes
-// pooled scratch memory and releases it once the buckets are consumed; an
-// INSERT passes a fresh array, which its stored chunks keep. A pooled
-// backing is stale, so every slot is written exactly once — NULL slots are
-// explicitly zeroed so a bucket is bit-identical to a freshly allocated
-// chunk. Null bitmaps are allocated fresh, never pooled.
-func radixPartitionChunk(ch *Chunk, dests []int32, nparts int, flat []int64) []*Chunk {
-	ncols := len(ch.cols)
-	n := ch.length
-	counts := make([]int32, nparts)
-	for _, d := range dests[:n] {
-		counts[d]++
-	}
-	parts := chunksFromFlat(ncols, counts, flat)
+// routing is one source's rows grouped by destination, as partitionRows
+// leaves them: destination d's rows are perm[bounds[d]:bounds[d+1]], in
+// source order.
+type routing struct{ bounds, perm []int32 }
 
-	// gslot[r] is row r's slot within the concatenated bucket set: buckets
-	// are packed in destination order and rows keep source order within
-	// each bucket, so the slot is the bucket's start plus a running cursor.
-	// Under chunksFromFlat's column-major layout, column c of row r then
-	// lives at flat[c*n+gslot[r]] — one slice, one index, no per-row part
-	// indirection in the scatter loops below.
-	gp := getI32(n)
-	gslot := (*gp)[:n]
-	starts := make([]int32, nparts)
-	cursors := make([]int32, nparts)
-	at := int32(0)
-	for d, cnt := range counts {
-		starts[d] = at
-		cursors[d] = at
-		at += cnt
-	}
-	for r, d := range dests[:n] {
-		gslot[r] = cursors[d]
-		cursors[d]++
-	}
+// rows returns the rows the source sends destination d.
+func (rt routing) rows(d int) []int32 { return rt.perm[rt.bounds[d]:rt.bounds[d+1]] }
 
-	for c := 0; c < ncols; c++ {
-		src := ch.cols[c]
-		dst := flat[c*n : (c+1)*n : (c+1)*n]
-		nb := ch.nulls[c]
-		if nb == nil {
-			// Branch-free hot loop: no NULLs — the common shape of a
-			// contraction-round shuffle.
-			for r, g := range gslot {
-				dst[g] = src[r]
-			}
-			continue
-		}
-		for r, d := range dests[:n] {
-			g := gslot[r]
-			if nb.get(r) {
-				dst[g] = 0 // pooled backing is stale; NULL payloads must read zero
-				parts[d].ensureNulls(c).set(int(g - starts[d]))
-			} else {
-				dst[g] = src[r]
-			}
+// partitionRows is phase 1 of the partition kernel behind every shuffle
+// and INSERT placement: a stable counting sort of one source's row
+// indices by destination. dests[r] names row r's destination; rt.bounds
+// has one more entry than there are destinations and rt.perm one per
+// row, their contents on entry undefined. Only indices move here — the
+// values move once, when each destination gathers its rows (gatherRows).
+func partitionRows(dests []int32, rt routing) {
+	bounds, perm := rt.bounds, rt.perm
+	clear(bounds)
+	for _, d := range dests {
+		bounds[d+1]++
+	}
+	for d := 1; d < len(bounds); d++ {
+		bounds[d] += bounds[d-1]
+	}
+	// bounds[d] is destination d's running cursor, so after the scatter it
+	// holds where d+1 starts; shifting it up one entry restores the starts.
+	for r, d := range dests {
+		perm[bounds[d]] = int32(r)
+		bounds[d]++
+	}
+	copy(bounds[1:], bounds[:len(bounds)-1])
+	bounds[0] = 0
+}
+
+// gatherRows is phase 2 of the partition kernel: it fills out, whose
+// length is the total of the rows its sources send destination d, with
+// the rows rts[s] routes from every source srcs[s] to d, source after
+// source and in source order within each — the source-major,
+// source-stable order of the historical counting shuffle
+// (TestShuffleMatchesReference, FuzzRadixPartition). Values move
+// column-at-a-time, each column's writes one sequential pass over out;
+// every slot is written, a NULL's with zero, so out may be stale pooled
+// memory, and out's null bitmaps are its own, so concurrent gathers into
+// different chunks share nothing.
+func gatherRows(out *Chunk, srcs []*Chunk, rts []routing, d int) {
+	for c := range out.cols {
+		off := 0
+		for s, in := range srcs {
+			idx := rts[s].rows(d)
+			gatherInto(out, c, off, in, c, idx, false)
+			off += len(idx)
 		}
 	}
-	*gp = gslot
-	putI32(gp)
+}
+
+// partitionChunk places one chunk's rows on nparts destinations, dests[r]
+// naming row r's: destination d's chunk holds its rows in source order.
+// It is the partition kernel's one-source form, the placement of an
+// INSERT. The destinations share one backing taken from a, fresh when a
+// is nil (an INSERT's stored chunks): column c of destination d is the
+// slice of flat[c*n:(c+1)*n] its bounds name.
+func partitionChunk(ch *Chunk, dests []int32, nparts int, a *arena) []*Chunk {
+	ncols, n := len(ch.cols), ch.length
+	pp := getI32(n)
+	rt := routing{bounds: make([]int32, nparts+1), perm: (*pp)[:n]}
+	partitionRows(dests[:n], rt)
+	flat := a.alloc(ncols * n)
+	hdrs := make([]Chunk, nparts)
+	cols := make([][]int64, nparts*ncols)
+	nulls := make([]nullBitmap, nparts*ncols)
+	parts := make([]*Chunk, nparts)
+	for d := range parts {
+		lo, hi := int(rt.bounds[d]), int(rt.bounds[d+1])
+		p := &hdrs[d]
+		p.length = hi - lo
+		p.cols = cols[d*ncols : (d+1)*ncols : (d+1)*ncols]
+		p.nulls = nulls[d*ncols : (d+1)*ncols : (d+1)*ncols]
+		for c := range p.cols {
+			p.cols[c] = flat[c*n+lo : c*n+hi : c*n+hi]
+		}
+		parts[d] = p
+	}
+	// Column-outer: each source column stays in cache while every
+	// destination gathers from it.
+	for c := range ch.cols {
+		for d, part := range parts {
+			gatherInto(part, c, 0, ch, c, rt.rows(d), false)
+		}
+	}
+	putI32(pp)
 	return parts
 }
 
@@ -280,9 +299,9 @@ func (m joinMatches) gather(ch *Chunk, cols []int, flat []int64) *Chunk {
 	for j, c := range cols {
 		ch.cols[c] = flat[j*n : (j+1)*n : (j+1)*n]
 		if c < lw {
-			gatherInto(ch, c, m.left, c, m.li, false)
+			gatherInto(ch, c, 0, m.left, c, m.li, false)
 		} else {
-			gatherInto(ch, c, m.right, c-lw, m.ri, m.outer)
+			gatherInto(ch, c, 0, m.right, c-lw, m.ri, m.outer)
 		}
 	}
 	return ch

@@ -395,7 +395,7 @@ func BenchmarkKernelShuffle(b *testing.B) {
 // countingPartitionChunk preserves the replaced counting shuffle's
 // placement loop — count per destination, allocate exact-capacity chunks,
 // then scatter row-at-a-time across all columns — as the benchmark
-// baseline for the radix partition kernel (test code only, like the row
+// baseline for the partition kernel (test code only, like the row
 // variants above).
 func countingPartitionChunk(ch *Chunk, dests []int32, nparts int) []*Chunk {
 	ncols := len(ch.cols)
@@ -424,10 +424,12 @@ func countingPartitionChunk(ch *Chunk, dests []int32, nparts int) []*Chunk {
 	return b
 }
 
-// BenchmarkKernelRadixPartition measures the shuffle hot loop: the radix
-// (column-at-a-time, pooled-backing) partition kernel against the counting
-// (row-at-a-time, allocating) placement it replaced, on the wide all-valid
-// chunks RC's contraction rounds shuffle and on narrow chunks with NULLs.
+// BenchmarkKernelRadixPartition measures the shuffle hot loop: the
+// partition kernel (a counting sort of row indices, then one
+// column-at-a-time gather per destination into arena memory) against the
+// counting (row-at-a-time, allocating) placement it replaced, on the wide
+// all-valid chunks RC's contraction rounds shuffle and on narrow chunks
+// with NULLs.
 func BenchmarkKernelRadixPartition(b *testing.B) {
 	run := func(name string, ncols int, withNulls bool) {
 		const n = 1 << 16
@@ -456,10 +458,10 @@ func BenchmarkKernelRadixPartition(b *testing.B) {
 		b.Run(fmt.Sprintf("kernel/%s/n=%d", name, n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				fp := getI64(len(ch.cols) * ch.length)
-				parts := radixPartitionChunk(ch, dests, 8, *fp)
+				a := new(arena)
+				parts := partitionChunk(ch, dests, 8, a)
 				sinkChunk = parts[0]
-				putI64(fp)
+				a.release()
 			}
 		})
 		b.Run(fmt.Sprintf("counting/%s/n=%d", name, n), func(b *testing.B) {

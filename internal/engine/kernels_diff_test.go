@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -771,7 +773,132 @@ func TestShuffleMatchesReference(t *testing.T) {
 	}
 }
 
-// referencePartition is the row-at-a-time placement the radix partition
+// TestShuffleRetriesAndCancels holds the shuffle's two task phases to
+// its publish rule. Over a NULL-bearing, skewed-key input at 1, 7 and 8
+// segments, a run with 30 % of task attempts failing and retried gives
+// output bit-identical to a fault-free run, for both routes and with the
+// destinations in fresh or arena memory. A cancel that lands between the
+// phases — after every source has routed, counted and sorted its rows,
+// before any destination gathers — returns context.Canceled and no
+// relation, cancels every gather task, and gives back as many pooled
+// index boxes as a completed shuffle does: every permutation included.
+func TestShuffleRetriesAndCancels(t *testing.T) {
+	rng := xrand.New(97)
+	for _, segs := range []int{1, 7, 8} {
+		in := &relation{schema: Schema{"a", "b", "c"}, parts: make([]*Chunk, segs), distKey: NoDistKey}
+		srcRows := make([][]Row, segs)
+		for i, r := range skewedRows(rng, 900, 3) {
+			srcRows[i%segs] = append(srcRows[i%segs], r)
+		}
+		for s := range in.parts {
+			in.parts[s] = rowsToChunk(srcRows[s], 3)
+		}
+		clean := NewCluster(Options{Segments: segs})
+		faulty := NewCluster(Options{Segments: segs, Faults: FaultConfig{
+			Seed: 5, FailureRate: 0.3, MaxTaskRetries: 30, RetryBackoff: time.Microsecond}})
+		var faults int64
+		for trial := 0; trial < 4; trial++ {
+			for _, key := range []int{0, NoDistKey} {
+				want, wantMoved, err := clean.newExecEnv(context.Background()).shuffle(in, key, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var a *arena
+				if trial%2 == 1 {
+					a = new(arena)
+				}
+				e := faulty.newExecEnv(context.Background())
+				got, moved, err := e.shuffle(in, key, a)
+				if err != nil {
+					t.Fatalf("%d segments: shuffle under faults: %v", segs, err)
+				}
+				faults += e.opFaults.Load()
+				if moved != wantMoved {
+					t.Fatalf("%d segments key %d: charged %d bytes under faults, want %d", segs, key, moved, wantMoved)
+				}
+				for s := range want.parts {
+					if !chunksIdentical(got.parts[s], want.parts[s]) {
+						t.Fatalf("%d segments key %d: segment %d differs under faults", segs, key, s)
+					}
+				}
+				if a != nil {
+					a.release()
+				}
+			}
+		}
+		if faults == 0 {
+			t.Fatalf("%d segments: no fault was injected", segs)
+		}
+
+		// Serial tasks on one P, without a collection in between, so a
+		// drain of the pool finds every box the shuffle gave back.
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			serial := NewCluster(Options{Segments: segs, Workers: 1})
+			drainI32Pool()
+			if _, _, err := serial.newExecEnv(context.Background()).shuffle(in, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+			completed := len(drainI32Pool())
+			ctx := &cancelAfterFirstCheck{Context: context.Background(), done: make(chan struct{})}
+			e := serial.newExecEnv(ctx)
+			out, _, err := e.shuffle(in, 0, new(arena))
+			if !errors.Is(err, context.Canceled) || out != nil {
+				t.Fatalf("%d segments: shuffle cancelled between phases returned %v, %v; want context.Canceled and no relation", segs, out, err)
+			}
+			if ctx.checks.Load() == 0 || e.opCancelled.Load() != int64(segs) {
+				t.Fatalf("%d segments: the cancel did not land between the phases (%d checks, %d of %d gathers cancelled)",
+					segs, ctx.checks.Load(), e.opCancelled.Load(), segs)
+			}
+			if raceEnabled {
+				return // the race detector's sync.Pool drops Puts at random
+			}
+			if got := len(drainI32Pool()); got != completed || completed <= segs {
+				t.Fatalf("%d segments: a cancelled shuffle gave back %d index boxes, a completed one %d (one permutation per source plus the routing box)",
+					segs, got, completed)
+			}
+		}()
+	}
+}
+
+// cancelAfterFirstCheck is a context cancelled just after the first time
+// anything asks for its error: that Err reports nil and closes Done, and
+// every later one reports context.Canceled. execEnv.parallel asks once,
+// after its last task, so a shuffle sees the cancel land between its
+// phases.
+type cancelAfterFirstCheck struct {
+	context.Context
+	checks atomic.Int32
+	done   chan struct{}
+}
+
+func (c *cancelAfterFirstCheck) Done() <-chan struct{} { return c.done }
+
+func (c *cancelAfterFirstCheck) Err() error {
+	if c.checks.Add(1) == 1 {
+		close(c.done)
+		return nil
+	}
+	return context.Canceled
+}
+
+// drainI32Pool empties the int32 scratch pool and returns its boxes.
+func drainI32Pool() []*[]int32 {
+	var boxes []*[]int32
+	for k := range i32Scratch.classes {
+		for {
+			p, _ := i32Scratch.classes[k].Get().(*[]int32)
+			if p == nil {
+				break
+			}
+			boxes = append(boxes, p)
+		}
+	}
+	return boxes
+}
+
+// referencePartition is the row-at-a-time placement the partition
 // kernel replaced: walk the rows once, appending each to its destination.
 // Shared by the differential tests and FuzzRadixPartition as the ground
 // truth for both content and order.
@@ -784,12 +911,12 @@ func referencePartition(ch *Chunk, dests []int32, nparts int) [][]Row {
 	return parts
 }
 
-// TestRadixPartitionMatchesReference differential-tests the radix
-// partition kernel against the row-at-a-time reference across random
-// seeds, segment counts, null patterns (none, mixed, all-NULL columns) and
-// skewed destinations. Beyond row equality it asserts the pooled backing is bit-identical to a
-// fresh chunk: every NULL slot's payload must read zero, since pooled
-// memory arrives stale.
+// TestRadixPartitionMatchesReference differential-tests the partition
+// kernel against the row-at-a-time reference across random seeds,
+// segment counts, null patterns (none, mixed, all-NULL columns) and
+// skewed destinations. Beyond row equality it gathers into stale memory
+// and asserts every NULL slot's payload reads zero, the contract that
+// lets a shuffle destination come from the statement's arena.
 func TestRadixPartitionMatchesReference(t *testing.T) {
 	rng := xrand.New(101)
 	for trial := 0; trial < 60; trial++ {
@@ -821,21 +948,24 @@ func TestRadixPartitionMatchesReference(t *testing.T) {
 			}
 		}
 
-		fp := getI64(ncols * ch.length)
-		parts := radixPartitionChunk(ch, dests, nparts, *fp)
+		rt := routing{bounds: make([]int32, nparts+1), perm: make([]int32, n)}
+		partitionRows(dests, rt)
+		fresh := partitionChunk(ch, dests, nparts, nil)
 		want := referencePartition(ch, dests, nparts)
 		for d := 0; d < nparts; d++ {
-			chunkEqualRows(t, parts[d], want[d])
+			chunkEqualRows(t, fresh[d], want[d])
+			part := poisonedChunk(ncols, len(want[d]))
+			gatherRows(part, []*Chunk{ch}, []routing{rt}, d)
+			chunkEqualRows(t, part, want[d])
 			for c := 0; c < ncols; c++ {
-				for r := 0; r < parts[d].length; r++ {
-					if parts[d].nulls[c].get(r) && parts[d].cols[c][r] != 0 {
+				for r := 0; r < part.length; r++ {
+					if part.nulls[c].get(r) && part.cols[c][r] != 0 {
 						t.Fatalf("trial %d: part %d col %d row %d: NULL slot has stale payload %d",
-							trial, d, c, r, parts[d].cols[c][r])
+							trial, d, c, r, part.cols[c][r])
 					}
 				}
 			}
 		}
-		putI64(fp)
 	}
 }
 

@@ -8,18 +8,23 @@ import (
 	"dbcc/internal/xrand"
 )
 
-// Fuzz target for the data-movement kernel of the radix shuffle. It sits
-// on the hot path of every redistribution, so its invariant is stated
-// absolutely: FuzzRadixPartition's partition permutation is always a
-// bijection from the input rows onto the bucket rows — every row appears
-// exactly once, in its chosen bucket, in source order, and the result is
-// bit-identical to the row-at-a-time reference (including zeroed payloads
-// under NULL bits, since buckets are carved from stale pooled memory). The
-// same inputs drive routeChunk, which must agree with the row-at-a-time
-// placement rule for every part count.
+// Fuzz target for the partition kernel behind every shuffle and INSERT
+// placement. It sits on the hot path of every redistribution, so its
+// invariants are stated absolutely: each source's permutation
+// (partitionRows) is a bijection onto its rows that lists every row under
+// its own destination, in source order; each destination's gather
+// (gatherRows) from all sources into stale memory is bit-identical to the
+// historical two-copy shuffle — per-source buckets concatenated source
+// after source — with a zero payload under every NULL bit; and the
+// one-source form (partitionChunk) agrees. The same inputs drive
+// routeChunk, which must agree with the row-at-a-time placement rule for
+// every part count.
 //
-// Seed corpora live in testdata/fuzz/FuzzRadixPartition plus the f.Add
-// seeds below; the CI lint job runs it for a 30s smoke.
+// Input layout: byte 0 picks the part count (1–8), byte 1 the column
+// count (1–3) and the source count (1–3); every row is one destination
+// byte and one value byte per column, 0xff meaning NULL. Seed corpora
+// live in testdata/fuzz/FuzzRadixPartition plus the f.Add seeds below;
+// the CI lint job runs it for a 30s smoke.
 
 func FuzzRadixPartition(f *testing.F) {
 	f.Add([]byte{})
@@ -41,6 +46,22 @@ func FuzzRadixPartition(f *testing.F) {
 		mixedKey = append(mixedKey, byte(i), byte(0xff*(i%2)), byte(i*11))
 	}
 	f.Add(mixedKey)
+	// One part from three sources, one column NULL on every third row; and
+	// seven parts from three sources with two columns, NULLs in both.
+	onePart := []byte{0, 6}
+	for i := 0; i < 60; i++ {
+		v := byte(i * 3)
+		if i%3 == 2 {
+			v = 0xff
+		}
+		onePart = append(onePart, byte(i), v)
+	}
+	f.Add(onePart)
+	sevenParts := []byte{6, 7}
+	for i := 0; i < 90; i++ {
+		sevenParts = append(sevenParts, byte(i*5), byte(0xff*(i%4/3)), byte(0xff*(i%5/4)))
+	}
+	f.Add(sevenParts)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -48,9 +69,8 @@ func FuzzRadixPartition(f *testing.F) {
 		}
 		nparts := int(data[0]%8) + 1
 		ncols := int(data[1]%3) + 1
+		nsrc := int(data[1]/3%3) + 1
 		data = data[2:]
-		// Each row consumes 1 destination byte + ncols value bytes; value
-		// byte 0xff means NULL.
 		rowBytes := 1 + ncols
 		n := len(data) / rowBytes
 		if n > 1<<12 {
@@ -88,41 +108,83 @@ func FuzzRadixPartition(f *testing.F) {
 			}
 		}
 
-		fp := getI64(len(ch.cols) * ch.length)
-		parts := radixPartitionChunk(ch, dests, nparts, *fp)
-		defer putI64(fp)
-		want := referencePartition(ch, dests, nparts)
-
-		// Bijection onto the rows: bucket sizes sum to the row count and
-		// every bucket matches the reference content and order exactly.
-		total := 0
-		for d := 0; d < nparts; d++ {
-			total += parts[d].length
-			if parts[d].length != len(want[d]) {
-				t.Fatalf("part %d has %d rows, want %d", d, parts[d].length, len(want[d]))
-			}
-			got := chunkToRows(parts[d])
-			for r := range want[d] {
-				for c := range want[d][r] {
-					if got[r][c] != want[d][r][c] {
-						t.Fatalf("part %d row %d: got %v, want %v", d, r, got[r], want[d][r])
+		// Split the rows into nsrc sources of consecutive rows, as the
+		// segments of a shuffle's input.
+		srcs := make([]*Chunk, nsrc)
+		rts := make([]routing, nsrc)
+		for s := range srcs {
+			lo, hi := s*n/nsrc, (s+1)*n/nsrc
+			srcs[s] = rowsToChunk(rows[lo:hi], ncols)
+			rts[s] = routing{bounds: make([]int32, nparts+1), perm: make([]int32, hi-lo)}
+			partitionRows(dests[lo:hi], rts[s])
+			// Bijection onto the source's rows, each under its own
+			// destination, in source order.
+			seen := make([]bool, hi-lo)
+			for d := 0; d < nparts; d++ {
+				prev := int32(-1)
+				for _, r := range rts[s].rows(d) {
+					if r <= prev || seen[r] || dests[lo+int(r)] != int32(d) {
+						t.Fatalf("source %d part %d: row %d out of order, repeated or misplaced", s, d, r)
 					}
+					seen[r] = true
+					prev = r
 				}
 			}
-			// Stale pooled memory must not leak through NULL slots.
-			for c := 0; c < ncols; c++ {
-				for r := 0; r < parts[d].length; r++ {
-					if parts[d].nulls[c].get(r) && parts[d].cols[c][r] != 0 {
-						t.Fatalf("part %d col %d row %d: NULL slot payload %d != 0",
-							d, c, r, parts[d].cols[c][r])
-					}
-				}
+			if int(rts[s].bounds[nparts]) != hi-lo || slices.Contains(seen, false) {
+				t.Fatalf("source %d: permutation covers %d of %d rows", s, rts[s].bounds[nparts], hi-lo)
 			}
 		}
-		if total != n {
-			t.Fatalf("buckets hold %d rows, want %d", total, n)
+
+		// Each destination's gather into stale memory holds the reference's
+		// rows, source after source, with zero under every NULL bit, and is
+		// bit-identical to the two-copy shuffle's concatenation of
+		// per-source buckets in fresh memory.
+		for d := 0; d < nparts; d++ {
+			buckets := make([]*Chunk, nsrc)
+			var wantRows []Row
+			total := 0
+			for s := range srcs {
+				total += len(rts[s].rows(d))
+				lo := s * n / nsrc
+				sd := dests[lo : lo+srcs[s].length]
+				buckets[s] = partitionChunk(srcs[s], sd, nparts, nil)[d]
+				wantRows = append(wantRows, referencePartition(srcs[s], sd, nparts)[d]...)
+			}
+			got := poisonedChunk(ncols, total)
+			gatherRows(got, srcs, rts, d)
+			chunkEqualRows(t, got, wantRows)
+			for c := 0; c < ncols; c++ {
+				for r := 0; r < total; r++ {
+					if got.nulls[c].get(r) && got.cols[c][r] != 0 {
+						t.Fatalf("part %d col %d row %d: NULL slot payload %d != 0", d, c, r, got.cols[c][r])
+					}
+				}
+			}
+			if want := concatChunks(nil, ncols, buckets); !chunksIdentical(got, want) {
+				t.Fatalf("part %d: gather differs from the concatenated buckets bit for bit", d)
+			}
+		}
+
+		// The one-source form matches the row-at-a-time reference.
+		parts := partitionChunk(ch, dests, nparts, nil)
+		want := referencePartition(ch, dests, nparts)
+		for d := 0; d < nparts; d++ {
+			chunkEqualRows(t, parts[d], want[d])
 		}
 	})
+}
+
+// poisonedChunk is a chunk of ncols columns and n rows whose every value
+// reads arenaPoison: the stale pooled memory a shuffle destination may be
+// taken from.
+func poisonedChunk(ncols, n int) *Chunk {
+	ch := newChunk(ncols, n)
+	for _, col := range ch.cols {
+		for i := range col {
+			col[i] = arenaPoison
+		}
+	}
+	return ch
 }
 
 // FuzzJoinPipeline holds the join kernel with a fused pipeline to the

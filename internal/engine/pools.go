@@ -8,7 +8,8 @@ import (
 
 // Pooled scratch memory. Shuffle destination maps, selection vectors and
 // the hash tables' slot arrays are needed once per segment task and go
-// back to their pool when the kernel returns; the column memory of every
+// back to their pool when the kernel returns, a shuffle's per-source
+// permutations when the shuffle returns; the column memory of every
 // chunk one operator hands another within a statement comes from the
 // same int64 pool through the statement's arena and goes back when the
 // statement ends. Recycling both keeps the steady-state allocation rate
@@ -62,8 +63,8 @@ func (s *scratchPool[T]) put(p *[]T) {
 }
 
 var (
-	i32Scratch scratchPool[int32]  // row-index, destination and slot vectors
-	i64Scratch scratchPool[int64]  // shuffle bucket backings, join keys, arena columns
+	i32Scratch scratchPool[int32]  // row-index, destination and permutation vectors
+	i64Scratch scratchPool[int64]  // join keys, arena columns
 	u64Scratch scratchPool[uint64] // row-hash blocks, group-table hash caches
 )
 
@@ -79,11 +80,11 @@ func getI32(n int) *[]int32 {
 func putI32(p *[]int32) { i32Scratch.put(p) }
 
 // getI64 returns a pooled scratch box whose slice has length n and
-// UNDEFINED contents. The radix scatter writes every slot exactly once
-// (NULL slots are explicitly zeroed), so clearing here would be a second
-// pass over the hot data for nothing. Pass the same pointer back to putI64
-// when done; buckets backed by the slice must not be referenced after
-// that.
+// UNDEFINED contents. Its users store to every slot before reading it —
+// the gathers that fill arena chunks write each slot once, a NULL's with
+// zero — so clearing here would be a second pass over the hot data for
+// nothing. Pass the same pointer back to putI64 when done; chunks backed
+// by the slice must not be referenced after that.
 func getI64(n int) *[]int64 { return i64Scratch.get(n) }
 
 // putI64 recycles a scratch box obtained from getI64.
