@@ -627,7 +627,7 @@ func (c *Cluster) appendRows(s *statement, name string, t *Table, ch *Chunk) int
 		// Every row lands on one segment: store ch itself.
 		t.parts[dests[0]] = appendChunk(t.parts[dests[0]], ch)
 	} else {
-		for seg, b := range partitionChunk(ch, dests, c.segments, nil) {
+		for seg, b := range partitionChunk(ch, dests, c.segments) {
 			if b.length > 0 {
 				t.parts[seg] = appendChunk(t.parts[seg], b)
 			}

@@ -746,10 +746,10 @@ func (e *execEnv) redistribute(in *relation, key int, a *arena) (*relation, int6
 // destination and sorts its row indices by destination into a pooled
 // permutation (partitionRows). Phase 2 runs one task per destination: it
 // takes its chunk once, at its final size, and gathers every source's
-// slice of rows into it (gatherRows), so each value is copied once. A shuffle feeding a join, DISTINCT or group-by
-// takes its destinations from the statement's arena a; the placement
-// shuffle of CREATE TABLE AS passes nil, as its destinations become the
-// table. Rows that change segments are charged DatumWireSize bytes per
+// slice of rows into it (gatherRows), so each value is copied once. A
+// shuffle feeding a join, DISTINCT or group-by takes its destinations
+// from the statement's arena a; the placement shuffle of CREATE TABLE AS
+// passes nil, as its destinations become the table. Rows that change segments are charged DatumWireSize bytes per
 // value, the width of the canonical row encoding; output rows arrive in
 // source-major order, stable within each source — both bit-identical to
 // the historical counting shuffle (pinned by TestShuffleMatchesReference

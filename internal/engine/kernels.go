@@ -118,40 +118,21 @@ func gatherRows(out *Chunk, srcs []*Chunk, rts []routing, d int) {
 }
 
 // partitionChunk places one chunk's rows on nparts destinations, dests[r]
-// naming row r's: destination d's chunk holds its rows in source order.
-// It is the partition kernel's one-source form, the placement of an
-// INSERT. The destinations share one backing taken from a, fresh when a
-// is nil (an INSERT's stored chunks): column c of destination d is the
-// slice of flat[c*n:(c+1)*n] its bounds name.
-func partitionChunk(ch *Chunk, dests []int32, nparts int, a *arena) []*Chunk {
-	ncols, n := len(ch.cols), ch.length
+// naming row r's: destination d's chunk is fresh, exact-size and holds
+// its rows in source order. It is the partition kernel's one-source form,
+// the placement of an INSERT.
+func partitionChunk(ch *Chunk, dests []int32, nparts int) []*Chunk {
+	n := ch.length
 	pp := getI32(n)
+	defer putI32(pp)
 	rt := routing{bounds: make([]int32, nparts+1), perm: (*pp)[:n]}
 	partitionRows(dests[:n], rt)
-	flat := a.alloc(ncols * n)
-	hdrs := make([]Chunk, nparts)
-	cols := make([][]int64, nparts*ncols)
-	nulls := make([]nullBitmap, nparts*ncols)
+	srcs, rts := []*Chunk{ch}, []routing{rt}
 	parts := make([]*Chunk, nparts)
 	for d := range parts {
-		lo, hi := int(rt.bounds[d]), int(rt.bounds[d+1])
-		p := &hdrs[d]
-		p.length = hi - lo
-		p.cols = cols[d*ncols : (d+1)*ncols : (d+1)*ncols]
-		p.nulls = nulls[d*ncols : (d+1)*ncols : (d+1)*ncols]
-		for c := range p.cols {
-			p.cols[c] = flat[c*n+lo : c*n+hi : c*n+hi]
-		}
-		parts[d] = p
+		parts[d] = newChunk(len(ch.cols), len(rt.rows(d)))
+		gatherRows(parts[d], srcs, rts, d)
 	}
-	// Column-outer: each source column stays in cache while every
-	// destination gathers from it.
-	for c := range ch.cols {
-		for d, part := range parts {
-			gatherInto(part, c, 0, ch, c, rt.rows(d), false)
-		}
-	}
-	putI32(pp)
 	return parts
 }
 

@@ -425,11 +425,11 @@ func countingPartitionChunk(ch *Chunk, dests []int32, nparts int) []*Chunk {
 }
 
 // BenchmarkKernelRadixPartition measures the shuffle hot loop: the
-// partition kernel (a counting sort of row indices, then one
-// column-at-a-time gather per destination into arena memory) against the
-// counting (row-at-a-time, allocating) placement it replaced, on the wide
-// all-valid chunks RC's contraction rounds shuffle and on narrow chunks
-// with NULLs.
+// partition kernel as one source of execEnv.shuffle runs it (a counting
+// sort of row indices into a pooled permutation, then one column-at-a-time
+// gather per destination into the statement's arena) against the counting
+// (row-at-a-time, allocating) placement it replaced, on the wide all-valid
+// chunks RC's contraction rounds shuffle and on narrow chunks with NULLs.
 func BenchmarkKernelRadixPartition(b *testing.B) {
 	run := func(name string, ncols int, withNulls bool) {
 		const n = 1 << 16
@@ -458,9 +458,18 @@ func BenchmarkKernelRadixPartition(b *testing.B) {
 		b.Run(fmt.Sprintf("kernel/%s/n=%d", name, n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				// One source of execEnv.shuffle: the permutation from the
+				// pool, each destination's chunk from the statement's arena.
 				a := new(arena)
-				parts := partitionChunk(ch, dests, 8, a)
-				sinkChunk = parts[0]
+				pp := getI32(n)
+				rts := []routing{{bounds: make([]int32, 9), perm: (*pp)[:n]}}
+				partitionRows(dests, rts[0])
+				for d := 0; d < 8; d++ {
+					part := a.chunk(ncols, len(rts[0].rows(d)))
+					gatherRows(part, []*Chunk{ch}, rts, d)
+					sinkChunk = part
+				}
+				putI32(pp)
 				a.release()
 			}
 		})

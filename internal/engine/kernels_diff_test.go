@@ -950,7 +950,7 @@ func TestRadixPartitionMatchesReference(t *testing.T) {
 
 		rt := routing{bounds: make([]int32, nparts+1), perm: make([]int32, n)}
 		partitionRows(dests, rt)
-		fresh := partitionChunk(ch, dests, nparts, nil)
+		fresh := partitionChunk(ch, dests, nparts)
 		want := referencePartition(ch, dests, nparts)
 		for d := 0; d < nparts; d++ {
 			chunkEqualRows(t, fresh[d], want[d])

@@ -147,7 +147,7 @@ func FuzzRadixPartition(f *testing.F) {
 				total += len(rts[s].rows(d))
 				lo := s * n / nsrc
 				sd := dests[lo : lo+srcs[s].length]
-				buckets[s] = partitionChunk(srcs[s], sd, nparts, nil)[d]
+				buckets[s] = partitionChunk(srcs[s], sd, nparts)[d]
 				wantRows = append(wantRows, referencePartition(srcs[s], sd, nparts)[d]...)
 			}
 			got := poisonedChunk(ncols, total)
@@ -166,7 +166,7 @@ func FuzzRadixPartition(f *testing.F) {
 		}
 
 		// The one-source form matches the row-at-a-time reference.
-		parts := partitionChunk(ch, dests, nparts, nil)
+		parts := partitionChunk(ch, dests, nparts)
 		want := referencePartition(ch, dests, nparts)
 		for d := 0; d < nparts; d++ {
 			chunkEqualRows(t, parts[d], want[d])
