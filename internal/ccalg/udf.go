@@ -86,22 +86,27 @@ const memoCap = 64
 // GF(2^64) multiplication table, a Blowfish key schedule — for concurrent
 // use. At memoCap entries it evicts the least recently used one, so a key
 // some run is still using survives any number of other runs' keys passing
-// through.
+// through. The values sit in a fixed slot array and the map only locates
+// a key's slot, so a miss finds the victim by scanning memoCap clock
+// readings instead of iterating the map. An evicted value is dropped, not
+// reused: a concurrent task may still hold it.
 type memo[V any] struct {
 	build func(uint64) V
 
 	mu      sync.Mutex
-	entries map[uint64]*memoEntry[V]
+	entries map[uint64]int32 // key → index into slots
+	slots   []memoSlot[V]    // grows to memoCap, then each miss replaces one
 	clock   uint64
 }
 
-type memoEntry[V any] struct {
+type memoSlot[V any] struct {
+	key  uint64
 	val  V
 	used uint64 // clock reading of the last get
 }
 
 func newMemo[V any](build func(uint64) V) *memo[V] {
-	return &memo[V]{build: build, entries: make(map[uint64]*memoEntry[V])}
+	return &memo[V]{build: build, entries: make(map[uint64]int32, memoCap), slots: make([]memoSlot[V], 0, memoCap)}
 }
 
 // get returns the value for key, building it on first use.
@@ -109,21 +114,23 @@ func (m *memo[V]) get(key uint64) V {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.clock++
-	if e, ok := m.entries[key]; ok {
-		e.used = m.clock
-		return e.val
+	if i, ok := m.entries[key]; ok {
+		m.slots[i].used = m.clock
+		return m.slots[i].val
 	}
-	if len(m.entries) >= memoCap {
-		var oldest uint64
-		oldestUsed := m.clock
-		for k, e := range m.entries {
-			if e.used < oldestUsed {
-				oldest, oldestUsed = k, e.used
+	i := len(m.slots)
+	if i < memoCap {
+		m.slots = append(m.slots, memoSlot[V]{})
+	} else {
+		i = 0
+		for j := range m.slots {
+			if m.slots[j].used < m.slots[i].used {
+				i = j
 			}
 		}
-		delete(m.entries, oldest)
+		delete(m.entries, m.slots[i].key)
 	}
-	e := &memoEntry[V]{val: m.build(key), used: m.clock}
-	m.entries[key] = e
-	return e.val
+	m.slots[i] = memoSlot[V]{key: key, val: m.build(key), used: m.clock}
+	m.entries[key] = int32(i)
+	return m.slots[i].val
 }

@@ -37,6 +37,30 @@ func TestMemoKeepsHotKey(t *testing.T) {
 	}
 }
 
+// TestMemoEvictsLeastRecentlyUsed fills the memo, touches every key but
+// one, and pins that a new key evicts exactly that one.
+func TestMemoEvictsLeastRecentlyUsed(t *testing.T) {
+	m := newMemo(func(key uint64) uint64 { return key })
+	const cold = 5
+	for k := uint64(0); k < memoCap; k++ {
+		m.get(k)
+	}
+	for k := uint64(0); k < memoCap; k++ {
+		if k != cold {
+			m.get(k)
+		}
+	}
+	m.get(memoCap)
+	for k := uint64(0); k <= memoCap; k++ {
+		if _, held := m.entries[k]; held != (k != cold) {
+			t.Fatalf("key %d held=%v after a miss evicted the least recently used key %d", k, held, cold)
+		}
+	}
+	if len(m.entries) != memoCap {
+		t.Fatalf("memo holds %d entries, cap %d", len(m.entries), memoCap)
+	}
+}
+
 // TestBuiltinUDFsColumnMatchesScalar differential-tests the four built-in
 // functions over every mix of argument shapes — literal, NULL literal,
 // column with NULLs — three ways: evaluated a chunk at a time through their

@@ -236,74 +236,83 @@ func readBatches(t *testing.T, c *Cluster, batchRows int) int64 {
 
 // TestWorkerPoolBoundsParallelism verifies that segment tasks never exceed
 // the configured worker budget, within one parallel call and across
-// concurrent statements sharing the cluster.
+// concurrent statements sharing the cluster, whether the tasks fan out or
+// run inline on their statements' goroutines (inputs on both sides of
+// inlineRows).
 func TestWorkerPoolBoundsParallelism(t *testing.T) {
-	const workers = 3
-	c := NewCluster(Options{Segments: 16, Workers: workers})
-	if c.Workers() != workers {
-		t.Fatalf("Workers() = %d, want %d", c.Workers(), workers)
-	}
-
-	var cur, peak atomic.Int64
-	task := func(seg int) error {
-		n := cur.Add(1)
-		for {
-			p := peak.Load()
-			if n <= p || peak.CompareAndSwap(p, n) {
-				break
+	for _, rows := range []int64{inlineRows - 1, inlineRows} {
+		t.Run(fmt.Sprintf("rows=%d", rows), func(t *testing.T) {
+			const workers = 3
+			c := NewCluster(Options{Segments: 16, Workers: workers})
+			if c.Workers() != workers {
+				t.Fatalf("Workers() = %d, want %d", c.Workers(), workers)
 			}
-		}
-		// Busy work so tasks overlap if the pool lets them.
-		s := 0
-		for i := 0; i < 20000; i++ {
-			s += i * seg
-		}
-		_ = s
-		cur.Add(-1)
-		return nil
-	}
 
-	// Several goroutines issue parallel fan-outs at once; the semaphore
-	// must bound the total, not just each call.
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := c.newExecEnv(context.Background()).parallel(task); err != nil {
-				t.Error(err)
+			var cur, peak atomic.Int64
+			task := func(seg int) error {
+				n := cur.Add(1)
+				for {
+					p := peak.Load()
+					if n <= p || peak.CompareAndSwap(p, n) {
+						break
+					}
+				}
+				// Busy work so tasks overlap if the pool lets them.
+				s := 0
+				for i := 0; i < 20000; i++ {
+					s += i * seg
+				}
+				_ = s
+				cur.Add(-1)
+				return nil
 			}
-		}()
-	}
-	wg.Wait()
 
-	if got := peak.Load(); got > workers {
-		t.Fatalf("observed %d concurrent segment tasks, budget is %d", got, workers)
-	}
-	if cur.Load() != 0 {
-		t.Fatalf("task gauge did not return to zero: %d", cur.Load())
+			// Several goroutines issue parallel fan-outs at once; the
+			// semaphore must bound the total, not just each call.
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := c.newExecEnv(context.Background()).parallel(rows, task); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
+
+			if got := peak.Load(); got > workers {
+				t.Fatalf("observed %d concurrent segment tasks, budget is %d", got, workers)
+			}
+			if cur.Load() != 0 {
+				t.Fatalf("task gauge did not return to zero: %d", cur.Load())
+			}
+		})
 	}
 }
 
-// TestParallelCoversAllSegments checks the work-stealing loop in parallel
-// runs every segment exactly once for assorted worker/segment shapes.
+// TestParallelCoversAllSegments checks that parallel runs every segment
+// exactly once for assorted worker/segment shapes, both in the fan-out's
+// work-stealing loop and inline (inputs on both sides of inlineRows).
 func TestParallelCoversAllSegments(t *testing.T) {
-	for _, tc := range []struct{ segs, workers int }{
-		{1, 1}, {4, 1}, {4, 2}, {16, 4}, {3, 8}, {7, 7},
-	} {
-		c := NewCluster(Options{Segments: tc.segs, Workers: tc.workers})
-		counts := make([]atomic.Int64, tc.segs)
-		err := c.newExecEnv(context.Background()).parallel(func(seg int) error {
-			counts[seg].Add(1)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := range counts {
-			if got := counts[s].Load(); got != 1 {
-				t.Errorf("segments=%d workers=%d: segment %d ran %d times, want 1",
-					tc.segs, tc.workers, s, got)
+	for _, rows := range []int64{inlineRows - 1, inlineRows} {
+		for _, tc := range []struct{ segs, workers int }{
+			{1, 1}, {4, 1}, {4, 2}, {16, 4}, {3, 8}, {7, 7},
+		} {
+			c := NewCluster(Options{Segments: tc.segs, Workers: tc.workers})
+			counts := make([]atomic.Int64, tc.segs)
+			err := c.newExecEnv(context.Background()).parallel(rows, func(seg int) error {
+				counts[seg].Add(1)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := range counts {
+				if got := counts[s].Load(); got != 1 {
+					t.Errorf("rows=%d segments=%d workers=%d: segment %d ran %d times, want 1",
+						rows, tc.segs, tc.workers, s, got)
+				}
 			}
 		}
 	}

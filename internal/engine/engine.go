@@ -256,7 +256,9 @@ type Options struct {
 	// Workers bounds the number of OS-thread-backed goroutines executing
 	// segment tasks at any moment, across all concurrent sessions; 0 means
 	// GOMAXPROCS. Segments beyond this bound queue on the shared pool, so
-	// configuring many virtual segments never oversubscribes the host.
+	// configuring many virtual segments never oversubscribes the host. An
+	// operator whose input is below 2,048 rows runs its tasks on the
+	// statement's own goroutine, each still holding a worker slot.
 	Workers int
 	// Profile selects the execution environment model.
 	Profile Profile
@@ -692,7 +694,7 @@ func (e *execEnv) deleteRows(t *Table, pl pipeline) (int64, error) {
 	defer t.mu.Unlock()
 	next := make([][]*Chunk, len(t.parts))
 	removed := make([]int64, len(t.parts))
-	err := e.parallel(func(seg int) error {
+	err := e.parallel(t.rowsLocked(), func(seg int) error {
 		list := t.parts[seg]
 		var out []*Chunk
 		var n int64

@@ -20,6 +20,16 @@ type relation struct {
 	distKey int // column the rows are currently hash-distributed by, or NoDistKey
 }
 
+// rows is the relation's row count over every segment: the input size an
+// operator over it hands parallel.
+func (r *relation) rows() int64 {
+	var n int64
+	for _, ch := range r.parts {
+		n += int64(ch.length)
+	}
+	return n
+}
+
 // statement is one executing statement: the caller's context, the
 // execution environment of its plan and the trace record its table logic
 // fills in. The environment is nil until open opens one, so a statement
@@ -44,13 +54,14 @@ func (s *statement) open() *execEnv {
 }
 
 // run executes the statement's plan in a fresh execution environment and
-// records the plan and its operator profile in the trace record.
+// records the plan and its operator profile in the trace record. The plan's
+// text is rendered only if the record is ever read (Trace).
 func (s *statement) run(p Plan) (*relation, error) {
 	rel, root, err := s.open().exec(p)
 	if err != nil {
 		return nil, err
 	}
-	s.rec.Plan, s.rec.Root, s.rec.Shuffle = p.String(), root, root.TotalShuffle()
+	s.rec.plan, s.rec.Root, s.rec.Shuffle = p, root, root.TotalShuffle()
 	return rel, nil
 }
 
@@ -309,7 +320,11 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 		ncols := len(t.Schema)
 		parts := make([]*Chunk, c.segments)
 		concat := false
+		var rows int64
 		for seg, list := range stored {
+			for _, ch := range list {
+				rows += int64(ch.length)
+			}
 			switch len(list) {
 			case 0:
 				parts[seg] = newChunk(ncols, 0)
@@ -320,7 +335,7 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 			}
 		}
 		if concat {
-			err := e.parallel(func(seg int) error {
+			err := e.parallel(rows, func(seg int) error {
 				if len(stored[seg]) > 1 {
 					parts[seg] = concatChunks(&e.scratch, ncols, stored[seg])
 				}
@@ -357,8 +372,12 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 			children = append(children, cm)
 			ins = append(ins, in)
 		}
+		var rows int64
+		for _, in := range ins {
+			rows += in.rows()
+		}
 		out := make([]*Chunk, c.segments)
-		err = e.parallel(func(seg int) error {
+		err = e.parallel(rows, func(seg int) error {
 			pieces := make([]*Chunk, len(ins))
 			for i, in := range ins {
 				pieces[i] = in.parts[seg]
@@ -382,7 +401,7 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 			return nil, nil, err
 		}
 		out := make([]*Chunk, c.segments)
-		segTimes, err := e.parallelTimed(func(seg int) error {
+		segTimes, err := e.parallelTimed(shuffled.rows(), func(seg int) error {
 			ch, derr := e.foldSegment(seg, shuffled.parts[seg], len(in.schema), nil, true)
 			if derr != nil {
 				return derr
@@ -455,7 +474,7 @@ func (e *execEnv) execPipeline(p Plan, start time.Time) (*relation, *OpMetrics, 
 		}
 		in = &relation{schema: src.schema, parts: make([]*Chunk, c.segments), distKey: src.distKey}
 		rows = make([][]int64, c.segments)
-		segTimes, err = e.parallelTimed(func(seg int) error {
+		segTimes, err = e.parallelTimed(src.rows(), func(seg int) error {
 			r := make([]int64, len(pl.filters))
 			ch, perr := pl.run(src.parts[seg], r, &e.scratch)
 			if perr != nil {
@@ -770,7 +789,8 @@ func (e *execEnv) shuffle(in *relation, key int, a *arena) (*relation, int64, er
 			}
 		}
 	}()
-	err := e.parallel(func(src int) error {
+	rows := in.rows()
+	err := e.parallel(rows, func(src int) error {
 		ch := in.parts[src]
 		dp := getI32(ch.length)
 		dests := (*dp)[:ch.length]
@@ -786,7 +806,7 @@ func (e *execEnv) shuffle(in *relation, key int, a *arena) (*relation, int64, er
 		return nil, 0, err
 	}
 	out := make([]*Chunk, segs)
-	err = e.parallel(func(dst int) error {
+	err = e.parallel(rows, func(dst int) error {
 		n := 0
 		for _, rt := range rts {
 			n += len(rt.rows(dst))
@@ -841,6 +861,7 @@ func (e *execEnv) execGroupBy(p GroupByPlan, start time.Time) (*relation, *OpMet
 		return nil, nil, err
 	}
 	nk := len(p.Keys)
+	rows := in.rows()
 
 	// aggregateParts folds partial chunks (already in key+agg layout) per
 	// segment into one row per group, timing each segment's fold.
@@ -848,7 +869,7 @@ func (e *execEnv) execGroupBy(p GroupByPlan, start time.Time) (*relation, *OpMet
 	aggregateParts := func(parts []*Chunk) ([]*Chunk, error) {
 		out := make([]*Chunk, c.segments)
 		var err error
-		segTimes, err = e.parallelTimed(func(seg int) error {
+		segTimes, err = e.parallelTimed(rows, func(seg int) error {
 			ch, gerr := e.foldSegment(seg, parts[seg], nk, p.Aggs, false)
 			if gerr != nil {
 				return gerr
@@ -864,7 +885,7 @@ func (e *execEnv) execGroupBy(p GroupByPlan, start time.Time) (*relation, *OpMet
 
 	// Convert input chunks to partial layout.
 	partial := make([]*Chunk, c.segments)
-	err = e.parallel(func(seg int) error {
+	err = e.parallel(rows, func(seg int) error {
 		ch, err := buildPartialChunk(in.parts[seg], p.Keys, p.Aggs, &e.scratch)
 		if err != nil {
 			return err
@@ -956,7 +977,7 @@ func (e *execEnv) execJoin(p JoinPlan, start time.Time, pl pipeline) (*relation,
 	out := make([]*Chunk, c.segments)
 	rows := make([][]int64, c.segments)
 	matches := make([]int64, c.segments)
-	segTimes, err := e.parallelTimed(func(seg int) error {
+	segTimes, err := e.parallelTimed(left.rows()+right.rows(), func(seg int) error {
 		r := make([]int64, nf+1) // the filters' kept rows, then the matches
 		ch, jerr := e.joinSegment(seg, left.parts[seg], right.parts[seg], p, pl, reads, r)
 		if jerr != nil {

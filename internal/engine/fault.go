@@ -284,20 +284,45 @@ func backoffDelay(base time.Duration, attempt int) time.Duration {
 	return base << attempt
 }
 
+// inlineRows is the input size, in rows, below which an operator's segment
+// tasks run one after another on the calling goroutine instead of fanning
+// out to the worker pool. A small operator's tasks take microseconds, less
+// than the goroutine hand-off and scheduler wake-ups of a fan-out; most of
+// RC's statements are small, as its live graph shrinks by a constant
+// factor every round. Of 2,048, 8,192 and 32,768 on the benchmark's
+// cc_small, cc_skew and cc_tp_bitcoin workloads, 2,048 was best or level
+// on all three: cc_small gains as much as at the larger values, cc_skew
+// more, and at 32,768 cc_tp_bitcoin loses the parallelism of operators
+// that need it.
+const inlineRows = 2048
+
+// inlineBelow is the threshold parallel compares an operator's input with;
+// tests lower it to 0 to force the fan-out on any input.
+var inlineBelow int64 = inlineRows
+
 // parallel runs fn(seg) for every segment and waits, with fault
-// injection, per-task retry, panic recovery and cancellation. Like the
-// pre-fault-tolerance runner, at most Workers segment tasks run at any
-// moment across the whole cluster. On the first task error the remaining
-// not-yet-started tasks are cancelled; in-flight tasks are always drained
-// before parallel returns, so no task ever outlives its statement or
-// writes into shared state after the query has failed. When several tasks
-// fail, the lowest-numbered segment's non-cancellation error wins,
-// deterministically.
-func (e *execEnv) parallel(fn func(seg int) error) error {
+// injection, per-task retry, panic recovery and cancellation. rows is the
+// number of rows the tasks are handed — the operator's input — and decides
+// where they run: below inlineRows (or with a pool of one worker) the
+// tasks run in segment order on the calling goroutine, otherwise they fan
+// out to at most Workers goroutines. Either way every task holds a slot of
+// the cluster's worker semaphore while it runs, so at most Workers segment
+// tasks run at any moment across the whole cluster, and each goes through
+// the same attempt loop, fault decisions and counters. On the first task
+// error the remaining not-yet-started tasks are cancelled; in-flight tasks
+// are always drained before parallel returns, so no task ever outlives its
+// statement or writes into shared state after the query has failed. When
+// several tasks fail, the lowest-numbered segment's non-cancellation error
+// wins, deterministically.
+func (e *execEnv) parallel(rows int64, fn func(seg int) error) error {
 	n := e.c.segments
+	opID := e.opSeq.Add(1)
+	spawn := min(e.c.workers, n)
+	if spawn <= 1 || rows < inlineBelow {
+		return e.inline(opID, fn)
+	}
 	ctx, cancel := context.WithCancel(e.ctx)
 	defer cancel()
-	opID := e.opSeq.Add(1)
 	errs := make([]error, n)
 
 	runTask := func(seg int) {
@@ -321,32 +346,22 @@ func (e *execEnv) parallel(fn func(seg int) error) error {
 		}
 	}
 
-	spawn := e.c.workers
-	if spawn > n {
-		spawn = n
-	}
-	if spawn <= 1 {
-		for s := 0; s < n; s++ {
-			runTask(s)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(spawn)
-		for w := 0; w < spawn; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					s := int(next.Add(1)) - 1
-					if s >= n {
-						return
-					}
-					runTask(s)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(spawn)
+	for w := 0; w < spawn; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				s := int(next.Add(1)) - 1
+				if s >= n {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				runTask(s)
+			}
+		}()
 	}
+	wg.Wait()
 
 	// Deterministic error selection: the lowest segment whose failure is a
 	// real execution error, not the echo of the fan-out cancellation.
@@ -355,7 +370,7 @@ func (e *execEnv) parallel(fn func(seg int) error) error {
 		if err == nil {
 			continue
 		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if isCancellation(err) {
 			if cancelled == nil {
 				cancelled = err
 			}
@@ -363,6 +378,52 @@ func (e *execEnv) parallel(fn func(seg int) error) error {
 		}
 		return err
 	}
+	return e.finishParallel(cancelled)
+}
+
+// inline is parallel's path on the calling goroutine: the segment tasks
+// run in order under the statement's own context, each holding a worker
+// slot. A failure counts every later task as cancelled, as the fan-out's
+// cancellation does, so it is the lowest failing segment, and the error
+// parallel returns, by construction.
+func (e *execEnv) inline(opID int64, fn func(seg int) error) error {
+	done := e.ctx.Done()
+	var failed error
+	for seg := 0; seg < e.c.segments; seg++ {
+		if failed != nil {
+			e.opCancelled.Add(1)
+			continue
+		}
+		select {
+		case <-done:
+			e.opCancelled.Add(1)
+			continue
+		default:
+		}
+		select {
+		case e.c.sem <- struct{}{}:
+		case <-done:
+			e.opCancelled.Add(1)
+			continue
+		}
+		failed = e.runTaskAttempts(e.ctx, opID, seg, fn)
+		<-e.c.sem
+	}
+	if failed != nil && !isCancellation(failed) {
+		return failed
+	}
+	return e.finishParallel(failed)
+}
+
+// isCancellation reports whether a task error is a cancellation, which
+// loses to any real execution error of the same fan-out.
+func isCancellation(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// finishParallel is the final check of a fan-out without a real execution
+// error: the statement's own cancellation first, then a task's.
+func (e *execEnv) finishParallel(cancelled error) error {
 	if err := e.ctx.Err(); err != nil {
 		return cancelErr(err)
 	}
@@ -375,9 +436,9 @@ func (e *execEnv) parallel(fn func(seg int) error) error {
 // parallelTimed is parallel with a per-segment wall-time measurement of
 // fn (attempts, injected latency and backoff included — the time a real
 // scheduler would bill the task).
-func (e *execEnv) parallelTimed(fn func(seg int) error) ([]time.Duration, error) {
+func (e *execEnv) parallelTimed(rows int64, fn func(seg int) error) ([]time.Duration, error) {
 	times := make([]time.Duration, e.c.segments)
-	err := e.parallel(func(seg int) error {
+	err := e.parallel(rows, func(seg int) error {
 		t0 := time.Now()
 		ferr := fn(seg)
 		times[seg] = time.Since(t0)

@@ -558,6 +558,43 @@ func BenchmarkKernelStatementTP(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelSmallStatement runs one contraction statement of an RC
+// round (rcSQLContract2 in internal/ccalg: join the edges with the
+// round's representatives, drop self-loops, DISTINCT, placed by the first
+// column) as one CREATE TABLE AS over a 512-edge graph. The data is a few
+// kilobytes, so the statement's fixed cost is the work: every operator's
+// segment tasks run inline, and the CI gate pins allocs_per_op.
+func BenchmarkKernelSmallStatement(b *testing.B) {
+	const nv, ne = 256, 512
+	rng := xrand.New(113)
+	c := NewCluster(Options{Segments: 8})
+	edges := make([]Row, ne)
+	for i := range edges {
+		edges[i] = Row{I(int64(rng.Uint64n(nv))), I(int64(rng.Uint64n(nv)))}
+	}
+	reps := make([]Row, nv)
+	for v := range reps {
+		reps[v] = Row{I(int64(v)), I(int64(rng.Uint64n(uint64(v) + 1)))}
+	}
+	mustCreateBench(b, c, "g", Schema{"v1", "v2"}, 0, edges)
+	mustCreateBench(b, c, "r", Schema{"v", "rep"}, 0, reps)
+	// select distinct g2.v1 as v1, r2.rep as v2 from g as g2, r as r2
+	// where g2.v2 = r2.v and g2.v1 != r2.rep distributed by (v1)
+	join := JoinPlan{Left: Scan("g"), Right: Scan("r"), LeftKey: 1, RightKey: 0, Kind: InnerJoin}
+	p := Distinct(Project(Filter(join, Bin(OpNe, Col(0), Col(3))),
+		ProjCol{Expr: Col(0), Name: "v1"}, ProjCol{Expr: Col(3), Name: "v2"}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.CreateTableAs("out", p, 0); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.DropTable("out"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkKernelScanCTAS measures CreateTableAs(Scan(t)) on t's own
 // distribution key, a table → table round trip with no shuffle. Scan
 // hands out the stored chunks and CreateTableAs publishes them by

@@ -210,6 +210,12 @@ type TraceRecord struct {
 	Start   time.Time     // wall-clock start of execution
 	Elapsed time.Duration // total execution wall time
 	Root    *OpMetrics    // per-operator profile (nil for InsertRows and deletes, which run no plan)
+
+	// plan is the executed plan while its ring slot has not been read:
+	// Trace renders it into Plan the first time it copies the slot out.
+	// Plans are immutable values, so the text is what String gave when
+	// the statement ran.
+	plan Plan
 }
 
 // traceCapacity is the size of the query-trace ring buffer.
@@ -221,6 +227,11 @@ const traceCapacity = 256
 func (c *Cluster) Trace() []TraceRecord {
 	c.statsMu.Lock()
 	defer c.statsMu.Unlock()
+	for i := range c.trace {
+		if rec := &c.trace[i]; rec.plan != nil {
+			rec.Plan, rec.plan = rec.plan.String(), nil
+		}
+	}
 	out := make([]TraceRecord, 0, len(c.trace))
 	if len(c.trace) < c.traceCap {
 		out = append(out, c.trace...)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -139,6 +140,60 @@ func TestTraceRecordKinds(t *testing.T) {
 	}
 	if !strings.Contains(recs[2].Plan, "Scan(tt2)") {
 		t.Fatalf("select plan %q does not mention Scan(tt2)", recs[2].Plan)
+	}
+}
+
+// TestTracePlanMatchesString pins the lazily rendered trace plan: for
+// CTAS, SELECT, INSERT … SELECT and EXPLAIN ANALYZE, the Plan a Trace
+// record carries is the executed plan's String, whether Trace reads the
+// slot right after its statement, later, or after the ring has wrapped
+// over slots an earlier Trace already rendered.
+func TestTracePlanMatchesString(t *testing.T) {
+	c := NewCluster(Options{Segments: 4})
+	c.traceCap = 5
+	mustCreate(t, c, "tt", Schema{"a", "b"}, 0, pairs([2]int64{1, 2}, [2]int64{3, 4}))
+	if _, err := c.CreateTable("sink", Schema{"a", "b"}, 0); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sel := Filter(Scan("tt"), Bin(OpGt, Col(1), Const(2)))
+	stmts := []struct {
+		p   Plan
+		run func(i int, p Plan) error
+	}{
+		{GroupBy(Scan("tt"), []int{0}, Agg{Op: AggMin, Arg: Col(1), Name: "m"}), func(i int, p Plan) error {
+			_, err := c.CreateTableAs(fmt.Sprintf("c%d", i), p, 0)
+			return err
+		}},
+		{sel, func(_ int, p Plan) error { _, _, err := c.Query(p); return err }},
+		{Project(Scan("tt"), ProjCol{Expr: Col(1), Name: "a"}, ProjCol{Expr: Col(0), Name: "b"}), func(_ int, p Plan) error {
+			_, err := c.InsertSelectCtx(ctx, "sink", p)
+			return err
+		}},
+		{Distinct(sel), func(_ int, p Plan) error { _, _, _, err := c.QueryAnalyzeCtx(ctx, p); return err }},
+	}
+	want := map[int64]string{}
+	check := func() {
+		t.Helper()
+		for _, rec := range c.Trace() {
+			if w, ok := want[rec.Seq]; ok && rec.Plan != w {
+				t.Fatalf("record %d (%s) plan %q, want %q", rec.Seq, rec.Kind, rec.Plan, w)
+			}
+		}
+	}
+	for i := 0; i < 23; i++ {
+		st := stmts[i%len(stmts)]
+		if err := st.run(i, st.p); err != nil {
+			t.Fatal(err)
+		}
+		want[c.traceSeq-1] = st.p.String()
+		if i%3 == 0 {
+			check()
+		}
+	}
+	check()
+	if recs := c.Trace(); len(recs) != c.traceCap || recs[0].Seq <= int64(c.traceCap) {
+		t.Fatalf("ring holds seqs %d.. in %d records; it should have wrapped", recs[0].Seq, len(recs))
 	}
 }
 

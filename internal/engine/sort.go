@@ -63,7 +63,7 @@ func (e *execEnv) execSort(p SortPlan, start time.Time) (*relation, *OpMetrics, 
 	// local sort is stable either way).
 	runs := make([][]int32, c.segments)
 	chs := make([]*Chunk, c.segments)
-	segTimes, err := e.parallelTimed(func(seg int) error {
+	segTimes, err := e.parallelTimed(in.rows(), func(seg int) error {
 		ch, idx, serr := e.sortSegment(seg, in.parts[seg], p.Keys)
 		if serr != nil {
 			return serr
