@@ -3,10 +3,12 @@
 // user-defined functions (axplusb, axbp, enc, hrand) are pre-registered,
 // so the queries of Appendix A can be typed directly.
 //
+// CONNECTED COMPONENTS OF TABLE [USING ALGO] [SEED N]; runs a
+// connected-components driver on a resident edge table (default ALGO is
+// rc) and prints its components, rounds and vertices.
+//
 // Meta-commands: \d lists tables, \stats prints engine counters
-// (including the plan-cache line), \cc TABLE [ALGO] runs connected
-// components on a resident edge table (default ALGO is auto, the
-// adaptive planner), \load NAME FILE bulk-loads an edge list,
+// (including the plan-cache line), \load NAME FILE bulk-loads an edge list,
 // \prepare NAME SQL parses a $N statement once under a shell-local
 // name, \bind NAME ARG... executes it with bound arguments (integers,
 // "null", or bare words as table names), \timing toggles per-statement
@@ -85,8 +87,8 @@ func main() {
 	}
 }
 
-// execute runs one statement, printing rows for SELECTs, plans for
-// EXPLAIN, and row counts for everything else.
+// execute runs one statement, printing rows for SELECT and CONNECTED
+// COMPONENTS OF, plans for EXPLAIN, and row counts for everything else.
 func execute(db *dbcc.DB, sess interface {
 	Query(string) (engine.Schema, []engine.Row, error)
 	Exec(string) (int64, error)
@@ -96,7 +98,8 @@ func execute(db *dbcc.DB, sess interface {
 	if trimmed == "" {
 		return
 	}
-	if strings.HasPrefix(strings.ToLower(trimmed), "explain") {
+	lower := strings.ToLower(trimmed)
+	if strings.HasPrefix(lower, "explain") {
 		plan, err := sess.Explain(trimmed)
 		if err != nil {
 			fmt.Println("error:", err)
@@ -105,7 +108,7 @@ func execute(db *dbcc.DB, sess interface {
 		fmt.Println(plan)
 		return
 	}
-	if strings.HasPrefix(strings.ToLower(trimmed), "select") {
+	if strings.HasPrefix(lower, "select") || strings.HasPrefix(lower, "connected") {
 		schema, rows, err := sess.Query(trimmed)
 		if err != nil {
 			fmt.Println("error:", err)
@@ -223,23 +226,6 @@ func meta(db *dbcc.DB, sess *sql.Session, line string, timing *bool, prepared ma
 			}
 		}
 		runPrepared(p, args)
-	case "\\cc":
-		if len(fields) < 2 || len(fields) > 3 {
-			fmt.Println("usage: \\cc TABLE [ALGO]  (rc|hm|tp|cr|bfs|lc|ld|auto; default auto)")
-			return false
-		}
-		algo := dbcc.Auto
-		if len(fields) == 3 {
-			algo = fields[2]
-		}
-		res, err := db.ConnectedComponentsOf(fields[1], dbcc.Params{Algorithm: algo})
-		if err != nil {
-			fmt.Println("error:", err)
-			return false
-		}
-		fmt.Printf("components=%d rounds=%d time=%v queries=%d peak=%.2fMiB\n",
-			res.Labels.NumComponents(), res.Rounds, res.Elapsed,
-			res.Stats.Queries, float64(res.Stats.PeakBytes)/(1<<20))
 	case "\\load":
 		if len(fields) != 3 {
 			fmt.Println("usage: \\load TABLENAME FILE")
@@ -262,7 +248,8 @@ func meta(db *dbcc.DB, sess *sql.Session, line string, timing *bool, prepared ma
 		}
 		fmt.Printf("loaded %d edges into %s(v1, v2)\n", g.NumEdges(), fields[1])
 	default:
-		fmt.Println("meta commands: \\d  \\stats  \\cc TABLE [ALGO]  \\load NAME FILE  \\prepare NAME SQL  \\bind NAME ARG...  \\timing  \\trace [N]  \\q")
+		fmt.Println("meta commands: \\d  \\stats  \\load NAME FILE  \\prepare NAME SQL  \\bind NAME ARG...  \\timing  \\trace [N]  \\q")
+		fmt.Println("connected components: CONNECTED COMPONENTS OF TABLE [USING rc|hm|tp|cr|bfs|lc|ld|auto] [SEED N];")
 	}
 	return false
 }

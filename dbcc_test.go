@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"dbcc/internal/ccalg"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -81,6 +83,47 @@ func TestConnectedComponentsOfResidentTable(t *testing.T) {
 	}
 	if res.Labels.NumComponents() != 4 {
 		t.Fatalf("components %d, want 4", res.Labels.NumComponents())
+	}
+}
+
+// TestConnectedComponentsStatementMatchesAPI holds the statement
+// CONNECTED COMPONENTS OF to ConnectedComponentsOf: for every registry
+// algorithm and auto, its one row is the API run's component, round and
+// vertex counts, and it adds exactly the driver's queries and plan-cache
+// lookups, none of its own.
+func TestConnectedComponentsStatementMatchesAPI(t *testing.T) {
+	db := Open(Config{Segments: 3})
+	if err := db.LoadGraph("g", GenerateRMAT(8, 300, 2)); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{Auto}
+	for _, a := range ccalg.Algorithms() {
+		names = append(names, a.Name)
+	}
+	lookups := func(st Stats) int64 { return st.PlanCacheHits + st.PlanCacheMisses }
+	for _, alg := range names {
+		before := db.Cluster().Stats()
+		res, err := db.ConnectedComponentsOf("g", Params{Algorithm: alg, Seed: 5, KeepStats: true})
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		mid := db.Cluster().Stats()
+		schema, rows, err := db.SQL().Query("CONNECTED COMPONENTS OF g USING " + alg + " SEED 5")
+		if err != nil {
+			t.Fatalf("%s statement: %v", alg, err)
+		}
+		after := db.Cluster().Stats()
+		want := []int64{int64(res.Labels.NumComponents()), int64(res.Rounds), int64(len(res.Labels))}
+		if strings.Join(schema, ",") != "components,rounds,vertices" || len(rows) != 1 ||
+			rows[0][0].Int != want[0] || rows[0][1].Int != want[1] || rows[0][2].Int != want[2] {
+			t.Fatalf("%s: statement returned %v %v, want one row %v", alg, schema, rows, want)
+		}
+		if q, wq := after.Queries-mid.Queries, mid.Queries-before.Queries; q != wq {
+			t.Errorf("%s: statement ran %d queries, the API run %d", alg, q, wq)
+		}
+		if l, wl := lookups(after)-lookups(mid), lookups(mid)-lookups(before); l != wl {
+			t.Errorf("%s: statement made %d plan-cache lookups, the API run %d", alg, l, wl)
+		}
 	}
 }
 

@@ -102,8 +102,9 @@ type Options struct {
 type RoundStats struct {
 	// Round numbers rounds from 1 in execution order.
 	Round int
-	// LiveVertices is the number of vertices still participating after the
-	// round (algorithm-specific: contraction survivors for RC, labelled
+	// LiveVertices is the number of vertices participating in the round
+	// (algorithm-specific: contraction survivors for RC, the vertices
+	// entering the round for Two-Phase and the frontier drivers, labelled
 	// vertices during propagation phases).
 	LiveVertices int64
 	// LiveEdges is the size of the live graph state after the round (edge
@@ -192,6 +193,23 @@ func ByName(name string) (Info, bool) {
 		return a, true
 	}
 	return Info{}, false
+}
+
+func init() { sql.RunConnectedComponents = runStatement }
+
+// runStatement is the driver of SQL's CONNECTED COMPONENTS OF: the named
+// registry algorithm (or auto) over a catalog table, with default options
+// under ctx.
+func runStatement(ctx context.Context, c *engine.Cluster, table, alg string, seed uint64) (int64, int64, int64, error) {
+	info, ok := ByName(alg)
+	if !ok {
+		return 0, 0, 0, fmt.Errorf("ccalg: unknown algorithm %q", alg)
+	}
+	res, err := info.Run(c, table, Options{Context: ctx, Seed: seed})
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return int64(res.Labels.NumComponents()), int64(res.Rounds), int64(len(res.Labels)), nil
 }
 
 // runSeq numbers algorithm runs so each gets a private temp-table

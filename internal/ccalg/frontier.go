@@ -47,8 +47,6 @@ const (
 		select l.v, coalesce(p.r, l.r) as r
 		from $2 as l left join $3 as p on l.r = p.v
 		distributed by (v)`
-	// frontierSQLLiveV counts the distinct endpoints of the live edge set.
-	frontierSQLLiveV = `select count(*) as n from (select v from $1 as e group by v) as x`
 )
 
 // frontierSQLLabels is the identity labelling over every input vertex,
@@ -73,22 +71,24 @@ func initFrontier(r *run, input, prefix string) (int64, error) {
 // just been created: it jumps P to a pointer fixpoint (the drivers
 // guarantee P is acyclic, so the doubling terminates in logarithmically
 // many steps), contracts the edge set through it, folds it into the
-// labels, and returns the surviving (liveVertices, liveEdges).
-func contractStep(r *run, prefix string) (int64, int64, error) {
+// labels, and returns the surviving live edge count. The round's live
+// vertices are P's rows, as its CREATE TABLE AS reported them: the
+// vertices entering the round.
+func contractStep(r *run, prefix string) (int64, error) {
 	e, p, p2, l := prefix+"_e", prefix+"_p", prefix+"_p2", prefix+"_l"
 	for i := 0; ; i++ {
 		if i > maxRounds {
-			return 0, 0, fmt.Errorf("ccalg: %s pointer jumping exceeded %d steps", prefix, maxRounds)
+			return 0, fmt.Errorf("ccalg: %s pointer jumping exceeded %d steps", prefix, maxRounds)
 		}
 		if _, err := r.create(p2, frontierSQLJump, r.tab(p)); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		changed, err := r.count(sqlCountChanged, r.tab(p), r.tab(p2))
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		if err := r.replace(p, p2); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		if changed == 0 {
 			break
@@ -96,27 +96,19 @@ func contractStep(r *run, prefix string) (int64, int64, error) {
 	}
 	liveE, err := r.create(e+"2", frontierSQLContract, r.tab(e), r.tab(p))
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if _, err := r.create(l+"2", frontierSQLFold, r.tab(l), r.tab(p)); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if err := r.drop(e, l, p); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if err := r.rename(e+"2", e); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if err := r.rename(l+"2", l); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	// The live vertices are the endpoints of the contracted edge set; an
-	// empty one, as its CREATE TABLE AS reported, has none to count.
-	var liveV int64
-	if liveE > 0 {
-		if liveV, err = r.count(frontierSQLLiveV, r.tab(e)); err != nil {
-			return 0, 0, err
-		}
-	}
-	return liveV, liveE, nil
+	return liveE, nil
 }

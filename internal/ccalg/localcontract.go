@@ -75,13 +75,14 @@ func runLocalContract(r *run, input string) (string, error) {
 		if _, err := r.create("lc_d", lcSQLDegree, r.tab("lc_e")); err != nil {
 			return 0, 0, false, err
 		}
-		if _, err := r.create("lc_p", lcSQLRep, r.tab("lc_e"), r.tab("lc_d"), sql.Int(tau)); err != nil {
+		liveV, err := r.create("lc_p", lcSQLRep, r.tab("lc_e"), r.tab("lc_d"), sql.Int(tau))
+		if err != nil {
 			return 0, 0, false, err
 		}
 		if err := r.drop("lc_d"); err != nil {
 			return 0, 0, false, err
 		}
-		liveV, liveE, err := contractStep(r, "lc")
+		liveE, err := contractStep(r, "lc")
 		if tau < 1<<40 {
 			tau *= lcTauGrowth
 		}

@@ -107,12 +107,11 @@ func runLogDiameter(r *run, input string) (string, error) {
 		// Label contraction: every live vertex points at the minimum of its
 		// closed neighbourhood — acyclic (pointers strictly decrease), so
 		// the pointer doubling of contractStep terminates.
-		if _, err := r.create("ld_p", sqlClosedMin, r.tab("ld_e")); err != nil {
+		liveV, err := r.create("ld_p", sqlClosedMin, r.tab("ld_e"))
+		if err != nil {
 			return 0, 0, false, err
 		}
-		var liveV int64
-		var err error
-		liveV, liveE, err = contractStep(r, "ld")
+		liveE, err = contractStep(r, "ld")
 		return liveV, liveE, liveE == 0, err
 	})
 }

@@ -1,6 +1,7 @@
 // Package client is the Go client for ccserverd's wire protocol: dial,
 // select a tenant, then issue SQL statements, streamed SELECTs and
-// connected-components runs over one TCP connection.
+// connected-components runs (CONNECTED COMPONENTS OF statements) over one
+// TCP connection.
 //
 // A Client carries one statement at a time (the protocol is strictly
 // request/reply); open one Client per goroutine for concurrency, exactly
@@ -34,9 +35,6 @@ type CCResult struct {
 	Components int64
 	Rounds     int64
 	Vertices   int64
-	// Queued is how long the statement waited in the server's admission
-	// queue before executing.
-	Queued time.Duration
 }
 
 // IsOverloaded reports whether err is the server's 429-style admission
@@ -307,29 +305,24 @@ func (s *Stmt) Close() error {
 }
 
 // ConnectedComponents runs the named algorithm ("" selects Randomised
-// Contraction) over a table in the connection's tenant catalog.
+// Contraction) over a table in the connection's tenant catalog: a Query of
+// CONNECTED COMPONENTS OF, whose one row is the result.
 func (c *Client) ConnectedComponents(table, algorithm string, seed uint64) (*CCResult, error) {
-	req := wire.EncodeCC(wire.CC{Table: table, Algorithm: algorithm, Seed: seed})
-	if err := c.send(wire.Frame{Type: wire.TypeCC, Payload: req}); err != nil {
-		return nil, err
+	src := "CONNECTED COMPONENTS OF " + table
+	if algorithm != "" {
+		src += " USING " + algorithm
 	}
-	f, err := c.recv()
+	// The statement reads its seed as a signed 64-bit value and converts
+	// it back, so every uint64 seed travels as its two's-complement literal.
+	_, rows, err := c.Query(fmt.Sprintf("%s SEED %d", src, int64(seed)))
 	if err != nil {
 		return nil, err
 	}
-	if f.Type != wire.TypeCCDone {
-		return nil, fmt.Errorf("client: CC answered with frame 0x%02x", f.Type)
+	if len(rows) != 1 || len(rows[0]) != 3 {
+		return nil, fmt.Errorf("client: CONNECTED COMPONENTS answered %d rows", len(rows))
 	}
-	d, err := wire.DecodeCCDone(f.Payload)
-	if err != nil {
-		return nil, err
-	}
-	return &CCResult{
-		Components: d.Components,
-		Rounds:     d.Rounds,
-		Vertices:   d.Vertices,
-		Queued:     time.Duration(d.QueueNanos),
-	}, nil
+	r := rows[0]
+	return &CCResult{Components: r[0].Int, Rounds: r[1].Int, Vertices: r[2].Int}, nil
 }
 
 // Event is one component-index change delivered to a Watch subscription.

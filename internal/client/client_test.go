@@ -229,10 +229,10 @@ func TestUnexpectedFrameInResultStream(t *testing.T) {
 		}
 		p.send(wire.TypeSchema, wire.EncodeSchema(wire.Schema{Cols: []string{"a"}}))
 		p.send(wire.TypeRows, wire.EncodeRows(wire.Rows{NCols: 1, Tags: []byte{0}, Vals: []int64{1}}))
-		p.send(wire.TypeCCDone, wire.EncodeCCDone(wire.CCDone{}))
+		p.send(wire.TypePrepareOK, wire.EncodePrepareOK(wire.PrepareOK{}))
 	})
 	if _, _, err := c.Query("select a from t"); err == nil || !strings.Contains(err.Error(), "unexpected frame") {
-		t.Fatalf("CCDone inside a result stream: err = %v", err)
+		t.Fatalf("PrepareOK inside a result stream: err = %v", err)
 	}
 }
 

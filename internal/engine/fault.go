@@ -400,11 +400,17 @@ func (e *execEnv) inline(opID int64, fn func(seg int) error) error {
 			continue
 		default:
 		}
+		// A free slot is taken without the two-case select, whose
+		// channel locking is most of a small task's scheduling cost.
 		select {
 		case e.c.sem <- struct{}{}:
-		case <-done:
-			e.opCancelled.Add(1)
-			continue
+		default:
+			select {
+			case e.c.sem <- struct{}{}:
+			case <-done:
+				e.opCancelled.Add(1)
+				continue
+			}
 		}
 		failed = e.runTaskAttempts(e.ctx, opID, seg, fn)
 		<-e.c.sem

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"dbcc"
-	"dbcc/internal/ccalg"
 	"dbcc/internal/engine"
 	"dbcc/internal/sql"
 	"dbcc/internal/wire"
@@ -362,7 +361,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			cs.servePrepare(string(f.Payload))
 		case wire.TypeClosePrepared:
 			cs.serveClosePrepared(f.Payload)
-		case wire.TypeExec, wire.TypeQuery, wire.TypeCC, wire.TypeExecPrepared:
+		case wire.TypeExec, wire.TypeQuery, wire.TypeExecPrepared:
 			cs.serveStatement(f)
 		case wire.TypeSubscribe:
 			// A subscription is terminal for the connection: serveSubscribe
@@ -411,7 +410,8 @@ func errorCode(err error) uint16 {
 	}
 }
 
-// serveStatement runs one Exec/Query/CC request under admission control.
+// serveStatement runs one Exec/Query/ExecPrepared request under admission
+// control.
 func (cs *connState) serveStatement(f wire.Frame) {
 	s := cs.s
 	s.statements.Add(1)
@@ -433,8 +433,6 @@ func (cs *connState) serveStatement(f wire.Frame) {
 		cs.serveExec(string(f.Payload), queued)
 	case wire.TypeQuery:
 		cs.serveQuery(string(f.Payload), queued)
-	case wire.TypeCC:
-		cs.serveCC(f.Payload, queued)
 	case wire.TypeExecPrepared:
 		cs.serveExecPrepared(f.Payload, queued)
 	}
@@ -672,41 +670,4 @@ func (cs *connState) serveSubscribe(payload []byte, br *bufio.Reader) {
 			return
 		}
 	}
-}
-
-func (cs *connState) serveCC(payload []byte, queued time.Duration) {
-	req, err := wire.DecodeCC(payload)
-	if err != nil {
-		cs.sendError(wire.CodeParse, err.Error())
-		return
-	}
-	algName := req.Algorithm
-	if algName == "" {
-		algName = dbcc.RandomisedContraction
-	}
-	if _, ok := ccalg.ByName(algName); !ok {
-		cs.sendError(wire.CodeNotFound, fmt.Sprintf("unknown algorithm %q", req.Algorithm))
-		return
-	}
-	// Resolve through the tenant catalog; the session's restricted
-	// resolver keeps other tenants' physical names unreachable.
-	phys := cs.sess.Resolve(req.Table)
-	if _, ok := cs.s.db.Cluster().Table(phys); !ok {
-		cs.sendError(wire.CodeNotFound, fmt.Sprintf("table %q does not exist", req.Table))
-		return
-	}
-	// KeepStats: the shared cluster's counters are the server's
-	// observability surface; a per-run reset would wipe them for every
-	// other tenant mid-flight.
-	res, err := cs.s.db.ConnectedComponentsOfCtx(cs.s.baseCtx, phys, dbcc.Params{Algorithm: algName, Seed: req.Seed, KeepStats: true})
-	if err != nil {
-		cs.sendError(errorCode(err), err.Error())
-		return
-	}
-	cs.send(wire.Frame{Type: wire.TypeCCDone, Payload: wire.EncodeCCDone(wire.CCDone{
-		Components: int64(res.Labels.NumComponents()),
-		Rounds:     int64(res.Rounds),
-		Vertices:   int64(len(res.Labels)),
-		QueueNanos: queued.Nanoseconds(),
-	})})
 }

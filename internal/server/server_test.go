@@ -200,11 +200,14 @@ func TestStatementErrors(t *testing.T) {
 	if _, _, err := c.Query("SELECT v1 FROM missing"); err == nil {
 		t.Fatal("query on missing table succeeded")
 	}
-	if _, err := c.ConnectedComponents("missing", "rc", 1); !errors.As(err, &we) || we.Code != wire.CodeNotFound {
-		t.Fatalf("cc on missing table: %v", err)
+	// A CC run is a Query of CONNECTED COMPONENTS OF and fails like one:
+	// a missing table and an unknown algorithm are execution errors.
+	if _, err := c.ConnectedComponents("missing", "rc", 1); !errors.As(err, &we) || we.Code != wire.CodeInternal {
+		t.Fatalf("cc on missing table: %v, want code %d", err, wire.CodeInternal)
 	}
-	if _, err := c.ConnectedComponents("missing", "nope", 1); !errors.As(err, &we) || we.Code != wire.CodeNotFound {
-		t.Fatalf("cc with unknown algorithm: %v", err)
+	loadEdges(t, c, "edges", 5)
+	if _, err := c.ConnectedComponents("edges", "nope", 1); !errors.As(err, &we) || we.Code != wire.CodeInternal {
+		t.Fatalf("cc with unknown algorithm: %v, want code %d", err, wire.CodeInternal)
 	}
 	// The connection survives statement errors.
 	if _, _, err := c.Exec("CREATE TABLE ok (a, b)"); err != nil {
@@ -314,6 +317,22 @@ func TestDrainFinishesInflightAndRejectsNew(t *testing.T) {
 	}
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("drain: %v", err)
+	}
+}
+
+// TestDrainCancelsInflightCC pins the code of a CC run that a forced
+// drain cancels: 503, like any cancelled statement.
+func TestDrainCancelsInflightCC(t *testing.T) {
+	srv := startServer(t, server.Config{DB: dbcc.Config{Segments: 4}})
+	ccDone := slowCC(t, srv, dial(t, srv, "acme"))
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if err := srv.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("forced drain: %v, want the deadline", err)
+	}
+	var we *wire.WireError
+	if err := <-ccDone; !errors.As(err, &we) || we.Code != wire.CodeUnavailable {
+		t.Fatalf("cancelled cc: %v, want code %d", err, wire.CodeUnavailable)
 	}
 }
 

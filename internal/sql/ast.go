@@ -88,6 +88,17 @@ type DropComponentIndex struct {
 // SelectQuery is a bare SELECT executed for its result rows.
 type SelectQuery struct{ Select *SelectStmt }
 
+// ConnectedComponents is CONNECTED COMPONENTS OF name [USING alg]
+// [SEED expr]: it runs a connected-components driver over an edge table
+// and returns one (components, rounds, vertices) row. Using is "rc" when
+// the clause is absent; Seed is a constant expression, nil meaning 0.
+type ConnectedComponents struct {
+	Table      string
+	TableParam int
+	Using      string
+	Seed       Expr
+}
+
 func (*CreateTableAs) stmt()        {}
 func (*CreateTablePlain) stmt()     {}
 func (*ExplainStmt) stmt()          {}
@@ -99,6 +110,7 @@ func (*DeleteStmt) stmt()           {}
 func (*CreateComponentIndex) stmt() {}
 func (*DropComponentIndex) stmt()   {}
 func (*SelectQuery) stmt()          {}
+func (*ConnectedComponents) stmt()  {}
 
 // SelectStmt is one SELECT block; UnionAll chains additional blocks
 // (SELECT ... UNION ALL SELECT ...). OrderBy and Limit apply to the whole

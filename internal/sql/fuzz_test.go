@@ -33,6 +33,8 @@ func FuzzParse(f *testing.F) {
 		"insert into t values (",
 		"group by select where",
 		"select a..b from t",
+		"connected components of g using ld seed 18446744073709551615",
+		"connected components of $1 seed $2",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -75,6 +77,7 @@ func FuzzPrepare(f *testing.F) {
 		"select $99999999999999999999 from e",
 		"insert into $1 values ($2",
 		"select count(*) from $1 union all select count(*) from $2",
+		"connected components of $1 using rc seed $2",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -196,8 +196,36 @@ func (p *parser) statement() (Statement, error) {
 			return nil, err
 		}
 		return &SelectQuery{Select: sel}, nil
+	case p.atKw("connected"):
+		return p.connectedComponents()
 	}
 	return nil, p.errf("expected statement, found %q", p.peek().text)
+}
+
+// connectedComponents parses CONNECTED COMPONENTS OF name [USING alg]
+// [SEED expr], where name may be a $N parameter.
+func (p *parser) connectedComponents() (Statement, error) {
+	p.next() // connected
+	if err := p.expectKw("components"); err != nil {
+		return nil, err
+	}
+	if err := p.expectKw("of"); err != nil {
+		return nil, err
+	}
+	name, nameParam, err := p.tableName()
+	if err != nil {
+		return nil, err
+	}
+	st := &ConnectedComponents{Table: name, TableParam: nameParam, Using: "rc"}
+	if p.acceptKw("using") {
+		if st.Using, err = p.ident(); err != nil {
+			return nil, err
+		}
+	}
+	if p.acceptKw("seed") {
+		st.Seed, err = p.expression()
+	}
+	return st, err
 }
 
 func (p *parser) createTableAs() (Statement, error) {

@@ -64,16 +64,6 @@ func Null() Arg { return Arg{kind: argNull} }
 // parameter.
 func Table(name string) Arg { return Arg{kind: argTable, table: name} }
 
-// IsTable reports whether the argument is a table-name binding.
-func (a Arg) IsTable() bool { return a.kind == argTable }
-
-// TableName returns the bound table name ("" for value arguments).
-func (a Arg) TableName() string { return a.table }
-
-// Int64 returns the bound integer value and whether the argument is a
-// non-NULL integer.
-func (a Arg) Int64() (int64, bool) { return a.i, a.kind == argInt }
-
 // String renders the argument the way it would appear inline in SQL.
 func (a Arg) String() string {
 	switch a.kind {
@@ -112,7 +102,6 @@ func (e paramExpr) String() string { return fmt.Sprintf("$%d", e.Index) }
 // shared across handles and sessions.
 type Prepared struct {
 	s          *Session
-	src        string
 	norm       string // normalized text, the cache-key component
 	stmts      []Statement
 	numParams  int
@@ -128,18 +117,18 @@ func (p *Prepared) ParamIsTable(n int) bool {
 	return n >= 1 && n <= p.numParams && p.tableParam[n-1]
 }
 
-// IsQuery reports whether the prepared script is a single SELECT, i.e.
-// whether Query returns rows.
+// IsQuery reports whether the prepared script is a single SELECT or
+// CONNECTED COMPONENTS OF, i.e. whether Query returns rows.
 func (p *Prepared) IsQuery() bool {
 	if len(p.stmts) != 1 {
 		return false
 	}
-	_, ok := p.stmts[0].(*SelectQuery)
-	return ok
+	switch p.stmts[0].(type) {
+	case *SelectQuery, *ConnectedComponents:
+		return true
+	}
+	return false
 }
-
-// Source returns the statement text as given to Prepare.
-func (p *Prepared) Source() string { return p.src }
 
 // Prepare lexes and parses a script once, returning a handle that executes
 // it with bound parameters. Parameters must be numbered contiguously from
@@ -150,12 +139,12 @@ func (s *Session) Prepare(src string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.prepareTokens(src, toks, normalizeTokens(toks))
+	return s.prepareTokens(toks, normalizeTokens(toks))
 }
 
 // prepareTokens parses a lexed script, whose normalized text is norm, into
 // a handle, counting the parse.
-func (s *Session) prepareTokens(src string, toks []token, norm string) (*Prepared, error) {
+func (s *Session) prepareTokens(toks []token, norm string) (*Prepared, error) {
 	s.c.NoteParse()
 	stmts, err := parseTokens(toks)
 	if err != nil {
@@ -189,7 +178,6 @@ func (s *Session) prepareTokens(src string, toks []token, norm string) (*Prepare
 	}
 	p := &Prepared{
 		s:          s,
-		src:        src,
 		norm:       norm,
 		stmts:      stmts,
 		numParams:  numParams,
@@ -286,24 +274,28 @@ func (s *Session) QueryPrepared(b *Bound) (engine.Schema, []engine.Row, error) {
 	return names, rows, err
 }
 
-// ErrNotQuery refuses Query on anything but a single SELECT.
-var ErrNotQuery = errors.New("sql: Query requires a single SELECT statement")
+// ErrNotQuery refuses Query on anything but a single SELECT or
+// CONNECTED COMPONENTS OF.
+var ErrNotQuery = errors.New("sql: Query requires a single SELECT or CONNECTED COMPONENTS OF statement")
 
 // execute is the one statement executor behind Exec, Query and their
 // prepared forms. It runs every statement of the script with args bound
 // and returns the last statement's row count, plus its schema and rows
-// when it is a SELECT. SELECT, CREATE TABLE AS and INSERT … SELECT run
+// when it returns rows. SELECT, CREATE TABLE AS and INSERT … SELECT run
 // from cached plan templates; every other statement binds its arguments
-// in execStmt.
+// in execStmt or connectedComponents.
 func (s *Session) execute(p *Prepared, args []Arg) (n int64, names engine.Schema, rows []engine.Row, err error) {
 	for i, st := range p.stmts {
 		names, rows = nil, nil
-		switch st.(type) {
+		switch st := st.(type) {
 		case *SelectQuery, *CreateTableAs, *InsertSelect:
 			var t *planTemplate
 			if t, err = s.templateFor(p, i, args); err == nil {
 				n, names, rows, err = s.runTemplate(t, args)
 			}
+		case *ConnectedComponents:
+			names, rows, err = s.connectedComponents(st, args)
+			n = int64(len(rows))
 		default:
 			n, err = s.execStmt(st, args)
 		}
@@ -696,6 +688,11 @@ func collectStmtParams(st Statement, values, tables map[int]bool) {
 		if st.TableParam > 0 {
 			tables[st.TableParam] = true
 		}
+	case *ConnectedComponents:
+		if st.TableParam > 0 {
+			tables[st.TableParam] = true
+		}
+		collectExprParams(st.Seed, values)
 	case *ExplainStmt:
 		collectSelectParams(st.Select, values, tables)
 	case *SelectQuery:

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -83,10 +84,6 @@ func (s *Session) context() context.Context {
 // Cluster returns the underlying cluster.
 func (s *Session) Cluster() *engine.Cluster { return s.c }
 
-// Namespace returns the session's temporary-table prefix ("" for sessions
-// sharing the global namespace).
-func (s *Session) Namespace() string { return s.ns }
-
 // Resolve maps a table name as written in SQL to its catalog name: if the
 // session namespace holds a table of that name it wins, otherwise the name
 // refers to the shared global namespace. Within a namespace only this
@@ -165,14 +162,18 @@ func (s *Session) runText(src string, query bool) (int64, engine.Schema, []engin
 		}
 	}
 	norm := normalizeTokens(toks)
-	if t, ok := s.lookupTemplate(s.ns, norm, nil); ok {
-		if query && t.kind != templateSelect {
-			return 0, nil, nil, ErrNotQuery
+	// CONNECTED COMPONENTS OF has no plan to cache: only its driver's
+	// statements look in the plan cache.
+	if !toks[0].isKeyword("connected") {
+		if t, ok := s.lookupTemplate(s.ns, norm, nil); ok {
+			if query && t.kind != templateSelect {
+				return 0, nil, nil, ErrNotQuery
+			}
+			s.c.NotePlanCacheHit()
+			return s.runTemplate(t, nil)
 		}
-		s.c.NotePlanCacheHit()
-		return s.runTemplate(t, nil)
 	}
-	p, err := s.prepareTokens(src, toks, norm)
+	p, err := s.prepareTokens(toks, norm)
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -267,6 +268,48 @@ func (s *Session) execStmt(st Statement, args []Arg) (int64, error) {
 		return 0, s.c.DropComponentIndex(s.Resolve(tableArg(st.Table, st.TableParam, args)))
 	}
 	return 0, fmt.Errorf("sql: unsupported statement %T", st)
+}
+
+// RunConnectedComponents runs the driver of a CONNECTED COMPONENTS OF
+// statement: the named algorithm over a catalog table under ctx, with the
+// given seed, reporting the component count, the rounds run and the
+// vertex count. Package ccalg sets it (ccalg imports sql, so sql cannot
+// call ccalg); while it is nil the statement fails.
+var RunConnectedComponents func(ctx context.Context, c *engine.Cluster, table, algorithm string, seed uint64) (components, rounds, vertices int64, err error)
+
+// connectedComponents runs a CONNECTED COMPONENTS OF statement with args
+// bound and returns its one row. The table resolves through the session,
+// so a restricted session cannot name another tenant's tables. The
+// statement itself reaches the engine only through its driver: it takes
+// no statement number of its own and never resets the cluster counters.
+func (s *Session) connectedComponents(st *ConnectedComponents, args []Arg) (engine.Schema, []engine.Row, error) {
+	if RunConnectedComponents == nil {
+		return nil, nil, errors.New("sql: CONNECTED COMPONENTS needs package ccalg linked in")
+	}
+	name := tableArg(st.Table, st.TableParam, args)
+	phys := s.Resolve(name)
+	if _, ok := s.c.Table(phys); !ok {
+		return nil, nil, fmt.Errorf("sql: table %q does not exist", name)
+	}
+	var seed engine.Datum
+	if st.Seed != nil {
+		ce, err := compileScalar(s.c, st.Seed, nil)
+		if err == nil {
+			seed, err = engine.EvalConst(instantiateExpr(ce, args))
+		}
+		if err == nil && seed.Null {
+			err = errors.New("sql: SEED is NULL")
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	comps, rounds, verts, err := RunConnectedComponents(s.context(), s.c, phys, st.Using, uint64(seed.Int))
+	if err != nil {
+		return nil, nil, err
+	}
+	return engine.Schema{"components", "rounds", "vertices"},
+		[]engine.Row{{engine.I(comps), engine.I(rounds), engine.I(verts)}}, nil
 }
 
 // planBound plans a select for one execution with args bound: table

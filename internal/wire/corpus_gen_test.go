@@ -21,9 +21,8 @@ func TestRegenFuzzCorpus(t *testing.T) {
 		"frame_hello_ok": AppendFrame(nil, Frame{Type: TypeHelloOK, Payload: EncodeHelloOK(HelloOK{Version: ProtocolVersion, Namespace: "tn_acme_"})}),
 		"frame_exec":     AppendFrame(nil, Frame{Type: TypeExec, Payload: []byte("DROP TABLE edges")}),
 		"frame_query":    AppendFrame(nil, Frame{Type: TypeQuery, Payload: []byte("SELECT count(*) AS n FROM edges")}),
-		"frame_cc":       AppendFrame(nil, Frame{Type: TypeCC, Payload: EncodeCC(CC{Table: "edges", Algorithm: "rc", Seed: 2019})}),
+		"frame_query_cc": AppendFrame(nil, Frame{Type: TypeQuery, Payload: []byte("CONNECTED COMPONENTS OF edges USING rc SEED 2019")}),
 		"frame_done":     AppendFrame(nil, Frame{Type: TypeDone, Payload: EncodeDone(Done{Rows: 7, QueueNanos: 125000})}),
-		"frame_cc_done":  AppendFrame(nil, Frame{Type: TypeCCDone, Payload: EncodeCCDone(CCDone{Components: 2, Rounds: 4, Vertices: 64})}),
 		"frame_error":    AppendFrame(nil, Frame{Type: TypeError, Payload: EncodeError(WireError{Code: CodeOverloaded, Message: "tenant queue full"})}),
 		"frame_schema":   AppendFrame(nil, Frame{Type: TypeSchema, Payload: EncodeSchema(Schema{Cols: []string{"v1", "v2"}})}),
 		"frame_rows":     AppendFrame(nil, Frame{Type: TypeRows, Payload: EncodeRows(Rows{NCols: 2, Tags: []byte{0, 1, 0, 0}, Vals: []int64{3, 0, -9, 1}})}),
@@ -46,7 +45,7 @@ func TestRegenFuzzCorpus(t *testing.T) {
 		"frame_notify_rebuild": AppendFrame(nil, Frame{Type: TypeNotify, Payload: EncodeNotify(Notify{Seq: 44, Kind: NotifyRebuild})}),
 		"frame_empty":          {},
 		"frame_lying_hdr":      {0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
-		"frame_truncated":      AppendFrame(nil, Frame{Type: TypeCC, Payload: EncodeCC(CC{Table: "edges"})})[:9],
+		"frame_truncated":      AppendFrame(nil, Frame{Type: TypeSubscribe, Payload: EncodeSubscribe(Subscribe{Table: "edges"})})[:9],
 		"frame_rows_nulls":     AppendFrame(nil, Frame{Type: TypeRows, Payload: EncodeRows(Rows{NCols: 1, Tags: []byte{1, 1}, Vals: []int64{0, 0}})}),
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzFrameCodec")

@@ -20,9 +20,9 @@ func FuzzFrameCodec(f *testing.F) {
 		{Type: TypeHelloOK, Payload: EncodeHelloOK(HelloOK{Version: ProtocolVersion, Namespace: "t1_acme_"})},
 		{Type: TypeExec, Payload: []byte("DROP TABLE edges")},
 		{Type: TypeQuery, Payload: []byte("SELECT count(*) AS n FROM edges")},
-		{Type: TypeCC, Payload: EncodeCC(CC{Table: "edges", Algorithm: "rc", Seed: 2019})},
+		{Type: TypeQuery, Payload: []byte("CONNECTED COMPONENTS OF edges USING rc SEED 2019")},
 		{Type: TypeDone, Payload: EncodeDone(Done{Rows: 7, QueueNanos: 125000})},
-		{Type: TypeCCDone, Payload: EncodeCCDone(CCDone{Components: 2, Rounds: 4, Vertices: 64})},
+		{Type: TypeSchema, Payload: EncodeSchema(Schema{Cols: []string{"components", "rounds", "vertices"}})},
 		{Type: TypeError, Payload: EncodeError(WireError{Code: CodeOverloaded, Message: "tenant queue full"})},
 		{Type: TypeSchema, Payload: EncodeSchema(Schema{Cols: []string{"v1", "v2"}})},
 		{Type: TypeRows, Payload: EncodeRows(Rows{NCols: 2, Tags: []byte{0, 1, 0, 0}, Vals: []int64{3, 0, -9, 1}})},
@@ -72,22 +72,10 @@ func FuzzFrameCodec(f *testing.F) {
 					t.Fatalf("hello-ok round-trip mismatch")
 				}
 			}
-		case TypeCC:
-			if c, err := DecodeCC(fr.Payload); err == nil {
-				if re := EncodeCC(c); !bytes.Equal(re, fr.Payload) {
-					t.Fatalf("cc round-trip mismatch")
-				}
-			}
 		case TypeDone:
 			if d, err := DecodeDone(fr.Payload); err == nil {
 				if re := EncodeDone(d); !bytes.Equal(re, fr.Payload) {
 					t.Fatalf("done round-trip mismatch")
-				}
-			}
-		case TypeCCDone:
-			if d, err := DecodeCCDone(fr.Payload); err == nil {
-				if re := EncodeCCDone(d); !bytes.Equal(re, fr.Payload) {
-					t.Fatalf("ccdone round-trip mismatch")
 				}
 			}
 		case TypeError:

@@ -26,10 +26,12 @@
 // Clients speak first: a Hello carrying the protocol version, the tenant
 // name and an optional auth token. The server answers HelloOK (or Error
 // with CodeAuth) and the connection becomes a statement loop — each
-// Exec/Query/CC/Stats request is answered by exactly one terminal frame
-// (Done, CCDone, StatsReply or Error), with Schema and Rows frames
-// streamed before Done for Query. A connection carries one statement at a
-// time; concurrency comes from opening more connections.
+// Exec/Query/Stats request is answered by exactly one terminal frame
+// (Done, StatsReply or Error), with Schema and Rows frames streamed
+// before Done for Query. A connected-components run is a Query of the
+// statement CONNECTED COMPONENTS OF, whose one row is its result. A
+// connection carries one statement at a time; concurrency comes from
+// opening more connections.
 package wire
 
 import (
@@ -49,11 +51,12 @@ const ProtocolVersion = 1
 const MaxFrameLen = 16 << 20
 
 // Frame types. Requests (client→server) sit below 0x80, responses above.
+// 0x04 and 0x86 once carried a dedicated connected-components request and
+// reply; they stay unassigned so an old peer's frame is never misread.
 const (
 	TypeHello         byte = 0x01 // auth + tenant select
 	TypeExec          byte = 0x02 // statement script; reply: Done | Error
-	TypeQuery         byte = 0x03 // SELECT; reply: Schema, Rows*, Done | Error
-	TypeCC            byte = 0x04 // connected-components run; reply: CCDone | Error
+	TypeQuery         byte = 0x03 // SELECT or CONNECTED COMPONENTS OF; reply: Schema, Rows*, Done | Error
 	TypeStats         byte = 0x05 // server stats probe; reply: StatsReply
 	TypePrepare       byte = 0x06 // $N statement text; reply: PrepareOK | Error
 	TypeExecPrepared  byte = 0x07 // bound execution; reply: Done | (Schema, Rows*, Done) | Error
@@ -64,7 +67,6 @@ const (
 	TypeRows          byte = 0x83
 	TypeDone          byte = 0x84
 	TypeError         byte = 0x85
-	TypeCCDone        byte = 0x86
 	TypeStatsReply    byte = 0x87 // payload: JSON-encoded ServerStats
 	TypePrepareOK     byte = 0x88
 	TypeSubscribeOK   byte = 0x89
@@ -76,7 +78,7 @@ const (
 const (
 	CodeParse       uint16 = 400 // statement failed to parse or plan
 	CodeAuth        uint16 = 401 // bad token or malformed tenant name
-	CodeNotFound    uint16 = 404 // unknown table / algorithm
+	CodeNotFound    uint16 = 404 // unknown prepared statement / component index
 	CodeOverloaded  uint16 = 429 // admission queue full or queue wait timed out
 	CodeInternal    uint16 = 500 // execution error
 	CodeUnavailable uint16 = 503 // server draining; retry elsewhere/later
@@ -297,27 +299,6 @@ func DecodeHelloOK(p []byte) (HelloOK, error) {
 
 // Exec and Query payloads are the raw statement text; no further framing.
 
-// CC requests a connected-components run over a tenant table.
-type CC struct {
-	Table     string
-	Algorithm string // "", "rc", "hm", "tp", "cr", "bfs"
-	Seed      uint64
-}
-
-// EncodeCC encodes c as a TypeCC frame payload.
-func EncodeCC(c CC) []byte {
-	out := appendStr(nil, c.Table)
-	out = appendStr(out, c.Algorithm)
-	return binary.LittleEndian.AppendUint64(out, c.Seed)
-}
-
-// DecodeCC decodes a TypeCC payload.
-func DecodeCC(p []byte) (CC, error) {
-	r := &reader{data: p}
-	c := CC{Table: r.str(), Algorithm: r.str(), Seed: uint64(r.i64())}
-	return c, r.done()
-}
-
 // Done terminates a successful Exec or Query: the row count the statement
 // produced and the time the statement waited in the admission queue.
 type Done struct {
@@ -335,29 +316,6 @@ func EncodeDone(d Done) []byte {
 func DecodeDone(p []byte) (Done, error) {
 	r := &reader{data: p}
 	d := Done{Rows: r.i64(), QueueNanos: r.i64()}
-	return d, r.done()
-}
-
-// CCDone terminates a successful connected-components run.
-type CCDone struct {
-	Components int64
-	Rounds     int64
-	Vertices   int64
-	QueueNanos int64
-}
-
-// EncodeCCDone encodes d as a TypeCCDone frame payload.
-func EncodeCCDone(d CCDone) []byte {
-	out := binary.LittleEndian.AppendUint64(nil, uint64(d.Components))
-	out = binary.LittleEndian.AppendUint64(out, uint64(d.Rounds))
-	out = binary.LittleEndian.AppendUint64(out, uint64(d.Vertices))
-	return binary.LittleEndian.AppendUint64(out, uint64(d.QueueNanos))
-}
-
-// DecodeCCDone decodes a TypeCCDone payload.
-func DecodeCCDone(p []byte) (CCDone, error) {
-	r := &reader{data: p}
-	d := CCDone{Components: r.i64(), Rounds: r.i64(), Vertices: r.i64(), QueueNanos: r.i64()}
 	return d, r.done()
 }
 

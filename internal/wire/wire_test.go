@@ -60,17 +60,9 @@ func TestMessageRoundTrips(t *testing.T) {
 	if got, err := DecodeHelloOK(EncodeHelloOK(ok)); err != nil || got != ok {
 		t.Fatalf("hello-ok: %+v %v", got, err)
 	}
-	cc := CC{Table: "edges", Algorithm: "rc", Seed: 2019}
-	if got, err := DecodeCC(EncodeCC(cc)); err != nil || got != cc {
-		t.Fatalf("cc: %+v %v", got, err)
-	}
 	done := Done{Rows: -1, QueueNanos: 7}
 	if got, err := DecodeDone(EncodeDone(done)); err != nil || got != done {
 		t.Fatalf("done: %+v %v", got, err)
-	}
-	ccd := CCDone{Components: 3, Rounds: 5, Vertices: 100, QueueNanos: 9}
-	if got, err := DecodeCCDone(EncodeCCDone(ccd)); err != nil || got != ccd {
-		t.Fatalf("ccdone: %+v %v", got, err)
 	}
 	we := WireError{Code: CodeUnavailable, Message: "draining"}
 	if got, err := DecodeError(EncodeError(we)); err != nil || got != we {
