@@ -32,17 +32,7 @@ func RegisterUDFs(c *engine.Cluster) {
 	}
 	// Multiplication tables are cached per coefficient a: one contraction
 	// round evaluates axplusb with the same a for every row.
-	muls := newMemo(gf.NewMultiplier)
-	c.RegisterColumnUDF("axplusb", func(out []int64, args []engine.UDFArg) {
-		a, x, b := args[0], args[1], args[2]
-		var m *gf.Multiplier
-		for i := range out {
-			if ai := uint64(a.At(i)); m == nil || m.A() != ai {
-				m = muls.get(ai)
-			}
-			out[i] = int64(m.AxB(uint64(x.At(i)), uint64(b.At(i))))
-		}
-	})
+	c.RegisterColumnUDF("axplusb", axplusb(newMemo(resetMultiplier)))
 
 	c.RegisterColumnUDF("axbp", func(out []int64, args []engine.UDFArg) {
 		a, x, b := args[0], args[1], args[2]
@@ -53,14 +43,18 @@ func RegisterUDFs(c *engine.Cluster) {
 
 	// Ciphers are cached per round key; the key schedule is far more
 	// expensive than a block encryption.
-	ciphers := newMemo(blowfish.NewFromUint64)
+	ciphers := newMemo(func(_ *blowfish.Cipher, key uint64) *blowfish.Cipher { return blowfish.NewFromUint64(key) })
 	c.RegisterColumnUDF("enc", func(out []int64, args []engine.UDFArg) {
 		key, x := args[0], args[1]
 		var ci *blowfish.Cipher
 		var ciKey uint64
+		slot := -1
+		defer func() { ciphers.release(slot) }()
 		for i := range out {
 			if k := uint64(key.At(i)); ci == nil || ciKey != k {
-				ci, ciKey = ciphers.get(k), k
+				ciphers.release(slot)
+				ci, slot = ciphers.get(k)
+				ciKey = k
 			}
 			// Keep results non-negative so integer min works like uint64 min;
 			// dropping the top bit halves the range but keeps a 2^-63 collision
@@ -78,6 +72,35 @@ func RegisterUDFs(c *engine.Cluster) {
 	})
 }
 
+// axplusb is the column kernel of axplusb(a, x, b), taking its
+// multiplication tables from muls. A call holds the table it multiplies by
+// pinned until it moves to another coefficient or returns.
+func axplusb(muls *memo[*gf.Multiplier]) engine.ColumnUDF {
+	return func(out []int64, args []engine.UDFArg) {
+		a, x, b := args[0], args[1], args[2]
+		var m *gf.Multiplier
+		slot := -1
+		defer func() { muls.release(slot) }()
+		for i := range out {
+			if ai := uint64(a.At(i)); m == nil || m.A() != ai {
+				muls.release(slot)
+				m, slot = muls.get(ai)
+			}
+			out[i] = int64(m.AxB(uint64(x.At(i)), uint64(b.At(i))))
+		}
+	}
+}
+
+// resetMultiplier is the axplusb memo's build: it rebuilds an evicted
+// table in place rather than allocating another 16 KB.
+func resetMultiplier(m *gf.Multiplier, a uint64) *gf.Multiplier {
+	if m == nil {
+		return gf.NewMultiplier(a)
+	}
+	m.Reset(a)
+	return m
+}
+
 // memoCap bounds a memo: a cluster serves many concurrent runs (ccserverd
 // tenants × rounds), each with its own live key per round.
 const memoCap = 64
@@ -88,10 +111,12 @@ const memoCap = 64
 // some run is still using survives any number of other runs' keys passing
 // through. The values sit in a fixed slot array and the map only locates
 // a key's slot, so a miss finds the victim by scanning memoCap clock
-// readings instead of iterating the map. An evicted value is dropped, not
-// reused: a concurrent task may still hold it.
+// readings instead of iterating the map. get pins the slot it returns
+// until the caller releases it, and eviction skips pinned slots, so build
+// may rebuild the evicted value in place: no running call still holds it.
+// When every slot is pinned, get builds a value outside the memo.
 type memo[V any] struct {
-	build func(uint64) V
+	build func(old V, key uint64) V // old: the evicted value, or V's zero value
 
 	mu      sync.Mutex
 	entries map[uint64]int32 // key → index into slots
@@ -103,34 +128,53 @@ type memoSlot[V any] struct {
 	key  uint64
 	val  V
 	used uint64 // clock reading of the last get
+	pins int32  // gets not yet released
 }
 
-func newMemo[V any](build func(uint64) V) *memo[V] {
+func newMemo[V any](build func(old V, key uint64) V) *memo[V] {
 	return &memo[V]{build: build, entries: make(map[uint64]int32, memoCap), slots: make([]memoSlot[V], 0, memoCap)}
 }
 
-// get returns the value for key, building it on first use.
-func (m *memo[V]) get(key uint64) V {
+// get returns the value for key, building it on first use, and the slot
+// it pins, which the caller hands to release once it no longer reads the
+// value. The slot is -1 for a value built outside the memo.
+func (m *memo[V]) get(key uint64) (V, int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.clock++
 	if i, ok := m.entries[key]; ok {
-		m.slots[i].used = m.clock
-		return m.slots[i].val
+		s := &m.slots[i]
+		s.used, s.pins = m.clock, s.pins+1
+		return s.val, int(i)
 	}
 	i := len(m.slots)
 	if i < memoCap {
 		m.slots = append(m.slots, memoSlot[V]{})
 	} else {
-		i = 0
+		i = -1
 		for j := range m.slots {
-			if m.slots[j].used < m.slots[i].used {
+			if m.slots[j].pins == 0 && (i < 0 || m.slots[j].used < m.slots[i].used) {
 				i = j
 			}
 		}
+		if i < 0 {
+			var zero V
+			return m.build(zero, key), -1
+		}
 		delete(m.entries, m.slots[i].key)
 	}
-	m.slots[i] = memoSlot[V]{key: key, val: m.build(key), used: m.clock}
+	s := &m.slots[i]
+	*s = memoSlot[V]{key: key, val: m.build(s.val, key), used: m.clock, pins: 1}
 	m.entries[key] = int32(i)
-	return m.slots[i].val
+	return s.val, i
+}
+
+// release unpins a slot get returned; -1 is a no-op.
+func (m *memo[V]) release(slot int) {
+	if slot < 0 {
+		return
+	}
+	m.mu.Lock()
+	m.slots[slot].pins--
+	m.mu.Unlock()
 }

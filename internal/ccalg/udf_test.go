@@ -1,6 +1,8 @@
 package ccalg
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"dbcc/internal/blowfish"
@@ -16,16 +18,20 @@ import (
 // bounded.
 func TestMemoKeepsHotKey(t *testing.T) {
 	builds := map[uint64]int{}
-	m := newMemo(func(key uint64) uint64 {
+	m := newMemo(func(_, key uint64) uint64 {
 		builds[key]++
 		return key * 3
 	})
 	const hot = 1 << 40
 	for cold := uint64(0); cold < 5*memoCap; cold++ {
-		if got := m.get(hot); got != hot*3 {
+		got, slot := m.get(hot)
+		m.release(slot)
+		if got != hot*3 {
 			t.Fatalf("hot key value %d, want %d", got, uint64(hot*3))
 		}
-		if got := m.get(cold); got != cold*3 {
+		got, slot = m.get(cold)
+		m.release(slot)
+		if got != cold*3 {
 			t.Fatalf("cold key %d value %d, want %d", cold, got, cold*3)
 		}
 	}
@@ -40,17 +46,21 @@ func TestMemoKeepsHotKey(t *testing.T) {
 // TestMemoEvictsLeastRecentlyUsed fills the memo, touches every key but
 // one, and pins that a new key evicts exactly that one.
 func TestMemoEvictsLeastRecentlyUsed(t *testing.T) {
-	m := newMemo(func(key uint64) uint64 { return key })
+	m := newMemo(func(_, key uint64) uint64 { return key })
+	get := func(k uint64) {
+		_, slot := m.get(k)
+		m.release(slot)
+	}
 	const cold = 5
 	for k := uint64(0); k < memoCap; k++ {
-		m.get(k)
+		get(k)
 	}
 	for k := uint64(0); k < memoCap; k++ {
 		if k != cold {
-			m.get(k)
+			get(k)
 		}
 	}
-	m.get(memoCap)
+	get(memoCap)
 	for k := uint64(0); k <= memoCap; k++ {
 		if _, held := m.entries[k]; held != (k != cold) {
 			t.Fatalf("key %d held=%v after a miss evicted the least recently used key %d", k, held, cold)
@@ -58,6 +68,83 @@ func TestMemoEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 	if len(m.entries) != memoCap {
 		t.Fatalf("memo holds %d entries, cap %d", len(m.entries), memoCap)
+	}
+}
+
+// TestMemoSkipsPinnedSlots pins the least recently used key and pins that
+// a miss evicts the next one instead, rebuilding its value in place, and
+// that a miss with every slot pinned builds a value outside the memo.
+func TestMemoSkipsPinnedSlots(t *testing.T) {
+	type box struct{ key uint64 }
+	m := newMemo(func(old *box, key uint64) *box {
+		if old == nil {
+			return &box{key}
+		}
+		old.key = key
+		return old
+	})
+	slots := make([]int, memoCap)
+	vals := make([]*box, memoCap)
+	for k := range slots {
+		vals[k], slots[k] = m.get(uint64(k))
+	}
+	for k := 1; k < memoCap; k++ {
+		m.release(slots[k])
+	}
+	v, slot := m.get(memoCap) // key 0 is the oldest but pinned: key 1 goes
+	if _, held := m.entries[0]; !held || v != vals[1] || v.key != memoCap || vals[0].key != 0 {
+		t.Fatalf("miss evicted a pinned slot or did not rebuild the victim in place: held(0)=%v", held)
+	}
+	m.release(slot)
+	for k := uint64(0); k < memoCap; k++ {
+		_, slots[k] = m.get(memoCap + 1 + k)
+	}
+	v, slot = m.get(1 << 20)
+	if slot != -1 || v.key != 1<<20 {
+		t.Fatalf("miss with every slot pinned returned slot %d", slot)
+	}
+	if _, held := m.entries[1<<20]; held {
+		t.Fatal("a value built outside the memo was memoised")
+	}
+}
+
+// TestAxplusbRecycledTablesConcurrent runs the axplusb kernel from 8
+// goroutines, each through 3·memoCap distinct coefficients, so slots are
+// evicted and rebuilt while other calls multiply by them. Every value must
+// equal gf.AxB; under -race the pins are what keeps a table a call holds
+// from being rebuilt beneath it.
+func TestAxplusbRecycledTablesConcurrent(t *testing.T) {
+	kernel := axplusb(newMemo(resetMultiplier))
+	const goroutines, rows = 8, 64
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := xrand.New(uint64(300 + g))
+			x, as, out := make([]int64, rows), make([]int64, rows), make([]int64, rows)
+			for k := 0; k < 3*memoCap; k++ {
+				a := int64(rng.Uint64() | 1)
+				for i := range x {
+					x[i] = int64(rng.Uint64())
+					as[i] = a ^ int64(i&1) // two coefficients per call: a switch mid-chunk
+				}
+				b := int64(rng.Uint64())
+				kernel(out, []engine.UDFArg{{Col: as}, {Col: x}, {Const: b}})
+				for i, v := range out {
+					if want := int64(gf.AxB(uint64(as[i]), uint64(x[i]), uint64(b))); v != want {
+						errs <- fmt.Sprintf("goroutine %d coefficient %d row %d: %d, want %d", g, k, i, v, want)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

@@ -17,11 +17,14 @@ package engine
 // unchanged by the columnar representation.
 //
 // Ownership: a table or a result holds only fresh memory, and everything
-// else belongs to the statement. The column values of a chunk one operator
-// hands another come from the statement's arena (pools.go) and go back to
-// the pool when the statement ends. A chunk a table keeps is fresh: the
-// placement shuffle's output, INSERT's and DELETE's chunks, or a root
-// CreateTableAs copies out of the arena. Null bitmaps are always fresh.
+// else belongs to the statement. A chunk one operator hands another takes
+// its column values and its header — the Chunk and its column and bitmap
+// slices — from the statement's arena (pools.go), and both go back when
+// the statement ends. A chunk a table keeps is fresh: INSERT's and
+// DELETE's chunks, a stored chunk a scan handed through, or, for every
+// other chunk CreateTableAs publishes, a fresh header over the placement
+// shuffle's fresh values, over a scan's stored columns, or over a copy
+// out of the arena (arena.keep). Null bitmaps are always fresh.
 
 // nullBitmap marks the NULL rows of one chunk column, one bit per row. A
 // nil bitmap means the column contains no NULLs, so the common all-valid
@@ -225,6 +228,7 @@ func concatChunks(a *arena, ncols int, chunks []*Chunk) *Chunk {
 // zero-extended lazily, so all-valid columns never touch them. Group-by
 // kernels additionally mutate aggregate state in place through mergeAgg.
 type chunkBuilder struct {
+	out   *Chunk // the header finish fills, or nil for a fresh one
 	cols  [][]int64
 	nulls []nullBitmap
 	n     int
@@ -333,7 +337,12 @@ func (b *chunkBuilder) finish() *Chunk {
 			b.nulls[c] = nil
 		}
 	}
-	return &Chunk{length: b.n, cols: b.cols, nulls: b.nulls}
+	ch := b.out
+	if ch == nil {
+		ch = new(Chunk)
+	}
+	*ch = Chunk{length: b.n, cols: b.cols, nulls: b.nulls}
+	return ch
 }
 
 // allClear reports whether no bit of nb is set.

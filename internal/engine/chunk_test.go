@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"testing"
+	"unsafe"
 
 	"dbcc/internal/xrand"
 )
@@ -188,6 +189,39 @@ func TestBuilderMergeAgg(t *testing.T) {
 			t.Errorf("case %d: state = %d, want %d", i, b.cols[0][0], tc.want)
 		}
 	}
+}
+
+// TestArenaBuilderHeadersOwnTheirCacheLines pins the guards around a fold
+// builder's column and bitmap slice headers: the builder rewrites them
+// once per row, so the slab entries taken just before and after them,
+// which other segments' tasks use, must lie two cache lines away.
+func TestArenaBuilderHeadersOwnTheirCacheLines(t *testing.T) {
+	a := new(arena)
+	defer a.release()
+	before := a.header(3, 0)
+	b := a.builder(3, 8)
+	after := a.header(3, 0)
+	const lines = 128
+	if lo, hi := sliceSpan(before.cols), sliceSpan(b.cols); hi.lo-lo.hi < lines {
+		t.Errorf("builder columns start %d bytes after the previous header's", hi.lo-lo.hi)
+	}
+	if lo, hi := sliceSpan(b.cols), sliceSpan(after.cols); hi.lo-lo.hi < lines {
+		t.Errorf("the next header's columns start %d bytes after the builder's", hi.lo-lo.hi)
+	}
+	if lo, hi := sliceSpan(before.nulls), sliceSpan(b.nulls); hi.lo-lo.hi < lines {
+		t.Errorf("builder bitmaps start %d bytes after the previous header's", hi.lo-lo.hi)
+	}
+	if lo, hi := sliceSpan(b.nulls), sliceSpan(after.nulls); hi.lo-lo.hi < lines {
+		t.Errorf("the next header's bitmaps start %d bytes after the builder's", hi.lo-lo.hi)
+	}
+}
+
+// span is the byte range of a slice's elements.
+type span struct{ lo, hi uintptr }
+
+func sliceSpan[T any](s []T) span {
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	return span{p, p + uintptr(len(s))*unsafe.Sizeof(*new(T))}
 }
 
 func TestNextPow2(t *testing.T) {

@@ -328,6 +328,9 @@ type Cluster struct {
 	traceCap int
 
 	sem chan struct{} // cluster-wide worker-pool slots
+
+	envMu sync.Mutex // guards envs (leaf)
+	envs  []*execEnv // closed execution environments, for the next statements
 }
 
 // UDF is a scalar user-defined function, the mechanism the paper uses to
@@ -700,7 +703,7 @@ func (e *execEnv) deleteRows(t *Table, pl pipeline) (int64, error) {
 		var n int64
 		r := make([]int64, len(pl.filters))
 		for i, ch := range list {
-			kept, dropped, err := pl.remove(ch, r, &e.scratch)
+			kept, dropped, err := pl.remove(ch, r, e.scratch)
 			if err != nil {
 				return err
 			}

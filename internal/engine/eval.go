@@ -265,7 +265,7 @@ func b2i(b bool) int64 {
 
 // evalArgVecs evaluates an argument list.
 func evalArgVecs(args []Expr, ch *Chunk, sel []int32, a *arena) ([]colVec, error) {
-	out := make([]colVec, len(args))
+	out := a.vecArray(len(args))
 	for i, arg := range args {
 		v, err := evalRows(arg, ch, sel, a)
 		if err != nil {
@@ -284,7 +284,7 @@ func evalArgVecs(args []Expr, ch *Chunk, sel []int32, a *arena) ([]colVec, error
 // bitmaps, a NULL literal makes the whole column NULL without a call, and
 // the payload under every NULL is zeroed like in any other chunk column.
 func evalColumnUDF(e UDFExpr, ch *Chunk, sel []int32, n int, a *arena) (colVec, error) {
-	args := make([]UDFArg, len(e.Args))
+	args := a.argArray(len(e.Args))
 	var nulls nullBitmap
 	nullConst := false
 	for i, arg := range e.Args {
@@ -472,14 +472,11 @@ func (op BinOp) holds(x, y int64) bool {
 	return x >= y
 }
 
-// chunkFromVecs assembles evaluated columns into a chunk; column slices
-// are aliased, not copied (chunks and vectors are immutable).
-func chunkFromVecs(vecs []colVec, n int) *Chunk {
-	ch := &Chunk{
-		length: n,
-		cols:   make([][]int64, len(vecs)),
-		nulls:  make([]nullBitmap, len(vecs)),
-	}
+// chunkFromVecs assembles evaluated columns into a chunk whose header is
+// taken from a; column slices are aliased, not copied (chunks and vectors
+// are immutable).
+func chunkFromVecs(a *arena, vecs []colVec, n int) *Chunk {
+	ch := a.header(len(vecs), n)
 	for i, v := range vecs {
 		ch.cols[i] = v.vals
 		ch.nulls[i] = v.nulls

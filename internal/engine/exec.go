@@ -128,22 +128,20 @@ func (c *Cluster) CreateTableAsCtx(ctx context.Context, name string, p Plan, dis
 			}
 			s.rec.Shuffle += placeShuffle
 		}
-		// Publish the output chunks by reference: chunks are immutable,
-		// and a table holds only fresh memory. The placement shuffle's
-		// destinations are fresh; a root that needed none (it was already
-		// placed, or the table has no distribution key) is copied out of
-		// the statement's arena when a column points into it — a fold or
+		// Publish the output chunks: chunks are immutable, and a table
+		// holds only fresh memory (arena.keep). Every header a statement
+		// makes is its arena's, so each chunk it made gets a fresh one; a
+		// stored chunk a scan handed through is kept by reference. The
+		// placement shuffle's values are fresh; a root that needed none
+		// (it was already placed, or the table has no distribution key) is
+		// copied out of the arena when a column points into it — a fold or
 		// join output, or a projection aliasing a UNION ALL or scan
-		// concatenation. One backing array holds every segment's
-		// one-chunk list; appendChunk never appends in place.
+		// concatenation. One backing array holds every segment's one-chunk
+		// list; appendChunk never appends in place.
 		parts := make([][]*Chunk, c.segments)
-		lists := make([]*Chunk, c.segments)
-		for seg, ch := range rel.parts {
-			if ch.length > 0 {
-				if s.e.scratch.owns(ch) {
-					ch = concatChunks(nil, len(ch.cols), []*Chunk{ch})
-				}
-				lists[seg] = ch
+		lists := s.e.scratch.keep(rel.parts, len(rel.schema))
+		for seg, ch := range lists {
+			if ch != nil {
 				parts[seg] = lists[seg : seg+1 : seg+1]
 			}
 		}
@@ -318,7 +316,7 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 		// concatenated, on the worker pool, into the statement's arena.
 		stored := t.snapshotParts()
 		ncols := len(t.Schema)
-		parts := make([]*Chunk, c.segments)
+		parts := e.scratch.partArray(c.segments)
 		concat := false
 		var rows int64
 		for seg, list := range stored {
@@ -327,7 +325,7 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 			}
 			switch len(list) {
 			case 0:
-				parts[seg] = newChunk(ncols, 0)
+				parts[seg] = e.scratch.header(ncols, 0)
 			case 1:
 				parts[seg] = list[0]
 			default:
@@ -337,7 +335,7 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 		if concat {
 			err := e.parallel(rows, func(seg int) error {
 				if len(stored[seg]) > 1 {
-					parts[seg] = concatChunks(&e.scratch, ncols, stored[seg])
+					parts[seg] = concatChunks(e.scratch, ncols, stored[seg])
 				}
 				return nil
 			})
@@ -349,7 +347,7 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 		return rel, e.finishOp("Scan", p.Table, rel, nil, 0, nil, start), nil
 
 	case ValuesPlan:
-		parts := c.newParts(len(p.Cols))
+		parts := e.newParts(len(p.Cols))
 		parts[0] = rowsToChunk(p.Rows, len(p.Cols))
 		rel := &relation{schema: p.Cols, parts: parts, distKey: NoDistKey}
 		return rel, e.finishOp("Values", "", rel, nil, 0, nil, start), nil
@@ -376,13 +374,13 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 		for _, in := range ins {
 			rows += in.rows()
 		}
-		out := make([]*Chunk, c.segments)
+		out := e.scratch.partArray(c.segments)
 		err = e.parallel(rows, func(seg int) error {
-			pieces := make([]*Chunk, len(ins))
+			pieces := e.scratch.partArray(len(ins))
 			for i, in := range ins {
 				pieces[i] = in.parts[seg]
 			}
-			out[seg] = concatChunks(&e.scratch, len(schema), pieces)
+			out[seg] = concatChunks(e.scratch, len(schema), pieces)
 			return nil
 		})
 		if err != nil {
@@ -396,11 +394,11 @@ func (e *execEnv) exec(p Plan) (*relation, *OpMetrics, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		shuffled, moved, err := e.shuffle(in, NoDistKey, &e.scratch) // by a hash of the whole row
+		shuffled, moved, err := e.shuffle(in, NoDistKey, e.scratch) // by a hash of the whole row
 		if err != nil {
 			return nil, nil, err
 		}
-		out := make([]*Chunk, c.segments)
+		out := e.scratch.partArray(c.segments)
 		segTimes, err := e.parallelTimed(shuffled.rows(), func(seg int) error {
 			ch, derr := e.foldSegment(seg, shuffled.parts[seg], len(in.schema), nil, true)
 			if derr != nil {
@@ -472,11 +470,14 @@ func (e *execEnv) execPipeline(p Plan, start time.Time) (*relation, *OpMetrics, 
 		if src, node, err = e.exec(p); err != nil {
 			return nil, nil, err
 		}
-		in = &relation{schema: src.schema, parts: make([]*Chunk, c.segments), distKey: src.distKey}
+		in = &relation{schema: src.schema, parts: e.scratch.partArray(c.segments), distKey: src.distKey}
 		rows = make([][]int64, c.segments)
+		nf := len(pl.filters)
+		counts := make([]int64, c.segments*nf)
 		segTimes, err = e.parallelTimed(src.rows(), func(seg int) error {
-			r := make([]int64, len(pl.filters))
-			ch, perr := pl.run(src.parts[seg], r, &e.scratch)
+			r := counts[seg*nf : (seg+1)*nf]
+			clear(r) // a retried task counts afresh
+			ch, perr := pl.run(src.parts[seg], r, e.scratch)
 			if perr != nil {
 				return perr
 			}
@@ -653,7 +654,7 @@ func (pl pipeline) project(ch *Chunk, sel []int32, a *arena) (*Chunk, error) {
 	if sel != nil {
 		n = len(sel)
 	}
-	vecs := make([]colVec, len(pl.proj.Cols))
+	vecs := a.vecArray(len(pl.proj.Cols))
 	for i, col := range pl.proj.Cols {
 		v, err := evalRows(col.Expr, ch, sel, a)
 		if err != nil {
@@ -661,7 +662,7 @@ func (pl pipeline) project(ch *Chunk, sel []int32, a *arena) (*Chunk, error) {
 		}
 		vecs[i] = v
 	}
-	return chunkFromVecs(vecs, n), nil
+	return chunkFromVecs(a, vecs, n), nil
 }
 
 // joinReads is the set of a join's output columns that a pipeline over
@@ -739,11 +740,11 @@ func markCols(e Expr, cols []bool) {
 	}
 }
 
-// newParts allocates a per-segment chunk set of empty chunks.
-func (c *Cluster) newParts(ncols int) []*Chunk {
-	parts := make([]*Chunk, c.segments)
+// newParts returns a part array of empty chunks, one per segment.
+func (e *execEnv) newParts(ncols int) []*Chunk {
+	parts := e.scratch.partArray(e.c.segments)
 	for i := range parts {
-		parts[i] = newChunk(ncols, 0)
+		parts[i] = e.scratch.header(ncols, 0)
 	}
 	return parts
 }
@@ -768,7 +769,10 @@ func (e *execEnv) redistribute(in *relation, key int, a *arena) (*relation, int6
 // slice of rows into it (gatherRows), so each value is copied once. A
 // shuffle feeding a join, DISTINCT or group-by takes its destinations
 // from the statement's arena a; the placement shuffle of CREATE TABLE AS
-// passes nil, as its destinations become the table. Rows that change segments are charged DatumWireSize bytes per
+// passes nil, as its destinations' values become the table. The routing
+// tables, the part array and every destination's header are the
+// statement's in either case (CreateTableAsCtx gives a table fresh
+// headers). Rows that change segments are charged DatumWireSize bytes per
 // value, the width of the canonical row encoding; output rows arrive in
 // source-major order, stable within each source — both bit-identical to
 // the historical counting shuffle (pinned by TestShuffleMatchesReference
@@ -779,9 +783,7 @@ func (e *execEnv) redistribute(in *relation, key int, a *arena) (*relation, int6
 func (e *execEnv) shuffle(in *relation, key int, a *arena) (*relation, int64, error) {
 	ncols := len(in.schema)
 	segs := e.c.segments
-	bounds := make([]int32, segs*(segs+1)) // every source's routing bounds, one backing
-	rts := make([]routing, segs)
-	perms := make([]*[]int32, segs)
+	bounds, rts, perms := e.scratch.routingTables(segs)
 	defer func() {
 		for _, pp := range perms {
 			if pp != nil {
@@ -805,13 +807,13 @@ func (e *execEnv) shuffle(in *relation, key int, a *arena) (*relation, int64, er
 	if err != nil {
 		return nil, 0, err
 	}
-	out := make([]*Chunk, segs)
+	out := e.scratch.partArray(segs)
 	err = e.parallel(rows, func(dst int) error {
 		n := 0
 		for _, rt := range rts {
 			n += len(rt.rows(dst))
 		}
-		ch := a.chunk(ncols, n)
+		ch := e.scratch.chunkIn(a.alloc(ncols*n), ncols, n)
 		gatherRows(ch, in.parts, rts, dst)
 		out[dst] = ch
 		return nil
@@ -867,7 +869,7 @@ func (e *execEnv) execGroupBy(p GroupByPlan, start time.Time) (*relation, *OpMet
 	// segment into one row per group, timing each segment's fold.
 	var segTimes []time.Duration
 	aggregateParts := func(parts []*Chunk) ([]*Chunk, error) {
-		out := make([]*Chunk, c.segments)
+		out := e.scratch.partArray(c.segments)
 		var err error
 		segTimes, err = e.parallelTimed(rows, func(seg int) error {
 			ch, gerr := e.foldSegment(seg, parts[seg], nk, p.Aggs, false)
@@ -884,9 +886,9 @@ func (e *execEnv) execGroupBy(p GroupByPlan, start time.Time) (*relation, *OpMet
 	}
 
 	// Convert input chunks to partial layout.
-	partial := make([]*Chunk, c.segments)
+	partial := e.scratch.partArray(c.segments)
 	err = e.parallel(rows, func(seg int) error {
-		ch, err := buildPartialChunk(in.parts[seg], p.Keys, p.Aggs, &e.scratch)
+		ch, err := buildPartialChunk(in.parts[seg], p.Keys, p.Aggs, e.scratch)
 		if err != nil {
 			return err
 		}
@@ -918,12 +920,12 @@ func (e *execEnv) execGroupBy(p GroupByPlan, start time.Time) (*relation, *OpMet
 	var moved int64
 	if nk == 0 {
 		// Global aggregate: gather everything to segment 0.
-		all := concatChunks(&e.scratch, len(schema), rel.parts)
-		parts := c.newParts(len(schema))
+		all := concatChunks(e.scratch, len(schema), rel.parts)
+		parts := e.newParts(len(schema))
 		parts[0] = all
 		rel = &relation{schema: schema, parts: parts, distKey: NoDistKey}
 	} else if rel.distKey != 0 {
-		rel, moved, err = e.redistribute(rel, 0, &e.scratch)
+		rel, moved, err = e.redistribute(rel, 0, e.scratch)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -963,22 +965,24 @@ func (e *execEnv) execJoin(p JoinPlan, start time.Time, pl pipeline) (*relation,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	left, lmoved, err := e.redistribute(left, p.LeftKey, &e.scratch)
+	left, lmoved, err := e.redistribute(left, p.LeftKey, e.scratch)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	right, rmoved, err := e.redistribute(right, p.RightKey, &e.scratch)
+	right, rmoved, err := e.redistribute(right, p.RightKey, e.scratch)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 
 	reads := pl.reads(len(schema))
 	nf := len(pl.filters)
-	out := make([]*Chunk, c.segments)
+	out := e.scratch.partArray(c.segments)
 	rows := make([][]int64, c.segments)
 	matches := make([]int64, c.segments)
+	counts := make([]int64, c.segments*(nf+1)) // per segment: the filters' kept rows, then the matches
 	segTimes, err := e.parallelTimed(left.rows()+right.rows(), func(seg int) error {
-		r := make([]int64, nf+1) // the filters' kept rows, then the matches
+		r := counts[seg*(nf+1) : (seg+1)*(nf+1)]
+		clear(r) // a retried task counts afresh
 		ch, jerr := e.joinSegment(seg, left.parts[seg], right.parts[seg], p, pl, reads, r)
 		if jerr != nil {
 			return jerr

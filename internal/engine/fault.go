@@ -194,16 +194,27 @@ type execEnv struct {
 	opSpillParts  atomic.Int64
 	opSpillPasses atomic.Int64
 
-	// scratch is the statement's arena: the column memory of the chunks
-	// its operators hand one another, returned by close.
-	scratch arena
+	// scratch is the statement's arena: the chunks, part arrays and
+	// routing tables its operators hand one another, released by close.
+	scratch *arena
 }
 
-// newExecEnv opens the execution environment for one statement.
+// newExecEnv opens the execution environment for one statement. It takes
+// a closed environment from the cluster's free list when there is one,
+// so the statement reuses the arena slabs and the attempt array an
+// earlier statement grew.
 func (c *Cluster) newExecEnv(ctx context.Context) *execEnv {
-	e := &execEnv{c: c, ctx: ctx, stmt: c.stmtSeq.Add(1)}
+	c.envMu.Lock()
+	var e *execEnv
+	if n := len(c.envs); n > 0 {
+		e, c.envs[n-1], c.envs = c.envs[n-1], nil, c.envs[:n-1]
+	}
+	c.envMu.Unlock()
+	if e == nil {
+		e = &execEnv{curAttempt: make([]atomic.Int32, c.segments), scratch: new(arena)}
+	}
+	e.c, e.ctx, e.stmt = c, ctx, c.stmtSeq.Add(1)
 	e.budget.Store(int64(c.retryBudget))
-	e.curAttempt = make([]atomic.Int32, c.segments)
 	return e
 }
 
@@ -212,26 +223,29 @@ func (c *Cluster) newExecEnv(ctx context.Context) *execEnv {
 // whether the statement succeeded, failed or was cancelled mid-spill) and
 // the fold of its memory ledger into the cluster stats. Every segment task
 // has drained by then, so nothing still reads or writes the arena or the
-// file.
+// file. The environment then goes back on the cluster's free list, every
+// field zero but the arena's kept slabs and the attempt array, whose
+// entries each task sets before it reads them.
 func (e *execEnv) close() {
 	e.scratch.release()
 	if e.spill != nil {
 		e.spill.Close()
 	}
-	spilled := e.acct.spilledBytes.Load()
-	peak := e.acct.peak.Load()
-	if spilled == 0 && peak == 0 {
-		return
-	}
 	c := e.c
-	c.statsMu.Lock()
-	c.stats.SpilledBytes += spilled
-	c.stats.SpillPartitions += e.acct.spillParts.Load()
-	c.stats.SpillPasses += e.acct.spillPasses.Load()
-	if peak > c.stats.PeakWorkBytes {
-		c.stats.PeakWorkBytes = peak
+	if spilled, peak := e.acct.spilledBytes.Load(), e.acct.peak.Load(); spilled != 0 || peak != 0 {
+		c.statsMu.Lock()
+		c.stats.SpilledBytes += spilled
+		c.stats.SpillPartitions += e.acct.spillParts.Load()
+		c.stats.SpillPasses += e.acct.spillPasses.Load()
+		if peak > c.stats.PeakWorkBytes {
+			c.stats.PeakWorkBytes = peak
+		}
+		c.statsMu.Unlock()
 	}
-	c.statsMu.Unlock()
+	*e = execEnv{curAttempt: e.curAttempt, scratch: e.scratch}
+	c.envMu.Lock()
+	c.envs = append(c.envs, e)
+	c.envMu.Unlock()
 }
 
 // statementContext applies the cluster's per-query deadline to a

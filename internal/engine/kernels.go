@@ -173,7 +173,8 @@ func joinChunks(left, right *Chunk, leftKey, rightKey int, kind JoinKind, limit 
 	hint := min(left.length, limit) // exact for a key-unique build side
 	lp, rp := getI32(hint), getI32(hint)
 	defer func() { putI32(lp); putI32(rp) }()
-	var blocks []*Chunk
+	var one [1]*Chunk
+	blocks := one[:0] // a join of one block appends nothing to the heap
 	// row is the next probe row; chain, when >= 0, is where row's match
 	// chain resumes after a block filled up in the middle of it. The first
 	// block is piped even when it is empty, so an empty join still has the
@@ -245,7 +246,7 @@ func (m joinMatches) pipe(pl pipeline, reads joinReads, r []int64, a *arena) (*C
 	r[nf] += int64(len(m.li))
 	if nf > 0 {
 		fp := getI64(len(reads.filter) * len(m.li))
-		kp, sel, err := pl.filter(m.gather(nil, reads.filter, *fp), r, a)
+		kp, sel, err := pl.filter(m.gather(m.header(a), reads.filter, *fp), r, a)
 		putI64(fp)
 		if err == nil {
 			for j, i := range sel { // sel ascends, so j <= i
@@ -258,7 +259,7 @@ func (m joinMatches) pipe(pl pipeline, reads joinReads, r []int64, a *arena) (*C
 			return nil, err
 		}
 	}
-	ch := m.gather(nil, reads.out, a.alloc(len(reads.out)*len(m.li)))
+	ch := m.gather(m.header(a), reads.out, a.alloc(len(reads.out)*len(m.li)))
 	if pl.proj == nil {
 		return ch, nil // reads.out is every column
 	}
@@ -267,16 +268,19 @@ func (m joinMatches) pipe(pl pipeline, reads joinReads, r []int64, a *arena) (*C
 	return pl.project(m.gather(ch, reads.scratch, *sp), nil, a)
 }
 
-// gather gathers the join-output columns cols at the matches into ch, or
-// into a new chunk of the join's full width when ch is nil, whose other
-// columns stay nil. flat backs the gathered columns, len(cols)·len(li)
-// values, each of which is written, so it may be stale pooled memory.
+// header returns a chunk header of the join's full width over the
+// matches, taken from a, whose columns are all nil until gather fills
+// some.
+func (m joinMatches) header(a *arena) *Chunk {
+	return a.header(len(m.left.cols)+len(m.right.cols), len(m.li))
+}
+
+// gather gathers the join-output columns cols at the matches into ch, a
+// chunk of the join's full width (header) whose other columns it leaves
+// as they are. flat backs the gathered columns, len(cols)·len(li) values,
+// each of which is written, so it may be stale pooled memory.
 func (m joinMatches) gather(ch *Chunk, cols []int, flat []int64) *Chunk {
 	n, lw := len(m.li), len(m.left.cols)
-	if ch == nil {
-		w := lw + len(m.right.cols)
-		ch = &Chunk{length: n, cols: make([][]int64, w), nulls: make([]nullBitmap, w)}
-	}
 	for j, c := range cols {
 		ch.cols[c] = flat[j*n : (j+1)*n : (j+1)*n]
 		if c < lw {
@@ -383,7 +387,7 @@ func distinctChunk(in *Chunk, a *arena) *Chunk {
 // arena a.
 func buildPartialChunk(in *Chunk, keys []int, aggs []Agg, a *arena) (*Chunk, error) {
 	n := in.length
-	vecs := make([]colVec, len(keys)+len(aggs))
+	vecs := a.vecArray(len(keys) + len(aggs))
 	for i, k := range keys {
 		vecs[i] = colVec{vals: in.cols[k], nulls: in.nulls[k]}
 	}
@@ -409,5 +413,5 @@ func buildPartialChunk(in *Chunk, keys []int, aggs []Agg, a *arena) (*Chunk, err
 			vecs[len(keys)+i] = arg
 		}
 	}
-	return chunkFromVecs(vecs, n), nil
+	return chunkFromVecs(a, vecs, n), nil
 }

@@ -477,6 +477,20 @@ func poisonBoxes(boxes []*[]int64) {
 	}
 }
 
+// poisonHeaderSlabs overwrites every chunk header the slabs of c's idle
+// execution environments hold, handed out or not: length -1, nil columns.
+func poisonHeaderSlabs(c *Cluster) {
+	c.envMu.Lock()
+	defer c.envMu.Unlock()
+	for _, e := range c.envs {
+		for _, b := range e.scratch.chunks.blocks {
+			for i := range b {
+				b[i] = Chunk{length: -1}
+			}
+		}
+	}
+}
+
 // refillI64Pool puts boxes back into the int64 scratch pool.
 func refillI64Pool(boxes []*[]int64) {
 	for _, p := range boxes {
@@ -486,14 +500,16 @@ func refillI64Pool(boxes []*[]int64) {
 
 // TestStatementScratchNeverEscapes holds the arena's ownership rule: a
 // table or a result holds only fresh memory, and everything else belongs
-// to the statement and goes back to the pool when it ends. After each
-// statement kind — CTAS with a placement shuffle, CTAS of a co-located
-// group-by, CTAS of a projection aliasing a UNION ALL or a scan
-// concatenation, INSERT … SELECT onto one segment, Query, EXPLAIN
-// ANALYZE, DELETE, a run under 20 % injected faults and one spilling under
-// a memory budget — it drains the pool, poisons every box and compares
-// the stored tables and returned rows with a rerun on a fresh cluster that
-// takes only fresh memory. The statements themselves run on poisoned
+// to the statement and goes back to the pool or to the recycled arena's
+// slabs when it ends. After each statement kind — CTAS with a placement
+// shuffle, CTAS of a co-located group-by, CTAS of a projection aliasing a
+// UNION ALL or a scan concatenation, CTAS of a projection aliasing a
+// scan's stored chunks (fresh columns under an arena header), INSERT …
+// SELECT onto one segment, Query, EXPLAIN ANALYZE, DELETE, a run under
+// 20 % injected faults and one spilling under a memory budget — it drains
+// the pool, poisons every box and every recycled chunk header, and
+// compares the stored tables and returned rows with a rerun on a fresh
+// cluster that takes only fresh memory. The statements themselves run on poisoned
 // pooled memory from the case before, so a kernel that reads a slot it
 // did not write shows too. A cancelled statement must keep its arena
 // until its in-flight tasks have drained: a box drained from the pool
@@ -547,6 +563,8 @@ func TestStatementScratchNeverEscapes(t *testing.T) {
 				ProjCol{Expr: Col(0), Name: "k"}), NoDistKey)},
 		{name: "ctas projection aliasing scan", tables: []string{"out"},
 			run: ctas(Project(Scan("a"), ProjCol{Expr: Col(1), Name: "v"}), NoDistKey)},
+		{name: "ctas projection aliasing stored chunks", tables: []string{"out"},
+			run: ctas(Project(Scan("b"), ProjCol{Expr: Col(1), Name: "w"}, ProjCol{Expr: Col(0), Name: "k"}), NoDistKey)},
 		{name: "insert select onto one segment", tables: []string{"dst"},
 			run: func(c *Cluster) ([]Row, error) {
 				_, err := c.InsertSelectCtx(context.Background(), "dst", Distinct(Filter(Scan("a"), Bin(OpEq, Col(0), Const(3)))))
@@ -577,6 +595,13 @@ func TestStatementScratchNeverEscapes(t *testing.T) {
 			if !ok {
 				t.Fatalf("table %s missing", name)
 			}
+			for seg, list := range tab.snapshotParts() {
+				for _, ch := range list {
+					if ch.length < 0 {
+						t.Fatalf("table %s segment %d keeps a chunk header its statement's arena recycled", name, seg)
+					}
+				}
+			}
 			out = append(out, segmentRows(tab))
 		}
 		return out
@@ -594,6 +619,7 @@ func TestStatementScratchNeverEscapes(t *testing.T) {
 			boxes := drainI64Pool()
 			poisonBoxes(boxes)
 			refillI64Pool(boxes)
+			poisonHeaderSlabs(c)
 			got := snapshot(t, c, tc.tables, rows)
 
 			// The rerun takes only fresh memory: the pool's boxes sit aside.

@@ -62,7 +62,7 @@ func (e *execEnv) execSort(p SortPlan, start time.Time) (*relation, *OpMetrics, 
 	// it index-sorts in place (original position as final tie-break, so the
 	// local sort is stable either way).
 	runs := make([][]int32, c.segments)
-	chs := make([]*Chunk, c.segments)
+	chs := e.scratch.partArray(c.segments)
 	segTimes, err := e.parallelTimed(in.rows(), func(seg int) error {
 		ch, idx, serr := e.sortSegment(seg, in.parts[seg], p.Keys)
 		if serr != nil {
@@ -113,7 +113,7 @@ func (e *execEnv) execSort(p SortPlan, start time.Time) (*relation, *OpMetrics, 
 		}
 	}
 
-	parts := c.newParts(len(in.schema))
+	parts := e.newParts(len(in.schema))
 	parts[0] = out
 	rel := &relation{schema: in.schema, parts: parts, distKey: NoDistKey}
 	return rel, e.finishOp("Sort", "", rel, []*OpMetrics{cm}, 0, segTimes, start), nil

@@ -53,7 +53,7 @@ func (e *execEnv) joinSegment(seg int, left, right *Chunk, p JoinPlan, pl pipeli
 		}
 		e.acct.charge(w)
 		defer e.acct.release(w)
-		return joinChunks(left, right, lk, rk, kind, limit, &e.acct, pl, reads, r, &e.scratch)
+		return joinChunks(left, right, lk, rk, kind, limit, &e.acct, pl, reads, r, e.scratch)
 	}
 	lw, rw := len(left.cols), len(right.cols)
 	wideRow := int64(max(lw, rw)+1) * 8
@@ -341,9 +341,9 @@ func (e *execEnv) foldSegment(seg int, in *Chunk, nk int, aggs []Agg, distinct b
 		e.acct.charge(w)
 		defer e.acct.release(w)
 		if distinct {
-			return distinctChunk(in, &e.scratch), nil
+			return distinctChunk(in, e.scratch), nil
 		}
-		return groupChunk(in, nk, aggs, &e.scratch), nil
+		return groupChunk(in, nk, aggs, e.scratch), nil
 	}
 	ncols := len(in.cols)
 	fan := spillFanout(est, e.segShare(), int64(ncols+1)*8)

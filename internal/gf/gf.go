@@ -62,11 +62,20 @@ type Multiplier struct {
 }
 
 // NewMultiplier returns a Multiplier computing a·x for arbitrary x.
-// Multiplication distributes over XOR, so tab[i][v] is built from the
-// entry for v with its lowest set bit cleared plus that bit's power:
-// 255 XORs per table instead of a bit test per bit of every entry.
 func NewMultiplier(a uint64) *Multiplier {
-	m := &Multiplier{a: a}
+	m := new(Multiplier)
+	m.Reset(a)
+	return m
+}
+
+// Reset rebuilds m in place to multiply by a, so a cache can recycle a
+// table it evicts instead of allocating another. Multiplication
+// distributes over XOR, so tab[i][v] is built from the entry for v with
+// its lowest set bit cleared plus that bit's power: 255 XORs per table
+// instead of a bit test per bit of every entry. tab[i][0] is zero for
+// every a and is never written.
+func (m *Multiplier) Reset(a uint64) {
+	m.a = a
 	p := a // a · x^(8i+k) as k runs through byte i
 	for i := 0; i < 8; i++ {
 		var powers [8]uint64
@@ -83,7 +92,6 @@ func NewMultiplier(a uint64) *Multiplier {
 			t[v] = t[v&(v-1)] ^ powers[bits.TrailingZeros8(uint8(v))]
 		}
 	}
-	return m
 }
 
 // A returns the fixed multiplicand this Multiplier was built for.

@@ -160,6 +160,20 @@ func TestMultiplierTableMatchesMul(t *testing.T) {
 	}
 }
 
+// TestMultiplierReset rebuilds one Multiplier through a sequence of
+// multiplicands and pins that each rebuild equals a fresh NewMultiplier,
+// table for table.
+func TestMultiplierReset(t *testing.T) {
+	rng := xrand.New(65)
+	m := NewMultiplier(^uint64(0))
+	for _, a := range []uint64{0, 1, rng.Uint64(), 1 << 63, rng.Uint64()} {
+		m.Reset(a)
+		if fresh := NewMultiplier(a); *m != *fresh {
+			t.Fatalf("Reset(%#x) differs from NewMultiplier(%#x)", a, a)
+		}
+	}
+}
+
 func TestAffine(t *testing.T) {
 	h := NewAffine(0x9e3779b97f4a7c15, 0x1234)
 	inv := h.Inverse()

@@ -378,10 +378,13 @@ func (s *Server) handleConn(conn net.Conn) {
 // send writes and flushes one frame, reporting whether the connection is
 // still usable.
 func (cs *connState) send(f wire.Frame) bool {
-	if err := wire.WriteFrame(cs.bw, f); err != nil {
-		return false
-	}
-	return cs.bw.Flush() == nil
+	return cs.write(f) && cs.bw.Flush() == nil
+}
+
+// write buffers one frame without flushing it: a reply's leading frames,
+// which its last frame's send flushes together.
+func (cs *connState) write(f wire.Frame) bool {
+	return wire.WriteFrame(cs.bw, f) == nil
 }
 
 // sendError writes an Error frame and counts the failure.
@@ -549,13 +552,15 @@ func (cs *connState) serveQuery(src string, queued time.Duration) {
 	cs.streamRows(schema, rows, queued)
 }
 
-// streamRows sends a result set as Schema, Rows* and a terminal Done.
+// streamRows sends a result set as Schema, Rows* and a terminal Done. The
+// frames gather in the connection's buffer, which writes through only when
+// it fills, and Done's send flushes them: a small reply is one write.
 func (cs *connState) streamRows(schema engine.Schema, rows []engine.Row, queued time.Duration) {
 	if len(schema) > wire.MaxCols {
 		cs.sendError(wire.CodeInternal, fmt.Sprintf("result set has %d columns, wire max is %d", len(schema), wire.MaxCols))
 		return
 	}
-	if !cs.send(wire.Frame{Type: wire.TypeSchema, Payload: wire.EncodeSchema(wire.Schema{Cols: schema})}) {
+	if !cs.write(wire.Frame{Type: wire.TypeSchema, Payload: wire.EncodeSchema(wire.Schema{Cols: schema})}) {
 		return
 	}
 	ncols := len(schema)
@@ -580,7 +585,7 @@ func (cs *connState) streamRows(schema engine.Schema, rows []engine.Row, queued 
 				}
 			}
 		}
-		if !cs.send(wire.Frame{Type: wire.TypeRows, Payload: wire.EncodeRows(chunk)}) {
+		if !cs.write(wire.Frame{Type: wire.TypeRows, Payload: wire.EncodeRows(chunk)}) {
 			return
 		}
 	}
